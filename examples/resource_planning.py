@@ -51,12 +51,11 @@ def main() -> None:
     est = model.overall(config.window_size)
     rows = []
     for name, device in DEVICES.items():
-        fits = device.fits(luts=est.luts, bram18k=plan.total_brams)
-        util = device.utilisation_percent(
-            luts=est.luts, bram18k=plan.total_brams
-        )
+        usage = {"luts": est.luts, "bram18": plan.total_brams}
+        fits = device.accommodates(usage)
+        util = device.utilisation(usage)
         rows.append(
-            [name, f"{util['luts']:.0f}%", f"{util['bram18k']:.0f}%",
+            [name, f"{util['luts']:.0f}%", f"{util['bram18']:.0f}%",
              "yes" if fits else "NO"]
         )
     print(

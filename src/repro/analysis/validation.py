@@ -16,7 +16,6 @@ import numpy as np
 from ..config import ArchitectureConfig
 from ..core.window.compressed import CompressedCycleEngine, CompressedEngine
 from ..core.window.golden import GoldenEngine
-from ..core.window.stream import PixelStreamSimulator
 from ..core.window.traditional import TraditionalCycleEngine, TraditionalEngine
 from ..errors import ConfigError
 from ..kernels.base import WindowKernel
@@ -47,7 +46,11 @@ class ValidationReport:
     def render(self) -> str:
         """Render the result as an aligned text table."""
         rows = [
-            [c.name, "OK" if c.matches_reference else "MISMATCH", c.max_output_delta]
+            [
+                c.name,
+                "OK" if c.matches_reference else "MISMATCH",
+                f"{c.max_output_delta:.2e}",
+            ]
             for c in self.comparisons
         ]
         return render_table(
@@ -107,12 +110,6 @@ def validate_engines(
                     CompressedCycleEngine(config, kernel).run(arr).outputs,
                 )
             )
-            candidates.append(
-                (
-                    "compressed (pixel-stream)",
-                    PixelStreamSimulator(config, kernel).run(arr).outputs,
-                )
-            )
     else:
         reference = compressed_fast
         candidates = [
@@ -126,12 +123,6 @@ def validate_engines(
                 (
                     "compressed (register-level)",
                     CompressedCycleEngine(config, kernel).run(arr).outputs,
-                )
-            )
-            candidates.append(
-                (
-                    "compressed (pixel-stream)",
-                    PixelStreamSimulator(config, kernel).run(arr).outputs,
                 )
             )
 

@@ -6,8 +6,8 @@
   architecture: fast analytic engine plus a cycle-accurate FIFO simulator.
 - :mod:`repro.core.window.compressed` — the paper's modified architecture:
   a fast vectorised engine (band codec, with optional recirculation error
-  feedback) plus a register-level streaming engine built from the hardware
-  block models.
+  feedback) plus the register-level model of its datapath, streamed pixel
+  by pixel through the hardware block models.
 - :mod:`repro.core.window.active` — the active-window shift-register model.
 - :mod:`repro.core.window.pipeline` — cascades of 2-5 sequential window
   operations (Section I's multi-stage motivation).
@@ -21,7 +21,6 @@ from .compressed import CompressedEngine, CompressedCycleEngine
 from .pipeline import PipelineStage, SlidingWindowPipeline
 from .boundary import SameSizeEngine, pad_image
 from .color import MultiChannelEngine, MultiChannelRun
-from .stream import PixelStreamSimulator
 
 __all__ = [
     "EngineStats",
@@ -41,5 +40,4 @@ __all__ = [
     "pad_image",
     "MultiChannelEngine",
     "MultiChannelRun",
-    "PixelStreamSimulator",
 ]

@@ -12,10 +12,11 @@ Two engines:
   feedback is modelled faithfully; ``recirculate=False`` gives the
   single-pass semantics most compression papers (this one included) quote
   MSE numbers for.
-- :class:`CompressedCycleEngine` — streams every band through the
-  register-level block models (Fig 5 IWT blocks, Fig 7 NBits gates, Fig 6
-  packers, Fig 8 unpackers, Fig 10 IIWT blocks) for bit-true validation on
-  small images.
+- :class:`CompressedCycleEngine` — the one register-level model: streams
+  every pixel through the Fig 4 dataflow and the hardware block models
+  (Fig 5 IWT, Fig 7 NBits gates, Fig 6 packers, Fig 8 unpackers, Fig 10
+  IIWT) with FIFO causality checks, for bit-true validation on small
+  images.
 
 In lossless mode every reconstruction is exact, so both engines produce
 output identical to the traditional architecture — the paper's headline
@@ -43,20 +44,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from collections import deque
+from dataclasses import dataclass
 from math import ceil
 from typing import TYPE_CHECKING
 
 from ...config import ArchitectureConfig
-from ...errors import CapacityError, ConfigError
-from ...kernels.base import WindowKernel, as_kernel
+from ...errors import CapacityError, ConfigError, StateError
+from ...kernels.base import WindowKernel
 from ...observability.probe import NULL_PROBE
 from ...resilience.band import EngineFaultSummary, ResilientBandCodec
 from ...resilience.injector import FaultInjector
 from ...resilience.protection import ProtectionPolicy, resolve_policy
 from ..packing import native as native_codec
-from ..packing.hw_pack import BitPackingUnit, PackedWord
+from ..packing.bitmap import apply_threshold
+from ..packing.hw_pack import BitPackingUnit
 from ..packing.hw_unpack import BitUnpackingUnit
-from ..packing.nbits import NBitsGateModel
+from ..packing.nbits import NBitsGateModel, min_bits_signed
 from ..packing.packer import BandCodec
 from ..packing.tiers import resolve_codec
 from ..stats import (
@@ -66,7 +70,7 @@ from ..stats import (
     sliding_band_stack,
     sliding_occupancy,
 )
-from ..transform.hwmodel import Haar2DBlock, InverseHaar2DBlock
+from ..transform.haar2d import Subbands, forward_column_pair, inverse_column_pair
 from .base import EngineStats, SlidingWindowEngine, WindowRun
 from .golden import golden_apply
 from .traditional import traditional_fill_cycles
@@ -579,146 +583,244 @@ class CompressedEngine(SlidingWindowEngine):
         )
 
 
-class CompressedCycleEngine(SlidingWindowEngine):
-    """Register-level streaming model (validation engine, small images).
+@dataclass(frozen=True, slots=True)
+class _ColumnRecord:
+    """Management data of one compressed column held in the Memory Unit.
 
-    Every band flows through the actual hardware block models column by
-    column: the Fig 5 adder trees produce the coefficients, the Fig 7 gate
-    tree computes NBits, N Fig 6 packing units fill per-row word FIFOs, N
-    Fig 8 unpacking units drain them, and the Fig 10 blocks reconstruct
-    pixels.  Outputs and reconstructions are asserted by the test suite to
-    be bit-identical to :class:`CompressedEngine` with ``recirculate=True``.
+    The column's payload bits sit in the per-row word FIFOs; the record
+    carries what the Fig 8 unpackers need to decode them.
+    """
+
+    column_index: int
+    nbits: tuple[int, int]  # (even rows, odd rows)
+    bitmap: tuple[int, ...]
+    #: Payload plus management bits this column keeps resident.
+    bits: int
+
+
+class CompressedCycleEngine(SlidingWindowEngine):
+    """Register-level model of the Fig 4 dataflow (validation, small images).
+
+    One loop iteration per input pixel.  At position ``x`` of traversal
+    ``y`` (Section III's processing state, ``y >= N-1``):
+
+    - *read side* — on even ``x`` the records of columns ``x`` and
+      ``x+1`` leave the record FIFO (an underflow or out-of-order pop
+      raises :class:`~repro.errors.StateError`), N long-lived Fig 8
+      unpackers decode their coefficients from the per-row word FIFOs (an
+      underflow raises :class:`~repro.errors.BitstreamError`) and the
+      batched Fig 10 inverse rebuilds the pixel pair.  The column entering
+      the window is the decoded column shifted up one row plus the raw
+      pixel ``(y, x)``; the first traversal reads the raw fill-state rows.
+    - *write side* — on odd ``x`` the batched Fig 5 transform turns the
+      column pair into two interleaved coefficient columns.  Each is
+      thresholded (LL exempt under ``threshold_bands="details"``), sized
+      by the Fig 7 gate tree (cross-checked against
+      :func:`~repro.core.packing.nbits.min_bits_signed`) and streamed
+      through N Fig 6 packers whose words feed the unpackers' FIFOs.
+      Every packer flushes at the end of the traversal; the final
+      traversal compresses nothing.
+
+    Kernel outputs are one :func:`golden_apply` per traversal over the
+    ``N x W`` band the window slid across, which matches the whole-frame
+    call exactly.  Outputs and reconstruction are asserted bit-identical
+    to :class:`CompressedEngine` with ``recirculate=True``.
     """
 
     def __init__(self, config: ArchitectureConfig, kernel: WindowKernel) -> None:
         super().__init__(config, kernel)
         if config.decomposition_levels != 1 or config.ll_dpcm:
-            from ...errors import ConfigError
-
             raise ConfigError(
                 "the register-level engine models the paper's single-level "
                 "datapath; use CompressedEngine for multi-level configs"
             )
-        wrap = config.coefficient_bits if config.wrap_coefficients else None
-        self._fwd = Haar2DBlock(wrap_bits=wrap)
-        self._inv = InverseHaar2DBlock(wrap_bits=wrap)
+        self._wrap = config.coefficient_bits if config.wrap_coefficients else None
         self._gate = NBitsGateModel(max(config.coefficient_bits, 2))
+        #: High-water mark of the record FIFO (column records), last run.
+        self.fifo_peak = 0
+        #: Peak resident bits (payload + per-record management), last run.
+        self.bits_peak = 0
 
-    # -- per-band streaming ------------------------------------------------
+    # -- column-pair transforms (Fig 5 / Fig 10 blocks) -------------------
 
-    def _transform_band(self, band: np.ndarray) -> np.ndarray:
-        """Interleaved coefficient plane via scalar Fig 5 blocks."""
-        n, w = band.shape
-        plane = np.zeros((n, w), dtype=np.int64)
-        for i in range(0, n, 2):
-            for j in range(0, w, 2):
-                ll, lh, hl, hh = self._fwd.forward(
-                    int(band[i, j]),
-                    int(band[i, j + 1]),
-                    int(band[i + 1, j]),
-                    int(band[i + 1, j + 1]),
-                )
-                plane[i, j] = ll
-                plane[i, j + 1] = hl
-                plane[i + 1, j] = lh
-                plane[i + 1, j + 1] = hh
-        return plane
+    def _transform_pair(
+        self, even_col: np.ndarray, odd_col: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """2D IWT of an aligned column pair -> interleaved coefficient cols.
 
-    def _stream_band(self, band: np.ndarray) -> np.ndarray:
-        """Pack and unpack one band through the register-level units."""
+        All ``N/2`` 2x2 blocks go through the batched Haar column math at
+        once (bit-exact against the scalar Fig 5 block model); ``col_a``
+        carries (LL, LH, ...), ``col_b`` (HL, HH, ...).
+        """
+        pair = np.stack([even_col, odd_col], axis=1)
+        plane = forward_column_pair(pair, wrap_bits=self._wrap).interleaved()
+        return (
+            plane[:, 0].astype(np.int64, copy=False),
+            plane[:, 1].astype(np.int64, copy=False),
+        )
+
+    def _inverse_pair(
+        self, col_a: np.ndarray, col_b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact inverse of :meth:`_transform_pair` (batched Fig 10 math)."""
+        plane = np.stack([col_a, col_b], axis=1)
+        pair = inverse_column_pair(
+            Subbands.from_interleaved(plane), wrap_bits=self._wrap
+        )
+        return (
+            pair[:, 0].astype(np.int64, copy=False),
+            pair[:, 1].astype(np.int64, copy=False),
+        )
+
+    # -- Fig 6 / Fig 7 / Fig 8 column streaming ---------------------------
+
+    def _nbits(self, significant: np.ndarray) -> int:
+        """Fig 7 gate-tree NBits, cross-checked against the codec's."""
+        nbits = self._gate.min_bits(significant)
+        expected = int(min_bits_signed(significant))
+        if nbits != expected:
+            raise StateError(
+                f"gate-tree NBits {nbits} disagrees with the codec's {expected}"
+            )
+        return nbits
+
+    def _pack_column(
+        self,
+        coeff: np.ndarray,
+        index: int,
+        packers: list[BitPackingUnit],
+        unpackers: list[BitUnpackingUnit],
+    ) -> _ColumnRecord:
+        """Stream one coefficient column through the N packers."""
         cfg = self.config
-        n, w = band.shape
-        plane = self._transform_band(band)
-
-        packers = [
-            BitPackingUnit(
-                word_bits=8,
-                threshold=cfg.threshold,
-                max_nbits=cfg.coefficient_bits,
-            )
-            for _ in range(n)
-        ]
-        words: list[list[PackedWord]] = [[] for _ in range(n)]
-        bitmaps = np.zeros((n, w), dtype=np.uint8)
-        nbits_even = np.zeros(w, dtype=np.int64)
-        nbits_odd = np.zeros(w, dtype=np.int64)
-
-        ll_exempt = cfg.threshold_bands == "details"
-        for j in range(w):
-            col = plane[:, j]
-            # Threshold applies before the NBits gate tree sees the column.
-            exempt_even = ll_exempt and j % 2 == 0
-            significant = col.copy()
-            if cfg.threshold:
-                kill = np.abs(significant) < cfg.threshold
-                if exempt_even:
-                    kill[0::2] = False
-                significant[kill] = 0
-            nbits_even[j] = self._gate.min_bits(significant[0::2])
-            nbits_odd[j] = self._gate.min_bits(significant[1::2])
-            for i in range(n):
-                nb = int(nbits_even[j] if i % 2 == 0 else nbits_odd[j])
-                bit, emitted = packers[i].step(
-                    int(col[i]),
-                    nb,
-                    exempt=exempt_even and i % 2 == 0,
-                )
-                bitmaps[i, j] = bit
-                words[i].extend(emitted)
+        n = coeff.size
+        exempt_even = cfg.threshold_bands == "details" and index % 2 == 0
+        significant = apply_threshold(
+            coeff,
+            cfg.threshold,
+            exempt_mask=(np.arange(n) % 2 == 0) if exempt_even else None,
+        )
+        nbits = (self._nbits(significant[0::2]), self._nbits(significant[1::2]))
+        bitmap: list[int] = []
+        payload = 0
         for i in range(n):
-            words[i].extend(packers[i].flush())
-
-        plane_out = np.zeros((n, w), dtype=np.int64)
-        for i in range(n):
-            unpacker = BitUnpackingUnit(
-                words[i], word_bits=8, max_nbits=cfg.coefficient_bits
+            bit, words = packers[i].step(
+                int(coeff[i]), nbits[i % 2], exempt=exempt_even and i % 2 == 0
             )
-            for j in range(w):
-                nb = int(nbits_even[j] if i % 2 == 0 else nbits_odd[j])
-                plane_out[i, j] = unpacker.step(int(bitmaps[i, j]), nb)
+            unpackers[i].feed(words)
+            bitmap.append(bit)
+            payload += bit * nbits[i % 2]
+        return _ColumnRecord(
+            column_index=index,
+            nbits=nbits,
+            bitmap=tuple(bitmap),
+            bits=payload + 2 * cfg.nbits_field_width + n,
+        )
 
-        band_out = np.zeros((n, w), dtype=np.int64)
-        for i in range(0, n, 2):
-            for j in range(0, w, 2):
-                x00, x01, x10, x11 = self._inv.inverse(
-                    int(plane_out[i, j]),
-                    int(plane_out[i + 1, j]),
-                    int(plane_out[i, j + 1]),
-                    int(plane_out[i + 1, j + 1]),
+    def _write_pair(
+        self,
+        records: deque[_ColumnRecord],
+        packers: list[BitPackingUnit],
+        unpackers: list[BitUnpackingUnit],
+        band: np.ndarray,
+        x: int,
+    ) -> int:
+        """Compress the column pair ``(x-1, x)``; returns the bits stored."""
+        col_a, col_b = self._transform_pair(band[:, x - 1], band[:, x])
+        stored = 0
+        for index, coeff in ((x - 1, col_a), (x, col_b)):
+            record = self._pack_column(coeff, index, packers, unpackers)
+            records.append(record)
+            stored += record.bits
+        return stored
+
+    def _read_pair(
+        self,
+        records: deque[_ColumnRecord],
+        unpackers: list[BitUnpackingUnit],
+        x: int,
+    ) -> tuple[list[np.ndarray], int]:
+        """Decode columns ``(x, x+1)``; returns the pixel pair and freed bits."""
+        coeffs: list[np.ndarray] = []
+        freed = 0
+        for index in (x, x + 1):
+            if not records:
+                raise StateError(f"record FIFO underflow at column {index}")
+            record = records.popleft()
+            if record.column_index != index:
+                raise StateError(
+                    f"out-of-order pop: expected column {index}, got "
+                    f"{record.column_index}"
                 )
-                band_out[i, j] = x00
-                band_out[i, j + 1] = x01
-                band_out[i + 1, j] = x10
-                band_out[i + 1, j + 1] = x11
+            freed += record.bits
+            coeffs.append(
+                np.array(
+                    [
+                        unpackers[i].step(bit, record.nbits[i % 2])
+                        for i, bit in enumerate(record.bitmap)
+                    ],
+                    dtype=np.int64,
+                )
+            )
+        pixels = np.stack(self._inverse_pair(coeffs[0], coeffs[1]))
+        cfg = self.config
         if cfg.wrap_coefficients:
-            return band_out & cfg.pixel_max
-        return np.clip(band_out, 0, cfg.pixel_max)
+            pixels &= cfg.pixel_max
+        else:
+            np.clip(pixels, 0, cfg.pixel_max, out=pixels)
+        return list(pixels), freed
 
     def run(self, image: np.ndarray) -> WindowRun:
-        """Stream every traversal band through the hardware block models."""
+        """Stream every pixel of ``image`` through the register-level blocks."""
         arr = self._validate_image(image).astype(np.int64)
         cfg = self.config
         n, w, h = cfg.window_size, cfg.image_width, cfg.image_height
-        kern = as_kernel(self.kernel, window_size=n)
-
+        packers = [
+            BitPackingUnit(
+                word_bits=8, threshold=cfg.threshold, max_nbits=cfg.coefficient_bits
+            )
+            for _ in range(n)
+        ]
+        unpackers = [
+            BitUnpackingUnit(word_bits=8, max_nbits=cfg.coefficient_bits)
+            for _ in range(n)
+        ]
+        records: deque[_ColumnRecord] = deque()
+        self.fifo_peak = self.bits_peak = 0
+        resident = 0
         out_rows: list[np.ndarray] = []
         reconstruction = arr.copy()
-        state = arr[0:n].copy()
+        band = arr[0:n].copy()  # fill state: the first band is raw
+        decoded: list[np.ndarray] = []
+
         for y in range(n - 1, h):
-            out_rows.append(golden_apply(state, n, kern)[0])
-            reconstruction[y - n + 1 : y + 1] = state
-            decoded = self._stream_band(state)
-            if y + 1 < h:
-                state = np.vstack([decoded[1:], arr[y + 1 : y + 2]])
+            for x in range(w):
+                if y > n - 1:
+                    if x % 2 == 0:
+                        decoded, freed = self._read_pair(records, unpackers, x)
+                        resident -= freed
+                    band[:-1, x] = decoded[x % 2][1:]
+                    band[-1, x] = arr[y, x]
+                if y < h - 1 and x % 2 == 1:
+                    resident += self._write_pair(
+                        records, packers, unpackers, band, x
+                    )
+                    self.fifo_peak = max(self.fifo_peak, len(records))
+                    self.bits_peak = max(self.bits_peak, resident)
+            out_rows.append(golden_apply(band, n, self.kernel)[0])
+            reconstruction[y - n + 1 : y + 1] = band
+            if y < h - 1:
+                for packer, unpacker in zip(packers, unpackers):
+                    unpacker.feed(packer.flush())
 
         outputs = np.vstack(out_rows)
         fill = traditional_fill_cycles(n, w)
         stats = EngineStats(
             fill_cycles=fill,
             process_cycles=arr.size - fill,
-            drain_cycles=0,
             pixels_in=arr.size,
             outputs=outputs.size,
+            buffer_bits_peak=self.bits_peak,
             traditional_buffer_bits=cfg.traditional_buffer_bits,
         )
         return WindowRun(outputs=outputs, stats=stats, reconstruction=reconstruction)

@@ -8,7 +8,9 @@ Two engines:
 - :class:`TraditionalCycleEngine` — a cycle-accurate simulator with real
   FIFO delay lines and a shift-register window, used to validate that the
   analytic engine's claims (state machine, 1 output/cycle, window
-  contents) hold operation-by-operation.  The model folds the window's
+  contents) hold operation-by-operation.  Its outputs are one
+  :func:`golden_apply` per traversal band, so they match the analytic
+  engine exactly.  The model folds the window's
   horizontal shift registers into the line delay (each line delays exactly
   one full image row, W cycles); the *architectural* FIFO depth ``W - N``
   from the paper is what the resource accounting uses.
@@ -22,7 +24,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from ...kernels.base import as_kernel
+from ...errors import StateError
 from ...observability.probe import NULL_PROBE
 from .base import EngineStats, SlidingWindowEngine, WindowRun
 from .golden import golden_apply
@@ -82,8 +84,11 @@ class TraditionalCycleEngine(SlidingWindowEngine):
     """Cycle-accurate FIFO + shift-register simulator.
 
     One pixel enters per cycle; line delay FIFOs recirculate each exiting
-    row sample into the row above for the next traversal.  Intended for
-    validation on small images (cost is ``O(H * W * N^2)``).
+    row sample into the row above for the next traversal, and the active
+    window shift register is checked against the band those columns
+    build.  Kernel outputs are one :func:`golden_apply` per traversal over
+    that ``N x W`` band, which matches the whole-frame call exactly.
+    Intended for validation on small images (cost is ``O(H * W * N^2)``).
     """
 
     def run(self, image: np.ndarray) -> WindowRun:
@@ -91,13 +96,11 @@ class TraditionalCycleEngine(SlidingWindowEngine):
         arr = self._validate_image(image).astype(np.int64)
         cfg = self.config
         n, w, h = cfg.window_size, cfg.image_width, cfg.image_height
-        kern = as_kernel(self.kernel, window_size=n)
 
         fifos: list[deque[int]] = [deque() for _ in range(n - 1)]
         window = np.zeros((n, n), dtype=np.int64)
-        newcol = np.zeros(n, dtype=np.int64)
-        out: np.ndarray | None = None
-        rows_out, cols_out = h - n + 1, w - n + 1
+        band = np.zeros((n, w), dtype=np.int64)
+        out_rows: list[np.ndarray] = []
         fill = traditional_fill_cycles(n, w)
         outputs_produced = 0
 
@@ -105,6 +108,7 @@ class TraditionalCycleEngine(SlidingWindowEngine):
             for x in range(w):
                 # Assemble the incoming column: FIFO outputs feed rows
                 # 0..N-2, the raw pixel feeds the bottom row.
+                newcol = band[:, x]
                 for k in range(n - 1):
                     newcol[k] = fifos[k].popleft() if len(fifos[k]) == w else 0
                 newcol[n - 1] = arr[y, x]
@@ -115,13 +119,14 @@ class TraditionalCycleEngine(SlidingWindowEngine):
                 window[:, :-1] = window[:, 1:]
                 window[:, -1] = newcol
                 if y >= n - 1 and x >= n - 1:
-                    value = np.asarray(kern.apply(window))
-                    if out is None:
-                        out = np.zeros((rows_out, cols_out), dtype=value.dtype)
-                    out[y - n + 1, x - n + 1] = value
+                    if not np.array_equal(window, band[:, x - n + 1 : x + 1]):
+                        raise StateError(
+                            f"shift-register window diverged at ({y}, {x})"
+                        )
                     outputs_produced += 1
+            if y >= n - 1:
+                out_rows.append(golden_apply(band, n, self.kernel)[0])
 
-        assert out is not None, "validated geometry guarantees >= 1 output"
         stats = EngineStats(
             fill_cycles=fill,
             process_cycles=arr.size - fill,
@@ -131,4 +136,4 @@ class TraditionalCycleEngine(SlidingWindowEngine):
             buffer_bits_peak=cfg.traditional_buffer_bits,
             traditional_buffer_bits=cfg.traditional_buffer_bits,
         )
-        return WindowRun(outputs=out, stats=stats)
+        return WindowRun(outputs=np.vstack(out_rows), stats=stats)

@@ -22,12 +22,8 @@ package replaces that toolchain with analytical models:
   inventories (XC7Z020 and friends, plus UltraScale+ parts).
 
 The public placement surface is the portfolio API (``MemoryPrimitive``,
-``Portfolio``, ``Placement``, ``plan_placement``); the bram18k-only
-allocator entry points (``min_brams`` / ``best_config``) remain
-importable as deprecated shims for one migration window.
+``Portfolio``, ``Placement``, ``plan_placement``).
 """
-
-from typing import Any
 
 from .bram import BRAM_CAPACITY_BITS, BramConfig, BRAM_CONFIGS
 from .primitives import (
@@ -79,23 +75,6 @@ from .latency import (
     latency_overhead_percent,
     traditional_latency,
 )
-
-#: Deprecated allocator names still importable from this package; the
-#: functions themselves raise DeprecationWarning when called, so the
-#: re-export is lazy to keep static imports of the shims out of the
-#: codebase (REP005).
-_DEPRECATED_BRAM_NAMES = ("min_brams", "best_config")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _DEPRECATED_BRAM_NAMES:
-        from . import bram as _bram
-
-        return getattr(_bram, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
 
 __all__ = [
     "BRAM_CAPACITY_BITS",

@@ -14,15 +14,10 @@ The block-RAM kinds share silicon: a design's demand fits when
 ``bram18 + 2 * bram36`` stays within the RAMB18 site count *and* the
 RAMB36 tiles asked for exist.  Distributed RAM has no site inventory —
 LUTRAM placements charge the ``luts`` pool.
-
-The bram18k-only :meth:`FPGADevice.fits` / ``utilisation_percent`` pair
-survives as a deprecated shim over :meth:`FPGADevice.accommodates` /
-:meth:`FPGADevice.utilisation` (REP005 keeps internal code off it).
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -135,39 +130,6 @@ class FPGADevice:
             else:
                 result[kind] = 100.0 * used / cap
         return result
-
-    def fits(self, luts: int = 0, registers: int = 0, bram18k: int = 0) -> bool:
-        """Deprecated bram18k-only check; use :meth:`accommodates`."""
-        warnings.warn(
-            "FPGADevice.fits is deprecated; use FPGADevice.accommodates "
-            "with a per-kind usage mapping",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if min(luts, registers, bram18k) < 0:
-            raise ConfigError("utilisation figures must be non-negative")
-        return self.accommodates(
-            {"luts": luts, "registers": registers, "bram18": bram18k}
-        )
-
-    def utilisation_percent(
-        self, *, luts: int = 0, registers: int = 0, bram18k: int = 0
-    ) -> dict[str, float]:
-        """Deprecated bram18k-only report; use :meth:`utilisation`."""
-        warnings.warn(
-            "FPGADevice.utilisation_percent is deprecated; use "
-            "FPGADevice.utilisation with a per-kind usage mapping",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        inner = self.utilisation(
-            {"luts": luts, "registers": registers, "bram18": bram18k}
-        )
-        return {
-            "luts": inner["luts"],
-            "registers": inner["registers"],
-            "bram18k": inner["bram18"],
-        }
 
 
 #: The paper's evaluation device.

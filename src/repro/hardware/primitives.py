@@ -32,8 +32,7 @@ Two synthesis behaviours ride along with the tables:
   primitives.  7-series synthesis pads depths to powers of two before
   this check, so the rule is only enabled on the UltraScale+ portfolio.
 - **Cascading** — a buffer wider or deeper than one primitive's port
-  splits across ``ceil(width / w) * ceil(depth / d)`` units, exactly as
-  :meth:`~repro.hardware.bram.BramConfig.brams_for` priced RAMB18s.
+  splits across ``ceil(width / w) * ceil(depth / d)`` units.
 """
 
 from __future__ import annotations

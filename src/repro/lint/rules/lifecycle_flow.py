@@ -1,4 +1,4 @@
-"""REP007 — must-release over every CFG path (supersedes REP002's scan).
+"""REP007 — must-release over every CFG path (complements REP002's scan).
 
 REP002 checks that an acquisition site is *lexically* protected — inside
 or immediately before a try with an error edge.  That shape check has a
@@ -30,7 +30,11 @@ connection tasks):
 A resource *escapes* (tracking stops, deliberately conservative) when
 its variable is passed as a call argument, returned or yielded, aliased,
 stored into an attribute/subscript/container, or rebound: ownership has
-moved somewhere this per-function analysis cannot see.  Pure reads —
+moved somewhere this per-function analysis cannot see.  An acquisition
+stored straight onto an attribute (``self._shm = SharedMemory(create=
+True, ...)``, the shape of ``FrameRing.__init__``) is therefore never
+tracked here; REP002's lexical check is what keeps it protected, so the
+two rules stay side by side.  Pure reads —
 ``if slot is None:``, receiver position ``task.add_done_callback(...)``
 — do not escape, so a test between acquire and release cannot hide a
 leaking early return.

@@ -14,10 +14,6 @@ without limit.  Per frame, only a tiny :class:`FrameTask` travels to the
 worker and a :class:`FrameResult` (slot index + stats scalars + optional
 metrics snapshot) travels back; the pixel planes stay in the
 shared-memory ring.
-
-The spec class itself lives in :mod:`repro.spec`; the old
-``repro.runtime.worker.EngineSpec`` import path still resolves through a
-module ``__getattr__`` but raises a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 
@@ -35,19 +30,6 @@ from ..core.window.base import SlidingWindowEngine
 from ..resilience.chaos import apply_worker_chaos
 from ..spec import EngineSpec as _EngineSpec
 from .ring import FrameRing, RingSpec
-
-
-def __getattr__(name: str):
-    """Deprecated-alias hook: ``EngineSpec`` moved to :mod:`repro.spec`."""
-    if name == "EngineSpec":
-        warnings.warn(
-            "repro.runtime.worker.EngineSpec is deprecated; import "
-            "EngineSpec from repro.spec (or repro) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _EngineSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, slots=True)

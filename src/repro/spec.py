@@ -18,9 +18,8 @@ Quick start::
                       threshold=4, fast_path=True)
     run = make_engine(spec).run(image)
 
-The legacy import path ``repro.runtime.worker.EngineSpec`` still works
-but issues a :class:`DeprecationWarning`; the engine constructors remain
-public API — the spec is the recommended front door, not the only one.
+The engine constructors remain public API — the spec is the
+recommended front door, not the only one.
 """
 
 from __future__ import annotations

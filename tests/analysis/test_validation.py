@@ -50,6 +50,27 @@ class TestValidateEngines:
         out = validate_engines(cfg(), img, BoxFilterKernel(4)).render()
         assert "OK" in out and "MISMATCH" not in out
 
+    @pytest.mark.parametrize("threshold", [0, 4])
+    def test_window_six_consistent(self, threshold):
+        """N=6 outputs match exactly (no float summation-order drift)."""
+        from repro.imaging import generate_scene
+
+        config = cfg(
+            image_width=24, image_height=24, window_size=6, threshold=threshold
+        )
+        img = generate_scene(seed=1, resolution=24)
+        report = validate_engines(config, img, BoxFilterKernel(6))
+        assert report.all_consistent, report.render()
+
+    def test_render_shows_nonzero_delta(self):
+        from repro.analysis.validation import EngineComparison, ValidationReport
+
+        report = ValidationReport(
+            config=cfg(),
+            comparisons=(EngineComparison("x", False, 5.7e-14),),
+        )
+        assert "5.70e-14" in report.render()
+
     def test_wrapped_datapath_consistent(self, rng):
         img = random_image(rng, 16, 16)
         config = cfg(coefficient_bits=8, wrap_coefficients=True)

@@ -95,6 +95,7 @@ class TestBestConfig:
         assert BRAM18.best_config(480, 32).name == "512 x 36"
         # Narrowest-width tie-break.
         assert BRAM18.best_config(896, 128).width == 18
+        assert BRAM18.best_config(1920, 128).name == "2k x 9"
 
     def test_units_for_matches_brute_force(self):
         for prim in (BRAM18, BRAM36, URAM, LUTRAM):
@@ -137,6 +138,29 @@ class TestBestConfig:
         assert BRAM18.pool_units(1) == 1
         assert BRAM18.pool_units(18432) == 1
         assert BRAM18.pool_units(18433) == 2
+
+
+class TestUnitsFor:
+    def test_table1_note_cascades(self):
+        """8-bit rows up to 2048 pixels fit one RAMB18 (Table I note);
+        one word deeper or one bit wider cascades to two."""
+        assert BRAM18.units_for(2048, 8) == 1
+        assert BRAM18.units_for(2049, 8) == 2
+        assert BRAM18.units_for(2048, 10) == 2
+
+    def test_port_config_cascades(self):
+        """A single 2k x 9 port cascades in depth and in width."""
+        cfg = PortConfig(depth=2048, width=9)
+        assert cfg.units_for(2048, 9) == 1
+        assert cfg.units_for(2049, 9) == 2
+        assert cfg.units_for(2048, 10) == 2
+        assert cfg.units_for(0, 9) == 0
+
+    def test_negative_rejected(self):
+        with pytest.raises(ConfigError):
+            BRAM18.units_for(-1, 8)
+        with pytest.raises(ConfigError):
+            BRAM18.units_for(8, -1)
 
 
 class TestElision:

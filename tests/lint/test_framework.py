@@ -83,12 +83,12 @@ class TestSuppressions:
             _src(
                 "# reprolint: disable=REP001,REP002\n"
                 "x = 1\n"
-                "y = 2  # reprolint: disable-file=REP005\n"
+                "y = 2  # reprolint: disable-file=REP004\n"
             )
         )
         assert per_line[1] == {"REP001", "REP002"}
         assert per_line[2] == {"REP001", "REP002"}  # comment-only line above
-        assert file_wide == {"REP005"}
+        assert file_wide == {"REP004"}
 
 
 class TestDrivers:
@@ -110,7 +110,7 @@ class TestDrivers:
         report = lint_paths([tmp_path])
         assert report.files_checked == 2
         assert report.ok
-        assert len(report.rules) == 9
+        assert len(report.rules) == 8
 
     def test_violations_sorted_by_position(self):
         source = _src("y = a / b\nx = 1.5\n")
@@ -158,7 +158,6 @@ class TestReporters:
             "REP002",
             "REP003",
             "REP004",
-            "REP005",
             "REP006",
             "REP007",
             "REP008",
@@ -181,5 +180,5 @@ class TestReporters:
 
     def test_rule_table_lists_all_codes(self):
         table = render_rule_table(self._report())
-        for code in ("REP001", "REP002", "REP003", "REP004", "REP005"):
+        for code in ("REP001", "REP002", "REP003", "REP004", "REP006"):
             assert code in table

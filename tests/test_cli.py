@@ -114,7 +114,7 @@ class TestCommands:
     def test_validate_full_small(self, capsys):
         assert main(["validate", "--resolution", "16", "--window", "4"]) == 0
         out = capsys.readouterr().out
-        assert "pixel-stream" in out
+        assert "register-level" in out
 
     def test_coding(self, capsys):
         assert main(["coding", "--resolution", "128", "--window", "16"]) == 0

@@ -92,7 +92,9 @@ class TestStaticAnalysis:
         offenders = [
             f
             for f in tracked
-            if f.endswith((".pyc", ".pyo")) or "__pycache__" in f
+            if f.endswith((".pyc", ".pyo"))
+            or "__pycache__" in f
+            or ".egg-info/" in f
         ]
         assert not offenders, offenders
 

@@ -1,10 +1,9 @@
-"""The :class:`~repro.spec.EngineSpec` front door and its legacy shim.
+"""The :class:`~repro.spec.EngineSpec` front door.
 
 One spec value must build every engine family, survive pickling (the
-streaming workers' transport), apply threshold overrides without
-mutating the original config, and keep the deprecated
-``repro.runtime.worker.EngineSpec`` import path working — with a
-:class:`DeprecationWarning` — for one release.
+streaming workers' transport) and apply threshold overrides without
+mutating the original config.  The old ``repro.runtime.worker.EngineSpec``
+import path is gone.
 """
 
 from __future__ import annotations
@@ -128,13 +127,6 @@ class TestTransport:
 
 
 class TestDeprecatedImportPath:
-    def test_runtime_worker_shim_warns_and_aliases(self):
-        import repro.runtime.worker as worker
-
-        with pytest.warns(DeprecationWarning, match="repro.spec"):
-            legacy = worker.EngineSpec
-        assert legacy is EngineSpec
-
     def test_runtime_package_reexport_does_not_warn(self, recwarn):
         from repro.runtime import EngineSpec as runtime_spec
 
@@ -143,8 +135,8 @@ class TestDeprecatedImportPath:
             w for w in recwarn.list if w.category is DeprecationWarning
         ]
 
-    def test_shim_still_raises_for_unknown_names(self):
+    def test_removed_worker_path_raises(self):
         import repro.runtime.worker as worker
 
         with pytest.raises(AttributeError):
-            worker.no_such_symbol
+            worker.EngineSpec

@@ -118,7 +118,6 @@ class TestMultilevelConfig:
 
     def test_register_engines_reject_multilevel(self, rng):
         from repro import ArchitectureConfig, CompressedCycleEngine
-        from repro.core.window.stream import PixelStreamSimulator
         from repro.kernels import BoxFilterKernel
 
         config = ArchitectureConfig(
@@ -126,8 +125,6 @@ class TestMultilevelConfig:
         )
         with pytest.raises(ConfigError):
             CompressedCycleEngine(config, BoxFilterKernel(8))
-        with pytest.raises(ConfigError):
-            PixelStreamSimulator(config, BoxFilterKernel(8))
 
     def test_bit_exact_roundtrip_two_levels(self, rng):
         from repro import ArchitectureConfig, BandCodec

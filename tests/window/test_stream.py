@@ -1,13 +1,24 @@
-"""Tests for the pixel-level streaming simulator."""
+"""Tests for the register-level model of the compressed datapath.
+
+:class:`CompressedCycleEngine` streams every pixel through the Fig 4
+dataflow; these tests pin its equivalence to the band engine, its
+batched pair transforms and its FIFO causality checks.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import ArchitectureConfig, CompressedEngine, TraditionalEngine
+from repro import (
+    ArchitectureConfig,
+    CompressedCycleEngine,
+    CompressedEngine,
+    TraditionalEngine,
+)
+from repro.core.packing.hw_unpack import BitUnpackingUnit
 from repro.core.transform.hwmodel import Haar2DBlock, InverseHaar2DBlock
-from repro.core.window.stream import PixelStreamSimulator
+from repro.errors import BitstreamError, StateError
 from repro.kernels import BoxFilterKernel, MedianKernel
 
 from helpers import random_image
@@ -27,16 +38,43 @@ class TestStreamEquivalence:
         config = cfg(threshold=threshold)
         img = random_image(rng, 14, 16)
         kernel = BoxFilterKernel(4)
-        sim = PixelStreamSimulator(config, kernel).run(img)
+        sim = CompressedCycleEngine(config, kernel).run(img)
         fast = CompressedEngine(config, kernel).run(img)
         assert np.allclose(sim.outputs, fast.outputs)
         assert np.array_equal(sim.reconstruction, fast.reconstruction)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("threshold", [0, 2, 6, 12])
+    @pytest.mark.parametrize("bands", ["all", "details"])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_exact_against_recirculating_engine(
+        self, rng, n, threshold, bands, wrapped
+    ):
+        """Reconstruction bit-identical and outputs exact (delta 0.0) on
+        dark and bright input; dark input is where the ``details`` LL
+        exemption changes the result."""
+        config = cfg(
+            image_width=16,
+            image_height=12,
+            window_size=n,
+            threshold=threshold,
+            threshold_bands=bands,
+            coefficient_bits=8 if wrapped else 12,
+            wrap_coefficients=wrapped,
+        )
+        kernel = BoxFilterKernel(n)
+        for high in (40, 256):
+            img = rng.integers(0, high, size=(12, 16))
+            cyc = CompressedCycleEngine(config, kernel).run(img)
+            ref = CompressedEngine(config, kernel, recirculate=True).run(img)
+            assert np.array_equal(cyc.outputs, ref.outputs)
+            assert np.array_equal(cyc.reconstruction, ref.reconstruction)
 
     def test_lossless_matches_traditional(self, rng):
         config = cfg()
         img = random_image(rng, 14, 16)
         kernel = MedianKernel(4)
-        sim = PixelStreamSimulator(config, kernel).run(img)
+        sim = CompressedCycleEngine(config, kernel).run(img)
         trad = TraditionalEngine(config, kernel).run(img)
         assert np.allclose(sim.outputs, trad.outputs)
 
@@ -44,7 +82,7 @@ class TestStreamEquivalence:
         config = cfg(coefficient_bits=8, wrap_coefficients=True)
         img = random_image(rng, 14, 16)
         kernel = BoxFilterKernel(4)
-        sim = PixelStreamSimulator(config, kernel).run(img)
+        sim = CompressedCycleEngine(config, kernel).run(img)
         trad = TraditionalEngine(config, kernel).run(img)
         assert np.allclose(sim.outputs, trad.outputs)
 
@@ -86,7 +124,7 @@ class TestVectorisedPairs:
             coefficient_bits=8 if wrapped else 12,
             wrap_coefficients=wrapped,
         )
-        sim = PixelStreamSimulator(config, BoxFilterKernel(8))
+        sim = CompressedCycleEngine(config, BoxFilterKernel(8))
         for _ in range(20):
             even = rng.integers(0, 256, size=8).astype(np.int64)
             odd = rng.integers(0, 256, size=8).astype(np.int64)
@@ -104,7 +142,7 @@ class TestVectorisedPairs:
             coefficient_bits=8 if wrapped else 12,
             wrap_coefficients=wrapped,
         )
-        sim = PixelStreamSimulator(config, BoxFilterKernel(8))
+        sim = CompressedCycleEngine(config, BoxFilterKernel(8))
         for _ in range(20):
             col_a = rng.integers(-128, 128, size=8).astype(np.int64)
             col_b = rng.integers(-128, 128, size=8).astype(np.int64)
@@ -114,7 +152,7 @@ class TestVectorisedPairs:
             assert np.array_equal(got[1], want[1])
 
     def test_pair_roundtrip(self, rng):
-        sim = PixelStreamSimulator(cfg(), BoxFilterKernel(4))
+        sim = CompressedCycleEngine(cfg(), BoxFilterKernel(4))
         even = rng.integers(0, 256, size=4).astype(np.int64)
         odd = rng.integers(0, 256, size=4).astype(np.int64)
         back = sim._inverse_pair(*sim._transform_pair(even, odd))
@@ -128,13 +166,13 @@ class TestDataflowInvariants:
         the simulator checks order and availability at every pop."""
         config = cfg(image_width=20, image_height=18, window_size=6)
         img = random_image(rng, 18, 20)
-        PixelStreamSimulator(config, BoxFilterKernel(6)).run(img)
+        CompressedCycleEngine(config, BoxFilterKernel(6)).run(img)
 
     def test_fifo_peak_bounded_by_one_generation(self, rng):
         """At most one traversal's worth of records is ever resident."""
         config = cfg()
         img = random_image(rng, 14, 16)
-        sim = PixelStreamSimulator(config, BoxFilterKernel(4))
+        sim = CompressedCycleEngine(config, BoxFilterKernel(4))
         sim.run(img)
         assert sim.fifo_peak <= config.image_width
 
@@ -143,16 +181,52 @@ class TestDataflowInvariants:
         config = cfg(image_width=32, image_height=16, window_size=4, threshold=6)
         noise = random_image(rng, 16, 32)
         smooth = random_image(rng, 16, 32, smooth=True)
-        sim_n = PixelStreamSimulator(config, BoxFilterKernel(4))
+        sim_n = CompressedCycleEngine(config, BoxFilterKernel(4))
         sim_n.run(noise)
-        sim_s = PixelStreamSimulator(config, BoxFilterKernel(4))
+        sim_s = CompressedCycleEngine(config, BoxFilterKernel(4))
         sim_s.run(smooth)
         assert sim_s.bits_peak < sim_n.bits_peak
+
+    def test_record_fifo_underflow_raises(self, rng):
+        class NoWrites(CompressedCycleEngine):
+            def _write_pair(self, records, packers, unpackers, band, x):
+                return 0
+
+        with pytest.raises(StateError, match="underflow"):
+            NoWrites(cfg(), BoxFilterKernel(4)).run(random_image(rng, 14, 16))
+
+    def test_out_of_order_pop_raises(self, rng):
+        class SwappedWrites(CompressedCycleEngine):
+            def _write_pair(self, records, packers, unpackers, band, x):
+                stored = super()._write_pair(records, packers, unpackers, band, x)
+                odd, even = records.pop(), records.pop()
+                records.extend((odd, even))
+                return stored
+
+        with pytest.raises(StateError, match="out-of-order"):
+            SwappedWrites(cfg(), BoxFilterKernel(4)).run(
+                random_image(rng, 14, 16)
+            )
+
+    def test_word_fifo_underflow_raises(self, rng, monkeypatch):
+        """Words that never reach the unpackers' FIFOs starve them."""
+        monkeypatch.setattr(BitUnpackingUnit, "feed", lambda self, words: None)
+        with pytest.raises(BitstreamError, match="underflow"):
+            CompressedCycleEngine(cfg(), BoxFilterKernel(4)).run(
+                random_image(rng, 14, 16)
+            )
+
+    def test_gate_disagreement_raises(self, rng):
+        engine = CompressedCycleEngine(cfg(), BoxFilterKernel(4))
+        gate_min_bits = engine._gate.min_bits
+        engine._gate.min_bits = lambda values: gate_min_bits(values) + 1
+        with pytest.raises(StateError, match="gate-tree"):
+            engine.run(random_image(rng, 14, 16))
 
     def test_stats_fields(self, rng):
         config = cfg()
         img = random_image(rng, 14, 16)
-        run = PixelStreamSimulator(config, BoxFilterKernel(4)).run(img)
+        run = CompressedCycleEngine(config, BoxFilterKernel(4)).run(img)
         assert run.stats.outputs == 11 * 13
         assert run.stats.pixels_in == 14 * 16
         assert run.stats.buffer_bits_peak > 0

@@ -74,6 +74,14 @@ class TestTraditionalCycleEngine:
         run = TraditionalCycleEngine(config, kernel).run(img)
         assert np.array_equal(run.outputs, golden_apply(img, 4, kernel))
 
+    def test_box_filter_window_six_exact(self, rng):
+        """Per-band golden_apply keeps N=6 box-filter means bit-identical."""
+        config = ArchitectureConfig(image_width=24, image_height=24, window_size=6)
+        img = random_image(rng, 24, 24)
+        kernel = BoxFilterKernel(6)
+        run = TraditionalCycleEngine(config, kernel).run(img)
+        assert np.array_equal(run.outputs, golden_apply(img, 6, kernel))
+
     def test_output_count_matches_analytic_engine(self, rng):
         config = ArchitectureConfig(image_width=10, image_height=10, window_size=4)
         img = random_image(rng, 10, 10)
