@@ -745,6 +745,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.json}")
     elif args.command == "serve":
         import asyncio
+        import signal
 
         from .serve.gateway import FrameGateway, GatewayConfig
 
@@ -762,16 +763,27 @@ def main(argv: list[str] | None = None) -> int:
         )
 
         async def _serve_foreground() -> None:
-            gateway = FrameGateway(gateway_config)
-            await gateway.start()
-            print(
-                f"serving {gateway_config.resolution}x"
-                f"{gateway_config.resolution} frames on "
-                f"http://{gateway_config.host}:{gateway.port} "
-                "(Ctrl-C to stop)"
+            # SIGTERM cancels this task like Ctrl-C does, so the gateway
+            # closes its frame ring instead of leaking the segment.
+            task = asyncio.current_task()
+            if task is None:  # pragma: no cover - asyncio.run always has one
+                raise RuntimeError("serve must run inside a task")
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, task.cancel
             )
+            gateway = FrameGateway(gateway_config)
             try:
+                await gateway.start()
+                print(
+                    f"serving {gateway_config.resolution}x"
+                    f"{gateway_config.resolution} frames on "
+                    f"http://{gateway_config.host}:{gateway.port} "
+                    "(Ctrl-C to stop)",
+                    flush=True,
+                )
                 await gateway.serve_forever()
+            except asyncio.CancelledError:
+                pass  # SIGTERM or Ctrl-C: an orderly stop, not an error
             finally:
                 await gateway.close()
 

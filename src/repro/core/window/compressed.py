@@ -337,7 +337,9 @@ class CompressedEngine(SlidingWindowEngine):
         return WindowRun(
             outputs=outputs,
             stats=stats,
-            reconstruction=arr.copy(),
+            # Lossless: the reconstruction is the input, and ``arr`` is
+            # the private int64 copy run() made.
+            reconstruction=arr,
             faults=None,
         )
 
@@ -386,7 +388,7 @@ class CompressedEngine(SlidingWindowEngine):
         cols = sizes.payload_bits_per_column
         mgmt = sizes.management_bits_per_column
         with prb.span("fifo"):
-            band_totals = [int(v) + mgmt * (w - n) for v in cols.sum(axis=1)]
+            band_totals = (cols.sum(axis=1) + mgmt * (w - n)).tolist()
             band_peaks = self._occupancy_band_peaks(cols, mgmt, None)
         if self.probe is not None:
             self._observe_bands(

@@ -52,11 +52,12 @@ def golden_apply(
 
     Kernels exposing an ``apply_image`` method (the convolution family)
     take a dense whole-image route that skips window materialisation
-    entirely; per-output summation order is identical to the windowed
-    path's operand set but associates differently, so results agree to
-    float tolerance (bit-exactly for integer taps).  The windowed path
-    remains the oracle for strided sampling and kernels that genuinely
-    need the window tensor.
+    entirely.  The box filter on integer pixels is exact on both routes
+    (int64 window sums divided once by ``N^2``), so they agree bit for
+    bit at every N; integer taps on integer pixels are exact too.  Float
+    taps sum the same products in a different association, so those
+    results agree to rounding.  The windowed path remains the oracle for
+    strided sampling and kernels that genuinely need the window tensor.
     """
     kern = as_kernel(kernel, window_size=window_size)
     if row_stride == 1:

@@ -47,15 +47,13 @@ class ConvolutionKernel:
         row contributions accumulate in fixed row order.  Each output is
         a sum over the same values in the same order regardless of the
         image height, so an N-row band call and a whole-frame call are
-        bit-identical — the compressed engine's fast/sequential
-        equivalence rests on this.
+        bit-identical (the compressed engine's fast/sequential
+        equivalence rests on this).  Against :meth:`apply` the operands
+        are the same but associate differently: integer taps on integer
+        pixels agree exactly, float taps to rounding.
         """
-        arr = np.asarray(image)
+        arr = _check_image(image, self.window_size)
         n = self.window_size
-        if arr.ndim != 2:
-            raise ConfigError(f"image must be 2D, got shape {arr.shape}")
-        if arr.shape[0] < n or arr.shape[1] < n:
-            raise ConfigError(f"window {n} exceeds image {arr.shape}")
         # Pre-cast so the strided matmul runs in BLAS (integer taps stay
         # integer: the computation remains exact).
         dtype = np.result_type(arr.dtype, self.taps.dtype)
@@ -70,10 +68,66 @@ class ConvolutionKernel:
 
 
 class BoxFilterKernel(ConvolutionKernel):
-    """Mean (box) filter over the window — all taps ``1 / N^2``."""
+    """Mean (box) filter over the window: ``sum(window) / N^2``.
+
+    Integer pixels take exact routes: the window sum accumulates in int64
+    and is divided by ``N^2`` once, so each output is the correctly
+    rounded mean.  Integer sums do not depend on summation order, so the
+    windowed :meth:`apply`, the whole-image :meth:`apply_image` and any
+    band of rows agree bit for bit at every N (given window sums below
+    2^53, true for pixels of up to 16 bits at any practical N).  Float
+    pixels keep the inherited tap-weighted routes with taps ``1 / N^2``.
+    """
 
     def __init__(self, window_size: int) -> None:
         if window_size < 1:
             raise ConfigError(f"window_size must be >= 1, got {window_size}")
         taps = np.full((window_size, window_size), 1.0 / window_size**2)
         super().__init__(taps, name=f"box{window_size}")
+
+    def apply(self, windows: np.ndarray) -> np.ndarray:
+        """Windowed oracle: ``sum(window) / N^2`` per trailing window."""
+        arr = check_window_shape(windows, self.window_size)
+        if not np.issubdtype(arr.dtype, np.integer):
+            return super().apply(arr)
+        return arr.sum(axis=(-2, -1), dtype=np.int64) / self.window_size**2
+
+    def apply_image(self, image: np.ndarray) -> np.ndarray:
+        """Whole-image box filter in O(1) work per pixel.
+
+        Integer images go through running sums: along each row, then down
+        each column of the row sums, so each window sum is two
+        differences of prefix sums.  The int64 accumulators wrap on
+        overflow, which leaves every difference exact as long as the
+        window sum itself fits.
+        """
+        arr = _check_image(image, self.window_size)
+        if not np.issubdtype(arr.dtype, np.integer):
+            return super().apply_image(arr)
+        n = self.window_size
+        h, w = arr.shape
+        # Always a fresh int64 copy, so the running sums can run in place
+        # (accumulating uint8 directly would cast element by element).
+        acc = arr.astype(np.int64)
+        np.add.accumulate(acc, axis=1, out=acc)
+        row_sums = np.empty((h, w - n + 1), dtype=np.int64)
+        row_sums[:, 0] = acc[:, n - 1]
+        np.subtract(acc[:, n:], acc[:, :-n], out=row_sums[:, 1:])
+        np.add.accumulate(row_sums, axis=0, out=row_sums)
+        # The window sums are differenced in int64 and land exactly in
+        # the float64 output (they are below 2^53), then divided once.
+        out = np.empty((h - n + 1, w - n + 1))
+        out[0] = row_sums[n - 1]
+        np.subtract(row_sums[n:], row_sums[:-n], out=out[1:])
+        out /= n**2
+        return out
+
+
+def _check_image(image: np.ndarray, window_size: int) -> np.ndarray:
+    """Validate a 2D image that holds at least one full window."""
+    arr = np.asarray(image)
+    if arr.ndim != 2:
+        raise ConfigError(f"image must be 2D, got shape {arr.shape}")
+    if arr.shape[0] < window_size or arr.shape[1] < window_size:
+        raise ConfigError(f"window {window_size} exceeds image {arr.shape}")
+    return arr

@@ -220,25 +220,32 @@ class FrameGateway:
         self._state.started_at = time.monotonic()
 
     async def serve_forever(self) -> None:
-        """Block serving until cancelled (the CLI's foreground mode)."""
-        server = self._state.server
-        if server is None:
+        """Block until cancelled (the CLI's foreground mode).
+
+        The server already accepts from :meth:`start` on, and
+        :meth:`close` owns the teardown: ``Server.serve_forever`` would
+        close and then await ``wait_closed`` on cancellation, which
+        (Python 3.12.1+) waits for open keep-alive clients to leave.
+        """
+        if self._state.server is None:
             raise ConfigError("gateway is not started")
-        async with server:
-            await server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def close(self) -> None:
         """Stop accepting, drain the bridge, tear the runtime down."""
         server, self._state.server = self._state.server, None
         if server is not None:
             server.close()
-            await server.wait_closed()
+        # Connections go before wait_closed(): from Python 3.12.1 on it
+        # waits for every accepted connection to close.
         tasks = list(self._state.conn_tasks)
         self._state.conn_tasks.clear()
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
         bridge, self._state.bridge = self._state.bridge, None
         if bridge is not None:
             await asyncio.to_thread(bridge.close)
@@ -280,6 +287,12 @@ class FrameGateway:
                     break
         except ConnectionError:  # pragma: no cover - peer vanished mid-write
             pass
+        except asyncio.CancelledError:
+            # close() cancelled this connection: end normally, because the
+            # stream protocol's done-callback calls task.exception() and
+            # would log a cancelled task's traceback as unhandled.
+            if self._state.server is not None:
+                raise
         finally:
             self._state.conn_tasks.discard(task)
             writer.close()

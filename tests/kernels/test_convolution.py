@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.core.window.golden import golden_apply
 from repro.errors import ConfigError
 from repro.kernels import BoxFilterKernel, ConvolutionKernel
 
@@ -56,18 +62,14 @@ class TestApplyImage:
     """The dense whole-image route used by golden_apply's fast path."""
 
     def test_matches_windowed_apply(self, rng):
-        from numpy.lib.stride_tricks import sliding_window_view
-
         k = BoxFilterKernel(4)
         image = random_image(rng, 20, 24)
         dense = k.apply_image(image)
         windowed = k.apply(sliding_window_view(image, (4, 4)))
         assert dense.shape == windowed.shape
-        assert np.allclose(dense, windowed)
+        assert np.array_equal(dense, windowed)
 
     def test_integer_taps_stay_exact(self, rng):
-        from numpy.lib.stride_tricks import sliding_window_view
-
         k = ConvolutionKernel(np.arange(16).reshape(4, 4))
         image = random_image(rng, 12, 16)
         dense = k.apply_image(image)
@@ -90,3 +92,79 @@ class TestApplyImage:
             k.apply_image(np.zeros(8))
         with pytest.raises(ConfigError):
             k.apply_image(np.zeros((3, 8)))
+
+
+#: ``(dtype, low, high)`` pixel ranges: 8-bit, signed 16-bit residues and
+#: 16-bit magnitudes of either sign (lossy reconstructions go negative).
+PIXEL_RANGES = [
+    (np.uint8, 0, 255),
+    (np.int16, -(2**15), 2**15 - 1),
+    (np.int64, -65535, 65535),
+]
+
+
+@st.composite
+def box_cases(draw):
+    """Random (window, image) pairs, including the edge contents."""
+    n = draw(st.integers(1, 32))
+    height = draw(st.integers(n, n + 8))
+    width = draw(st.integers(n, n + 8))
+    dtype, low, high = draw(st.sampled_from(PIXEL_RANGES))
+    style = draw(st.sampled_from(["noise", "zero", "max8", "max16"]))
+    if style == "max16":
+        dtype = np.int64  # 65535 fits no narrower type of the set
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if style == "noise":
+        image = rng.integers(low, high, size=(height, width), endpoint=True)
+    else:
+        value = {"zero": 0, "max8": 255, "max16": 65535}[style]
+        image = np.full((height, width), value)
+    return n, image.astype(dtype)
+
+
+class TestBoxFilterRoutes:
+    """Every integer box-filter route returns the same correctly rounded
+    mean, bit for bit, at every N (not only where ``1/N^2`` is dyadic)."""
+
+    @given(box_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_all_routes_bit_identical(self, case):
+        n, image = case
+        k = BoxFilterKernel(n)
+        frame = k.apply_image(image)
+        exact = np.array(
+            [
+                [
+                    float(Fraction(sum(window.ravel().tolist()), n * n))
+                    for window in row
+                ]
+                for row in sliding_window_view(image, (n, n))
+            ]
+        )
+        assert frame.dtype == np.float64
+        assert np.array_equal(frame, exact)
+        assert np.array_equal(k.apply(sliding_window_view(image, (n, n))), exact)
+        for t in range(frame.shape[0]):
+            assert np.array_equal(k.apply_image(image[t : t + n])[0], exact[t])
+        assert np.array_equal(golden_apply(image, n, k), exact)
+        assert np.array_equal(
+            golden_apply(image, n, k, row_stride=3), golden_apply(image, n, k)[::3]
+        )
+
+    def test_row_stride_exact_at_window_six(self, rng):
+        """The strided (windowed) route matched the dense one only to
+        rounding while both divided by a non-dyadic ``N^2``."""
+        image = random_image(rng, 64, 64)
+        k = BoxFilterKernel(6)
+        assert np.array_equal(
+            golden_apply(image, 6, k, row_stride=3), golden_apply(image, 6, k)[::3]
+        )
+
+    def test_float_input_takes_tap_route(self, rng):
+        """Float pixels keep the inherited ``ConvolutionKernel`` routes."""
+        image = rng.random((20, 24)) * 255.0
+        k = BoxFilterKernel(6)
+        taps = ConvolutionKernel(np.full((6, 6), 1.0 / 36))
+        windows = sliding_window_view(image, (6, 6))
+        assert np.array_equal(k.apply_image(image), taps.apply_image(image))
+        assert np.array_equal(k.apply(windows), taps.apply(windows))

@@ -16,7 +16,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ArchitectureConfig, CompressedEngine, TraditionalEngine
+from repro import (
+    ArchitectureConfig,
+    CompressedCycleEngine,
+    CompressedEngine,
+    GoldenEngine,
+    TraditionalCycleEngine,
+    TraditionalEngine,
+)
+from repro.core.window.golden import sliding_windows
 from repro.errors import CapacityError, ConfigError
 from repro.observability.probe import MetricsProbe
 from repro.kernels import (
@@ -151,6 +159,28 @@ class TestEquivalenceMatrix:
         image = random_image(rng, 64, 64)
         seq_run, fast_run = run_both(config, BoxFilterKernel(8), image)
         assert_identical(seq_run, fast_run)
+
+
+class TestNonDyadicWindows:
+    """Box-filter outputs at N where ``1/N^2`` is not a binary fraction:
+    every engine path, whole-frame or per-band, returns the windowed
+    oracle's integer-exact means bit for bit."""
+
+    @pytest.mark.parametrize("n", [6, 10, 12])
+    def test_every_engine_bit_identical(self, rng, n):
+        config = cfg(width=24, height=27, window=n)
+        image = random_image(rng, 27, 24)
+        kernel = BoxFilterKernel(n)
+        oracle = kernel.apply(sliding_windows(image, n))
+        runs = {
+            "golden": GoldenEngine(config, kernel).run(image),
+            "traditional": TraditionalEngine(config, kernel).run(image),
+            "traditional-cycle": TraditionalCycleEngine(config, kernel).run(image),
+            "compressed-cycle": CompressedCycleEngine(config, kernel).run(image),
+        }
+        runs["sequential"], runs["fast"] = run_both(config, kernel, image)
+        for name, run in runs.items():
+            assert np.array_equal(run.outputs, oracle), name
 
 
 class TestProbeTransparency:
