@@ -36,8 +36,9 @@ either way::
 
     probe = MetricsProbe()
     make_engine(spec, probe=probe).run(image)
-    for path, calls, total, _mean in stage_table(probe.snapshot()):
-        print(f"{path:20s} {calls:4d} calls  {total * 1e3:8.2f} ms")
+    for row in stage_table(probe.snapshot()):
+        print(f"{row.path:20s} {row.calls:4d} calls  "
+              f"{row.self_seconds * 1e3:8.2f} ms self")
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.

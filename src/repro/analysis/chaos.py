@@ -1,29 +1,28 @@
-"""Chaos campaign: measure the streaming runtime's recovery behaviour.
+"""The ``chaos`` suite: the streaming runtime's recovery behaviour.
 
-:mod:`repro.analysis.stream_perf` measures how fast the streaming runtime
-is when everything goes right; this module measures what it does when
-things go wrong.  Each :class:`ChaosScenario` deterministically injects a
-mix of process-level faults (worker SIGKILLs, in-worker raises, deadline
+The ``stream`` suite measures how fast the streaming runtime is when
+everything goes right; this suite measures what it does when things go
+wrong.  Each :class:`ChaosScenario` deterministically injects a mix of
+process-level faults (worker SIGKILLs, in-worker raises, deadline
 delays, dropped results, poison frames) into a streamed run via
 :class:`~repro.resilience.chaos.ChaosSpec` and records how the
 supervision layer coped: frames delivered vs failed, retries, inline
 degradations, worker deaths, slot reclamations and loss-to-redelivery
-latency — with every delivered output still compared bit-for-bit against
-the sequential baseline.
+latency — with every delivered output still compared bit-for-bit
+against the sequential baseline.
 
-The campaign is serialised as ``BENCH_chaos.json`` (schema
-``repro-chaos/1``), the robustness counterpart of ``BENCH_stream.json``:
-CI runs a smoke campaign and fails when a scenario loses frames or
-delivers a wrong pixel.
+Three readings per scenario are promises rather than measurements, and
+the bench loader rejects a file where any of them is non-zero:
+``frames_lost`` (neither delivered nor structurally failed),
+``slots_leaked`` (ring slots still taken after the drain) and
+``inline_failures`` (frames quarantined although the scenario degrades
+inline).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -38,10 +37,7 @@ from ..runtime import StreamingProcessor
 from ..runtime.streaming import StreamResult
 from ..runtime.supervision import SupervisionPolicy
 from ..spec import EngineSpec, make_engine
-from .tables import render_table
-
-#: Version tag of the ``BENCH_chaos.json`` schema.
-CHAOS_SCHEMA = "repro-chaos/1"
+from .bench import BenchRecord, BenchRun, Suite, case_records
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,8 +94,16 @@ class ChaosOptions:
     #: Per-attempt supervision deadline (recovers dropped results).
     deadline_seconds: float = 2.0
     scenarios: tuple[ChaosScenario, ...] = DEFAULT_SCENARIOS
+    #: Codec tier the workers and the baseline run with.
+    codec: str = "auto"
 
     def __post_init__(self) -> None:
+        from ..core.packing.tiers import CODEC_TIERS
+
+        if self.codec not in CODEC_TIERS:
+            raise ConfigError(
+                f"codec must be one of {CODEC_TIERS}, got {self.codec!r}"
+            )
         if self.frames < 1:
             raise ConfigError(f"frames must be >= 1, got {self.frames}")
         if self.workers < 1:
@@ -112,160 +116,11 @@ class ChaosOptions:
             raise ConfigError("scenarios must name at least one scenario")
 
 
-@dataclass(frozen=True, slots=True)
-class ChaosPoint:
-    """What one scenario's streamed run survived."""
-
-    scenario: ChaosScenario
-    #: Frames injected with each fault kind (kill/raise/delay/drop/poison).
-    faults: dict
-    #: Frames delivered as results (retried / degraded ones included).
-    delivered: int
-    #: Frames delivered as structured failures (quarantined).
-    failed: int
-    retries: int
-    degraded: int
-    worker_deaths: int
-    slots_reclaimed: int
-    results_dropped: int
-    pool_respawns: int
-    recoveries: int
-    recovery_seconds_mean: float
-    recovery_seconds_max: float
-    #: True when every *delivered* frame matched the sequential baseline.
-    bit_identical: bool
-    #: Wall-clock seconds of the streamed pass (recovery time included).
-    seconds: float
-    #: Ring slots free after the run drained vs the ring's depth.
-    free_slots: int
-    slots: int
-
-    @property
-    def slots_recovered(self) -> bool:
-        """True when the ring came back to full capacity after the run."""
-        return self.free_slots == self.slots
-
-
-@dataclass(frozen=True)
-class ChaosReport:
-    """One chaos campaign: every scenario's recovery outcome."""
-
-    options: ChaosOptions
-    cpu_count: int
-    points: tuple[ChaosPoint, ...]
-
-    def at(self, name: str) -> ChaosPoint:
-        """The point measured for scenario ``name``."""
-        for p in self.points:
-            if p.scenario.name == name:
-                return p
-        raise ConfigError(f"no chaos point for scenario {name!r}")
-
-    @property
-    def all_frames_accounted(self) -> bool:
-        """True when every scenario delivered or failed every frame."""
-        return all(
-            p.delivered + p.failed == self.options.frames for p in self.points
-        )
-
-    def render(self) -> str:
-        """Monospace recovery table plus the campaign geometry note."""
-        opt = self.options
-        rows = []
-        for p in self.points:
-            rows.append(
-                (
-                    p.scenario.name,
-                    p.delivered,
-                    p.failed,
-                    p.retries,
-                    p.degraded,
-                    p.worker_deaths,
-                    p.slots_reclaimed,
-                    p.recovery_seconds_mean,
-                    p.seconds,
-                    "yes" if p.bit_identical else "NO",
-                    "yes" if p.slots_recovered else "NO",
-                )
-            )
-        table = render_table(
-            (
-                "scenario",
-                "ok",
-                "failed",
-                "retries",
-                "inline",
-                "deaths",
-                "reclaims",
-                "recov s",
-                "seconds",
-                "bit-identical",
-                "ring whole",
-            ),
-            rows,
-            title="Chaos campaign: streaming recovery",
-        )
-        return (
-            f"{table}\n\n"
-            f"{opt.frames} frames of {opt.resolution}x{opt.resolution}, "
-            f"N={opt.window}, T={opt.threshold}, {opt.workers} worker(s), "
-            f"deadline {opt.deadline_seconds:g}s, seed {opt.seed}; "
-            f"{self.cpu_count} CPU core(s) visible"
-        )
-
-    def to_json_dict(self) -> dict:
-        """``BENCH_chaos.json`` payload (see README for the schema)."""
-        return {
-            "schema": CHAOS_SCHEMA,
-            "geometry": {
-                "width": self.options.resolution,
-                "height": self.options.resolution,
-                "window": self.options.window,
-                "threshold": self.options.threshold,
-            },
-            "frames": self.options.frames,
-            "workers": self.options.workers,
-            "seed": self.options.seed,
-            "deadline_seconds": self.options.deadline_seconds,
-            "cpu_count": self.cpu_count,
-            "scenarios": [
-                {
-                    "name": p.scenario.name,
-                    "rates": {
-                        "kill": p.scenario.kill_rate,
-                        "raise": p.scenario.raise_rate,
-                        "delay": p.scenario.delay_rate,
-                        "drop": p.scenario.drop_rate,
-                        "poison": p.scenario.poison_rate,
-                    },
-                    "degrade_inline": p.scenario.degrade_inline,
-                    "faults": p.faults,
-                    "delivered": p.delivered,
-                    "failed": p.failed,
-                    "retries": p.retries,
-                    "degraded": p.degraded,
-                    "worker_deaths": p.worker_deaths,
-                    "slots_reclaimed": p.slots_reclaimed,
-                    "results_dropped": p.results_dropped,
-                    "pool_respawns": p.pool_respawns,
-                    "recoveries": p.recoveries,
-                    "recovery_seconds_mean": p.recovery_seconds_mean,
-                    "recovery_seconds_max": p.recovery_seconds_max,
-                    "bit_identical": p.bit_identical,
-                    "seconds": p.seconds,
-                    "free_slots": p.free_slots,
-                    "slots": p.slots,
-                }
-                for p in self.points
-            ],
-        }
-
-
 def measure_chaos(
     options: ChaosOptions = ChaosOptions(),
     *,
     kernel_factory: Callable[[int], WindowKernel] = BoxFilterKernel,
-) -> ChaosReport:
+) -> BenchRun:
     """Run every scenario's fault mix through a supervised stream.
 
     Per scenario: a :class:`~repro.resilience.chaos.ChaosSpec` is sampled
@@ -288,11 +143,11 @@ def measure_chaos(
         generate_scene(seed=i + 1, resolution=res).astype(np.int64)
         for i in range(options.frames)
     ]
-    spec = EngineSpec(config=config, kernel=kernel)
+    spec = EngineSpec(config=config, kernel=kernel, codec=options.codec)
     engine = make_engine(spec)
     expected = [engine.run(frame).outputs for frame in frames]
 
-    points: list[ChaosPoint] = []
+    records: list[BenchRecord] = []
     for scenario in options.scenarios:
         chaos = ChaosSpec.sample(
             options.frames,
@@ -325,108 +180,57 @@ def measure_chaos(
             raise ConfigError("chaos campaign requires a supervised stream")
         delivered = [o for o in outcomes if isinstance(o, StreamResult)]
         failed = len(outcomes) - len(delivered)
-        identical = all(
-            np.array_equal(r.outputs, expected[r.index]) for r in delivered
+        records += case_records(
+            "chaos",
+            scenario.name,
+            resolution=res,
+            window=options.window,
+            threshold=options.threshold,
+            codec=getattr(engine, "codec_resolved", options.codec),
+            workers=options.workers,
+            bit_identical=all(
+                np.array_equal(r.outputs, expected[r.index]) for r in delivered
+            ),
+            metrics=(
+                *(
+                    (f"faults_{kind}", count, "count")
+                    for kind, count in chaos.fault_counts.items()
+                ),
+                ("delivered", len(delivered), "count"),
+                ("failed", failed, "count"),
+                ("retries", stats.retries, "count"),
+                ("degraded", stats.degraded, "count"),
+                ("worker_deaths", stats.worker_deaths, "count"),
+                ("slots_reclaimed", stats.slots_reclaimed, "count"),
+                ("results_dropped", stats.results_dropped, "count"),
+                ("pool_respawns", stats.pool_respawns, "count"),
+                ("recoveries", stats.recoveries, "count"),
+                ("recovery_s_mean", stats.recovery_seconds_mean, "s"),
+                ("recovery_s_max", stats.recovery_seconds_max, "s"),
+                ("seconds", seconds, "s"),
+                ("frames_lost", options.frames - len(delivered) - failed, "count"),
+                ("slots_leaked", slots - free, "count"),
+                (
+                    "inline_failures",
+                    failed if scenario.degrade_inline else 0,
+                    "count",
+                ),
+            ),
         )
-        points.append(
-            ChaosPoint(
-                scenario=scenario,
-                faults=chaos.fault_counts,
-                delivered=len(delivered),
-                failed=failed,
-                retries=stats.retries,
-                degraded=stats.degraded,
-                worker_deaths=stats.worker_deaths,
-                slots_reclaimed=stats.slots_reclaimed,
-                results_dropped=stats.results_dropped,
-                pool_respawns=stats.pool_respawns,
-                recoveries=stats.recoveries,
-                recovery_seconds_mean=stats.recovery_seconds_mean,
-                recovery_seconds_max=stats.recovery_seconds_max,
-                bit_identical=identical,
-                seconds=seconds,
-                free_slots=free,
-                slots=slots,
-            )
-        )
-    return ChaosReport(
-        options=options,
-        cpu_count=os.cpu_count() or 1,
-        points=tuple(points),
+    return BenchRun(
+        suite="chaos",
+        records=tuple(records),
+        context={
+            "frames": options.frames,
+            "seed": options.seed,
+            "deadline_seconds": options.deadline_seconds,
+        },
     )
 
 
-def write_chaos_json(report: ChaosReport, path: Path) -> None:
-    """Serialise ``report`` as a ``BENCH_chaos.json`` trajectory point."""
-    path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-
-
-def load_chaos_json(path: Path) -> dict:
-    """Load and structurally validate a ``BENCH_chaos.json`` file.
-
-    Beyond shape, this enforces the campaign's promises: every frame is
-    accounted for (delivered + failed == frames), every scenario with
-    inline degradation delivered *all* frames bit-identically, and every
-    scenario handed its ring back whole.
-    """
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != CHAOS_SCHEMA:
-        raise ConfigError(
-            f"unexpected chaos schema {payload.get('schema')!r} in {path}"
-        )
-    for key in (
-        "geometry",
-        "frames",
-        "workers",
-        "deadline_seconds",
-        "cpu_count",
-        "scenarios",
-    ):
-        if key not in payload:
-            raise ConfigError(f"{path} lacks {key!r}")
-    if not payload["scenarios"]:
-        raise ConfigError(f"{path}: empty scenario list")
-    frames = payload["frames"]
-    for entry in payload["scenarios"]:
-        for key in (
-            "name",
-            "rates",
-            "degrade_inline",
-            "faults",
-            "delivered",
-            "failed",
-            "retries",
-            "degraded",
-            "worker_deaths",
-            "slots_reclaimed",
-            "recovery_seconds_mean",
-            "bit_identical",
-            "free_slots",
-            "slots",
-        ):
-            if key not in entry:
-                raise ConfigError(
-                    f"{path}: scenario entry lacks {key!r}: {entry}"
-                )
-        name = entry["name"]
-        if entry["delivered"] + entry["failed"] != frames:
-            raise ConfigError(
-                f"{path}: scenario {name!r} lost frames: "
-                f"{entry['delivered']} delivered + {entry['failed']} failed "
-                f"!= {frames}"
-            )
-        if entry["degrade_inline"] and entry["failed"] != 0:
-            raise ConfigError(
-                f"{path}: scenario {name!r} quarantined {entry['failed']} "
-                "frame(s) despite inline degradation"
-            )
-        if entry["bit_identical"] is not True:
-            raise ConfigError(
-                f"{path}: scenario {name!r} delivered non-identical outputs"
-            )
-        if entry["free_slots"] != entry["slots"]:
-            raise ConfigError(
-                f"{path}: scenario {name!r} leaked ring slots "
-                f"({entry['free_slots']}/{entry['slots']} free after drain)"
-            )
-    return payload
+SUITE = Suite(
+    name="chaos",
+    measure=measure_chaos,
+    default=ChaosOptions(),
+    smoke=ChaosOptions(resolution=96),
+)

@@ -1,26 +1,24 @@
-"""Wall-clock performance of the sliding-window engines.
+"""The ``perf`` suite: wall-clock throughput of the sliding-window engines.
 
 The paper's headline throughput property is architectural — 1 pixel per
 cycle, fully pipelined — but the software model has its own throughput
 story: the frame-at-once vectorised fast path of
 :class:`~repro.core.window.compressed.CompressedEngine` versus the
-per-traversal sequential reference loop.  This module measures real
-pixels/second for every engine on a common frame, renders the comparison
-table, and serialises a machine-readable ``BENCH_perf.json`` so future
-changes have a perf trajectory to regress against.
+per-traversal sequential reference loop.  This suite measures real
+pixels/second for every engine strategy on a common frame over a window
+x threshold sweep.
 
-``speedup_vs_seed`` is each engine's throughput relative to
-``compressed-sequential`` at the same geometry — the per-traversal loop
-is the seed repo's only execution strategy, so it is the fixed baseline
-every future fast-path improvement is compared to.
+``speedup_vs_seed`` is each strategy's throughput relative to
+``sequential`` at the same geometry — the per-traversal loop is the seed
+repo's only execution strategy, so it is the fixed baseline every
+future fast-path improvement is compared to.  Every timed output is also
+checked bit for bit: lossless runs against the golden oracle, lossy fast
+runs against the sequential loop at the same threshold.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
@@ -32,84 +30,17 @@ from ..imaging import generate_scene
 from ..kernels import BoxFilterKernel
 from ..kernels.base import WindowKernel
 from ..spec import EngineSpec, make_engine
-from .tables import render_table
+from .bench import BenchRecord, BenchRun, Suite, best_of, case_records
 
-#: Version tag of the ``BENCH_perf.json`` schema.  ``repro-perf/2`` adds
-#: a ``codec`` field to every engine/sweep entry, so trajectory points
-#: record which codec tier (numpy or native) produced them.  The
-#: optional top-level ``device`` key (the part the geometry was sized
-#: for) rides on the same version — validators ignore unknown keys.
-PERF_SCHEMA = "repro-perf/2"
+#: Strategy names, in table order (``repro bench perf --strategy``).
+STRATEGIES = ("golden", "traditional", "sequential", "fast")
 
-#: Engine order used in tables and JSON (baseline last-but-one).
-ENGINE_ORDER = (
-    "golden",
-    "traditional",
-    "compressed-sequential",
-    "compressed-fast",
-)
+#: The strategy every ``speedup_vs_seed`` is measured against; always timed.
+BASELINE = "sequential"
 
-#: CLI-facing strategy names -> engine names (``repro perf --strategy``).
-STRATEGY_ALIASES = {
-    "golden": "golden",
-    "traditional": "traditional",
-    "sequential": "compressed-sequential",
-    "fast": "compressed-fast",
-}
-
-#: The engine every ``speedup_vs_seed`` is measured against; always timed.
-BASELINE_ENGINE = "compressed-sequential"
-
-
-def resolve_strategies(names: Iterable[str]) -> tuple[str, ...]:
-    """Map ``--strategy`` aliases to engine names, baseline included.
-
-    The sequential engine is the fixed speedup baseline, so it is always
-    part of the resolved subset even when not asked for; order follows
-    :data:`ENGINE_ORDER`.
-    """
-    wanted = set()
-    for name in names:
-        engine = STRATEGY_ALIASES.get(name)
-        if engine is None:
-            raise ConfigError(
-                f"unknown strategy {name!r}; choose from "
-                f"{sorted(STRATEGY_ALIASES)}"
-            )
-        wanted.add(engine)
-    wanted.add(BASELINE_ENGINE)
-    return tuple(e for e in ENGINE_ORDER if e in wanted)
-
-
-@dataclass(frozen=True, slots=True)
-class PerfSample:
-    """One engine timed on one geometry."""
-
-    engine: str
-    width: int
-    height: int
-    window: int
-    threshold: int
-    #: Best-of-``repeats`` wall-clock seconds for one frame.
-    seconds: float
-    #: Resolved codec tier the engine actually ran with (``numpy`` for
-    #: engines without codec tiers — golden and traditional).
-    codec: str = "numpy"
-
-    @property
-    def pixels_per_sec(self) -> float:
-        """Input throughput: frame pixels over the best wall-clock run."""
-        return self.width * self.height / self.seconds
-
-    @property
-    def geometry(self) -> dict[str, int]:
-        """Geometry as the JSON schema's nested object."""
-        return {
-            "width": self.width,
-            "height": self.height,
-            "window": self.window,
-            "threshold": self.threshold,
-        }
+#: Strategies whose output does not depend on the threshold (timed once
+#: per window, at the headline threshold).
+THRESHOLD_FREE = ("golden", "traditional")
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,20 +52,20 @@ class PerfOptions:
     threshold: int = 0
     #: Extra window sizes swept beyond the headline geometry.
     windows: tuple[int, ...] = (8, 16, 32)
-    #: Extra thresholds swept (compressed engines only).
+    #: Extra thresholds swept (compressed strategies only).
     thresholds: tuple[int, ...] = (0, 6)
-    #: Timing repeats per engine; the best run is reported.
+    #: Timed repeats per strategy (after one untimed warm-up call); the
+    #: best run is reported.
     repeats: int = 3
-    #: Engine subset to measure (names from :data:`ENGINE_ORDER`); ``None``
-    #: measures all four.  The baseline engine is always included so
+    #: Strategy subset to time (names from :data:`STRATEGIES`); ``None``
+    #: times all four.  The baseline is always included so
     #: ``speedup_vs_seed`` stays well-defined.
-    engines: tuple[str, ...] | None = None
-    #: Codec tier requested for the compressed engines
-    #: (``auto`` / ``numpy`` / ``native``; the samples record the tier
-    #: that actually resolved).
+    strategies: tuple[str, ...] | None = None
+    #: Codec tier requested for the compressed strategies (the records
+    #: carry the tier that actually resolved).
     codec: str = "auto"
     #: Target FPGA part the run describes.  Timing is host-bound, but the
-    #: trajectory point records which device the geometry was sized for.
+    #: file records which device the geometry was sized for.
     device: str = "XC7Z020"
 
     def __post_init__(self) -> None:
@@ -143,13 +74,11 @@ class PerfOptions:
 
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.engines is not None:
-            unknown = set(self.engines) - set(ENGINE_ORDER)
-            if unknown:
-                raise ConfigError(
-                    f"unknown engines {sorted(unknown)}; choose from "
-                    f"{list(ENGINE_ORDER)}"
-                )
+        unknown = set(self.strategies or ()) - set(STRATEGIES)
+        if unknown:
+            raise ConfigError(
+                f"unknown strategies {sorted(unknown)}; choose from {list(STRATEGIES)}"
+            )
         if self.codec not in CODEC_TIERS:
             raise ConfigError(
                 f"codec must be one of {CODEC_TIERS}, got {self.codec!r}"
@@ -160,158 +89,39 @@ class PerfOptions:
             )
 
     @property
-    def measured_engines(self) -> tuple[str, ...]:
-        """The engines this run times, baseline always included."""
-        if self.engines is None:
-            return ENGINE_ORDER
-        wanted = set(self.engines) | {BASELINE_ENGINE}
-        return tuple(e for e in ENGINE_ORDER if e in wanted)
-
-
-@dataclass(frozen=True)
-class PerfReport:
-    """All samples of one perf run plus the headline geometry."""
-
-    options: PerfOptions
-    samples: tuple[PerfSample, ...]
-
-    def _at(self, engine: str, window: int, threshold: int) -> PerfSample:
-        for s in self.samples:
-            if (s.engine, s.window, s.threshold) == (engine, window, threshold):
-                return s
-        raise ConfigError(
-            f"no sample for {engine} at window={window} T={threshold}"
-        )
-
-    @property
-    def measured_engines(self) -> tuple[str, ...]:
-        """Engines actually present in this report, in canonical order."""
-        present = {s.engine for s in self.samples}
-        return tuple(e for e in ENGINE_ORDER if e in present)
-
-    def headline(self, engine: str) -> PerfSample:
-        """The sample of ``engine`` at the default (headline) geometry."""
-        return self._at(engine, self.options.window, self.options.threshold)
-
-    def speedup_vs_seed(self, sample: PerfSample) -> float:
-        """Throughput of ``sample`` over the sequential loop's, same geometry."""
-        base = self._at("compressed-sequential", sample.window, sample.threshold)
-        return sample.pixels_per_sec / base.pixels_per_sec
-
-    @property
-    def fast_speedup(self) -> float:
-        """Headline number: fast path over sequential at the default geometry."""
-        return self.speedup_vs_seed(self.headline("compressed-fast"))
-
-    def render(self) -> str:
-        """Monospace table of every sample, speedups included."""
-        rows = []
-        for s in self.samples:
-            rows.append(
-                (
-                    s.engine,
-                    s.codec,
-                    f"{s.width}x{s.height}",
-                    s.window,
-                    s.threshold,
-                    s.seconds * 1000.0,
-                    s.pixels_per_sec / 1e6,
-                    self.speedup_vs_seed(s),
-                )
-            )
-        table = render_table(
-            ("engine", "codec", "frame", "N", "T", "ms/frame", "Mpx/s", "vs seed"),
-            rows,
-            title="Engine wall-clock throughput",
-        )
-        if "compressed-fast" not in self.measured_engines:
-            base = self.headline(BASELINE_ENGINE)
-            return (
-                f"{table}\n\n"
-                f"headline ({base.width}x{base.height}, N={base.window}, "
-                f"T={base.threshold}): subset run "
-                f"({', '.join(self.measured_engines)})"
-            )
-        head = self.headline("compressed-fast")
-        return (
-            f"{table}\n\n"
-            f"headline ({head.width}x{head.height}, N={head.window}, "
-            f"T={head.threshold}): compressed-fast is "
-            f"{self.fast_speedup:.1f}x the sequential engine"
-        )
-
-    def to_json_dict(self) -> dict:
-        """``BENCH_perf.json`` payload (see README for the schema).
-
-        Subset runs (``--strategy``) serialise only the engines they
-        measured; the baseline is always among them.
-        """
-        engines = {}
-        for name in self.measured_engines:
-            s = self.headline(name)
-            engines[name] = {
-                "pixels_per_sec": s.pixels_per_sec,
-                "speedup_vs_seed": self.speedup_vs_seed(s),
-                "codec": s.codec,
-                "geometry": s.geometry,
-            }
-        sweep = [
-            {
-                "engine": s.engine,
-                "pixels_per_sec": s.pixels_per_sec,
-                "speedup_vs_seed": self.speedup_vs_seed(s),
-                "codec": s.codec,
-                "geometry": s.geometry,
-            }
-            for s in self.samples
-        ]
-        return {
-            "schema": PERF_SCHEMA,
-            "device": self.options.device,
-            "engines": engines,
-            "sweep": sweep,
-        }
-
-
-def _time_engine(
-    engine: SlidingWindowEngine, image: np.ndarray, repeats: int
-) -> float:
-    """Best-of-``repeats`` wall-clock seconds for one ``run`` call."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        engine.run(image)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    def measured(self) -> tuple[str, ...]:
+        """The strategies this run times, baseline always included."""
+        if self.strategies is None:
+            return STRATEGIES
+        wanted = set(self.strategies) | {BASELINE}
+        return tuple(s for s in STRATEGIES if s in wanted)
 
 
 def _engines(
     config: ArchitectureConfig,
     kernel: WindowKernel,
-    names: tuple[str, ...] = ENGINE_ORDER,
-    codec: str = "auto",
+    names: tuple[str, ...],
+    codec: str,
 ) -> dict[str, SlidingWindowEngine]:
-    """The measured engines (``names`` subset) for one configuration.
+    """The timed engines (``names`` subset) for one configuration.
 
-    All spec-describable engines are built through
+    Spec-describable engines are built through
     :func:`~repro.spec.make_engine` (the golden reference has no spec
     kind — it is not an architecture, just the oracle).  Compressed
     engines run with ``recirculate=False`` so the sequential and fast
     strategies stay comparable on lossy sweeps (with recirculation a
     lossy run is inherently sequential).
     """
-    specs: dict[str, EngineSpec] = {
-        "traditional": EngineSpec(
-            config=config, kernel=kernel, engine="traditional"
-        ),
-        "compressed-sequential": EngineSpec(
+    specs = {
+        "traditional": EngineSpec(config=config, kernel=kernel, engine="traditional"),
+        "sequential": EngineSpec(
             config=config,
             kernel=kernel,
             recirculate=False,
             fast_path=False,
             codec=codec,
         ),
-        "compressed-fast": EngineSpec(
+        "fast": EngineSpec(
             config=config,
             kernel=kernel,
             recirculate=False,
@@ -321,10 +131,7 @@ def _engines(
     }
     factories: dict[str, Callable[[], SlidingWindowEngine]] = {
         "golden": lambda: GoldenEngine(config, kernel),
-        **{
-            name: (lambda s=spec: make_engine(s))
-            for name, spec in specs.items()
-        },
+        **{name: (lambda s=spec: make_engine(s)) for name, spec in specs.items()},
     }
     return {name: factories[name]() for name in names}
 
@@ -333,46 +140,63 @@ def measure_perf(
     options: PerfOptions = PerfOptions(),
     *,
     kernel_factory: Callable[[int], WindowKernel] = BoxFilterKernel,
-) -> PerfReport:
-    """Time every engine over the option sweep on one synthetic frame.
+) -> BenchRun:
+    """Time every strategy over the option sweep on one synthetic frame.
 
     The golden and traditional engines ignore the threshold, so they are
-    measured once per window size; the compressed strategies sweep the
-    full window x threshold grid.  ``options.engines`` (the CLI's
-    ``--strategy`` flag) restricts the measured set — the sequential
-    baseline is always timed so speedups stay comparable.
+    timed once per window size; the compressed strategies sweep the full
+    window x threshold grid.  The headline geometry comes first.
     """
     res = options.resolution
     image = generate_scene(seed=1, resolution=res).astype(np.int64)
     windows = _ordered_unique((options.window, *options.windows))
     thresholds = _ordered_unique((options.threshold, *options.thresholds))
-    samples: list[PerfSample] = []
+    records: list[BenchRecord] = []
     for n in windows:
-        for t in thresholds:
-            config = ArchitectureConfig(
+        kernel = kernel_factory(n)
+        configs = [
+            ArchitectureConfig(
                 image_width=res, image_height=res, window_size=n, threshold=t
             )
-            engines = _engines(
-                config,
-                kernel_factory(n),
-                options.measured_engines,
-                options.codec,
-            )
+            for t in thresholds
+        ]
+        golden = GoldenEngine(configs[0], kernel).run(image).outputs
+        for t, config in zip(thresholds, configs):
+            timed: dict[str, tuple[float, np.ndarray, str]] = {}
+            engines = _engines(config, kernel, options.measured, options.codec)
             for name, engine in engines.items():
-                if t != thresholds[0] and name in ("golden", "traditional"):
-                    continue  # threshold-independent; measured once
-                samples.append(
-                    PerfSample(
-                        engine=name,
-                        width=res,
-                        height=res,
-                        window=n,
-                        threshold=t,
-                        seconds=_time_engine(engine, image, options.repeats),
-                        codec=getattr(engine, "codec_resolved", "numpy"),
-                    )
+                if t != thresholds[0] and name in THRESHOLD_FREE:
+                    continue
+                ((seconds, run),) = best_of(
+                    options.repeats, lambda: engine.run(image)
                 )
-    return PerfReport(options=options, samples=tuple(samples))
+                codec = getattr(engine, "codec_resolved", "numpy")
+                timed[name] = (seconds, run.outputs, codec)
+            base_seconds = timed[BASELINE][0]
+            lossy_reference = timed[BASELINE][1]
+            for name, (seconds, outputs, codec) in timed.items():
+                lossless = t == 0 or name in THRESHOLD_FREE
+                reference = golden if lossless else lossy_reference
+                records += case_records(
+                    "perf",
+                    name,
+                    resolution=res,
+                    window=n,
+                    threshold=t,
+                    codec=codec,
+                    workers=0,
+                    bit_identical=bool(np.array_equal(outputs, reference)),
+                    metrics=(
+                        ("ms_per_frame", seconds * 1e3, "ms"),
+                        ("pixels_per_sec", res * res / seconds, "px/s"),
+                        ("speedup_vs_seed", base_seconds / seconds, "x"),
+                    ),
+                )
+    return BenchRun(
+        suite="perf",
+        records=tuple(records),
+        context={"device": options.device, "repeats": options.repeats},
+    )
 
 
 def _ordered_unique(values: Iterable[int]) -> tuple[int, ...]:
@@ -380,36 +204,9 @@ def _ordered_unique(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(dict.fromkeys(values))
 
 
-def write_bench_json(report: PerfReport, path: Path) -> None:
-    """Serialise ``report`` as a ``BENCH_perf.json`` trajectory point."""
-    path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-
-
-def load_bench_json(path: Path) -> dict:
-    """Load and structurally validate a ``BENCH_perf.json`` file.
-
-    A payload must be self-consistent: every engine its sweep timed (plus
-    the sequential baseline) needs a headline entry with the schema's
-    keys.  Subset payloads written by ``--strategy`` runs validate the
-    same way.
-    """
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != PERF_SCHEMA:
-        raise ConfigError(
-            f"unexpected perf schema {payload.get('schema')!r} in {path}"
-        )
-    sweep_engines = {s.get("engine") for s in payload.get("sweep", [])}
-    required = (sweep_engines | {BASELINE_ENGINE}) & set(ENGINE_ORDER)
-    for name in (e for e in ENGINE_ORDER if e in required):
-        entry = payload["engines"].get(name)
-        if entry is None:
-            raise ConfigError(f"{path} is missing engine {name!r}")
-        for key in ("pixels_per_sec", "speedup_vs_seed", "codec", "geometry"):
-            if key not in entry:
-                raise ConfigError(f"{path}: {name} lacks {key!r}")
-    for s in payload.get("sweep", []):
-        if "codec" not in s:
-            raise ConfigError(
-                f"{path}: sweep entry for {s.get('engine')!r} lacks 'codec'"
-            )
-    return payload
+SUITE = Suite(
+    name="perf",
+    measure=measure_perf,
+    default=PerfOptions(),
+    smoke=PerfOptions(windows=(), thresholds=(), repeats=1),
+)

@@ -1,34 +1,25 @@
-"""Offered-load sweep of the frame-serving gateway.
+"""The ``serve`` suite: an offered-load sweep of the frame-serving gateway.
 
-:mod:`repro.analysis.stream_perf` measures the streaming runtime from
-inside the process; this module measures the whole serving stack from
-the *outside*: a real :class:`~repro.serve.gateway.FrameGateway` bound
-to a real TCP socket, driven by the closed-loop load generator at a
-sweep of offered concurrency levels.  Per level it records completed /
-shed / error counts, throughput, and interpolated p50/p99 latency; from
-the sweep it derives the saturation point (the first level whose extra
+The ``stream`` suite measures the streaming runtime from inside the
+process; this suite measures the whole serving stack from the
+*outside*: a real :class:`~repro.serve.gateway.FrameGateway` bound to a
+real TCP socket, driven by the closed-loop load generator at a sweep of
+offered concurrency levels.  Per level it records completed / shed /
+error counts, throughput, and interpolated p50/p99 latency; from the
+sweep it derives the saturation point (the first level whose extra
 offered load stopped buying throughput — or started shedding) and the
 maximum sustained frame rate.
 
 Every 200 response is verified byte-for-byte against a sequential
-``CompressedEngine.run()`` on the same frame, so the report's
-``bit_identical`` flag means exactly what the streaming benchmark's
-does: a serving layer that changes one pixel has no throughput number.
-
-The sweep serialises as ``BENCH_serve.json`` (schema ``repro-serve/1``),
-with ``cpu_count`` recorded for the same reason as in the streaming
-trajectory: a 1-core container's flat curve is physics, not regression.
-``REPRO_SERVE_FRAMES`` caps frames-per-level for smoke environments.
+``CompressedEngine.run()`` on the same frame, so a level's
+``bit_identical`` means exactly what the streaming suite's does: a
+serving layer that changes one pixel has no throughput number.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
 import time
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -37,34 +28,16 @@ from ..config import ArchitectureConfig
 from ..errors import ConfigError
 from ..imaging import generate_scene
 from ..kernels import BoxFilterKernel
+from ..runtime.pool import default_workers
 from ..serve.gateway import GatewayConfig, GatewayThread
 from ..serve.loadgen import LevelResult, build_frame_request, run_level
 from ..serve.payload import encode_array
 from ..spec import EngineSpec
-from .tables import render_table
-
-#: Version tag of the ``BENCH_serve.json`` schema.
-SERVE_SCHEMA = "repro-serve/1"
+from .bench import BenchRecord, BenchRun, Suite, case_records
 
 #: A level counts as past saturation once extra offered load buys less
 #: than this relative throughput gain over the previous level.
 SATURATION_GAIN = 1.10
-
-
-def serve_frames_budget(default: int) -> int:
-    """Frames per level, capped by ``REPRO_SERVE_FRAMES`` (smoke knob)."""
-    env = os.environ.get("REPRO_SERVE_FRAMES")
-    if env is None:
-        return default
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ConfigError(
-            f"REPRO_SERVE_FRAMES must be an int, got {env!r}"
-        ) from exc
-    if value < 1:
-        raise ConfigError(f"REPRO_SERVE_FRAMES must be >= 1, got {value}")
-    return min(default, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,12 +57,15 @@ class ServeOptions:
     max_in_flight: int | None = None
     #: Offered concurrency levels swept, in order.
     levels: tuple[int, ...] = (1, 2, 4, 8)
-    #: Frame jobs per level (before the ``REPRO_SERVE_FRAMES`` cap).
+    #: Frame jobs per level.
     frames_per_level: int = 32
     #: Distinct synthetic frames cycled through the jobs.
     distinct_frames: int = 4
     #: Client-side per-request timeout (also the gateway's deadline).
     request_timeout_seconds: float = 60.0
+    #: Target an already-running gateway (``http://host:port``) instead
+    #: of starting one; it must serve the same geometry.
+    url: str | None = None
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -106,182 +82,103 @@ class ServeOptions:
             )
 
 
-@dataclass(frozen=True)
-class ServeReport:
-    """One load sweep: per-level results plus derived saturation facts."""
+def saturation(levels: tuple[LevelResult, ...]) -> LevelResult:
+    """The level where offered load stopped buying throughput.
 
-    options: ServeOptions
-    #: CPU cores visible when the sweep ran (context for the curve).
-    cpu_count: int
-    #: Seconds the gateway spent warming (codec + pool + worker engines).
-    warm_seconds: float
-    samples: tuple[LevelResult, ...]
+    The first level that shed requests, or whose throughput gain over
+    the previous level fell under :data:`SATURATION_GAIN`; the last
+    level when the sweep never saturated.
+    """
+    previous: LevelResult | None = None
+    for level in levels:
+        if level.shed > 0:
+            return level
+        if (
+            previous is not None
+            and previous.frames_per_sec > 0
+            and level.frames_per_sec < SATURATION_GAIN * previous.frames_per_sec
+        ):
+            return level
+        previous = level
+    return levels[-1]
 
-    @property
-    def bit_identical(self) -> bool:
-        """True when every completed response matched the sequential
-        baseline and at least one frame actually completed."""
-        return (
-            any(s.completed for s in self.samples)
-            and all(s.mismatches == 0 for s in self.samples)
+
+def serve_run(
+    options: ServeOptions,
+    levels: tuple[LevelResult, ...],
+    *,
+    codec: str,
+    workers: int,
+    warm_seconds: float | None,
+) -> BenchRun:
+    """The records of one sweep: one case per level, one for the sweep."""
+
+    def records(
+        case: str,
+        identical: bool,
+        metrics: tuple[tuple[str, float | None, str], ...],
+    ) -> list[BenchRecord]:
+        """One case's readings at the sweep's geometry."""
+        return case_records(
+            "serve",
+            case,
+            resolution=options.resolution,
+            window=options.window,
+            threshold=options.threshold,
+            codec=codec,
+            workers=workers,
+            bit_identical=identical,
+            metrics=metrics,
         )
 
-    @property
-    def total_completed(self) -> int:
-        """Completed frame jobs across all levels."""
-        return sum(s.completed for s in self.samples)
-
-    @property
-    def total_shed(self) -> int:
-        """429-shed jobs across all levels."""
-        return sum(s.shed for s in self.samples)
-
-    @property
-    def total_errors(self) -> int:
-        """Non-shed failures across all levels."""
-        return sum(s.errors for s in self.samples)
-
-    @property
-    def max_sustained_frames_per_sec(self) -> float:
-        """Best completed-frame throughput any level sustained."""
-        return max(s.frames_per_sec for s in self.samples)
-
-    @property
-    def saturation(self) -> LevelResult:
-        """The level where offered load stopped buying throughput.
-
-        The first level that shed requests, or whose throughput gain
-        over the previous level fell under :data:`SATURATION_GAIN`;
-        the last level when the sweep never saturated.
-        """
-        previous: LevelResult | None = None
-        for sample in self.samples:
-            if sample.shed > 0:
-                return sample
-            if (
-                previous is not None
-                and previous.frames_per_sec > 0
-                and sample.frames_per_sec
-                < SATURATION_GAIN * previous.frames_per_sec
-            ):
-                return sample
-            previous = sample
-        return self.samples[-1]
-
-    def render(self) -> str:
-        """Monospace sweep table plus the geometry / core-count note."""
-        opt = self.options
-        rows = []
-        for s in self.samples:
-            rows.append(
-                (
-                    s.offered,
-                    s.frames,
-                    s.completed,
-                    s.shed,
-                    s.errors,
-                    f"{s.frames_per_sec:.1f}",
-                    _ms(s.p50_seconds),
-                    _ms(s.p99_seconds),
-                    "yes" if s.mismatches == 0 else "NO",
-                )
-            )
-        table = render_table(
+    out: list[BenchRecord] = []
+    for level in levels:
+        out += records(
+            f"offered={level.offered}",
+            level.mismatches == 0,
             (
-                "offered",
-                "frames",
-                "ok",
-                "shed",
-                "err",
-                "frames/s",
-                "p50",
-                "p99",
-                "bit-identical",
+                ("frames", level.frames, "count"),
+                ("completed", level.completed, "count"),
+                ("shed", level.shed, "count"),
+                ("errors", level.errors, "count"),
+                ("seconds", level.seconds, "s"),
+                ("frames_per_sec", level.frames_per_sec, "1/s"),
+                ("latency_ms_p50", level.p50_seconds * 1e3, "ms"),
+                ("latency_ms_p99", level.p99_seconds * 1e3, "ms"),
             ),
-            rows,
-            title="Gateway offered-load sweep",
         )
-        sat = self.saturation
-        return (
-            f"{table}\n\n"
-            f"{opt.resolution}x{opt.resolution} frames, N={opt.window}, "
-            f"T={opt.threshold}, {self.cpu_count} CPU core(s); "
-            f"saturation at offered={sat.offered} "
-            f"({sat.frames_per_sec:.1f} frames/s), max sustained "
-            f"{self.max_sustained_frames_per_sec:.1f} frames/s, "
-            f"warm-up {self.warm_seconds:.2f}s"
-        )
-
-    def to_json_dict(self) -> dict[str, object]:
-        """``BENCH_serve.json`` payload (see README for the schema)."""
-        sat = self.saturation
-        return {
-            "schema": SERVE_SCHEMA,
-            "geometry": {
-                "width": self.options.resolution,
-                "height": self.options.resolution,
-                "window": self.options.window,
-                "threshold": self.options.threshold,
-                "engine": self.options.engine,
-                "codec": self.options.codec,
-            },
-            "cpu_count": self.cpu_count,
-            "workers": self.options.workers,
-            "frames_per_level": self.options.frames_per_level,
-            "warm_seconds": self.warm_seconds,
-            "levels": [
-                {
-                    "offered_concurrency": s.offered,
-                    "frames": s.frames,
-                    "completed": s.completed,
-                    "shed": s.shed,
-                    "errors": s.errors,
-                    "seconds": s.seconds,
-                    "frames_per_sec": s.frames_per_sec,
-                    "p50_seconds": _json_float(s.p50_seconds),
-                    "p99_seconds": _json_float(s.p99_seconds),
-                }
-                for s in self.samples
-            ],
-            "saturation": {
-                "offered_concurrency": sat.offered,
-                "frames_per_sec": sat.frames_per_sec,
-            },
-            "max_sustained_frames_per_sec": self.max_sustained_frames_per_sec,
-            "totals": {
-                "completed": self.total_completed,
-                "shed": self.total_shed,
-                "errors": self.total_errors,
-            },
-            "bit_identical": self.bit_identical,
-        }
+    sat = saturation(levels)
+    out += records(
+        "sweep",
+        all(level.mismatches == 0 for level in levels),
+        (
+            ("saturation_offered", sat.offered, "count"),
+            ("saturation_frames_per_sec", sat.frames_per_sec, "1/s"),
+            (
+                "max_sustained_frames_per_sec",
+                max(level.frames_per_sec for level in levels),
+                "1/s",
+            ),
+            ("warm_seconds", warm_seconds, "s"),
+        ),
+    )
+    return BenchRun(
+        suite="serve",
+        records=tuple(out),
+        context={"engine": options.engine, "url": options.url},
+    )
 
 
-def _ms(seconds: float) -> str:
-    """Milliseconds cell (``-`` when the level completed nothing)."""
-    if math.isnan(seconds):
-        return "-"
-    return f"{seconds * 1000:.1f}ms"
-
-
-def _json_float(value: float) -> float | None:
-    """NaN-free JSON: quantiles of empty levels serialise as null."""
-    return None if math.isnan(value) else value
-
-
-def measure_serve(
-    options: ServeOptions = ServeOptions(), *, url: str | None = None
-) -> ServeReport:
+def measure_serve(options: ServeOptions = ServeOptions()) -> BenchRun:
     """Sweep offered load against a gateway; verify every response.
 
-    With ``url=None`` (the default) a gateway is started in-process on
-    an ephemeral port with exactly the options' geometry and torn down
-    after the sweep.  Passing ``url`` targets an already-running gateway
-    instead — it must serve the same geometry or every job 400s.
+    With ``options.url`` unset a gateway is started in-process on an
+    ephemeral port with exactly the options' geometry and torn down
+    after the sweep.  Otherwise the sweep targets that running gateway,
+    which must serve the same geometry or every job 400s; its worker
+    count, codec tier and warm-up time are unknown here, so the records
+    carry 0 workers, the requested tier and a null warm-up.
     """
-    frames_per_level = serve_frames_budget(options.frames_per_level)
-    if frames_per_level != options.frames_per_level:
-        options = replace(options, frames_per_level=frames_per_level)
     res = options.resolution
     arch = ArchitectureConfig(
         image_width=res,
@@ -301,36 +198,36 @@ def measure_serve(
         for i in range(options.distinct_frames)
     ]
     expected = [encode_array(engine.run(frame).outputs) for frame in frames]
-    payloads = [
-        build_frame_request(encode_array(frame)) for frame in frames
-    ]
+    payloads = [build_frame_request(encode_array(frame)) for frame in frames]
 
-    if url is not None:
-        host, port = _parse_url(url)
-        warm_seconds = 0.0
-        samples = _sweep(host, port, payloads, expected, options)
-    else:
-        config = GatewayConfig(
-            port=0,
-            resolution=res,
-            window=options.window,
-            threshold=options.threshold,
-            engine=options.engine,
-            codec=options.codec,
-            workers=options.workers,
-            slots=options.slots,
-            max_in_flight=options.max_in_flight,
-            request_timeout_seconds=options.request_timeout_seconds,
+    if options.url is not None:
+        host, port = _parse_url(options.url)
+        levels = _sweep(host, port, payloads, expected, options)
+        return serve_run(
+            options, levels, codec=options.codec, workers=0, warm_seconds=None
         )
-        t0 = time.perf_counter()
-        with GatewayThread(config) as gw:
-            warm_seconds = time.perf_counter() - t0
-            samples = _sweep(gw.host, gw.port, payloads, expected, options)
-    return ServeReport(
-        options=options,
-        cpu_count=os.cpu_count() or 1,
+    config = GatewayConfig(
+        port=0,
+        resolution=res,
+        window=options.window,
+        threshold=options.threshold,
+        engine=options.engine,
+        codec=options.codec,
+        workers=options.workers,
+        slots=options.slots,
+        max_in_flight=options.max_in_flight,
+        request_timeout_seconds=options.request_timeout_seconds,
+    )
+    t0 = time.perf_counter()
+    with GatewayThread(config) as gw:
+        warm_seconds = time.perf_counter() - t0
+        levels = _sweep(gw.host, gw.port, payloads, expected, options)
+    return serve_run(
+        options,
+        levels,
+        codec=getattr(engine, "codec_resolved", options.codec),
+        workers=options.workers or default_workers(),
         warm_seconds=warm_seconds,
-        samples=tuple(samples),
     )
 
 
@@ -340,9 +237,9 @@ def _sweep(
     payloads: list[bytes],
     expected: list[str],
     options: ServeOptions,
-) -> list[LevelResult]:
+) -> tuple[LevelResult, ...]:
     """Run every offered-load level, lowest first (warm ascending)."""
-    return [
+    return tuple(
         run_level(
             host,
             port,
@@ -353,7 +250,7 @@ def _sweep(
             timeout=options.request_timeout_seconds + 30.0,
         )
         for offered in options.levels
-    ]
+    )
 
 
 def _parse_url(url: str) -> tuple[str, int]:
@@ -364,58 +261,15 @@ def _parse_url(url: str) -> tuple[str, int]:
     return parts.hostname, parts.port
 
 
-def write_serve_json(report: ServeReport, path: Path) -> None:
-    """Serialise ``report`` as a ``BENCH_serve.json`` trajectory point."""
-    path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-
-
-def load_serve_json(path: Path) -> dict[str, object]:
-    """Load and structurally validate a ``BENCH_serve.json`` file."""
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != SERVE_SCHEMA:
-        raise ConfigError(
-            f"unexpected serve schema {payload.get('schema')!r} in {path}"
-        )
-    for key in (
-        "geometry",
-        "cpu_count",
-        "levels",
-        "saturation",
-        "max_sustained_frames_per_sec",
-        "totals",
-        "bit_identical",
-    ):
-        if key not in payload:
-            raise ConfigError(f"{path} lacks {key!r}")
-    if not payload["levels"]:
-        raise ConfigError(f"{path}: empty level sweep")
-    for entry in payload["levels"]:
-        for key in (
-            "offered_concurrency",
-            "frames",
-            "completed",
-            "shed",
-            "errors",
-            "frames_per_sec",
-            "p50_seconds",
-            "p99_seconds",
-        ):
-            if key not in entry:
-                raise ConfigError(f"{path}: level entry lacks {key!r}: {entry}")
-        p50, p99 = entry["p50_seconds"], entry["p99_seconds"]
-        if p50 is not None and p99 is not None and p99 < p50:
-            raise ConfigError(
-                f"{path}: level {entry['offered_concurrency']} has "
-                f"p99 {p99} < p50 {p50}"
-            )
-    for key in ("offered_concurrency", "frames_per_sec"):
-        if key not in payload["saturation"]:
-            raise ConfigError(f"{path}: saturation lacks {key!r}")
-    for key in ("completed", "shed", "errors"):
-        if key not in payload["totals"]:
-            raise ConfigError(f"{path}: totals lacks {key!r}")
-    if payload["totals"]["completed"] < 1:
-        raise ConfigError(f"{path}: sweep completed no frames")
-    if payload["bit_identical"] is not True:
-        raise ConfigError(f"{path}: sweep was not bit-identical")
-    return payload
+SUITE = Suite(
+    name="serve",
+    measure=measure_serve,
+    default=ServeOptions(),
+    smoke=ServeOptions(
+        resolution=48,
+        levels=(1, 2),
+        frames_per_level=8,
+        distinct_frames=2,
+        workers=1,
+    ),
+)

@@ -1,27 +1,22 @@
-"""Multi-frame streaming throughput of the shared-memory runtime.
+"""The ``stream`` suite: multi-frame throughput of the shared-memory runtime.
 
-:mod:`repro.analysis.perf` times one frame through one engine;
-this module times the *pipeline*: a sequence of frames streamed through
+The ``perf`` suite times one frame through one engine; this suite times
+the *pipeline*: a sequence of frames streamed through
 :class:`~repro.runtime.streaming.StreamingProcessor` at several worker
 counts, against the single-process ``CompressedEngine.run()`` loop the
 repo shipped with.  Every streamed output is compared bit-for-bit against
 that baseline — a speedup that changes a single pixel does not count.
 
-The measured scaling curve is serialised as ``BENCH_stream.json``
-(schema ``repro-stream/1``), the streaming counterpart of the
-``BENCH_perf.json`` trajectory point.  ``cpu_count`` rides along in the
-payload because the curve is meaningless without it: a 1-core container
-cannot show multi-worker speedups, and readers (and CI validators) need
-to know whether a flat curve is a regression or just physics.
+The curve is meaningless without the core count: a 1-core container
+cannot show multi-worker speedups.  The file header records the
+schedulable cores, and the ``scaling_gated`` context fact records
+whether the >=3x-at-4-workers bar could apply at all.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -33,23 +28,7 @@ from ..kernels import BoxFilterKernel
 from ..kernels.base import WindowKernel
 from ..runtime import StreamingProcessor
 from ..spec import EngineSpec, make_engine
-from .tables import render_table
-
-#: Version tag of the ``BENCH_stream.json`` schema.
-STREAM_SCHEMA = "repro-stream/1"
-
-
-def available_cores() -> int:
-    """CPU cores actually schedulable for this process.
-
-    Container CPU quotas show up in the scheduling affinity mask, not in
-    ``os.cpu_count()``; the affinity set is what decides whether a
-    multi-worker speedup is physically possible here.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
+from .bench import BenchRecord, BenchRun, Suite, available_cores, case_records
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,133 +62,20 @@ class StreamOptions:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class StreamSample:
-    """One timed streaming pass at one worker count."""
+def scaling_gated(worker_counts: tuple[int, ...]) -> bool:
+    """True when the >=3x-at-4-workers bar cannot apply to a sweep.
 
-    workers: int
-    #: Frames streamed in the pass.
-    frames: int
-    #: Wall-clock seconds for the whole pass (pool already warm).
-    seconds: float
-    #: True when every streamed output matched the sequential baseline
-    #: bit for bit.
-    bit_identical: bool
-
-    @property
-    def frames_per_sec(self) -> float:
-        """End-to-end frame throughput of the pass."""
-        return self.frames / self.seconds
-
-
-@dataclass(frozen=True)
-class StreamReport:
-    """Scaling curve of one streaming run plus its sequential baseline."""
-
-    options: StreamOptions
-    #: CPU cores visible to this process when the curve was measured.
-    cpu_count: int
-    #: Wall-clock seconds of the single-process ``CompressedEngine`` loop.
-    baseline_seconds: float
-    samples: tuple[StreamSample, ...]
-    #: True when the >=3x-at-4-workers acceptance bar was *not* applied
-    #: to this curve — either fewer than 4 cores were schedulable or the
-    #: sweep never measured 4 workers.  Recorded in the JSON so a reader
-    #: can tell a physics-gated curve from a regressed one.
-    scaling_gated: bool = False
-
-    @property
-    def baseline_frames_per_sec(self) -> float:
-        """Frame throughput of the single-process loop."""
-        return self.options.frames / self.baseline_seconds
-
-    def at_workers(self, workers: int) -> StreamSample:
-        """The sample measured at ``workers`` workers."""
-        for s in self.samples:
-            if s.workers == workers:
-                return s
-        raise ConfigError(f"no streaming sample at {workers} workers")
-
-    def speedup(self, sample: StreamSample) -> float:
-        """Throughput of ``sample`` over the single-process loop's."""
-        return sample.frames_per_sec / self.baseline_frames_per_sec
-
-    @property
-    def bit_identical(self) -> bool:
-        """True when every worker count reproduced the baseline exactly."""
-        return all(s.bit_identical for s in self.samples)
-
-    def render(self) -> str:
-        """Monospace scaling table plus the geometry / core-count note."""
-        opt = self.options
-        rows = [
-            (
-                "single-process",
-                "-",
-                self.baseline_seconds,
-                self.baseline_frames_per_sec,
-                1.0,
-                "-",
-            )
-        ]
-        for s in self.samples:
-            rows.append(
-                (
-                    "streamed",
-                    s.workers,
-                    s.seconds,
-                    s.frames_per_sec,
-                    self.speedup(s),
-                    "yes" if s.bit_identical else "NO",
-                )
-            )
-        table = render_table(
-            ("mode", "workers", "seconds", "frames/s", "vs 1-proc", "bit-identical"),
-            rows,
-            title="Streaming runtime frame throughput",
-        )
-        return (
-            f"{table}\n\n"
-            f"{opt.frames} frames of {opt.resolution}x{opt.resolution}, "
-            f"N={opt.window}, T={opt.threshold}; "
-            f"{self.cpu_count} CPU core(s) visible"
-        )
-
-    def to_json_dict(self) -> dict:
-        """``BENCH_stream.json`` payload (see README for the schema)."""
-        return {
-            "schema": STREAM_SCHEMA,
-            "geometry": {
-                "width": self.options.resolution,
-                "height": self.options.resolution,
-                "window": self.options.window,
-                "threshold": self.options.threshold,
-            },
-            "frames": self.options.frames,
-            "cpu_count": self.cpu_count,
-            "scaling_gated": self.scaling_gated,
-            "baseline": {
-                "seconds": self.baseline_seconds,
-                "frames_per_sec": self.baseline_frames_per_sec,
-            },
-            "scaling": [
-                {
-                    "workers": s.workers,
-                    "seconds": s.seconds,
-                    "frames_per_sec": s.frames_per_sec,
-                    "speedup_vs_single_process": self.speedup(s),
-                    "bit_identical": s.bit_identical,
-                }
-                for s in self.samples
-            ],
-        }
+    Either fewer than 4 cores are schedulable here, or the sweep never
+    measured 4 workers.
+    """
+    return not (available_cores() >= 4 and 4 in worker_counts)
 
 
 def measure_stream(
     options: StreamOptions = StreamOptions(),
     *,
     kernel_factory: Callable[[int], WindowKernel] = BoxFilterKernel,
-) -> StreamReport:
+) -> BenchRun:
     """Measure the streaming scaling curve against the sequential loop.
 
     One synthetic frame per scene seed; the sequential baseline runs every
@@ -239,7 +105,27 @@ def measure_stream(
     expected = [engine.run(frame).outputs for frame in frames]
     baseline_seconds = time.perf_counter() - t0
 
-    samples: list[StreamSample] = []
+    def records(
+        case: str, workers: int, seconds: float, identical: bool
+    ) -> list[BenchRecord]:
+        """One pass's readings; workers 0 is the in-process loop."""
+        return case_records(
+            "stream",
+            case,
+            resolution=res,
+            window=options.window,
+            threshold=options.threshold,
+            codec=getattr(engine, "codec_resolved", options.codec),
+            workers=workers,
+            bit_identical=identical,
+            metrics=(
+                ("seconds", seconds, "s"),
+                ("frames_per_sec", options.frames / seconds, "1/s"),
+                ("speedup_vs_single_process", baseline_seconds / seconds, "x"),
+            ),
+        )
+
+    out = records("single-process", 0, baseline_seconds, True)
     for workers in options.worker_counts:
         with StreamingProcessor.from_spec(spec, workers=workers) as proc:
             # Warm-up: one frame per worker forks the pool and builds the
@@ -252,70 +138,20 @@ def measure_stream(
         identical = len(results) == len(expected) and all(
             np.array_equal(r.outputs, e) for r, e in zip(results, expected)
         )
-        samples.append(
-            StreamSample(
-                workers=workers,
-                frames=options.frames,
-                seconds=seconds,
-                bit_identical=identical,
-            )
-        )
-    return StreamReport(
-        options=options,
-        cpu_count=os.cpu_count() or 1,
-        baseline_seconds=baseline_seconds,
-        samples=tuple(samples),
-        scaling_gated=not (
-            available_cores() >= 4 and 4 in options.worker_counts
-        ),
+        out += records(f"workers={workers}", workers, seconds, identical)
+    return BenchRun(
+        suite="stream",
+        records=tuple(out),
+        context={
+            "frames": options.frames,
+            "scaling_gated": scaling_gated(options.worker_counts),
+        },
     )
 
 
-def write_stream_json(report: StreamReport, path: Path) -> None:
-    """Serialise ``report`` as a ``BENCH_stream.json`` trajectory point."""
-    path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-
-
-def load_stream_json(path: Path) -> dict:
-    """Load and structurally validate a ``BENCH_stream.json`` file."""
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != STREAM_SCHEMA:
-        raise ConfigError(
-            f"unexpected stream schema {payload.get('schema')!r} in {path}"
-        )
-    for key in (
-        "geometry",
-        "frames",
-        "cpu_count",
-        "scaling_gated",
-        "baseline",
-        "scaling",
-    ):
-        if key not in payload:
-            raise ConfigError(f"{path} lacks {key!r}")
-    if not isinstance(payload["scaling_gated"], bool):
-        raise ConfigError(
-            f"{path}: scaling_gated must be a bool, got "
-            f"{payload['scaling_gated']!r}"
-        )
-    for key in ("seconds", "frames_per_sec"):
-        if key not in payload["baseline"]:
-            raise ConfigError(f"{path}: baseline lacks {key!r}")
-    if not payload["scaling"]:
-        raise ConfigError(f"{path}: empty scaling curve")
-    for entry in payload["scaling"]:
-        for key in (
-            "workers",
-            "frames_per_sec",
-            "speedup_vs_single_process",
-            "bit_identical",
-        ):
-            if key not in entry:
-                raise ConfigError(
-                    f"{path}: scaling entry lacks {key!r}: {entry}"
-                )
-        if entry["bit_identical"] is not True:
-            raise ConfigError(
-                f"{path}: {entry['workers']}-worker pass was not bit-identical"
-            )
-    return payload
+SUITE = Suite(
+    name="stream",
+    measure=measure_stream,
+    default=StreamOptions(),
+    smoke=StreamOptions(resolution=128, window=8, frames=4, worker_counts=(1, 2)),
+)

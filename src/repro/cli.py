@@ -13,10 +13,13 @@ artifact can be regenerated from a shell::
     repro headline
     repro ablation wavelets
     repro fault-campaign --schemes none secded --rates 1e-3
-    repro perf --json BENCH_perf.json --strategy sequential fast
-    repro stream --workers 1 2 4 --json BENCH_stream.json
-    repro chaos --frames 16 --json BENCH_chaos.json
-    repro metrics --jsonl metrics.jsonl --prometheus metrics.prom
+    repro bench perf --json BENCH_perf.json --strategy sequential fast
+    repro bench stream --workers 1 2 4 --json BENCH_stream.json
+    repro bench chaos --smoke
+    repro bench probe --jsonl metrics.jsonl --prometheus metrics.prom
+
+Each command imports the modules it runs only when it runs, so
+``repro serve`` starts without the analysis stack.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .analysis import experiments as ex
 from .config import PAPER_IMAGE_WIDTHS
 
 
@@ -39,16 +41,15 @@ def add_common_engine_flags(
     codec: bool = False,
     device: bool = False,
 ) -> None:
-    """Attach the engine-geometry flags shared by the perf-family commands.
+    """Attach the engine-geometry flags shared by the engine commands.
 
-    ``perf``, ``stream``, ``fault-campaign`` and ``metrics`` all describe
-    the same thing — one engine geometry to run — so they share one flag
-    vocabulary instead of four drifting copies.  Pass ``threshold=None``
-    to skip the ``--threshold`` flag (``fault-campaign`` sweeps a plural
+    ``serve`` and ``fault-campaign`` describe the same thing — one
+    engine geometry to run — so they share one flag vocabulary instead
+    of drifting copies.  Pass ``threshold=None`` to skip the
+    ``--threshold`` flag (``fault-campaign`` sweeps a plural
     ``--thresholds`` instead); ``codec=True`` adds the codec-tier flag
     for commands that build compressed engines; ``device=True`` adds the
-    target-device flag for commands whose results are device-dependent
-    (or record which part they describe).
+    target-device flag for commands whose results are device-dependent.
     """
     p.add_argument(
         "--resolution",
@@ -102,6 +103,108 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--processes", type=int, default=None, help="sweep workers (default: auto)"
+    )
+
+
+def _add_bench_parser(
+    sub: argparse._SubParsersAction[argparse.ArgumentParser],
+) -> None:
+    """``repro bench <suite>``: run one measurement suite.
+
+    Every option flag defaults to ``None``: the suite's own options,
+    defined once next to its measurement loop, supply the defaults, and
+    ``--smoke`` swaps in the suite's small run.  Each flag's ``dest`` is
+    the options field it sets.
+    """
+    from .hardware.device import DEVICES
+
+    p_bench = sub.add_parser(
+        "bench", help="run one measurement suite (repro-bench/1 records)"
+    )
+    suites = p_bench.add_subparsers(dest="suite", required=True)
+    helps = {
+        "perf": "wall-clock pixels/sec of every engine strategy",
+        "stream": "multi-frame streaming throughput vs worker count",
+        "serve": "closed-loop offered-load sweep against the gateway",
+        "chaos": "fault-injection campaign against the streaming runtime",
+        "probe": "probe overhead plus the per-span total/self table",
+    }
+    parsers = {
+        name: suites.add_parser(name, help=text) for name, text in helps.items()
+    }
+    for p in parsers.values():
+        p.add_argument("--resolution", type=int, help="square frame resolution")
+        p.add_argument("--window", type=int, help="window size N")
+        p.add_argument("--threshold", type=int, help="compression threshold T")
+        p.add_argument(
+            "--codec",
+            choices=("auto", "numpy", "native"),
+            help="pack/size codec tier (default auto: native when available)",
+        )
+        p.add_argument(
+            "--smoke", action="store_true", help="the suite's small CI run"
+        )
+        p.add_argument(
+            "--json", type=Path, help="also write the repro-bench/1 file here"
+        )
+    perf = parsers["perf"]
+    perf.add_argument(
+        "--strategy",
+        dest="strategies",
+        nargs="+",
+        choices=("golden", "traditional", "sequential", "fast"),
+        help="strategy subset to time (the sequential baseline always is)",
+    )
+    perf.add_argument(
+        "--repeats", type=int, help="timed repeats after one warm-up (best kept)"
+    )
+    perf.add_argument(
+        "--device", choices=sorted(DEVICES), help="target FPGA part recorded"
+    )
+    stream = parsers["stream"]
+    stream.add_argument("--frames", type=int, help="frames per timed pass")
+    stream.add_argument(
+        "--workers",
+        dest="worker_counts",
+        type=int,
+        nargs="+",
+        help="worker counts to sweep",
+    )
+    serve = parsers["serve"]
+    serve.add_argument(
+        "--url", help="target an already-running gateway (default: start one)"
+    )
+    serve.add_argument(
+        "--levels", type=int, nargs="+", help="offered concurrency levels"
+    )
+    serve.add_argument(
+        "--frames", dest="frames_per_level", type=int, help="frame jobs per level"
+    )
+    serve.add_argument("--workers", type=int, help="gateway worker processes")
+    chaos = parsers["chaos"]
+    chaos.add_argument("--frames", type=int, help="frames per scenario")
+    chaos.add_argument("--workers", type=int, help="streaming worker processes")
+    chaos.add_argument("--seed", type=int, help="fault-assignment seed")
+    chaos.add_argument(
+        "--deadline",
+        dest="deadline_seconds",
+        type=float,
+        help="per-attempt supervision deadline in seconds",
+    )
+    probe = parsers["probe"]
+    probe.add_argument(
+        "--strategy",
+        choices=("fast", "sequential", "traditional"),
+        help="engine strategy to probe",
+    )
+    probe.add_argument(
+        "--repeats", type=int, help="timed repeats after one warm-up (best kept)"
+    )
+    probe.add_argument(
+        "--jsonl", type=Path, help="write the snapshot as repro-metrics/1 lines"
+    )
+    probe.add_argument(
+        "--prometheus", type=Path, help="write the snapshot as Prometheus text"
     )
 
 
@@ -253,67 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tiny fast sweep (none vs secded at one rate)",
     )
 
-    p_perf = sub.add_parser("perf", help="wall-clock pixels/sec of every engine")
-    add_common_engine_flags(
-        p_perf, resolution=512, window=16, codec=True, device=True
-    )
-    p_perf.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (best is kept)"
-    )
-    p_perf.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help="also write a BENCH_perf.json trajectory point here",
-    )
-    p_perf.add_argument(
-        "--smoke", action="store_true", help="headline geometry only, one repeat"
-    )
-    p_perf.add_argument(
-        "--strategy",
-        nargs="+",
-        default=None,
-        choices=("golden", "traditional", "sequential", "fast"),
-        help="engine subset to time (sequential baseline always included)",
-    )
-
-    p_profile = sub.add_parser(
-        "profile", help="per-span flame table of one engine run"
-    )
-    add_common_engine_flags(p_profile, resolution=512, window=16, codec=True)
-    p_profile.add_argument(
-        "--strategy",
-        choices=("fast", "sequential", "traditional"),
-        default="fast",
-        help="engine strategy to profile (default fast)",
-    )
-    p_profile.add_argument(
-        "--repeats", type=int, default=3, help="frames run (spans accumulate)"
-    )
-
-    p_stream = sub.add_parser(
-        "stream", help="multi-frame streaming throughput vs worker count"
-    )
-    add_common_engine_flags(p_stream, resolution=512, window=16, codec=True)
-    p_stream.add_argument(
-        "--frames", type=int, default=8, help="frames per timed pass"
-    )
-    p_stream.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=(1, 2, 4),
-        help="worker counts to sweep",
-    )
-    p_stream.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help="also write a BENCH_stream.json trajectory point here",
-    )
-    p_stream.add_argument(
-        "--smoke", action="store_true", help="tiny frames, 1+2 workers only"
-    )
+    _add_bench_parser(sub)
 
     p_serve = sub.add_parser(
         "serve", help="asyncio frame-serving gateway over the streaming runtime"
@@ -340,93 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         help="per-request deadline in seconds (expiry answers 504)",
-    )
-
-    p_load = sub.add_parser(
-        "loadgen", help="closed-loop offered-load sweep against the gateway"
-    )
-    add_common_engine_flags(p_load, resolution=96, window=8, codec=True)
-    p_load.add_argument(
-        "--url",
-        default=None,
-        help="target an already-running gateway (default: self-managed)",
-    )
-    p_load.add_argument(
-        "--levels",
-        type=int,
-        nargs="+",
-        default=(1, 2, 4, 8),
-        help="offered concurrency levels to sweep",
-    )
-    p_load.add_argument(
-        "--frames", type=int, default=32, help="frame jobs per level"
-    )
-    p_load.add_argument(
-        "--workers", type=int, default=None, help="gateway worker processes"
-    )
-    p_load.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help="also write a BENCH_serve.json trajectory point here",
-    )
-    p_load.add_argument(
-        "--smoke", action="store_true", help="tiny frames, two levels"
-    )
-
-    p_chaos = sub.add_parser(
-        "chaos", help="fault-injection campaign against the streaming runtime"
-    )
-    add_common_engine_flags(p_chaos, resolution=128, window=8)
-    p_chaos.add_argument(
-        "--frames", type=int, default=16, help="frames per scenario"
-    )
-    p_chaos.add_argument(
-        "--workers", type=int, default=2, help="streaming worker processes"
-    )
-    p_chaos.add_argument(
-        "--seed", type=int, default=0, help="fault-assignment seed"
-    )
-    p_chaos.add_argument(
-        "--deadline",
-        type=float,
-        default=2.0,
-        help="per-attempt supervision deadline in seconds",
-    )
-    p_chaos.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help="also write a BENCH_chaos.json trajectory point here",
-    )
-    p_chaos.add_argument(
-        "--smoke", action="store_true", help="small frames, same scenario list"
-    )
-
-    p_met = sub.add_parser(
-        "metrics", help="probe overhead + per-stage span timings"
-    )
-    add_common_engine_flags(p_met, resolution=256, window=16)
-    p_met.add_argument(
-        "--engine",
-        choices=("compressed", "traditional"),
-        default="compressed",
-        help="engine architecture to probe",
-    )
-    p_met.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (best is kept)"
-    )
-    p_met.add_argument(
-        "--jsonl",
-        type=Path,
-        default=None,
-        help="write the metrics snapshot as repro-metrics/1 JSON lines here",
-    )
-    p_met.add_argument(
-        "--prometheus",
-        type=Path,
-        default=None,
-        help="write the snapshot in Prometheus text format here",
     )
 
     p_lint = sub.add_parser(
@@ -510,11 +466,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "fig3":
+        from .analysis import experiments as ex
+
         result = ex.fig3_memory_trace(
             resolution=args.resolution, window=args.window, threshold=args.threshold
         )
         print(result.render())
     elif args.command == "fig13":
+        from .analysis import experiments as ex
+
         result = ex.fig13_memory_savings(
             resolution=args.resolution,
             n_images=args.images,
@@ -523,6 +483,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(result.render())
     elif args.command == "table":
+        from .analysis import experiments as ex
+
         if args.number == 1:
             print(ex.table1_traditional_brams().render())
         else:
@@ -562,8 +524,12 @@ def main(argv: list[str] | None = None) -> int:
                 # Keep stdout a pure document under --format json.
                 print(f"wrote {args.json}", file=sys.stderr)
         else:
+            from .analysis import experiments as ex
+
             print(ex.resource_table(args.module).render())
     elif args.command == "mse":
+        from .analysis import experiments as ex
+
         result = ex.mse_vs_threshold(
             resolution=args.resolution,
             window=args.window,
@@ -573,6 +539,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(result.render())
     elif args.command == "headline":
+        from .analysis import experiments as ex
+
         print(
             ex.headline_claims(
                 n_images=args.images,
@@ -581,6 +549,8 @@ def main(argv: list[str] | None = None) -> int:
             ).render()
         )
     elif args.command == "ablation":
+        from .analysis import experiments as ex
+
         fn = {
             "wavelets": ex.ablation_wavelets,
             "levels": ex.ablation_levels,
@@ -588,8 +558,12 @@ def main(argv: list[str] | None = None) -> int:
         }[args.which]
         print(fn(resolution=args.resolution, threshold=args.threshold).render())
     elif args.command == "fig11":
+        from .analysis import experiments as ex
+
         print(ex.fig11_mapping_options().render())
     elif args.command == "throughput":
+        from .analysis import experiments as ex
+
         print(ex.throughput_experiment().render())
     elif args.command == "validate":
         from .analysis.validation import validate_engines
@@ -661,88 +635,17 @@ def main(argv: list[str] | None = None) -> int:
                 device=args.device,
             )
         print(result.render())
-    elif args.command == "perf":
-        from .analysis.perf import (
-            PerfOptions,
-            measure_perf,
-            resolve_strategies,
-            write_bench_json,
-        )
+    elif args.command == "bench":
+        from .analysis.bench import render_bench, suite, write_bench_json
 
-        engines = (
-            resolve_strategies(args.strategy) if args.strategy is not None else None
-        )
-        if args.smoke:
-            options = PerfOptions(
-                resolution=args.resolution,
-                window=min(args.window, args.resolution),
-                threshold=args.threshold,
-                windows=(),
-                thresholds=(),
-                repeats=1,
-                engines=engines,
-                codec=args.codec,
-                device=args.device,
-            )
-        else:
-            options = PerfOptions(
-                resolution=args.resolution,
-                window=args.window,
-                threshold=args.threshold,
-                repeats=args.repeats,
-                engines=engines,
-                codec=args.codec,
-                device=args.device,
-            )
-        result = measure_perf(options)
-        print(result.render())
+        bench = suite(args.suite)
+        run = bench.measure(bench.options(**vars(args)))
+        print(render_bench(run))
         if args.json is not None:
-            write_bench_json(result, args.json)
-            print(f"wrote {args.json}")
-    elif args.command == "profile":
-        from .analysis.profile import ProfileOptions, measure_profile
-
-        print(
-            measure_profile(
-                ProfileOptions(
-                    resolution=args.resolution,
-                    window=args.window,
-                    threshold=args.threshold,
-                    strategy=args.strategy,
-                    repeats=args.repeats,
-                    codec=args.codec,
-                )
-            ).render()
-        )
-    elif args.command == "stream":
-        from .analysis.stream_perf import (
-            StreamOptions,
-            measure_stream,
-            write_stream_json,
-        )
-
-        if args.smoke:
-            options = StreamOptions(
-                resolution=128,
-                window=8,
-                frames=4,
-                worker_counts=(1, 2),
-                codec=args.codec,
-            )
-        else:
-            options = StreamOptions(
-                resolution=args.resolution,
-                window=args.window,
-                threshold=args.threshold,
-                frames=args.frames,
-                worker_counts=tuple(args.workers),
-                codec=args.codec,
-            )
-        result = measure_stream(options)
-        print(result.render())
-        if args.json is not None:
-            write_stream_json(result, args.json)
-            print(f"wrote {args.json}")
+            write_bench_json(run, args.json)
+        for key in ("json", "jsonl", "prometheus"):
+            if getattr(args, key, None) is not None:
+                print(f"wrote {getattr(args, key)}")
     elif args.command == "serve":
         import asyncio
         import signal
@@ -791,87 +694,6 @@ def main(argv: list[str] | None = None) -> int:
             asyncio.run(_serve_foreground())
         except KeyboardInterrupt:
             pass
-    elif args.command == "loadgen":
-        from .analysis.serve_perf import (
-            ServeOptions,
-            measure_serve,
-            write_serve_json,
-        )
-
-        if args.smoke:
-            serve_options = ServeOptions(
-                resolution=48,
-                window=8,
-                levels=(1, 2),
-                frames_per_level=8,
-                distinct_frames=2,
-                workers=args.workers,
-            )
-        else:
-            serve_options = ServeOptions(
-                resolution=args.resolution,
-                window=args.window,
-                threshold=args.threshold,
-                codec=args.codec,
-                levels=tuple(args.levels),
-                frames_per_level=args.frames,
-                workers=args.workers,
-            )
-        serve_result = measure_serve(serve_options, url=args.url)
-        print(serve_result.render())
-        if args.json is not None:
-            write_serve_json(serve_result, args.json)
-            print(f"wrote {args.json}")
-    elif args.command == "chaos":
-        from .analysis.chaos import (
-            ChaosOptions,
-            measure_chaos,
-            write_chaos_json,
-        )
-
-        if args.smoke:
-            options = ChaosOptions(
-                resolution=96,
-                window=8,
-                frames=args.frames,
-                workers=args.workers,
-                seed=args.seed,
-                deadline_seconds=args.deadline,
-            )
-        else:
-            options = ChaosOptions(
-                resolution=args.resolution,
-                window=args.window,
-                threshold=args.threshold,
-                frames=args.frames,
-                workers=args.workers,
-                seed=args.seed,
-                deadline_seconds=args.deadline,
-            )
-        result = measure_chaos(options)
-        print(result.render())
-        if args.json is not None:
-            write_chaos_json(result, args.json)
-            print(f"wrote {args.json}")
-    elif args.command == "metrics":
-        from .analysis.metrics_perf import MetricsOptions, measure_metrics
-
-        result = measure_metrics(
-            MetricsOptions(
-                resolution=args.resolution,
-                window=args.window,
-                threshold=args.threshold,
-                engine=args.engine,
-                repeats=args.repeats,
-            )
-        )
-        print(result.render())
-        if args.jsonl is not None:
-            n = result.write_jsonl(args.jsonl)
-            print(f"wrote {args.jsonl} ({n} records)")
-        if args.prometheus is not None:
-            result.write_prometheus(args.prometheus)
-            print(f"wrote {args.prometheus}")
     elif args.command == "lint":
         from .lint import (
             AstCache,

@@ -1,8 +1,8 @@
 """REP009 — bench schemas cannot silently fork.
 
 Every ``BENCH_*.json`` trajectory file names its schema with a
-``repro-<name>/<version>`` string constant (``PERF_SCHEMA =
-"repro-perf/2"`` and friends).  The contract that keeps those files
+``repro-<name>/<version>`` string constant (``BENCH_SCHEMA =
+"repro-bench/1"`` and friends).  The contract that keeps those files
 loadable across PRs has three legs, and history shows each one can rot
 independently:
 

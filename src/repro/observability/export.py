@@ -4,9 +4,8 @@ Two wire formats cover the consumption paths a production deployment
 needs:
 
 - **JSON lines** (schema ``repro-metrics/1``): one metric per line, each
-  line a self-describing JSON object.  Written by ``repro metrics`` and
-  validated by the CI metrics-smoke job through
-  :func:`load_metrics_jsonl`.
+  line a self-describing JSON object.  Written by ``repro bench probe
+  --jsonl`` and validated through :func:`load_metrics_jsonl`.
 - **Prometheus exposition text** (version 0.0.4): ``# HELP`` / ``# TYPE``
   blocks with ``_bucket`` / ``_sum`` / ``_count`` series for histograms,
   ready for a scrape endpoint or the textfile collector.
@@ -16,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -236,22 +236,42 @@ def parse_prometheus_names(text: str) -> set[str]:
     return names
 
 
-def stage_table(snapshot: Mapping | MetricsRegistry) -> list[tuple[str, int, float, float]]:
-    """Per-stage timing rows from the recorded span histograms.
+@dataclass(frozen=True, slots=True)
+class SpanRow:
+    """One probe span path of the stage table."""
 
-    Returns ``(stage_path, calls, total_seconds, mean_seconds)`` rows
-    sorted by descending total — the software analogue of a per-stage
-    cycle-count report.
+    path: str
+    calls: int
+    total_seconds: float
+    #: Total minus the totals of the direct child spans: the time the
+    #: span spent in its own code, which names the optimisation target.
+    self_seconds: float
+
+
+def stage_table(snapshot: Mapping | MetricsRegistry) -> list[SpanRow]:
+    """Fold the ``repro_span_seconds`` histograms into per-span rows.
+
+    Series carry the full span path in their ``span`` label; series of
+    one path (other labels differing) are summed.  Rows come back by
+    descending total — the software analogue of a per-stage cycle-count
+    report.
     """
     if isinstance(snapshot, MetricsRegistry):
         snapshot = snapshot.snapshot()
-    rows: list[tuple[str, int, float, float]] = []
+    totals: dict[str, tuple[int, float]] = {}
     for entry in snapshot.get("histograms", ()):
-        if entry["name"] != "repro_span_seconds":
+        path = dict(entry.get("labels", {})).get("span")
+        if entry["name"] != "repro_span_seconds" or not path:
             continue
-        path = dict(entry.get("labels", {})).get("span", "?")
-        count = int(entry["count"])
-        total = float(entry["sum"])
-        rows.append((path, count, total, total / count if count else 0.0))
-    rows.sort(key=lambda r: -r[2])
+        calls, seconds = totals.get(path, (0, 0.0))
+        totals[path] = (calls + int(entry["count"]), seconds + float(entry["sum"]))
+    rows = []
+    for path, (calls, seconds) in totals.items():
+        children = sum(
+            totals[p][1]
+            for p in totals
+            if p.startswith(path + "/") and "/" not in p[len(path) + 1 :]
+        )
+        rows.append(SpanRow(path, calls, seconds, max(seconds - children, 0.0)))
+    rows.sort(key=lambda r: -r.total_seconds)
     return rows

@@ -21,7 +21,7 @@ as the ``repro fault-campaign`` CLI subcommand.
 Process-level faults are the other half of the resilience story:
 :mod:`repro.resilience.chaos` injects worker kills, in-worker raises,
 delays and dropped results into the streaming runtime (driven by
-:mod:`repro.analysis.chaos` / ``repro chaos``), and
+:mod:`repro.analysis.chaos` / ``repro bench chaos``), and
 :mod:`repro.runtime.supervision` is the recovery layer those faults
 exercise.
 """

@@ -20,8 +20,8 @@ before the consumer sees it — because a worker cannot "not return"
 without dying or blocking a pool slot forever.
 
 Everything is deterministic: :meth:`ChaosSpec.sample` derives the fault
-assignment from a seed, so a chaos campaign (``repro chaos``,
-``benchmarks/bench_chaos.py``) is exactly reproducible.
+assignment from a seed, so a chaos campaign (``repro bench chaos``,
+``benchmarks/bench_suites.py``) is exactly reproducible.
 """
 
 from __future__ import annotations

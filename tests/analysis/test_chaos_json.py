@@ -1,86 +1,96 @@
-"""BENCH_chaos.json schema contract: write, validate, reject drift.
+"""The ``chaos`` suite's file contract: write, load, reject broken promises.
 
-The REP009 schema-drift rule requires every ``repro-*/N`` schema to be
-referenced by the test suite alongside its ``load_*_json`` validator —
-this module is that reference for ``repro-chaos/1``, exercising the
-round-trip on a synthetic campaign report (no real process kills, so it
-stays tier-1 fast).
+Runs on synthetic scenario records (no real process kills), so it stays
+tier-1 fast; the real campaign runs in ``benchmarks/bench_suites.py``.
 """
 
 import json
 
 import pytest
 
-from repro.analysis.chaos import (
-    CHAOS_SCHEMA,
-    ChaosOptions,
-    ChaosPoint,
-    ChaosReport,
-    ChaosScenario,
-    load_chaos_json,
-    write_chaos_json,
+from repro.analysis.bench import (
+    BENCH_SCHEMA,
+    BenchRun,
+    case_records,
+    load_bench_json,
+    write_bench_json,
 )
+from repro.analysis.chaos import ChaosOptions
 from repro.errors import ConfigError
 
 FRAMES = 4
 
 
-def make_report(**point_overrides) -> ChaosReport:
-    options = ChaosOptions(
-        frames=FRAMES, scenarios=(ChaosScenario(name="baseline"),)
-    )
-    fields = dict(
-        scenario=options.scenarios[0],
-        faults={"kill": 0, "raise": 0, "delay": 0, "drop": 0, "poison": 0},
-        delivered=FRAMES,
-        failed=0,
-        retries=0,
-        degraded=0,
-        worker_deaths=0,
-        slots_reclaimed=0,
-        results_dropped=0,
-        pool_respawns=0,
-        recoveries=0,
-        recovery_seconds_mean=0.0,
-        recovery_seconds_max=0.0,
-        bit_identical=True,
-        seconds=0.25,
-        free_slots=4,
-        slots=4,
-    )
-    fields.update(point_overrides)
-    return ChaosReport(
-        options=options, cpu_count=1, points=(ChaosPoint(**fields),)
+def make_run(**overrides) -> BenchRun:
+    options = ChaosOptions(frames=FRAMES)
+    metrics = {
+        "delivered": FRAMES,
+        "failed": 0,
+        "retries": 0,
+        "worker_deaths": 0,
+        "frames_lost": 0,
+        "slots_leaked": 0,
+        "inline_failures": 0,
+        **overrides,
+    }
+    return BenchRun(
+        suite="chaos",
+        records=tuple(
+            case_records(
+                "chaos",
+                "baseline",
+                resolution=options.resolution,
+                window=options.window,
+                threshold=0,
+                codec="numpy",
+                workers=options.workers,
+                bit_identical=True,
+                metrics=[(m, v, "count") for m, v in metrics.items()],
+            )
+        ),
+        context={
+            "frames": FRAMES,
+            "seed": options.seed,
+            "deadline_seconds": options.deadline_seconds,
+        },
     )
 
 
 class TestChaosJson:
     def test_roundtrip_and_schema(self, tmp_path):
         path = tmp_path / "BENCH_chaos.json"
-        write_chaos_json(make_report(), path)
-        payload = load_chaos_json(path)
-        assert payload["schema"] == CHAOS_SCHEMA
-        assert payload["frames"] == FRAMES
-        (entry,) = payload["scenarios"]
-        assert entry["name"] == "baseline"
-        assert entry["delivered"] == FRAMES
+        write_bench_json(make_run(), path)
+        assert json.loads(path.read_text())["schema"] == BENCH_SCHEMA
+        run = load_bench_json(path)
+        assert run.context["frames"] == FRAMES
+        assert run.cases == ("baseline",)
+        assert run.value("baseline", "delivered") == FRAMES
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
-        payload = make_report().to_json_dict()
+        write_bench_json(make_run(), path)
+        payload = json.loads(path.read_text())
         payload["schema"] = "repro-chaos/999"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError, match="schema"):
-            load_chaos_json(path)
+        with pytest.raises(ConfigError, match="repro-chaos/999"):
+            load_bench_json(path)
 
     def test_load_rejects_lost_frames(self, tmp_path):
         path = tmp_path / "lost.json"
-        write_chaos_json(make_report(delivered=FRAMES - 1), path)
-        with pytest.raises(ConfigError, match="lost frames"):
-            load_chaos_json(path)
+        write_bench_json(make_run(delivered=FRAMES - 1, frames_lost=1), path)
+        with pytest.raises(ConfigError, match="frames_lost"):
+            load_bench_json(path)
 
     def test_load_rejects_leaked_slots(self, tmp_path):
         path = tmp_path / "leak.json"
-        write_chaos_json(make_report(free_slots=3), path)
-        with pytest.raises(ConfigError, match="leaked ring slots"):
-            load_chaos_json(path)
+        write_bench_json(make_run(slots_leaked=1), path)
+        with pytest.raises(ConfigError, match="slots_leaked"):
+            load_bench_json(path)
+
+    def test_load_rejects_missing_deadline(self, tmp_path):
+        run = make_run()
+        del run.context["deadline_seconds"]
+        path = tmp_path / "no-deadline.json"
+        write_bench_json(run, path)
+        with pytest.raises(ConfigError, match="deadline_seconds"):
+            load_bench_json(path)

@@ -1,79 +1,88 @@
-"""The probe-overhead harness in :mod:`repro.analysis.metrics_perf`."""
+"""The ``probe`` suite in :mod:`repro.analysis.metrics_perf`."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.bench import render_bench
 from repro.analysis.metrics_perf import (
     MetricsOptions,
-    MetricsReport,
     measure_metrics,
+    overhead_percent,
 )
 from repro.errors import ConfigError
 from repro.observability.export import load_metrics_jsonl, parse_prometheus_names
 
 
 @pytest.fixture(scope="module")
-def report() -> MetricsReport:
-    return measure_metrics(MetricsOptions(resolution=64, window=8, repeats=1))
+def run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("probe")
+    return measure_metrics(
+        MetricsOptions(
+            resolution=64,
+            window=8,
+            repeats=1,
+            jsonl=out / "m.jsonl",
+            prometheus=out / "m.prom",
+        )
+    ), out
 
 
 class TestOptions:
     def test_defaults_are_the_acceptance_geometry(self):
         opt = MetricsOptions()
         assert (opt.resolution, opt.window, opt.threshold) == (256, 16, 0)
-        assert opt.engine == "compressed"
+        assert opt.strategy == "fast"
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="repeats"):
             MetricsOptions(repeats=0)
-        with pytest.raises(ConfigError, match="engine"):
-            MetricsOptions(engine="quantum")
+        with pytest.raises(ConfigError, match="strategy"):
+            MetricsOptions(strategy="quantum")
 
 
 class TestMeasure:
-    def test_bit_identity_and_positive_timings(self, report):
-        assert report.bit_identical
-        assert report.seconds_probed > 0
-        assert report.seconds_unprobed > 0
+    def test_bit_identity_and_positive_timings(self, run):
+        result, _ = run
+        assert result.bit_identical
+        assert result.value("overhead", "probed_ms") > 0
+        assert result.value("overhead", "unprobed_ms") > 0
 
-    def test_snapshot_feeds_stage_table(self, report):
-        rendered = report.render()
-        assert "Per-stage span timings" in rendered
+    def test_snapshot_feeds_stage_table(self, run):
+        result, _ = run
+        rendered = render_bench(result)
         assert "run/transform" in rendered
-        assert "probe overhead" in rendered
+        assert "overhead_pct" in rendered
+        assert "self_ms" in rendered
+        # One frame's spans: the probe saw the warm-up and every repeat,
+        # and the records divide that back out.
+        assert result.value("run", "calls") == pytest.approx(1.0)
+        assert result.value("run/transform", "self_ms") <= (
+            result.value("run/transform", "total_ms")
+        )
 
     def test_overhead_percent_definition(self):
-        fake = MetricsReport(
-            options=MetricsOptions(),
-            seconds_unprobed=1.0,
-            seconds_probed=1.05,
-            bit_identical=True,
-            snapshot={"counters": [], "gauges": [], "histograms": []},
-        )
-        assert fake.overhead_percent == pytest.approx(5.0)
-        zero = MetricsReport(
-            options=MetricsOptions(),
-            seconds_unprobed=0.0,
-            seconds_probed=1.0,
-            bit_identical=True,
-            snapshot={"counters": [], "gauges": [], "histograms": []},
-        )
-        assert zero.overhead_percent == 0.0
+        assert overhead_percent(1.0, 1.05) == pytest.approx(5.0)
+        assert overhead_percent(0.0, 1.0) == 0.0
 
-    def test_writers_produce_valid_exports(self, report, tmp_path):
-        jsonl = tmp_path / "m.jsonl"
-        prom = tmp_path / "m.prom"
-        n = report.write_jsonl(jsonl)
-        report.write_prometheus(prom)
-        assert len(load_metrics_jsonl(jsonl)) == n
-        assert "repro_span_seconds" in parse_prometheus_names(prom.read_text())
+    def test_writers_produce_valid_exports(self, run):
+        _, out = run
+        assert len(load_metrics_jsonl(out / "m.jsonl")) > 0
+        names = parse_prometheus_names((out / "m.prom").read_text())
+        assert "repro_span_seconds" in names
 
     def test_traditional_engine_measurable(self):
-        rep = measure_metrics(
+        result = measure_metrics(
             MetricsOptions(
-                resolution=64, window=8, engine="traditional", repeats=1
+                resolution=64, window=8, strategy="traditional", repeats=1
             )
         )
-        assert rep.bit_identical
-        assert "run/kernel" in rep.render()
+        assert result.bit_identical
+        assert "run/kernel" in result.cases
+
+    def test_sequential_strategy_measurable(self):
+        result = measure_metrics(
+            MetricsOptions(resolution=32, window=8, strategy="sequential", repeats=1)
+        )
+        assert result.bit_identical
+        assert result.context["strategy"] == "sequential"

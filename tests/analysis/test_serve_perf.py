@@ -1,21 +1,25 @@
-"""Tests for the gateway load-sweep harness (tiny geometries only)."""
+"""Tests for the ``serve`` suite (tiny geometries only)."""
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
+from repro.analysis.bench import (
+    BENCH_SCHEMA,
+    load_bench_json,
+    render_bench,
+    write_bench_json,
+)
 from repro.analysis.serve_perf import (
-    SERVE_SCHEMA,
     ServeOptions,
-    ServeReport,
     _parse_url,
-    load_serve_json,
     measure_serve,
-    serve_frames_budget,
-    write_serve_json,
+    saturation,
+    serve_run,
 )
 from repro.errors import ConfigError
 from repro.serve.loadgen import LevelResult
@@ -31,7 +35,7 @@ SMOKE = ServeOptions(
 
 
 @pytest.fixture(scope="module")
-def smoke_report() -> ServeReport:
+def smoke_run():
     """One tiny measured sweep shared by the assertions below."""
     return measure_serve(SMOKE)
 
@@ -60,69 +64,101 @@ def level(
     )
 
 
-def report(*samples: LevelResult) -> ServeReport:
-    return ServeReport(
-        options=SMOKE, cpu_count=1, warm_seconds=0.5, samples=samples
-    )
+def run_of(*levels: LevelResult):
+    return serve_run(SMOKE, levels, codec="numpy", workers=1, warm_seconds=0.5)
+
+
+def roundtrip(tmp_path, run):
+    path = tmp_path / "BENCH_serve.json"
+    write_bench_json(run, path)
+    return load_bench_json(path)
+
+
+def edited(tmp_path, run, edit):
+    """Write ``run``, let ``edit`` change its JSON payload, load it back."""
+    data = {
+        "schema": BENCH_SCHEMA,
+        "suite": run.suite,
+        "cpu_count": run.cpu_count,
+        "context": dict(run.context),
+        "records": [asdict(r) for r in run.records],
+    }
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return load_bench_json(path)
+
+
+def set_value(data, case, metric, value):
+    for record in data["records"]:
+        if (record["case"], record["metric"]) == (case, metric):
+            record["value"] = value
 
 
 class TestMeasureServe:
-    def test_covers_every_level(self, smoke_report):
-        assert [s.offered for s in smoke_report.samples] == [1, 2]
-        for sample in smoke_report.samples:
-            assert sample.frames == 4
-            assert sample.completed + sample.shed + sample.errors == 4
+    def test_covers_every_level(self, smoke_run):
+        assert smoke_run.cases == ("offered=1", "offered=2", "sweep")
+        for case in ("offered=1", "offered=2"):
+            assert smoke_run.value(case, "frames") == 4
+            assert sum(
+                smoke_run.value(case, m) for m in ("completed", "shed", "errors")
+            ) == 4
 
-    def test_served_outputs_bit_identical(self, smoke_report):
-        assert smoke_report.bit_identical
-        assert smoke_report.total_errors == 0
-        assert smoke_report.total_completed >= 1
+    def test_served_outputs_bit_identical(self, smoke_run):
+        assert smoke_run.bit_identical
+        assert smoke_run.value("offered=1", "errors") == 0
+        assert smoke_run.value("offered=1", "completed") >= 1
 
-    def test_throughput_and_quantiles(self, smoke_report):
-        assert smoke_report.max_sustained_frames_per_sec > 0
-        for sample in smoke_report.samples:
-            if sample.completed:
-                assert sample.p50_seconds > 0
-                assert sample.p99_seconds >= sample.p50_seconds
+    def test_throughput_and_quantiles(self, smoke_run):
+        assert smoke_run.value("sweep", "max_sustained_frames_per_sec") > 0
+        for case in ("offered=1", "offered=2"):
+            if smoke_run.value(case, "completed"):
+                p50 = smoke_run.value(case, "latency_ms_p50")
+                assert p50 > 0
+                assert smoke_run.value(case, "latency_ms_p99") >= p50
 
-    def test_warm_up_measured(self, smoke_report):
-        assert smoke_report.warm_seconds > 0
-        assert smoke_report.cpu_count >= 1
+    def test_warm_up_measured(self, smoke_run):
+        assert smoke_run.value("sweep", "warm_seconds") > 0
+        assert {r.workers for r in smoke_run.records} == {1}
+        assert smoke_run.cpu_count >= 1
 
-    def test_render_mentions_geometry_and_saturation(self, smoke_report):
-        text = smoke_report.render()
+    def test_render_mentions_geometry_and_saturation(self, smoke_run):
+        text = render_bench(smoke_run)
         assert "32x32" in text
-        assert "saturation at offered=" in text
+        assert "saturation_offered" in text
         assert "CPU core" in text
 
 
 class TestSaturation:
     def test_first_shedding_level_wins(self):
-        rep = report(level(1), level(2, shed=3), level(4, shed=9))
-        assert rep.saturation.offered == 2
+        assert saturation((level(1), level(2, shed=3), level(4, shed=9))).offered == 2
 
     def test_flat_throughput_is_saturation(self):
         # 2 -> 4 gains only 5%: under the 10% bar, so 4 saturates.
-        rep = report(
+        levels = (
             level(1, seconds=1.0),
             level(2, seconds=0.5),
             level(4, completed=21, seconds=1.0),
         )
-        assert rep.saturation.offered == 4
+        assert saturation(levels).offered == 4
 
     def test_never_saturated_returns_last(self):
-        rep = report(
+        levels = (
             level(1, seconds=1.0),
             level(2, seconds=0.5),
             level(4, seconds=0.25),
         )
-        assert rep.saturation.offered == 4
-        assert rep.max_sustained_frames_per_sec == pytest.approx(40.0)
+        assert saturation(levels).offered == 4
+        run = run_of(*levels)
+        assert run.value("sweep", "max_sustained_frames_per_sec") == (
+            pytest.approx(40.0)
+        )
 
-    def test_bit_identical_needs_completions_and_no_mismatches(self):
-        assert not report(level(1, completed=0, shed=10)).bit_identical
-        assert not report(level(1, mismatches=1)).bit_identical
-        assert report(level(1)).bit_identical
+    def test_bit_identical_needs_completions_and_no_mismatches(self, tmp_path):
+        assert not run_of(level(1, mismatches=1)).bit_identical
+        assert run_of(level(1)).bit_identical
+        with pytest.raises(ConfigError, match="completed"):
+            roundtrip(tmp_path, run_of(level(1, completed=0, shed=10)))
 
     def test_invalid_options_rejected(self):
         with pytest.raises(ConfigError):
@@ -133,25 +169,6 @@ class TestSaturation:
             ServeOptions(frames_per_level=0)
         with pytest.raises(ConfigError):
             ServeOptions(distinct_frames=0)
-
-
-class TestFramesBudget:
-    def test_unset_env_keeps_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_FRAMES", raising=False)
-        assert serve_frames_budget(32) == 32
-
-    def test_env_caps_but_never_raises_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_FRAMES", "8")
-        assert serve_frames_budget(32) == 8
-        assert serve_frames_budget(4) == 4
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_FRAMES", "lots")
-        with pytest.raises(ConfigError):
-            serve_frames_budget(32)
-        monkeypatch.setenv("REPRO_SERVE_FRAMES", "0")
-        with pytest.raises(ConfigError):
-            serve_frames_budget(32)
 
 
 class TestParseUrl:
@@ -165,73 +182,72 @@ class TestParseUrl:
 
 
 class TestServeJson:
-    def test_roundtrip_and_schema(self, smoke_report, tmp_path):
-        path = tmp_path / "BENCH_serve.json"
-        write_serve_json(smoke_report, path)
-        payload = load_serve_json(path)
-        assert payload["schema"] == SERVE_SCHEMA
-        assert payload["geometry"]["width"] == 32
-        assert [e["offered_concurrency"] for e in payload["levels"]] == [1, 2]
-        assert payload["bit_identical"] is True
-        assert payload["totals"]["errors"] == 0
+    def test_roundtrip_and_schema(self, smoke_run, tmp_path):
+        loaded = roundtrip(tmp_path, smoke_run)
+        assert loaded == smoke_run
+        assert {r.width for r in loaded.records} == {32}
+        assert loaded.bit_identical
 
     def test_nan_quantiles_serialise_as_null(self, tmp_path):
-        rep = report(
+        run = run_of(
             level(1),
             level(2, completed=0, shed=4, p50=math.nan, p99=math.nan),
         )
         path = tmp_path / "nan.json"
-        write_serve_json(rep, path)
-        payload = json.loads(path.read_text())
-        assert payload["levels"][1]["p50_seconds"] is None
-        assert payload["levels"][1]["p99_seconds"] is None
-        load_serve_json(path)
+        write_bench_json(run, path)
+        quantiles = [
+            r["value"]
+            for r in json.loads(path.read_text())["records"]
+            if r["case"] == "offered=2" and r["metric"].startswith("latency")
+        ]
+        assert quantiles == [None, None]
+        load_bench_json(path)
 
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "nope"}))
-        with pytest.raises(ConfigError, match="schema"):
-            load_serve_json(path)
+    def test_load_rejects_wrong_schema(self, smoke_run, tmp_path):
+        def edit(data):
+            data["schema"] = "repro-serve/1"
 
-    def test_load_rejects_missing_section(self, smoke_report, tmp_path):
-        path = tmp_path / "partial.json"
-        payload = smoke_report.to_json_dict()
-        del payload["saturation"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError, match="saturation"):
-            load_serve_json(path)
+        with pytest.raises(ConfigError, match="repro-serve/1"):
+            edited(tmp_path, smoke_run, edit)
 
-    def test_load_rejects_empty_levels(self, smoke_report, tmp_path):
-        path = tmp_path / "empty.json"
-        payload = smoke_report.to_json_dict()
-        payload["levels"] = []
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError, match="level"):
-            load_serve_json(path)
+    def test_load_rejects_missing_section(self, smoke_run, tmp_path):
+        with pytest.raises(ConfigError, match="records"):
+            edited(tmp_path, smoke_run, lambda data: data.pop("records"))
 
-    def test_load_rejects_inverted_quantiles(self, smoke_report, tmp_path):
-        path = tmp_path / "inverted.json"
-        payload = smoke_report.to_json_dict()
-        payload["levels"][0]["p50_seconds"] = 2.0
-        payload["levels"][0]["p99_seconds"] = 1.0
-        path.write_text(json.dumps(payload))
+    def test_load_rejects_empty_levels(self, smoke_run, tmp_path):
+        def edit(data):
+            data["records"] = []
+
+        with pytest.raises(ConfigError, match="no records"):
+            edited(tmp_path, smoke_run, edit)
+
+    def test_load_rejects_inverted_quantiles(self, smoke_run, tmp_path):
+        def edit(data):
+            set_value(data, "offered=1", "latency_ms_p50", 2.0)
+            set_value(data, "offered=1", "latency_ms_p99", 1.0)
+
         with pytest.raises(ConfigError, match="p99"):
-            load_serve_json(path)
+            edited(tmp_path, smoke_run, edit)
 
-    def test_load_rejects_zero_completed(self, smoke_report, tmp_path):
-        path = tmp_path / "idle.json"
-        payload = smoke_report.to_json_dict()
-        payload["totals"]["completed"] = 0
-        path.write_text(json.dumps(payload))
+    def test_load_rejects_zero_completed(self, smoke_run, tmp_path):
+        def edit(data):
+            set_value(data, "offered=1", "completed", 0)
+            set_value(data, "offered=2", "completed", 0)
+
         with pytest.raises(ConfigError, match="completed"):
-            load_serve_json(path)
+            edited(tmp_path, smoke_run, edit)
 
-    def test_load_rejects_non_bit_identical_sweep(
-        self, smoke_report, tmp_path
-    ):
-        path = tmp_path / "lossy.json"
-        payload = smoke_report.to_json_dict()
-        payload["bit_identical"] = False
-        path.write_text(json.dumps(payload))
+    def test_load_rejects_request_errors(self, smoke_run, tmp_path):
+        with pytest.raises(ConfigError, match="errors"):
+            edited(
+                tmp_path,
+                smoke_run,
+                lambda data: set_value(data, "offered=2", "errors", 1),
+            )
+
+    def test_load_rejects_non_bit_identical_sweep(self, smoke_run, tmp_path):
+        def edit(data):
+            data["records"][0]["bit_identical"] = False
+
         with pytest.raises(ConfigError, match="bit-identical"):
-            load_serve_json(path)
+            edited(tmp_path, smoke_run, edit)

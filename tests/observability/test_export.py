@@ -1,6 +1,6 @@
 """Exporter round-trips: JSON-lines schema and Prometheus text format.
 
-``load_metrics_jsonl`` is the same validator the CI metrics-smoke job
+``load_metrics_jsonl`` is the same validator the probe row of the CI bench job
 runs, so these tests double as the schema's specification: every record
 self-describes, histograms carry consistent bucket counts, and malformed
 files fail loudly with the offending line number.
@@ -145,14 +145,38 @@ class TestStageTable:
             with probe.span("fastest"):
                 pass
         rows = stage_table(probe.snapshot())
-        paths = [r[0] for r in rows]
+        paths = [r.path for r in rows]
         assert paths[0] == "run"  # outermost contains everything
         assert set(paths) == {"run", "run/slow", "run/fastest"}
-        totals = [r[2] for r in rows]
+        totals = [r.total_seconds for r in rows]
         assert totals == sorted(totals, reverse=True)
-        for _path, calls, total, mean in rows:
-            assert calls == 1
-            assert mean == pytest.approx(total)
+        assert all(r.calls == 1 for r in rows)
+
+    def test_self_time_is_total_minus_direct_children(self):
+        def span(path, count, seconds):
+            return {
+                "name": "repro_span_seconds",
+                "labels": {"span": path},
+                "count": count,
+                "sum": seconds,
+            }
+
+        snapshot = {
+            "histograms": [
+                span("run", 2, 10.0),
+                span("run/pack", 2, 3.0),
+                span("run/pack/bits", 4, 2.5),
+                span("run/kernel", 1, 4.0),
+                # A second series of one path (other labels) is summed.
+                span("run/kernel", 1, 1.0),
+            ]
+        }
+        rows = {r.path: r for r in stage_table(snapshot)}
+        assert rows["run"].self_seconds == pytest.approx(10.0 - 3.0 - 5.0)
+        assert rows["run/pack"].self_seconds == pytest.approx(0.5)
+        assert rows["run/pack/bits"].self_seconds == pytest.approx(2.5)
+        assert rows["run/kernel"].calls == 2
+        assert rows["run/kernel"].total_seconds == pytest.approx(5.0)
 
     def test_empty_snapshot_gives_no_rows(self):
         assert stage_table(MetricsRegistry()) == []

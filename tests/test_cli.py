@@ -32,10 +32,10 @@ class TestParser:
         assert args.mode == "exhaustive"
 
     def test_device_flag_choices(self):
-        for command in ("resources", "perf", "fault-campaign"):
+        for command in (["resources"], ["bench", "perf"], ["fault-campaign"]):
             with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "--device", "XC9999"])
-            args = build_parser().parse_args([command, "--device", "ZU7EV"])
+                build_parser().parse_args([*command, "--device", "XC9999"])
+            args = build_parser().parse_args([*command, "--device", "ZU7EV"])
             assert args.device == "ZU7EV"
 
     def test_fault_campaign_scheme_choices(self):
@@ -191,11 +191,20 @@ class TestResourcesCommand:
         assert "LUT" in capsys.readouterr().out
 
 
+def bench_options(*argv: str):
+    """The suite options ``repro bench <argv>`` would run with."""
+    from repro.analysis.bench import suite
+
+    args = build_parser().parse_args(["bench", *argv])
+    return suite(args.suite).options(**vars(args))
+
+
 class TestPerfCommand:
     def test_perf_smoke(self, tmp_path, capsys):
         out_json = tmp_path / "BENCH_perf.json"
         code = main(
             [
+                "bench",
                 "perf",
                 "--smoke",
                 "--resolution",
@@ -208,17 +217,19 @@ class TestPerfCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "compressed-fast" in out
-        assert "headline" in out
-        from repro.analysis.perf import load_bench_json
+        assert "fast" in out
+        assert "speedup_vs_seed" in out
+        from repro.analysis.bench import load_bench_json
 
-        payload = load_bench_json(out_json)
-        assert payload["engines"]["compressed-fast"]["pixels_per_sec"] > 0
+        run = load_bench_json(out_json)
+        assert run.value("fast", "pixels_per_sec") > 0
+        assert {r.window for r in run.records} == {8}
 
     def test_perf_strategy_subset(self, tmp_path, capsys):
         out_json = tmp_path / "BENCH_perf.json"
         code = main(
             [
+                "bench",
                 "perf",
                 "--smoke",
                 "--resolution",
@@ -233,21 +244,20 @@ class TestPerfCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "subset run" in out
         assert "golden" not in out
-        from repro.analysis.perf import load_bench_json
+        from repro.analysis.bench import load_bench_json
 
-        payload = load_bench_json(out_json)
-        assert set(payload["engines"]) == {"compressed-sequential"}
+        assert load_bench_json(out_json).cases == ("sequential",)
 
     def test_perf_strategy_choices(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["perf", "--strategy", "warp-drive"])
+            build_parser().parse_args(["bench", "perf", "--strategy", "warp-drive"])
 
     def test_perf_device_rides_on_payload(self, tmp_path):
         out_json = tmp_path / "BENCH_perf.json"
         code = main(
             [
+                "bench",
                 "perf",
                 "--smoke",
                 "--resolution",
@@ -263,47 +273,105 @@ class TestPerfCommand:
             ]
         )
         assert code == 0
-        from repro.analysis.perf import load_bench_json
+        from repro.analysis.bench import load_bench_json
 
-        assert load_bench_json(out_json)["device"] == "ZU3EG"
+        assert load_bench_json(out_json).context["device"] == "ZU3EG"
+
+    def test_smoke_keeps_given_flags(self):
+        options = bench_options("perf", "--smoke", "--repeats", "4")
+        assert options.repeats == 4
+        assert options.windows == ()
+        assert bench_options("perf").repeats == 3
 
 
 class TestStreamCommand:
     def test_stream_defaults(self):
-        args = build_parser().parse_args(["stream"])
-        assert args.resolution == 512
-        assert args.frames == 8
-        assert tuple(args.workers) == (1, 2, 4)
+        options = bench_options("stream")
+        assert options.resolution == 512
+        assert options.frames == 8
+        assert options.worker_counts == (1, 2, 4)
+        assert bench_options("stream", "--workers", "1", "3").worker_counts == (1, 3)
 
     def test_stream_smoke(self, tmp_path, capsys):
         out_json = tmp_path / "BENCH_stream.json"
-        code = main(["stream", "--smoke", "--json", str(out_json)])
+        code = main(["bench", "stream", "--smoke", "--json", str(out_json)])
         assert code == 0
         out = capsys.readouterr().out
         assert "single-process" in out
-        assert "streamed" in out
-        from repro.analysis.stream_perf import load_stream_json
+        assert "workers=2" in out
+        from repro.analysis.bench import load_bench_json
 
-        payload = load_stream_json(out_json)
-        assert [e["workers"] for e in payload["scaling"]] == [1, 2]
-        assert all(e["bit_identical"] for e in payload["scaling"])
+        run = load_bench_json(out_json)
+        assert run.cases == ("single-process", "workers=1", "workers=2")
+        assert run.bit_identical
+
+
+class TestServeAndChaosFlags:
+    def test_serve_flags_map_onto_options(self):
+        options = bench_options(
+            "serve", "--levels", "1", "3", "--frames", "5", "--workers", "2",
+            "--url", "127.0.0.1:9000",
+        )
+        assert options.levels == (1, 3)
+        assert options.frames_per_level == 5
+        assert options.workers == 2
+        assert options.url == "127.0.0.1:9000"
+
+    def test_chaos_flags_map_onto_options(self):
+        options = bench_options(
+            "chaos", "--smoke", "--seed", "7", "--deadline", "3.5", "--frames", "6"
+        )
+        assert (options.seed, options.deadline_seconds, options.frames) == (7, 3.5, 6)
+        assert options.resolution == 96
+
+    def test_old_subcommands_are_gone(self):
+        for command in ("perf", "stream", "loadgen", "chaos", "metrics", "profile"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
+
+
+class TestImports:
+    def test_parser_does_not_import_analysis_or_scipy(self):
+        """``repro serve`` enters through the CLI: building the parser
+        must not pull in the analysis stack (or scipy under it)."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('repro.analysis', 'scipy'))))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestMetricsCommand:
     def test_metrics_defaults(self):
-        args = build_parser().parse_args(["metrics"])
-        assert args.resolution == 256
-        assert args.window == 16
-        assert args.engine == "compressed"
-        assert args.repeats == 3
+        options = bench_options("probe")
+        assert options.resolution == 256
+        assert options.window == 16
+        assert options.strategy == "fast"
+        assert options.repeats == 3
 
     def test_common_engine_flags_are_uniform(self):
-        """perf/stream/fault-campaign/metrics share one flag vocabulary."""
-        for command in ("perf", "stream", "metrics"):
-            args = build_parser().parse_args(
-                [command, "--resolution", "100", "--window", "4", "--threshold", "2"]
+        """Every bench suite shares one geometry and codec vocabulary."""
+        for name in ("perf", "stream", "serve", "chaos", "probe"):
+            options = bench_options(
+                name, "--resolution", "100", "--window", "4", "--threshold", "2",
+                "--codec", "numpy",
             )
-            assert (args.resolution, args.window, args.threshold) == (100, 4, 2)
+            assert (options.resolution, options.window, options.threshold) == (
+                100,
+                4,
+                2,
+            )
+            assert options.codec == "numpy"
         fc = build_parser().parse_args(
             ["fault-campaign", "--resolution", "100", "--window", "4"]
         )
@@ -311,14 +379,18 @@ class TestMetricsCommand:
 
     def test_metrics_engine_choices(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["metrics", "--engine", "quantum"])
+            build_parser().parse_args(["bench", "probe", "--strategy", "quantum"])
+        assert bench_options("probe", "--strategy", "traditional").strategy == (
+            "traditional"
+        )
 
     def test_metrics_run_and_exports(self, tmp_path, capsys):
         jsonl = tmp_path / "metrics.jsonl"
         prom = tmp_path / "metrics.prom"
         code = main(
             [
-                "metrics",
+                "bench",
+                "probe",
                 "--resolution",
                 "64",
                 "--window",
@@ -333,8 +405,9 @@ class TestMetricsCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "Per-stage span timings" in out
-        assert "bit-identical" in out
+        assert "overhead_pct" in out
+        assert "self_ms" in out
+        assert f"wrote {jsonl}" in out
         from repro.observability.export import (
             load_metrics_jsonl,
             parse_prometheus_names,
