@@ -16,7 +16,7 @@ import numpy as np
 from repro import ArchitectureConfig, CompressedEngine, TraditionalEngine, analyze_image
 from repro.analysis.tables import render_table
 from repro.hardware.device import XC7Z020
-from repro.hardware.mapping import plan_memory_mapping, traditional_bram_count
+from repro.hardware.planner import plan_placement
 from repro.hardware.resources import ResourceModel
 from repro.imaging import generate_scene
 from repro.kernels import GaussianKernel, gaussian_taps
@@ -38,9 +38,9 @@ def main() -> None:
             threshold=4,
         )
         report = analyze_image(cfg, image)
-        plan = plan_memory_mapping(cfg, report.row_bits_worst)
+        plan = plan_placement(cfg, report.row_bits_worst)
         luts = model.overall(window).luts
-        trad_brams = traditional_bram_count(cfg)
+        trad_brams = plan.traditional_brams
         fits = XC7Z020.accommodates({"luts": luts, "bram18": plan.total_brams})
         rows.append(
             [

@@ -17,7 +17,7 @@ import numpy as np
 from repro import ArchitectureConfig, CompressedEngine, analyze_image
 from repro.analysis.tables import render_table
 from repro.hardware.device import XC7Z020
-from repro.hardware.mapping import plan_memory_mapping, traditional_bram_count
+from repro.hardware.planner import plan_placement
 from repro.imaging import generate_scene
 from repro.kernels import TemplateMatchKernel
 
@@ -53,11 +53,11 @@ def main() -> None:
             threshold=6,
         )
         report = analyze_image(cfg, scene)
-        plan = plan_memory_mapping(cfg, report.row_bits_worst)
+        plan = plan_placement(cfg, report.row_bits_worst)
         rows.append(
             [
                 window,
-                traditional_bram_count(cfg),
+                plan.traditional_brams,
                 plan.total_brams,
                 f"{plan.bram_saving_percent:.0f}%",
             ]

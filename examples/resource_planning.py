@@ -21,7 +21,7 @@ from repro import ArchitectureConfig, CompressedEngine, analyze_image
 from repro.analysis.tables import render_table
 from repro.errors import CapacityError
 from repro.hardware.device import DEVICES
-from repro.hardware.mapping import plan_memory_mapping, traditional_bram_count
+from repro.hardware.planner import plan_placement
 from repro.hardware.resources import ResourceModel
 from repro.imaging import benchmark_dataset
 from repro.kernels import GaussianKernel
@@ -39,10 +39,10 @@ def main() -> None:
     worst_rows = np.maximum.reduce(
         [analyze_image(config, f).row_bits_worst for f in frames]
     )
-    plan = plan_memory_mapping(config, worst_rows)
-    print(plan.describe())
+    plan = plan_placement(config, worst_rows)
+    print(plan.render())
     print(
-        f"BRAM saving vs traditional ({traditional_bram_count(config)} BRAMs): "
+        f"BRAM saving vs traditional ({plan.traditional_brams} BRAMs): "
         f"{plan.bram_saving_percent:.1f}%\n"
     )
 

@@ -31,12 +31,10 @@ from ..core.transform.lifting import WAVELETS
 from ..core.packing.bitmap import apply_threshold
 from ..core.packing.nbits import bit_widths_signed, min_bits_signed
 from ..errors import ConfigError
-from ..hardware.mapping import (
-    MemoryMappingPlan,
-    ROWS_PER_BRAM_OPTIONS,
-    plan_memory_mapping,
-    traditional_bram_count,
-)
+from ..hardware.bram import BRAM_CAPACITY_BITS
+from ..hardware.device import XC7Z020
+from ..hardware.mapping import traditional_bram_count
+from ..hardware.planner import PlacementPlan, plan_placement
 from ..hardware.resources import BLOCK_ANCHORS, ResourceModel
 from ..imaging.dataset import benchmark_dataset
 from ..imaging.metrics import mse
@@ -280,7 +278,7 @@ class BramTableResult:
     width: int
     windows: tuple[int, ...]
     thresholds: tuple[int, ...]
-    plans: dict[tuple[int, int], MemoryMappingPlan]
+    plans: dict[tuple[int, int], PlacementPlan]
 
     def render(self) -> str:
         """Render the result as an aligned text table."""
@@ -291,7 +289,7 @@ class BramTableResult:
                 plan = self.plans[(n, t)]
                 row.append(f"{plan.packed_brams} (r={plan.rows_per_bram})")
             row.append(self.plans[(n, self.thresholds[0])].management_brams)
-            row.append(traditional_bram_count(self.plans[(n, self.thresholds[0])].config))
+            row.append(self.plans[(n, self.thresholds[0])].traditional_brams)
             rows.append(row)
         headers = (
             ["window"]
@@ -332,7 +330,7 @@ def bram_table(
     configured for "the worst-case scenario" (Section V.E) would.
     """
     imgs = _resolve_images(width, n_images, images)
-    plans: dict[tuple[int, int], MemoryMappingPlan] = {}
+    plans: dict[tuple[int, int], PlacementPlan] = {}
     for n in windows:
         for t in thresholds:
             config = ArchitectureConfig(
@@ -344,7 +342,7 @@ def bram_table(
                 processes=processes,
             )
             worst = np.maximum.reduce(per_image)
-            plans[(n, t)] = plan_memory_mapping(config, worst)
+            plans[(n, t)] = plan_placement(config, worst)
     return BramTableResult(
         width=width,
         windows=tuple(windows),
@@ -615,7 +613,7 @@ def headline_claims(
                     [(config, img, row_stride) for img in imgs],
                     processes=processes,
                 )
-                plan = plan_memory_mapping(config, np.maximum.reduce(per_image))
+                plan = plan_placement(config, np.maximum.reduce(per_image))
                 savings[t] = plan.bram_saving_percent
             best_t = max(savings, key=lambda t: savings[t])
             rows.append((width, n, savings[0], savings[best_t], best_t))
@@ -642,11 +640,16 @@ class Fig11Result:
         )
 
 
-def fig11_mapping_options(*, capacity_bits: int = 18 * 1024) -> Fig11Result:
-    """The 0 / 50 / 75 / 87.5 % nominal option ladder of Fig 11."""
+def fig11_mapping_options() -> Fig11Result:
+    """The 0 / 50 / 75 / 87.5 % nominal option ladder of Fig 11.
+
+    The options are the XC7Z020 portfolio's payload pooling choices,
+    each priced against one RAMB18.
+    """
+    options = XC7Z020.portfolio.payload_options or ()
     rows = tuple(
-        (r, (1.0 - 1.0 / r) * 100.0, capacity_bits // r)
-        for r in sorted(ROWS_PER_BRAM_OPTIONS)
+        (r, (1.0 - 1.0 / r) * 100.0, BRAM_CAPACITY_BITS // r)
+        for r in sorted(options)
     )
     return Fig11Result(rows=rows)
 

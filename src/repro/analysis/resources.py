@@ -6,15 +6,14 @@ cost on the XC7Z020?".  This module asks the generalised question: on a
 placement put every FIFO, and how many memory bits does the compressed
 architecture commit against the traditional line buffers?
 
-Each sweep point runs both accounting models side by side:
+Each sweep point runs the one planner
+(:func:`~repro.hardware.planner.plan_placement`) twice:
 
-- the seed-compatible BRAM18-only mapping
-  (:func:`~repro.hardware.mapping.plan_memory_mapping` with no device),
+- on its default XC7Z020 portfolio (the ``compat`` block), RAMB18-only,
   whose counts must stay bit-identical to the published tables; and
-- the portfolio placement
-  (:func:`~repro.hardware.planner.plan_placement` on the device's
-  portfolio), which on UltraScale+ parts moves shallow management
-  streams into LUTRAM and deep payload pools into BRAM36 / URAM.
+- on the target device's portfolio, which on UltraScale+ parts moves
+  shallow management streams into LUTRAM and deep payload pools into
+  BRAM36 / URAM.
 
 ``write_resources_json`` / ``load_resources_json`` serialise the sweep
 under the ``repro-resources/1`` schema so CI can diff a machine-checked
@@ -33,7 +32,6 @@ from ..config import PAPER_WINDOW_SIZES, ArchitectureConfig
 from ..core.stats import analyze_image
 from ..errors import ConfigError
 from ..hardware.device import DEVICES, FPGADevice
-from ..hardware.mapping import MemoryMappingPlan, plan_memory_mapping
 from ..hardware.planner import PlacementPlan, plan_placement
 from ..hardware.primitives import PLACEMENT_MODES
 from ..imaging.dataset import benchmark_dataset
@@ -105,9 +103,9 @@ class ResourcePoint:
 
     window: int
     threshold: int
-    #: Seed-compatible BRAM18-only counts (always bit-identical to the
-    #: pre-portfolio pipeline).
-    compat: MemoryMappingPlan
+    #: RAMB18-only plan on the default portfolio (always bit-identical
+    #: to the published Tables II-V arithmetic).
+    compat: PlacementPlan
     #: Cost-optimal placement on the target device's portfolio.
     placement: PlacementPlan
     #: Whether the compressed placement fits the device inventories.
@@ -267,7 +265,7 @@ def measure_resources(
         worst = np.maximum.reduce(
             [analyze_image(config, img).row_bits_worst for img in imgs]
         )
-        compat = plan_memory_mapping(config, worst, protection=options.protection)
+        compat = plan_placement(config, worst, protection=options.protection)
         placement = plan_placement(
             config,
             worst,

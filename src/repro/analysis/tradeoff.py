@@ -17,7 +17,7 @@ import numpy as np
 from ..config import ArchitectureConfig
 from ..core.stats import analyze_image
 from ..hardware.device import FPGADevice, XC7Z020
-from ..hardware.mapping import plan_memory_mapping, traditional_bram_count
+from ..hardware.planner import plan_placement
 from ..hardware.resources import ResourceModel
 from ..imaging.dataset import benchmark_dataset
 from .tables import render_table
@@ -97,8 +97,8 @@ def bram_lut_tradeoff(
         worst = np.maximum.reduce(
             [analyze_image(config, img).row_bits_worst for img in images]
         )
-        plan = plan_memory_mapping(config, worst)
-        saved = traditional_bram_count(config) - plan.total_brams
+        plan = plan_placement(config, worst)
+        saved = plan.traditional_brams - plan.total_brams
         est = model.overall(n)
         points.append(
             TradeoffPoint(

@@ -2,7 +2,7 @@
 
 Ties together the pieces the paper's *Current Limitations* and *Future
 Work* sections describe: a fixed design-time memory provisioning
-(:class:`~repro.hardware.mapping.MemoryMappingPlan`), frames whose
+(:class:`~repro.hardware.planner.PlacementPlan`), frames whose
 compressibility varies, the resulting overflow hazard, and the adaptive
 threshold controller that mitigates it.
 

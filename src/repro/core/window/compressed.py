@@ -76,7 +76,7 @@ from .golden import golden_apply
 from .traditional import traditional_fill_cycles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...hardware.mapping import MemoryMappingPlan
+    from ...hardware.planner import PayloadPlacement, PlacementPlan
     from ...observability.probe import Probe
     from ...spec import EngineSpec
 
@@ -92,7 +92,7 @@ class CompressedEngine(SlidingWindowEngine):
         recirculate: bool = True,
         bit_exact: bool = False,
         memory_budget_bits: int | None = None,
-        memory_plan: "MemoryMappingPlan | None" = None,
+        memory_plan: "PlacementPlan | None" = None,
         protection: ProtectionPolicy | str | None = None,
         injector: FaultInjector | None = None,
         fault_policy: str = "degrade",
@@ -110,13 +110,22 @@ class CompressedEngine(SlidingWindowEngine):
         self.codec_resolved = resolve_codec(codec)
         self.bit_exact = bit_exact
         self.memory_budget_bits = memory_budget_bits
-        #: Optional design-time BRAM plan
-        #: (:class:`repro.hardware.mapping.MemoryMappingPlan`).  When given,
-        #: per-BRAM-group occupancy is enforced every traversal — a frame
-        #: whose rows compress worse than the plan's worst case raises
+        #: Optional design-time memory plan
+        #: (:class:`repro.hardware.planner.PlacementPlan`).  When given,
+        #: every payload group's *stored* occupancy is enforced against
+        #: its placed capacity every traversal — a frame whose rows
+        #: compress worse than the plan's worst case raises
         #: :class:`~repro.errors.CapacityError` naming the group, exactly
         #: the Section V.E failure mode.
         self.memory_plan = memory_plan
+        if (
+            memory_plan is not None
+            and memory_plan.config.window_size != config.window_size
+        ):
+            raise ConfigError(
+                f"memory plan is for window {memory_plan.config.window_size}, "
+                f"engine window is {config.window_size}"
+            )
         if fault_policy not in ("degrade", "raise"):
             raise ConfigError(
                 f"fault_policy must be 'degrade' or 'raise', got {fault_policy!r}"
@@ -211,30 +220,27 @@ class CompressedEngine(SlidingWindowEngine):
             analysis.management_bits_per_column,
         )
 
-    def _plan_geometry(self) -> tuple[int, int, int, int]:
-        """(rows per group, group count, BRAMs per group, capacity bits)."""
-        plan = self.memory_plan
-        n = self.config.window_size
-        r = plan.rows_per_bram
-        n_groups = n // r
-        group_brams = max(1, plan.packed_brams // n_groups)
-        return r, n_groups, group_brams, group_brams * 18 * 1024
+    @property
+    def _payload(self) -> "PayloadPlacement":
+        """The memory plan's payload placement (plan runs only)."""
+        assert self.memory_plan is not None
+        return self.memory_plan.payload
 
     def _group_columns(self, widths: np.ndarray) -> np.ndarray:
-        """Per-BRAM-group column sizes via one reshaped sum.
+        """Stored per-group column sizes under the memory plan.
 
-        ``widths`` is ``(..., N, W)``; rows are folded into their plan
-        groups in a single pass, giving ``(..., G, W)``.  Rows beyond
-        ``G * rows_per_bram`` (a ragged final group the plan does not
-        map) are excluded, matching the per-group slicing the plan uses.
+        ``widths`` is ``(..., N, W)``; rows fold into the plan's payload
+        groups of ``rows_per_group`` rows in one reshaped sum, giving
+        ``(..., G, W)``.  Each column's group bits are charged at their
+        stored size — the payload protection scheme's code expansion,
+        applied per column exactly as the hardware writes it.
         """
-        r, n_groups, _, _ = self._plan_geometry()
-        lead = widths.shape[:-2]
-        w = widths.shape[-1]
-        grouped = widths[..., : n_groups * r, :].reshape(
-            lead + (n_groups, r, w)
+        r = self._payload.rows_per_group
+        *lead, n, w = widths.shape
+        grouped = widths.reshape((*lead, n // r, r, w)).sum(axis=-2)
+        return np.asarray(
+            self.protection.payload.scaled_bits(grouped), dtype=np.int64
         )
-        return grouped.sum(axis=-2)
 
     def _check_memory_plan(
         self,
@@ -242,9 +248,9 @@ class CompressedEngine(SlidingWindowEngine):
         widths: np.ndarray,
         traversal: int,
     ) -> None:
-        """Enforce the design-time BRAM plan's per-group capacity.
+        """Enforce the memory plan's per-group capacity for one traversal.
 
-        All BRAM groups are checked in one stacked occupancy pass; the
+        All payload groups are checked in one stacked occupancy pass; the
         lowest-numbered overflowing group is reported (the order the
         hardware's group monitors would trip in).
         """
@@ -252,20 +258,24 @@ class CompressedEngine(SlidingWindowEngine):
         cur_g = self._group_columns(widths)
         prev_g = self._group_columns(ref)
         occ = sliding_occupancy(prev_g, cur_g, self.config.window_size, 0)
-        peaks = occ.max(axis=-1)
-        self._raise_plan_overflow(peaks, traversal)
+        self._raise_plan_overflow(occ.max(axis=-1), traversal)
+
+    def _plan_overflows(self, peaks: np.ndarray) -> np.ndarray:
+        """Mask of ``(..., G)`` group peaks over their placed capacity."""
+        capacities = self._payload.group_capacity_list()
+        return peaks > np.asarray(capacities, dtype=np.int64)
 
     def _raise_plan_overflow(self, peaks: np.ndarray, traversal: int) -> None:
-        """Raise for the first group whose peak exceeds the plan capacity."""
-        _, _, group_brams, capacity = self._plan_geometry()
-        over = np.nonzero(peaks > capacity)[0]
+        """Raise for the first group whose peak exceeds its capacity."""
+        over = np.nonzero(self._plan_overflows(peaks))[0]
         if over.size:
             g = int(over[0])
+            payload = self._payload
             raise CapacityError(
-                f"BRAM group {g} holds {int(peaks[g])} bits at traversal "
-                f"{traversal}, allocation is {capacity} bits "
-                f"({group_brams} x 18Kb) — frame exceeds the "
-                f"design-time plan"
+                f"BRAM group {g} holds {int(peaks[g])} stored bits at "
+                f"traversal {traversal}, its allocation is "
+                f"{payload.group_capacity_bits(g)} bits "
+                f"({payload.describe()}) — frame exceeds the design-time plan"
             )
 
     def run(self, image: np.ndarray) -> WindowRun:
@@ -461,8 +471,9 @@ class CompressedEngine(SlidingWindowEngine):
                 group_band_peaks = self._occupancy_band_peaks(
                     group_cols, 0, prev_group_cols
                 )  # (C, G)
-                _, _, _, capacity = self._plan_geometry()
-                bad = np.nonzero((group_band_peaks > capacity).any(axis=1))[0]
+                bad = np.nonzero(
+                    self._plan_overflows(group_band_peaks).any(axis=1)
+                )[0]
                 if bad.size:
                     plan_t = int(bad[0])
                     group_peaks = group_band_peaks[plan_t]

@@ -6,16 +6,16 @@ package replaces that toolchain with analytical models:
 - :mod:`repro.hardware.primitives` — the memory-primitive portfolio
   (BRAM18 / BRAM36 / URAM / LUTRAM) with exact integer config tables
   and Vivado's small-array elision rule;
-- :mod:`repro.hardware.planner` — the cost-optimising placement search
-  mapping every FIFO of a design point onto a device's portfolio;
+- :mod:`repro.hardware.planner` — the one design-time memory plan: the
+  cost-optimising placement search mapping every FIFO of a design point
+  onto a device's portfolio.  On the default XC7Z020 it yields the
+  paper's RAMB18 counts (Fig 11 rows-per-BRAM options, Tables II-V), and
+  its per-group payload capacities are what
+  :class:`~repro.core.window.compressed.CompressedEngine` enforces;
 - :mod:`repro.hardware.bram` — the 18 Kb block RAM primitive's geometry
   table (16k x 1 ... 512 x 36);
-- :mod:`repro.hardware.fifo` — an occupancy-tracked FIFO;
-- :mod:`repro.hardware.mapping` — memory allocation rules: traditional
-  line-buffer counts (Table I), rows-per-BRAM packing options (Fig 11) and
-  management-buffer allocation (Tables II-V);
-- :mod:`repro.hardware.memory_unit` — the runtime Memory Unit with
-  capacity enforcement;
+- :mod:`repro.hardware.mapping` — Table I's traditional line-buffer
+  count, placed by the same planner;
 - :mod:`repro.hardware.resources` — the LUT / register / Fmax estimator
   calibrated against the paper's published synthesis anchors (Tables VI-X);
 - :mod:`repro.hardware.device` — device catalog with per-primitive
@@ -50,17 +50,7 @@ from .planner import (
     place_payload,
     plan_placement,
 )
-from .fifo import Fifo
-from .mapping import (
-    ROWS_PER_BRAM_OPTIONS,
-    traditional_bram_count,
-    choose_rows_per_bram,
-    packed_bram_count,
-    management_bram_count,
-    MemoryMappingPlan,
-    plan_memory_mapping,
-)
-from .memory_unit import MemoryUnit
+from .mapping import traditional_bram_count
 from .resources import (
     ResourceEstimate,
     ResourceModel,
@@ -100,15 +90,7 @@ __all__ = [
     "place_fifo",
     "place_payload",
     "plan_placement",
-    "Fifo",
-    "ROWS_PER_BRAM_OPTIONS",
     "traditional_bram_count",
-    "choose_rows_per_bram",
-    "packed_bram_count",
-    "management_bram_count",
-    "MemoryMappingPlan",
-    "plan_memory_mapping",
-    "MemoryUnit",
     "ResourceEstimate",
     "ResourceModel",
     "BLOCK_ANCHORS",

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
+from .bram import BRAM_CAPACITY_BITS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .primitives import Portfolio
@@ -59,7 +60,7 @@ class FPGADevice:
     @property
     def bram_bits(self) -> int:
         """Total block RAM bits (18 Kb per RAMB18)."""
-        return self.bram18k * 18 * 1024
+        return self.bram18k * BRAM_CAPACITY_BITS
 
     @property
     def uram_bits(self) -> int:

@@ -1,45 +1,17 @@
-"""Memory allocation rules for the traditional and compressed memory units.
+"""Table I: the traditional architecture's line-buffer BRAM count.
 
-Implements the arithmetic behind the paper's evaluation tables:
-
-- Table I — traditional architecture: one FIFO per buffered image row,
-  each realised by enough cascaded 18 Kb BRAMs for one W-pixel row.
-- Fig 11 / Tables II-V — compressed architecture: the packed bits of 1, 2,
-  4 or 8 image rows share one BRAM (the rows-per-BRAM options); the choice
-  is made at design time from the *worst-case* compressed row sizes the
-  deployment must support, and the NBits / BitMap streams get their own
-  best-geometry allocations.
-
-Two entry paths coexist:
-
-- the **compatibility path** (no ``portfolio`` / ``device`` argument)
-  prices everything in RAMB18s with the seed arithmetic — every BRAM
-  figure the repo has ever published reproduces bit-for-bit here;
-- the **portfolio path** delegates to
-  :func:`~repro.hardware.planner.plan_placement` and carries the chosen
-  per-FIFO placements on the plan, so UltraScale+ parts can land the
-  payload rows in URAM and the shallow management streams in LUTRAM.
+The compressed architecture's memory plan (Fig 11 / Tables II-V) is
+:func:`~repro.hardware.planner.plan_placement`; on its default XC7Z020
+portfolio every count is in RAMB18s.  This module keeps the one Table I
+figure the paper quotes on its own, computed by the same planner: the
+line buffers placed on that default portfolio.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
-
 from ..config import ArchitectureConfig
-from ..errors import ConfigError
-from .bram import BRAM_CAPACITY_BITS
-from .primitives import BRAM18
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .device import FPGADevice
-    from .planner import CostVector, PlacementPlan
-    from .primitives import Portfolio
-
-#: Fig 11's memory mapping options, most aggressive first.
-ROWS_PER_BRAM_OPTIONS: tuple[int, ...] = (8, 4, 2, 1)
+from .device import XC7Z020
+from .planner import line_buffer_fifo, place_fifo
 
 
 def traditional_bram_count(config: ArchitectureConfig) -> int:
@@ -49,213 +21,4 @@ def traditional_bram_count(config: ArchitectureConfig) -> int:
     each as ``ceil`` of a W-pixel row over the best BRAM geometry —
     one BRAM up to 2048 eight-bit pixels (2k x 9), two for 3840.
     """
-    per_row = BRAM18.units_for(config.image_width, config.pixel_bits)
-    return config.window_size * per_row
-
-
-def choose_rows_per_bram(
-    row_bits_worst: np.ndarray,
-    *,
-    capacity_bits: int = BRAM_CAPACITY_BITS,
-    options: tuple[int, ...] = ROWS_PER_BRAM_OPTIONS,
-) -> int:
-    """Pick the most aggressive Fig 11 option that worst-case data fits.
-
-    ``row_bits_worst`` holds, per window row stream, the largest packed
-    size (bits) observed across the provisioning dataset.  Option ``r``
-    is feasible when every aligned group of ``r`` adjacent row streams
-    sums below one BRAM's capacity.  Falls back to 1 row per BRAM (with
-    cascading handled by :func:`packed_bram_count`) when nothing fits.
-    """
-    rows = np.asarray(row_bits_worst, dtype=np.int64)
-    if rows.ndim != 1 or rows.size == 0:
-        raise ConfigError(f"row_bits_worst must be non-empty 1D, got {rows.shape}")
-    n = rows.size
-    for r in options:
-        if r < 1 or n % r:
-            continue
-        group_sums = rows.reshape(n // r, r).sum(axis=1)
-        if int(group_sums.max()) <= capacity_bits:
-            return r
-    return 1
-
-
-def packed_bram_count(
-    window_size: int,
-    row_bits_worst: np.ndarray,
-    *,
-    capacity_bits: int = BRAM_CAPACITY_BITS,
-) -> tuple[int, int]:
-    """BRAMs for the packed-bit FIFOs; returns ``(bram_count, rows_per_bram)``.
-
-    With a feasible rows-per-BRAM option ``r`` the count is ``N / r``;
-    when even a single row stream overflows one BRAM, rows cascade across
-    ``ceil(row_bits / capacity)`` BRAMs each (the traditional architecture
-    needs the same treatment for wide images — cf. Table I's 3840 column).
-    """
-    rows = np.asarray(row_bits_worst, dtype=np.int64)
-    if rows.size != window_size:
-        raise ConfigError(
-            f"expected {window_size} row sizes, got {rows.size}"
-        )
-    r = choose_rows_per_bram(rows, capacity_bits=capacity_bits)
-    if r > 1:
-        return window_size // r, r
-    count = int(sum(max(1, -(-int(b) // capacity_bits)) for b in rows))
-    return count, 1
-
-
-def management_bram_count(
-    config: ArchitectureConfig,
-    protection: object | None = None,
-) -> int:
-    """BRAMs for the NBits and BitMap streams (Tables II-V right column).
-
-    NBits: one ``2 x nbits_field_width``-bit word per buffered column.
-    BitMap: one N-bit word per buffered column.  Each stream independently
-    picks the geometry minimising its BRAM count.  With a
-    :class:`~repro.resilience.protection.ProtectionPolicy` (or level name)
-    the stored word widths grow by each stream's code expansion.
-    """
-    from ..resilience.protection import resolve_policy
-
-    policy = resolve_policy(protection)
-    cols = config.buffered_columns
-    nbits_width = int(policy.nbits.scaled_bits(2 * config.nbits_field_width))
-    bitmap_width = int(policy.bitmap.scaled_bits(config.window_size))
-    return BRAM18.units_for(cols, nbits_width) + BRAM18.units_for(
-        cols, bitmap_width
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class MemoryMappingPlan:
-    """Design-time memory allocation for one architecture configuration.
-
-    On the compatibility path every count is in RAMB18s.  On the
-    portfolio path the counts are *primitive units* of whatever the
-    planner chose, and :attr:`placement` carries the full per-FIFO
-    report (primitive, port config, cascade shape, LUT cost).
-    """
-
-    config: ArchitectureConfig
-    rows_per_bram: int
-    packed_brams: int
-    management_brams: int
-    #: Worst-case per-row packed bits the plan was provisioned for.
-    row_bits_worst: np.ndarray
-    #: Memory-path protection level the plan was provisioned for.
-    protection: str = "none"
-    #: Per-FIFO placements (portfolio path only).
-    placement: "PlacementPlan | None" = None
-
-    @property
-    def total_brams(self) -> int:
-        """Packed plus management BRAMs."""
-        return self.packed_brams + self.management_brams
-
-    @property
-    def traditional_brams(self) -> int:
-        """What the traditional architecture needs for the same geometry."""
-        return traditional_bram_count(self.config)
-
-    @property
-    def bram_saving_percent(self) -> float:
-        """Eq. (5) over BRAM counts."""
-        trad = self.traditional_brams
-        if trad == 0:
-            return 0.0
-        return (1.0 - self.total_brams / trad) * 100.0
-
-    @property
-    def nominal_saving_percent(self) -> float:
-        """Fig 11's nominal saving of the chosen option: ``1 - 1/r``."""
-        return (1.0 - 1.0 / self.rows_per_bram) * 100.0
-
-    def describe(self) -> str:
-        """Human-readable one-liner for tables and logs."""
-        guard = f", {self.protection} ECC" if self.protection != "none" else ""
-        if self.placement is not None:
-            return (
-                f"{self.config.describe()}: "
-                f"payload {self.placement.payload.describe()} + "
-                f"nbits {self.placement.nbits.describe()} + "
-                f"bitmap {self.placement.bitmap.describe()}{guard}, "
-                f"traditional {self.traditional_brams} BRAM18"
-            )
-        return (
-            f"{self.config.describe()}: {self.packed_brams} packed + "
-            f"{self.management_brams} mgmt BRAMs ({self.rows_per_bram} rows/BRAM)"
-            f"{guard}, traditional {self.traditional_brams}"
-        )
-
-
-def plan_memory_mapping(
-    config: ArchitectureConfig,
-    row_bits_worst: np.ndarray,
-    *,
-    capacity_bits: int = BRAM_CAPACITY_BITS,
-    protection: object | None = None,
-    device: "FPGADevice | None" = None,
-    portfolio: "Portfolio | None" = None,
-    cost_vector: "CostVector | None" = None,
-    mode: str = "exhaustive",
-) -> MemoryMappingPlan:
-    """Produce the design-time memory plan for one configuration.
-
-    With ``protection`` the packed rows are provisioned for their *stored*
-    size (raw bits times the payload scheme's code expansion) and the
-    management streams for their widened code words, so enabling ECC costs
-    real BRAMs in the plan exactly as it costs occupancy at runtime.
-
-    Without ``device`` / ``portfolio`` this is the seed RAMB18
-    arithmetic, bit-for-bit (``capacity_bits`` applies to that path
-    only).  With either, the placement planner picks primitives; the
-    plan's counts become units of the chosen primitives and
-    ``plan.placement`` carries the per-FIFO report.
-    """
-    from ..resilience.protection import resolve_policy
-
-    policy = resolve_policy(protection)
-    rows = np.asarray(row_bits_worst, dtype=np.int64)
-    if device is not None or portfolio is not None:
-        from .planner import DEFAULT_COST_VECTOR, plan_placement
-
-        placement = plan_placement(
-            config,
-            rows,
-            device=device,
-            portfolio=portfolio,
-            protection=policy,
-            cost_vector=(
-                cost_vector if cost_vector is not None else DEFAULT_COST_VECTOR
-            ),
-            mode=mode,
-        )
-        return MemoryMappingPlan(
-            config=config,
-            rows_per_bram=placement.payload.rows_per_group,
-            packed_brams=placement.payload.units,
-            management_brams=placement.nbits.units + placement.bitmap.units,
-            row_bits_worst=rows,
-            protection=policy.name,
-            placement=placement,
-        )
-    stored_rows = np.asarray(policy.payload.scaled_bits(rows), dtype=np.int64)
-    packed, r = packed_bram_count(
-        config.window_size, stored_rows, capacity_bits=capacity_bits
-    )
-    return MemoryMappingPlan(
-        config=config,
-        rows_per_bram=r,
-        packed_brams=packed,
-        management_brams=management_bram_count(config, policy),
-        row_bits_worst=rows,
-        protection=policy.name,
-    )
-
-
-def bitmap_bram_geometry(config: ArchitectureConfig) -> str:
-    """Name of the geometry the BitMap buffer uses (Section V.E examples)."""
-    cfg = BRAM18.best_config(config.buffered_columns, config.window_size)
-    return cfg.name
+    return place_fifo(line_buffer_fifo(config), XC7Z020.portfolio).units

@@ -35,10 +35,19 @@ the fpgaconvnet-style closest-depth heuristic inside each primitive
 instead of the exhaustive config scan (never cheaper, much less
 search).
 
+:func:`plan_placement` is the one design-time memory plan.  Its
+default device (XC7Z020) resolves to the RAMB18-only compatibility
+portfolio, where every figure of the paper's Tables I-V reproduces;
+:class:`PlacementPlan` carries those tables' names (``rows_per_bram``,
+``packed_brams``, ...).  The same plan's :class:`PayloadPlacement` is
+the only source of row grouping and per-group capacity that
+:class:`~repro.core.window.compressed.CompressedEngine` enforces at run
+time.
+
 Everything here is integer arithmetic (REP001): the planner's counts
-feed the memory unit's runtime capacity enforcement, so a float would
-poison the bit-exactness contract.  Ratio reporting lives in
-:mod:`repro.analysis.resources`.
+feed the engine's runtime capacity enforcement, so a float would poison
+the bit-exactness contract.  The two saving percentages are the only
+ratios, each behind an explicit waiver.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ import numpy as np
 
 from ..config import ArchitectureConfig
 from ..errors import ConfigError
+from .device import XC7Z020
 from .primitives import (
     BRAM18,
     BRAM36,
@@ -61,7 +71,6 @@ from .primitives import (
     MemoryPrimitive,
     Portfolio,
     PortConfig,
-    portfolio_for,
     small_array_elided,
 )
 
@@ -229,7 +238,7 @@ class PayloadPlacement:
         )
 
     def describe(self) -> str:
-        """One report line, e.g. ``1 x URAM, 64 rows/unit``."""
+        """One report line, e.g. ``1 x URAM, 64 rows/group``."""
         note = (
             f" ({self.elided_groups} group(s) elided)"
             if self.elided_groups
@@ -332,9 +341,10 @@ def _payload_on_primitive(
 
     Scans the pooling options; feasible options allocate one unit per
     group, the ``r = 1`` cascade fallback is always a candidate.  Picks
-    minimum units, ties toward the more aggressive pooling — with the
-    seed option list and elision off this reproduces the seed
-    ``choose_rows_per_bram`` / ``packed_bram_count`` pair exactly.
+    minimum units, ties toward the more aggressive pooling.  With the
+    compatibility option list (8, 4, 2, 1) and elision off this is the
+    seed RAMB18 rule: the most aggressive option whose every aligned
+    group fits one unit, else one row per unit cascaded.
     """
     n = rows.size
 
@@ -449,6 +459,47 @@ class PlacementPlan:
         """The shallow management-stream placements."""
         return (self.nbits, self.bitmap)
 
+    # The paper's Tables I-V names, in units of the chosen primitives
+    # (RAMB18s on the default XC7Z020 portfolio).
+
+    @property
+    def rows_per_bram(self) -> int:
+        """Fig 11 option: window rows pooled into one payload group."""
+        return self.payload.rows_per_group
+
+    @property
+    def packed_brams(self) -> int:
+        """Units holding the packed payload rows."""
+        return self.payload.units
+
+    @property
+    def management_brams(self) -> int:
+        """Units holding the NBits and BitMap streams."""
+        return sum(p.units for p in self.management)
+
+    @property
+    def total_brams(self) -> int:
+        """Packed plus management units."""
+        return self.packed_brams + self.management_brams
+
+    @property
+    def traditional_brams(self) -> int:
+        """Units of the traditional architecture's line buffers."""
+        return self.line_buffers.units
+
+    @property
+    def bram_saving_percent(self) -> float:
+        """Eq. (5) over unit counts (0 when there is no baseline)."""
+        trad = self.traditional_brams
+        if trad == 0:
+            return 0.0  # reprolint: disable=REP001
+        return (1.0 - self.total_brams / trad) * 100.0  # reprolint: disable=REP001
+
+    @property
+    def nominal_saving_percent(self) -> float:
+        """Fig 11's nominal saving of the chosen option: ``1 - 1/r``."""
+        return (1.0 - 1.0 / self.rows_per_bram) * 100.0  # reprolint: disable=REP001
+
     @property
     def storage_bits(self) -> int:
         """Physical memory bits of the compressed architecture."""
@@ -556,6 +607,20 @@ class PlacementPlan:
         return "\n".join(lines)
 
 
+def line_buffer_fifo(config: ArchitectureConfig) -> FifoSpec:
+    """The traditional architecture's N line buffers (Table I).
+
+    One block FIFO per window row, each holding one W-pixel image row.
+    """
+    return FifoSpec(
+        name="line",
+        depth=config.image_width,
+        width=config.pixel_bits,
+        count=config.window_size,
+        storage="block",
+    )
+
+
 def plan_placement(
     config: ArchitectureConfig,
     row_bits_worst: np.ndarray,
@@ -569,22 +634,19 @@ def plan_placement(
     """Place every FIFO of one design point on a device's portfolio.
 
     ``row_bits_worst`` carries the worst-case *raw* packed bits per
-    window row; protection expansion (the resilience overhead) is
-    applied here, so an ECC'd plan provisions for its stored size
-    exactly as the seed mapping arithmetic did.  ``portfolio``
-    overrides the device-derived portfolio when given; with neither,
-    the XC7Z020 compatibility portfolio is used.
+    window row, the largest seen across the provisioning frames
+    (Section V.E's "worst-case scenario").  Protection expansion (the
+    resilience overhead) is applied here, so an ECC'd plan provisions
+    for its stored size.  ``portfolio`` overrides the device-derived
+    portfolio when given; with neither, the XC7Z020 compatibility
+    portfolio is used.
     """
     # Imported lazily: resolve_policy pulls the resilience layer in
-    # only when a plan is actually built (mirrors mapping.py).
+    # only when a plan is actually built.
     from ..resilience.protection import resolve_policy
 
     if portfolio is None:
-        if device is None:
-            from .device import XC7Z020 as _default_device
-
-            device = _default_device
-        portfolio = portfolio_for(device)
+        portfolio = (device if device is not None else XC7Z020).portfolio
     policy = resolve_policy(protection)
     rows = np.asarray(row_bits_worst, dtype=np.int64)
     if rows.ndim != 1 or rows.size != config.window_size:
@@ -623,13 +685,7 @@ def plan_placement(
         mode=mode,
     )
     line_buffers = place_fifo(
-        FifoSpec(
-            name="line",
-            depth=config.image_width,
-            width=config.pixel_bits,
-            count=config.window_size,
-            storage="block",
-        ),
+        line_buffer_fifo(config),
         portfolio,
         cost_vector=cost_vector,
         mode=mode,

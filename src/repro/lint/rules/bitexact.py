@@ -23,10 +23,9 @@ ECC overhead percent) carry an explicit ``# reprolint: disable=REP001``
 waiver, the software analogue of a reviewed timing exception.
 
 The default scope covers the datapath models only: ``core/transform``,
-``core/packing`` and the register-level hardware blocks (``fifo``,
-``memory_unit``, ``ecc``, ``bram``, plus the placement layer
-``primitives`` / ``planner``, whose unit counts feed the memory unit's
-runtime capacity enforcement).  The estimator modules
+``core/packing`` and the bit-level hardware blocks (``ecc``, ``bram``,
+plus the placement layer ``primitives`` / ``planner``, whose per-group
+capacities the engine enforces at run time).  The estimator modules
 (``hardware/resources``, ``latency``, ``device``, ``mapping``) model
 analog quantities — Fmax in MHz, utilisation percentages, linear fits —
 and are deliberately outside the bit-exact scope.
@@ -49,8 +48,6 @@ BIT_EXACT_MODULES: tuple[str, ...] = (
     "repro.core.transform",
     "repro.core.packing",
     "repro.core.packing.native",
-    "repro.hardware.fifo",
-    "repro.hardware.memory_unit",
     "repro.hardware.ecc",
     "repro.hardware.bram",
     "repro.hardware.primitives",

@@ -1,6 +1,6 @@
 """The `Probe` seam the engines and the runtime report through.
 
-Every instrumented component (engines, FIFOs, the Memory Unit, the fault
+Every instrumented component (engines, the resilient band codec, the fault
 injector, the streaming runtime) takes an optional ``probe``.  ``None``
 means *not observed* — the call sites guard on it, so an unprobed run
 executes the exact seed-code path.  A :class:`MetricsProbe` records into

@@ -27,7 +27,7 @@ construction, so a campaign cell is exactly reproducible from
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -146,41 +146,3 @@ class FaultInjector:
         flat = np.asarray(bits, dtype=np.uint8).ravel()
         out, n = self.inject_words(flat[None, :], stream)
         return out[0], n
-
-    def corrupt_word(self, value: int, width: int, stream: str) -> tuple[int, int]:
-        """Rate-mode corruption of one integer word of ``width`` bits.
-
-        Used by the :class:`~repro.hardware.fifo.Fifo` fault hook to upset
-        resident entries stored as plain integers.
-        """
-        if width <= 0 or stream not in self.targets:
-            return value, 0
-        mask_bits = self._rng.random(width) < self.upset_rate
-        n_flips = int(mask_bits.sum())
-        if n_flips:
-            flip = int((mask_bits.astype(np.int64) << np.arange(width)).sum())
-            value ^= flip
-            self.flips[stream] += n_flips
-            self._count_flips(stream, n_flips)
-        return value, n_flips
-
-    # ------------------------------------------------------------------
-
-    def fifo_hook(
-        self, stream: str = "payload"
-    ) -> Callable[[str, object, int], object]:
-        """Adapter for :class:`~repro.hardware.fifo.Fifo`'s ``fault_hook``.
-
-        Returns a callable ``(fifo_name, item, bits) -> item`` that upsets
-        integer items in rate mode; non-integer items pass through (their
-        corruption is modelled at the protected-stream level instead).
-        """
-
-        def hook(name: str, item: object, bits: int) -> object:
-            """Upset integer FIFO entries at the configured rate."""
-            if isinstance(item, (int, np.integer)):
-                corrupted, _ = self.corrupt_word(int(item), int(bits), stream)
-                return corrupted
-            return item
-
-        return hook

@@ -160,7 +160,7 @@ class TestSavingArithmetic:
         ]
         worst = np.maximum.reduce(per_image)
         report = measure_resources(small_options(), images=small_images)
-        from repro.hardware.mapping import packed_bram_count
+        from repro.hardware.planner import plan_placement
 
-        count, r = packed_bram_count(8, worst)
-        assert report.point(8).compat.packed_brams == count
+        plan = plan_placement(config, worst)
+        assert report.point(8).compat.packed_brams == plan.packed_brams

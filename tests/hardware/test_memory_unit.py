@@ -1,115 +1,103 @@
-"""Tests for the runtime Memory Unit model."""
+"""The Memory Unit's capacity rule (Section V.E, Fig 11).
+
+The packed payload rows of the Memory Unit are pooled ``rows_per_group``
+to a group, and each group holds at most its placed capacity.  The one
+memory plan (``plan_placement``) sizes every group;
+``CompressedEngine(memory_plan=...)`` enforces it, charging each column's
+group bits at their stored (protection-expanded) size.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import ArchitectureConfig
+from repro import ArchitectureConfig, CompressedEngine
+from repro.core.stats import analyze_image
 from repro.errors import CapacityError, ConfigError
-from repro.hardware.mapping import plan_memory_mapping
-from repro.hardware.memory_unit import MemoryUnit
+from repro.hardware.planner import plan_placement
+from repro.kernels import BoxFilterKernel
+
+from helpers import exact_capacity_plan, group_peaks, random_image
 
 
-def make_unit(window=8, width=64, row_bits=1000):
-    config = ArchitectureConfig(
-        image_width=width, image_height=width, window_size=window
+def cfg(width=64, height=48, window=8):
+    return ArchitectureConfig(
+        image_width=width, image_height=height, window_size=window
     )
-    plan = plan_memory_mapping(config, np.full(window, row_bits))
-    return MemoryUnit(plan), plan
+
+
+def run_paths(config, frame, plan):
+    """Sequential and fast runs of one frame under ``plan``."""
+    return [
+        CompressedEngine(
+            config, BoxFilterKernel(8), memory_plan=plan, fast_path=fast_path
+        ).run(frame)
+        for fast_path in (False, True)
+    ]
 
 
 class TestMemoryUnit:
-    def test_push_pop_cycle(self):
-        unit, plan = make_unit()
-        rows = np.full(8, 10)
-        unit.push_column(rows, 5, 3, np.ones(8, dtype=bool))
-        assert unit.columns_resident == 1
-        assert unit.packed_bits_resident == 80
-        nbits, bitmap = unit.pop_column()
-        assert nbits == (5, 3)
-        assert bitmap.all()
-        assert unit.columns_resident == 0
+    def test_capacity_enforced(self, rng):
+        """2000-bit rows pool 8 to one RAMB18; noise rows overflow it."""
+        config = cfg(width=320, height=16)
+        plan = plan_placement(config, np.full(8, 2000))
+        assert plan.rows_per_bram == 8
+        assert plan.payload.group_capacity_list() == (18432,)
+        noise = random_image(rng, 16, 320)
+        with pytest.raises(CapacityError, match="BRAM group 0"):
+            CompressedEngine(config, BoxFilterKernel(8), memory_plan=plan).run(
+                noise
+            )
 
-    def test_group_folding(self):
-        unit, plan = make_unit(window=8, row_bits=2000)
-        assert unit.rows_per_group == plan.rows_per_bram
-        rows = np.arange(8) * 10
-        unit.push_column(rows, 4, 4, np.zeros(8, dtype=bool))
-        occ = unit.group_occupancy_bits()
-        assert len(occ) == unit.n_groups
-        assert sum(occ) == rows.sum()
+    def test_fill_to_plan_capacity_passes(self, rng):
+        """Every group filled to exactly its capacity fits, on both paths."""
+        config = cfg()
+        frame = random_image(rng, 48, 64)
+        plan = exact_capacity_plan(config, group_peaks(config, frame, 2))
+        seq_run, fast_run = run_paths(config, frame, plan)
+        assert np.array_equal(seq_run.outputs, fast_run.outputs)
+        assert seq_run.stats == fast_run.stats
 
-    def test_capacity_enforced(self):
-        unit, _ = make_unit(window=8, row_bits=2000)  # 8 rows per BRAM
-        huge = np.full(8, 5000)  # 40000 bits per column into one group
-        with pytest.raises(CapacityError):
-            unit.push_column(huge, 4, 4, np.zeros(8, dtype=bool))
-
-    def test_fill_to_plan_capacity_passes(self):
-        unit, plan = make_unit(window=8, width=64, row_bits=2000)
-        # Worst-case provisioning: 2000-bit rows over 56 buffered columns
-        # means about 35 bits per row per column.
-        rows = np.full(8, 35)
-        for _ in range(plan.config.buffered_columns):
-            unit.push_column(rows, 4, 4, np.ones(8, dtype=bool))
-        assert unit.columns_resident == plan.config.buffered_columns
-
-    def test_column_depth_enforced(self):
-        unit, plan = make_unit()
-        rows = np.zeros(8, dtype=int)
-        for _ in range(plan.config.buffered_columns):
-            unit.push_column(rows, 1, 1, np.zeros(8, dtype=bool))
-        with pytest.raises(CapacityError):
-            unit.push_column(rows, 1, 1, np.zeros(8, dtype=bool))
-
-    def test_wrong_row_count_rejected(self):
-        unit, _ = make_unit()
-        with pytest.raises(ConfigError):
-            unit.push_column(np.zeros(4), 1, 1, np.zeros(8, dtype=bool))
-
-    def test_peak_report_keys(self):
-        unit, _ = make_unit()
-        unit.push_column(np.full(8, 10), 2, 2, np.ones(8, dtype=bool))
-        report = unit.peak_report()
-        assert "nbits" in report and "bitmap" in report
-        assert any(k.startswith("packed[") for k in report)
-
-    def test_placement_capacities_enforced_per_group(self):
-        """A portfolio plan's per-group capacities drive the runtime check."""
-        from repro.hardware.device import DEVICES
-
-        config = ArchitectureConfig(
-            image_width=64, image_height=64, window_size=8
-        )
-        rows = np.full(8, 2000)
-        plan = plan_memory_mapping(config, rows, device=DEVICES["ZU7EV"])
-        assert plan.placement is not None
-        unit = MemoryUnit(plan)
-        caps = plan.placement.payload.group_capacity_list()
-        assert tuple(unit._group_capacities) == caps
-        # Overflow the first group's placed capacity exactly.
-        per_row = caps[0] // plan.rows_per_bram + 1
-        with pytest.raises(CapacityError):
-            unit.push_column(
-                np.full(8, per_row), 4, 4, np.zeros(8, dtype=bool)
+    def test_group_folding(self, rng):
+        """Rows fold by ``rows_per_group``; each group has its own limit."""
+        config = cfg()
+        frame = random_image(rng, 48, 64)
+        peaks = group_peaks(config, frame, 2)
+        assert peaks.shape == (4,)
+        for g in range(4):
+            tight = peaks.copy()
+            tight[g] -= 1
+            plan = exact_capacity_plan(config, tight)
+            messages = []
+            for fast_path in (False, True):
+                engine = CompressedEngine(
+                    config,
+                    BoxFilterKernel(8),
+                    memory_plan=plan,
+                    fast_path=fast_path,
+                )
+                with pytest.raises(CapacityError) as err:
+                    engine.run(frame)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+            assert messages[0].startswith(
+                f"BRAM group {g} holds {peaks[g]} stored bits"
             )
 
     def test_streaming_real_band_fits_plan(self, rng):
-        """Columns of a real encoded band stream through the planned unit."""
-        from repro.core.stats import analyze_band
+        """A SECDED plan from a frame's own rows holds its SECDED run."""
+        config = cfg(height=64)
+        frame = random_image(rng, 64, 64)
+        worst = analyze_image(config, frame).row_bits_worst
+        plan = plan_placement(config, worst, protection="secded")
+        assert plan.protection == "secded"
+        CompressedEngine(
+            config, BoxFilterKernel(8), memory_plan=plan, protection="secded"
+        ).run(frame)
 
-        config = ArchitectureConfig(image_width=64, image_height=64, window_size=8)
-        band = rng.integers(0, 256, size=(8, 64))
-        analysis = analyze_band(config, band)
-        plan = plan_memory_mapping(config, analysis.payload_bits_per_row)
-        unit = MemoryUnit(plan)
-        widths = analysis.widths
-        for j in range(config.buffered_columns):
-            unit.push_column(
-                widths[:, j],
-                int(analysis.nbits[0, j]),
-                int(analysis.nbits[1, j]),
-                analysis.bitmap[:, j],
-            )
-        assert unit.columns_resident == config.buffered_columns
+    def test_wrong_row_count_rejected(self):
+        """A plan sized for another window cannot be enforced."""
+        plan = plan_placement(cfg(window=4), np.zeros(4))
+        with pytest.raises(ConfigError, match="window"):
+            CompressedEngine(cfg(), BoxFilterKernel(8), memory_plan=plan)

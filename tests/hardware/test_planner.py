@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 
 from repro import ArchitectureConfig
 from repro.errors import ConfigError
+from repro.hardware.bram import BRAM_CAPACITY_BITS
 from repro.hardware.device import DEVICES, XC7Z020
-from repro.hardware.mapping import (
-    management_bram_count,
-    packed_bram_count,
-    plan_memory_mapping,
-)
 from repro.hardware.planner import (
     DEFAULT_COST_VECTOR,
     CostVector,
@@ -24,6 +20,7 @@ from repro.hardware.planner import (
     plan_placement,
 )
 from repro.hardware.primitives import (
+    BRAM18,
     BRAM18_COMPAT,
     LUTRAM,
     portfolio_for,
@@ -36,6 +33,31 @@ ULTRA = portfolio_for(ZU7EV)
 def cfg(width, window, **kw):
     return ArchitectureConfig(
         image_width=width, image_height=width, window_size=window, **kw
+    )
+
+
+def seed_packed_bram_count(window, rows):
+    """The seed RAMB18 packing rule, kept here as the planner's oracle.
+
+    The most aggressive of 8/4/2/1 rows per BRAM whose every aligned
+    group fits one 18 Kb BRAM; else one row per BRAM, each cascaded over
+    ``ceil(bits / 18432)`` BRAMs.  Returns ``(brams, rows_per_bram)``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    assert rows.size == window
+    for r in (8, 4, 2):
+        if window % r == 0:
+            sums = rows.reshape(window // r, r).sum(axis=1)
+            if int(sums.max()) <= BRAM_CAPACITY_BITS:
+                return window // r, r
+    return sum(max(1, -(-int(b) // BRAM_CAPACITY_BITS)) for b in rows), 1
+
+
+def seed_management_bram_count(config):
+    """The seed NBits + BitMap rule: each stream on its best geometry."""
+    cols = config.buffered_columns
+    return BRAM18.units_for(cols, 2 * config.nbits_field_width) + (
+        BRAM18.units_for(cols, config.window_size)
     )
 
 
@@ -117,7 +139,7 @@ class TestPlacePayload:
     def test_compat_identity_deterministic(self):
         for n in (8, 16, 32, 64, 128):
             rows = deterministic_rows(n)
-            count, r = packed_bram_count(n, rows)
+            count, r = seed_packed_bram_count(n, rows)
             p = place_payload(n, rows, BRAM18_COMPAT)
             assert p.primitive.kind == "bram18"
             assert (p.units, p.rows_per_group) == (count, r)
@@ -132,7 +154,7 @@ class TestPlacePayload:
         """The compat portfolio reproduces the seed packing bit-for-bit."""
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, scale, size=window)
-        count, r = packed_bram_count(window, rows)
+        count, r = seed_packed_bram_count(window, rows)
         p = place_payload(window, rows, BRAM18_COMPAT)
         assert (p.units, p.rows_per_group) == (count, r)
 
@@ -164,14 +186,14 @@ class TestPlanPlacement:
         for n in (8, 16, 32, 64, 128):
             config = cfg(512, n)
             rows = deterministic_rows(n)
-            seed_plan = plan_memory_mapping(config, rows)
+            packed, r = seed_packed_bram_count(n, rows)
             plan = plan_placement(config, rows)  # XC7Z020 default
-            assert plan.payload.units == seed_plan.packed_brams
-            assert plan.payload.rows_per_group == seed_plan.rows_per_bram
+            assert (plan.packed_brams, plan.rows_per_bram) == (packed, r)
+            assert plan.payload.units == packed
             assert (
                 plan.nbits.units + plan.bitmap.units
-                == seed_plan.management_brams
-                == management_bram_count(config)
+                == plan.management_brams
+                == seed_management_bram_count(config)
             )
 
     def test_zu7ev_moves_shallow_fifos_to_lutram(self):

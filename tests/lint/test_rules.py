@@ -68,7 +68,7 @@ class TestRep001BitExact:
 
     def test_hardware_datapath_in_scope(self):
         assert _violations(
-            BitExactRule(), "x = 0.5\n", "repro.hardware.fifo"
+            BitExactRule(), "x = 0.5\n", "repro.hardware.planner"
         )
 
     def test_hardware_estimators_out_of_scope(self):

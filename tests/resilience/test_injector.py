@@ -113,16 +113,3 @@ class TestBookkeeping:
         assert out.shape == (100,)
         assert n == 100
 
-    def test_corrupt_word_integer(self):
-        inj = FaultInjector(upset_rate=1.0)
-        value, n = inj.corrupt_word(0, 8, "payload")
-        assert value == 0xFF
-        assert n == 8
-
-    def test_fifo_hook_upsets_integers(self):
-        inj = FaultInjector(upset_rate=1.0)
-        hook = inj.fifo_hook("payload")
-        assert hook("packed[0]", 0, 4) == 0xF
-        # Non-integer items pass through untouched.
-        marker = object()
-        assert hook("packed[0]", marker, 4) is marker

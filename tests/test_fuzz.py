@@ -1,11 +1,10 @@
 """Cross-cutting fuzz and stateful tests.
 
-Hypothesis rule-based machines drive the register-level units and the
-FIFO through arbitrary legal operation sequences, checking the invariants
-that matter architecturally: conservation of bits through the
-pack → unpack chain, FIFO occupancy bookkeeping, and codec round-trips
-across the whole configuration space (pixel widths, wrap modes,
-decomposition levels).
+A Hypothesis rule-based machine drives the register-level units through
+arbitrary legal operation sequences, checking the invariants that matter
+architecturally: conservation of bits through the pack → unpack chain,
+and codec round-trips across the whole configuration space (pixel
+widths, wrap modes, decomposition levels).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro import ArchitectureConfig, BandCodec
 from repro.core.packing.hw_pack import BitPackingUnit
 from repro.core.packing.hw_unpack import BitUnpackingUnit
-from repro.hardware.fifo import Fifo
 
 
 class PackUnpackMachine(RuleBasedStateMachine):
@@ -60,38 +58,7 @@ class PackUnpackMachine(RuleBasedStateMachine):
         assert 0 <= self.packer.pending_bits < self.packer.word_bits
 
 
-class FifoMachine(RuleBasedStateMachine):
-    """FIFO bookkeeping invariants under arbitrary push/pop sequences."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.fifo: Fifo[int] = Fifo(capacity=16)
-        self.mirror: list[tuple[int, int]] = []
-        self.counter = 0
-
-    @precondition(lambda self: len(self.mirror) < 16)
-    @rule(bits=st.integers(0, 100))
-    def push(self, bits: int) -> None:
-        self.fifo.push(self.counter, bits=bits)
-        self.mirror.append((self.counter, bits))
-        self.counter += 1
-
-    @precondition(lambda self: len(self.mirror) > 0)
-    @rule()
-    def pop(self) -> None:
-        item = self.fifo.pop()
-        expected, _ = self.mirror.pop(0)
-        assert item == expected
-
-    @invariant()
-    def occupancy_consistent(self) -> None:
-        assert len(self.fifo) == len(self.mirror)
-        assert self.fifo.bits == sum(b for _, b in self.mirror)
-        assert self.fifo.peak_entries <= 16
-
-
 TestPackUnpackMachine = PackUnpackMachine.TestCase
-TestFifoMachine = FifoMachine.TestCase
 
 
 # ----------------------------------------------------------------------

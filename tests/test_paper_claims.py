@@ -15,7 +15,8 @@ from repro.analysis.experiments import (
     reconstruct_single_pass,
     table1_traditional_brams,
 )
-from repro.hardware.mapping import management_bram_count, traditional_bram_count
+from repro.hardware.mapping import traditional_bram_count
+from repro.hardware.planner import plan_placement
 from repro.hardware.resources import BLOCK_ANCHORS, ResourceModel
 from repro.imaging import benchmark_dataset, mse
 from repro.kernels import BoxFilterKernel
@@ -104,7 +105,8 @@ class TestTablesPinned:
     def test_management_columns_exact_512(self):
         for n, expected in ((8, 2), (16, 2), (32, 2), (64, 3), (128, 5)):
             cfg = ArchitectureConfig(image_width=512, image_height=512, window_size=n)
-            assert management_bram_count(cfg) == expected
+            plan = plan_placement(cfg, np.zeros(n))
+            assert plan.management_brams == expected
 
     def test_best_lossy_claim_geometry(self):
         """The 84 % abstract claim: window 128 @ 512, 21 vs 128 BRAMs."""
@@ -112,7 +114,9 @@ class TestTablesPinned:
             image_width=512, image_height=512, window_size=128, threshold=6
         )
         assert traditional_bram_count(cfg) == 128
-        assert management_bram_count(cfg) == 5
+        plan = plan_placement(cfg, np.zeros(128))
+        assert plan.traditional_brams == 128
+        assert plan.management_brams == 5
         # 16 packed BRAMs (8 rows per BRAM) + 5 management = 21.
         assert (1 - 21 / 128) * 100 == pytest.approx(83.6, abs=0.1)
 

@@ -114,13 +114,13 @@ class TestStatsAndCapacity:
         """A plan provisioned for smooth frames rejects a noise frame,
         naming the overflowing BRAM group."""
         from repro.core.stats import analyze_image
-        from repro.hardware.mapping import plan_memory_mapping
+        from repro.hardware.planner import plan_placement
 
         config = cfg(image_width=512, image_height=64, window_size=16)
         full = generate_scene(seed=11, resolution=512).astype(np.int64)
         smooth = full[:64]
         noise = random_image(rng, 64, 512)
-        plan = plan_memory_mapping(
+        plan = plan_placement(
             config, analyze_image(config, smooth).row_bits_worst
         )
         kernel = BoxFilterKernel(16)
@@ -134,11 +134,11 @@ class TestStatsAndCapacity:
 
     def test_memory_plan_from_own_frame_always_fits(self, rng):
         from repro.core.stats import analyze_image
-        from repro.hardware.mapping import plan_memory_mapping
+        from repro.hardware.planner import plan_placement
 
         config = cfg(image_width=64, image_height=64, window_size=8)
         img = random_image(rng, 64, 64, smooth=True)
-        plan = plan_memory_mapping(config, analyze_image(config, img).row_bits_worst)
+        plan = plan_placement(config, analyze_image(config, img).row_bits_worst)
         CompressedEngine(config, BoxFilterKernel(8), memory_plan=plan).run(img)
 
     def test_smooth_image_saves_memory_vs_noise(self, rng):

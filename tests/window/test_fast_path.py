@@ -41,7 +41,7 @@ from repro.kernels import (
 )
 from repro.resilience.injector import FaultInjector
 
-from helpers import random_image
+from helpers import exact_capacity_plan, group_peaks, random_image
 
 
 def cfg(width=32, height=32, window=8, **kw):
@@ -288,14 +288,14 @@ class TestCapacitySurfaces:
 
     def test_memory_plan_overflow_same_error(self, rng):
         from repro.core.stats import analyze_image
-        from repro.hardware.mapping import plan_memory_mapping
+        from repro.hardware.planner import plan_placement
 
         config = cfg(width=512, height=64, window=16)
         from repro.imaging import generate_scene
 
         smooth = generate_scene(seed=11, resolution=512).astype(np.int64)[:64]
         noise = random_image(rng, 64, 512)
-        plan = plan_memory_mapping(
+        plan = plan_placement(
             config, analyze_image(config, smooth).row_bits_worst
         )
         if plan.rows_per_bram <= 1:
@@ -312,17 +312,110 @@ class TestCapacitySurfaces:
 
     def test_memory_plan_passing_frame_identical(self, rng):
         from repro.core.stats import analyze_image
-        from repro.hardware.mapping import plan_memory_mapping
+        from repro.hardware.planner import plan_placement
 
         config = cfg(width=64, height=64)
         image = random_image(rng, 64, 64, smooth=True)
-        plan = plan_memory_mapping(
+        plan = plan_placement(
             config, analyze_image(config, image).row_bits_worst
         )
         seq_run, fast_run = run_both(
             config, BoxFilterKernel(8), image, memory_plan=plan
         )
         assert_identical(seq_run, fast_run)
+
+
+@pytest.fixture(scope="module")
+def suite_512():
+    """Two 512x512 benchmark frames (int64), shared by the ZU7EV cases."""
+    from repro.imaging import benchmark_dataset
+
+    return [img.astype(np.int64) for img in benchmark_dataset(512, n_images=2)]
+
+
+class TestMemoryPlanCapacity:
+    """The engine enforces the one memory plan on both paths.
+
+    Rows fold by ``plan.payload.rows_per_group``; each group's *stored*
+    sliding occupancy is compared with ``group_capacity_list()``.
+    """
+
+    @pytest.mark.parametrize(
+        "window,kind", [(16, "bram36"), (32, "bram36"), (64, "uram")]
+    )
+    def test_ultrascale_plan_has_no_false_overflow(self, suite_512, window, kind):
+        """A ZU7EV plan from two frames' worst rows runs both frames.
+
+        Its groups are BRAM36 (36864 bits) or URAM (294912 bits); a
+        check priced in RAMB18s would reject frames the plan holds.
+        """
+        from repro.core.stats import analyze_image
+        from repro.hardware.device import ZU7EV
+        from repro.hardware.planner import plan_placement
+
+        config = cfg(width=512, height=512, window=window)
+        worst = np.maximum.reduce(
+            [analyze_image(config, f).row_bits_worst for f in suite_512]
+        )
+        plan = plan_placement(config, worst, device=ZU7EV)
+        assert plan.payload.primitive.kind == kind
+        assert min(plan.payload.group_capacity_list()) > 18432
+        for frame in suite_512:
+            seq_run, fast_run = run_both(
+                config, BoxFilterKernel(window), frame, memory_plan=plan
+            )
+            assert_identical(seq_run, fast_run)
+
+    def test_secded_storage_counts_against_capacity(self, rng):
+        """Raw bits fit one RAMB18 group; their SECDED code words do not."""
+        from repro.hardware.planner import plan_placement
+
+        config = cfg(width=320, height=320, window=8)
+        plan = plan_placement(config, np.full(8, 100))
+        assert plan.rows_per_bram == 8
+        assert plan.payload.group_capacity_list() == (18432,)
+        frame = rng.integers(0, 96, size=(320, 320), dtype=np.int64)
+        kernel = BoxFilterKernel(8)
+        seq_run, fast_run = run_both(config, kernel, frame, memory_plan=plan)
+        assert_identical(seq_run, fast_run)
+        engine = CompressedEngine(
+            config, kernel, memory_plan=plan, protection="secded"
+        )
+        with pytest.raises(
+            CapacityError,
+            match=(
+                r"^BRAM group 0 holds \d+ stored bits at traversal \d+, its "
+                r"allocation is 18432 bits \(1 x BRAM18, 8 rows/group\)"
+            ),
+        ):
+            engine.run(frame)
+
+    def test_group_capacity_boundary(self, rng):
+        """Exactly at a group's capacity fits; one bit over raises."""
+        config = cfg(width=64, height=48)
+        frame = random_image(rng, 48, 64)
+        kernel = BoxFilterKernel(8)
+        (peak,) = group_peaks(config, frame, 8)
+        seq_run, fast_run = run_both(
+            config, kernel, frame, memory_plan=exact_capacity_plan(config, [peak])
+        )
+        assert_identical(seq_run, fast_run)
+        messages = []
+        for fast_path in (False, True):
+            engine = CompressedEngine(
+                config,
+                kernel,
+                memory_plan=exact_capacity_plan(config, [peak - 1]),
+                fast_path=fast_path,
+            )
+            with pytest.raises(CapacityError) as err:
+                engine.run(frame)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert f"holds {peak} stored bits" in messages[0]
+        assert f"allocation is {peak - 1} bits ({peak - 1} x BIT, 8 rows/group)" in (
+            messages[0]
+        )
 
 
 class TestFallbackRules:
