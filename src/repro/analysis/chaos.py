@@ -168,7 +168,7 @@ def measure_chaos(
             reclaim_grace_seconds=1.0,
         )
         t0 = time.perf_counter()
-        with StreamingProcessor.from_spec(
+        with StreamingProcessor(
             run_spec, workers=options.workers, supervision=policy
         ) as proc:
             outcomes = list(proc.map(frames, timeout=60.0))
@@ -176,8 +176,6 @@ def measure_chaos(
             free = proc.drain(timeout=30.0)
             slots = proc.slots
             stats = proc.supervisor_stats
-        if stats is None:  # pragma: no cover - campaigns always supervise
-            raise ConfigError("chaos campaign requires a supervised stream")
         delivered = [o for o in outcomes if isinstance(o, StreamResult)]
         failed = len(outcomes) - len(delivered)
         records += case_records(

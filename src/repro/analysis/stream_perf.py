@@ -127,7 +127,7 @@ def measure_stream(
 
     out = records("single-process", 0, baseline_seconds, True)
     for workers in options.worker_counts:
-        with StreamingProcessor.from_spec(spec, workers=workers) as proc:
+        with StreamingProcessor(spec, workers=workers) as proc:
             # Warm-up: one frame per worker forks the pool and builds the
             # per-worker engine caches outside the timed window.
             for _ in proc.map([frames[0]] * workers):

@@ -40,16 +40,6 @@ class StateError(ReproError, RuntimeError):
     """An architectural block was driven outside its legal state sequence."""
 
 
-class WorkerError(ReproError, RuntimeError):
-    """A streaming worker failed processing a frame.
-
-    Raised in the *driver* process when a worker-side exception reaches an
-    unsupervised stream; a supervised stream converts the same event into
-    retries, inline degradation or a structured
-    :class:`~repro.runtime.supervision.FrameFailure` instead.
-    """
-
-
 class ChaosError(ReproError, RuntimeError):
     """A fault deliberately injected by the process-level chaos harness.
 

@@ -7,20 +7,21 @@ and construct their engine exactly once (:mod:`repro.runtime.pool`,
 :mod:`repro.runtime.worker`), a shared-memory ring that moves frames
 between processes without pickling a single pixel
 (:mod:`repro.runtime.ring`), a bounded streaming API with ordered and
-as-completed result iterators (:mod:`repro.runtime.streaming`), and a
-supervision layer that turns worker crashes, lost results and poison
-frames into retries, inline degradation or structured failures instead of
-hangs (:mod:`repro.runtime.supervision`).
+as-completed result iterators (:mod:`repro.runtime.streaming`), and the
+supervision layer every stream runs under, which turns worker crashes,
+lost results and poison frames into retries, inline degradation or
+structured failures instead of hangs (:mod:`repro.runtime.supervision`).
 
 Quick start::
 
-    from repro import ArchitectureConfig
+    from repro import ArchitectureConfig, EngineSpec
     from repro.kernels import BoxFilterKernel
     from repro.runtime import StreamingProcessor
 
     config = ArchitectureConfig(image_width=512, image_height=512,
                                 window_size=16)
-    with StreamingProcessor(config, BoxFilterKernel(16), workers=4) as proc:
+    spec = EngineSpec(config=config, kernel=BoxFilterKernel(16))
+    with StreamingProcessor(spec, workers=4) as proc:
         for result in proc.map(frames):          # ordered, backpressured
             consume(result.index, result.outputs, result.stats)
 """

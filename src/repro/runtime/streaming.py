@@ -6,7 +6,8 @@ persistent worker pool (engines constructed once per worker, never pickled
 per frame), a shared-memory :class:`~repro.runtime.ring.FrameRing` as the
 zero-copy frame transport, and a bounded submission API — ``submit()``
 blocks once every ring slot is in flight, so a fast producer can never
-outrun the consumers (backpressure by construction).
+outrun the consumers (backpressure by construction).  One
+:class:`~repro.spec.EngineSpec` describes the engine every worker runs.
 
 Results are consumed through either iterator:
 
@@ -21,7 +22,7 @@ tested across the lossless/lossy x recirculate matrix).
 Single-worker streams still run through the pool so that the semantics
 (ordering, backpressure, stats) are identical at every worker count.
 
-Fault tolerance: by default every stream runs under a
+Fault tolerance: every stream runs under a
 :class:`~repro.runtime.supervision.FrameSupervisor` — the driver tracks
 each in-flight frame, polls worker liveness, and when a worker dies (or a
 per-frame deadline expires) retries the frame in place, reclaims orphaned
@@ -29,10 +30,10 @@ ring slots, respawns a broken pool, and as a last resort computes the
 frame inline with a chaos-free engine, so ``results()`` never hangs on a
 completion that cannot come.  Frames that keep failing are delivered as
 structured :class:`~repro.runtime.supervision.FrameFailure` values when
-inline degradation is disabled.  Pass
-``supervision=SupervisionPolicy.disabled()`` to get the raw PR 3
-semantics back; either way the result iterators accept ``timeout=`` and
-raise :class:`TimeoutError` instead of blocking forever.  The driver
+inline degradation is disabled.  Every wait — a blocked ``submit``, a
+result iterator, :meth:`drain` — is the same supervision step repeated,
+and the result iterators accept ``timeout=`` and raise
+:class:`TimeoutError` instead of blocking forever.  The driver
 (submission plus consumption) is single-threaded by design — pool
 callbacks only ever touch the internal completion queue.
 
@@ -41,10 +42,10 @@ slot-wait time, queue depth and per-worker frame latency, while each
 worker's engine runs with its own probe; :meth:`metrics_snapshot` merges
 the driver registry with the latest cumulative snapshot shipped back by
 every worker (counters and histograms add, gauges keep the max — all
-emitted gauges are high-water marks, so the merge is exact).  Supervised
-streams additionally emit the recovery counters
-(``repro_worker_deaths_total``, ``repro_frames_retried_total``, …) and the
-``repro_recovery_seconds`` loss-to-redelivery histogram.
+emitted gauges are high-water marks, so the merge is exact), including
+the recovery counters (``repro_worker_deaths_total``,
+``repro_frames_retried_total``, …) and the ``repro_recovery_seconds``
+loss-to-redelivery histogram.
 
 Lifecycle: every live processor is tracked in a module-level weak set and
 an ``atexit`` handler closes any still open at interpreter exit.  Close
@@ -68,10 +69,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..config import ArchitectureConfig
 from ..core.window.base import EngineStats, SlidingWindowEngine
-from ..errors import ConfigError, StateError, WorkerError
-from ..kernels.base import WindowKernel, as_kernel
+from ..errors import ConfigError, StateError
 from ..observability.metrics import MetricsRegistry
 from ..observability.probe import Probe
 from ..spec import EngineSpec
@@ -116,6 +115,21 @@ def _close_live_processors() -> None:
 
 atexit.register(_close_live_processors)
 
+def _ring_geometry(
+    spec: EngineSpec,
+) -> tuple[tuple[int, int], tuple[int, int], np.dtype]:
+    """The ring layout ``spec``'s engine needs: input frame shape,
+    valid-region output shape and the kernel's output dtype.
+
+    The dtype is probed on one zero window so the ring's output plane
+    preserves it exactly (ints stay ints).
+    """
+    config = spec.resolved_config
+    n = config.window_size
+    height, width = config.image_height, config.image_width
+    sample = np.asarray(spec.kernel.apply(np.zeros((1, n, n), dtype=np.int64)))
+    return (height, width), (height - n + 1, width - n + 1), sample.dtype
+
 
 @dataclass(frozen=True, slots=True)
 class StreamResult:
@@ -141,69 +155,43 @@ class StreamResult:
 
 class StreamingProcessor:
     """Persistent-pool, shared-memory streaming executor for one engine
-    configuration.
+    spec.
 
     Parameters
     ----------
-    config, kernel:
-        The architecture instance every frame is processed with.  The
-        kernel must be picklable (all built-in kernels are).
+    spec:
+        The :class:`~repro.spec.EngineSpec` every frame is processed
+        with.  Its kernel must be picklable (all built-in kernels are).
+        A spec carrying a :class:`~repro.resilience.chaos.ChaosSpec`
+        injects process-level faults in the workers — the supervision
+        layer is what turns those faults into retries instead of hangs.
     workers:
         Worker process count (default: ``REPRO_WORKERS`` / CPU count).
     slots:
         Ring depth; bounds frames in flight (default ``2 * workers`` so
         every worker can compute one frame while its next is staged).
-    recirculate, fast_path:
-        Forwarded to each worker's ``CompressedEngine``.
-    delay_by_index:
-        Test/bench knob — per-frame-index worker-side sleep seconds (see
-        :class:`~repro.spec.EngineSpec`).
     probe:
         Optional :class:`~repro.observability.probe.MetricsProbe`.  When
         given, the driver records slot-wait/queue-depth/latency metrics
         and every worker runs a probed engine; aggregate with
         :meth:`metrics_snapshot`.
     supervision:
-        The stream's :class:`~repro.runtime.supervision.SupervisionPolicy`.
-        ``None`` (the default) enables supervision with default knobs;
-        pass ``SupervisionPolicy.disabled()`` for the raw unsupervised
-        pipeline.
-    spec:
-        A full :class:`~repro.spec.EngineSpec` to run instead of building
-        one from the keyword arguments (see :meth:`from_spec`).  A spec
-        carrying a :class:`~repro.resilience.chaos.ChaosSpec` injects
-        process-level faults in the workers — the supervision layer is
-        what turns those faults into retries instead of hangs.
+        The stream's :class:`~repro.runtime.supervision.SupervisionPolicy`
+        (``None``: default knobs).
     """
 
     def __init__(
         self,
-        config: ArchitectureConfig,
-        kernel: WindowKernel,
+        spec: EngineSpec,
         *,
         workers: int | None = None,
         slots: int | None = None,
-        recirculate: bool = True,
-        fast_path: bool | None = None,
-        delay_by_index: tuple[float, ...] | None = None,
         probe: Probe | None = None,
         supervision: SupervisionPolicy | None = None,
-        spec: EngineSpec | None = None,
     ) -> None:
-        self.kernel = as_kernel(kernel, window_size=config.window_size)
-        if spec is None:
-            spec = EngineSpec(
-                config=config,
-                kernel=self.kernel,
-                recirculate=recirculate,
-                fast_path=fast_path,
-                delay_by_index=delay_by_index,
-                probe=probe is not None,
-            )
-        elif probe is not None and not spec.probe:
+        if probe is not None and not spec.probe:
             spec = replace(spec, probe=True)
         self.spec = spec
-        self.config = spec.resolved_config
         self.probe = probe
         self.workers = default_workers() if workers is None else workers
         if self.workers < 1:
@@ -214,22 +202,15 @@ class StreamingProcessor:
         self.supervision = (
             SupervisionPolicy() if supervision is None else supervision
         )
-        self._supervisor = (
-            FrameSupervisor(self.supervision, probe=probe)
-            if self.supervision.enabled
-            else None
-        )
-        n = config.window_size
-        out_shape = (config.image_height - n + 1, config.image_width - n + 1)
-        # Probe the kernel's output dtype on one zero window so the ring's
-        # output plane preserves it exactly (ints stay ints).
-        sample = np.asarray(self.kernel.apply(np.zeros((1, n, n), dtype=np.int64)))
+        self._supervisor = FrameSupervisor(self.supervision, probe=probe)
+        self._geometry = _ring_geometry(spec)
+        frame_shape, out_shape, out_dtype = self._geometry
         self._ring = FrameRing(
             slots=self.slots,
-            frame_shape=(config.image_height, config.image_width),
+            frame_shape=frame_shape,
             frame_dtype=np.int64,
             out_shape=out_shape,
-            out_dtype=sample.dtype,
+            out_dtype=out_dtype,
         )
         self._pool = PersistentPool(
             self.workers,
@@ -249,40 +230,20 @@ class StreamingProcessor:
         )
         self._known_pids: set[int] = set()
         self._reported_dead: set[int] = set()
-        self._submitted = 0
-        self._consumed = 0
+        self._next_index = 0
+        #: Indexes submitted but not yet delivered to a consumer.
+        self._undelivered: set[int] = set()
         self._closed = False
         #: Latest cumulative metrics snapshot shipped back per worker PID.
         self._worker_snapshots: dict[int, dict] = {}
         _LIVE.add(self)
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: EngineSpec,
-        *,
-        workers: int | None = None,
-        slots: int | None = None,
-        probe: Probe | None = None,
-        supervision: SupervisionPolicy | None = None,
-    ) -> "StreamingProcessor":
-        """Build a processor running exactly the engine ``spec`` describes."""
-        return cls(
-            spec.resolved_config,
-            spec.kernel,
-            workers=workers,
-            slots=slots,
-            probe=probe,
-            supervision=supervision,
-            spec=spec,
-        )
 
     # -- submission -------------------------------------------------------
 
     @property
     def in_flight(self) -> int:
         """Frames submitted but not yet consumed."""
-        return self._submitted - self._consumed
+        return len(self._undelivered)
 
     @property
     def in_flight_peak(self) -> int:
@@ -295,10 +256,8 @@ class StreamingProcessor:
         return self._ring.free_slots
 
     @property
-    def supervisor_stats(self) -> SupervisorStats | None:
-        """Recovery counters of the supervised stream (``None`` when off)."""
-        if self._supervisor is None:
-            return None
+    def supervisor_stats(self) -> SupervisorStats:
+        """Recovery counters of the stream."""
         return self._supervisor.stats
 
     def check_spec_compatible(self, spec: EngineSpec) -> None:
@@ -311,27 +270,20 @@ class StreamingProcessor:
         shape and the kernel's output dtype are baked into the
         shared-memory slots at construction time.
         """
-        config = spec.resolved_config
-        frame_shape = (config.image_height, config.image_width)
-        if frame_shape != self._ring.spec.frame_shape:
+        frame_shape, out_shape, out_dtype = _ring_geometry(spec)
+        ring_frame, ring_out, ring_dtype = self._geometry
+        if frame_shape != ring_frame:
             raise ConfigError(
-                f"spec frame shape {frame_shape} != ring "
-                f"{self._ring.spec.frame_shape}"
+                f"spec frame shape {frame_shape} != ring {ring_frame}"
             )
-        n = config.window_size
-        out_shape = (config.image_height - n + 1, config.image_width - n + 1)
-        if out_shape != self._ring.spec.out_shape:
+        if out_shape != ring_out:
             raise ConfigError(
-                f"spec output shape {out_shape} (window {n}) != ring "
-                f"{self._ring.spec.out_shape}"
+                f"spec output shape {out_shape} (window "
+                f"{spec.resolved_config.window_size}) != ring {ring_out}"
             )
-        sample = np.asarray(
-            spec.kernel.apply(np.zeros((1, n, n), dtype=np.int64))
-        )
-        if np.dtype(sample.dtype).name != self._ring.spec.out_dtype:
+        if out_dtype != ring_dtype:
             raise ConfigError(
-                f"spec kernel output dtype {sample.dtype} != ring "
-                f"{self._ring.spec.out_dtype}"
+                f"spec kernel output dtype {out_dtype} != ring {ring_dtype}"
             )
 
     def submit(
@@ -346,10 +298,9 @@ class StreamingProcessor:
         Writes the frame straight into a shared-memory slot (the only copy
         the pipeline makes on the way in).  Blocks while all ring slots are
         in flight; ``timeout`` bounds that wait and raises
-        :class:`~repro.errors.CapacityError` on expiry.  Supervised
-        streams keep running recovery sweeps while blocked, so zombie
-        slots reclaim and due retries dispatch even under a stalled
-        producer.
+        :class:`~repro.errors.CapacityError` on expiry.  Recovery sweeps
+        keep running while blocked, so zombie slots reclaim and due
+        retries dispatch even under a stalled producer.
 
         ``spec`` overrides the processor-wide engine spec for this one
         frame (the serving gateway's multi-tenant path): the workers run
@@ -372,26 +323,24 @@ class StreamingProcessor:
             spec_blob = spec.blob()
         t0 = time.perf_counter()
         deadline = None if timeout is None else time.monotonic() + timeout
-        sup = self._supervisor
-        if sup is not None:
-            self._sweep_while_full(sup, deadline)
+        self._sweep_while_full(deadline)
         remaining = (
             timeout
             if deadline is None
             else max(deadline - time.monotonic(), 0.001)
         )
+        index = self._next_index
+        sup = self._supervisor
         slot = self._ring.acquire(timeout=remaining)
         try:
             if self.probe is not None:
                 self.probe.observe(
                     "repro_slot_wait_seconds", time.perf_counter() - t0
                 )
-            index = self._submitted
             self._ring.input_view(slot)[...] = arr
             if spec_blob is not None:
                 self._task_specs[index] = spec_blob
-            if sup is not None:
-                sup.track(index, slot, pooled=sup.pool_usable)
+            sup.track(index, slot, pooled=sup.pool_usable)
             self._dispatch(
                 FrameTask(index=index, slot=slot, spec_blob=spec_blob)
             )
@@ -399,21 +348,19 @@ class StreamingProcessor:
             # The frame never made it in flight (e.g. the pool was torn
             # down under us): hand the slot back instead of shrinking the
             # ring until the stream deadlocks.
-            if sup is not None:
-                sup.untrack(self._submitted)
-            self._task_specs.pop(self._submitted, None)
+            sup.untrack(index)
+            self._task_specs.pop(index, None)
             self._ring.release(slot)
             raise
-        self._submitted += 1
+        self._next_index += 1
+        self._undelivered.add(index)
         if self.probe is not None:
             self.probe.gauge_set("repro_queue_depth", self.in_flight)
             self.probe.gauge_max("repro_queue_depth_peak", self.in_flight)
         return index
 
-    def _sweep_while_full(
-        self, sup: FrameSupervisor, deadline: float | None
-    ) -> None:
-        """Run recovery sweeps while the ring has no free slot.
+    def _sweep_while_full(self, deadline: float | None) -> None:
+        """Run supervision steps while the ring has no free slot.
 
         Delivered-but-zombie slots only come back through supervision
         sweeps, and those normally run in the consumption loop — a
@@ -421,32 +368,19 @@ class StreamingProcessor:
         ring full of zombies would never drain.
         """
         while self._ring.free_slots == 0:
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                return  # let acquire() raise the CapacityError
-            self._poll_worker_health(sup, now)
-            self._execute_supervision(sup, now)
-            if self._ring.free_slots:
-                return
-            wait = sup.policy.poll_interval_seconds
-            wakeup = sup.next_wakeup(now)
-            if wakeup is not None:
-                wait = min(wait, wakeup - now)
-            if deadline is not None:
-                wait = min(wait, deadline - now)
-            time.sleep(max(wait, 0.001))
+            wait = self._supervise(deadline)
+            if wait is None or self._ring.free_slots:
+                return  # a free slot, or let acquire() raise CapacityError
+            time.sleep(wait)
 
     def _dispatch(self, task: FrameTask) -> None:
         """Hand a task to the pool, degrading when the pool cannot take it.
 
-        Unsupervised streams keep the historical contract: a broken pool
-        raises out of ``submit``.  Supervised streams never raise here —
-        a fresh frame on an unusable pool runs inline immediately, a
-        retry is left for the next sweep to escalate, and an
-        ``apply_async`` failure triggers the respawn/degrade ladder.
+        Never raises: a fresh frame on an unusable pool runs inline
+        immediately, a retry is left for the next sweep to escalate, and
+        an ``apply_async`` failure triggers the respawn/degrade ladder.
         """
-        sup = self._supervisor
-        if sup is not None and not sup.pool_usable:
+        if not self._supervisor.pool_usable:
             if task.attempt == 0:
                 self._run_inline(task.index, task.slot)
             return
@@ -458,11 +392,9 @@ class StreamingProcessor:
                 error_callback=self._on_error,
             )
         except Exception:
-            if sup is None:
-                raise
-            self._handle_pool_breakage(sup)
+            self._handle_pool_breakage()
 
-    def _handle_pool_breakage(self, sup: FrameSupervisor) -> None:
+    def _handle_pool_breakage(self) -> None:
         """The pool refused a submission: respawn it or give up on it.
 
         Either way every task in flight died with the old workers, so the
@@ -470,8 +402,8 @@ class StreamingProcessor:
         tracked frames — onto the fresh pool after a respawn, inline once
         the respawn budget is spent.
         """
-        policy = sup.policy
-        if policy.respawn_pool and sup.stats.pool_respawns < policy.max_pool_respawns:
+        sup = self._supervisor
+        if sup.stats.pool_respawns < sup.policy.max_pool_respawns:
             self._pool.restart()
             self._known_pids.clear()
             sup.on_pool_restart()
@@ -522,9 +454,7 @@ class StreamingProcessor:
         run = engine.run(frame)
         seconds = time.perf_counter() - t0
         self._ring.output_view(slot)[...] = run.outputs
-        sup = self._supervisor
-        if sup is not None:
-            sup.count_degraded()
+        self._supervisor.count_degraded()
         self._done.put(
             (
                 "ok",
@@ -544,8 +474,7 @@ class StreamingProcessor:
     def _on_done(self, result: FrameResult | FrameError) -> None:
         chaos = self.spec.chaos
         if (
-            self._supervisor is not None
-            and chaos is not None
+            chaos is not None
             and isinstance(result, FrameResult)
             and result.attempt == 0
             and result.index in chaos.drop_on
@@ -561,7 +490,7 @@ class StreamingProcessor:
 
     # -- supervision ------------------------------------------------------
 
-    def _poll_worker_health(self, sup: FrameSupervisor, now: float) -> None:
+    def _poll_worker_health(self, now: float) -> None:
         """Detect dead workers: liveness flags plus pid-set diffing.
 
         ``multiprocessing`` quietly respawns a SIGKILLed worker with a new
@@ -579,11 +508,12 @@ class StreamingProcessor:
         ) - self._reported_dead
         if new_deaths:
             self._reported_dead |= new_deaths
-            sup.on_worker_death(len(new_deaths), now)
+            self._supervisor.on_worker_death(len(new_deaths), now)
         self._known_pids = {pid for pid, alive in health if alive}
 
-    def _execute_supervision(self, sup: FrameSupervisor, now: float) -> None:
+    def _execute_supervision(self, now: float) -> None:
         """Run one recovery sweep and execute every action it emits."""
+        sup = self._supervisor
         for action in sup.actions(now):
             if isinstance(action, ReclaimAction):
                 self._ring.release(action.slot)
@@ -612,6 +542,26 @@ class StreamingProcessor:
                     )
                 )
 
+    def _supervise(self, deadline: float | None) -> float | None:
+        """One wait step: poll worker health, then run a recovery sweep.
+
+        Returns how long the caller may block before the next step —
+        the poll interval, cut short by the supervisor's next due event
+        and by ``deadline`` — or ``None`` once ``deadline`` has passed.
+        """
+        now = time.monotonic()
+        if deadline is not None and now >= deadline:
+            return None
+        self._poll_worker_health(now)
+        self._execute_supervision(now)
+        wait = self.supervision.poll_interval_seconds
+        wakeup = self._supervisor.next_wakeup(now)
+        if wakeup is not None:
+            wait = min(wait, wakeup - now)
+        if deadline is not None:
+            wait = min(wait, deadline - now)
+        return max(wait, 0.001)
+
     # -- consumption ------------------------------------------------------
 
     def _next_delivery(
@@ -620,78 +570,30 @@ class StreamingProcessor:
         """Block until the next deliverable outcome.
 
         ``timeout`` bounds this one wait and raises :class:`TimeoutError`
-        on expiry.  Supervised streams interleave waiting with worker
-        health polls and recovery sweeps, so a killed worker turns into a
-        retried (or inline-degraded) delivery instead of a hang.
+        on expiry.  Waiting interleaves worker health polls and recovery
+        sweeps, so a killed worker turns into a retried (or
+        inline-degraded) delivery instead of a hang.
         """
         sup = self._supervisor
-        if sup is None:
-            return self._unsupervised_next(timeout)
-        return self._supervised_next(sup, timeout)
-
-    def _unsupervised_next(self, timeout: float | None) -> StreamResult:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        wait = None
-        if deadline is not None:
-            wait = deadline - time.monotonic()
-            if wait <= 0:
-                raise TimeoutError(f"no stream result within {timeout:g}s")
-        try:
-            kind, payload = self._done.get(timeout=wait)
-        except queue.Empty:
-            raise TimeoutError(
-                f"no stream result within {timeout:g}s"
-            ) from None
-        if kind == "error" and isinstance(payload, BaseException):
-            raise payload  # pool infrastructure failure, re-raised here
-        if isinstance(payload, FrameError):
-            # Without supervision a failed frame is fatal to the stream,
-            # but its slot is still handed back so the ring stays whole.
-            self._ring.release(payload.slot)
-            self._consumed += 1
-            self._task_specs.pop(payload.index, None)
-            raise WorkerError(
-                f"frame {payload.index} failed in worker "
-                f"{payload.worker_pid}: {payload.error}"
-            )
-        if not isinstance(payload, FrameResult):  # pragma: no cover - guard
-            raise StateError(f"unexpected completion payload: {payload!r}")
-        return self._deliver(
-            payload,
-            release_slot=payload.slot,
-            attempts=payload.attempt + 1,
-        )
-
-    def _supervised_next(
-        self, sup: FrameSupervisor, timeout: float | None
-    ) -> StreamResult | FrameFailure:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._pending_failures:
                 failure = self._pending_failures.popleft()
-                self._consumed += 1
+                self._undelivered.discard(failure.index)
                 if self.probe is not None:
                     self.probe.gauge_set("repro_queue_depth", self.in_flight)
                 return failure
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
+            wait = self._supervise(deadline)
+            if wait is None:
                 raise TimeoutError(f"no stream result within {timeout:g}s")
-            self._poll_worker_health(sup, now)
-            self._execute_supervision(sup, now)
             if self._pending_failures:
                 continue
-            wait = sup.policy.poll_interval_seconds
-            wakeup = sup.next_wakeup(now)
-            if wakeup is not None:
-                wait = min(wait, wakeup - now)
-            if deadline is not None:
-                wait = min(wait, deadline - now)
             try:
-                kind, payload = self._done.get(timeout=max(wait, 0.001))
+                kind, payload = self._done.get(timeout=wait)
             except queue.Empty:
                 continue
             if kind == "error" and isinstance(payload, BaseException):
-                raise payload
+                raise payload  # pool infrastructure failure, re-raised here
             if kind == "dropped" and isinstance(
                 payload, (FrameResult, FrameError)
             ):
@@ -734,7 +636,7 @@ class StreamingProcessor:
         outputs = np.array(self._ring.output_view(result.slot), copy=True)
         if release_slot is not None:
             self._ring.release(release_slot)
-        self._consumed += 1
+        self._undelivered.discard(result.index)
         self._task_specs.pop(result.index, None)
         if result.metrics is not None:
             self._worker_snapshots[result.worker_pid] = result.metrics
@@ -784,6 +686,35 @@ class StreamingProcessor:
         while self.in_flight:
             yield self._next_delivery(timeout)
 
+    def _in_order(
+        self, parked: dict[int, StreamResult | FrameFailure]
+    ) -> Iterator[StreamResult | FrameFailure]:
+        """Yield (and unpark) every parked outcome no in-flight frame
+        precedes.
+
+        Ordering is by the indexes actually awaiting delivery, never by a
+        counter: a frame another consumer already took leaves no gap the
+        ordered iterators could wait on forever.
+        """
+        floor = min(self._undelivered, default=None)
+        while parked:
+            head = min(parked)
+            if floor is not None and floor < head:
+                return
+            yield parked.pop(head)
+
+    def _ordered(
+        self,
+        parked: dict[int, StreamResult | FrameFailure],
+        timeout: float | None,
+    ) -> Iterator[StreamResult | FrameFailure]:
+        """Deliver every in-flight frame, yielding in submission order."""
+        while self.in_flight or parked:
+            yield from self._in_order(parked)
+            if self.in_flight:
+                outcome = self._next_delivery(timeout)
+                parked[outcome.index] = outcome
+
     def results(
         self, *, timeout: float | None = None
     ) -> Iterator[StreamResult | FrameFailure]:
@@ -794,20 +725,7 @@ class StreamingProcessor:
         ring) until their turn comes.  ``timeout`` bounds each individual
         wait and raises :class:`TimeoutError` on expiry.
         """
-        parked: dict[int, StreamResult | FrameFailure] = {}
-        next_index = self._consumed
-        while self.in_flight or parked:
-            while next_index in parked:
-                yield parked.pop(next_index)
-                next_index += 1
-            if not self.in_flight:
-                continue
-            result = self._next_delivery(timeout)
-            if result.index == next_index:
-                yield result
-                next_index += 1
-            else:
-                parked[result.index] = result
+        yield from self._ordered({}, timeout)
 
     def map(
         self, frames: Iterable[np.ndarray], *, timeout: float | None = None
@@ -819,25 +737,23 @@ class StreamingProcessor:
         blocks on the next completion before submitting more, so the
         pipeline never holds more than ``slots`` frames.  ``timeout``
         bounds each slot wait (:class:`~repro.errors.CapacityError`) and
-        each result wait (:class:`TimeoutError`).
+        each result wait (:class:`TimeoutError`).  The processor must be
+        idle: frames submitted earlier raise
+        :class:`~repro.errors.StateError` (consume them first).
         """
+        if self.in_flight:
+            raise StateError(
+                f"map() needs an idle processor; {self.in_flight} frame(s) "
+                "still in flight"
+            )
         parked: dict[int, StreamResult | FrameFailure] = {}
-        next_index = self._submitted  # results of *this* map call
         for frame in frames:
             while self.in_flight >= self.slots:
-                result = self._next_delivery(timeout)
-                parked[result.index] = result
+                outcome = self._next_delivery(timeout)
+                parked[outcome.index] = outcome
             self.submit(frame, timeout=timeout)
-            while next_index in parked:
-                yield parked.pop(next_index)
-                next_index += 1
-        while self.in_flight or parked:
-            while next_index in parked:
-                yield parked.pop(next_index)
-                next_index += 1
-            if self.in_flight:
-                result = self._next_delivery(timeout)
-                parked[result.index] = result
+            yield from self._in_order(parked)
+        yield from self._ordered(parked, timeout)
 
     def drain(self, timeout: float | None = None) -> int:
         """Sweep recovery until every ring slot is free; returns the count.
@@ -847,27 +763,13 @@ class StreamingProcessor:
         behind, and those only return to the free list through
         supervision sweeps.  ``timeout`` bounds the wait (zombies expire
         after the policy's ``reclaim_grace_seconds`` at the latest).
-        Unsupervised streams return the current count immediately.
         """
-        sup = self._supervisor
-        if sup is None:
-            return self._ring.free_slots
         deadline = None if timeout is None else time.monotonic() + timeout
         while self._ring.free_slots < self.slots:
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
+            wait = self._supervise(deadline)
+            if wait is None or self._ring.free_slots >= self.slots:
                 break
-            self._poll_worker_health(sup, now)
-            self._execute_supervision(sup, now)
-            if self._ring.free_slots >= self.slots:
-                break
-            wait = sup.policy.poll_interval_seconds
-            wakeup = sup.next_wakeup(now)
-            if wakeup is not None:
-                wait = min(wait, max(wakeup - now, 0.0))
-            if deadline is not None:
-                wait = min(wait, deadline - now)
-            time.sleep(max(wait, 0.001))
+            time.sleep(wait)
         return self._ring.free_slots
 
     # -- observability ----------------------------------------------------
@@ -878,8 +780,8 @@ class StreamingProcessor:
         Worker snapshots are cumulative per worker process, so only the
         latest one per PID is merged; counters and histograms add across
         workers and gauges keep the maximum (every gauge the pipeline
-        emits is a high-water mark).  Supervised streams contribute their
-        recovery counters through the driver registry.  Returns ``None``
+        emits is a high-water mark).  The recovery counters ride in the
+        driver registry.  Returns ``None``
         when the processor runs unprobed.
         """
         if self.probe is None:
@@ -922,25 +824,19 @@ class StreamingProcessor:
 
 
 def stream_frames(
-    config: ArchitectureConfig,
-    kernel: WindowKernel,
+    spec: EngineSpec,
     frames: Iterable[np.ndarray],
     *,
     workers: int | None = None,
     slots: int | None = None,
-    recirculate: bool = True,
-    fast_path: bool | None = None,
     probe: Probe | None = None,
     supervision: SupervisionPolicy | None = None,
 ) -> list[StreamResult | FrameFailure]:
     """One-shot convenience: stream ``frames`` and return ordered results."""
     with StreamingProcessor(
-        config,
-        kernel,
+        spec,
         workers=workers,
         slots=slots,
-        recirculate=recirculate,
-        fast_path=fast_path,
         probe=probe,
         supervision=supervision,
     ) as proc:

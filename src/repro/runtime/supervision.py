@@ -1,12 +1,12 @@
 """Frame supervision: deadlines, retries, reclamation, degradation.
 
-The PR 3 streaming runtime assumed cooperative workers: a SIGKILLed
-worker silently dropped its in-hand frame, ``results()`` blocked forever
-on a completion that would never come, and the frame's ring slot was
-orphaned until the ring starved.  This module is the recovery brain that
-removes that failure mode.  It is deliberately *pure state machine*: the
-supervisor never touches the pool, the ring or the clock on its own —
-:class:`~repro.runtime.streaming.StreamingProcessor` feeds it events and
+A streaming worker can die mid-frame (its in-hand frame never reports and
+its ring slot is orphaned), raise, or have its result lost on the way
+back.  This module is the recovery brain every
+:class:`~repro.runtime.streaming.StreamingProcessor` runs under, so that
+none of those faults turns into a hang or a starved ring.  It is
+deliberately *pure state machine*: the supervisor never touches the pool,
+the ring or the clock on its own — the processor feeds it events and
 timestamps and executes the :func:`FrameSupervisor.actions` it emits, so
 every recovery decision is unit-testable without spawning a process.
 
@@ -54,13 +54,10 @@ FAILURE_REASONS: tuple[str, ...] = ("poison", "pool-unrecoverable")
 
 @dataclass(frozen=True, slots=True)
 class SupervisionPolicy:
-    """The recovery knobs of one supervised stream.
+    """The recovery knobs of one stream.
 
     Parameters
     ----------
-    enabled:
-        ``False`` reproduces the unsupervised PR 3 behaviour exactly
-        (modulo the ``timeout=`` escape hatch on the result iterators).
     deadline_seconds:
         Per-attempt deadline.  ``None`` (the default) disables deadline
         sweeps — worker death is still detected by process polling, but
@@ -81,12 +78,11 @@ class SupervisionPolicy:
     reclaim_grace_seconds:
         How long a delivered frame's slot stays zombie-quarantined
         waiting for stale attempts that may never report.
-    respawn_pool, max_pool_respawns:
-        Whether and how often a structurally broken pool is re-forked
-        before the stream degrades to inline-only.
+    max_pool_respawns:
+        How often a structurally broken pool is re-forked before the
+        stream degrades to inline-only (``0``: degrade at once).
     """
 
-    enabled: bool = True
     deadline_seconds: float | None = None
     max_attempts: int = 3
     backoff_base_seconds: float = 0.05
@@ -95,7 +91,6 @@ class SupervisionPolicy:
     degrade_inline: bool = True
     poll_interval_seconds: float = 0.05
     reclaim_grace_seconds: float = 2.0
-    respawn_pool: bool = True
     max_pool_respawns: int = 2
 
     def __post_init__(self) -> None:
@@ -128,11 +123,6 @@ class SupervisionPolicy:
                 f"max_pool_respawns must be >= 0, got {self.max_pool_respawns}"
             )
 
-    @classmethod
-    def disabled(cls) -> "SupervisionPolicy":
-        """A policy that turns supervision off entirely."""
-        return cls(enabled=False)
-
     def backoff(self, attempt: int) -> float:
         """Delay before pool attempt ``attempt`` (1-based retry index)."""
         exponent = max(attempt - 1, 0)
@@ -162,7 +152,7 @@ class FrameFailure:
 
 @dataclass(slots=True)
 class SupervisorStats:
-    """Recovery event counters of one supervised stream (all cumulative)."""
+    """Recovery event counters of one stream (all cumulative)."""
 
     worker_deaths: int = 0
     retries: int = 0
@@ -272,12 +262,12 @@ INLINE_ATTEMPT: int = -1
 
 
 class FrameSupervisor:
-    """Pure recovery state machine for one supervised stream.
+    """Pure recovery state machine for one stream.
 
     The driver is the only caller and the only clock source — every
     method takes ``now`` explicitly so deterministic tests can replay
     exact schedules.  Recovery counters are mirrored into ``stats`` and,
-    when a probe is attached, into the PR 4 metrics registry.
+    when a probe is attached, into its metrics registry.
     """
 
     def __init__(

@@ -193,10 +193,6 @@ def process_slot(task: FrameTask) -> FrameResult | FrameError:
             raise RuntimeError("worker used before initialize_worker ran")
         engine, spec = _engine(blob)
         apply_worker_chaos(spec.chaos, task.index, task.attempt)
-        if spec.delay_by_index is not None and task.index < len(
-            spec.delay_by_index
-        ):
-            time.sleep(spec.delay_by_index[task.index])
         frame = np.asarray(_RING.input_view(task.slot))
         t0 = time.perf_counter()
         run = engine.run(frame)

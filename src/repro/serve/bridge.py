@@ -115,6 +115,10 @@ class FrameBridge:
             if stop and not self._in_flight:
                 break
             if not self._in_flight:
+                if proc.free_slots < proc.slots:
+                    # Slots a recovered frame left quarantined come back
+                    # only through supervision sweeps: run them while idle.
+                    proc.drain(timeout=self._poll_seconds)
                 # Nothing on the ring: block on the queue instead of
                 # spinning, waking periodically to notice close().
                 try:

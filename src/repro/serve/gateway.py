@@ -41,6 +41,7 @@ from ..kernels import BoxFilterKernel
 from ..observability.export import write_prometheus
 from ..observability.metrics import MetricsRegistry
 from ..observability.probe import MetricsProbe
+from ..resilience.chaos import ChaosSpec
 from ..runtime.streaming import StreamingProcessor, StreamResult
 from ..runtime.supervision import FrameFailure, SupervisionPolicy
 from ..spec import EngineSpec
@@ -90,9 +91,9 @@ class GatewayConfig:
     #: Warm frames run through the pool before accepting (``None``: one
     #: per worker).
     warm_frames: int | None = None
-    #: Test/bench knob — per-frame-index worker-side sleep seconds,
-    #: forwarded to the base :class:`~repro.spec.EngineSpec`.
-    delay_by_index: tuple[float, ...] | None = None
+    #: Injected process-level faults, forwarded to the base
+    #: :class:`~repro.spec.EngineSpec` (tests and chaos runs; no CLI flag).
+    chaos: ChaosSpec | None = None
 
     def __post_init__(self) -> None:
         if self.request_timeout_seconds <= 0:
@@ -146,7 +147,7 @@ class FrameGateway:
             kernel=BoxFilterKernel(config.window),
             engine=config.engine,
             codec=config.codec,
-            delay_by_index=config.delay_by_index,
+            chaos=config.chaos,
             probe=True,
         )
         self.spec_cache = SpecCache(
@@ -185,7 +186,7 @@ class FrameGateway:
         t0 = time.perf_counter()
         resolve_codec(self.config.codec)
         spec, _ = self.spec_cache.resolve(None)
-        processor = StreamingProcessor.from_spec(
+        processor = StreamingProcessor(
             spec,
             workers=self.config.workers,
             slots=self.config.slots,

@@ -69,9 +69,6 @@ class EngineSpec:
         :class:`~repro.observability.probe.MetricsProbe` (unless the
         caller passes its own), so remote workers can be instrumented by
         flag instead of by pickling a registry.
-    delay_by_index:
-        Streaming test/bench knob — per-frame-index seconds a worker
-        sleeps before processing (exercises out-of-order completion).
     chaos:
         Optional :class:`~repro.resilience.chaos.ChaosSpec` of injected
         process-level faults (worker kills/raises/delays, dropped
@@ -98,7 +95,6 @@ class EngineSpec:
     fault_policy: str = "degrade"
     fast_path: bool | None = None
     probe: bool = False
-    delay_by_index: tuple[float, ...] | None = None
     chaos: ChaosSpec | None = None
     codec: str = "auto"
 

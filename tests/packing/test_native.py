@@ -284,7 +284,7 @@ class TestFallback:
             inline = CompressedEngine(config, kernel, codec="native")
         assert inline.codec_resolved == "numpy"
         expected = [inline.run(f).outputs for f in frames]
-        with StreamingProcessor.from_spec(spec, workers=2) as proc:
+        with StreamingProcessor(spec, workers=2) as proc:
             results = list(proc.map(frames))
         assert len(results) == len(expected)
         for got, want in zip(results, expected):

@@ -17,6 +17,7 @@ import pytest
 from repro import ArchitectureConfig, CompressedEngine
 from repro.errors import CapacityError, ConfigError, StateError
 from repro.kernels import BoxFilterKernel
+from repro.resilience import ChaosSpec
 from repro.runtime import StreamingProcessor, stream_frames
 from repro.runtime.worker import (
     FrameTask,
@@ -39,6 +40,17 @@ def make_config(threshold: int = 0) -> ArchitectureConfig:
     )
 
 
+def make_spec(threshold: int = 0, **overrides) -> EngineSpec:
+    return EngineSpec(
+        config=make_config(threshold), kernel=BoxFilterKernel(WINDOW), **overrides
+    )
+
+
+def slow_spec(delay_on: tuple[int, ...], seconds: float) -> EngineSpec:
+    """Frames in ``delay_on`` sleep ``seconds`` in their worker first."""
+    return make_spec(chaos=ChaosSpec(delay_on=delay_on, delay_seconds=seconds))
+
+
 def make_frames(rng, n: int) -> list[np.ndarray]:
     return [random_image(rng, RES, RES).astype(np.int64) for _ in range(n)]
 
@@ -53,7 +65,7 @@ class TestBitIdentical:
         engine = CompressedEngine(config, kernel, recirculate=recirculate)
         expected = [engine.run(f) for f in frames]
         results = stream_frames(
-            config, kernel, frames, workers=2, recirculate=recirculate
+            make_spec(threshold, recirculate=recirculate), frames, workers=2
         )
         assert [r.index for r in results] == [0, 1, 2, 3]
         for res, exp in zip(results, expected):
@@ -68,7 +80,7 @@ class TestBitIdentical:
             i: CompressedEngine(config, kernel).run(f).outputs
             for i, f in enumerate(frames)
         }
-        with StreamingProcessor(config, kernel, workers=2) as proc:
+        with StreamingProcessor(make_spec(), workers=2) as proc:
             for frame in frames:
                 proc.submit(frame, timeout=60)
             seen = {r.index: r.outputs for r in proc.as_completed()}
@@ -81,15 +93,9 @@ class TestOrdering:
     def test_slow_first_frame_shuffles_completion_not_results(self, rng):
         # Frame 0 sleeps in its worker, so frames 1 and 2 complete first;
         # results() must still yield 0, 1, 2.
-        config = make_config()
-        kernel = BoxFilterKernel(WINDOW)
         frames = make_frames(rng, 3)
         with StreamingProcessor(
-            config,
-            kernel,
-            workers=2,
-            slots=3,
-            delay_by_index=(0.6, 0.0, 0.0),
+            slow_spec((0,), 0.6), workers=2, slots=3
         ) as proc:
             for frame in frames:
                 proc.submit(frame, timeout=60)
@@ -97,15 +103,9 @@ class TestOrdering:
         assert ordered == [0, 1, 2]
 
     def test_slow_first_frame_completes_last_in_as_completed(self, rng):
-        config = make_config()
-        kernel = BoxFilterKernel(WINDOW)
         frames = make_frames(rng, 3)
         with StreamingProcessor(
-            config,
-            kernel,
-            workers=2,
-            slots=3,
-            delay_by_index=(0.6, 0.0, 0.0),
+            slow_spec((0,), 0.6), workers=2, slots=3
         ) as proc:
             for frame in frames:
                 proc.submit(frame, timeout=60)
@@ -113,18 +113,39 @@ class TestOrdering:
         assert completion[-1] == 0
         assert sorted(completion) == [0, 1, 2]
 
+    @pytest.mark.timeout(20)
+    def test_results_after_as_completed_took_a_later_frame(self, rng):
+        # as_completed() hands out frame 1 while frame 0 still sleeps;
+        # results() must then deliver frame 0 and stop instead of waiting
+        # for a turn counter that frame 1 already used up.
+        frames = make_frames(rng, 2)
+        with StreamingProcessor(
+            slow_spec((0,), 0.6), workers=2, slots=2
+        ) as proc:
+            for frame in frames:
+                proc.submit(frame, timeout=30)
+            assert next(proc.as_completed(timeout=30)).index == 1
+            rest = [r.index for r in proc.results(timeout=30)]
+            assert rest == [0]
+            assert proc.in_flight == 0
+
+    @pytest.mark.timeout(20)
+    def test_map_on_a_busy_processor_raises_instead_of_hanging(self, rng):
+        frames = make_frames(rng, 2)
+        with StreamingProcessor(make_spec(), workers=1, slots=2) as proc:
+            proc.submit(frames[0], timeout=30)
+            with pytest.raises(StateError, match="idle"):
+                list(proc.map([frames[1]], timeout=30))
+            # The earlier frame is left for its own consumer.
+            assert [r.index for r in proc.results(timeout=30)] == [0]
+            assert [r.index for r in proc.map([frames[1]], timeout=30)] == [1]
+
 
 class TestBackpressure:
     def test_submit_times_out_when_ring_is_full(self, rng):
-        config = make_config()
-        kernel = BoxFilterKernel(WINDOW)
         frames = make_frames(rng, 3)
         with StreamingProcessor(
-            config,
-            kernel,
-            workers=1,
-            slots=2,
-            delay_by_index=(0.6, 0.6, 0.6),
+            slow_spec((0, 1, 2), 0.6), workers=1, slots=2
         ) as proc:
             proc.submit(frames[0], timeout=60)
             proc.submit(frames[1], timeout=60)
@@ -136,10 +157,8 @@ class TestBackpressure:
             list(proc.as_completed())
 
     def test_map_never_exceeds_the_slot_budget(self, rng):
-        config = make_config()
-        kernel = BoxFilterKernel(WINDOW)
         frames = make_frames(rng, 8)
-        with StreamingProcessor(config, kernel, workers=2, slots=3) as proc:
+        with StreamingProcessor(make_spec(), workers=2, slots=3) as proc:
             results = list(proc.map(frames))
             assert [r.index for r in results] == list(range(8))
             assert proc.in_flight_peak <= 3
@@ -147,30 +166,26 @@ class TestBackpressure:
 
 class TestValidation:
     def test_wrong_frame_shape_rejected(self, rng):
-        config = make_config()
-        with StreamingProcessor(config, BoxFilterKernel(WINDOW), workers=1) as proc:
+        with StreamingProcessor(make_spec(), workers=1) as proc:
             with pytest.raises(ConfigError, match="shape"):
                 proc.submit(np.zeros((RES, RES + 2), dtype=np.int64))
 
     def test_float_frames_rejected(self, rng):
-        config = make_config()
-        with StreamingProcessor(config, BoxFilterKernel(WINDOW), workers=1) as proc:
+        with StreamingProcessor(make_spec(), workers=1) as proc:
             with pytest.raises(ConfigError, match="integer"):
                 proc.submit(np.zeros((RES, RES), dtype=np.float64))
 
     def test_submit_after_close_rejected(self, rng):
-        config = make_config()
-        proc = StreamingProcessor(config, BoxFilterKernel(WINDOW), workers=1)
+        proc = StreamingProcessor(make_spec(), workers=1)
         proc.close()
         with pytest.raises(StateError):
             proc.submit(np.zeros((RES, RES), dtype=np.int64))
 
     def test_invalid_worker_and_slot_counts(self):
-        config = make_config()
         with pytest.raises(ConfigError):
-            StreamingProcessor(config, BoxFilterKernel(WINDOW), workers=0)
+            StreamingProcessor(make_spec(), workers=0)
         with pytest.raises(ConfigError):
-            StreamingProcessor(config, BoxFilterKernel(WINDOW), workers=1, slots=0)
+            StreamingProcessor(make_spec(), workers=1, slots=0)
 
 
 class TestWorkerCache:
@@ -281,7 +296,7 @@ class TestTaskSpecOverrides:
             (spec if spec is not None else base).build().run(frame).outputs
             for spec, frame in zip(tenants, frames)
         ]
-        with StreamingProcessor.from_spec(base, workers=2) as proc:
+        with StreamingProcessor(base, workers=2) as proc:
             for spec, frame in zip(tenants, frames):
                 proc.submit(frame, timeout=60, spec=spec)
             results = list(proc.results(timeout=60))
@@ -306,7 +321,7 @@ class TestTaskSpecOverrides:
             kernel=BoxFilterKernel(WINDOW // 2),
         )
         frame = random_image(rng, RES, RES).astype(np.int64)
-        with StreamingProcessor.from_spec(base, workers=1) as proc:
+        with StreamingProcessor(base, workers=1) as proc:
             with pytest.raises(ConfigError, match="frame shape"):
                 proc.submit(frame, timeout=10, spec=other_geometry)
             with pytest.raises(ConfigError, match="output shape"):
@@ -318,17 +333,11 @@ class TestTaskSpecOverrides:
 class TestDrainAndTimeoutSaturated:
     """The admission-control edge: a ring full of slow frames."""
 
-    def _slow_spec(self, delays: int, seconds: float = 0.4) -> EngineSpec:
-        return EngineSpec(
-            config=make_config(),
-            kernel=BoxFilterKernel(WINDOW),
-            delay_by_index=(seconds,) * delays,
-        )
-
     def test_results_timeout_raises_while_ring_saturated(self, rng):
-        spec = self._slow_spec(2)
         frames = make_frames(rng, 2)
-        with StreamingProcessor.from_spec(spec, workers=1, slots=2) as proc:
+        with StreamingProcessor(
+            slow_spec((0, 1), 0.4), workers=1, slots=2
+        ) as proc:
             for frame in frames:
                 proc.submit(frame, timeout=30)
             assert proc.free_slots == 0  # saturated
@@ -341,9 +350,10 @@ class TestDrainAndTimeoutSaturated:
             assert proc.drain(timeout=10) == proc.slots
 
     def test_drain_timeout_returns_early_while_saturated(self, rng):
-        spec = self._slow_spec(2)
         frames = make_frames(rng, 2)
-        with StreamingProcessor.from_spec(spec, workers=1, slots=2) as proc:
+        with StreamingProcessor(
+            slow_spec((0, 1), 0.4), workers=1, slots=2
+        ) as proc:
             for frame in frames:
                 proc.submit(frame, timeout=30)
             # Results not consumed yet: drain cannot free the in-flight
@@ -357,9 +367,10 @@ class TestDrainAndTimeoutSaturated:
             assert proc.drain(timeout=10) == proc.slots
 
     def test_poll_returns_none_then_delivers(self, rng):
-        spec = self._slow_spec(1)
         frames = make_frames(rng, 2)
-        with StreamingProcessor.from_spec(spec, workers=1, slots=2) as proc:
+        with StreamingProcessor(
+            slow_spec((0,), 0.4), workers=1, slots=2
+        ) as proc:
             assert proc.poll(0.01) is None  # nothing in flight
             for frame in frames:
                 proc.submit(frame, timeout=30)

@@ -26,6 +26,10 @@ def config() -> ArchitectureConfig:
     return ArchitectureConfig(image_width=32, image_height=32, window_size=8)
 
 
+def spec_of(config: ArchitectureConfig) -> EngineSpec:
+    return EngineSpec(config=config, kernel=BoxFilterKernel(8))
+
+
 def frames_of(rng, n: int) -> list[np.ndarray]:
     return [random_image(rng, 32, 32, smooth=True) for _ in range(n)]
 
@@ -39,12 +43,10 @@ def counter_value(snapshot: dict, name: str) -> float:
 class TestProbedStreaming:
     def test_probe_on_off_bit_identical(self, rng, config):
         frames = frames_of(rng, 4)
-        with StreamingProcessor(
-            config, BoxFilterKernel(8), workers=2
-        ) as plain:
+        with StreamingProcessor(spec_of(config), workers=2) as plain:
             expected = [r.outputs for r in plain.map(frames)]
         with StreamingProcessor(
-            config, BoxFilterKernel(8), workers=2, probe=MetricsProbe()
+            spec_of(config), workers=2, probe=MetricsProbe()
         ) as probed:
             got = [r.outputs for r in probed.map(frames)]
             snapshot = probed.metrics_snapshot()
@@ -54,7 +56,7 @@ class TestProbedStreaming:
     def test_snapshot_counts_every_frame_once(self, rng, config):
         n = 6
         with StreamingProcessor(
-            config, BoxFilterKernel(8), workers=2, probe=MetricsProbe()
+            spec_of(config), workers=2, probe=MetricsProbe()
         ) as proc:
             results = list(proc.map(frames_of(rng, n)))
             snapshot = proc.metrics_snapshot()
@@ -71,7 +73,7 @@ class TestProbedStreaming:
 
     def test_results_carry_worker_attribution(self, rng, config):
         with StreamingProcessor(
-            config, BoxFilterKernel(8), workers=2, probe=MetricsProbe()
+            spec_of(config), workers=2, probe=MetricsProbe()
         ) as proc:
             results = list(proc.map(frames_of(rng, 4)))
         for r in results:
@@ -79,15 +81,14 @@ class TestProbedStreaming:
             assert r.seconds >= 0.0
 
     def test_unprobed_snapshot_is_none(self, rng, config):
-        with StreamingProcessor(config, BoxFilterKernel(8), workers=1) as proc:
+        with StreamingProcessor(spec_of(config), workers=1) as proc:
             list(proc.map(frames_of(rng, 2)))
             assert proc.metrics_snapshot() is None
 
     def test_from_spec_with_probe_instruments_workers(self, rng, config):
-        spec = EngineSpec(config=config, kernel=BoxFilterKernel(8))
         probe = MetricsProbe()
-        with StreamingProcessor.from_spec(
-            spec, workers=1, probe=probe
+        with StreamingProcessor(
+            spec_of(config), workers=1, probe=probe
         ) as proc:
             assert proc.spec.probe  # flag set so workers build probed engines
             list(proc.map(frames_of(rng, 2)))

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro import ArchitectureConfig, CompressedEngine
-from repro.errors import ChaosError, ConfigError, WorkerError
+from repro.errors import ChaosError, ConfigError
 from repro.kernels import BoxFilterKernel
 from repro.observability import MetricsProbe
 from repro.resilience import ChaosSpec
@@ -79,9 +79,6 @@ class TestPolicy:
         assert policy.backoff(3) == pytest.approx(0.4)
         assert policy.backoff(4) == pytest.approx(0.5)  # capped
         assert policy.backoff(9) == pytest.approx(0.5)
-
-    def test_disabled_factory(self):
-        assert SupervisionPolicy.disabled().enabled is False
 
     @pytest.mark.parametrize(
         "bad",
@@ -256,7 +253,7 @@ class TestKillRecovery:
             config=config, kernel=kernel, chaos=ChaosSpec(kill_on=(3,))
         )
         probe = MetricsProbe()
-        with StreamingProcessor.from_spec(
+        with StreamingProcessor(
             spec, workers=2, probe=probe, supervision=fast_policy()
         ) as proc:
             results = list(proc.map(frames, timeout=30.0))
@@ -265,7 +262,6 @@ class TestKillRecovery:
                 assert isinstance(r, StreamResult)
                 assert np.array_equal(r.outputs, expected[r.index])
             stats = proc.supervisor_stats
-            assert stats is not None
             assert stats.worker_deaths >= 1
             assert stats.retries + stats.degraded >= 1
             # Ring capacity is restored once zombie slots drain.
@@ -285,7 +281,7 @@ class TestKillRecovery:
         spec = EngineSpec(
             config=config, kernel=kernel, chaos=ChaosSpec(kill_on=(1,))
         )
-        with StreamingProcessor.from_spec(
+        with StreamingProcessor(
             spec, workers=2, supervision=fast_policy()
         ) as proc:
             results = {r.index: r for r in proc.map(frames, timeout=30.0)}
@@ -302,7 +298,7 @@ class TestRaiseRecovery:
         spec = EngineSpec(
             config=config, kernel=kernel, chaos=ChaosSpec(raise_on=(0, 4))
         )
-        with StreamingProcessor.from_spec(
+        with StreamingProcessor(
             spec, workers=2, supervision=fast_policy()
         ) as proc:
             results = list(proc.map(frames, timeout=30.0))
@@ -311,21 +307,6 @@ class TestRaiseRecovery:
         for r in results:
             assert np.array_equal(r.outputs, expected[r.index])
         assert stats.retries >= 2
-
-    def test_unsupervised_worker_exception_raises_worker_error(self, rng):
-        config = make_config()
-        kernel = BoxFilterKernel(WINDOW)
-        spec = EngineSpec(
-            config=config, kernel=kernel, chaos=ChaosSpec(raise_on=(0,))
-        )
-        with StreamingProcessor.from_spec(
-            spec, workers=1, supervision=SupervisionPolicy.disabled()
-        ) as proc:
-            proc.submit(make_frames(rng, 1)[0], timeout=30.0)
-            with pytest.raises(WorkerError, match="ChaosError"):
-                list(proc.as_completed(timeout=30.0))
-            # The failed frame's slot was handed back, not leaked.
-            assert proc.free_slots == proc.slots
 
 
 class TestPoisonFrames:
@@ -337,7 +318,7 @@ class TestPoisonFrames:
         spec = EngineSpec(
             config=config, kernel=kernel, chaos=ChaosSpec(raise_always_on=(2,))
         )
-        with StreamingProcessor.from_spec(
+        with StreamingProcessor(
             spec, workers=2, supervision=fast_policy(max_attempts=2)
         ) as proc:
             results = list(proc.map(frames, timeout=30.0))
@@ -358,7 +339,7 @@ class TestPoisonFrames:
         spec = EngineSpec(
             config=config, kernel=kernel, chaos=ChaosSpec(raise_always_on=(2,))
         )
-        with StreamingProcessor.from_spec(
+        with StreamingProcessor(
             spec,
             workers=2,
             supervision=fast_policy(max_attempts=2, degrade_inline=False),
@@ -386,7 +367,7 @@ class TestDropRecovery:
         spec = EngineSpec(
             config=config, kernel=kernel, chaos=ChaosSpec(drop_on=(1,))
         )
-        with StreamingProcessor.from_spec(
+        with StreamingProcessor(
             spec,
             workers=2,
             supervision=fast_policy(deadline_seconds=0.4),
@@ -401,33 +382,16 @@ class TestDropRecovery:
 
 
 class TestTimeouts:
-    def test_unsupervised_kill_raises_timeout_instead_of_hanging(self, rng):
-        # The pre-supervision failure mode, made finite: with supervision
-        # off and a worker SIGKILLed, the result iterator must honour
-        # timeout= instead of blocking forever.
-        config = make_config()
-        kernel = BoxFilterKernel(WINDOW)
-        spec = EngineSpec(
-            config=config, kernel=kernel, chaos=ChaosSpec(kill_on=(0,))
-        )
-        with StreamingProcessor.from_spec(
-            spec, workers=1, supervision=SupervisionPolicy.disabled()
-        ) as proc:
-            proc.submit(make_frames(rng, 1)[0], timeout=30.0)
-            with pytest.raises(TimeoutError):
-                list(proc.as_completed(timeout=0.5))
-
     def test_supervised_results_timeout_is_honoured(self, rng):
         # An undeliverable wait (nothing submitted completes within the
         # window) must raise TimeoutError from the supervised loop too.
-        config = make_config()
-        kernel = BoxFilterKernel(WINDOW)
+        spec = EngineSpec(
+            config=make_config(),
+            kernel=BoxFilterKernel(WINDOW),
+            chaos=ChaosSpec(delay_on=(0,), delay_seconds=1.5),
+        )
         with StreamingProcessor(
-            config,
-            kernel,
-            workers=1,
-            delay_by_index=(1.5,),
-            supervision=fast_policy(),
+            spec, workers=1, supervision=fast_policy()
         ) as proc:
             proc.submit(make_frames(rng, 1)[0], timeout=30.0)
             with pytest.raises(TimeoutError):
@@ -444,10 +408,9 @@ class TestInlineFallback:
         frames = make_frames(rng, 4)
         expected = expected_outputs(config, kernel, frames)
         with StreamingProcessor(
-            config,
-            kernel,
+            EngineSpec(config=config, kernel=kernel),
             workers=2,
-            supervision=fast_policy(respawn_pool=False),
+            supervision=fast_policy(max_pool_respawns=0),
         ) as proc:
             # Every pool submission fails structurally from the start.
             def broken(*args, **kwargs):
@@ -469,8 +432,7 @@ class TestInlineFallback:
         frames = make_frames(rng, 2)
         expected = expected_outputs(config, kernel, frames)
         with StreamingProcessor(
-            config,
-            kernel,
+            EngineSpec(config=config, kernel=kernel),
             workers=1,
             supervision=fast_policy(max_pool_respawns=1),
         ) as proc:
@@ -505,7 +467,7 @@ class TestRingIntegrity:
         spec = EngineSpec(
             config=config, kernel=kernel, chaos=ChaosSpec(kill_on=(0,))
         )
-        proc = StreamingProcessor.from_spec(
+        proc = StreamingProcessor(
             spec, workers=2, supervision=fast_policy()
         )
         shm_name = proc._ring.spec.name.lstrip("/")

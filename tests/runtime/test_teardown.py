@@ -20,12 +20,13 @@ REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 #: Exits mid-stream: frames submitted, none consumed, no close() call.
 _BUSY_EXIT_SCRIPT = """
 import numpy as np
-from repro import ArchitectureConfig
+from repro import ArchitectureConfig, EngineSpec
 from repro.kernels import BoxFilterKernel
 from repro.runtime import StreamingProcessor
 
 config = ArchitectureConfig(image_width=32, image_height=32, window_size=8)
-proc = StreamingProcessor(config, BoxFilterKernel(8), workers=2)
+spec = EngineSpec(config=config, kernel=BoxFilterKernel(8))
+proc = StreamingProcessor(spec, workers=2)
 print("SHM_NAME", proc._ring.spec.name, flush=True)
 rng = np.random.default_rng(0)
 for _ in range(3):
@@ -69,12 +70,13 @@ def test_exit_with_busy_ring_leaks_nothing():
 def test_clean_close_is_idempotent_under_atexit():
     script = """
 import numpy as np
-from repro import ArchitectureConfig
+from repro import ArchitectureConfig, EngineSpec
 from repro.kernels import BoxFilterKernel
 from repro.runtime import StreamingProcessor
 
 config = ArchitectureConfig(image_width=32, image_height=32, window_size=8)
-with StreamingProcessor(config, BoxFilterKernel(8), workers=1) as proc:
+spec = EngineSpec(config=config, kernel=BoxFilterKernel(8))
+with StreamingProcessor(spec, workers=1) as proc:
     frame = np.arange(32 * 32, dtype=np.int64).reshape(32, 32) % 251
     results = list(proc.map([frame]))
     assert len(results) == 1

@@ -22,6 +22,7 @@ from hypothesis.extra import numpy as npst
 from repro import ArchitectureConfig
 from repro.imaging import generate_scene
 from repro.kernels import BoxFilterKernel
+from repro.resilience import ChaosSpec
 from repro.serve import (
     GatewayConfig,
     GatewayThread,
@@ -240,7 +241,9 @@ class TestAdmissionControl:
             slots=1,
             max_in_flight=2,
             # Index 0 is the warm frame; every later frame crawls.
-            delay_by_index=(0.0,) + (self.DELAY,) * 499,
+            chaos=ChaosSpec(
+                delay_on=tuple(range(1, 500)), delay_seconds=self.DELAY
+            ),
         )
         with GatewayThread(config) as gw:
             yield gw
@@ -324,7 +327,10 @@ class TestDeadline:
             workers=1,
             warm_frames=0,
             request_timeout_seconds=0.4,
-            delay_by_index=(1.5,),
+            # The 0.4 s deadline retries the frame: every attempt sleeps.
+            chaos=ChaosSpec(
+                delay_on=(0,), delay_seconds=1.5, delay_attempts=10
+            ),
         )
         with GatewayThread(config) as gw:
             frame = generate_scene(seed=3, resolution=24).astype(np.int64)
@@ -338,3 +344,36 @@ class TestDeadline:
             assert elapsed < 1.4
             _, _, health = request(gw, "GET", "/healthz")
             assert json.loads(health)["timeouts"] == 1
+
+
+class TestChaos:
+    def test_killed_worker_still_answers_and_frees_its_slot(self):
+        """Frame 1, the first after the single warm frame, SIGKILLs its
+        worker: the client still gets a 200 with the sequential pixels,
+        and the ring gets every slot back once the dead attempt's
+        quarantine expires."""
+        config = GatewayConfig(
+            port=0,
+            resolution=RES,
+            window=WINDOW,
+            workers=1,
+            slots=2,
+            chaos=ChaosSpec(kill_on=(1,)),
+        )
+        frame = generate_scene(seed=5, resolution=RES).astype(np.int64)
+        with GatewayThread(config) as gw:
+            status, _, payload = post_frame(gw, frame)
+            assert status == 200
+            assert payload["outputs_b64"] == encode_array(
+                sequential_outputs(frame)
+            )
+            assert payload["attempts"] >= 2 or payload["degraded"]
+            deadline = time.monotonic() + 20.0
+            while True:
+                _, _, body = request(gw, "GET", "/healthz")
+                health = json.loads(body)
+                if health["free_slots"] == 2 or time.monotonic() > deadline:
+                    break
+                time.sleep(0.1)
+            assert health["free_slots"] == 2
+            assert health["errors"] == 0

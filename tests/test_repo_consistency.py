@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
@@ -71,6 +73,28 @@ class TestBenchHygiene:
                 marker in source
                 for marker in ("report(", "assert", "run_bram_table", "run_resource_table")
             ), bench.name
+
+
+class TestBenchmarkSpans:
+    def test_every_span_owner_resolves(self):
+        """``perfbench/spans.py`` wraps program names from outside, by
+        string: a rename under ``src/`` must fail here rather than drop
+        a layer from the benchmark's traces."""
+        path = ROOT / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        assert spec is not None and spec.loader is not None
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        layers = spans.IN_PROCESS_LAYERS + spans.SERVE_LAYERS
+        assert layers
+        for owner, attribute, layer in layers:
+            module_name, _, class_name = owner.partition(":")
+            target = importlib.import_module(module_name)
+            if class_name:
+                target = getattr(target, class_name)
+            assert callable(getattr(target, attribute, None)), (
+                f"{layer}: {owner}.{attribute} does not resolve"
+            )
 
 
 class TestStaticAnalysis:
