@@ -28,8 +28,8 @@ from ..core.stats import (
 )
 from ..core.transform.haar2d import Subbands
 from ..core.transform.lifting import WAVELETS
-from ..core.packing.bitmap import apply_threshold
 from ..core.packing.nbits import bit_widths_signed, min_bits_signed
+from ..core.packing.packer import band_widths, threshold_and_size
 from ..errors import ConfigError
 from ..hardware.bram import BRAM_CAPACITY_BITS
 from ..hardware.device import XC7Z020
@@ -661,13 +661,8 @@ def fig11_mapping_options() -> Fig11Result:
 
 def _per_column_payload_bits(plane: np.ndarray, threshold: int) -> int:
     """Payload bits of an interleaved plane under per-column NBits coding."""
-    sig = apply_threshold(plane, threshold)
-    nbits_even = min_bits_signed(sig[0::2, :], axis=0)
-    nbits_odd = min_bits_signed(sig[1::2, :], axis=0)
-    parity = (np.arange(plane.shape[0]) % 2)[:, None]
-    per_element = np.where(parity == 0, nbits_even[None, :], nbits_odd[None, :])
-    widths = np.where(sig != 0, per_element, 0)
-    return int(widths.sum())
+    _, nbits, bitmap = threshold_and_size(plane, threshold)
+    return int(band_widths(nbits, bitmap).sum())
 
 
 @dataclass(frozen=True)

@@ -153,5 +153,10 @@ SUITE = Suite(
     name="stream",
     measure=measure_stream,
     default=StreamOptions(),
-    smoke=StreamOptions(resolution=128, window=8, frames=4, worker_counts=(1, 2)),
+    # threshold=4 puts the smoke frames on the sequential recirculating
+    # path (~40 ms each at 128^2) so the speedup floor measures the
+    # pipeline; a sub-millisecond lossless frame measures the host's IPC.
+    smoke=StreamOptions(
+        resolution=128, window=8, threshold=4, frames=4, worker_counts=(1, 2)
+    ),
 )

@@ -158,7 +158,7 @@ def stack_nbits(plane: np.ndarray) -> np.ndarray:
     """Per-parity NBits of a ``(T, N, W)`` interleaved int32 stack.
 
     The native form of the two per-parity :func:`min_bits_signed`
-    reductions in ``analyze_band_stack``; returns ``(T, 2, W)`` int64.
+    reductions in ``threshold_and_size``; returns ``(T, 2, W)`` int64.
     """
     arr = np.ascontiguousarray(plane, dtype=np.int32)
     if arr.ndim != 3:

@@ -4,7 +4,7 @@ The whole-band decode path lives in
 :meth:`repro.core.packing.packer.BandCodec.decode_band`; this module holds
 the single-column inverse of
 :func:`repro.core.packing.packer.pack_interleaved_column`, used by the
-cycle-level engine and the round-trip property tests.
+column round-trip property tests.
 """
 
 from __future__ import annotations

@@ -9,14 +9,15 @@ per-column / per-row compressed sizes:
 
 This module computes those quantities from a band's packed *widths* without
 materialising any payload bits, so whole-image sweeps at 2048x2048 stay
-cheap.  The bit-exact path (:class:`repro.core.packing.packer.EncodedBand`)
-produces identical numbers by construction — property-tested.
+cheap.  The sizing is the compressor's own threshold-and-size step
+(:func:`repro.core.packing.packer.threshold_and_size`), so the bit-stream
+codec (:class:`repro.core.packing.packer.BandCodec`) decodes exactly the
+plane analysed here — property-tested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -25,87 +26,31 @@ from ..config import ArchitectureConfig
 from ..errors import ConfigError
 from ..observability.probe import NULL_PROBE, Probe
 from .packing import native as native_codec
-from .packing.bitmap import apply_threshold
-from .packing.nbits import bit_widths_signed, min_bits_signed
+from .packing.packer import (
+    SUBBAND_PARITIES,
+    BandAccounting,
+    ll_exempt_mod,
+    threshold_and_size,
+)
 from .transform.haar2d import (
     forward_inplace,
     inverse_inplace,
     ll_dpcm_forward,
     ll_dpcm_inverse,
-    ll_mask_inplace,
 )
-
-#: (row parity, column parity) of each sub-band in the interleaved plane.
-SUBBAND_PARITIES: dict[str, tuple[int, int]] = {
-    "LL": (0, 0),
-    "HL": (0, 1),
-    "LH": (1, 0),
-    "HH": (1, 1),
-}
 
 
 @dataclass(frozen=True)
-class BandAnalysis:
-    """Compression analysis of one ``(N, W)`` band.
+class BandAnalysis(BandAccounting):
+    """Compression analysis of one ``(N, W)`` band or a ``(T, N, W)`` stack.
 
-    Holds the thresholded coefficient plane plus everything derivable from
-    it; the reconstruction is computed lazily.
+    The :class:`~repro.core.packing.packer.BandAccounting` of the bands
+    plus their thresholded coefficient plane; the reconstruction is
+    computed on request.
     """
 
-    config: ArchitectureConfig
+    #: Thresholded interleaved coefficient plane, shape ``(..., N, W)``.
     plane: np.ndarray
-    nbits: np.ndarray
-    bitmap: np.ndarray
-
-    @cached_property
-    def widths(self) -> np.ndarray:
-        """Per-coefficient packed widths, shape ``(N, W)``."""
-        parity = (np.arange(self.plane.shape[0]) % 2)[:, None]
-        per_element = np.where(
-            parity == 0, self.nbits[0][None, :], self.nbits[1][None, :]
-        )
-        return np.where(self.bitmap, per_element, 0)
-
-    # -- size properties ------------------------------------------------
-
-    @property
-    def payload_bits_per_column(self) -> np.ndarray:
-        """Packed payload bits contributed by each plane column."""
-        return self.widths.sum(axis=0)
-
-    @property
-    def payload_bits_per_row(self) -> np.ndarray:
-        """Packed payload bits in each of the N row streams."""
-        return self.widths.sum(axis=1)
-
-    @property
-    def payload_bits(self) -> int:
-        """Total packed payload bits of the band."""
-        return int(self.widths.sum())
-
-    @property
-    def management_bits_per_column(self) -> int:
-        """NBits fields plus bitmap bits per column."""
-        return 2 * self.config.nbits_field_width + self.plane.shape[0]
-
-    def subband_payload_bits(self) -> dict[str, int]:
-        """Payload bits split by sub-band."""
-        return {
-            name: int(self.widths[rp::2, cp::2].sum())
-            for name, (rp, cp) in SUBBAND_PARITIES.items()
-        }
-
-    def subband_payload_bits_per_column(self) -> dict[str, np.ndarray]:
-        """Per plane-column payload split by sub-band (zeros off-parity)."""
-        w = self.plane.shape[1]
-        out: dict[str, np.ndarray] = {}
-        for name, (rp, cp) in SUBBAND_PARITIES.items():
-            per_col = np.zeros(w, dtype=np.int64)
-            per_col[cp::2] = self.widths[rp::2, cp::2].sum(axis=0)
-            out[name] = per_col
-        return out
-
-    # -- reconstruction --------------------------------------------------
 
     def reconstruct(self, *, clip: bool = True) -> np.ndarray:
         """Inverse-transform the thresholded plane back to pixels.
@@ -132,168 +77,40 @@ class BandAnalysis:
 
 
 def analyze_band(
-    config: ArchitectureConfig, band: np.ndarray, *, probe: Probe | None = None
-) -> BandAnalysis:
-    """Transform, threshold and size one pixel band (no payload bits built).
-
-    ``probe`` times the three analysis stages (``transform`` /
-    ``threshold`` / ``pack``); ``None`` records nothing.
-    """
-    prb = probe if probe is not None else NULL_PROBE
-    arr = np.asarray(band)
-    if arr.ndim != 2 or arr.shape[0] % 2 or arr.shape[1] % 2:
-        raise ConfigError(f"band must be 2D with even sides, got {arr.shape}")
-    wrap = config.coefficient_bits if config.wrap_coefficients else None
-    with prb.span("transform"):
-        plane = forward_inplace(arr, config.decomposition_levels, wrap_bits=wrap)
-        if config.ll_dpcm:
-            plane = ll_dpcm_forward(plane, config.decomposition_levels)
-    with prb.span("threshold"):
-        exempt = None
-        if config.threshold_bands == "details" or config.ll_dpcm:
-            exempt = ll_mask_inplace(plane.shape, config.decomposition_levels)
-        plane = apply_threshold(plane, config.threshold, exempt_mask=exempt)
-    with prb.span("pack"):
-        nbits = np.stack(
-            [
-                min_bits_signed(plane[0::2, :], axis=0),
-                min_bits_signed(plane[1::2, :], axis=0),
-            ]
-        ).astype(np.int64)
-        bitmap = plane != 0
-    return BandAnalysis(config=config, plane=plane, nbits=nbits, bitmap=bitmap)
-
-
-@dataclass(frozen=True)
-class BandStackAnalysis:
-    """Compression analysis of a ``(T, N, W)`` stack of bands.
-
-    The frame-at-once counterpart of :class:`BandAnalysis`: every
-    per-band quantity gains a leading traversal axis, and all of them are
-    computed in single vectorised passes (no per-band Python loop).
-    Element ``[t]`` of every array is bit-identical to what
-    :func:`analyze_band` produces for band ``t`` — property-tested.
-    """
-
-    config: ArchitectureConfig
-    #: Thresholded interleaved coefficient planes, shape ``(T, N, W)``.
-    plane: np.ndarray
-    #: Per-parity NBits, shape ``(T, 2, W)`` (even rows, odd rows).
-    nbits: np.ndarray
-    #: Significance flags, shape ``(T, N, W)``.
-    bitmap: np.ndarray
-
-    @cached_property
-    def widths(self) -> np.ndarray:
-        """Per-coefficient packed widths, shape ``(T, N, W)``."""
-        parity = np.arange(self.plane.shape[1]) % 2
-        per_element = self.nbits[:, parity, :]
-        return np.multiply(per_element, self.bitmap)
-
-    @property
-    def payload_bits_per_column(self) -> np.ndarray:
-        """Packed payload bits per plane column, shape ``(T, W)``."""
-        return self.widths.sum(axis=1)
-
-    @property
-    def payload_bits_per_row(self) -> np.ndarray:
-        """Packed payload bits per row stream, shape ``(T, N)``."""
-        return self.widths.sum(axis=2)
-
-    @property
-    def payload_bits(self) -> np.ndarray:
-        """Total packed payload bits of each band, shape ``(T,)``."""
-        return self.widths.sum(axis=(1, 2))
-
-    @property
-    def management_bits_per_column(self) -> int:
-        """NBits fields plus bitmap bits per column (same for every band)."""
-        return 2 * self.config.nbits_field_width + self.plane.shape[1]
-
-    def reconstruct(self, *, clip: bool = True) -> np.ndarray:
-        """Inverse-transform every thresholded plane back to pixels."""
-        wrap = (
-            self.config.coefficient_bits if self.config.wrap_coefficients else None
-        )
-        plane = self.plane
-        if self.config.ll_dpcm:
-            plane = ll_dpcm_inverse(plane, self.config.decomposition_levels)
-        bands = inverse_inplace(
-            plane, self.config.decomposition_levels, wrap_bits=wrap
-        )
-        if clip:
-            if self.config.wrap_coefficients:
-                bands = bands & self.config.pixel_max
-            else:
-                bands = np.clip(bands, 0, self.config.pixel_max)
-        return bands
-
-
-def analyze_band_stack(
     config: ArchitectureConfig,
     bands: np.ndarray,
     *,
     probe: Probe | None = None,
     codec: str = "numpy",
-) -> BandStackAnalysis:
-    """Transform, threshold and size a whole ``(T, N, W)`` band stack.
+) -> BandAnalysis:
+    """Transform, threshold and size a band (no payload bits built).
 
-    One vectorised pass over all T bands: the batched
-    :func:`~repro.core.transform.haar2d.forward_inplace`, a broadcast
-    threshold and a stack-wide :func:`min_bits_signed` replace T separate
-    :func:`analyze_band` calls.  Bit-identical per band to the scalar
-    analysis (no payload bits are materialised here either).  ``probe``
-    times the three stages, one span per whole-stack pass.
-
-    ``codec`` selects the threshold/NBits implementation: ``"numpy"``
-    (default) or the compiled ``"native"`` tier — a *resolved* tier name
-    from :func:`repro.core.packing.tiers.resolve_codec`, bit-identical
-    either way.
+    ``bands`` is one ``(N, W)`` band or a ``(T, N, W)`` stack, analysed in
+    one vectorised pass; element ``[t]`` of every result is what band
+    ``t`` alone gives.  ``probe`` times the ``transform`` / ``threshold``
+    / ``pack`` stages; ``codec`` is a *resolved* tier name from
+    :func:`repro.core.packing.tiers.resolve_codec` (bit-identical either
+    way).
     """
     prb = probe if probe is not None else NULL_PROBE
     arr = np.asarray(bands)
-    if arr.ndim != 3 or arr.shape[1] % 2 or arr.shape[2] % 2:
+    if arr.ndim not in (2, 3) or arr.shape[-2] % 2 or arr.shape[-1] % 2:
         raise ConfigError(
-            f"band stack must be (T, N, W) with even N and W, got {arr.shape}"
+            f"bands must be (N, W) or (T, N, W) with even N and W, got {arr.shape}"
         )
     wrap = config.coefficient_bits if config.wrap_coefficients else None
     with prb.span("transform"):
         plane = forward_inplace(arr, config.decomposition_levels, wrap_bits=wrap)
         if config.ll_dpcm:
             plane = ll_dpcm_forward(plane, config.decomposition_levels)
-    exempt_ll = config.threshold_bands == "details" or config.ll_dpcm
-    if codec == "native":
-        with prb.span("threshold"):
-            # forward_inplace copied the input, so in-place zeroing is safe.
-            native_codec.threshold_inplace(
-                plane,
-                config.threshold,
-                exempt_mod=(1 << config.decomposition_levels) if exempt_ll else 0,
-            )
-        with prb.span("pack"):
-            nbits = native_codec.stack_nbits(plane)
-            bitmap = plane != 0
-    else:
-        with prb.span("threshold"):
-            exempt = None
-            if exempt_ll:
-                # (N, W) mask broadcasts over the traversal axis.
-                exempt = ll_mask_inplace(
-                    plane.shape[-2:], config.decomposition_levels
-                )
-            plane = apply_threshold(plane, config.threshold, exempt_mask=exempt)
-        with prb.span("pack"):
-            nbits = np.stack(
-                [
-                    min_bits_signed(plane[:, 0::2, :], axis=1),
-                    min_bits_signed(plane[:, 1::2, :], axis=1),
-                ],
-                axis=1,
-            ).astype(np.int64)
-            bitmap = plane != 0
-    return BandStackAnalysis(
-        config=config, plane=plane, nbits=nbits, bitmap=bitmap
+    plane, nbits, bitmap = threshold_and_size(
+        plane,
+        config.threshold,
+        exempt_mod=ll_exempt_mod(config),
+        codec=codec,
+        probe=prb,
     )
+    return BandAnalysis(config=config, nbits=nbits, bitmap=bitmap, plane=plane)
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,7 +118,7 @@ class BandStackSizes:
     """Per-traversal compressed-size accounting of a whole frame.
 
     The slimmed-down product of :func:`band_stack_sizes`: just the
-    quantities the engine's occupancy/budget accounting needs, without
+    quantities the engine's occupancy accounting needs, without
     materialising per-coefficient planes for every traversal.
     """
 
@@ -311,20 +128,12 @@ class BandStackSizes:
     #: Per-parity NBits, shape ``(T, 2, W)``.
     nbits: np.ndarray
     #: Significant (non-zero) coefficients per band, shape ``(T,)``.
-    #: ``None`` for callers that constructed the sizes without counts.
-    significant_counts: np.ndarray | None = None
+    significant_counts: np.ndarray
 
     @property
     def management_bits_per_column(self) -> int:
         """NBits fields plus bitmap bits per column (same for every band)."""
         return 2 * self.config.nbits_field_width + self.config.window_size
-
-    def zero_ratios(self) -> np.ndarray | None:
-        """Per-band fraction of zeroed coefficients (``None`` if uncounted)."""
-        if self.significant_counts is None:
-            return None
-        total = self.config.window_size * self.config.image_width
-        return 1.0 - self.significant_counts / float(total)
 
 
 def band_stack_sizes(
@@ -343,9 +152,9 @@ def band_stack_sizes(
     the ``H - 1`` adjacent row *pairs* once — an O(H·W) pass — then
     reduce per-band NBits and significance counts with sliding-window
     max/sum over pair space.  Bit-identical to reducing
-    :func:`analyze_band_stack` (property-tested); restricted to
-    ``decomposition_levels == 1`` (deeper pyramids mix rows more than
-    one pair apart — use :func:`analyze_band_stack` for those).
+    :func:`analyze_band` over the band stack (property-tested);
+    restricted to ``decomposition_levels == 1`` (deeper pyramids mix
+    rows more than one pair apart — use :func:`analyze_band` for those).
 
     ``probe`` times the ``transform`` / ``threshold`` / ``pack`` stages
     (one span per whole-frame pass).  ``codec`` selects the kernel
@@ -361,7 +170,7 @@ def band_stack_sizes(
     if config.decomposition_levels != 1:
         raise ConfigError(
             "band_stack_sizes models the single-level dataflow; use "
-            "analyze_band_stack for deeper decompositions"
+            "analyze_band for deeper decompositions"
         )
     n = config.window_size
     h, w = arr.shape
@@ -375,15 +184,12 @@ def band_stack_sizes(
         plane = forward_inplace(pairs, 1, wrap_bits=wrap)
         if config.ll_dpcm:
             plane = ll_dpcm_forward(plane, 1)
-    with prb.span("threshold"):
-        if config.threshold:  # T=0 thresholding is the identity; skip the copy
-            exempt = None
-            if config.threshold_bands == "details" or config.ll_dpcm:
-                exempt = ll_mask_inplace((2, w), 1)
-            plane = apply_threshold(plane, config.threshold, exempt_mask=exempt)
+    # A two-row plane has one coefficient per parity and column, so the
+    # step's per-parity NBits are the per-coefficient widths.
+    _, element_widths, significant = threshold_and_size(
+        plane, config.threshold, exempt_mod=ll_exempt_mod(config), probe=prb
+    )
     with prb.span("pack"):
-        element_widths = bit_widths_signed(plane)  # (H-1, 2, W)
-        significant = plane != 0
         half = n // 2
         t_total = h - n + 1
         nbits = np.empty((t_total, 2, w), dtype=np.int64)
@@ -426,11 +232,9 @@ def _band_stack_sizes_native(
             arr, ll_dpcm=config.ll_dpcm, wrap_bits=wrap
         )
     with prb.span("threshold"):
-        if config.threshold:  # T=0 thresholding is the identity; skip the call
-            exempt_ll = config.threshold_bands == "details" or config.ll_dpcm
-            native_codec.threshold_inplace(
-                plane, config.threshold, exempt_mod=2 if exempt_ll else 0
-            )
+        native_codec.threshold_inplace(
+            plane, config.threshold, exempt_mod=ll_exempt_mod(config)
+        )
     with prb.span("pack"):
         nbits, cols, counts = native_codec.pair_reduce(
             plane, config.window_size

@@ -28,16 +28,22 @@ results:
 - the *sequential* reference path — one Python-loop iteration per row
   traversal, required whenever a traversal's input depends on the
   previous traversal's lossy reconstruction (``recirculate=True`` with a
-  non-zero threshold), when payload bits must be materialised
-  (``bit_exact=True``), or when the memory path is protected/injected;
+  non-zero threshold), or when the memory path is protected/injected;
 - the *fast* frame-at-once path — when every traversal band is known up
   front to be the raw input rows (lossless, or ``recirculate=False``),
-  all ``H - N + 1`` bands are assembled as a zero-copy ``(T, N, W)``
-  stack and compressed in one vectorised
-  :func:`~repro.core.stats.analyze_band_stack` pass, with a single
-  whole-frame :func:`~repro.core.window.golden.golden_apply` producing
-  the kernel outputs.  Bit-identical to the sequential path (outputs,
-  widths, occupancy peaks, stats, capacity errors) — property-tested.
+  the whole frame is sized in vectorised passes (the shared-row
+  :func:`~repro.core.stats.band_stack_sizes`, or
+  :func:`~repro.core.stats.analyze_band` over a zero-copy ``(T, N, W)``
+  band stack), with a single whole-frame
+  :func:`~repro.core.window.golden.golden_apply` producing the kernel
+  outputs.  Bit-identical to the sequential path (outputs, widths,
+  occupancy peaks, stats, probe distributions, capacity errors) —
+  property-tested.
+
+Neither path materialises payload bits: both size bands with the
+compressor's threshold-and-size step.  The bit streams themselves are
+checked by the codec round trip (``BandCodec.decode_plane(encode_band(b))
+== analyze_band(b).plane``) and by :class:`CompressedCycleEngine`.
 """
 
 from __future__ import annotations
@@ -57,15 +63,13 @@ from ...resilience.band import EngineFaultSummary, ResilientBandCodec
 from ...resilience.injector import FaultInjector
 from ...resilience.protection import ProtectionPolicy, resolve_policy
 from ..packing import native as native_codec
-from ..packing.bitmap import apply_threshold
 from ..packing.hw_pack import BitPackingUnit
 from ..packing.hw_unpack import BitUnpackingUnit
-from ..packing.nbits import NBitsGateModel, min_bits_signed
-from ..packing.packer import BandCodec
+from ..packing.nbits import NBitsGateModel
+from ..packing.packer import BandAccounting, ll_exempt_mod, threshold_and_size
 from ..packing.tiers import resolve_codec
 from ..stats import (
     analyze_band,
-    analyze_band_stack,
     band_stack_sizes,
     sliding_band_stack,
     sliding_occupancy,
@@ -90,8 +94,6 @@ class CompressedEngine(SlidingWindowEngine):
         kernel: WindowKernel,
         *,
         recirculate: bool = True,
-        bit_exact: bool = False,
-        memory_budget_bits: int | None = None,
         memory_plan: "PlacementPlan | None" = None,
         protection: ProtectionPolicy | str | None = None,
         injector: FaultInjector | None = None,
@@ -108,8 +110,6 @@ class CompressedEngine(SlidingWindowEngine):
         #: resolved once at construction so an explicit-but-unavailable
         #: ``native`` request warns here rather than mid-frame.
         self.codec_resolved = resolve_codec(codec)
-        self.bit_exact = bit_exact
-        self.memory_budget_bits = memory_budget_bits
         #: Optional design-time memory plan
         #: (:class:`repro.hardware.planner.PlacementPlan`).  When given,
         #: every payload group's *stored* occupancy is enforced against
@@ -139,7 +139,6 @@ class CompressedEngine(SlidingWindowEngine):
         #: (zero-fill plus corrupted-pixel counting) instead of raising.
         self.injector = injector
         self.fault_policy = fault_policy
-        self._codec = BandCodec(config, codec=self.codec_resolved)
         self._resilient: ResilientBandCodec | None = None
         if injector is not None or not self.protection.is_trivial:
             self._resilient = ResilientBandCodec(
@@ -160,8 +159,8 @@ class CompressedEngine(SlidingWindowEngine):
         if fast_path and not self.fast_path_eligible:
             raise ConfigError(
                 "fast_path=True requires a deterministic frame-at-once run: "
-                "lossless or recirculate=False, bit_exact=False and an "
-                "unprotected/uninjected memory path"
+                "lossless or recirculate=False and an unprotected/uninjected "
+                "memory path"
             )
         #: Strategy used by the most recent :meth:`run`
         #: (``"fast"`` or ``"sequential"``).
@@ -185,39 +184,11 @@ class CompressedEngine(SlidingWindowEngine):
         The fast path requires every traversal band to be the raw input
         rows, known before the run starts.  That holds when reconstruction
         is exact (lossless threshold) or when reconstructed rows are never
-        fed back (``recirculate=False``).  ``bit_exact`` runs materialise
-        payload bit streams and protected/injected runs mutate stored
-        words — both stay on the sequential reference loop.
+        fed back (``recirculate=False``).  Protected/injected runs mutate
+        stored words and stay on the sequential reference loop.
         """
-        return (
-            not self.bit_exact
-            and self._resilient is None
-            and (self.config.lossless or not self.recirculate)
-        )
-
-    def _roundtrip(self, band: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Compress+reconstruct one band.
-
-        Returns ``(decoded_band, widths, management_bits_per_column)``
-        where ``widths`` is the per-coefficient packed-size plane.  The
-        ``bit_exact`` flag routes through the real bit streams instead of
-        the width arithmetic; both paths are equivalent (tested) — the
-        fast path just never materialises payload bits.
-        """
-        prb = self.probe if self.probe is not None else NULL_PROBE
-        if self.bit_exact:
-            with prb.span("pack"):
-                encoded = self._codec.encode_band(band)
-            with prb.span("unpack"):
-                decoded = self._codec.decode_band(encoded)
-            return decoded, encoded.widths, encoded.management_bits_per_column
-        analysis = analyze_band(self.config, band, probe=self.probe)
-        with prb.span("inverse"):
-            decoded = analysis.reconstruct()
-        return (
-            decoded,
-            analysis.widths,
-            analysis.management_bits_per_column,
+        return self._resilient is None and (
+            self.config.lossless or not self.recirculate
         )
 
     @property
@@ -244,39 +215,34 @@ class CompressedEngine(SlidingWindowEngine):
 
     def _check_memory_plan(
         self,
-        prev_widths: np.ndarray | None,
         widths: np.ndarray,
-        traversal: int,
-    ) -> None:
-        """Enforce the memory plan's per-group capacity for one traversal.
+        prev_group_cols: np.ndarray | None,
+        first_traversal: int,
+    ) -> np.ndarray:
+        """Enforce the memory plan's per-group capacity on traversals.
 
-        All payload groups are checked in one stacked occupancy pass; the
-        lowest-numbered overflowing group is reported (the order the
-        hardware's group monitors would trip in).
+        ``widths`` is a ``(C, N, W)`` stack of consecutive traversals from
+        ``first_traversal`` on; ``prev_group_cols`` holds the group columns
+        of the traversal before them (``None`` for a frame's first).  All
+        payload groups are checked in one stacked occupancy pass; the
+        earliest traversal's lowest-numbered overflowing group is reported
+        (the order the hardware's group monitors would trip in).  Returns
+        the last traversal's group columns, the next call's reference.
         """
-        ref = widths if prev_widths is None else prev_widths
-        cur_g = self._group_columns(widths)
-        prev_g = self._group_columns(ref)
-        occ = sliding_occupancy(prev_g, cur_g, self.config.window_size, 0)
-        self._raise_plan_overflow(occ.max(axis=-1), traversal)
-
-    def _plan_overflows(self, peaks: np.ndarray) -> np.ndarray:
-        """Mask of ``(..., G)`` group peaks over their placed capacity."""
-        capacities = self._payload.group_capacity_list()
-        return peaks > np.asarray(capacities, dtype=np.int64)
-
-    def _raise_plan_overflow(self, peaks: np.ndarray, traversal: int) -> None:
-        """Raise for the first group whose peak exceeds its capacity."""
-        over = np.nonzero(self._plan_overflows(peaks))[0]
+        group_cols = self._group_columns(widths)  # (C, G, W)
+        peaks = self._occupancy_band_peaks(group_cols, 0, prev_group_cols)
+        payload = self._payload
+        capacities = np.asarray(payload.group_capacity_list(), dtype=np.int64)
+        over = np.argwhere(peaks > capacities)
         if over.size:
-            g = int(over[0])
-            payload = self._payload
+            t, g = (int(v) for v in over[0])
             raise CapacityError(
-                f"BRAM group {g} holds {int(peaks[g])} stored bits at "
-                f"traversal {traversal}, its allocation is "
+                f"BRAM group {g} holds {int(peaks[t, g])} stored bits at "
+                f"traversal {first_traversal + t}, its allocation is "
                 f"{payload.group_capacity_bits(g)} bits "
                 f"({payload.describe()}) — frame exceeds the design-time plan"
             )
+        return group_cols[-1]
 
     def run(self, image: np.ndarray) -> WindowRun:
         """Process ``image`` through the compressed architecture.
@@ -315,7 +281,7 @@ class CompressedEngine(SlidingWindowEngine):
         eligibility precondition), so the whole frame's compression
         accounting resolves in a handful of vectorised passes — the
         shared-row :func:`band_stack_sizes` dataflow for the common
-        single-level case, a chunked :func:`analyze_band_stack` sweep
+        single-level case, a chunked :func:`analyze_band` sweep
         when per-coefficient widths are needed (BRAM-plan enforcement)
         or the pyramid is deeper — and the kernel output map is one
         whole-frame :func:`golden_apply` instead of one call per
@@ -374,19 +340,6 @@ class CompressedEngine(SlidingWindowEngine):
         occ = sliding_occupancy(prev, cols, self.config.window_size, mgmt)
         return occ.max(axis=-1)
 
-    def _first_budget_overflow(self, band_peaks: np.ndarray) -> int | None:
-        """Index of the first traversal over ``memory_budget_bits``."""
-        if self.memory_budget_bits is None:
-            return None
-        over = np.nonzero(band_peaks > self.memory_budget_bits)[0]
-        return int(over[0]) if over.size else None
-
-    def _raise_budget_overflow(self, peak_bits: int, traversal: int) -> None:
-        raise CapacityError(
-            f"buffered {peak_bits} bits at traversal {traversal}, memory "
-            f"unit provisioned for {self.memory_budget_bits}"
-        )
-
     def _fast_sizes_shared(self, arr: np.ndarray) -> tuple[int, list[int]]:
         """Whole-frame accounting via the shared-row pair dataflow."""
         cfg = self.config
@@ -401,38 +354,36 @@ class CompressedEngine(SlidingWindowEngine):
             band_totals = (cols.sum(axis=1) + mgmt * (w - n)).tolist()
             band_peaks = self._occupancy_band_peaks(cols, mgmt, None)
         if self.probe is not None:
-            self._observe_bands(
-                sizes.nbits, band_peaks, sizes.zero_ratios()
-            )
-        t = self._first_budget_overflow(band_peaks)
-        if t is not None:
-            self._raise_budget_overflow(int(band_peaks[t]), t + n - 1)
+            self._observe_bands(sizes.nbits, band_peaks, sizes.significant_counts)
         return int(band_peaks.max()), band_totals
 
     def _observe_bands(
         self,
-        nbits: np.ndarray,
-        band_peaks: np.ndarray,
-        zero_ratios: np.ndarray | None,
+        nbits: np.ndarray | list[np.ndarray],
+        band_peaks: np.ndarray | list[int],
+        significant_counts: np.ndarray | list[int],
     ) -> None:
         """Record per-band distributions (probe attached only).
 
         ``repro_band_nbits`` samples every per-column per-parity NBits
         field, ``repro_band_occupancy_bits`` the per-traversal occupancy
         peak, ``repro_band_zero_ratio`` the per-band zeroed-coefficient
-        fraction.
+        fraction.  Every path records a frame through here, in traversal
+        order, so the fast and sequential histograms are identical.
         """
-        self.probe.observe_many("repro_band_nbits", nbits.ravel())
-        self.probe.observe_many("repro_band_occupancy_bits", band_peaks.ravel())
-        if zero_ratios is not None:
-            self.probe.observe_many("repro_band_zero_ratio", zero_ratios)
+        coefficients = float(self.config.window_size * self.config.image_width)
+        zero_ratios = 1.0 - np.asarray(significant_counts) / coefficients
+        self.probe.observe_many("repro_band_nbits", np.asarray(nbits))
+        self.probe.observe_many("repro_band_occupancy_bits", np.asarray(band_peaks))
+        self.probe.observe_many("repro_band_zero_ratio", zero_ratios)
 
     def _fast_sizes_chunked(self, arr: np.ndarray) -> tuple[int, list[int]]:
         """Whole-frame accounting via chunked band-stack analysis.
 
         Used when per-coefficient width planes are required (BRAM-plan
         enforcement) or the decomposition recurses deeper than one level;
-        chunking bounds the ``(C, N, W)`` working set.
+        chunking bounds the ``(C, N, W)`` working set.  Each chunk is one
+        :func:`analyze_band` call on the band stack.
         """
         cfg = self.config
         n, w = cfg.window_size, cfg.image_width
@@ -444,7 +395,7 @@ class CompressedEngine(SlidingWindowEngine):
         prev_group_cols: np.ndarray | None = None
         chunk = max(1, self._FAST_CHUNK_BUDGET // (n * w * 8))
         for t0 in range(0, stack.shape[0], chunk):
-            analysis = analyze_band_stack(
+            analysis = analyze_band(
                 cfg,
                 stack[t0 : t0 + chunk],
                 probe=self.probe,
@@ -459,33 +410,12 @@ class CompressedEngine(SlidingWindowEngine):
                 band_peaks = self._occupancy_band_peaks(cols, mgmt, prev_cols)
             if self.probe is not None:
                 self._observe_bands(
-                    analysis.nbits,
-                    band_peaks,
-                    1.0 - analysis.bitmap.mean(axis=(1, 2)),
+                    analysis.nbits, band_peaks, analysis.significant_counts
                 )
-            budget_t = self._first_budget_overflow(band_peaks)
-            plan_t: int | None = None
-            group_peaks: np.ndarray | None = None
             if self.memory_plan is not None:
-                group_cols = self._group_columns(analysis.widths)  # (C, G, W)
-                group_band_peaks = self._occupancy_band_peaks(
-                    group_cols, 0, prev_group_cols
-                )  # (C, G)
-                bad = np.nonzero(
-                    self._plan_overflows(group_band_peaks).any(axis=1)
-                )[0]
-                if bad.size:
-                    plan_t = int(bad[0])
-                    group_peaks = group_band_peaks[plan_t]
-                prev_group_cols = group_cols[-1]
-            # The sequential loop checks the budget before the plan inside
-            # one traversal; re-raise the earliest event with that order.
-            if budget_t is not None and (plan_t is None or budget_t <= plan_t):
-                self._raise_budget_overflow(
-                    int(band_peaks[budget_t]), t0 + budget_t + n - 1
+                prev_group_cols = self._check_memory_plan(
+                    analysis.widths, prev_group_cols, t0 + n - 1
                 )
-            if plan_t is not None:
-                self._raise_plan_overflow(group_peaks, t0 + plan_t + n - 1)
             peak = max(peak, int(band_peaks.max()))
             prev_cols = cols[-1]
         return peak, band_totals
@@ -500,10 +430,12 @@ class CompressedEngine(SlidingWindowEngine):
 
         out_rows: list[np.ndarray] = []
         band_totals: list[int] = []
+        band_peaks: list[int] = []
+        nbits_seen: list[np.ndarray] = []
+        counts_seen: list[int] = []
         reconstruction = arr.copy()
-        peak = 0
         prev_cols: np.ndarray | None = None
-        prev_widths: np.ndarray | None = None
+        prev_group_cols: np.ndarray | None = None
         resilient = self._resilient
         faults = (
             EngineFaultSummary(policy_name=self.protection.name)
@@ -530,52 +462,40 @@ class CompressedEngine(SlidingWindowEngine):
             with prb.span("kernel"):
                 out_rows.append(golden_apply(state, n, self.kernel)[0])
             reconstruction[y - n + 1 : y + 1] = state
+            sizes: BandAccounting
             if resilient is not None:
-                decoded, report, encoded = resilient.roundtrip(state)
+                decoded, report, sizes = resilient.roundtrip(state)
                 faults.add(y, report)
-                widths = encoded.widths
                 mgmt = mgmt_stored
                 cols = np.ceil(
-                    widths.sum(axis=0) * payload_expansion
+                    sizes.payload_bits_per_column * payload_expansion
                 ).astype(np.int64)
             else:
-                decoded, widths, mgmt = self._roundtrip(state)
-                cols = widths.sum(axis=0)
+                sizes = analyze_band(cfg, state, probe=self.probe)
+                with prb.span("inverse"):
+                    decoded = sizes.reconstruct()
+                mgmt = sizes.management_bits_per_column
+                cols = sizes.payload_bits_per_column
             with prb.span("fifo"):
                 band_totals.append(int(cols.sum()) + mgmt * (w - n))
                 reference = cols if prev_cols is None else prev_cols
                 occ = sliding_occupancy(reference, cols, n, mgmt)
-                band_peak = int(occ.max())
-            peak = max(peak, band_peak)
-            if self.probe is not None:
-                # Parity-wise column maxes of the width plane recover the
-                # NBits fields (zero where a parity packs nothing).
-                self.probe.observe_many(
-                    "repro_band_nbits",
-                    np.concatenate(
-                        [widths[0::2].max(axis=0), widths[1::2].max(axis=0)]
-                    ),
-                )
-                self.probe.observe("repro_band_occupancy_bits", band_peak)
-                self.probe.observe(
-                    "repro_band_zero_ratio",
-                    1.0 - np.count_nonzero(widths) / widths.size,
-                )
-            if self.memory_budget_bits is not None and band_peak > self.memory_budget_bits:
-                raise CapacityError(
-                    f"buffered {band_peak} bits at traversal {y}, memory unit "
-                    f"provisioned for {self.memory_budget_bits}"
-                )
+                band_peaks.append(int(occ.max()))
+            nbits_seen.append(sizes.nbits)
+            counts_seen.append(sizes.significant_counts)
             if self.memory_plan is not None:
-                self._check_memory_plan(prev_widths, widths, y)
+                prev_group_cols = self._check_memory_plan(
+                    sizes.widths[None], prev_group_cols, y
+                )
             prev_cols = cols
-            prev_widths = widths
             if y + 1 < h:
                 if self.recirculate:
                     state = np.vstack([decoded[1:], arr[y + 1 : y + 2]])
                 else:
                     state = arr[y - n + 2 : y + 2].copy()
 
+        if self.probe is not None:
+            self._observe_bands(nbits_seen, band_peaks, counts_seen)
         outputs = np.vstack(out_rows)
         fill = traditional_fill_cycles(n, w)
         stats = EngineStats(
@@ -584,7 +504,7 @@ class CompressedEngine(SlidingWindowEngine):
             drain_cycles=0,
             pixels_in=arr.size,
             outputs=outputs.size,
-            buffer_bits_peak=peak,
+            buffer_bits_peak=max(band_peaks),
             traditional_buffer_bits=cfg.traditional_buffer_bits,
             band_total_bits=band_totals,
         )
@@ -628,8 +548,8 @@ class CompressedCycleEngine(SlidingWindowEngine):
     - *write side* — on odd ``x`` the batched Fig 5 transform turns the
       column pair into two interleaved coefficient columns.  Each is
       thresholded (LL exempt under ``threshold_bands="details"``), sized
-      by the Fig 7 gate tree (cross-checked against
-      :func:`~repro.core.packing.nbits.min_bits_signed`) and streamed
+      by the Fig 7 gate tree (cross-checked against the codec's
+      :func:`~repro.core.packing.packer.threshold_and_size`) and streamed
       through N Fig 6 packers whose words feed the unpackers' FIFOs.
       Every packer flushes at the end of the traversal; the final
       traversal compresses nothing.
@@ -687,10 +607,9 @@ class CompressedCycleEngine(SlidingWindowEngine):
 
     # -- Fig 6 / Fig 7 / Fig 8 column streaming ---------------------------
 
-    def _nbits(self, significant: np.ndarray) -> int:
+    def _nbits(self, significant: np.ndarray, expected: int) -> int:
         """Fig 7 gate-tree NBits, cross-checked against the codec's."""
         nbits = self._gate.min_bits(significant)
-        expected = int(min_bits_signed(significant))
         if nbits != expected:
             raise StateError(
                 f"gate-tree NBits {nbits} disagrees with the codec's {expected}"
@@ -707,13 +626,14 @@ class CompressedCycleEngine(SlidingWindowEngine):
         """Stream one coefficient column through the N packers."""
         cfg = self.config
         n = coeff.size
-        exempt_even = cfg.threshold_bands == "details" and index % 2 == 0
-        significant = apply_threshold(
-            coeff,
-            cfg.threshold,
-            exempt_mask=(np.arange(n) % 2 == 0) if exempt_even else None,
+        exempt_even = bool(ll_exempt_mod(cfg)) and index % 2 == 0
+        significant, expected, _ = threshold_and_size(
+            coeff[:, None], cfg.threshold, exempt_mod=2 if exempt_even else 0
         )
-        nbits = (self._nbits(significant[0::2]), self._nbits(significant[1::2]))
+        nbits = (
+            self._nbits(significant[0::2, 0], int(expected[0, 0])),
+            self._nbits(significant[1::2, 0], int(expected[1, 0])),
+        )
         bitmap: list[int] = []
         payload = 0
         for i in range(n):

@@ -35,8 +35,7 @@ import numpy as np
 from ..config import ArchitectureConfig
 from ..errors import BitstreamError, ConfigError
 from ..core.packing.bitstream import bits_to_values, values_to_bits
-from ..core.packing.packer import BandCodec, EncodedBand
-from ..core.transform.haar2d import inverse_inplace, ll_dpcm_inverse
+from ..core.packing.packer import BandCodec, EncodedBand, band_widths
 from ..observability.probe import Probe
 from .injector import FaultInjector
 from .protection import ProtectionPolicy, resolve_policy
@@ -234,11 +233,7 @@ class ResilientBandCodec:
         bitmap_rec = rec.astype(bool).reshape(n_rows, n_cols)
 
         # Widths every unpacker will assume, from the recovered management.
-        parity = (np.arange(n_rows) % 2)[:, None]
-        per_element = np.where(
-            parity == 0, nbits_rec[0][None, :], nbits_rec[1][None, :]
-        )
-        widths_rec = np.where(bitmap_rec, per_element, 0)
+        widths_rec = band_widths(nbits_rec, bitmap_rec)
 
         plane = np.zeros((n_rows, n_cols), dtype=np.int64)
         if not band_resync:
@@ -262,18 +257,7 @@ class ResilientBandCodec:
         if band_resync:
             decoded = np.zeros_like(clean)
         else:
-            work = plane
-            if cfg.ll_dpcm:
-                work = ll_dpcm_inverse(work, cfg.decomposition_levels)
-            decoded = inverse_inplace(
-                work,
-                cfg.decomposition_levels,
-                wrap_bits=cfg.coefficient_bits if cfg.wrap_coefficients else None,
-            )
-            if cfg.wrap_coefficients:
-                decoded = decoded & cfg.pixel_max
-            else:
-                decoded = np.clip(decoded, 0, cfg.pixel_max)
+            decoded = self._codec.reconstruct(plane)
 
         report = BandFaultReport(
             flips_injected=flips,

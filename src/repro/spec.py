@@ -58,8 +58,7 @@ class EngineSpec:
         Optional lossiness-threshold override; ``None`` keeps the
         config's threshold.  Lets callers sweep thresholds without
         rebuilding configs.
-    recirculate, bit_exact, memory_budget_bits, protection, fault_policy,
-    fast_path:
+    recirculate, protection, fault_policy, fast_path:
         Forwarded to :class:`~repro.core.window.compressed.CompressedEngine`
         (ignored by the traditional engine, which has none of these
         knobs).  ``protection`` must be a scheme *name* here so the spec
@@ -89,8 +88,6 @@ class EngineSpec:
     engine: str = "compressed"
     threshold: int | None = None
     recirculate: bool = True
-    bit_exact: bool = False
-    memory_budget_bits: int | None = None
     protection: str | None = None
     fault_policy: str = "degrade"
     fast_path: bool | None = None
@@ -152,8 +149,6 @@ class EngineSpec:
             config,
             self.kernel,
             recirculate=self.recirculate,
-            bit_exact=self.bit_exact,
-            memory_budget_bits=self.memory_budget_bits,
             protection=self.protection,
             fault_policy=self.fault_policy,
             fast_path=self.fast_path,

@@ -18,6 +18,7 @@ from repro import ArchitectureConfig
 from repro.core.packing.hw_pack import BitPackingUnit
 from repro.core.packing.nbits import NBitsGateModel, min_bits_signed
 from repro.core.packing.packer import BandCodec
+from repro.core.stats import analyze_band
 from repro.core.window.compressed import CompressedCycleEngine, CompressedEngine
 from repro.kernels import BoxFilterKernel
 
@@ -46,8 +47,9 @@ def config_for(band, threshold=0):
 @settings(max_examples=25, deadline=None)
 def test_stream_band_equals_band_codec_reconstruction(band, extra, threshold, data):
     """A whole image of band width and ``N + extra`` rows, streamed through
-    the register-level chain, reconstructs exactly what the bit-exact band
-    codec path of :class:`CompressedEngine` reconstructs."""
+    the register-level chain, reconstructs exactly what the recirculating
+    :class:`CompressedEngine` reconstructs (the band codec's decoded
+    planes, by the codec round-trip property)."""
     n, w = band.shape
     more = data.draw(
         hnp.arrays(np.int32, (extra, w), elements=st.integers(0, 255))
@@ -58,7 +60,7 @@ def test_stream_band_equals_band_codec_reconstruction(band, extra, threshold, da
     )
     kernel = BoxFilterKernel(n)
     streamed = CompressedCycleEngine(config, kernel).run(image)
-    codec = CompressedEngine(config, kernel, bit_exact=True).run(image)
+    codec = CompressedEngine(config, kernel).run(image)
     assert np.array_equal(streamed.reconstruction, codec.reconstruction)
     assert np.array_equal(streamed.outputs, codec.outputs)
 
@@ -68,9 +70,8 @@ def test_stream_band_equals_band_codec_reconstruction(band, extra, threshold, da
 def test_row_word_streams_match_encoded_payloads(band):
     """Each row's Fig 6 word stream equals the codec's row payload bits."""
     config = config_for(band)
-    codec = BandCodec(config)
-    encoded = codec.encode_band(band)
-    plane = codec.threshold_plane(codec.transform_band(band))
+    encoded = BandCodec(config).encode_band(band)
+    plane = analyze_band(config, band).plane
     gate = NBitsGateModel(config.coefficient_bits)
     n, w = plane.shape
     for i in range(n):
@@ -91,8 +92,7 @@ def test_gate_nbits_equals_codec_nbits_on_real_band():
     rng = np.random.default_rng(21)
     band = rng.integers(0, 256, size=(8, 16))
     config = config_for(band)
-    codec = BandCodec(config)
-    plane = codec.threshold_plane(codec.transform_band(band))
+    plane = analyze_band(config, band).plane
     gate = NBitsGateModel(config.coefficient_bits)
     nbits_even = np.array([gate.min_bits(plane[0::2, j]) for j in range(16)])
     nbits_odd = np.array([gate.min_bits(plane[1::2, j]) for j in range(16)])
@@ -102,8 +102,6 @@ def test_gate_nbits_equals_codec_nbits_on_real_band():
 
 def test_whole_band_bit_count_matches_analysis():
     """Total streamed payload bits equal the analytic width sums."""
-    from repro.core.stats import analyze_band
-
     rng = np.random.default_rng(22)
     band = rng.integers(0, 256, size=(8, 24))
     config = config_for(band, threshold=4)

@@ -197,7 +197,7 @@ class TestEngineEquivalence:
             )
 
     def test_chunked_deep_decomposition_path(self, rng):
-        # levels=2 routes through analyze_band_stack (the chunked path).
+        # levels=2 routes through analyze_band on band stacks (the chunked path).
         config = cfg(decomposition_levels=2, threshold=3)
         img = random_image(rng, config.image_height, config.image_width)
         kernel = BoxFilterKernel(config.window_size)

@@ -27,14 +27,42 @@ def cfg(**kw):
 
 class TestAnalyzeBand:
     def test_matches_bit_exact_codec(self, rng):
+        """The packed bit streams decode to the analysed plane and its
+        reconstruction."""
         band = rng.integers(0, 256, size=(8, 64))
-        config = cfg(threshold=4)
-        analysis = analyze_band(config, band)
-        encoded = BandCodec(config).encode_band(band)
-        assert analysis.payload_bits == encoded.payload_bits
-        assert np.array_equal(analysis.widths, encoded.widths)
-        assert np.array_equal(analysis.nbits, encoded.nbits)
-        assert np.array_equal(analysis.bitmap, encoded.bitmap)
+        for extra in (
+            dict(threshold=4),
+            dict(threshold=4, threshold_bands="details"),
+            dict(threshold=3, ll_dpcm=True),
+        ):
+            config = cfg(**extra)
+            analysis = analyze_band(config, band)
+            codec = BandCodec(config)
+            encoded = codec.encode_band(band)
+            assert np.array_equal(codec.decode_plane(encoded), analysis.plane)
+            assert np.array_equal(
+                codec.decode_band(encoded), analysis.reconstruct()
+            )
+
+    def test_band_and_one_band_stack_agree(self, rng):
+        """An ``(N, W)`` band and the ``(1, N, W)`` stack holding it give
+        the same analysis, with one more leading axis."""
+        band = rng.integers(0, 256, size=(8, 64))
+        config = cfg(threshold=4, threshold_bands="details")
+        one = analyze_band(config, band)
+        stack = analyze_band(config, band[None])
+        for name in ("plane", "nbits", "bitmap", "widths"):
+            assert np.array_equal(getattr(stack, name), getattr(one, name)[None])
+        assert stack.payload_bits.tolist() == [one.payload_bits]
+        assert stack.significant_counts.tolist() == [one.significant_counts]
+        assert np.array_equal(
+            stack.payload_bits_per_row[0], one.payload_bits_per_row
+        )
+        assert {k: v.tolist() for k, v in stack.subband_payload_bits().items()} == {
+            k: [v] for k, v in one.subband_payload_bits().items()
+        }
+        assert stack.management_bits == one.management_bits
+        assert np.array_equal(stack.reconstruct()[0], one.reconstruct())
 
     def test_constant_band_payload_is_ll_only(self):
         band = np.full((8, 64), 100, dtype=int)
@@ -232,11 +260,11 @@ class TestAnalyzeBandStack:
         ],
     )
     def test_per_band_identical_to_scalar_analysis(self, rng, extra):
-        from repro.core.stats import analyze_band_stack, sliding_band_stack
+        from repro.core.stats import sliding_band_stack
 
         config = cfg(image_width=32, image_height=24, **extra)
         image = rng.integers(0, 256, size=(24, 32))
-        stack = analyze_band_stack(config, sliding_band_stack(image, 8))
+        stack = analyze_band(config, sliding_band_stack(image, 8))
         recon = stack.reconstruct()
         for t in range(24 - 8 + 1):
             band = analyze_band(config, image[t : t + 8])
@@ -252,31 +280,28 @@ class TestAnalyzeBandStack:
         assert stack.management_bits_per_column == band.management_bits_per_column
 
     def test_rejects_bad_shapes(self):
-        from repro.core.stats import analyze_band_stack
-
         with pytest.raises(ConfigError):
-            analyze_band_stack(cfg(), np.zeros((8, 16), dtype=int))
+            analyze_band(cfg(), np.zeros(16, dtype=int))
         with pytest.raises(ConfigError):
-            analyze_band_stack(cfg(), np.zeros((3, 7, 16), dtype=int))
+            analyze_band(cfg(), np.zeros((2, 3, 8, 16), dtype=int))
+        with pytest.raises(ConfigError):
+            analyze_band(cfg(), np.zeros((3, 7, 16), dtype=int))
 
 
 class TestBandStackSizes:
     @pytest.mark.parametrize("threshold", [0, 4])
     def test_matches_full_stack_analysis(self, rng, threshold):
-        from repro.core.stats import (
-            analyze_band_stack,
-            band_stack_sizes,
-            sliding_band_stack,
-        )
+        from repro.core.stats import band_stack_sizes, sliding_band_stack
 
         config = cfg(image_width=32, image_height=25, threshold=threshold)
         image = rng.integers(0, 256, size=(25, 32))
         sizes = band_stack_sizes(config, image)
-        full = analyze_band_stack(config, sliding_band_stack(image, 8))
+        full = analyze_band(config, sliding_band_stack(image, 8))
         assert np.array_equal(
             sizes.payload_bits_per_column, full.payload_bits_per_column
         )
         assert np.array_equal(sizes.nbits, full.nbits)
+        assert np.array_equal(sizes.significant_counts, full.significant_counts)
         assert sizes.management_bits_per_column == full.management_bits_per_column
 
     def test_rejects_deeper_pyramids(self, rng):

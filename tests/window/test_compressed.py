@@ -24,13 +24,13 @@ class TestLosslessEquivalence:
     """The paper's headline functional claim: lossless == traditional."""
 
     @pytest.mark.parametrize("recirculate", [True, False])
-    @pytest.mark.parametrize("bit_exact", [True, False])
-    def test_outputs_identical(self, rng, recirculate, bit_exact):
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_outputs_identical(self, rng, recirculate, fast_path):
         config = cfg()
         img = random_image(rng, 32, 32)
         kernel = BoxFilterKernel(8)
         comp = CompressedEngine(
-            config, kernel, recirculate=recirculate, bit_exact=bit_exact
+            config, kernel, recirculate=recirculate, fast_path=fast_path
         ).run(img)
         trad = TraditionalEngine(config, kernel).run(img)
         assert np.allclose(comp.outputs, trad.outputs)
@@ -62,15 +62,17 @@ class TestLossyBehaviour:
         assert err.max() <= 20  # loose sanity bound
         assert err.mean() < 3
 
+    @pytest.mark.slow
     def test_fast_and_bit_exact_paths_agree(self, rng):
+        """The vectorised engine and the register-level engine, which
+        streams real packed words, agree on a lossy recirculating run."""
         config = cfg(threshold=4)
         img = random_image(rng, 32, 32, smooth=True)
         kernel = BoxFilterKernel(8)
-        fast = CompressedEngine(config, kernel, bit_exact=False).run(img)
-        exact = CompressedEngine(config, kernel, bit_exact=True).run(img)
-        assert np.allclose(fast.outputs, exact.outputs)
+        fast = CompressedEngine(config, kernel).run(img)
+        exact = CompressedCycleEngine(config, kernel).run(img)
+        assert np.array_equal(fast.outputs, exact.outputs)
         assert np.array_equal(fast.reconstruction, exact.reconstruction)
-        assert fast.stats.buffer_bits_peak == exact.stats.buffer_bits_peak
 
     def test_single_pass_differs_from_recirculated_only_moderately(self):
         config = cfg(image_width=64, image_height=64, window_size=8, threshold=6)
@@ -92,23 +94,6 @@ class TestStatsAndCapacity:
         assert len(run.stats.band_total_bits) == 32 - 8 + 1
         assert run.stats.buffer_bits_peak > 0
         assert run.stats.traditional_buffer_bits == config.traditional_buffer_bits
-
-    def test_memory_budget_enforced(self, rng):
-        config = cfg()
-        img = random_image(rng, 32, 32)  # incompressible noise
-        engine = CompressedEngine(
-            config, BoxFilterKernel(8), memory_budget_bits=100
-        )
-        with pytest.raises(CapacityError):
-            engine.run(img)
-
-    def test_generous_budget_passes(self, rng):
-        config = cfg()
-        img = random_image(rng, 32, 32)
-        engine = CompressedEngine(
-            config, BoxFilterKernel(8), memory_budget_bits=10**9
-        )
-        engine.run(img)  # must not raise
 
     def test_memory_plan_enforced_per_group(self, rng):
         """A plan provisioned for smooth frames rejects a noise frame,

@@ -152,8 +152,8 @@ class TestEquivalenceMatrix:
         assert_identical(seq_run, fast_run)
 
     def test_chunked_stack_sweep_matches(self, rng, monkeypatch):
-        """Force multi-chunk analyze_band_stack accounting and the carry
-        of previous-chunk sizes across the chunk boundary."""
+        """Force multi-chunk band-stack analysis and the carry of
+        previous-chunk sizes across the chunk boundary."""
         monkeypatch.setattr(CompressedEngine, "_FAST_CHUNK_BUDGET", 8 * 64 * 8 * 3)
         config = cfg(width=64, height=64, decomposition_levels=2)
         image = random_image(rng, 64, 64)
@@ -249,6 +249,44 @@ class TestProbeTransparency:
             "repro_band_zero_ratio",
         } <= names
 
+    @pytest.mark.parametrize(
+        "extra,image",
+        [
+            (dict(), "flat-rows"),
+            (dict(threshold=4), "smooth"),
+            (dict(decomposition_levels=2), "smooth"),
+        ],
+        ids=["lossless-flat-rows", "lossy", "levels2"],
+    )
+    def test_fast_and_sequential_band_histograms_identical(
+        self, rng, extra, image
+    ):
+        """Both paths record the stored NBits fields, occupancy peaks and
+        zero ratios of a frame sample for sample.  Flat rows leave whole
+        parity columns without a significant coefficient, whose NBits
+        field is still at least 1."""
+        config = cfg(width=64, height=64, **extra)
+        if image == "flat-rows":
+            frame = np.repeat(rng.integers(0, 256, size=(64, 1)), 64, axis=1)
+        else:
+            frame = random_image(rng, 64, 64, smooth=True)
+        snaps = []
+        for fast_path in (False, True):
+            probe = MetricsProbe()
+            CompressedEngine(
+                config, BoxFilterKernel(8), recirculate=False,
+                fast_path=fast_path, probe=probe,
+            ).run(frame)
+            snaps.append(
+                sorted(
+                    (h["name"], h["count"], h["sum"], tuple(h["bucket_counts"]))
+                    for h in probe.snapshot()["histograms"]
+                    if h["name"].startswith("repro_band_")
+                )
+            )
+        assert len(snaps[0]) == 3
+        assert snaps[0] == snaps[1]
+
     def test_probed_fast_path_records_band_distributions(self, rng):
         config = cfg(threshold=4)
         probe = MetricsProbe()
@@ -270,22 +308,6 @@ class TestProbeTransparency:
 
 
 class TestCapacitySurfaces:
-    def test_budget_overflow_same_error(self, rng):
-        config = cfg()
-        image = random_image(rng, 32, 32)  # incompressible noise
-        messages = []
-        for fast_path in (False, True):
-            engine = CompressedEngine(
-                config,
-                BoxFilterKernel(8),
-                memory_budget_bits=100,
-                fast_path=fast_path,
-            )
-            with pytest.raises(CapacityError) as err:
-                engine.run(image)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-
     def test_memory_plan_overflow_same_error(self, rng):
         from repro.core.stats import analyze_image
         from repro.hardware.planner import plan_placement
@@ -419,12 +441,6 @@ class TestMemoryPlanCapacity:
 
 
 class TestFallbackRules:
-    def test_bit_exact_falls_back(self, rng):
-        engine = CompressedEngine(cfg(), BoxFilterKernel(8), bit_exact=True)
-        assert not engine.fast_path_eligible
-        engine.run(random_image(rng, 32, 32))
-        assert engine.last_path == "sequential"
-
     def test_injector_falls_back(self, rng):
         engine = CompressedEngine(
             cfg(),
@@ -446,11 +462,10 @@ class TestFallbackRules:
     @pytest.mark.parametrize(
         "engine_kw",
         [
-            dict(bit_exact=True),
             dict(injector=FaultInjector(upset_rate=0.0, seed=1)),
             dict(protection="secded"),
         ],
-        ids=["bit-exact", "injector", "protection"],
+        ids=["injector", "protection"],
     )
     def test_forcing_fast_path_refused(self, engine_kw):
         with pytest.raises(ConfigError, match="fast_path"):
