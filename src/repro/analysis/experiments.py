@@ -450,33 +450,19 @@ def reconstruct_single_pass(config: ArchitectureConfig, image: np.ndarray) -> np
     return out
 
 
-def reconstruct_recirculated(
-    config: ArchitectureConfig, image: np.ndarray
-) -> np.ndarray:
-    """Reconstruction under the hardware's per-traversal recirculation.
-
-    Every traversal re-compresses the band (older rows are already
-    reconstructions), modelling the error feedback of the real dataflow.
-    """
-    arr = np.asarray(image).astype(np.int64)
-    n, h = config.window_size, arr.shape[0]
-    out = arr.copy()
-    state = arr[0:n].copy()
-    for y in range(n - 1, h):
-        out[y - n + 1 : y + 1] = state
-        decoded = analyze_band(config, state).reconstruct()
-        if y + 1 < h:
-            state = np.vstack([decoded[1:], arr[y + 1 : y + 2]])
-    return out
-
-
 def _mse_worker(args: tuple[ArchitectureConfig, np.ndarray, bool]) -> float:
+    """MSE of one image: single pass, or the engine's recirculating loop."""
+    from ..core.window.compressed import CompressedEngine
+    from ..kernels.convolution import BoxFilterKernel
+
     config, image, recirculate = args
-    rec = (
-        reconstruct_recirculated(config, image)
-        if recirculate
-        else reconstruct_single_pass(config, image)
-    )
+    if recirculate:
+        engine = CompressedEngine(
+            config, BoxFilterKernel(config.window_size), recirculate=True
+        )
+        rec = engine.run(image).reconstruction
+    else:
+        rec = reconstruct_single_pass(config, image)
     return mse(image, rec)
 
 

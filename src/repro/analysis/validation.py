@@ -73,8 +73,15 @@ def validate_engines(
     bit-for-bit.  For a lossy config the reference becomes the fast
     compressed engine, and the register-level engine must match *it*
     exactly (the traditional engines are skipped — they see raw pixels by
-    design), so a lossy check without cycle engines compares nothing.
+    design).  A lossy check without cycle engines would compare nothing,
+    so it raises :class:`~repro.errors.ConfigError` instead of reporting
+    an empty agreement.
     """
+    if not config.lossless and not include_cycle_engines:
+        raise ConfigError(
+            "nothing to compare: a lossy configuration is checked only "
+            "against the register-level engine, and cycle engines are excluded"
+        )
     arr = np.asarray(image)
     golden = GoldenEngine(config, kernel).run(arr).outputs
 

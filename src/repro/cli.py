@@ -422,7 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--native-corpus",
         default=None,
-        help="pytest corpus for --native (default: tests/packing/test_native.py)",
+        help=(
+            "pytest corpus for --native (default: tests/packing/test_native.py "
+            "and tests/window/test_fast_path.py)"
+        ),
     )
     p_lint.add_argument(
         "--no-unused-waivers",
@@ -568,6 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "validate":
         from .analysis.validation import validate_engines
         from .config import ArchitectureConfig
+        from .errors import ConfigError
         from .imaging import generate_scene
         from .kernels import BoxFilterKernel
 
@@ -578,12 +582,15 @@ def main(argv: list[str] | None = None) -> int:
             threshold=args.threshold,
         )
         image = generate_scene(seed=1, resolution=args.resolution)
-        result = validate_engines(
-            config,
-            image,
-            BoxFilterKernel(args.window),
-            include_cycle_engines=not args.no_cycle,
-        )
+        try:
+            result = validate_engines(
+                config,
+                image,
+                BoxFilterKernel(args.window),
+                include_cycle_engines=not args.no_cycle,
+            )
+        except ConfigError as err:
+            raise SystemExit(f"repro validate: {err}") from err
         print(result.render())
         return 0 if result.all_consistent else 1
     elif args.command == "coding":
@@ -746,8 +753,8 @@ def main(argv: list[str] | None = None) -> int:
                 run_corpus,
             )
 
-            corpus = args.native_corpus or DEFAULT_CORPUS
-            print(f"sanitizer pass: {corpus} under ASan/UBSan ...")
+            corpus = (args.native_corpus,) if args.native_corpus else DEFAULT_CORPUS
+            print(f"sanitizer pass: {' '.join(corpus)} under ASan/UBSan ...")
             code, output = run_corpus(corpus)
             if code != 0:
                 print(output, file=sys.stderr)

@@ -108,12 +108,13 @@ def threshold_inplace(
 
 def pair_reduce(
     plane: np.ndarray, window_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-band NBits / payload sizes from a ``(H-1, 2, W)`` pair plane.
 
     Band ``t`` of an ``N``-row window reduces pairs ``t, t+2, ..,
-    t+N-2``.  Returns ``(nbits, cols, counts)`` with shapes
-    ``(T, 2, W)``, ``(T, W)`` and ``(T,)`` — the arrays
+    t+N-2``.  Returns ``(nbits, cols, counts, sig)`` with shapes
+    ``(T, 2, W)``, ``(T, W)``, ``(T,)`` and ``(H-1, 2, W)`` (the pair
+    plane's uint8 significance flags) — the arrays
     :func:`repro.core.stats.band_stack_sizes` assembles into its
     :class:`~repro.core.stats.BandStackSizes`.
     """
@@ -151,7 +152,7 @@ def pair_reduce(
         _p_i64(cols),
         _p_i64(counts),
     )
-    return nbits, cols, counts
+    return nbits, cols, counts, sig
 
 
 def stack_nbits(plane: np.ndarray) -> np.ndarray:

@@ -22,12 +22,15 @@ import os
 import shutil
 import subprocess
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from .loader import SANITIZE_ENV, NativeUnavailable
 
-#: Default property corpus exercised under the sanitized build.
-DEFAULT_CORPUS = "tests/packing/test_native.py"
+#: Default property corpus exercised under the sanitized build: the
+#: tier's bit-identity tests and the engine's fast-path suite, which runs
+#: planned and unplanned native frames at every decomposition level.
+DEFAULT_CORPUS = ("tests/packing/test_native.py", "tests/window/test_fast_path.py")
 
 _RUN_TIMEOUT_S = 900
 
@@ -94,12 +97,12 @@ def sanitized_env(repo_root: Path, compiler: str | None = None) -> dict[str, str
 
 
 def run_corpus(
-    corpus: str = DEFAULT_CORPUS,
+    corpus: str | Sequence[str] = DEFAULT_CORPUS,
     *,
     repo_root: Path | None = None,
     python: str = sys.executable,
 ) -> tuple[int, str]:
-    """Execute ``corpus`` under the sanitized native build.
+    """Execute ``corpus`` (one pytest path or several) under the sanitized build.
 
     Returns ``(exit_code, combined_output)``.  Exit 0 means the whole
     property corpus passed with ASan/UBSan armed; anything else carries
@@ -110,10 +113,12 @@ def run_corpus(
     root = repo_root if repo_root is not None else Path.cwd()
     compiler = _compiler()
     env = sanitized_env(root, compiler)
-    corpus_path = root.joinpath(corpus)
-    if not corpus_path.exists():
-        raise NativeUnavailable(f"sanitizer corpus not found: {corpus_path}")
-    cmd = [python, "-m", "pytest", "-q", str(corpus_path)]
+    corpora = (corpus,) if isinstance(corpus, str) else corpus
+    paths = [root.joinpath(c) for c in corpora]
+    for path in paths:
+        if not path.exists():
+            raise NativeUnavailable(f"sanitizer corpus not found: {path}")
+    cmd = [python, "-m", "pytest", "-q", *map(str, paths)]
     try:
         result = subprocess.run(
             cmd,

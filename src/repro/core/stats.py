@@ -118,8 +118,8 @@ class BandStackSizes:
     """Per-traversal compressed-size accounting of a whole frame.
 
     The slimmed-down product of :func:`band_stack_sizes`: just the
-    quantities the engine's occupancy accounting needs, without
-    materialising per-coefficient planes for every traversal.
+    quantities the engine's occupancy accounting and plan check need,
+    without materialising per-coefficient planes for every traversal.
     """
 
     config: ArchitectureConfig
@@ -129,11 +129,61 @@ class BandStackSizes:
     nbits: np.ndarray
     #: Significant (non-zero) coefficients per band, shape ``(T,)``.
     significant_counts: np.ndarray
+    #: Significance flags of every sliding ``2**L``-row block, shape
+    #: ``(H - 2**L + 1, 2**L, W)``: row ``j`` of band ``t`` is row ``j %
+    #: 2**L`` of block ``t + 2**L * (j // 2**L)``.
+    bitmap: np.ndarray
 
     @property
     def management_bits_per_column(self) -> int:
         """NBits fields plus bitmap bits per column (same for every band)."""
         return 2 * self.config.nbits_field_width + self.config.window_size
+
+    def group_payload_columns(
+        self, rows_per_group: int
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Payload bits per plane column of each aligned row group.
+
+        Yields ``(t0, cols)`` in traversal order, where ``cols[c, g]`` is
+        the ``(W,)`` column sizes of band rows ``g*rows_per_group ..
+        (g+1)*rows_per_group - 1`` on traversal ``t0 + c``: the group's
+        significant coefficients per row parity times that parity's band
+        NBits, i.e. :attr:`BandAccounting.widths` summed over the group
+        rows without building them.  Traversals come in chunks of at most
+        :data:`GROUP_CHUNK_VALUES` group-column values, which bounds the
+        working set whatever the group count.
+        """
+        n, w = self.config.window_size, self.config.image_width
+        groups = n // rows_per_group
+        if groups == 1:  # one group holds every row: the band's columns
+            yield 0, self.payload_bits_per_column[:, None]
+            return
+        block = self.bitmap.shape[1]
+        flags = self.bitmap.view(np.uint8)
+        # Per-parity counts reach ceil(r/2), and NBits fit a byte.
+        count_dtype = np.min_scalar_type(rows_per_group)
+        bits_dtype = np.min_scalar_type(64 * rows_per_group)
+        t_total = self.nbits.shape[0]
+        step = max(1, GROUP_CHUNK_VALUES // (groups * w))
+        for t0 in range(0, t_total, step):
+            c = min(step, t_total - t0)
+            nbits = self.nbits[t0 : t0 + c].astype(np.uint8)
+            # Group-major storage keeps each group's (C, W) slice contiguous.
+            out = np.empty((groups, c, w), dtype=np.int64)
+            for g in range(groups):
+                counts = np.zeros((2, c, w), dtype=count_dtype)
+                for j in range(g * rows_per_group, (g + 1) * rows_per_group):
+                    k = t0 + block * (j // block)  # band row j's block
+                    counts[j % 2] += flags[k : k + c, j % block]
+                bits = np.multiply(nbits.transpose(1, 0, 2), counts, dtype=bits_dtype)
+                np.add(bits[0], bits[1], out=out[g])
+            yield t0, out.transpose(1, 0, 2)
+
+
+#: Group-column values per :meth:`BandStackSizes.group_payload_columns`
+#: chunk (8 MB of int64): a 512x512 frame with two groups is one chunk,
+#: and a 2048x2048 frame's plan check stays small at any group count.
+GROUP_CHUNK_VALUES = 1 << 20
 
 
 def band_stack_sizes(
@@ -143,108 +193,100 @@ def band_stack_sizes(
     probe: Probe | None = None,
     codec: str = "numpy",
 ) -> BandStackSizes:
-    """Compressed sizes of every traversal band in shared-row dataflow.
+    """Compressed sizes of every traversal band in shared-block dataflow.
 
-    Adjacent bands overlap in ``N - 1`` rows, and the single-level 2x2
-    block transform of band ``t`` only ever combines image row pairs
-    ``(t + 2i, t + 2i + 1)``.  So instead of transforming a ``(T, N, W)``
-    stack (``~N/2`` redundant copies of every pair), transform each of
-    the ``H - 1`` adjacent row *pairs* once — an O(H·W) pass — then
-    reduce per-band NBits and significance counts with sliding-window
-    max/sum over pair space.  Bit-identical to reducing
-    :func:`analyze_band` over the band stack (property-tested);
-    restricted to ``decomposition_levels == 1`` (deeper pyramids mix
-    rows more than one pair apart — use :func:`analyze_band` for those).
+    Adjacent bands overlap in ``N - 1`` rows, and an ``L``-level in-place
+    pyramid, the horizontal LL DPCM and the residual-LL threshold lattice
+    only ever combine rows inside an aligned ``B = 2**L``-row block: band
+    ``t`` is the blocks starting at rows ``t, t+B, .., t+N-B``, each
+    transformed on its own.  So instead of transforming a ``(T, N, W)``
+    stack (``~N/B`` redundant copies of every block), transform each of
+    the ``H - B + 1`` sliding blocks once — an O(B·H·W) pass — threshold
+    and size them with the tier's
+    :func:`~repro.core.packing.packer.threshold_and_size`, then reduce
+    per-band NBits (max) and significance counts (sum) over the ``N/B``
+    blocks of each band.  Bit-identical to reducing :func:`analyze_band`
+    over the band stack (property-tested).  The block significance flags
+    stay on the result for
+    :meth:`BandStackSizes.group_payload_columns`.  Blocks transform in
+    chunks of at most :data:`BLOCK_CHUNK_VALUES` coefficients, one chunk
+    for frames up to 512x512.
 
     ``probe`` times the ``transform`` / ``threshold`` / ``pack`` stages
-    (one span per whole-frame pass).  ``codec`` selects the kernel
+    (one span per chunk pass).  ``codec`` selects the kernel
     implementation — ``"numpy"`` (default) or the compiled ``"native"``
     tier, a *resolved* name from
     :func:`repro.core.packing.tiers.resolve_codec`; both produce
-    bit-identical sizes (property-tested).
+    bit-identical sizes (property-tested).  The native tier runs the
+    single-level case as fused pair-transform and pair-reduce kernels.
     """
     prb = probe if probe is not None else NULL_PROBE
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ConfigError(f"image must be 2D, got shape {arr.shape}")
-    if config.decomposition_levels != 1:
-        raise ConfigError(
-            "band_stack_sizes models the single-level dataflow; use "
-            "analyze_band for deeper decompositions"
-        )
     n = config.window_size
     h, w = arr.shape
     if h < n:
         raise ConfigError(f"image height {h} shorter than one {n}-band")
+    levels = config.decomposition_levels
     wrap = config.coefficient_bits if config.wrap_coefficients else None
-    if codec == "native":
-        return _band_stack_sizes_native(config, arr, prb)
-    with prb.span("transform"):
-        pairs = sliding_band_stack(arr, 2)  # (H-1, 2, W) zero-copy
-        plane = forward_inplace(pairs, 1, wrap_bits=wrap)
-        if config.ll_dpcm:
-            plane = ll_dpcm_forward(plane, 1)
-    # A two-row plane has one coefficient per parity and column, so the
-    # step's per-parity NBits are the per-coefficient widths.
-    _, element_widths, significant = threshold_and_size(
-        plane, config.threshold, exempt_mod=ll_exempt_mod(config), probe=prb
-    )
+    exempt_mod = ll_exempt_mod(config)
+    if codec == "native" and levels == 1:  # fused pair kernels
+        with prb.span("transform"):
+            plane = native_codec.pair_transform(
+                arr, ll_dpcm=config.ll_dpcm, wrap_bits=wrap
+            )
+        with prb.span("threshold"):
+            native_codec.threshold_inplace(
+                plane, config.threshold, exempt_mod=exempt_mod
+            )
+        with prb.span("pack"):
+            nbits, cols, counts, bitmap = native_codec.pair_reduce(plane, n)
+        return BandStackSizes(config, cols, nbits, counts, bitmap)
+    block = 1 << levels
+    blocks = sliding_band_stack(arr, block)  # (H-B+1, B, W) zero-copy
+    n_blocks = blocks.shape[0]
+    # Per-block NBits and significant counts per row parity both fit a
+    # byte; the flags are kept for the group columns.
+    block_nbits = np.empty((n_blocks, 2, w), dtype=np.uint8)
+    block_counts = np.empty((n_blocks, 2, w), dtype=np.uint8)
+    bitmap = np.empty((n_blocks, block, w), dtype=bool)
+    step = max(1, BLOCK_CHUNK_VALUES // (block * w))
+    for b0 in range(0, n_blocks, step):
+        chunk = slice(b0, b0 + step)
+        with prb.span("transform"):
+            plane = forward_inplace(blocks[chunk], levels, wrap_bits=wrap)
+            if config.ll_dpcm:
+                plane = ll_dpcm_forward(plane, levels)
+        _, block_nbits[chunk], bitmap[chunk] = threshold_and_size(
+            plane, config.threshold, exempt_mod=exempt_mod, codec=codec, probe=prb
+        )
+        np.add.reduce(
+            bitmap[chunk].reshape(-1, block // 2, 2, w),
+            axis=1,
+            dtype=np.uint8,
+            out=block_counts[chunk],
+        )
     with prb.span("pack"):
-        half = n // 2
         t_total = h - n + 1
-        nbits = np.empty((t_total, 2, w), dtype=np.int64)
-        counts = np.empty((t_total, 2, w), dtype=np.int64)
-        # Band t uses pairs t, t+2, .., t+N-2: a length-N/2 window over the
-        # pairs of t's parity class.  Accumulating N/2 shifted slices keeps
-        # every pass contiguous (a strided window-view reduce gathers).
-        for q in (0, 1):
-            if t_total <= q:
-                break
-            widths_q = element_widths[q::2]
-            signif_q = significant[q::2]
-            length = widths_q.shape[0] - half + 1
-            nbits_q = widths_q[:length].copy()
-            counts_q = signif_q[:length].astype(np.int64)
-            for i in range(1, half):
-                np.maximum(nbits_q, widths_q[i : i + length], out=nbits_q)
-                counts_q += signif_q[i : i + length]
-            nbits[q::2] = nbits_q
-            counts[q::2] = counts_q
+        # Band t reduces blocks t, t+B, .., t+N-B: N/B contiguous slices.
+        nbits = block_nbits[:t_total].copy()
+        counts = block_counts[:t_total].astype(np.min_scalar_type(n))
+        for start in range(block, n, block):
+            np.maximum(nbits, block_nbits[start : start + t_total], out=nbits)
+            counts += block_counts[start : start + t_total]
         # Every element of a band row packs its parity's band NBits when
         # significant; summing a column is counts x NBits per parity.
-        cols = counts[:, 0] * nbits[:, 0] + counts[:, 1] * nbits[:, 1]
-        signif_totals = counts.sum(axis=(1, 2))
-    return BandStackSizes(
-        config=config,
-        payload_bits_per_column=cols,
-        nbits=nbits,
-        significant_counts=signif_totals,
-    )
+        cols = np.multiply(counts[:, 0], nbits[:, 0], dtype=np.int64)
+        cols += np.multiply(counts[:, 1], nbits[:, 1], dtype=np.int64)
+        signif_totals = counts.sum(axis=(1, 2), dtype=np.int64)
+    return BandStackSizes(config, cols, nbits.astype(np.int64), signif_totals, bitmap)
 
 
-def _band_stack_sizes_native(
-    config: ArchitectureConfig, arr: np.ndarray, prb: Probe
-) -> BandStackSizes:
-    """Compiled-tier body of :func:`band_stack_sizes` (same spans)."""
-    wrap = config.coefficient_bits if config.wrap_coefficients else None
-    with prb.span("transform"):
-        plane = native_codec.pair_transform(
-            arr, ll_dpcm=config.ll_dpcm, wrap_bits=wrap
-        )
-    with prb.span("threshold"):
-        native_codec.threshold_inplace(
-            plane, config.threshold, exempt_mod=ll_exempt_mod(config)
-        )
-    with prb.span("pack"):
-        nbits, cols, counts = native_codec.pair_reduce(
-            plane, config.window_size
-        )
-    return BandStackSizes(
-        config=config,
-        payload_bits_per_column=cols,
-        nbits=nbits,
-        significant_counts=counts,
-    )
+#: Coefficients per :func:`band_stack_sizes` transform chunk (16 MB of
+#: int32): a 512x512 frame is one chunk at every level, and a 2048x2048
+#: frame's deeper pyramids stay within a bounded working set.
+BLOCK_CHUNK_VALUES = 1 << 22
 
 
 def sliding_band_stack(image: np.ndarray, window_size: int) -> np.ndarray:

@@ -229,7 +229,7 @@ def forward_inplace(
             f"sides must be divisible by 2^levels = {1 << levels}, "
             f"got {arr.shape}"
         )
-    plane = arr.astype(COEFF_DTYPE).copy()
+    plane = np.array(arr, dtype=COEFF_DTYPE, order="C")
     for level in range(levels):
         stride = 1 << level
         view = plane[..., ::stride, ::stride]

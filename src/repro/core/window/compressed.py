@@ -31,11 +31,11 @@ results:
   non-zero threshold), or when the memory path is protected/injected;
 - the *fast* frame-at-once path — when every traversal band is known up
   front to be the raw input rows (lossless, or ``recirculate=False``),
-  the whole frame is sized in vectorised passes (the shared-row
-  :func:`~repro.core.stats.band_stack_sizes`, or
-  :func:`~repro.core.stats.analyze_band` over a zero-copy ``(T, N, W)``
-  band stack), with a single whole-frame
-  :func:`~repro.core.window.golden.golden_apply` producing the kernel
+  one :func:`~repro.core.stats.band_stack_sizes` call sizes the whole
+  frame from its shared ``2**L``-row blocks, at every decomposition
+  level and with or without a memory plan (whose group columns come
+  from the same pass), and a single whole-frame
+  :func:`~repro.core.window.golden.golden_apply` produces the kernel
   outputs.  Bit-identical to the sequential path (outputs, widths,
   occupancy peaks, stats, probe distributions, capacity errors) —
   property-tested.
@@ -68,12 +68,7 @@ from ..packing.hw_unpack import BitUnpackingUnit
 from ..packing.nbits import NBitsGateModel
 from ..packing.packer import BandAccounting, ll_exempt_mod, threshold_and_size
 from ..packing.tiers import resolve_codec
-from ..stats import (
-    analyze_band,
-    band_stack_sizes,
-    sliding_band_stack,
-    sliding_occupancy,
-)
+from ..stats import analyze_band, band_stack_sizes, sliding_occupancy
 from ..transform.haar2d import Subbands, forward_column_pair, inverse_column_pair
 from .base import EngineStats, SlidingWindowEngine, WindowRun
 from .golden import golden_apply
@@ -82,7 +77,6 @@ from .traditional import traditional_fill_cycles
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...hardware.planner import PayloadPlacement, PlacementPlan
     from ...observability.probe import Probe
-    from ...spec import EngineSpec
 
 
 class CompressedEngine(SlidingWindowEngine):
@@ -166,17 +160,6 @@ class CompressedEngine(SlidingWindowEngine):
         #: (``"fast"`` or ``"sequential"``).
         self.last_path: str | None = None
 
-    @classmethod
-    def from_spec(
-        cls, spec: "EngineSpec", *, probe: "Probe | None" = None
-    ) -> "CompressedEngine":
-        """Build from an :class:`~repro.spec.EngineSpec` describing this kind."""
-        if spec.engine != "compressed":
-            raise ConfigError(
-                f"spec describes a {spec.engine!r} engine, not a compressed one"
-            )
-        return spec.build(probe=probe)
-
     @property
     def fast_path_eligible(self) -> bool:
         """True when the frame-at-once vectorised path is exact.
@@ -198,38 +181,38 @@ class CompressedEngine(SlidingWindowEngine):
         return self.memory_plan.payload
 
     def _group_columns(self, widths: np.ndarray) -> np.ndarray:
-        """Stored per-group column sizes under the memory plan.
+        """Stored per-group column sizes of one band under the memory plan.
 
-        ``widths`` is ``(..., N, W)``; rows fold into the plan's payload
-        groups of ``rows_per_group`` rows in one reshaped sum, giving
-        ``(..., G, W)``.  Each column's group bits are charged at their
-        stored size — the payload protection scheme's code expansion,
-        applied per column exactly as the hardware writes it.
+        ``widths`` is the band's ``(N, W)`` per-element widths; rows fold
+        into the plan's payload groups of ``rows_per_group`` rows in one
+        reshaped sum, giving ``(G, W)``.  Each column's group bits are
+        charged at their stored size — the payload protection scheme's
+        code expansion, applied per column exactly as the hardware writes
+        it.
         """
         r = self._payload.rows_per_group
-        *lead, n, w = widths.shape
-        grouped = widths.reshape((*lead, n // r, r, w)).sum(axis=-2)
+        n, w = widths.shape
+        grouped = widths.reshape(n // r, r, w).sum(axis=-2)
         return np.asarray(
             self.protection.payload.scaled_bits(grouped), dtype=np.int64
         )
 
     def _check_memory_plan(
         self,
-        widths: np.ndarray,
+        group_cols: np.ndarray,
         prev_group_cols: np.ndarray | None,
         first_traversal: int,
     ) -> np.ndarray:
         """Enforce the memory plan's per-group capacity on traversals.
 
-        ``widths`` is a ``(C, N, W)`` stack of consecutive traversals from
-        ``first_traversal`` on; ``prev_group_cols`` holds the group columns
-        of the traversal before them (``None`` for a frame's first).  All
-        payload groups are checked in one stacked occupancy pass; the
-        earliest traversal's lowest-numbered overflowing group is reported
-        (the order the hardware's group monitors would trip in).  Returns
-        the last traversal's group columns, the next call's reference.
+        ``group_cols`` is the ``(C, G, W)`` stored group-column stack of
+        consecutive traversals from ``first_traversal`` on;
+        ``prev_group_cols`` holds the group columns of the traversal
+        before them (``None`` for a frame's first).  The earliest
+        traversal's lowest-numbered overflowing group is reported (the
+        order the hardware's group monitors would trip in).  Returns the
+        last traversal's group columns, the next call's reference.
         """
-        group_cols = self._group_columns(widths)  # (C, G, W)
         peaks = self._occupancy_band_peaks(group_cols, 0, prev_group_cols)
         payload = self._payload
         capacities = np.asarray(payload.group_capacity_list(), dtype=np.int64)
@@ -270,34 +253,43 @@ class CompressedEngine(SlidingWindowEngine):
 
     # -- frame-at-once vectorised path ------------------------------------
 
-    #: Per-chunk working-set budget of the fast path (bytes of one
-    #: ``(C, N, W)`` int64 plane); bounds memory on 2048x2048 sweeps.
-    _FAST_CHUNK_BUDGET = 32 * 1024 * 1024
-
     def _run_fast(self, arr: np.ndarray) -> WindowRun:
         """Vectorised frame-at-once run (bit-identical to the loop).
 
         Every traversal band is the raw rows ``y-N+1 .. y`` (the
         eligibility precondition), so the whole frame's compression
-        accounting resolves in a handful of vectorised passes — the
-        shared-row :func:`band_stack_sizes` dataflow for the common
-        single-level case, a chunked :func:`analyze_band` sweep
-        when per-coefficient widths are needed (BRAM-plan enforcement)
-        or the pyramid is deeper — and the kernel output map is one
+        accounting is one shared-block :func:`band_stack_sizes` pass at
+        any decomposition level, and the kernel output map is one
         whole-frame :func:`golden_apply` instead of one call per
-        traversal.
+        traversal.  A memory plan's group columns come from the same
+        pass (``BandStackSizes.group_payload_columns``); eligibility
+        rules out a protected memory path, so they are the stored sizes.
         """
         cfg = self.config
-        n, w, h = cfg.window_size, cfg.image_width, cfg.image_height
+        n, w = cfg.window_size, cfg.image_width
         self.fault_summary = None
         prb = self.probe if self.probe is not None else NULL_PROBE
 
         with prb.span("kernel"):
             outputs = golden_apply(arr, n, self.kernel)
-        if self.memory_plan is None and cfg.decomposition_levels == 1:
-            peak, band_totals = self._fast_sizes_shared(arr)
-        else:
-            peak, band_totals = self._fast_sizes_chunked(arr)
+        sizes = band_stack_sizes(
+            cfg, arr, probe=self.probe, codec=self.codec_resolved
+        )
+        cols = sizes.payload_bits_per_column
+        mgmt = sizes.management_bits_per_column
+        with prb.span("fifo"):
+            band_totals = (cols.sum(axis=1) + mgmt * (w - n)).tolist()
+            band_peaks = self._occupancy_band_peaks(cols, mgmt, None)
+        if self.memory_plan is not None:
+            prev_group_cols = None
+            for t0, group_cols in sizes.group_payload_columns(
+                self._payload.rows_per_group
+            ):
+                prev_group_cols = self._check_memory_plan(
+                    group_cols, prev_group_cols, t0 + n - 1
+                )
+        if self.probe is not None:
+            self._observe_bands(sizes.nbits, band_peaks, sizes.significant_counts)
 
         fill = traditional_fill_cycles(n, w)
         stats = EngineStats(
@@ -306,15 +298,16 @@ class CompressedEngine(SlidingWindowEngine):
             drain_cycles=0,
             pixels_in=arr.size,
             outputs=outputs.size,
-            buffer_bits_peak=peak,
+            buffer_bits_peak=int(band_peaks.max()),
             traditional_buffer_bits=cfg.traditional_buffer_bits,
             band_total_bits=band_totals,
         )
         return WindowRun(
             outputs=outputs,
             stats=stats,
-            # Lossless: the reconstruction is the input, and ``arr`` is
-            # the private int64 copy run() made.
+            # Every buffered row is a raw input row (lossless, or lossy
+            # without recirculation), and ``arr`` is the private int64
+            # copy run() made.
             reconstruction=arr,
             faults=None,
         )
@@ -325,37 +318,32 @@ class CompressedEngine(SlidingWindowEngine):
         mgmt: int,
         prev_last: np.ndarray | None,
     ) -> np.ndarray:
-        """Per-traversal occupancy peaks of a ``(C, ..., W)`` size stack.
+        """Per-traversal occupancy peaks of a ``(C, W)`` or ``(C, G, W)`` stack.
 
         Each traversal references the previous traversal's sizes;
         ``prev_last`` carries the final sizes of the preceding chunk (the
         very first traversal of a frame references itself).
         """
-        if self.codec_resolved == "native" and cols.ndim == 2:
-            return native_codec.occupancy_peaks(
-                cols, self.config.window_size, mgmt, prev_last=prev_last
+        if self.codec_resolved == "native":
+            if cols.ndim == 2:
+                return native_codec.occupancy_peaks(
+                    cols, self.config.window_size, mgmt, prev_last=prev_last
+                )
+            return np.stack(
+                [
+                    self._occupancy_band_peaks(
+                        cols[:, g],
+                        mgmt,
+                        None if prev_last is None else prev_last[g],
+                    )
+                    for g in range(cols.shape[1])
+                ],
+                axis=1,
             )
         carry = cols[:1] if prev_last is None else prev_last[None]
         prev = np.concatenate([carry, cols[:-1]], axis=0)
         occ = sliding_occupancy(prev, cols, self.config.window_size, mgmt)
         return occ.max(axis=-1)
-
-    def _fast_sizes_shared(self, arr: np.ndarray) -> tuple[int, list[int]]:
-        """Whole-frame accounting via the shared-row pair dataflow."""
-        cfg = self.config
-        n, w = cfg.window_size, cfg.image_width
-        prb = self.probe if self.probe is not None else NULL_PROBE
-        sizes = band_stack_sizes(
-            cfg, arr, probe=self.probe, codec=self.codec_resolved
-        )
-        cols = sizes.payload_bits_per_column
-        mgmt = sizes.management_bits_per_column
-        with prb.span("fifo"):
-            band_totals = (cols.sum(axis=1) + mgmt * (w - n)).tolist()
-            band_peaks = self._occupancy_band_peaks(cols, mgmt, None)
-        if self.probe is not None:
-            self._observe_bands(sizes.nbits, band_peaks, sizes.significant_counts)
-        return int(band_peaks.max()), band_totals
 
     def _observe_bands(
         self,
@@ -376,49 +364,6 @@ class CompressedEngine(SlidingWindowEngine):
         self.probe.observe_many("repro_band_nbits", np.asarray(nbits))
         self.probe.observe_many("repro_band_occupancy_bits", np.asarray(band_peaks))
         self.probe.observe_many("repro_band_zero_ratio", zero_ratios)
-
-    def _fast_sizes_chunked(self, arr: np.ndarray) -> tuple[int, list[int]]:
-        """Whole-frame accounting via chunked band-stack analysis.
-
-        Used when per-coefficient width planes are required (BRAM-plan
-        enforcement) or the decomposition recurses deeper than one level;
-        chunking bounds the ``(C, N, W)`` working set.  Each chunk is one
-        :func:`analyze_band` call on the band stack.
-        """
-        cfg = self.config
-        n, w = cfg.window_size, cfg.image_width
-        prb = self.probe if self.probe is not None else NULL_PROBE
-        stack = sliding_band_stack(arr, n)
-        band_totals: list[int] = []
-        peak = 0
-        prev_cols: np.ndarray | None = None
-        prev_group_cols: np.ndarray | None = None
-        chunk = max(1, self._FAST_CHUNK_BUDGET // (n * w * 8))
-        for t0 in range(0, stack.shape[0], chunk):
-            analysis = analyze_band(
-                cfg,
-                stack[t0 : t0 + chunk],
-                probe=self.probe,
-                codec=self.codec_resolved,
-            )
-            mgmt = analysis.management_bits_per_column
-            cols = analysis.payload_bits_per_column  # (C, W)
-            with prb.span("fifo"):
-                band_totals.extend(
-                    int(v) + mgmt * (w - n) for v in cols.sum(axis=1)
-                )
-                band_peaks = self._occupancy_band_peaks(cols, mgmt, prev_cols)
-            if self.probe is not None:
-                self._observe_bands(
-                    analysis.nbits, band_peaks, analysis.significant_counts
-                )
-            if self.memory_plan is not None:
-                prev_group_cols = self._check_memory_plan(
-                    analysis.widths, prev_group_cols, t0 + n - 1
-                )
-            peak = max(peak, int(band_peaks.max()))
-            prev_cols = cols[-1]
-        return peak, band_totals
 
     # -- sequential reference path ----------------------------------------
 
@@ -485,7 +430,7 @@ class CompressedEngine(SlidingWindowEngine):
             counts_seen.append(sizes.significant_counts)
             if self.memory_plan is not None:
                 prev_group_cols = self._check_memory_plan(
-                    sizes.widths[None], prev_group_cols, y
+                    self._group_columns(sizes.widths)[None], prev_group_cols, y
                 )
             prev_cols = cols
             if y + 1 < h:

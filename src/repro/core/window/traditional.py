@@ -22,16 +22,10 @@ from collections import deque
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from ...errors import StateError
 from ...observability.probe import NULL_PROBE
 from .base import EngineStats, SlidingWindowEngine, WindowRun
 from .golden import golden_apply
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...observability.probe import Probe
-    from ...spec import EngineSpec
 
 
 def traditional_fill_cycles(window_size: int, image_width: int) -> int:
@@ -41,19 +35,6 @@ def traditional_fill_cycles(window_size: int, image_width: int) -> int:
 
 class TraditionalEngine(SlidingWindowEngine):
     """Fast functional model of the line-buffering architecture."""
-
-    @classmethod
-    def from_spec(
-        cls, spec: "EngineSpec", *, probe: "Probe | None" = None
-    ) -> "TraditionalEngine":
-        """Build from an :class:`~repro.spec.EngineSpec` describing this kind."""
-        if spec.engine != "traditional":
-            from ...errors import ConfigError
-
-            raise ConfigError(
-                f"spec describes a {spec.engine!r} engine, not a traditional one"
-            )
-        return spec.build(probe=probe)
 
     def run(self, image: np.ndarray) -> WindowRun:
         """Golden outputs with analytic architectural statistics."""

@@ -125,13 +125,29 @@ class TestMse:
         assert result.recirculated[4].mean >= result.single_pass[4].mean * 0.99
 
     def test_lossless_reconstructions_exact(self):
-        from repro import ArchitectureConfig
+        from repro import ArchitectureConfig, CompressedEngine
+        from repro.kernels import BoxFilterKernel
         from repro.imaging import benchmark_dataset
 
         img = benchmark_dataset(128, n_images=1)[0].astype(np.int64)
         config = ArchitectureConfig(image_width=128, image_height=128, window_size=16)
         assert np.array_equal(ex.reconstruct_single_pass(config, img), img)
-        assert np.array_equal(ex.reconstruct_recirculated(config, img), img)
+        recirculated = CompressedEngine(config, BoxFilterKernel(16)).run(img)
+        assert np.array_equal(recirculated.reconstruction, img)
+
+    def test_recirculated_mse_pinned(self):
+        """The engine's recirculating loop gives the column's pinned values."""
+        result = ex.mse_vs_threshold(
+            resolution=64,
+            window=8,
+            thresholds=(2, 6),
+            n_images=2,
+            include_recirculated=True,
+            processes=1,
+        )
+        assert result.recirculated is not None
+        assert result.recirculated[2].mean == 1.1802978515625
+        assert result.recirculated[6].mean == 8.0989990234375
 
 
 class TestHeadline:

@@ -6,6 +6,7 @@ import pytest
 
 from repro import ArchitectureConfig
 from repro.analysis.validation import validate_engines
+from repro.errors import ConfigError
 from repro.kernels import BoxFilterKernel
 
 from helpers import random_image
@@ -47,6 +48,13 @@ class TestValidateEngines:
             "traditional (analytic)",
             "compressed (fast)",
         ]
+
+    def test_lossy_without_cycle_engines_refused(self, rng):
+        img = random_image(rng, 16, 16, smooth=True)
+        with pytest.raises(ConfigError, match="nothing to compare"):
+            validate_engines(
+                cfg(threshold=4), img, BoxFilterKernel(4), include_cycle_engines=False
+            )
 
     def test_render(self, rng):
         img = random_image(rng, 16, 16)

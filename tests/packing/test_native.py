@@ -63,8 +63,10 @@ class TestKernelEquivalence:
             {"threshold": 4, "threshold_bands": "details"},
             {"threshold": 3, "ll_dpcm": True},
             {"coefficient_bits": 8, "wrap_coefficients": True},
+            {"threshold": 3, "decomposition_levels": 2, "ll_dpcm": True},
+            {"threshold": 3, "decomposition_levels": 3},
         ],
-        ids=["lossless", "lossy", "details", "dpcm", "wrap"],
+        ids=["lossless", "lossy", "details", "dpcm", "wrap", "levels2", "levels3"],
     )
     def test_band_stack_sizes_bit_identical(self, rng, extra):
         config = cfg(**extra)
@@ -76,6 +78,10 @@ class TestKernelEquivalence:
             ref.payload_bits_per_column, nat.payload_bits_per_column
         )
         assert np.array_equal(ref.significant_counts, nat.significant_counts)
+        for rows_per_group in (1, 2, config.window_size):
+            ((_, ref_groups),) = ref.group_payload_columns(rows_per_group)
+            ((_, nat_groups),) = nat.group_payload_columns(rows_per_group)
+            assert np.array_equal(ref_groups, nat_groups)
 
     def test_stack_nbits_matches_min_bits(self, rng):
         stack = rng.integers(-(2**17), 2**17, size=(5, 6, 12)).astype(np.int32)

@@ -78,4 +78,5 @@ class TestRunCorpus:
             run_corpus("tests/does_not_exist.py", repo_root=tmp_path)
 
     def test_default_corpus_exists_in_repo(self):
-        assert Path(DEFAULT_CORPUS).exists()
+        assert "tests/window/test_fast_path.py" in DEFAULT_CORPUS
+        assert all(Path(path).exists() for path in DEFAULT_CORPUS)

@@ -111,6 +111,24 @@ class TestCommands:
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_validate_refuses_empty_lossy_comparison(self, capsys):
+        """Lossy without cycle engines compares nothing: exit non-zero."""
+        with pytest.raises(SystemExit, match="nothing to compare") as err:
+            main(
+                [
+                    "validate",
+                    "--resolution",
+                    "16",
+                    "--window",
+                    "4",
+                    "--no-cycle",
+                    "--threshold",
+                    "4",
+                ]
+            )
+        assert err.value.code != 0
+        assert "Engine validation" not in capsys.readouterr().out
+
     def test_validate_full_small(self, capsys):
         assert main(["validate", "--resolution", "16", "--window", "4"]) == 0
         out = capsys.readouterr().out

@@ -59,21 +59,6 @@ class TestBuild:
         assert not engine.recirculate
         assert not engine.fast_path_eligible
 
-    def test_from_spec_constructors(self):
-        assert isinstance(
-            CompressedEngine.from_spec(spec_of()), CompressedEngine
-        )
-        assert isinstance(
-            TraditionalEngine.from_spec(spec_of(engine="traditional")),
-            TraditionalEngine,
-        )
-
-    def test_from_spec_rejects_wrong_family(self):
-        with pytest.raises(ConfigError, match="engine"):
-            CompressedEngine.from_spec(spec_of(engine="traditional"))
-        with pytest.raises(ConfigError, match="engine"):
-            TraditionalEngine.from_spec(spec_of())
-
 
 class TestThresholdOverride:
     def test_resolved_config_applies_override(self):

@@ -304,12 +304,54 @@ class TestBandStackSizes:
         assert np.array_equal(sizes.significant_counts, full.significant_counts)
         assert sizes.management_bits_per_column == full.management_bits_per_column
 
-    def test_rejects_deeper_pyramids(self, rng):
-        from repro.core.stats import band_stack_sizes
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"threshold": 4}, {"threshold": 4, "ll_dpcm": True}],
+        ids=["lossless", "lossy", "dpcm"],
+    )
+    def test_deeper_pyramids_match_full_stack_analysis(self, rng, levels, extra):
+        """2**L-row blocks: band t is blocks t, t+2**L, .., t+N-2**L."""
+        from repro.core.stats import band_stack_sizes, sliding_band_stack
 
-        config = cfg(decomposition_levels=2)
-        with pytest.raises(ConfigError, match="single-level"):
-            band_stack_sizes(config, rng.integers(0, 256, size=(64, 64)))
+        config = cfg(
+            image_width=32, image_height=29, decomposition_levels=levels, **extra
+        )
+        image = rng.integers(0, 256, size=(29, 32))
+        sizes = band_stack_sizes(config, image)
+        full = analyze_band(config, sliding_band_stack(image, 8))
+        assert np.array_equal(
+            sizes.payload_bits_per_column, full.payload_bits_per_column
+        )
+        assert np.array_equal(sizes.nbits, full.nbits)
+        assert np.array_equal(sizes.significant_counts, full.significant_counts)
+
+    @pytest.mark.parametrize("rows_per_group", [1, 2, 4, 8])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_group_columns_fold_the_widths(
+        self, rng, monkeypatch, levels, rows_per_group
+    ):
+        """Group columns equal the per-element widths summed per group,
+        chunk after chunk in traversal order."""
+        from repro.core import stats
+
+        monkeypatch.setattr(stats, "GROUP_CHUNK_VALUES", 7 * 32)
+        config = cfg(
+            image_width=32,
+            image_height=29,
+            decomposition_levels=levels,
+            threshold=3,
+            threshold_bands="details",
+        )
+        image = rng.integers(0, 256, size=(29, 32))
+        sizes = stats.band_stack_sizes(config, image)
+        widths = analyze_band(config, stats.sliding_band_stack(image, 8)).widths
+        expected = widths.reshape(22, 8 // rows_per_group, rows_per_group, 32)
+        chunks = list(sizes.group_payload_columns(rows_per_group))
+        starts = [t0 for t0, _ in chunks]
+        got = np.concatenate([cols for _, cols in chunks])
+        assert starts == sorted(starts) and starts[0] == 0
+        assert np.array_equal(got, expected.sum(axis=2))
 
     def test_rejects_short_images(self):
         from repro.core.stats import band_stack_sizes

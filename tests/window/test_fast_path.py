@@ -24,6 +24,8 @@ from repro import (
     TraditionalCycleEngine,
     TraditionalEngine,
 )
+from repro.core import stats
+from repro.core.packing import native
 from repro.core.window.golden import sliding_windows
 from repro.errors import CapacityError, ConfigError
 from repro.observability.probe import MetricsProbe
@@ -48,6 +50,10 @@ def cfg(width=32, height=32, window=8, **kw):
     return ArchitectureConfig(
         image_width=width, image_height=height, window_size=window, **kw
     )
+
+
+#: Codec tiers the planned-run tests cover (native when it compiles).
+CODEC_TIERS = ("numpy", "native") if native.is_available() else ("numpy",)
 
 
 def run_both(config, kernel, image, **engine_kw):
@@ -149,15 +155,6 @@ class TestEquivalenceMatrix:
         seq_run, fast_run = run_both(
             config, BoxFilterKernel(8), image, recirculate=False
         )
-        assert_identical(seq_run, fast_run)
-
-    def test_chunked_stack_sweep_matches(self, rng, monkeypatch):
-        """Force multi-chunk band-stack analysis and the carry of
-        previous-chunk sizes across the chunk boundary."""
-        monkeypatch.setattr(CompressedEngine, "_FAST_CHUNK_BUDGET", 8 * 64 * 8 * 3)
-        config = cfg(width=64, height=64, decomposition_levels=2)
-        image = random_image(rng, 64, 64)
-        seq_run, fast_run = run_both(config, BoxFilterKernel(8), image)
         assert_identical(seq_run, fast_run)
 
 
@@ -323,14 +320,19 @@ class TestCapacitySurfaces:
         if plan.rows_per_bram <= 1:
             pytest.skip("plan fell back to one row per BRAM (never overflows)")
         messages = []
-        for fast_path in (False, True):
-            engine = CompressedEngine(
-                config, BoxFilterKernel(16), memory_plan=plan, fast_path=fast_path
-            )
-            with pytest.raises(CapacityError, match="BRAM group") as err:
-                engine.run(noise)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        for codec in CODEC_TIERS:
+            for fast_path in (False, True):
+                engine = CompressedEngine(
+                    config,
+                    BoxFilterKernel(16),
+                    memory_plan=plan,
+                    fast_path=fast_path,
+                    codec=codec,
+                )
+                with pytest.raises(CapacityError, match="BRAM group") as err:
+                    engine.run(noise)
+                messages.append(str(err.value))
+        assert len(set(messages)) == 1
 
     def test_memory_plan_passing_frame_identical(self, rng):
         from repro.core.stats import analyze_image
@@ -341,10 +343,11 @@ class TestCapacitySurfaces:
         plan = plan_placement(
             config, analyze_image(config, image).row_bits_worst
         )
-        seq_run, fast_run = run_both(
-            config, BoxFilterKernel(8), image, memory_plan=plan
-        )
-        assert_identical(seq_run, fast_run)
+        for codec in CODEC_TIERS:
+            seq_run, fast_run = run_both(
+                config, BoxFilterKernel(8), image, memory_plan=plan, codec=codec
+            )
+            assert_identical(seq_run, fast_run)
 
 
 @pytest.fixture(scope="module")
@@ -382,11 +385,13 @@ class TestMemoryPlanCapacity:
         plan = plan_placement(config, worst, device=ZU7EV)
         assert plan.payload.primitive.kind == kind
         assert min(plan.payload.group_capacity_list()) > 18432
-        for frame in suite_512:
-            seq_run, fast_run = run_both(
-                config, BoxFilterKernel(window), frame, memory_plan=plan
-            )
-            assert_identical(seq_run, fast_run)
+        kernel = BoxFilterKernel(window)
+        for codec in CODEC_TIERS:
+            for frame in suite_512:
+                seq_run, fast_run = run_both(
+                    config, kernel, frame, memory_plan=plan, codec=codec
+                )
+                assert_identical(seq_run, fast_run)
 
     def test_secded_storage_counts_against_capacity(self, rng):
         """Raw bits fit one RAMB18 group; their SECDED code words do not."""
@@ -398,8 +403,11 @@ class TestMemoryPlanCapacity:
         assert plan.payload.group_capacity_list() == (18432,)
         frame = rng.integers(0, 96, size=(320, 320), dtype=np.int64)
         kernel = BoxFilterKernel(8)
-        seq_run, fast_run = run_both(config, kernel, frame, memory_plan=plan)
-        assert_identical(seq_run, fast_run)
+        for codec in CODEC_TIERS:
+            seq_run, fast_run = run_both(
+                config, kernel, frame, memory_plan=plan, codec=codec
+            )
+            assert_identical(seq_run, fast_run)
         engine = CompressedEngine(
             config, kernel, memory_plan=plan, protection="secded"
         )
@@ -418,26 +426,164 @@ class TestMemoryPlanCapacity:
         frame = random_image(rng, 48, 64)
         kernel = BoxFilterKernel(8)
         (peak,) = group_peaks(config, frame, 8)
-        seq_run, fast_run = run_both(
-            config, kernel, frame, memory_plan=exact_capacity_plan(config, [peak])
-        )
-        assert_identical(seq_run, fast_run)
         messages = []
+        for codec in CODEC_TIERS:
+            seq_run, fast_run = run_both(
+                config,
+                kernel,
+                frame,
+                memory_plan=exact_capacity_plan(config, [peak]),
+                codec=codec,
+            )
+            assert_identical(seq_run, fast_run)
+            for fast_path in (False, True):
+                engine = CompressedEngine(
+                    config,
+                    kernel,
+                    memory_plan=exact_capacity_plan(config, [peak - 1]),
+                    fast_path=fast_path,
+                    codec=codec,
+                )
+                with pytest.raises(CapacityError) as err:
+                    engine.run(frame)
+                messages.append(str(err.value))
+        assert len(set(messages)) == 1
+        assert f"holds {peak} stored bits" in messages[0]
+        assert f"allocation is {peak - 1} bits ({peak - 1} x BIT, 8 rows/group)" in (
+            messages[0]
+        )
+
+
+def band_histograms(probe):
+    """The ``repro_band_*`` histograms of a probe, sample for sample."""
+    return sorted(
+        (h["name"], h["count"], h["sum"], tuple(h["bucket_counts"]))
+        for h in probe.snapshot()["histograms"]
+        if h["name"].startswith("repro_band_")
+    )
+
+
+def span_counts(probe):
+    """Recorded spans per label."""
+    return {
+        h["labels"]["span"]: h["count"]
+        for h in probe.snapshot()["histograms"]
+        if h["name"] == "repro_span_seconds"
+    }
+
+
+class TestPlannedFastPath:
+    """A memory plan leaves the fast path on its one sizing route.
+
+    Group columns come from the shared-block pass at every level, group
+    size and tier; the sequential loop (per-element widths folded into
+    groups) is the oracle for outputs, stats, band histograms and the
+    exact ``CapacityError`` text.
+    """
+
+    @pytest.mark.parametrize("codec", CODEC_TIERS)
+    @pytest.mark.parametrize("rows_per_group", [1, 2, 4, 8])
+    @pytest.mark.parametrize("ll_dpcm", [False, True], ids=["plain", "dpcm"])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_plans_match_sequential(
+        self, rng, levels, ll_dpcm, rows_per_group, codec
+    ):
+        config = cfg(
+            width=32,
+            height=37,
+            threshold=3,
+            decomposition_levels=levels,
+            ll_dpcm=ll_dpcm,
+        )
+        frame = random_image(rng, 37, 32, smooth=True)
+        kernel = BoxFilterKernel(8)
+        engine_kw = dict(recirculate=False, codec=codec)
+        peaks = group_peaks(config, frame, rows_per_group)
+        plan = exact_capacity_plan(config, peaks)
+        runs, histograms = [], []
         for fast_path in (False, True):
+            probe = MetricsProbe()
             engine = CompressedEngine(
                 config,
                 kernel,
-                memory_plan=exact_capacity_plan(config, [peak - 1]),
+                memory_plan=plan,
                 fast_path=fast_path,
+                probe=probe,
+                **engine_kw,
+            )
+            runs.append(engine.run(frame))
+            histograms.append(band_histograms(probe))
+        assert_identical(*runs)
+        assert histograms[0] == histograms[1]
+
+        # One bit short in the last group: both paths trip it at the
+        # same traversal with the same stored bits.
+        last = len(peaks) - 1
+        tight = exact_capacity_plan(config, [*peaks[:-1], peaks[-1] - 1])
+        messages = []
+        for fast_path in (False, True):
+            engine = CompressedEngine(
+                config, kernel, memory_plan=tight, fast_path=fast_path, **engine_kw
             )
             with pytest.raises(CapacityError) as err:
                 engine.run(frame)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-        assert f"holds {peak} stored bits" in messages[0]
-        assert f"allocation is {peak - 1} bits ({peak - 1} x BIT, 8 rows/group)" in (
-            messages[0]
+        assert f"BRAM group {last} holds {peaks[-1]} stored bits" in messages[0]
+
+    @pytest.mark.parametrize("codec", CODEC_TIERS)
+    def test_chunk_boundaries(self, rng, monkeypatch, codec):
+        """Several transform and group-column chunks per frame: the
+        occupancy carry crosses every boundary."""
+        monkeypatch.setattr(stats, "BLOCK_CHUNK_VALUES", 3 * 4 * 32)
+        monkeypatch.setattr(stats, "GROUP_CHUNK_VALUES", 5 * 4 * 32)
+        config = cfg(width=32, height=41, decomposition_levels=2)
+        frame = random_image(rng, 41, 32)
+        peaks = group_peaks(config, frame, 2)
+        seq_run, fast_run = run_both(
+            config,
+            BoxFilterKernel(8),
+            frame,
+            memory_plan=exact_capacity_plan(config, peaks),
+            codec=codec,
         )
+        assert_identical(seq_run, fast_run)
+        tight = exact_capacity_plan(config, [*peaks[:2], peaks[2] - 1, peaks[3]])
+        messages = []
+        for fast_path in (False, True):
+            engine = CompressedEngine(
+                config,
+                BoxFilterKernel(8),
+                memory_plan=tight,
+                fast_path=fast_path,
+                codec=codec,
+            )
+            with pytest.raises(CapacityError) as err:
+                engine.run(frame)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("codec", CODEC_TIERS)
+    def test_plan_keeps_the_route(self, rng, codec):
+        """A planned fast frame records exactly the unplanned spans."""
+        config = cfg(width=64, height=64)
+        frame = random_image(rng, 64, 64, smooth=True)
+        plan = exact_capacity_plan(config, group_peaks(config, frame, 2))
+        counts = []
+        for memory_plan in (None, plan):
+            probe = MetricsProbe()
+            engine = CompressedEngine(
+                config,
+                BoxFilterKernel(8),
+                memory_plan=memory_plan,
+                fast_path=True,
+                probe=probe,
+                codec=codec,
+            )
+            engine.run(frame)
+            counts.append(span_counts(probe))
+        assert "run/transform" in counts[0]
+        assert counts[0] == counts[1]
 
 
 class TestFallbackRules:
