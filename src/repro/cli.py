@@ -432,11 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not report stale '# reprolint: disable=...' waivers (REP000)",
     )
-    p_lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="parse every file fresh instead of using ~/.cache/repro-lint",
-    )
 
     p_rep = sub.add_parser("report", help="one-shot reproduction report")
     p_rep.add_argument("--resolution", type=int, default=512)
@@ -703,7 +698,6 @@ def main(argv: list[str] | None = None) -> int:
             pass
     elif args.command == "lint":
         from .lint import (
-            AstCache,
             LintReport,
             default_rules,
             lint_paths,
@@ -727,12 +721,8 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 0
         paths = args.paths if args.paths else [Path("src")]
-        cache = None if args.no_cache else AstCache()
         report = lint_paths(
-            paths,
-            rules,
-            cache=cache,
-            report_unused_waivers=not args.no_unused_waivers,
+            paths, rules, report_unused_waivers=not args.no_unused_waivers
         )
         print(render_json(report) if args.format == "json" else render_text(report))
         # Exit-code contract: 0 clean, 1 findings, 2 the linter itself

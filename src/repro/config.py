@@ -11,9 +11,12 @@ depths, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Window sizes evaluated throughout the paper (Tables I-X, Fig 13).
 PAPER_WINDOW_SIZES: tuple[int, ...] = (8, 16, 32, 64, 128)
@@ -166,6 +169,19 @@ class ArchitectureConfig:
     def pixel_max(self) -> int:
         """Largest representable pixel value (unsigned)."""
         return (1 << self.pixel_bits) - 1
+
+    def check_pixels(self, pixels: "np.ndarray") -> None:
+        """Raise :class:`ConfigError` unless every pixel is in ``[0, pixel_max]``.
+
+        The one range check: the engines, ``StreamingProcessor.submit``
+        (before a frame takes a ring slot) and the gateway's frame decode
+        all call it, so a frame is refused the same way everywhere.
+        """
+        if pixels.size and (pixels.min() < 0 or pixels.max() > self.pixel_max):
+            raise ConfigError(
+                f"pixels outside [0, {self.pixel_max}] for "
+                f"{self.pixel_bits}-bit input"
+            )
 
     # ------------------------------------------------------------------
     # Management-bit formulas (Section IV.C / V.E)

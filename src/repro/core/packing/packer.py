@@ -395,9 +395,5 @@ class BandCodec:
             raise ConfigError(f"band sides must be even, got {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ConfigError(f"band must be integer pixels, got {arr.dtype}")
-        if arr.size and (arr.min() < 0 or arr.max() > self.config.pixel_max):
-            raise ConfigError(
-                f"pixels outside [0, {self.config.pixel_max}] for "
-                f"{self.config.pixel_bits}-bit input"
-            )
+        self.config.check_pixels(arr)
         return arr

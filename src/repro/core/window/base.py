@@ -129,10 +129,7 @@ class SlidingWindowEngine(ABC):
             )
         if not np.issubdtype(arr.dtype, np.integer):
             raise ConfigError(f"image must be integer pixels, got {arr.dtype}")
-        if arr.size and (arr.min() < 0 or arr.max() > cfg.pixel_max):
-            raise ConfigError(
-                f"pixels outside [0, {cfg.pixel_max}] for {cfg.pixel_bits}-bit input"
-            )
+        cfg.check_pixels(arr)
         return arr
 
 

@@ -340,10 +340,16 @@ class CompressedEngine(SlidingWindowEngine):
                 ],
                 axis=1,
             )
-        carry = cols[:1] if prev_last is None else prev_last[None]
-        prev = np.concatenate([carry, cols[:-1]], axis=0)
-        occ = sliding_occupancy(prev, cols, self.config.window_size, mgmt)
-        return occ.max(axis=-1)
+        # The maximum of the ``sliding_occupancy`` trace in closed form:
+        # position x holds the previous band's first W-N columns with
+        # its first k replaced by the current band's, k = 0 .. W-N, so
+        # the peak is that total plus the best prefix of cur - prev.
+        span = cols.shape[-1] - self.config.window_size
+        head = cols[..., :span].astype(np.int64, copy=False)
+        carry = head[:1] if prev_last is None else prev_last[None, ..., :span]
+        prev = np.concatenate([carry, head[:-1]], axis=0)
+        gain = np.cumsum(head - prev, axis=-1)
+        return prev.sum(axis=-1) + gain.max(axis=-1, initial=0) + mgmt * span
 
     def _observe_bands(
         self,

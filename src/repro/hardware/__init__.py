@@ -55,7 +55,6 @@ from .resources import (
     ResourceEstimate,
     ResourceModel,
     BLOCK_ANCHORS,
-    protection_resources,
 )
 from .device import DEVICES, FPGADevice, XC7Z020, ZU7EV
 from .ecc import SecdedCodec
@@ -94,7 +93,6 @@ __all__ = [
     "ResourceEstimate",
     "ResourceModel",
     "BLOCK_ANCHORS",
-    "protection_resources",
     "FPGADevice",
     "DEVICES",
     "XC7Z020",

@@ -534,12 +534,6 @@ class PlacementPlan:
                 counts[kind] = counts.get(kind, 0) + placement.units
         return counts
 
-    def traditional_unit_counts(self) -> dict[str, int]:
-        """Traditional-architecture units per primitive kind."""
-        if not self.line_buffers.units:
-            return {}
-        return {self.line_buffers.kind: self.line_buffers.units}
-
     def usage(self) -> dict[str, int]:
         """Device-inventory demand of the compressed architecture.
 

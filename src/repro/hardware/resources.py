@@ -82,17 +82,6 @@ BLOCK_FMAX: dict[str, float] = {
 #: ablation rescales these by adders-per-butterfly relative to Haar's 2.
 _TRANSFORM_BLOCKS = ("iwt", "iiwt")
 
-#: XOR trees close timing comfortably; modelled Fmax of the ECC layer.
-PROTECTION_FMAX_MHZ: float = 520.0
-
-
-def _xor_tree_luts(inputs: int) -> int:
-    """LUT6s needed for one ``inputs``-wide XOR tree (5 new bits per LUT)."""
-    if inputs <= 1:
-        return 0
-    return int(np.ceil((inputs - 1) / 5))
-
-
 @dataclass(frozen=True, slots=True)
 class ResourceEstimate:
     """Estimated resources of one block (or the whole architecture)."""
@@ -224,21 +213,6 @@ class ResourceModel:
             anchored=False,
         )
 
-    def protected_overall(
-        self, window_size: int, protection: object | None
-    ) -> ResourceEstimate:
-        """Whole-architecture estimate including the memory-path ECC layer."""
-        base = self.overall(window_size)
-        extra = protection_resources(protection, window_size)
-        return ResourceEstimate(
-            module=f"overall+{extra.module}",
-            window_size=window_size,
-            luts=base.luts + extra.luts,
-            registers=base.registers + extra.registers,
-            fmax_mhz=min(base.fmax_mhz, extra.fmax_mhz),
-            anchored=False,
-        )
-
     def max_window_for_device(self, device: FPGADevice | None = None) -> int:
         """Largest even window whose overall estimate fits ``device``.
 
@@ -255,65 +229,3 @@ class ResourceModel:
                 break
             n += 2
         return best
-
-
-def _codec_cost(scheme) -> tuple[int, int]:
-    """Analytic (LUTs, registers) of one encoder + decoder pair.
-
-    XOR-tree arithmetic over LUT6s: a parity check over ``k`` bits costs
-    ``ceil((k - 1) / 5)`` LUTs.  SECDED adds the syndrome decode (one LUT
-    per code-bit position to steer the correcting XOR); TMR is a 3-input
-    majority vote plus a disagreement detect per bit.  Registers hold the
-    in-flight code word on each side.
-    """
-    d, c = scheme.data_bits, scheme.code_bits
-    name = scheme.name
-    if name == "none":
-        return 0, 0
-    if name == "parity":
-        # Encode: one d-wide tree.  Decode: one (d+1)-wide tree + flag.
-        return _xor_tree_luts(d) + _xor_tree_luts(c) + 1, 2 * c + 1
-    if name == "tmr":
-        # Majority vote (1 LUT/bit) + disagreement detect (1 LUT/bit).
-        return 2 * d, c + d
-    if name == "secded":
-        r = c - d - 1
-        # Each Hamming check covers about half of the data positions.
-        check = _xor_tree_luts((d + r) // 2 + 1)
-        encode = r * check + _xor_tree_luts(c - 1)
-        decode = r * check + _xor_tree_luts(c) + c + 2
-        return encode + decode, 2 * c + r + 2
-    raise ConfigError(f"no cost model for protection scheme {name!r}")
-
-
-def protection_resources(
-    protection: object | None, window_size: int
-) -> ResourceEstimate:
-    """LUT / register cost of the memory-path protection layer.
-
-    The payload stream needs one codec pair per window-row FIFO (the rows
-    encode and decode concurrently, Fig 11); the NBits and BitMap streams
-    are single-ported and need one pair each.
-    """
-    from ..resilience.protection import resolve_policy
-
-    if window_size < 2:
-        raise ConfigError(f"window_size must be >= 2, got {window_size}")
-    policy = resolve_policy(protection)
-    luts = regs = 0
-    for scheme, instances in (
-        (policy.payload, window_size),
-        (policy.nbits, 1),
-        (policy.bitmap, 1),
-    ):
-        unit_luts, unit_regs = _codec_cost(scheme)
-        luts += instances * unit_luts
-        regs += instances * unit_regs
-    return ResourceEstimate(
-        module=f"protection[{policy.name}]",
-        window_size=window_size,
-        luts=luts,
-        registers=regs,
-        fmax_mhz=PROTECTION_FMAX_MHZ if luts else float("inf"),
-        anchored=False,
-    )

@@ -15,8 +15,6 @@ REP000    unused-waiver           A ``reprolint: disable`` comment that
                                   suppresses nothing is itself reported.
 REP001    bit-exact-integers      No floats / true division / np.float*
                                   dtypes in the bit-exact datapath modules.
-REP002    resource-lifecycle      FrameRing.acquire / SharedMemory(create=
-                                  True) are release-protected (try/with).
 REP003    probe-purity            probe params default to None; probe-guarded
                                   branches only call probe methods.
 REP004    import-layering         Imports follow the layer DAG; __all__
@@ -25,7 +23,9 @@ REP006    int64-width             Interval abstract interpretation: bit-exact
                                   arithmetic provably fits the int64 native
                                   ABI; ctypes declarations use sized types.
 REP007    flow-lifecycle          Must-release dataflow over every CFG path:
-                                  no exit with a held slot/segment/task.
+                                  no exit with a held slot/segment/task; a
+                                  self.<attr> acquired in __init__ must be
+                                  released before an exception leaves.
 REP008    ipc-safety              Process-boundary types are frozen
                                   dataclasses, immutable, stdlib-picklable.
 REP009    schema-drift            Every repro-*/N bench schema has a
@@ -43,7 +43,6 @@ code under analysis.
 
 from __future__ import annotations
 
-from .cache import AstCache, default_cache_dir
 from .cfg import CFG, Block, Edge, build_cfg, iter_functions
 from .dataflow import (
     Interval,
@@ -60,7 +59,6 @@ from .framework import (
     RuleCrash,
     Violation,
     analyze_module,
-    check_module,
     iter_python_files,
     lint_paths,
 )
@@ -78,7 +76,6 @@ from .rules import default_rules
 __all__ = [
     "CFG",
     "JSON_SCHEMA",
-    "AstCache",
     "Block",
     "Edge",
     "FunctionRule",
@@ -93,8 +90,6 @@ __all__ = [
     "Violation",
     "analyze_module",
     "build_cfg",
-    "check_module",
-    "default_cache_dir",
     "default_rules",
     "diff_reports",
     "iter_functions",

@@ -29,8 +29,7 @@ The pieces:
 - :class:`RuleCrash` — an internal rule failure, reported separately
   from findings so the CLI can exit 2 (linter broke) instead of 1
   (violations found).
-- :func:`check_module` / :func:`analyze_module` / :func:`lint_paths` —
-  the drivers.
+- :func:`analyze_module` / :func:`lint_paths` — the entry points.
 """
 
 from __future__ import annotations
@@ -112,26 +111,22 @@ class ModuleSource:
         path: str = "<memory>",
         module: str = "",
         is_package: bool = False,
-        tree: ast.Module | None = None,
     ) -> None:
         self.text = text
         self.path = path
         self.module = module
         self.is_package = is_package
         self.lines = text.splitlines()
-        self.tree = tree if tree is not None else ast.parse(text, filename=path)
+        self.tree = ast.parse(text, filename=path)
         self._parents: dict[ast.AST, ast.AST] | None = None
 
     @classmethod
-    def from_path(
-        cls, path: Path, *, tree: ast.Module | None = None
-    ) -> "ModuleSource":
+    def from_path(cls, path: Path) -> "ModuleSource":
         """Parse ``path``, deriving the dotted module name from packages.
 
         Walks up while a ``__init__.py`` sibling exists, so
         ``src/repro/core/transform/haar1d.py`` resolves to
         ``repro.core.transform.haar1d`` no matter where the repo lives.
-        A pre-parsed ``tree`` (from the AST cache) skips the parse.
         """
         parts = [path.stem if path.name != "__init__.py" else None]
         parent = path.parent
@@ -144,7 +139,6 @@ class ModuleSource:
             path=str(path),
             module=module,
             is_package=path.name == "__init__.py",
-            tree=tree,
         )
 
     @classmethod
@@ -427,17 +421,6 @@ def analyze_module(
     )
 
 
-def check_module(
-    source: ModuleSource, rules: Sequence[Rule]
-) -> list[Violation]:
-    """Run ``rules`` over one parsed module, honouring suppressions.
-
-    The original PR 5 entry point, kept for fixtures and tests: findings
-    only, no crash capture, no unused-waiver report.
-    """
-    return list(analyze_module(source, rules).violations)
-
-
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     """Expand files/directories into the sorted ``*.py`` files beneath.
 
@@ -472,8 +455,6 @@ class LintReport:
     crashes: tuple[RuleCrash, ...] = field(default=())
     #: Wall-clock time spent linting, in seconds.
     elapsed_seconds: float = 0.0
-    #: Files whose AST came from the parse cache.
-    files_cached: int = 0
 
     @property
     def ok(self) -> bool:
@@ -485,14 +466,11 @@ def lint_paths(
     paths: Iterable[Path],
     rules: Sequence[Rule] | None = None,
     *,
-    cache: "object | None" = None,
     report_unused_waivers: bool = True,
 ) -> LintReport:
     """Lint every Python file under ``paths`` with ``rules``.
 
     ``rules=None`` runs the default rule set (all ``REPxxx`` rules).
-    ``cache`` is an :class:`~repro.lint.cache.AstCache` (or anything with
-    its ``load``/``store`` methods); ``None`` parses every file fresh.
     """
     if rules is None:
         from .rules import default_rules
@@ -502,16 +480,9 @@ def lint_paths(
     violations: list[Violation] = []
     crashes: list[RuleCrash] = []
     files = 0
-    cached = 0
     for path in iter_python_files(paths):
         files += 1
-        tree = cache.load(path) if cache is not None else None
-        if tree is not None:
-            cached += 1
-        source = ModuleSource.from_path(path, tree=tree)
-        if cache is not None and tree is None:
-            cache.store(path, source.tree)
-        result = analyze_module(source, rules)
+        result = analyze_module(ModuleSource.from_path(path), rules)
         violations.extend(result.violations)
         crashes.extend(result.crashes)
         if report_unused_waivers:
@@ -522,5 +493,4 @@ def lint_paths(
         rules=tuple(rules),
         crashes=tuple(crashes),
         elapsed_seconds=time.perf_counter() - started,
-        files_cached=cached,
     )

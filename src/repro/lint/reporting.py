@@ -44,7 +44,6 @@ def render_json(report: LintReport) -> str:
     payload = {
         "schema": JSON_SCHEMA,
         "files_checked": report.files_checked,
-        "files_cached": report.files_cached,
         "elapsed_seconds": round(report.elapsed_seconds, 6),
         "rules": [
             {"code": r.code, "name": r.name, "description": r.description}
@@ -71,10 +70,10 @@ def render_json(report: LintReport) -> str:
 def load_report_json(text: str) -> dict[str, Any]:
     """Parse + validate a ``reprolint/1`` document (the CI-side check).
 
-    ``files_cached`` / ``elapsed_seconds`` / ``crashes`` were added to
-    the payload without a version bump: they are additive, and older
-    documents (the ``main`` baseline during the transition) must keep
-    loading, so only the original keys are required.
+    Fields have been added to and dropped from the payload without a
+    version bump, so only the original keys are required and any other
+    key is ignored: a ``main`` baseline from either side of such a
+    change keeps loading.
     """
     payload = json.loads(text)
     if payload.get("schema") != JSON_SCHEMA:

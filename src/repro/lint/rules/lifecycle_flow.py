@@ -1,24 +1,21 @@
-"""REP007 — must-release over every CFG path (complements REP002's scan).
+"""REP007 — no ring slot or shared-memory segment may leak on any path.
 
-REP002 checks that an acquisition site is *lexically* protected — inside
-or immediately before a try with an error edge.  That shape check has a
-known false-negative class: an early ``return``/``continue``/``break``
-*between* the acquire and the release inside the protected region leaks
-the resource on a path REP002 never looks at, because the try/except is
-present and the pattern matches.
+The streaming runtime hands out leakable resources: ring slots
+(``FrameRing.acquire`` — a leaked slot permanently shrinks the ring until
+the stream deadlocks), ``multiprocessing.shared_memory`` segments created
+with ``create=True`` (a leaked segment outlives the process as a
+``/dev/shm`` file) and the gateway's connection tasks.  For each function
+we run a forward may-held analysis over the CFG: an acquisition site
+generates a "held" fact, a release or an ownership escape kills it, and a
+site still held where the function can exit has a concrete leaking path
+— including an early ``return``/``continue``/``break`` inside an
+otherwise protected region.  Exceptional edges propagate the *entry*
+fact of the raising statement (a failed ``acquire`` has acquired
+nothing), and handler/finally bodies are ordinary blocks, so ``except
+BaseException: release(); raise`` and ``finally: discard()`` idioms pass
+by construction rather than by pattern.
 
-REP007 closes it with dataflow.  For each function we run a forward
-may-held analysis over the CFG: an acquisition site generates a "held"
-fact, a release or an ownership escape kills it, and any site still held
-in the function-exit block's entry fact has a concrete leaking path.
-Exceptional edges propagate the *entry* fact of the raising statement
-(a failed ``acquire`` has acquired nothing), and handler/finally bodies
-are ordinary blocks, so ``except BaseException: release(); raise`` and
-``finally: discard()`` idioms pass by construction rather than by
-pattern.
-
-Tracked resources (same inventory as REP002, plus the gateway's
-connection tasks):
+Tracked resources:
 
 - ring slots — ``x = <ring>.acquire(...)``; released by
   ``<ring>.release(x)``;
@@ -27,17 +24,22 @@ connection tasks):
 - gateway connection tasks — ``<conn_tasks>.add(x)``; released by
   ``<conn_tasks>.discard(x)`` / ``.remove(x)`` / ``.clear()``.
 
-A resource *escapes* (tracking stops, deliberately conservative) when
-its variable is passed as a call argument, returned or yielded, aliased,
-stored into an attribute/subscript/container, or rebound: ownership has
-moved somewhere this per-function analysis cannot see.  An acquisition
-stored straight onto an attribute (``self._shm = SharedMemory(create=
-True, ...)``, the shape of ``FrameRing.__init__``) is therefore never
-tracked here; REP002's lexical check is what keeps it protected, so the
-two rules stay side by side.  Pure reads —
-``if slot is None:``, receiver position ``task.add_done_callback(...)``
-— do not escape, so a test between acquire and release cannot hide a
-leaking early return.
+A resource held in a local *escapes* (tracking stops, deliberately
+conservative) when its variable is passed as a call argument, returned
+or yielded, aliased, stored into an attribute/subscript/container, or
+rebound: ownership has moved somewhere this per-function analysis cannot
+see.  Pure reads — ``if slot is None:``, receiver position
+``task.add_done_callback(...)`` — do not escape, so a test between
+acquire and release cannot hide a leaking early return.
+
+Inside ``__init__`` a slot or segment assigned straight to
+``self.<attr>`` (the shape of ``FrameRing.__init__``) is held until it is
+released (``self.<attr>.close()``, ``<ring>.release(self.<attr>)``) or
+the attribute is rebound.  A normal return hands it to the new object,
+but an exception leaving ``__init__`` while it is held is a leak: no
+caller ever sees the half-built object to release it.  Anywhere else an
+attribute store is an ownership escape like the others.  Only function
+bodies are read; module-level code is out of scope.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ..cfg import CFG, Block, FunctionNode, header_parts
+from ..cfg import CFG, EXCEPTIONAL_KINDS, Block, FunctionNode, header_parts
 from ..dataflow import Solution, solve
 from ..framework import ModuleSource, Violation
-from .lifecycle import _is_ring_acquire, _is_shm_create, _receiver_text
 
 _TASK_CONTAINER_HINT = "conn_tasks"
+
+#: Edge kinds into the exit block that leave the function by an exception.
+_RAISING_KINDS = EXCEPTIONAL_KINDS | {"raise"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,11 +63,43 @@ class _Site:
     """One acquisition: where, what variable, what kind of resource."""
 
     sid: int
+    #: The holding variable, or ``self.<attr>`` for an ``__init__`` store.
     var: str
     kind: str  # "slot" | "shm" | "task"
     line: int
     col: int
     what: str
+    #: Held on ``self`` in ``__init__``: only an exceptional exit leaks it.
+    on_self: bool = False
+
+
+def _receiver_text(node: ast.expr) -> str:
+    try:
+        return ast.unparse(node)
+    except Exception:  # pragma: no cover - unparse is total on real ASTs
+        return ""
+
+
+def _is_ring_acquire(call: ast.Call) -> bool:
+    """``<x>.acquire(...)`` on a receiver that mentions ``ring`` (not locks)."""
+    return (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "acquire"
+        and "ring" in _receiver_text(call.func.value).lower()
+    )
+
+
+def _is_shm_create(call: ast.Call) -> bool:
+    """``...SharedMemory(..., create=True)``; attaching is not an acquisition."""
+    name = _receiver_text(call.func)
+    if not name.endswith("SharedMemory"):
+        return False
+    return any(
+        kw.arg == "create"
+        and isinstance(kw.value, ast.Constant)
+        and kw.value.value is True
+        for kw in call.keywords
+    )
 
 
 def _is_task_add(call: ast.Call) -> bool:
@@ -98,6 +134,7 @@ def _collect_sites(
     sites: dict[int, _Site] = {}
     immediate: list[Violation] = []
     next_sid = 0
+    in_init = cfg.func.name == "__init__"
     for block in cfg.blocks:
         for stmt in block.nodes:
             for part in header_parts(stmt):
@@ -115,6 +152,10 @@ def _collect_sites(
                     if _in_withitem(source, call):
                         continue
                     var = _bound_name(stmt, call, kind)
+                    on_self = False
+                    if var is None and in_init and kind != "task":
+                        var = _self_attribute(stmt, call)
+                        on_self = var is not None
                     if var is None:
                         continue  # ownership escapes at birth
                     if var == "":
@@ -138,6 +179,7 @@ def _collect_sites(
                         line=call.lineno,
                         col=call.col_offset,
                         what=what,
+                        on_self=on_self,
                     )
                     next_sid += 1
     return sites, immediate
@@ -168,6 +210,24 @@ def _bound_name(
         return None  # acquire buried in a larger expression
     if isinstance(stmt, ast.Expr) and stmt.value is call:
         return ""  # bare expression statement: result dropped
+    return None
+
+
+def _self_attribute(stmt: ast.AST, call: ast.Call) -> str | None:
+    """``"self.<attr>"`` when ``stmt`` is ``self.<attr> = call``."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target: ast.AST = stmt.targets[0]
+    elif isinstance(stmt, ast.AnnAssign):
+        target = stmt.target
+    else:
+        return None
+    if (
+        stmt.value is call
+        and isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    ):
+        return f"self.{target.attr}"
     return None
 
 
@@ -226,6 +286,10 @@ class _MustRelease:
     def _kills(self, stmt: ast.AST, site: _Site) -> bool:
         if self._releases(stmt, site):
             return True
+        if site.on_self:
+            # The object owns the attribute: reads and call arguments do
+            # not move it anywhere, only rebinding the attribute does.
+            return site.var in _rebound_attributes(stmt)
         if site.var in _rebound_names(stmt):
             return True
         return self._escapes(stmt, site.var)
@@ -316,36 +380,44 @@ class _MustRelease:
         return False
 
 
-def _rebound_names(stmt: ast.AST) -> frozenset[str]:
-    names: set[str] = set()
-    if isinstance(stmt, ast.Assign):
-        targets: list[ast.AST] = list(stmt.targets)
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-        targets = [stmt.target]
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        targets = [stmt.target]
-    elif isinstance(stmt, ast.Delete):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        targets = [
+def _store_targets(stmt: ast.AST) -> list[ast.expr]:
+    """The target expressions ``stmt`` binds or deletes."""
+    if isinstance(stmt, (ast.Assign, ast.Delete)):
+        return list(stmt.targets)
+    if isinstance(stmt, (ast.AnnAssign, ast.AugAssign, ast.For, ast.AsyncFor)):
+        return [stmt.target]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [
             item.optional_vars
             for item in stmt.items
             if item.optional_vars is not None
         ]
-    else:
-        targets = []
-    for target in targets:
-        for inner in ast.walk(target):
-            if isinstance(inner, ast.Name):
-                names.add(inner.id)
-    return frozenset(names)
+    return []
+
+
+def _rebound_names(stmt: ast.AST) -> frozenset[str]:
+    return frozenset(
+        inner.id
+        for target in _store_targets(stmt)
+        for inner in ast.walk(target)
+        if isinstance(inner, ast.Name)
+    )
+
+
+def _rebound_attributes(stmt: ast.AST) -> frozenset[str]:
+    return frozenset(
+        _receiver_text(target)
+        for target in _store_targets(stmt)
+        if isinstance(target, ast.Attribute)
+    )
 
 
 def _name_in_args(call: ast.Call, var: str) -> bool:
-    for arg in [*call.args, *[kw.value for kw in call.keywords]]:
-        if isinstance(arg, ast.Name) and arg.id == var:
-            return True
-    return False
+    """``var`` (a name or ``self.<attr>``) is passed to ``call`` as is."""
+    return any(
+        _receiver_text(arg) == var
+        for arg in [*call.args, *[kw.value for kw in call.keywords]]
+    )
 
 
 class FlowLifecycleRule:
@@ -356,9 +428,10 @@ class FlowLifecycleRule:
     description = (
         "Must-release dataflow over every control-flow path: a ring "
         "slot, SharedMemory(create=True) handle, or gateway connection "
-        "task that is still held when the function can exit — including "
-        "early return/continue/break paths REP002's lexical check never "
-        "sees — is a leak."
+        "task still held when the function can exit (early return, "
+        "break, raise) is a leak; a slot or segment stored on self in "
+        "__init__ leaks only if an exception can leave __init__ with it "
+        "held."
     )
 
     def check(self, source: ModuleSource) -> Iterator[Violation]:
@@ -376,17 +449,49 @@ class FlowLifecycleRule:
         analysis = _MustRelease(source, sites_by_block)
         solution: Solution = solve(cfg, analysis)
         held = solution.entry(cfg.exit) or frozenset()
+        raised = _held_on_raise(cfg, solution)
         for site in sites_by_block.values():
-            if site.sid in held:
-                yield Violation(
-                    rule=self.code,
-                    path=source.path,
-                    line=site.line,
-                    col=site.col,
-                    message=(
-                        f"{site.what} assigned to '{site.var}' may leak: "
-                        "a control-flow path reaches function exit with "
-                        "the resource still held (early return/break/"
-                        "raise without release)"
-                    ),
+            if site.on_self and site.sid in raised:
+                message = (
+                    f"{site.what} stored on '{site.var}' may leak: an "
+                    "exception can leave __init__ with the resource still "
+                    "held (release it in an except/finally, then re-raise)"
                 )
+            elif not site.on_self and site.sid in held:
+                message = (
+                    f"{site.what} assigned to '{site.var}' may leak: "
+                    "a control-flow path reaches function exit with "
+                    "the resource still held (early return/break/"
+                    "raise without release)"
+                )
+            else:
+                continue
+            yield Violation(
+                rule=self.code,
+                path=source.path,
+                line=site.line,
+                col=site.col,
+                message=message,
+            )
+
+
+def _held_on_raise(cfg: CFG, solution: Solution) -> frozenset[int]:
+    """Sites held along the edges that leave the function by an exception.
+
+    An ``exc`` edge carries its source block's entry fact (the statement
+    failed), a ``raise`` edge its exit fact (the ``raise`` or a finished
+    ``finally`` ran first).
+    """
+    held: frozenset[int] = frozenset()
+    by_id = {b.id: b for b in cfg.blocks}
+    for edge in cfg.exit.pred:
+        if edge.kind not in _RAISING_KINDS:
+            continue
+        source = by_id[edge.src]
+        fact = (
+            solution.entry(source)
+            if edge.kind in EXCEPTIONAL_KINDS
+            else solution.exit(source)
+        )
+        held |= fact or frozenset()
+    return held

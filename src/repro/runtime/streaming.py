@@ -321,6 +321,7 @@ class StreamingProcessor:
         if spec is not None:
             self.check_spec_compatible(spec)
             spec_blob = spec.blob()
+        (self.spec if spec is None else spec).config.check_pixels(arr)
         t0 = time.perf_counter()
         deadline = None if timeout is None else time.monotonic() + timeout
         self._sweep_while_full(deadline)
@@ -382,7 +383,7 @@ class StreamingProcessor:
         """
         if not self._supervisor.pool_usable:
             if task.attempt == 0:
-                self._run_inline(task.index, task.slot)
+                self._run_inline(task.index, task.slot, "pool-unrecoverable")
             return
         try:
             self._pool.apply_async(
@@ -439,19 +440,31 @@ class StreamingProcessor:
             self._inline = base.build(probe=self.probe)
         return self._inline
 
-    def _run_inline(self, index: int, slot: int) -> None:
+    def _run_inline(self, index: int, slot: int, reason: str) -> None:
         """Compute a frame in the driver process (the degradation floor).
 
         Reads the input from the frame's ring slot and writes the outputs
         back in place, exactly like a worker would — concurrent stale
         attempts write the same bytes, the engine being deterministic —
         then queues a synthetic completion so delivery flows through the
-        one consumption path.
+        one consumption path.  An engine that raises here too leaves
+        nothing to degrade to: the frame is quarantined with ``reason``
+        and the error, and the supervision sweep carries on.
         """
-        engine = self._inline_engine(index)
-        frame = np.asarray(self._ring.input_view(slot))
-        t0 = time.perf_counter()
-        run = engine.run(frame)
+        try:
+            engine = self._inline_engine(index)
+            frame = np.asarray(self._ring.input_view(slot))
+            t0 = time.perf_counter()
+            run = engine.run(frame)
+        except Exception as exc:  # noqa: BLE001 - delivered as a FrameFailure
+            self._quarantine(
+                index,
+                reason=reason,
+                error=repr(exc),
+                attempts=self._supervisor.attempts(index),
+                now=time.monotonic(),
+            )
+            return
         seconds = time.perf_counter() - t0
         self._ring.output_view(slot)[...] = run.outputs
         self._supervisor.count_degraded()
@@ -527,20 +540,29 @@ class StreamingProcessor:
                     )
                 )
             elif isinstance(action, DegradeAction):
-                self._run_inline(action.index, action.slot)
+                self._run_inline(action.index, action.slot, action.reason)
             else:
-                slot = sup.finish_failed(action.index, now)
-                if slot is not None:
-                    self._ring.release(slot)
-                self._task_specs.pop(action.index, None)
-                self._pending_failures.append(
-                    FrameFailure(
-                        index=action.index,
-                        attempts=action.attempts,
-                        reason=action.reason,
-                        error=action.error,
-                    )
+                self._quarantine(
+                    action.index,
+                    reason=action.reason,
+                    error=action.error,
+                    attempts=action.attempts,
+                    now=now,
                 )
+
+    def _quarantine(
+        self, index: int, *, reason: str, error: str, attempts: int, now: float
+    ) -> None:
+        """Give up on ``index``: free (or zombie) its slot, queue a failure."""
+        slot = self._supervisor.finish_failed(index, now)
+        if slot is not None:
+            self._ring.release(slot)
+        self._task_specs.pop(index, None)
+        self._pending_failures.append(
+            FrameFailure(
+                index=index, attempts=attempts, reason=reason, error=error
+            )
+        )
 
     def _supervise(self, deadline: float | None) -> float | None:
         """One wait step: poll worker health, then run a recovery sweep.

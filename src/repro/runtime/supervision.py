@@ -297,9 +297,10 @@ class FrameSupervisor:
         """False once the pool is past rescue — everything runs inline."""
         return self._pool_usable
 
-    def is_tracked(self, index: int) -> bool:
-        """True while ``index`` awaits delivery."""
-        return index in self._tracked
+    def attempts(self, index: int) -> int:
+        """Pool attempts ``index`` has consumed (0 once it is not tracked)."""
+        frame = self._tracked.get(index)
+        return 0 if frame is None else frame.attempt + 1
 
     # -- event intake ------------------------------------------------------
 

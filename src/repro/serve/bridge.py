@@ -95,19 +95,36 @@ class FrameBridge:
         """
         if self._closed:
             raise StateError("frame bridge is closed")
-        if self._broken is not None:
-            raise StateError(f"frame bridge is broken: {self._broken!r}")
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Outcome]" = loop.create_future()
         job = _Job(frame=frame, spec=spec, future=future, loop=loop)
         with self._lock:
+            # Checked under the lock the bridge thread sets it under: a
+            # job is either queued before the queue is failed, or refused.
+            if self._broken is not None:
+                raise StateError(f"frame bridge is broken: {self._broken!r}")
             self._depth += 1
-        self._jobs.put(job)
+            self._jobs.put(job)
         return await future
 
     # -- driver thread ----------------------------------------------------
 
     def _drive(self) -> None:
+        """Run the bridge loop; if it dies, fail every job at once.
+
+        A loop that ended on an exception leaves nobody to resolve the
+        queued and in-flight jobs, so they fail here, and the bridge is
+        marked broken so later :meth:`process` calls fail immediately
+        instead of waiting out their deadline.
+        """
+        try:
+            self._drive_loop()
+        except BaseException as exc:  # noqa: BLE001 - recorded, not lost
+            with self._lock:
+                self._broken = exc
+            self._fail_all(StateError(f"frame bridge is broken: {exc!r}"))
+
+    def _drive_loop(self) -> None:
         """Queue-drain / submit / poll loop; runs until :meth:`close`."""
         proc = self._processor
         while True:

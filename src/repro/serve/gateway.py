@@ -376,8 +376,7 @@ class FrameGateway:
             spec, cached = self.spec_cache.resolve(params)
         except ConfigError as exc:
             raise HttpError(400, str(exc)) from exc
-        shape = (self.config.resolution, self.config.resolution)
-        frame = decode_frame(payload.get("frame_b64"), shape)
+        frame = decode_frame(payload.get("frame_b64"), spec.config)
         self.probe.gauge_set("repro_inflight_requests", bridge.depth + 1)
         self.probe.gauge_max("repro_inflight_requests_peak", bridge.depth + 1)
         try:

@@ -18,6 +18,8 @@ import binascii
 
 import numpy as np
 
+from ..config import ArchitectureConfig
+from ..errors import ConfigError
 from .http import HttpError
 
 
@@ -29,14 +31,14 @@ def encode_array(array: np.ndarray) -> str:
     return base64.b64encode(data.tobytes()).decode("ascii")
 
 
-def decode_frame(
-    payload: object, shape: tuple[int, int]
-) -> np.ndarray:
+def decode_frame(payload: object, config: ArchitectureConfig) -> np.ndarray:
     """Decode a request's ``frame_b64`` field into an ``int64`` frame.
 
     Raises :class:`~repro.serve.http.HttpError` (status 400) on any
-    malformed payload: wrong type, broken base64, or a byte count that
-    does not match the gateway's configured geometry.
+    malformed payload: wrong type, broken base64, a byte count that does
+    not match ``config``'s geometry, or a pixel outside ``config``'s
+    range (:meth:`~repro.config.ArchitectureConfig.check_pixels`, the
+    engines' own check) — so a bad frame never reaches the ring.
     """
     if not isinstance(payload, str):
         raise HttpError(400, "frame_b64 must be a base64 string")
@@ -44,6 +46,7 @@ def decode_frame(
         raw = base64.b64decode(payload, validate=True)
     except (binascii.Error, ValueError) as exc:
         raise HttpError(400, f"frame_b64 is not valid base64: {exc}") from exc
+    shape = (config.image_height, config.image_width)
     expected = shape[0] * shape[1] * np.dtype(np.int64).itemsize
     if len(raw) != expected:
         raise HttpError(
@@ -52,4 +55,8 @@ def decode_frame(
             f"{shape[0]}x{shape[1]} int64 needs {expected}",
         )
     frame = np.frombuffer(raw, dtype="<i8").reshape(shape)
+    try:
+        config.check_pixels(frame)
+    except ConfigError as exc:
+        raise HttpError(400, str(exc)) from exc
     return frame.astype(np.int64, copy=False)

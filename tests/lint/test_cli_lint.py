@@ -53,7 +53,7 @@ class TestLintCommand:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REP001", "REP002", "REP003", "REP004", "REP006"):
+        for code in ("REP001", "REP003", "REP004", "REP006", "REP007"):
             assert code in out
 
     def test_json_is_parseable_json(self, capsys, clean_file):

@@ -1,23 +1,22 @@
 """Golden fixtures for the flow-sensitive rules (REP006–REP009).
 
 Every rule gets at least one passing and one failing fixture.  The
-centrepiece is the REP007 early-return slot leak: a shape REP002's
-lexical protection check accepts (acquire immediately followed by a
-try with a handler) but where one control-flow path still exits the
-function holding the slot — exactly the false-negative class the
-dataflow rule was built to close.
+centrepiece is the REP007 early-return slot leak: the acquire is
+immediately followed by a try with a handler, which looks protected,
+but one control-flow path still exits the function holding the slot.
 """
 
 from __future__ import annotations
 
 import textwrap
 
-from repro.lint import ModuleSource, check_module
+from pathlib import Path
+
+from repro.lint import ModuleSource, analyze_module
 from repro.lint.rules import (
     FlowLifecycleRule,
     IntWidthRule,
     IpcSafetyRule,
-    ResourceLifecycleRule,
     SchemaDriftRule,
 )
 
@@ -29,7 +28,7 @@ def _violations(rule, text: str, module: str = ""):
     source = ModuleSource.from_source(
         textwrap.dedent(text), module=module
     )
-    return check_module(source, [rule])
+    return list(analyze_module(source, [rule]).violations)
 
 
 class TestRep006IntWidth:
@@ -145,9 +144,9 @@ class TestRep006IntWidth:
 
 
 class TestRep007FlowLifecycle:
-    # The acceptance fixture: REP002 accepts this shape (acquire is
-    # immediately followed by a try with a handler) but the early
-    # `return None` inside the try exits with the slot still held.
+    # The acceptance fixture: the acquire is immediately followed by a
+    # try with a handler, but the early `return None` inside the try
+    # exits with the slot still held.
     EARLY_RETURN_LEAK = """
     def frame(ring, fast_path, process):
         slot = ring.acquire()
@@ -161,11 +160,6 @@ class TestRep007FlowLifecycle:
         ring.release(slot)
         return None
     """
-
-    def test_early_return_leak_missed_by_rep002(self):
-        assert _violations(
-            ResourceLifecycleRule(), self.EARLY_RETURN_LEAK
-        ) == []
 
     def test_early_return_leak_caught_by_rep007(self):
         found = _violations(FlowLifecycleRule(), self.EARLY_RETURN_LEAK)
@@ -266,6 +260,55 @@ class TestRep007FlowLifecycle:
                 finally:
                     shm.close()
                     shm.unlink()
+            """,
+        )
+        assert found == []
+
+    def test_frame_ring_init_protects_its_segment(self):
+        ring = Path(__file__).parents[2] / "src/repro/runtime/ring.py"
+        found = _violations(
+            FlowLifecycleRule(), ring.read_text(), "repro.runtime.ring"
+        )
+        assert found == []
+
+    def test_attribute_slot_released_by_ring(self):
+        found = _violations(
+            FlowLifecycleRule(),
+            """
+            class Holder:
+                def __init__(self, ring):
+                    self._slot = ring.acquire()
+                    try:
+                        prepare(self._slot)
+                    except BaseException:
+                        ring.release(self._slot)
+                        raise
+            """,
+        )
+        assert found == []
+
+    def test_attribute_handed_to_object_on_return(self):
+        # Nothing after the store can raise: a normal return is the
+        # only exit, and it hands the segment to the new object.
+        found = _violations(
+            FlowLifecycleRule(),
+            """
+            class Ring:
+                def __init__(self, size):
+                    self._shm = SharedMemory(create=True, size=size)
+                    self.size = size
+            """,
+        )
+        assert found == []
+
+    def test_attribute_store_outside_init_escapes(self):
+        found = _violations(
+            FlowLifecycleRule(),
+            """
+            class Ring:
+                def reopen(self, size):
+                    self._shm = SharedMemory(create=True, size=size)
+                    self.spec = describe(self._shm.name)
             """,
         )
         assert found == []

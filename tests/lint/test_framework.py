@@ -11,7 +11,7 @@ from repro.lint import (
     LintReport,
     ModuleSource,
     Violation,
-    check_module,
+    analyze_module,
     default_rules,
     iter_python_files,
     lint_paths,
@@ -58,36 +58,36 @@ class TestModuleSource:
 class TestSuppressions:
     def test_same_line_suppression(self):
         clean = _src("x = 1.5  # reprolint: disable=REP001\n")
-        assert check_module(clean, [BitExactRule()]) == []
+        assert analyze_module(clean, [BitExactRule()]).violations == ()
 
     def test_line_above_suppression(self):
         clean = _src("# reprolint: disable=REP001\nx = 1.5\n")
-        assert check_module(clean, [BitExactRule()]) == []
+        assert analyze_module(clean, [BitExactRule()]).violations == ()
 
     def test_unrelated_code_not_suppressed(self):
-        dirty = _src("x = 1.5  # reprolint: disable=REP002\n")
-        assert len(check_module(dirty, [BitExactRule()])) == 1
+        dirty = _src("x = 1.5  # reprolint: disable=REP003\n")
+        assert len(analyze_module(dirty, [BitExactRule()]).violations) == 1
 
     def test_file_wide_suppression(self):
         clean = _src(
             "# reprolint: disable-file=REP001\nx = 1.5\ny = 2.5\n"
         )
-        assert check_module(clean, [BitExactRule()]) == []
+        assert analyze_module(clean, [BitExactRule()]).violations == ()
 
     def test_disable_all(self):
         clean = _src("x = 1.5  # reprolint: disable=all\n")
-        assert check_module(clean, [BitExactRule()]) == []
+        assert analyze_module(clean, [BitExactRule()]).violations == ()
 
     def test_suppressed_lines_parser(self):
         per_line, file_wide = suppressed_lines(
             _src(
-                "# reprolint: disable=REP001,REP002\n"
+                "# reprolint: disable=REP001,REP003\n"
                 "x = 1\n"
                 "y = 2  # reprolint: disable-file=REP004\n"
             )
         )
-        assert per_line[1] == {"REP001", "REP002"}
-        assert per_line[2] == {"REP001", "REP002"}  # comment-only line above
+        assert per_line[1] == {"REP001", "REP003"}
+        assert per_line[2] == {"REP001", "REP003"}  # comment-only line above
         assert file_wide == {"REP004"}
 
 
@@ -110,11 +110,11 @@ class TestDrivers:
         report = lint_paths([tmp_path])
         assert report.files_checked == 2
         assert report.ok
-        assert len(report.rules) == 8
+        assert len(report.rules) == 7
 
     def test_violations_sorted_by_position(self):
         source = _src("y = a / b\nx = 1.5\n")
-        found = check_module(source, [BitExactRule()])
+        found = analyze_module(source, [BitExactRule()]).violations
         assert [v.line for v in found] == [1, 2]
 
 
@@ -155,7 +155,6 @@ class TestReporters:
         assert payload["violations"][0]["rule"] == "REP001"
         assert {r["code"] for r in payload["rules"]} == {
             "REP001",
-            "REP002",
             "REP003",
             "REP004",
             "REP006",
@@ -180,5 +179,5 @@ class TestReporters:
 
     def test_rule_table_lists_all_codes(self):
         table = render_rule_table(self._report())
-        for code in ("REP001", "REP002", "REP003", "REP004", "REP006"):
+        for code in ("REP001", "REP003", "REP004", "REP006", "REP007"):
             assert code in table

@@ -1,14 +1,12 @@
-"""PR 10 framework features: REP000, crash capture, AST cache, baseline diff."""
+"""Framework features: REP000, crash capture, JSON report, baseline diff."""
 
 from __future__ import annotations
 
-import ast
 import json
 
 import pytest
 
 from repro.lint import (
-    AstCache,
     ModuleSource,
     RuleCrash,
     analyze_module,
@@ -131,48 +129,6 @@ class TestCrashCapture:
         assert report.violations == ()
 
 
-class TestAstCache:
-    def test_miss_then_hit(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        cache = AstCache(tmp_path / "cache")
-        assert cache.load(target) is None
-        tree = ast.parse(target.read_text())
-        cache.store(target, tree)
-        loaded = cache.load(target)
-        assert isinstance(loaded, ast.Module)
-        assert ast.dump(loaded) == ast.dump(tree)
-
-    def test_stale_on_content_change(self, tmp_path):
-        import os
-
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        cache = AstCache(tmp_path / "cache")
-        cache.store(target, ast.parse(target.read_text()))
-        target.write_text("y = 2\n")
-        os.utime(target, ns=(1, 1))  # force a distinct mtime
-        assert cache.load(target) is None
-
-    def test_lint_paths_counts_cached_files(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text('"""M."""\n\nx = 1\n')
-        cache = AstCache(tmp_path / "cache")
-        cold = lint_paths([target], cache=cache)
-        assert cold.files_cached == 0
-        warm = lint_paths([target], cache=cache)
-        assert warm.files_cached == 1
-        assert warm.ok == cold.ok
-
-    def test_json_payload_carries_timing_and_cache_counts(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text('"""M."""\n\nx = 1\n')
-        payload = load_report_json(render_json(lint_paths([target])))
-        assert payload["files_cached"] == 0
-        assert payload["elapsed_seconds"] >= 0.0
-        assert payload["crashes"] == []
-
-
 class TestBaselineDiff:
     def _payload(self, *violations):
         return {
@@ -212,10 +168,23 @@ class TestBaselineDiff:
 
     def test_old_main_baseline_without_new_keys_loads(self):
         # The CI gate diffs against a baseline built from main, which
-        # may predate files_cached/elapsed_seconds/crashes.
+        # may predate elapsed_seconds/crashes.
         legacy = json.dumps(self._payload())
         payload = load_report_json(legacy)
         assert payload["violations"] == []
+
+    def test_baseline_with_dropped_cache_count_loads(self):
+        # A main baseline may still carry the parse cache's file count.
+        legacy = json.dumps({**self._payload(), "files_cached": 3})
+        assert load_report_json(legacy)["violations"] == []
+
+    def test_json_payload_carries_timing_and_crashes(self, tmp_path):
+        target = tmp_path / "mod.py"
+        target.write_text('"""M."""\n\nx = 1\n')
+        payload = load_report_json(render_json(lint_paths([target])))
+        assert "files_cached" not in payload
+        assert payload["elapsed_seconds"] >= 0.0
+        assert payload["crashes"] == []
 
 
 class TestCliExitCodes:
@@ -248,33 +217,6 @@ class TestCliExitCodes:
         assert "REP000" in capsys.readouterr().out
         assert main(["lint", str(target), "--no-unused-waivers"]) == 0
 
-    def test_no_cache_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        target = tmp_path / "fine.py"
-        target.write_text('"""F."""\n\nX = 1\n')
-        assert main(["lint", str(target), "--no-cache"]) == 0
-        capsys.readouterr()
-        assert (
-            main(["lint", str(target), "--no-cache", "--format", "json"]) == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["files_cached"] == 0
-
-    def test_cache_hit_on_second_run(self, tmp_path, capsys):
-        # conftest pins REPRO_LINT_CACHE inside tmp_path, so the second
-        # invocation must serve the AST from the cache.
-        from repro.cli import main
-
-        target = tmp_path / "fine.py"
-        target.write_text('"""F."""\n\nX = 1\n')
-        assert main(["lint", str(target), "--format", "json"]) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(["lint", str(target), "--format", "json"]) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert first["files_cached"] == 0
-        assert second["files_cached"] == 1
-
     def test_list_rules_includes_new_codes(self, capsys):
         from repro.cli import main
 
@@ -285,10 +227,11 @@ class TestCliExitCodes:
 
 
 class TestDefaultRules:
-    def test_registry_has_eight_distinct_codes(self):
+    def test_registry_has_seven_distinct_codes(self):
         codes = [r.code for r in default_rules()]
-        assert len(codes) == len(set(codes)) == 8
-        assert codes == sorted(codes)  # REP001..REP009 in order, no REP005
+        assert len(codes) == len(set(codes)) == 7
+        assert codes == sorted(codes)  # REP001..REP009 in order
+        assert "REP002" not in codes  # folded into REP007
 
     def test_every_rule_has_description(self):
         for rule in default_rules():

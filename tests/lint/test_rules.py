@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from repro.lint import ModuleSource, check_module
+from repro.lint import ModuleSource, analyze_module
 from repro.lint.rules import (
     BitExactRule,
     FlowLifecycleRule,
     LayeringRule,
     ProbePurityRule,
-    ResourceLifecycleRule,
 )
 
 
@@ -16,7 +15,7 @@ def _violations(rule, text: str, module: str, is_package: bool = False):
     source = ModuleSource.from_source(
         text, module=module, is_package=is_package
     )
-    return check_module(source, [rule])
+    return analyze_module(source, [rule]).violations
 
 
 class TestRep001BitExact:
@@ -99,80 +98,100 @@ class TestRep001BitExact:
 
 
 class TestRep002Lifecycle:
+    """The fixtures of the retired lexical REP002 rule, each moved into a
+    function body and checked by REP007 with REP002's verdict."""
+
     MOD = "repro.runtime.fake"
 
     def test_bare_acquire_flagged(self):
-        code = "slot = self._ring.acquire()\nuse(slot)\n"
-        found = _violations(ResourceLifecycleRule(), code, self.MOD)
-        assert [v.rule for v in found] == ["REP002"]
+        code = (
+            "def f(self):\n"
+            "    slot = self._ring.acquire()\n"
+            "    use(slot)\n"
+        )
+        found = _violations(FlowLifecycleRule(), code, self.MOD)
+        assert [v.rule for v in found] == ["REP007"]
 
     def test_acquire_then_try_clean(self):
         code = (
-            "slot = ring.acquire()\n"
-            "try:\n"
-            "    use(slot)\n"
-            "except BaseException:\n"
-            "    ring.release(slot)\n"
-            "    raise\n"
+            "def f(ring):\n"
+            "    slot = ring.acquire()\n"
+            "    try:\n"
+            "        use(slot)\n"
+            "    except BaseException:\n"
+            "        ring.release(slot)\n"
+            "        raise\n"
         )
-        assert not _violations(ResourceLifecycleRule(), code, self.MOD)
+        assert not _violations(FlowLifecycleRule(), code, self.MOD)
 
     def test_acquire_inside_try_finally_clean(self):
         code = (
-            "try:\n"
-            "    slot = ring.acquire()\n"
-            "finally:\n"
-            "    ring.release(slot)\n"
+            "def f(ring):\n"
+            "    try:\n"
+            "        slot = ring.acquire()\n"
+            "    finally:\n"
+            "        ring.release(slot)\n"
         )
-        assert not _violations(ResourceLifecycleRule(), code, self.MOD)
+        assert not _violations(FlowLifecycleRule(), code, self.MOD)
 
     def test_acquire_as_context_manager_clean(self):
-        code = "with ring.acquire() as slot:\n    use(slot)\n"
-        assert not _violations(ResourceLifecycleRule(), code, self.MOD)
+        code = (
+            "def f(ring):\n"
+            "    with ring.acquire() as slot:\n"
+            "        use(slot)\n"
+        )
+        assert not _violations(FlowLifecycleRule(), code, self.MOD)
 
     def test_try_around_whole_function_does_not_count(self):
+        # ``return slot`` hands the slot to the caller, so the call in
+        # between is what can raise with the slot held.
         code = (
             "try:\n"
             "    def f():\n"
             '        """Doc."""\n'
             "        slot = ring.acquire()\n"
+            "        prepare()\n"
             "        return slot\n"
             "except Exception:\n"
             "    pass\n"
         )
-        assert _violations(ResourceLifecycleRule(), code, self.MOD)
+        assert _violations(FlowLifecycleRule(), code, self.MOD)
 
     def test_lock_acquire_out_of_scope(self):
         assert not _violations(
-            ResourceLifecycleRule(), "lock.acquire()\n", self.MOD
+            FlowLifecycleRule(), "def f(lock):\n    lock.acquire()\n", self.MOD
         )
 
     def test_bare_shared_memory_create_flagged(self):
-        code = "shm = SharedMemory(create=True, size=64)\nfill(shm)\n"
-        found = _violations(ResourceLifecycleRule(), code, self.MOD)
+        code = (
+            "def f():\n"
+            "    shm = SharedMemory(create=True, size=64)\n"
+            "    fill(shm)\n"
+        )
+        found = _violations(FlowLifecycleRule(), code, self.MOD)
         assert found and "SharedMemory" in found[0].message
 
     def test_shared_memory_attach_clean(self):
         assert not _violations(
-            ResourceLifecycleRule(),
-            "shm = SharedMemory(name='x')\n",
+            FlowLifecycleRule(),
+            "def f():\n    shm = SharedMemory(name='x')\n    fill(shm)\n",
             self.MOD,
         )
 
     def test_shared_memory_create_then_try_clean(self):
         code = (
-            "shm = SharedMemory(create=True, size=64)\n"
-            "try:\n"
-            "    fill(shm)\n"
-            "except BaseException:\n"
-            "    shm.unlink()\n"
-            "    raise\n"
+            "def f():\n"
+            "    shm = SharedMemory(create=True, size=64)\n"
+            "    try:\n"
+            "        fill(shm)\n"
+            "    except BaseException:\n"
+            "        shm.unlink()\n"
+            "        raise\n"
         )
-        assert not _violations(ResourceLifecycleRule(), code, self.MOD)
+        assert not _violations(FlowLifecycleRule(), code, self.MOD)
 
     # FrameRing.__init__'s shape with its try removed: the segment goes
-    # straight onto ``self``.  REP007 treats the attribute store as an
-    # ownership escape and stops tracking, so only REP002 catches it.
+    # straight onto ``self`` and ``describe`` may raise with it held.
     UNPROTECTED_SHM_ATTRIBUTE = (
         "class Ring:\n"
         "    def __init__(self, size):\n"
@@ -182,14 +201,11 @@ class TestRep002Lifecycle:
 
     def test_unprotected_shm_attribute_flagged(self):
         found = _violations(
-            ResourceLifecycleRule(), self.UNPROTECTED_SHM_ATTRIBUTE, self.MOD
-        )
-        assert [v.rule for v in found] == ["REP002"]
-
-    def test_unprotected_shm_attribute_missed_by_rep007(self):
-        assert not _violations(
             FlowLifecycleRule(), self.UNPROTECTED_SHM_ATTRIBUTE, self.MOD
         )
+        assert [v.rule for v in found] == ["REP007"]
+        assert "'self._shm'" in found[0].message
+        assert "__init__" in found[0].message
 
 
 class TestRep003ProbePurity:

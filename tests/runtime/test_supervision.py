@@ -358,6 +358,45 @@ class TestPoisonFrames:
         assert stats.quarantined == 1
 
 
+class _FailingKernel:
+    """Raises on any nonzero window, in the workers and inline alike (the
+    ring's output-dtype probe on one zero window still passes)."""
+
+    name = "failing"
+    window_size = WINDOW
+
+    def apply(self, windows: np.ndarray) -> np.ndarray:
+        if windows.any():
+            raise ValueError("kernel failure")
+        return windows.sum(axis=(-2, -1))
+
+
+class TestInlineFailure:
+    def test_failing_inline_frame_is_quarantined_and_frees_its_slot(
+        self, rng
+    ):
+        # Out of pool attempts, the frame degrades inline, and the inline
+        # engine raises too: the stream delivers a FrameFailure instead
+        # of raising out of the supervision sweep.
+        spec = EngineSpec(config=make_config(), kernel=_FailingKernel())
+        with StreamingProcessor(
+            spec, workers=1, slots=2, supervision=fast_policy(max_attempts=2)
+        ) as proc:
+            proc.submit(make_frames(rng, 1)[0], timeout=30.0)
+            outcomes = list(proc.as_completed(timeout=30.0))
+            assert proc.in_flight == 0
+            assert proc.drain(timeout=10.0) == proc.slots
+            stats = proc.supervisor_stats
+        assert len(outcomes) == 1
+        failure = outcomes[0]
+        assert isinstance(failure, FrameFailure)
+        assert failure.reason == "poison"
+        assert failure.attempts == 2
+        assert "kernel failure" in failure.error
+        assert stats.quarantined == 1
+        assert stats.degraded == 0
+
+
 class TestDropRecovery:
     def test_dropped_result_recovers_via_deadline_retry(self, rng):
         config = make_config()

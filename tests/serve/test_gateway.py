@@ -168,6 +168,37 @@ class TestBadFrameJobs:
         assert status == 400
 
 
+class TestOutOfRangePixels:
+    """A frame with one pixel outside the 8-bit range is refused up front:
+    it never takes a ring slot or reaches the bridge."""
+
+    @pytest.fixture(scope="class")
+    def small_gateway(self):
+        config = GatewayConfig(
+            port=0,
+            resolution=16,
+            window=4,
+            workers=1,
+            slots=2,
+            request_timeout_seconds=10.0,
+        )
+        with GatewayThread(config) as gw:
+            yield gw
+
+    @pytest.mark.parametrize("value", [300, -1, 2**62])
+    def test_bad_pixel_400_then_valid_frame_served(self, small_gateway, value):
+        good = generate_scene(seed=3, resolution=16).astype(np.int64)
+        bad = good.copy()
+        bad[5, 7] = value
+        status, _, payload = post_frame(small_gateway, bad)
+        assert status == 400
+        assert "pixels outside [0, 255]" in payload["error"]
+        status, _, _ = post_frame(small_gateway, good)
+        assert status == 200
+        _, _, body = request(small_gateway, "GET", "/healthz")
+        assert json.loads(body)["free_slots"] == 2
+
+
 class TestServedFrames:
     def test_default_frame_end_to_end(self, gateway, frame):
         status, _, payload = post_frame(gateway, frame)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ArchitectureConfig,
@@ -584,6 +586,39 @@ class TestPlannedFastPath:
             counts.append(span_counts(probe))
         assert "run/transform" in counts[0]
         assert counts[0] == counts[1]
+
+
+class TestOccupancyPeakClosedForm:
+    """The NumPy tier's per-traversal peak equals the maximum of the full
+    ``sliding_occupancy`` trace, the sequential loop's reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window=st.integers(1, 6).map(lambda k: 2 * k),
+        extra=st.integers(0, 6).map(lambda k: 2 * k),
+        traversals=st.integers(1, 5),
+        groups=st.one_of(st.none(), st.integers(1, 4)),
+        mgmt=st.integers(0, 9),
+        carried=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_peak_equals_trace_max(
+        self, window, extra, traversals, groups, mgmt, carried, seed
+    ):
+        width = window + extra  # extra == 0 covers W - N == 0
+        config = ArchitectureConfig(
+            image_width=width, image_height=window, window_size=window
+        )
+        engine = CompressedEngine(config, BoxFilterKernel(window), codec="numpy")
+        rng = np.random.default_rng(seed)
+        shape = (traversals,) + (() if groups is None else (groups,)) + (width,)
+        cols = rng.integers(0, 300, size=shape)
+        prev_last = rng.integers(0, 300, size=shape[1:]) if carried else None
+        carry = cols[:1] if prev_last is None else prev_last[None]
+        prev = np.concatenate([carry, cols[:-1]], axis=0)
+        expected = stats.sliding_occupancy(prev, cols, window, mgmt).max(axis=-1)
+        peaks = engine._occupancy_band_peaks(cols, mgmt, prev_last)
+        assert np.array_equal(peaks, expected)
 
 
 class TestFallbackRules:
