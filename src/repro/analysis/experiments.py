@@ -26,7 +26,6 @@ from ..core.stats import (
     iter_bands,
     sliding_occupancy,
 )
-from ..core.transform.haar2d import Subbands
 from ..core.transform.lifting import WAVELETS
 from ..core.packing.nbits import bit_widths_signed, min_bits_signed
 from ..core.packing.packer import band_widths, threshold_and_size
@@ -691,7 +690,9 @@ def ablation_wavelets(
         for img in imgs:
             for _, band in iter_bands(config, img.astype(np.int64), row_stride=window):
                 ll, lh, hl, hh = wavelet.forward_2d(band)
-                plane = Subbands(ll=ll, lh=lh, hl=hl, hh=hh).interleaved()
+                plane = np.empty(band.shape, dtype=np.int32)
+                plane[0::2, 0::2], plane[0::2, 1::2] = ll, hl
+                plane[1::2, 0::2], plane[1::2, 1::2] = lh, hh
                 total_bits += _per_column_payload_bits(plane, threshold)
                 total_pixels += band.size
         bpp = total_bits / total_pixels

@@ -170,6 +170,11 @@ class ArchitectureConfig:
         """Largest representable pixel value (unsigned)."""
         return (1 << self.pixel_bits) - 1
 
+    @property
+    def wrap_bits(self) -> int | None:
+        """Width the Haar datapath wraps at, or ``None`` when it widens."""
+        return self.coefficient_bits if self.wrap_coefficients else None
+
     def check_pixels(self, pixels: "np.ndarray") -> None:
         """Raise :class:`ConfigError` unless every pixel is in ``[0, pixel_max]``.
 

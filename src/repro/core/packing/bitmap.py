@@ -61,7 +61,7 @@ def ll_exempt_mask_interleaved(shape: tuple[int, int]) -> np.ndarray:
     """Exemption mask for the LL sub-band in the interleaved block layout.
 
     In the in-place 2x2 layout produced by
-    :meth:`repro.core.transform.haar2d.Subbands.interleaved`, LL occupies
+    :func:`repro.core.transform.haar2d.forward_inplace`, LL occupies
     positions with even row *and* even column.
     """
     rows = np.arange(shape[0])[:, None]

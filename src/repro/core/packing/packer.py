@@ -12,7 +12,7 @@ payload bits on top; :func:`repro.core.stats.analyze_band` sizes without
 them.
 
 Layout: the codec operates on the *interleaved* coefficient plane (see
-:meth:`repro.core.transform.haar2d.Subbands.interleaved`), where the
+:func:`repro.core.transform.haar2d.forward_inplace`), where the
 sub-band of element ``(i, j)`` follows from the parities
 (:data:`SUBBAND_PARITIES`).  Each plane column ``j`` carries two sub-bands
 (even rows and odd rows) and therefore two NBits fields, matching Section
@@ -318,7 +318,6 @@ class BandCodec:
 
     def __init__(self, config: ArchitectureConfig) -> None:
         self.config = config
-        self._wrap_bits = config.coefficient_bits if config.wrap_coefficients else None
 
     def encode_band(self, band: np.ndarray) -> EncodedBand:
         """Compress one ``(N, W)`` pixel band into an :class:`EncodedBand`."""
@@ -326,7 +325,7 @@ class BandCodec:
         plane = forward_inplace(
             self._validate_band(band),
             cfg.decomposition_levels,
-            wrap_bits=self._wrap_bits,
+            wrap_bits=cfg.wrap_bits,
         )
         if cfg.ll_dpcm:
             plane = ll_dpcm_forward(plane, cfg.decomposition_levels)
@@ -361,7 +360,7 @@ class BandCodec:
         if self.config.ll_dpcm:
             plane = ll_dpcm_inverse(plane, self.config.decomposition_levels)
         band = inverse_inplace(
-            plane, self.config.decomposition_levels, wrap_bits=self._wrap_bits
+            plane, self.config.decomposition_levels, wrap_bits=self.config.wrap_bits
         )
         if clip:
             if self.config.wrap_coefficients:

@@ -59,14 +59,11 @@ class BandAnalysis(BandAccounting):
         wide datapath, modulo for a wrap-around datapath (exact by
         construction).
         """
-        wrap = (
-            self.config.coefficient_bits if self.config.wrap_coefficients else None
-        )
         plane = self.plane
         if self.config.ll_dpcm:
             plane = ll_dpcm_inverse(plane, self.config.decomposition_levels)
         band = inverse_inplace(
-            plane, self.config.decomposition_levels, wrap_bits=wrap
+            plane, self.config.decomposition_levels, wrap_bits=self.config.wrap_bits
         )
         if clip:
             if self.config.wrap_coefficients:
@@ -98,9 +95,10 @@ def analyze_band(
         raise ConfigError(
             f"bands must be (N, W) or (T, N, W) with even N and W, got {arr.shape}"
         )
-    wrap = config.coefficient_bits if config.wrap_coefficients else None
     with prb.span("transform"):
-        plane = forward_inplace(arr, config.decomposition_levels, wrap_bits=wrap)
+        plane = forward_inplace(
+            arr, config.decomposition_levels, wrap_bits=config.wrap_bits
+        )
         if config.ll_dpcm:
             plane = ll_dpcm_forward(plane, config.decomposition_levels)
     plane, nbits, bitmap = threshold_and_size(
@@ -229,12 +227,11 @@ def band_stack_sizes(
     if h < n:
         raise ConfigError(f"image height {h} shorter than one {n}-band")
     levels = config.decomposition_levels
-    wrap = config.coefficient_bits if config.wrap_coefficients else None
     exempt_mod = ll_exempt_mod(config)
     if codec == "native" and levels == 1:  # fused pair kernels
         with prb.span("transform"):
             plane = native_codec.pair_transform(
-                arr, ll_dpcm=config.ll_dpcm, wrap_bits=wrap
+                arr, ll_dpcm=config.ll_dpcm, wrap_bits=config.wrap_bits
             )
         with prb.span("threshold"):
             native_codec.threshold_inplace(
@@ -255,7 +252,9 @@ def band_stack_sizes(
     for b0 in range(0, n_blocks, step):
         chunk = slice(b0, b0 + step)
         with prb.span("transform"):
-            plane = forward_inplace(blocks[chunk], levels, wrap_bits=wrap)
+            plane = forward_inplace(
+                blocks[chunk], levels, wrap_bits=config.wrap_bits
+            )
             if config.ll_dpcm:
                 plane = ll_dpcm_forward(plane, levels)
         _, block_nbits[chunk], bitmap[chunk] = threshold_and_size(

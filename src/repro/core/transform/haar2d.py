@@ -1,204 +1,125 @@
-"""Separable single-level and multi-level 2D integer Haar transforms.
+"""The integer Haar transform: one in-place 2x2 butterfly pass per level.
 
-The architecture applies the 2D transform to 2x2 pixel blocks formed from
-two adjacent image columns (Fig 5): stage one transforms each *vertical*
-pair inside a column, stage two combines the two columns *horizontally*.
-The separable equivalent used here — rows first, then columns, with the
-mirrored inverse order — is bit-exact against the gate-level block model in
-:mod:`repro.core.transform.hwmodel` (property-tested).
+The paper's Equations (1)-(4) contain sign typos (as printed they are not
+mutually inverse).  The transform actually implemented by the cited integer
+Haar literature — and the one whose worked example in the paper's Fig 2
+round-trips — is the classic S-transform butterfly:
 
-Sub-band naming follows the paper:
+.. math::
 
-========  =============================  =========================
-Sub-band  Filtering (horizontal, vert.)  Content
-========  =============================  =========================
-LL        low, low                       approximation
-LH        low, high                      vertical detail
-HL        high, low                      horizontal detail
-HH        high, high                     diagonal detail
-========  =============================  =========================
+    H = X_0 - X_1 \\qquad L = X_1 + \\lfloor H / 2 \\rfloor
+
+with the exact integer inverse
+
+.. math::
+
+    X_1 = L - \\lfloor H / 2 \\rfloor \\qquad X_0 = H + X_1
+
+Floor division makes the pair perfectly reversible for *any* integers, which
+is the property the lossless mode of the architecture depends on.
+
+The architecture applies it to 2x2 pixel blocks (Fig 5): stage one runs a
+butterfly on each row of the block, stage two combines the two row lows and
+the two row highs vertically; the inverse mirrors that order (Fig 10).
+:func:`forward_inplace` runs each stage as one vectorised butterfly over the
+four strided quadrant views of the plane and writes the coefficients back
+in place (the interleaved Mallat layout), bit-exact against the scalar
+block models in :mod:`repro.core.transform.hwmodel` (property-tested):
+
+========  ==============  =============================  ===================
+Sub-band  Block position  Filtering (horizontal, vert.)  Content
+========  ==============  =============================  ===================
+LL        ``(0, 0)``      low, low                       approximation
+HL        ``(0, 1)``      high, low                      horizontal detail
+LH        ``(1, 0)``      low, high                      vertical detail
+HH        ``(1, 1)``      high, high                     diagonal detail
+========  ==============  =============================  ===================
+
+Hardware datapaths have fixed width; ``wrap_bits`` reduces every butterfly
+output modulo ``2**wrap_bits`` in two's complement.  Because wrap-around
+addition is a group operation, the inverse with the same ``wrap_bits``
+still reconstructs the original samples exactly whenever they were
+themselves representable in ``wrap_bits`` bits — this models the paper's
+8-bit RTL design point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ...errors import ConfigError
-from .haar1d import COEFF_DTYPE, forward_1d, inverse_1d
+
+#: NumPy dtype used for all coefficient arithmetic.  int32 comfortably holds
+#: multi-level transforms of 16-bit pixels without overflow.
+COEFF_DTYPE = np.int32
 
 
-@dataclass(frozen=True, slots=True)
-class Subbands:
-    """The four sub-band coefficient planes of one decomposition level.
+def _wrap(values: np.ndarray, wrap_bits: int | None) -> np.ndarray:
+    """Reduce ``values`` in place into the two's-complement range of ``wrap_bits``.
 
-    Each plane has half the parent resolution along both axes.  Planes are
-    ``COEFF_DTYPE`` arrays; ``ll`` of the final level carries the residual
-    approximation.  Planes may carry leading batch axes (the last two axes
-    are always the spatial ones) — a ``(T, N, W)`` band stack transforms
-    in one shot, which is what the frame-at-once engine fast path uses.
+    ``None`` disables wrapping.  A 32-bit wrap is :data:`COEFF_DTYPE`'s own
+    wraparound, so it needs no masking (and ``2**31`` fits no int32 operand).
     """
-
-    ll: np.ndarray
-    lh: np.ndarray
-    hl: np.ndarray
-    hh: np.ndarray
-
-    def __post_init__(self) -> None:
-        shapes = {self.ll.shape, self.lh.shape, self.hl.shape, self.hh.shape}
-        if len(shapes) != 1:
-            raise ConfigError(f"sub-band shapes disagree: {shapes}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Shape of each individual sub-band plane."""
-        return self.ll.shape
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        """Return the planes keyed by their conventional names."""
-        return {"LL": self.ll, "LH": self.lh, "HL": self.hl, "HH": self.hh}
-
-    def stacked(self) -> np.ndarray:
-        """Stack the planes into a ``(4, h, w)`` array (LL, LH, HL, HH)."""
-        return np.stack([self.ll, self.lh, self.hl, self.hh])
-
-    def interleaved(self) -> np.ndarray:
-        """Re-interleave sub-bands into the in-place 2x2 block layout.
-
-        Element ``(2i, 2j)`` holds LL, ``(2i, 2j+1)`` HL, ``(2i+1, 2j)`` LH
-        and ``(2i+1, 2j+1)`` HH of block ``(i, j)`` — the layout a streaming
-        datapath naturally produces.
-        """
-        h, w = self.ll.shape[-2:]
-        out = np.empty(self.ll.shape[:-2] + (2 * h, 2 * w), dtype=COEFF_DTYPE)
-        out[..., 0::2, 0::2] = self.ll
-        out[..., 0::2, 1::2] = self.hl
-        out[..., 1::2, 0::2] = self.lh
-        out[..., 1::2, 1::2] = self.hh
-        return out
-
-    @classmethod
-    def from_interleaved(cls, plane: np.ndarray) -> "Subbands":
-        """Inverse of :meth:`interleaved`."""
-        arr = np.asarray(plane)
-        if arr.ndim < 2 or arr.shape[-2] % 2 or arr.shape[-1] % 2:
-            raise ConfigError(
-                f"interleaved plane must be >= 2D with even sides, got {arr.shape}"
-            )
-        return cls(
-            ll=arr[..., 0::2, 0::2].astype(COEFF_DTYPE),
-            hl=arr[..., 0::2, 1::2].astype(COEFF_DTYPE),
-            lh=arr[..., 1::2, 0::2].astype(COEFF_DTYPE),
-            hh=arr[..., 1::2, 1::2].astype(COEFF_DTYPE),
-        )
+    if wrap_bits is not None and wrap_bits < 32:
+        half = 1 << (wrap_bits - 1)
+        values += half
+        values &= 2 * half - 1
+        values -= half
+    return values
 
 
-def forward_2d(
-    image: np.ndarray,
-    *,
-    wrap_bits: int | None = None,
-) -> Subbands:
-    """Single-level 2D integer Haar transform of an even-sided image.
+def _butterfly(x0: np.ndarray, x1: np.ndarray, wrap_bits: int | None) -> None:
+    """Fig 5 1D block in place: ``(x0, x1)`` become ``(L, H)``.
 
-    Rows are transformed first (horizontal low/high split), then columns,
-    matching the hardware block wiring of Fig 5 up to butterfly ordering
-    (the composition is identical; see the block-model equivalence test).
-    Leading axes (anything before the last two) are treated as batch
-    dimensions and transformed independently.
+    One subtraction, one arithmetic shift (floor division by 2 in two's
+    complement) and one addition.
     """
-    arr = np.asarray(image)
-    if arr.ndim < 2:
-        raise ConfigError(f"expected a >= 2D image, got shape {arr.shape}")
-    if arr.shape[-2] % 2 or arr.shape[-1] % 2:
-        raise ConfigError(f"image sides must be even, got {arr.shape}")
-    low_h, high_h = forward_1d(arr, axis=-1, wrap_bits=wrap_bits)
-    ll, lh = forward_1d(low_h, axis=-2, wrap_bits=wrap_bits)
-    hl, hh = forward_1d(high_h, axis=-2, wrap_bits=wrap_bits)
-    return Subbands(ll=ll, lh=lh, hl=hl, hh=hh)
+    high = _wrap(x0 - x1, wrap_bits)
+    np.right_shift(high, 1, out=x0)
+    x0 += x1
+    _wrap(x0, wrap_bits)
+    x1[...] = high
 
 
-def inverse_2d(
-    bands: Subbands,
-    *,
-    wrap_bits: int | None = None,
-) -> np.ndarray:
-    """Exact inverse of :func:`forward_2d`."""
-    low_h = inverse_1d(bands.ll, bands.lh, axis=-2, wrap_bits=wrap_bits)
-    high_h = inverse_1d(bands.hl, bands.hh, axis=-2, wrap_bits=wrap_bits)
-    return inverse_1d(low_h, high_h, axis=-1, wrap_bits=wrap_bits)
+def _inverse_butterfly(
+    low: np.ndarray, high: np.ndarray, wrap_bits: int | None
+) -> None:
+    """Fig 10 1D block in place: ``(L, H)`` become ``(x0, x1)``."""
+    x1 = _wrap(low - (high >> 1), wrap_bits)
+    np.add(high, x1, out=low)
+    _wrap(low, wrap_bits)
+    high[...] = x1
 
 
-def forward_column_pair(
-    columns: np.ndarray,
-    *,
-    wrap_bits: int | None = None,
-) -> Subbands:
-    """Transform one ``(N, 2)`` column pair as the streaming IWT module does.
-
-    The IWT module (Section V.A) reads the right-most active-window column
-    every cycle; a full 2x2 decomposition completes every second cycle when
-    both columns of a pair are available.  Each call returns ``N/2``-long
-    sub-band column vectors (shape ``(N/2, 1)`` planes).
-    """
-    arr = np.asarray(columns)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ConfigError(f"expected an (N, 2) column pair, got {arr.shape}")
-    if arr.shape[0] % 2:
-        raise ConfigError(f"column height must be even, got {arr.shape[0]}")
-    return forward_2d(arr, wrap_bits=wrap_bits)
-
-
-def inverse_column_pair(
-    bands: Subbands,
-    *,
-    wrap_bits: int | None = None,
-) -> np.ndarray:
-    """Reconstruct the ``(N, 2)`` column pair from its sub-band vectors."""
-    return inverse_2d(bands, wrap_bits=wrap_bits)
-
-
-def forward_multilevel(
-    image: np.ndarray,
-    levels: int,
-    *,
-    wrap_bits: int | None = None,
-) -> list[Subbands]:
-    """Multi-level decomposition (each level recurses on the previous LL).
-
-    The paper evaluated 2 and 3 levels and found the extra compression did
-    not justify the hardware (Section IV.C); the ablation bench quantifies
-    that trade-off.  Returns one :class:`Subbands` per level, coarsest last.
-    """
+def _coeff_plane(data: np.ndarray, levels: int) -> np.ndarray:
+    """Validate a transform input; return a fresh C-ordered COEFF_DTYPE copy."""
     if levels < 1:
         raise ConfigError(f"levels must be >= 1, got {levels}")
-    arr = np.asarray(image)
-    out: list[Subbands] = []
-    current = arr
-    for level in range(levels):
-        if current.shape[-2] % 2 or current.shape[-1] % 2:
-            raise ConfigError(
-                f"level {level} input sides must be even, got {current.shape}"
-            )
-        bands = forward_2d(current, wrap_bits=wrap_bits)
-        out.append(bands)
-        current = bands.ll
-    return out
+    arr = np.asarray(data)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ConfigError(
+            f"integer wavelet transform requires integer input, got {arr.dtype}"
+        )
+    block = 1 << levels
+    if arr.ndim < 2 or arr.shape[-2] % block or arr.shape[-1] % block:
+        raise ConfigError(
+            f"expected a >= 2D plane with sides divisible by 2^levels = "
+            f"{block}, got shape {arr.shape}"
+        )
+    return np.array(arr, dtype=COEFF_DTYPE, order="C")
 
 
-def inverse_multilevel(
-    pyramid: list[Subbands],
-    *,
-    wrap_bits: int | None = None,
-) -> np.ndarray:
-    """Exact inverse of :func:`forward_multilevel`."""
-    if not pyramid:
-        raise ConfigError("pyramid must contain at least one level")
-    current = pyramid[-1].ll
-    for bands in reversed(pyramid):
-        merged = Subbands(ll=current, lh=bands.lh, hl=bands.hl, hh=bands.hh)
-        current = inverse_2d(merged, wrap_bits=wrap_bits)
-    return current
+def _quadrants(
+    plane: np.ndarray, level: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(0,0), (0,1), (1,0), (1,1)`` block positions at ``level``'s stride."""
+    view = plane[..., :: 1 << level, :: 1 << level]
+    return (
+        view[..., 0::2, 0::2],
+        view[..., 0::2, 1::2],
+        view[..., 1::2, 0::2],
+        view[..., 1::2, 1::2],
+    )
 
 
 def forward_inplace(
@@ -207,33 +128,28 @@ def forward_inplace(
     *,
     wrap_bits: int | None = None,
 ) -> np.ndarray:
-    """Multi-level transform in the in-place (interleaved Mallat) layout.
+    """Multi-level integer Haar transform in the in-place (interleaved) layout.
 
-    Level 1 fills the whole plane with the 2x2 block layout of
-    :meth:`Subbands.interleaved`; each deeper level re-decomposes the LL
-    positions (stride ``2**level``) in place.  The layout keeps every
-    coefficient at a fixed image position, so the streaming architecture's
-    per-column packing applies unchanged — this is what the
-    ``decomposition_levels`` configuration knob feeds on.
+    Level 1 turns every 2x2 block into its ``LL, HL / LH, HH`` coefficients
+    at the same positions; each deeper level re-decomposes the LL positions
+    (stride ``2**level``) in place.  The layout keeps every coefficient at a
+    fixed image position, so the streaming architecture's per-column packing
+    applies unchanged — this is what the ``decomposition_levels``
+    configuration knob feeds on.
 
-    Accepts leading batch axes: a ``(T, N, W)`` stack of bands transforms
-    every band independently in one vectorised pass.
+    The last two axes are the spatial ones and their sides must be
+    divisible by ``2**levels``; leading batch axes transform independently,
+    so a ``(T, N, W)`` stack of bands (or one ``(N, 2)`` column pair) goes
+    through in one vectorised pass.  Non-integer input raises
+    :class:`~repro.errors.ConfigError`.
     """
-    if levels < 1:
-        raise ConfigError(f"levels must be >= 1, got {levels}")
-    arr = np.asarray(image)
-    if arr.ndim < 2:
-        raise ConfigError(f"expected a >= 2D image, got shape {arr.shape}")
-    if arr.shape[-2] % (1 << levels) or arr.shape[-1] % (1 << levels):
-        raise ConfigError(
-            f"sides must be divisible by 2^levels = {1 << levels}, "
-            f"got {arr.shape}"
-        )
-    plane = np.array(arr, dtype=COEFF_DTYPE, order="C")
+    plane = _coeff_plane(image, levels)
     for level in range(levels):
-        stride = 1 << level
-        view = plane[..., ::stride, ::stride]
-        view[...] = forward_2d(view, wrap_bits=wrap_bits).interleaved()
+        x00, x01, x10, x11 = _quadrants(plane, level)
+        _butterfly(x00, x01, wrap_bits)  # stage 1: rows
+        _butterfly(x10, x11, wrap_bits)
+        _butterfly(x00, x10, wrap_bits)  # stage 2: lows -> LL, LH
+        _butterfly(x01, x11, wrap_bits)  # highs -> HL, HH
     return plane
 
 
@@ -244,21 +160,14 @@ def inverse_inplace(
     wrap_bits: int | None = None,
 ) -> np.ndarray:
     """Exact inverse of :func:`forward_inplace` (batch axes supported)."""
-    if levels < 1:
-        raise ConfigError(f"levels must be >= 1, got {levels}")
-    arr = np.asarray(plane).astype(COEFF_DTYPE).copy()
-    if arr.ndim < 2 or arr.shape[-2] % (1 << levels) or arr.shape[-1] % (1 << levels):
-        raise ConfigError(
-            f"plane sides must be divisible by 2^levels = {1 << levels}, "
-            f"got {arr.shape}"
-        )
+    out = _coeff_plane(plane, levels)
     for level in reversed(range(levels)):
-        stride = 1 << level
-        view = arr[..., ::stride, ::stride]
-        view[...] = inverse_2d(
-            Subbands.from_interleaved(view.copy()), wrap_bits=wrap_bits
-        )
-    return arr
+        ll, hl, lh, hh = _quadrants(out, level)
+        _inverse_butterfly(ll, lh, wrap_bits)  # stage 1: columns
+        _inverse_butterfly(hl, hh, wrap_bits)
+        _inverse_butterfly(ll, hl, wrap_bits)  # stage 2: rows
+        _inverse_butterfly(lh, hh, wrap_bits)
+    return out
 
 
 def ll_dpcm_forward(plane: np.ndarray, levels: int) -> np.ndarray:

@@ -7,7 +7,7 @@ outputs feed the top stage-2 block, stage-1 high outputs the bottom one).
 
 They are deliberately *scalar* and instrumented with operation counters —
 the point is validation (bit-exact equivalence against the vectorised
-:func:`repro.core.transform.haar2d.forward_2d`, property-tested) and feeding
+:func:`repro.core.transform.haar2d.forward_inplace`, property-tested) and feeding
 the analytical resource model, not speed.
 """
 

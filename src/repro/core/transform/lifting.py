@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...errors import ConfigError
-from .haar1d import COEFF_DTYPE
+from .haar2d import COEFF_DTYPE
 
 
 @dataclass(frozen=True, slots=True)

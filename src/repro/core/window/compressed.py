@@ -69,7 +69,7 @@ from ..packing.nbits import NBitsGateModel
 from ..packing.packer import BandAccounting, ll_exempt_mod, threshold_and_size
 from ..packing.tiers import resolve_codec
 from ..stats import analyze_band, band_stack_sizes, sliding_occupancy
-from ..transform.haar2d import Subbands, forward_column_pair, inverse_column_pair
+from ..transform.haar2d import forward_inplace, inverse_inplace
 from .base import EngineStats, SlidingWindowEngine, WindowRun
 from .golden import golden_apply
 from .traditional import traditional_fill_cycles
@@ -518,7 +518,7 @@ class CompressedCycleEngine(SlidingWindowEngine):
                 "the register-level engine models the paper's single-level "
                 "datapath; use CompressedEngine for multi-level configs"
             )
-        self._wrap = config.coefficient_bits if config.wrap_coefficients else None
+        self._wrap = config.wrap_bits
         self._gate = NBitsGateModel(max(config.coefficient_bits, 2))
         #: High-water mark of the record FIFO (column records), last run.
         self.fifo_peak = 0
@@ -532,12 +532,13 @@ class CompressedCycleEngine(SlidingWindowEngine):
     ) -> tuple[np.ndarray, np.ndarray]:
         """2D IWT of an aligned column pair -> interleaved coefficient cols.
 
-        All ``N/2`` 2x2 blocks go through the batched Haar column math at
-        once (bit-exact against the scalar Fig 5 block model); ``col_a``
-        carries (LL, LH, ...), ``col_b`` (HL, HH, ...).
+        All ``N/2`` 2x2 blocks of the ``(N, 2)`` pair go through one
+        :func:`forward_inplace` pass (bit-exact against the scalar Fig 5
+        block model); ``col_a`` carries (LL, LH, ...), ``col_b`` (HL, HH,
+        ...).
         """
         pair = np.stack([even_col, odd_col], axis=1)
-        plane = forward_column_pair(pair, wrap_bits=self._wrap).interleaved()
+        plane = forward_inplace(pair, wrap_bits=self._wrap)
         return (
             plane[:, 0].astype(np.int64, copy=False),
             plane[:, 1].astype(np.int64, copy=False),
@@ -548,9 +549,7 @@ class CompressedCycleEngine(SlidingWindowEngine):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact inverse of :meth:`_transform_pair` (batched Fig 10 math)."""
         plane = np.stack([col_a, col_b], axis=1)
-        pair = inverse_column_pair(
-            Subbands.from_interleaved(plane), wrap_bits=self._wrap
-        )
+        pair = inverse_inplace(plane, wrap_bits=self._wrap)
         return (
             pair[:, 0].astype(np.int64, copy=False),
             pair[:, 1].astype(np.int64, copy=False),

@@ -125,8 +125,8 @@ class ModuleSource:
         """Parse ``path``, deriving the dotted module name from packages.
 
         Walks up while a ``__init__.py`` sibling exists, so
-        ``src/repro/core/transform/haar1d.py`` resolves to
-        ``repro.core.transform.haar1d`` no matter where the repo lives.
+        ``src/repro/core/transform/haar2d.py`` resolves to
+        ``repro.core.transform.haar2d`` no matter where the repo lives.
         """
         parts = [path.stem if path.name != "__init__.py" else None]
         parent = path.parent

@@ -62,3 +62,47 @@ def exact_capacity_plan(config, group_bits):
             cost=0,
         ),
     )
+
+
+def scalar_forward_inplace(image, levels: int = 1, wrap_bits=None) -> np.ndarray:
+    """Oracle for ``forward_inplace``: the scalar Fig 5 block on every 2x2
+    block of each level's ``2**level``-strided grid (batch axes looped)."""
+    from repro.core.transform.hwmodel import Haar2DBlock
+
+    block = Haar2DBlock(wrap_bits=wrap_bits)
+    plane = np.array(image, dtype=np.int64)
+    for level in range(levels):
+        for i00, i01, i10, i11 in _block_corners(plane.shape, level):
+            x = (int(plane[i00]), int(plane[i01]), int(plane[i10]), int(plane[i11]))
+            ll, lh, hl, hh = block.forward(*x)
+            plane[i00], plane[i01], plane[i10], plane[i11] = ll, hl, lh, hh
+    return plane
+
+
+def scalar_inverse_inplace(plane, levels: int = 1, wrap_bits=None) -> np.ndarray:
+    """Oracle for ``inverse_inplace``: the scalar Fig 10 block, deepest
+    level first."""
+    from repro.core.transform.hwmodel import InverseHaar2DBlock
+
+    block = InverseHaar2DBlock(wrap_bits=wrap_bits)
+    out = np.array(plane, dtype=np.int64)
+    for level in reversed(range(levels)):
+        for i00, i01, i10, i11 in _block_corners(out.shape, level):
+            c = (int(out[i00]), int(out[i10]), int(out[i01]), int(out[i11]))
+            out[i00], out[i01], out[i10], out[i11] = block.inverse(*c)
+    return out
+
+
+def _block_corners(shape, level: int):
+    """Index tuples of the four corners of every block at ``level``."""
+    step = 1 << level
+    h, w = shape[-2:]
+    for batch in np.ndindex(*shape[:-2]):
+        for i in range(0, h, 2 * step):
+            for j in range(0, w, 2 * step):
+                yield (
+                    batch + (i, j),
+                    batch + (i, j + step),
+                    batch + (i + step, j),
+                    batch + (i + step, j + step),
+                )

@@ -103,6 +103,14 @@ class TestAnalyzeBand:
         with pytest.raises(ConfigError):
             analyze_band(cfg(), np.zeros((7, 64), dtype=int))
 
+    def test_float_band_rejected_like_the_codec(self):
+        """Sizing refuses a non-integer band exactly as encoding does."""
+        band = np.full((4, 8), 2.9)
+        with pytest.raises(ConfigError):
+            analyze_band(cfg(), band)
+        with pytest.raises(ConfigError):
+            BandCodec(cfg()).encode_band(band)
+
 
 class TestIterBands:
     def test_default_stride_is_window(self):

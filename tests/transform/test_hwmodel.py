@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.transform.haar2d import Subbands, forward_2d
+from repro.core.transform.haar2d import forward_inplace, inverse_inplace
 from repro.core.transform.hwmodel import Haar2DBlock, InverseHaar2DBlock
+
+from helpers import scalar_forward_inplace, scalar_inverse_inplace
 
 pixels = st.integers(0, 255)
 
@@ -18,11 +21,8 @@ class TestForwardBlock:
     def test_matches_vectorised_transform(self, x00, x01, x10, x11):
         block = Haar2DBlock()
         ll, lh, hl, hh = block.forward(x00, x01, x10, x11)
-        bands = forward_2d(np.array([[x00, x01], [x10, x11]]))
-        assert ll == bands.ll[0, 0]
-        assert lh == bands.lh[0, 0]
-        assert hl == bands.hl[0, 0]
-        assert hh == bands.hh[0, 0]
+        plane = forward_inplace(np.array([[x00, x01], [x10, x11]]))
+        assert plane.tolist() == [[ll, hl], [lh, hh]]
 
     def test_operation_counts_per_block(self):
         """One 2D block = four butterflies = 4 adds, 4 subs, 4 shifts."""
@@ -83,9 +83,32 @@ class TestBlockGridEquivalence:
                 )
                 plane[i, j], plane[i, j + 1] = ll, hl
                 plane[i + 1, j], plane[i + 1, j + 1] = lh, hh
-        expected = forward_2d(img).interleaved()
-        assert np.array_equal(plane, expected)
-        # Sanity: round-trip through the container too.
+        assert np.array_equal(plane, forward_inplace(img))
+
+
+class TestInplaceAgainstBlocks:
+    """Every 2x2 block at every level's stride, batch axes included, is the
+    scalar Fig 5 / Fig 10 block's answer."""
+
+    #: Input magnitude per datapath: the 32-bit wrap spans all of int32.
+    SPAN = {None: 4096, 8: 128, 10: 512, 32: 2**31}
+
+    @pytest.mark.parametrize("wrap_bits", [None, 8, 10, 32])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_forward(self, rng, levels, wrap_bits):
+        span = self.SPAN[wrap_bits]
+        img = rng.integers(-span, span, size=(2, 16, 32))
         assert np.array_equal(
-            Subbands.from_interleaved(plane).ll, forward_2d(img).ll
+            forward_inplace(img, levels, wrap_bits=wrap_bits),
+            scalar_forward_inplace(img, levels, wrap_bits),
+        )
+
+    @pytest.mark.parametrize("wrap_bits", [None, 8, 10, 32])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_inverse(self, rng, levels, wrap_bits):
+        span = self.SPAN[wrap_bits]
+        plane = rng.integers(-span, span, size=(2, 16, 32))
+        assert np.array_equal(
+            inverse_inplace(plane, levels, wrap_bits=wrap_bits),
+            scalar_inverse_inplace(plane, levels, wrap_bits),
         )

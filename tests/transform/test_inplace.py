@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.transform.haar2d import (
-    forward_2d,
     forward_inplace,
     inverse_inplace,
     ll_mask_inplace,
 )
 from repro.errors import ConfigError
+
+from helpers import scalar_forward_inplace
 
 images16 = hnp.arrays(dtype=np.int32, shape=(16, 16), elements=st.integers(0, 255))
 
@@ -22,17 +23,16 @@ images16 = hnp.arrays(dtype=np.int32, shape=(16, 16), elements=st.integers(0, 25
 class TestForwardInplace:
     def test_level1_equals_interleaved(self, rng):
         img = rng.integers(0, 256, size=(8, 12))
-        assert np.array_equal(
-            forward_inplace(img, 1), forward_2d(img).interleaved()
-        )
+        assert np.array_equal(forward_inplace(img, 1), scalar_forward_inplace(img))
 
     def test_level2_residual_positions(self, rng):
         img = rng.integers(0, 256, size=(16, 16))
         plane = forward_inplace(img, 2)
-        # The stride-4 positions hold the level-2 decomposition of LL.
-        level1 = forward_2d(img)
-        level2 = forward_2d(level1.ll)
-        assert np.array_equal(plane[::4, ::4], level2.interleaved()[::2, ::2])
+        # The stride-2 positions hold the level-1 decomposition of LL.
+        level1 = forward_inplace(img, 1)
+        assert np.array_equal(plane[::2, ::2], forward_inplace(level1[::2, ::2], 1))
+        assert np.array_equal(plane[1::2], level1[1::2])
+        assert np.array_equal(plane[:, 1::2], level1[:, 1::2])
 
     def test_constant_image_concentrates_in_ll(self):
         plane = forward_inplace(np.full((16, 16), 50), 2)

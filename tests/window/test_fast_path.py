@@ -160,6 +160,21 @@ class TestEquivalenceMatrix:
         assert_identical(seq_run, fast_run)
 
 
+    @pytest.mark.parametrize("codec", CODEC_TIERS)
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "sequential"])
+    def test_32_bit_wrap_matches_traditional(self, rng, codec, fast_path):
+        """A 32-bit wrap is int32's own wraparound on every tier and path."""
+        config = cfg(coefficient_bits=32, wrap_coefficients=True)
+        image = random_image(rng, 32, 32)
+        kernel = BoxFilterKernel(8)
+        engine = CompressedEngine(config, kernel, codec=codec, fast_path=fast_path)
+        run = engine.run(image)
+        assert engine.last_path == ("fast" if fast_path else "sequential")
+        trad = TraditionalEngine(config, kernel).run(image)
+        assert np.array_equal(run.outputs, trad.outputs)
+        assert np.array_equal(run.reconstruction, image)
+
+
 class TestNonDyadicWindows:
     """Box-filter outputs at N where ``1/N^2`` is not a binary fraction:
     every engine path, whole-frame or per-band, returns the windowed
