@@ -1,9 +1,10 @@
 """NumPy-facing wrappers over the compiled codec kernels (native tier).
 
 Each function here mirrors one hot loop of the NumPy packing/stats path
-— the shared-row pair transform, the threshold plane kernel, the NBits
-reductions over ``(T, N, W)`` band stacks, the FIFO occupancy scan and
-the variable-width bit-stream assembly — delegating the arithmetic to
+— the shared-row pair transform, the threshold plane kernel, the
+recirculating lossy loop's traversals, the NBits reductions over ``(T,
+N, W)`` band stacks, the FIFO occupancy scan and the variable-width
+bit-stream assembly — delegating the arithmetic to
 ``_codec.c`` through the ctypes binding in :mod:`.loader`.  Results are
 bit-identical to the NumPy implementations (property-tested); callers
 pick an implementation through the codec-tier registry in
@@ -30,6 +31,7 @@ __all__ = [
     "reset",
     "pair_transform",
     "threshold_inplace",
+    "recirculate",
     "pair_reduce",
     "stack_nbits",
     "bit_widths",
@@ -106,6 +108,69 @@ def threshold_inplace(
     return arr
 
 
+def recirculate(
+    image: np.ndarray,
+    state: np.ndarray,
+    first_traversal: int,
+    bands: np.ndarray,
+    planes: np.ndarray,
+    *,
+    threshold: int,
+    exempt_ll: bool,
+    ll_dpcm: bool,
+    wrap_bits: int | None,
+    pixel_max: int,
+) -> None:
+    """Run ``len(bands)`` traversals of the level-1 recirculating loop.
+
+    ``state`` is the ``(N, W)`` int64 band traversal ``first_traversal``
+    presents.  Each traversal writes its band to ``bands[k]`` and its
+    thresholded (LL-exempt when ``exempt_ll``, DPCM'd when ``ll_dpcm``)
+    coefficient plane to ``planes[k]``, then replaces ``state`` with the
+    next traversal's band: its reconstruction moved up one row, clipped
+    to ``[0, pixel_max]`` (or wrapped into it when ``wrap_bits`` is set),
+    and the next raw image row below.  ``bands`` and ``planes`` are
+    caller-allocated ``(C, N, W)`` int64 and int32 arrays; everything is
+    written in place.
+    """
+    h, w = image.shape
+    n = state.shape[0]
+    count = bands.shape[0]
+    arrays = (
+        (image, np.int64, (h, w)),
+        (state, np.int64, (n, w)),
+        (bands, np.int64, (count, n, w)),
+        (planes, np.int32, (count, n, w)),
+    )
+    for arr, dtype, shape in arrays:
+        if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
+            raise ConfigError(
+                f"recirculate needs a contiguous {np.dtype(dtype)} array of "
+                f"shape {shape}, got {arr.dtype} {arr.shape}"
+            )
+    if n < 2 or n % 2 or w % 2 or not n - 1 <= first_traversal <= h - count:
+        raise ConfigError(
+            f"window {n}, width {w} and traversals {first_traversal} .. "
+            f"{first_traversal + count - 1} do not fit a {h}-row image"
+        )
+    load().repro_recirculate(
+        _p_i64(image),
+        h,
+        w,
+        n,
+        first_traversal,
+        count,
+        threshold,
+        1 if exempt_ll else 0,
+        1 if ll_dpcm else 0,
+        wrap_bits if wrap_bits else 0,
+        pixel_max,
+        _p_i64(state),
+        _p_i64(bands),
+        _p_i32(planes),
+    )
+
+
 def pair_reduce(
     plane: np.ndarray, window_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -113,8 +178,8 @@ def pair_reduce(
 
     Band ``t`` of an ``N``-row window reduces pairs ``t, t+2, ..,
     t+N-2``.  Returns ``(nbits, cols, counts, sig)`` with shapes
-    ``(T, 2, W)``, ``(T, W)``, ``(T,)`` and ``(H-1, 2, W)`` (the pair
-    plane's uint8 significance flags) — the arrays
+    ``(T, 2, W)`` (uint8), ``(T, W)``, ``(T,)`` and ``(H-1, 2, W)`` (the
+    pair plane's uint8 significance flags) — the arrays
     :func:`repro.core.stats.band_stack_sizes` assembles into its
     :class:`~repro.core.stats.BandStackSizes`.
     """
@@ -136,7 +201,7 @@ def pair_reduce(
     sig = np.empty((pairs, 2, w), dtype=np.uint8)
     maxw = np.empty((2, w), dtype=np.uint8)
     cnt = np.empty((2, w), dtype=np.int32)
-    nbits = np.empty((t_total, 2, w), dtype=np.int64)
+    nbits = np.empty((t_total, 2, w), dtype=np.uint8)
     cols = np.empty((t_total, w), dtype=np.int64)
     counts = np.empty(t_total, dtype=np.int64)
     load().repro_pair_reduce(
@@ -148,7 +213,7 @@ def pair_reduce(
         _p_u8(sig),
         _p_u8(maxw),
         _p_i32(cnt),
-        _p_i64(nbits),
+        _p_u8(nbits),
         _p_i64(cols),
         _p_i64(counts),
     )

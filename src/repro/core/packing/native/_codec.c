@@ -25,7 +25,7 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * stale cached .so whose ABI does not match. */
-#define REPRO_NATIVE_ABI 1
+#define REPRO_NATIVE_ABI 2
 
 REPRO_API int64_t
 repro_abi_version(void)
@@ -146,6 +146,150 @@ repro_threshold_i32(int32_t *plane, int64_t outer, int64_t rows, int64_t w,
     }
 }
 
+/* -- recirculating traversals (Fig 4 feedback loop, level 1) --------- */
+
+/* Zero |v| < t, exactly as repro_threshold_i32 does. */
+static inline int32_t
+threshold_one(int32_t v, int32_t t)
+{
+    return v < t && v > -t ? 0 : v;
+}
+
+/* Map one reconstructed sample back to the pixel range: the low bits
+ * for a wrap-around datapath (wrap_bits > 0), saturation otherwise
+ * (BandAnalysis.reconstruct's clip). */
+static inline int64_t
+to_pixel(int32_t v, int64_t wrap_bits, int64_t pixel_max)
+{
+    if (wrap_bits > 0)
+        return (int64_t)((uint32_t)v & (uint32_t)pixel_max);
+    return v < 0 ? 0 : (v > pixel_max ? pixel_max : v);
+}
+
+/* One 2-row block of one traversal: forward butterflies, optional LL
+ * DPCM and threshold into o0/o1; with decode, the inverse into d0 (the
+ * row above, NULL for the band's first pair) and d1.  Always inlined
+ * with a constant ll_dpcm and a literal 0 for wrap_bits on the unwrapped
+ * datapath, so those variants carry no flag branches in the loop. */
+static inline __attribute__((always_inline)) void
+traverse_pair(const int64_t *restrict r0, const int64_t *restrict r1,
+              int32_t *restrict o0, int32_t *restrict o1,
+              int64_t *restrict d0, int64_t *restrict d1, int64_t w,
+              int32_t t, int64_t exempt_ll, int64_t ll_dpcm,
+              int64_t wrap_bits, int64_t pixel_max, int decode)
+{
+    int32_t prev_ll = 0;
+    uint32_t ll_sum = 0;
+    for (int64_t j = 0; j + 1 < w; j += 2) {
+        int32_t h0 = wrap_i32((int64_t)(int32_t)r0[j] - (int32_t)r0[j + 1],
+                              wrap_bits);
+        int32_t l0 = wrap_i32((int64_t)(int32_t)r0[j + 1] + (h0 >> 1),
+                              wrap_bits);
+        int32_t h1 = wrap_i32((int64_t)(int32_t)r1[j] - (int32_t)r1[j + 1],
+                              wrap_bits);
+        int32_t l1 = wrap_i32((int64_t)(int32_t)r1[j + 1] + (h1 >> 1),
+                              wrap_bits);
+        int32_t lh = wrap_i32((int64_t)l0 - l1, wrap_bits);
+        int32_t ll = wrap_i32((int64_t)l1 + (lh >> 1), wrap_bits);
+        int32_t hh = wrap_i32((int64_t)h0 - h1, wrap_bits);
+        int32_t hl = wrap_i32((int64_t)h1 + (hh >> 1), wrap_bits);
+        if (ll_dpcm) {
+            int32_t absolute = ll;
+            if (j > 0)
+                ll = (int32_t)((int64_t)absolute - prev_ll);
+            prev_ll = absolute;
+        }
+        if (!exempt_ll)
+            ll = threshold_one(ll, t);
+        hl = threshold_one(hl, t);
+        lh = threshold_one(lh, t);
+        hh = threshold_one(hh, t);
+        o0[j] = ll;
+        o0[j + 1] = hl;
+        o1[j] = lh;
+        o1[j + 1] = hh;
+        if (!decode)
+            continue;
+        if (ll_dpcm) { /* int32 running sum, wrapping like NumPy's */
+            ll_sum = j > 0 ? ll_sum + (uint32_t)ll : (uint32_t)ll;
+            ll = (int32_t)ll_sum;
+        }
+        /* Columns first (vertical merge) ... */
+        int32_t c1 = wrap_i32((int64_t)ll - (lh >> 1), wrap_bits);
+        int32_t c0 = wrap_i32((int64_t)lh + c1, wrap_bits);
+        int32_t e1 = wrap_i32((int64_t)hl - (hh >> 1), wrap_bits);
+        int32_t e0 = wrap_i32((int64_t)hh + e1, wrap_bits);
+        /* ... then rows (horizontal merge). */
+        int32_t p01 = wrap_i32((int64_t)c0 - (e0 >> 1), wrap_bits);
+        int32_t p00 = wrap_i32((int64_t)e0 + p01, wrap_bits);
+        int32_t p11 = wrap_i32((int64_t)c1 - (e1 >> 1), wrap_bits);
+        int32_t p10 = wrap_i32((int64_t)e1 + p11, wrap_bits);
+        if (d0) {
+            d0[j] = to_pixel(p00, wrap_bits, pixel_max);
+            d0[j + 1] = to_pixel(p01, wrap_bits, pixel_max);
+        }
+        d1[j] = to_pixel(p10, wrap_bits, pixel_max);
+        d1[j + 1] = to_pixel(p11, wrap_bits, pixel_max);
+    }
+}
+
+/* Run `count` consecutive traversals y0, y0+1, ... of the recirculating
+ * lossy loop over an (h, w) int64 image with an n-row window.  state
+ * (n, w) holds the band traversal y presents: rows y-n+1 .. y-1 as the
+ * previous traversal reconstructed them, row y raw.  Per traversal:
+ *
+ *   1. copy state to bands[k];
+ *   2. per 2x2 block, the forward butterfly (the pair_transform
+ *      arithmetic), the optional LL DPCM and the threshold (LL exempt
+ *      when exempt_ll) write the stored plane planes[k];
+ *   3. unless y is the last image row, undo the DPCM, run the inverse
+ *      butterfly, wrap (wrap_bits > 0) or clip to [0, pixel_max], and
+ *      write rows 1 .. n-1 of
+ *      that reconstruction to state rows 0 .. n-2, then shift image row
+ *      y+1 into state row n-1.
+ *
+ * bands is (count, n, w) int64 and planes (count, n, w) int32; all
+ * arrays are caller-allocated and C-contiguous. */
+REPRO_API void
+repro_recirculate(const int64_t *restrict image, int64_t h, int64_t w,
+                  int64_t n, int64_t y0, int64_t count, int64_t threshold,
+                  int64_t exempt_ll, int64_t ll_dpcm, int64_t wrap_bits,
+                  int64_t pixel_max, int64_t *restrict state, int64_t *restrict bands,
+                  int32_t *restrict planes)
+{
+    int32_t t = (int32_t)threshold;
+    int64_t size = n * w;
+    for (int64_t k = 0; k < count; k++) {
+        int64_t y = y0 + k;
+        int decode = y + 1 < h;
+        const int64_t *band = bands + k * size;
+        int32_t *plane = planes + k * size;
+        memcpy(bands + k * size, state, (size_t)size * sizeof(int64_t));
+        for (int64_t i = 0; i < n; i += 2) {
+            const int64_t *r0 = band + i * w;
+            int32_t *o0 = plane + i * w;
+            int64_t *d0 = i > 0 ? state + (i - 1) * w : NULL;
+            int64_t *d1 = state + i * w;
+            /* Constant flags select a specialised copy of the loop. */
+            if (wrap_bits && ll_dpcm)
+                traverse_pair(r0, r0 + w, o0, o0 + w, d0, d1, w, t, exempt_ll,
+                              1, wrap_bits, pixel_max, decode);
+            else if (wrap_bits)
+                traverse_pair(r0, r0 + w, o0, o0 + w, d0, d1, w, t, exempt_ll,
+                              0, wrap_bits, pixel_max, decode);
+            else if (ll_dpcm)
+                traverse_pair(r0, r0 + w, o0, o0 + w, d0, d1, w, t, exempt_ll,
+                              1, 0, pixel_max, decode);
+            else
+                traverse_pair(r0, r0 + w, o0, o0 + w, d0, d1, w, t, exempt_ll,
+                              0, 0, pixel_max, decode);
+        }
+        if (decode)
+            memcpy(state + (n - 1) * w, image + (y + 1) * w,
+                   (size_t)w * sizeof(int64_t));
+    }
+}
+
 /* -- pair reduce (NBits / significance over sliding pair windows) ----- */
 
 /* From the thresholded (h-1, 2, w) pair plane, produce per-band packing
@@ -156,13 +300,14 @@ repro_threshold_i32(int32_t *plane, int64_t outer, int64_t rows, int64_t w,
  *   counts[t]       = significant coefficients in band t
  *
  * Band t covers pairs t, t+2, ..., t+n-2 (the shared-row dataflow);
- * widths8/sig are (h-1, 2, w) uint8 scratch, maxw (2, w) uint8 and
- * cnt (2, w) int32 scratch, all caller-allocated. */
+ * nbits is (T, 2, w) uint8 (an NBits field is at most 32), widths8/sig
+ * are (h-1, 2, w) uint8 scratch, maxw (2, w) uint8 and cnt (2, w)
+ * int32 scratch, all caller-allocated. */
 REPRO_API void
 repro_pair_reduce(const int32_t *restrict plane, int64_t h, int64_t w,
                   int64_t n, uint8_t *restrict widths8,
                   uint8_t *restrict sig, uint8_t *restrict maxw,
-                  int32_t *restrict cnt, int64_t *restrict nbits,
+                  int32_t *restrict cnt, uint8_t *restrict nbits,
                   int64_t *restrict cols, int64_t *restrict counts)
 {
     int64_t pairs = h - 1;
@@ -194,7 +339,7 @@ repro_pair_reduce(const int32_t *restrict plane, int64_t h, int64_t w,
             for (int64_t c = 0; c < row; c++)
                 cnt[c] += si[c];
         }
-        int64_t *nb = nbits + t * row;
+        uint8_t *nb = nbits + t * row;
         int64_t *cl = cols + t * w;
         int64_t total = 0;
         for (int64_t c = 0; c < w; c++) {
@@ -202,8 +347,8 @@ repro_pair_reduce(const int32_t *restrict plane, int64_t h, int64_t w,
             int64_t nb1 = maxw[w + c];
             int64_t c0 = cnt[c];
             int64_t c1 = cnt[w + c];
-            nb[c] = nb0;
-            nb[w + c] = nb1;
+            nb[c] = maxw[c];
+            nb[w + c] = maxw[w + c];
             cl[c] = c0 * nb0 + c1 * nb1;
             total += c0 + c1;
         }
@@ -214,7 +359,7 @@ repro_pair_reduce(const int32_t *restrict plane, int64_t h, int64_t w,
 /* -- per-parity NBits of a (T, N, W) interleaved stack ---------------- */
 
 /* min_bits_signed over each parity row class of every band: the native
- * form of the analyze_band_stack "pack" stage.  Output (T, 2, W). */
+ * form of threshold_and_size's "pack" stage.  Output (T, 2, W). */
 REPRO_API void
 repro_stack_nbits_i32(const int32_t *plane, int64_t t_total, int64_t rows,
                       int64_t w, int64_t *nbits)

@@ -35,7 +35,7 @@ from ....errors import ReproError
 _SOURCE = Path(__file__).with_name("_codec.c")
 
 #: Must match REPRO_NATIVE_ABI in ``_codec.c``.
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 _COMPILE_TIMEOUT_S = 120
 
@@ -89,9 +89,13 @@ _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
     "repro_abi_version": (_i64, ()),
     "repro_pair_transform": (None, (_p_i64, _i64, _i64, _i64, _i64, _p_i32)),
     "repro_threshold_i32": (None, (_p_i32, _i64, _i64, _i64, _i64, _i64)),
+    "repro_recirculate": (
+        None,
+        (_p_i64, *(_i64,) * 10, _p_i64, _p_i64, _p_i32),
+    ),
     "repro_pair_reduce": (
         None,
-        (_p_i32, _i64, _i64, _i64, _p_u8, _p_u8, _p_u8, _p_i32, _p_i64, _p_i64, _p_i64),
+        (_p_i32, _i64, _i64, _i64, _p_u8, _p_u8, _p_u8, _p_i32, _p_u8, _p_i64, _p_i64),
     ),
     "repro_stack_nbits_i32": (None, (_p_i32, _i64, _i64, _i64, _p_i64)),
     "repro_bit_widths_i64": (None, (_p_i64, _i64, _p_i64)),

@@ -161,8 +161,18 @@ class BandAccounting:
 
     @property
     def payload_bits_per_column(self) -> np.ndarray:
-        """Packed payload bits contributed by each plane column."""
-        return self.widths.sum(axis=-2)
+        """Packed payload bits contributed by each plane column.
+
+        Each parity's significant coefficients times its NBits, without
+        building the per-coefficient :attr:`widths`.
+        """
+        flags = self.bitmap.view(np.uint8)
+        count_dtype = np.min_scalar_type(flags.shape[-2])
+        counts = np.stack(
+            [flags[..., p::2, :].sum(axis=-2, dtype=count_dtype) for p in (0, 1)],
+            axis=-2,
+        )
+        return (self.nbits * counts).sum(axis=-2)
 
     @property
     def payload_bits(self) -> "int | np.ndarray":

@@ -123,7 +123,7 @@ class BandStackSizes:
     config: ArchitectureConfig
     #: Packed payload bits per plane column, shape ``(T, W)``.
     payload_bits_per_column: np.ndarray
-    #: Per-parity NBits, shape ``(T, 2, W)``.
+    #: Per-parity NBits, shape ``(T, 2, W)``, uint8 (a field is at most 32).
     nbits: np.ndarray
     #: Significant (non-zero) coefficients per band, shape ``(T,)``.
     significant_counts: np.ndarray
@@ -165,7 +165,7 @@ class BandStackSizes:
         step = max(1, GROUP_CHUNK_VALUES // (groups * w))
         for t0 in range(0, t_total, step):
             c = min(step, t_total - t0)
-            nbits = self.nbits[t0 : t0 + c].astype(np.uint8)
+            nbits = self.nbits[t0 : t0 + c]
             # Group-major storage keeps each group's (C, W) slice contiguous.
             out = np.empty((groups, c, w), dtype=np.int64)
             for g in range(groups):
@@ -279,7 +279,7 @@ def band_stack_sizes(
         cols = np.multiply(counts[:, 0], nbits[:, 0], dtype=np.int64)
         cols += np.multiply(counts[:, 1], nbits[:, 1], dtype=np.int64)
         signif_totals = counts.sum(axis=(1, 2), dtype=np.int64)
-    return BandStackSizes(config, cols, nbits.astype(np.int64), signif_totals, bitmap)
+    return BandStackSizes(config, cols, nbits, signif_totals, bitmap)
 
 
 #: Coefficients per :func:`band_stack_sizes` transform chunk (16 MB of

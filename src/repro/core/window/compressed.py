@@ -25,10 +25,21 @@ functional claim, property-tested in the suite.
 :class:`CompressedEngine` has two execution strategies with identical
 results:
 
-- the *sequential* reference path — one Python-loop iteration per row
-  traversal, required whenever a traversal's input depends on the
-  previous traversal's lossy reconstruction (``recirculate=True`` with a
-  non-zero threshold), or when the memory path is protected/injected;
+- the *sequential* reference path, required whenever a traversal's
+  input depends on the previous traversal's lossy reconstruction
+  (``recirculate=True`` with a non-zero threshold), or when the memory
+  path is protected/injected.  Only the reconstruction feeds back from
+  one traversal to the next, so the path runs in chunks of traversals:
+  a *traversal step* writes each traversal's band and thresholded
+  coefficient plane, then one *accounting tail* per chunk produces the
+  kernel outputs (one :func:`~repro.core.window.golden.golden_apply`
+  over the band stack), the sizes, occupancy peaks and plan check.  The
+  step is one native :func:`~repro.core.packing.native.recirculate`
+  call per chunk for level-1 recirculating runs on the native tier, and
+  otherwise :func:`~repro.core.stats.analyze_band` plus a
+  reconstruction per traversal (the native kernel's oracle), the
+  reconstruction coming from ``ResilientBandCodec.roundtrip`` on a
+  protected or injected memory path;
 - the *fast* frame-at-once path — when every traversal band is known up
   front to be the raw input rows (lossless, or ``recirculate=False``),
   one :func:`~repro.core.stats.band_stack_sizes` call sizes the whole
@@ -181,18 +192,18 @@ class CompressedEngine(SlidingWindowEngine):
         return self.memory_plan.payload
 
     def _group_columns(self, widths: np.ndarray) -> np.ndarray:
-        """Stored per-group column sizes of one band under the memory plan.
+        """Stored per-group column sizes of bands under the memory plan.
 
-        ``widths`` is the band's ``(N, W)`` per-element widths; rows fold
-        into the plan's payload groups of ``rows_per_group`` rows in one
-        reshaped sum, giving ``(G, W)``.  Each column's group bits are
-        charged at their stored size — the payload protection scheme's
-        code expansion, applied per column exactly as the hardware writes
-        it.
+        ``widths`` is the bands' ``(..., N, W)`` per-element widths; rows
+        fold into the plan's payload groups of ``rows_per_group`` rows in
+        one reshaped sum, giving ``(..., G, W)``.  Each column's group
+        bits are charged at their stored size — the payload protection
+        scheme's code expansion, applied per column exactly as the
+        hardware writes it.
         """
         r = self._payload.rows_per_group
-        n, w = widths.shape
-        grouped = widths.reshape(n // r, r, w).sum(axis=-2)
+        *lead, n, w = widths.shape
+        grouped = widths.reshape(*lead, n // r, r, w).sum(axis=-2)
         return np.asarray(
             self.protection.payload.scaled_bits(grouped), dtype=np.int64
         )
@@ -374,19 +385,18 @@ class CompressedEngine(SlidingWindowEngine):
     # -- sequential reference path ----------------------------------------
 
     def _run_sequential(self, arr: np.ndarray) -> WindowRun:
-        """Reference per-traversal loop (handles every configuration)."""
+        """Reference traversal loop (handles every configuration).
+
+        Traversals run in chunks of at most :data:`TRAVERSAL_CHUNK_VALUES`
+        band values: the traversal step writes each traversal's band and
+        thresholded plane, then one accounting tail sizes the chunk.  A
+        protected or injected run takes one traversal per chunk, so a
+        capacity overflow is still reported before a later traversal's
+        uncorrectable word.
+        """
         cfg = self.config
         n, w, h = cfg.window_size, cfg.image_width, cfg.image_height
         prb = self.probe if self.probe is not None else NULL_PROBE
-
-        out_rows: list[np.ndarray] = []
-        band_totals: list[int] = []
-        band_peaks: list[int] = []
-        nbits_seen: list[np.ndarray] = []
-        counts_seen: list[int] = []
-        reconstruction = arr.copy()
-        prev_cols: np.ndarray | None = None
-        prev_group_cols: np.ndarray | None = None
         resilient = self._resilient
         faults = (
             EngineFaultSummary(policy_name=self.protection.name)
@@ -394,60 +404,67 @@ class CompressedEngine(SlidingWindowEngine):
             else None
         )
         self.fault_summary = faults
-        # Stored-size scaling of the protected memory path: payload bits
-        # expand by the payload scheme; the per-column management cost by
-        # the NBits / BitMap schemes.
-        payload_expansion = self.protection.payload.expansion
-        mgmt_stored = ceil(
-            2 * cfg.nbits_field_width * self.protection.nbits.expansion
-            + n * self.protection.bitmap.expansion
-        )
+        t_total = h - n + 1
+        step = self._numpy_step
+        chunk = min(max(TRAVERSAL_CHUNK_VALUES // (n * w), 1), t_total)
+        if resilient is not None:
+            chunk = 1
+        elif (
+            self.recirculate
+            and self.codec_resolved == "native"
+            and cfg.decomposition_levels == 1
+        ):
+            step = self._native_step
 
+        reconstruction = arr.copy()
+        out_rows: list[np.ndarray] = []
+        band_totals: list[int] = []
+        peaks = np.empty(t_total, dtype=np.int64)
+        # NBits fields fit a byte; the frame's fields feed the histograms.
+        nbits_seen = np.empty((t_total, 2, w), dtype=np.uint8)
+        counts = np.empty(t_total, dtype=np.int64)
+        prev_cols: np.ndarray | None = None
+        prev_group_cols: np.ndarray | None = None
         # State entering traversal y = rows y-n+1..y-1 reconstructed on the
         # previous traversal plus the raw new row y.  The first traversal
         # (y = n-1) sees raw pixels only — the fill state buffered them
         # uncompressed exactly once.
         state = arr[0:n].copy()
-        for y in range(n - 1, h):
-            # Kernel outputs for this traversal come from the current state.
-            with prb.span("kernel"):
-                out_rows.append(golden_apply(state, n, self.kernel)[0])
-            reconstruction[y - n + 1 : y + 1] = state
-            sizes: BandAccounting
-            if resilient is not None:
-                decoded, report, sizes = resilient.roundtrip(state)
-                faults.add(y, report)
-                mgmt = mgmt_stored
-                cols = np.ceil(
-                    sizes.payload_bits_per_column * payload_expansion
-                ).astype(np.int64)
-            else:
-                sizes = analyze_band(cfg, state, probe=self.probe)
-                with prb.span("inverse"):
-                    decoded = sizes.reconstruct()
-                mgmt = sizes.management_bits_per_column
-                cols = sizes.payload_bits_per_column
-            with prb.span("fifo"):
-                band_totals.append(int(cols.sum()) + mgmt * (w - n))
-                reference = cols if prev_cols is None else prev_cols
-                occ = sliding_occupancy(reference, cols, n, mgmt)
-                band_peaks.append(int(occ.max()))
-            nbits_seen.append(sizes.nbits)
-            counts_seen.append(sizes.significant_counts)
+        band_buffer = np.empty((chunk, n, w), dtype=np.int64)
+        plane_buffer = np.empty((chunk, n, w), dtype=np.int32)
+        for t0 in range(0, t_total, chunk):
+            c = min(chunk, t_total - t0)
+            bands, planes = band_buffer[:c], plane_buffer[:c]
+            step(arr, state, t0 + n - 1, bands, planes)
+            # -- the chunk's accounting tail --
+            _, nbits, bitmap = threshold_and_size(
+                planes,
+                cfg.threshold,
+                exempt_mod=ll_exempt_mod(cfg),
+                codec=self.codec_resolved,
+                probe=self.probe,
+            )
+            sizes = BandAccounting(config=cfg, nbits=nbits, bitmap=bitmap)
+            cols, mgmt = self._stored_columns(sizes)
             if self.memory_plan is not None:
                 prev_group_cols = self._check_memory_plan(
-                    self._group_columns(sizes.widths)[None], prev_group_cols, y
+                    self._group_columns(sizes.widths), prev_group_cols, t0 + n - 1
                 )
-            prev_cols = cols
-            if y + 1 < h:
-                if self.recirculate:
-                    state = np.vstack([decoded[1:], arr[y + 1 : y + 2]])
-                else:
-                    state = arr[y - n + 2 : y + 2].copy()
+            with prb.span("kernel"):
+                out_rows.append(golden_apply(bands, n, self.kernel))
+            reconstruction[t0 : t0 + c] = bands[:, 0]
+            with prb.span("fifo"):
+                band_totals += (cols.sum(axis=-1) + mgmt * (w - n)).tolist()
+                peaks[t0 : t0 + c] = self._sequential_peaks(cols, mgmt, prev_cols)
+            nbits_seen[t0 : t0 + c] = nbits
+            counts[t0 : t0 + c] = sizes.significant_counts
+            prev_cols = cols[-1]
+        # The last traversal's band holds the frame's bottom rows.
+        reconstruction[t_total - 1 :] = bands[-1]
 
         if self.probe is not None:
-            self._observe_bands(nbits_seen, band_peaks, counts_seen)
-        outputs = np.vstack(out_rows)
+            self._observe_bands(nbits_seen, peaks, counts)
+        outputs = np.concatenate(out_rows)
         fill = traditional_fill_cycles(n, w)
         stats = EngineStats(
             fill_cycles=fill,
@@ -455,7 +472,7 @@ class CompressedEngine(SlidingWindowEngine):
             drain_cycles=0,
             pixels_in=arr.size,
             outputs=outputs.size,
-            buffer_bits_peak=max(band_peaks),
+            buffer_bits_peak=int(peaks.max()),
             traditional_buffer_bits=cfg.traditional_buffer_bits,
             band_total_bits=band_totals,
         )
@@ -465,6 +482,113 @@ class CompressedEngine(SlidingWindowEngine):
             reconstruction=reconstruction,
             faults=faults,
         )
+
+    def _stored_columns(self, sizes: BandAccounting) -> tuple[np.ndarray, int]:
+        """Stored ``(C, W)`` payload columns and per-column management bits.
+
+        On a protected memory path payload bits expand by the payload
+        scheme, and the management cost by the NBits / BitMap schemes.
+        """
+        cols = sizes.payload_bits_per_column
+        if self._resilient is None:
+            return cols, sizes.management_bits_per_column
+        protection = self.protection
+        mgmt = ceil(
+            2 * self.config.nbits_field_width * protection.nbits.expansion
+            + self.config.window_size * protection.bitmap.expansion
+        )
+        return np.ceil(cols * protection.payload.expansion).astype(np.int64), mgmt
+
+    def _sequential_peaks(
+        self, cols: np.ndarray, mgmt: int, prev_last: np.ndarray | None
+    ) -> np.ndarray:
+        """Per-traversal occupancy peaks of one chunk's ``(C, W)`` columns.
+
+        The NumPy tier takes the maximum of the full
+        :func:`sliding_occupancy` trace, the oracle of the closed form the
+        fast path uses; the native tier scans the peaks in C.
+        """
+        if self.codec_resolved == "native":
+            return self._occupancy_band_peaks(cols, mgmt, prev_last)
+        carry = cols[:1] if prev_last is None else prev_last[None]
+        reference = np.concatenate([carry, cols[:-1]])
+        occ = sliding_occupancy(reference, cols, self.config.window_size, mgmt)
+        return occ.max(axis=-1)
+
+    # -- traversal steps ---------------------------------------------------
+    # Each runs traversals y0 .. y0+C-1 from ``state``, the band traversal
+    # y0 presents, writing each traversal's band to ``bands`` and its
+    # thresholded coefficient plane to ``planes``; ``state`` ends as the
+    # band of the traversal after the chunk.
+
+    def _numpy_step(
+        self,
+        arr: np.ndarray,
+        state: np.ndarray,
+        y0: int,
+        bands: np.ndarray,
+        planes: np.ndarray,
+    ) -> None:
+        """:func:`analyze_band` and a reconstruction, traversal by traversal.
+
+        A protected or injected run reconstructs through the resilient
+        round trip, which also records the traversal's faults; storage
+        is sized at write time, so its plane is the fault-free one.
+        """
+        prb = self.probe if self.probe is not None else NULL_PROBE
+        resilient, faults = self._resilient, self.fault_summary
+        for k, y in enumerate(range(y0, y0 + len(bands))):
+            bands[k] = state
+            sizes = analyze_band(
+                self.config, state, probe=self.probe, codec=self.codec_resolved
+            )
+            planes[k] = sizes.plane
+            if resilient is not None:
+                assert faults is not None
+                decoded, report, _ = resilient.roundtrip(state)
+                faults.add(y, report)
+            if y + 1 == self.config.image_height:
+                break
+            if self.recirculate:
+                if resilient is None:
+                    with prb.span("inverse"):
+                        decoded = sizes.reconstruct()
+                state[:-1] = decoded[1:]
+            else:
+                state[:-1] = state[1:]
+            state[-1] = arr[y + 1]
+
+    def _native_step(
+        self,
+        arr: np.ndarray,
+        state: np.ndarray,
+        y0: int,
+        bands: np.ndarray,
+        planes: np.ndarray,
+    ) -> None:
+        """One native call runs the chunk's level-1 recirculating traversals."""
+        cfg = self.config
+        prb = self.probe if self.probe is not None else NULL_PROBE
+        with prb.span("traverse"):
+            native_codec.recirculate(
+                arr,
+                state,
+                y0,
+                bands,
+                planes,
+                threshold=cfg.threshold,
+                exempt_ll=bool(ll_exempt_mod(cfg)),
+                ll_dpcm=cfg.ll_dpcm,
+                wrap_bits=cfg.wrap_bits,
+                pixel_max=cfg.pixel_max,
+            )
+
+
+#: Band values (``C * N * W``) per chunk of the sequential path: 768 KB of
+#: int64 bands and int32 planes whatever the frame size (16 traversals of
+#: a 256-wide N=16 frame).  Chunks four times larger cut ~18% off such a
+#: frame's time but add ~3 MB to the peak resident set.
+TRAVERSAL_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)

@@ -47,7 +47,10 @@ def golden_apply(
 ) -> np.ndarray:
     """Apply ``kernel`` to every valid window; returns ``(R', C)`` outputs.
 
-    ``row_stride`` subsamples output rows (used by large-image benches);
+    ``image`` is one ``(H, W)`` image, or a ``(T, N, W)`` stack of N-row
+    bands, for which row ``t`` of the result is band ``t``'s one output
+    row — bit-identical to T separate 2-D calls.  ``row_stride``
+    subsamples output rows of an image (used by large-image benches);
     the column axis is always dense.
 
     Kernels exposing an ``apply_image`` method (the convolution family)
@@ -60,16 +63,40 @@ def golden_apply(
     strided sampling and kernels that genuinely need the window tensor.
     """
     kern = as_kernel(kernel, window_size=window_size)
+    arr = np.asarray(image)
+    if arr.ndim == 3:
+        return _apply_band_stack(arr, window_size, kern, chunk_budget_bytes)
     if row_stride == 1:
         image_route = getattr(kern, "apply_image", None)
         if image_route is not None:
-            arr = np.asarray(image)
             if arr.ndim != 2 or window_size > min(arr.shape):
                 raise ConfigError(
                     f"window {window_size} exceeds image {arr.shape}"
                 )
             return np.asarray(image_route(arr))
-    views = sliding_windows(image, window_size)[::row_stride]
+    views = sliding_windows(arr, window_size)[::row_stride]
+    return _apply_chunked(kern, views, window_size, chunk_budget_bytes)
+
+
+def _apply_band_stack(
+    bands: np.ndarray, window_size: int, kern: WindowKernel, chunk_budget_bytes: int
+) -> np.ndarray:
+    """``golden_apply`` over a ``(T, N, W)`` band stack: ``(T, W-N+1)``."""
+    n = window_size
+    if bands.shape[1] != n or bands.shape[2] < n:
+        raise ConfigError(f"bands must be (T, {n}, W >= {n}), got {bands.shape}")
+    image_route = getattr(kern, "apply_image", None)
+    if image_route is not None:
+        return np.asarray(image_route(bands))[:, 0]
+    # (T, 1, C, N, N) -> the (T, C, N, N) windows of every band.
+    views = sliding_window_view(bands, (n, n), axis=(1, 2))[:, 0]
+    return _apply_chunked(kern, views, n, chunk_budget_bytes)
+
+
+def _apply_chunked(
+    kern: WindowKernel, views: np.ndarray, window_size: int, chunk_budget_bytes: int
+) -> np.ndarray:
+    """``kern.apply`` over ``(R, C, N, N)`` window views in bounded row chunks."""
     rows, cols = views.shape[:2]
     # Rows per chunk such that one materialised chunk stays in budget.
     bytes_per_row = cols * window_size * window_size * 8

@@ -48,8 +48,10 @@ class ConvolutionKernel:
         a sum over the same values in the same order regardless of the
         image height, so an N-row band call and a whole-frame call are
         bit-identical (the compressed engine's fast/sequential
-        equivalence rests on this).  Against :meth:`apply` the operands
-        are the same but associate differently: integer taps on integer
+        equivalence rests on this).  Leading axes are batch axes: a
+        ``(T, N, W)`` band stack gives ``(T, 1, C)``, each band's row as
+        its own call gives it.  Against :meth:`apply` the operands are
+        the same but associate differently: integer taps on integer
         pixels agree exactly, float taps to rounding.
         """
         arr = _check_image(image, self.window_size)
@@ -57,13 +59,13 @@ class ConvolutionKernel:
         # Pre-cast so the strided matmul runs in BLAS (integer taps stay
         # integer: the computation remains exact).
         dtype = np.result_type(arr.dtype, self.taps.dtype)
-        rows = sliding_window_view(arr.astype(dtype, copy=False), n, axis=1)
-        # partial[r, c, i] = sum_j image[r, c+j] * taps[i, j]
+        rows = sliding_window_view(arr.astype(dtype, copy=False), n, axis=-1)
+        # partial[..., r, c, i] = sum_j image[..., r, c+j] * taps[i, j]
         partial = rows @ self.taps.T.astype(dtype, copy=False)
-        t_total = arr.shape[0] - n + 1
-        out = partial[0:t_total, :, 0].copy()
+        t_total = arr.shape[-2] - n + 1
+        out = partial[..., 0:t_total, :, 0].copy()
         for i in range(1, n):
-            out += partial[i : i + t_total, :, i]
+            out += partial[..., i : i + t_total, :, i]
         return out
 
 
@@ -99,35 +101,46 @@ class BoxFilterKernel(ConvolutionKernel):
         each column of the row sums, so each window sum is two
         differences of prefix sums.  The int64 accumulators wrap on
         overflow, which leaves every difference exact as long as the
-        window sum itself fits.
+        window sum itself fits.  Leading axes are batch axes, as for
+        :meth:`ConvolutionKernel.apply_image`.
         """
         arr = _check_image(image, self.window_size)
         if not np.issubdtype(arr.dtype, np.integer):
             return super().apply_image(arr)
         n = self.window_size
-        h, w = arr.shape
+        *lead, h, w = arr.shape
+        if h == n:
+            # One window row (a band or a band stack): its column sums
+            # straight away, then the running sums along the row.
+            col_sums = arr.sum(axis=-2, dtype=np.int64, keepdims=True)
+            np.add.accumulate(col_sums, axis=-1, out=col_sums)
+            out = np.empty((*lead, 1, w - n + 1))
+            out[..., 0] = col_sums[..., n - 1]
+            np.subtract(col_sums[..., n:], col_sums[..., :-n], out=out[..., 1:])
+            out /= n**2
+            return out
         # Always a fresh int64 copy, so the running sums can run in place
         # (accumulating uint8 directly would cast element by element).
         acc = arr.astype(np.int64)
-        np.add.accumulate(acc, axis=1, out=acc)
-        row_sums = np.empty((h, w - n + 1), dtype=np.int64)
-        row_sums[:, 0] = acc[:, n - 1]
-        np.subtract(acc[:, n:], acc[:, :-n], out=row_sums[:, 1:])
-        np.add.accumulate(row_sums, axis=0, out=row_sums)
+        np.add.accumulate(acc, axis=-1, out=acc)
+        row_sums = np.empty((*lead, h, w - n + 1), dtype=np.int64)
+        row_sums[..., 0] = acc[..., n - 1]
+        np.subtract(acc[..., n:], acc[..., :-n], out=row_sums[..., 1:])
+        np.add.accumulate(row_sums, axis=-2, out=row_sums)
         # The window sums are differenced in int64 and land exactly in
         # the float64 output (they are below 2^53), then divided once.
-        out = np.empty((h - n + 1, w - n + 1))
-        out[0] = row_sums[n - 1]
-        np.subtract(row_sums[n:], row_sums[:-n], out=out[1:])
+        out = np.empty((*lead, h - n + 1, w - n + 1))
+        out[..., 0, :] = row_sums[..., n - 1, :]
+        np.subtract(row_sums[..., n:, :], row_sums[..., :-n, :], out=out[..., 1:, :])
         out /= n**2
         return out
 
 
 def _check_image(image: np.ndarray, window_size: int) -> np.ndarray:
-    """Validate a 2D image that holds at least one full window."""
+    """Validate a 2D image (or a stack) that holds at least one full window."""
     arr = np.asarray(image)
-    if arr.ndim != 2:
-        raise ConfigError(f"image must be 2D, got shape {arr.shape}")
-    if arr.shape[0] < window_size or arr.shape[1] < window_size:
+    if arr.ndim < 2:
+        raise ConfigError(f"image must be at least 2D, got shape {arr.shape}")
+    if arr.shape[-2] < window_size or arr.shape[-1] < window_size:
         raise ConfigError(f"window {window_size} exceeds image {arr.shape}")
     return arr

@@ -160,7 +160,9 @@ class Histogram:
         if self._int_base is not None and arr.dtype.kind in "iu":
             # Equivalent to searchsorted(side="left") for integer samples
             # against consecutive integer bounds, minus the binary search.
-            idx = np.clip(arr - self._int_base, 0, len(self.bounds))
+            # Signed, so unsigned samples below the base do not wrap.
+            offset = np.subtract(arr, self._int_base, dtype=np.int64)
+            idx = np.clip(offset, 0, len(self.bounds))
         else:
             idx = np.searchsorted(
                 self.bounds, arr.astype(np.float64, copy=False), side="left"

@@ -86,6 +86,21 @@ class TestApplyImage:
         for t in range(frame.shape[0]):
             assert np.array_equal(k.apply_image(image[t : t + 4])[0], frame[t])
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [BoxFilterKernel(4), ConvolutionKernel(np.linspace(-1, 1, 16).reshape(4, 4))],
+        ids=["box", "float-taps"],
+    )
+    def test_leading_axes_are_batch_axes(self, rng, kernel):
+        """A ``(T, H, W)`` stack gives ``(T, H-N+1, W-N+1)``: each image's
+        own call, bit for bit (N-row bands and taller images alike)."""
+        for rows in (4, 7):
+            stack = np.stack([random_image(rng, rows, 16) for _ in range(5)])
+            got = kernel.apply_image(stack)
+            assert got.shape == (5, rows - 3, 13)
+            for image, out in zip(stack, got):
+                assert np.array_equal(kernel.apply_image(image), out)
+
     def test_rejects_bad_inputs(self):
         k = BoxFilterKernel(4)
         with pytest.raises(ConfigError):
@@ -146,6 +161,9 @@ class TestBoxFilterRoutes:
         assert np.array_equal(k.apply(sliding_window_view(image, (n, n))), exact)
         for t in range(frame.shape[0]):
             assert np.array_equal(k.apply_image(image[t : t + n])[0], exact[t])
+        bands = sliding_window_view(image, n, axis=0).transpose(0, 2, 1)
+        assert np.array_equal(k.apply_image(bands)[:, 0], exact)
+        assert np.array_equal(golden_apply(bands, n, k), exact)
         assert np.array_equal(golden_apply(image, n, k), exact)
         assert np.array_equal(
             golden_apply(image, n, k, row_stride=3), golden_apply(image, n, k)[::3]

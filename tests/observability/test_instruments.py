@@ -58,6 +58,17 @@ class TestHistogram:
         assert fast.bucket_counts == slow.bucket_counts
         assert fast.sum == slow.sum and fast.count == slow.count
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int8])
+    def test_integer_fast_path_below_a_nonzero_base(self, dtype):
+        """Samples below the first bound land in the first bucket whatever
+        the integer dtype (unsigned ones must not wrap round)."""
+        buckets = tuple(float(v) for v in range(2, 8))
+        values = np.array([0, 1, 2, 5, 9], dtype=dtype)
+        fast, slow = Histogram("a", buckets), Histogram("b", buckets)
+        fast.observe_many(values)
+        slow.observe_many(values.astype(np.float64))
+        assert fast.bucket_counts == slow.bucket_counts == [3, 0, 0, 1, 0, 0, 1]
+
     def test_boundary_values_go_to_inclusive_upper_bound(self):
         h = Histogram("x", (1.0, 2.0, 4.0))
         h.observe(1.0)  # == first bound -> first bucket

@@ -17,8 +17,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import ArchitectureConfig, CompressedEngine
+from repro import ArchitectureConfig, CompressedCycleEngine, CompressedEngine
+from repro.core.window import compressed
 from repro.core.packing import (
     apply_threshold,
     bits_to_values,
@@ -29,10 +32,12 @@ from repro.core.packing import (
 from repro.core.packing.nbits import bit_widths_signed, min_bits_signed
 from repro.core.packing.tiers import reset_codec_state, resolve_codec
 from repro.core.stats import band_stack_sizes, sliding_occupancy
+from repro.errors import CapacityError, ConfigError
 from repro.kernels import BoxFilterKernel
+from repro.observability.probe import MetricsProbe
 from repro.spec import EngineSpec
 
-from helpers import random_image
+from helpers import exact_capacity_plan, random_image
 
 NATIVE_AVAILABLE = native.is_available()
 
@@ -211,6 +216,201 @@ class TestEngineEquivalence:
         ref = CompressedEngine(config, kernel, codec="numpy").run(img)
         assert np.array_equal(nat.outputs, ref.outputs)
         assert nat.stats.buffer_bits_peak == ref.stats.buffer_bits_peak
+
+
+# ----------------------------------------------------------------------
+# The recirculating loop's traversal step: native kernel == NumPy step
+# ----------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``native.<name>`` with a call counter; returns the count list."""
+    calls = []
+    original = getattr(native, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(native, name, counted)
+    return calls
+
+
+def band_histograms(probe):
+    """The ``repro_band_*`` histograms of a probe, comparable across runs."""
+    return sorted(
+        (h["name"], h["count"], h["sum"], tuple(h["bucket_counts"]))
+        for h in probe.snapshot()["histograms"]
+        if h["name"].startswith("repro_band_")
+    )
+
+
+def probed_run(config, image, codec, **engine_kw):
+    """One sequential run: ``(WindowRun or CapacityError text, histograms)``."""
+    probe = MetricsProbe()
+    engine = CompressedEngine(
+        config,
+        BoxFilterKernel(config.window_size),
+        codec=codec,
+        fast_path=False,
+        probe=probe,
+        **engine_kw,
+    )
+    try:
+        run = engine.run(image)
+    except CapacityError as exc:
+        return str(exc), None
+    assert engine.last_path == "sequential"
+    return run, band_histograms(probe)
+
+
+def assert_same_run(run, other):
+    """Bit-identity of two WindowRuns over every surface, never vacuously."""
+    assert run.outputs.size > 0 and run.outputs.shape == other.outputs.shape
+    assert run.outputs.dtype == other.outputs.dtype
+    assert np.array_equal(run.outputs, other.outputs)
+    assert np.array_equal(run.reconstruction, other.reconstruction)
+    assert run.stats == other.stats
+    assert len(run.stats.band_total_bits) == run.outputs.shape[0]
+
+
+@st.composite
+def recirculating_cases(draw):
+    """A lossy recirculating level-1 frame, its config and an optional plan."""
+    n = draw(st.sampled_from(range(2, 17, 2)))
+    width = 2 * draw(st.integers(n // 2, 12))
+    height = draw(st.integers(n, 20))
+    wrap = draw(st.sampled_from([None, 8, 10, 32]))
+    config = ArchitectureConfig(
+        image_width=width,
+        image_height=height,
+        window_size=n,
+        threshold=draw(st.integers(0, 24)),
+        threshold_bands=draw(st.sampled_from(["all", "details"])),
+        ll_dpcm=draw(st.booleans()),
+        **({} if wrap is None else dict(coefficient_bits=wrap, wrap_coefficients=True)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    content = draw(st.sampled_from(["noise", "smooth", "extremes"]))
+    if content == "extremes":
+        image = rng.choice([0, config.pixel_max], size=(height, width))
+    else:
+        image = random_image(rng, height, width, smooth=content == "smooth")
+    groups = 0
+    if draw(st.booleans()):
+        groups = draw(st.sampled_from([g for g in (1, 2, 4, n) if n % g == 0]))
+    # Each group's capacity scales a fair share of the raw band, so some
+    # plans admit the frame and some overflow.
+    share = (width - n) * (n // max(groups, 1)) * config.pixel_bits
+    fractions = draw(
+        st.lists(st.floats(0.1, 2.5), min_size=groups, max_size=groups)
+    )
+    plan = (
+        exact_capacity_plan(config, [int(f * share) for f in fractions])
+        if groups
+        else None
+    )
+    return config, image, plan
+
+
+@needs_native
+class TestRecirculatingTraversals:
+    def test_forced_sequential_sizes_on_the_native_tier(self, rng, monkeypatch):
+        """A native-tier sequential run sizes every traversal natively and
+        matches the NumPy tier bit for bit."""
+        config = cfg(threshold=4)
+        img = random_image(rng, config.image_height, config.image_width)
+        calls = count_calls(monkeypatch, "stack_nbits")
+        nat, nat_hist = probed_run(config, img, "native", recirculate=False)
+        traversals = config.image_height - config.window_size + 1
+        assert len(calls) > traversals  # one per traversal, one per chunk
+        ref, ref_hist = probed_run(config, img, "numpy", recirculate=False)
+        assert_same_run(nat, ref)
+        assert nat_hist == ref_hist and len(nat_hist) == 3
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"threshold": 6},
+            {"threshold": 4, "ll_dpcm": True},
+            {"threshold": 3, "threshold_bands": "details"},
+            {"threshold": 5, "coefficient_bits": 8, "wrap_coefficients": True},
+            {"threshold": 9, "coefficient_bits": 32, "wrap_coefficients": True},
+            {"threshold": 0},
+        ],
+        ids=["lossy", "dpcm", "details", "wrap8", "wrap32", "lossless"],
+    )
+    def test_one_native_call_per_chunk(self, rng, monkeypatch, extra):
+        """Chunked runs on both tiers equal a one-chunk run: the
+        occupancy carry crosses every chunk boundary."""
+        config = cfg(**extra)
+        img = random_image(rng, config.image_height, config.image_width, smooth=True)
+        whole, whole_hist = probed_run(config, img, "numpy")
+        # 3 traversals per chunk: 17 traversals make 6 chunks, the last short.
+        values = 3 * config.window_size * config.image_width
+        monkeypatch.setattr(compressed, "TRAVERSAL_CHUNK_VALUES", values)
+        calls = count_calls(monkeypatch, "recirculate")
+        nat, nat_hist = probed_run(config, img, "native")
+        assert len(calls) == 6
+        ref, ref_hist = probed_run(config, img, "numpy")
+        for run, hist in ((ref, ref_hist), (whole, whole_hist)):
+            assert_same_run(nat, run)
+            assert nat_hist == hist and len(nat_hist) == 3
+
+    @pytest.mark.parametrize(
+        "engine_kw,extra",
+        [
+            ({"recirculate": False}, {"threshold": 4}),
+            ({}, {"threshold": 4, "decomposition_levels": 2}),
+            ({"protection": "secded"}, {"threshold": 4}),
+        ],
+        ids=["single-pass", "levels2", "protected"],
+    )
+    def test_other_runs_never_take_the_kernel(self, rng, monkeypatch, engine_kw, extra):
+        config = cfg(**extra)
+        img = random_image(rng, config.image_height, config.image_width)
+
+        def refuse(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("native recirculate kernel called")
+
+        monkeypatch.setattr(native, "recirculate", refuse)
+        nat, _ = probed_run(config, img, "native", **engine_kw)
+        ref, _ = probed_run(config, img, "numpy", **engine_kw)
+        assert_same_run(nat, ref)
+
+    def test_kernel_refuses_mismatched_buffers(self):
+        image = np.zeros((8, 8), dtype=np.int64)
+        state = np.zeros((4, 8), dtype=np.int64)
+        bands = np.zeros((2, 4, 8), dtype=np.int64)
+        kw = dict(threshold=1, exempt_ll=False, ll_dpcm=False, wrap_bits=None, pixel_max=255)
+        with pytest.raises(ConfigError, match="int32"):
+            native.recirculate(image, state, 3, bands, bands.copy(), **kw)
+        planes = np.zeros((2, 4, 8), dtype=np.int32)
+        with pytest.raises(ConfigError, match="do not fit"):
+            native.recirculate(image, state, 7, bands, planes, **kw)
+        with pytest.raises(ConfigError, match="shape"):
+            native.recirculate(image, state[:2], 3, bands, planes, **kw)
+
+    @given(recirculating_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_differential_recirculating_runs(self, case):
+        """The native kernel, the NumPy step and (small, single-level,
+        plan-free frames) the register-level engine agree on outputs,
+        reconstruction, stats, band histograms and capacity errors."""
+        config, image, plan = case
+        nat, nat_hist = probed_run(config, image, "native", memory_plan=plan)
+        ref, ref_hist = probed_run(config, image, "numpy", memory_plan=plan)
+        if isinstance(ref, str):
+            assert ref.startswith("BRAM group") and nat == ref
+            return
+        assert_same_run(nat, ref)
+        assert nat_hist == ref_hist and len(nat_hist) == 3
+        if plan is None and not config.ll_dpcm and image.size <= 400:
+            cycle = CompressedCycleEngine(
+                config, BoxFilterKernel(config.window_size)
+            ).run(image)
+            assert np.array_equal(cycle.outputs, ref.outputs)
+            assert np.array_equal(cycle.reconstruction, ref.reconstruction)
 
 
 # ----------------------------------------------------------------------

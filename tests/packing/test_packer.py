@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro import ArchitectureConfig
 from repro.core.packing.packer import (
+    BandAccounting,
     BandCodec,
     pack_interleaved_column,
     subband_of,
@@ -154,6 +155,21 @@ class TestBandCodec:
         assert total == enc.payload_bits
         assert enc.management_bits == enc.management_bits_per_column * 32
         assert enc.total_bits == enc.payload_bits + enc.management_bits
+
+    @pytest.mark.parametrize("shape", [(8, 32), (5, 8, 32), (3, 1), (2, 64, 4)])
+    def test_column_payload_is_the_width_sum(self, shape):
+        """Per-parity counts times NBits equal the summed per-coefficient
+        widths, for one band, a stack and an odd-length column."""
+        rng = np.random.default_rng(11)
+        *lead, n, w = shape
+        sizes = BandAccounting(
+            config=make_config((2, 2)),
+            nbits=rng.integers(1, 33, size=(*lead, 2, w)),
+            bitmap=rng.random(shape) < 0.4,
+        )
+        cols = sizes.payload_bits_per_column
+        assert cols.dtype == np.int64
+        assert np.array_equal(cols, sizes.widths.sum(axis=-2))
 
     def test_row_payload_lengths_match_widths(self):
         rng = np.random.default_rng(10)

@@ -16,6 +16,9 @@ from repro import (
     CompressedEngine,
     TraditionalEngine,
 )
+from repro.core.stats import sliding_band_stack
+from repro.core.window.golden import golden_apply
+from repro.errors import ConfigError
 from repro.kernels import (
     BoxFilterKernel,
     CensusKernel,
@@ -63,6 +66,26 @@ def test_lossless_equality_for_every_kernel(rng, kernel):
         assert np.array_equal(comp.outputs, trad.outputs)
     else:
         assert np.allclose(comp.outputs, trad.outputs)
+
+
+@pytest.mark.parametrize("kernel", all_kernels(), ids=lambda k: k.name)
+def test_golden_apply_band_stack_equals_band_calls(rng, kernel):
+    """A ``(T, N, W)`` band stack gives each band's output row, bit for bit
+    what T separate 2-D calls give; and the 2-D route over the whole
+    frame still gives those same rows (float taps included)."""
+    image = random_image(rng, 20, 24)
+    view = sliding_band_stack(image, N)
+    per_band = np.stack([golden_apply(band, N, kernel)[0] for band in view])
+    assert per_band.shape == (20 - N + 1, 24 - N + 1)
+    for stack in (view, np.ascontiguousarray(view)):
+        got = golden_apply(stack, N, kernel)
+        assert got.dtype == per_band.dtype
+        assert np.array_equal(got, per_band)
+    frame = golden_apply(image, N, kernel)
+    assert frame.dtype == per_band.dtype
+    assert np.array_equal(frame, per_band)
+    with pytest.raises(ConfigError, match="bands must be"):
+        golden_apply(view[:, 1:], N, kernel)
 
 
 @pytest.mark.slow

@@ -27,6 +27,7 @@ from repro import (
     TraditionalEngine,
 )
 from repro.core import stats
+from repro.core.window import compressed
 from repro.core.packing import native
 from repro.core.window.golden import sliding_windows
 from repro.errors import CapacityError, ConfigError
@@ -550,10 +551,12 @@ class TestPlannedFastPath:
 
     @pytest.mark.parametrize("codec", CODEC_TIERS)
     def test_chunk_boundaries(self, rng, monkeypatch, codec):
-        """Several transform and group-column chunks per frame: the
-        occupancy carry crosses every boundary."""
+        """Several transform, group-column and sequential traversal
+        chunks per frame: the occupancy and plan carries cross every
+        boundary."""
         monkeypatch.setattr(stats, "BLOCK_CHUNK_VALUES", 3 * 4 * 32)
         monkeypatch.setattr(stats, "GROUP_CHUNK_VALUES", 5 * 4 * 32)
+        monkeypatch.setattr(compressed, "TRAVERSAL_CHUNK_VALUES", 4 * 8 * 32)
         config = cfg(width=32, height=41, decomposition_levels=2)
         frame = random_image(rng, 41, 32)
         peaks = group_peaks(config, frame, 2)
@@ -579,6 +582,39 @@ class TestPlannedFastPath:
                 engine.run(frame)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("codec", CODEC_TIERS)
+    def test_plan_check_carries_across_sequential_chunks(
+        self, rng, monkeypatch, codec
+    ):
+        """A traversal's group peak mixes the previous band's stored
+        columns with its own: here the band leaving at the first traversal
+        of a sequential chunk is busy on the right of the ring, the one
+        arriving busy on its left, so only the carried previous columns
+        make that traversal overflow."""
+        monkeypatch.setattr(compressed, "TRAVERSAL_CHUNK_VALUES", 4 * 8 * 32)
+        t, n = 12, 8  # traversal index 12 opens the fourth 4-traversal chunk
+        frame = np.full((41, 32), 128, dtype=np.int64)
+        frame[t - 1, 12:24] = rng.integers(0, 256, size=12)
+        frame[t + n - 1, 0:12] = rng.integers(0, 256, size=12)
+        before = group_peaks(cfg(height=t + n - 1), frame[: t + n - 1], 8)
+        through = group_peaks(cfg(height=t + n), frame[: t + n], 8)
+        assert through[0] > before[0]
+        plan = exact_capacity_plan(cfg(height=41), [int(before[0])])
+        messages = []
+        for fast_path in (False, True):
+            engine = CompressedEngine(
+                cfg(height=41),
+                BoxFilterKernel(8),
+                memory_plan=plan,
+                fast_path=fast_path,
+                codec=codec,
+            )
+            with pytest.raises(CapacityError) as err:
+                engine.run(frame)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert f"holds {through[0]} stored bits at traversal {t + n - 1}," in messages[0]
 
     @pytest.mark.parametrize("codec", CODEC_TIERS)
     def test_plan_keeps_the_route(self, rng, codec):
