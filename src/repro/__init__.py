@@ -70,7 +70,6 @@ from .core.window import (
     SameSizeEngine,
     SlidingWindowPipeline,
     PipelineStage,
-    TraditionalCycleEngine,
     TraditionalEngine,
     WindowRun,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "EncodedBand",
     "GoldenEngine",
     "TraditionalEngine",
-    "TraditionalCycleEngine",
     "CompressedEngine",
     "CompressedCycleEngine",
     "SlidingWindowPipeline",

@@ -32,7 +32,6 @@ from ..core.packing.packer import band_widths, threshold_and_size
 from ..errors import ConfigError
 from ..hardware.bram import BRAM_CAPACITY_BITS
 from ..hardware.device import XC7Z020
-from ..hardware.mapping import traditional_bram_count
 from ..hardware.planner import PlacementPlan, plan_placement
 from ..hardware.resources import BLOCK_ANCHORS, ResourceModel
 from ..imaging.dataset import benchmark_dataset
@@ -256,12 +255,13 @@ def table1_traditional_brams(
     widths: tuple[int, ...] = PAPER_IMAGE_WIDTHS,
     windows: tuple[int, ...] = PAPER_WINDOW_SIZES,
 ) -> Table1Result:
-    """Reproduce Table I from pure BRAM geometry arithmetic."""
+    """Reproduce Table I: the memory plan's line buffers on XC7Z020."""
     counts: dict[tuple[int, int], int] = {}
     for n in windows:
         for w in widths:
             config = ArchitectureConfig(image_width=w, image_height=w, window_size=n)
-            counts[(n, w)] = traditional_bram_count(config)
+            plan = plan_placement(config, np.zeros(n, dtype=np.int64))
+            counts[(n, w)] = plan.traditional_brams
     return Table1Result(widths=tuple(widths), windows=tuple(windows), counts=counts)
 
 

@@ -1,8 +1,8 @@
 """Cross-engine validation: prove every model computes the same thing.
 
-Runs the same image and kernel through the golden oracle, the traditional
-engines (analytic + cycle-accurate) and the compressed engines (fast,
-register-level), then checks the paper's functional claims:
+Runs the same image and kernel through the golden oracle, the analytic
+traditional engine and the compressed engines (fast, register-level),
+then checks the paper's functional claims:
 all lossless paths agree exactly, and the lossy paths agree with each
 other.  Used by the test suite and exposed via ``repro validate``.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from ..config import ArchitectureConfig
 from ..core.window.compressed import CompressedCycleEngine, CompressedEngine
 from ..core.window.golden import GoldenEngine
-from ..core.window.traditional import TraditionalCycleEngine, TraditionalEngine
+from ..core.window.traditional import TraditionalEngine
 from ..errors import ConfigError
 from ..kernels.base import WindowKernel
 from .tables import render_table
@@ -72,15 +72,15 @@ def validate_engines(
     For a lossless config every engine must match the golden oracle
     bit-for-bit.  For a lossy config the reference becomes the fast
     compressed engine, and the register-level engine must match *it*
-    exactly (the traditional engines are skipped — they see raw pixels by
-    design).  A lossy check without cycle engines would compare nothing,
+    exactly (the traditional engine is skipped — it sees raw pixels by
+    design).  A lossy check without it would compare nothing,
     so it raises :class:`~repro.errors.ConfigError` instead of reporting
     an empty agreement.
     """
     if not config.lossless and not include_cycle_engines:
         raise ConfigError(
             "nothing to compare: a lossy configuration is checked only "
-            "against the register-level engine, and cycle engines are excluded"
+            "against the register-level engine, and it is excluded"
         )
     arr = np.asarray(image)
     golden = GoldenEngine(config, kernel).run(arr).outputs
@@ -100,13 +100,6 @@ def validate_engines(
             ("traditional (analytic)", TraditionalEngine(config, kernel).run(arr).outputs)
         )
         candidates.append(("compressed (fast)", compressed_fast))
-        if include_cycle_engines:
-            candidates.append(
-                (
-                    "traditional (cycle)",
-                    TraditionalCycleEngine(config, kernel).run(arr).outputs,
-                )
-            )
     else:
         reference = compressed_fast
     if include_cycle_engines:

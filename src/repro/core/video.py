@@ -25,7 +25,6 @@ on the :class:`FrameRecord`) under ``"degrade"``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil
 from typing import Iterable
 
 import numpy as np
@@ -83,7 +82,7 @@ class FrameStreamProcessor:
     protection:
         Memory-path protection level (name or
         :class:`~repro.resilience.protection.ProtectionPolicy`).  The
-        scheme's payload storage expansion scales the frame's peak-bits
+        scheme's payload stored size scales the frame's peak-bits
         demand, so enabling protection genuinely costs budget headroom.
     injector:
         Optional SEU injector; sampled bands of every kept frame pass
@@ -121,8 +120,8 @@ class FrameStreamProcessor:
             row_stride=self.row_stride,
         )
         # Protection is stored, so its expansion consumes real headroom.
-        return ceil(
-            report.peak_buffer_bits * self._policy_resolved.payload.expansion
+        return int(
+            self._policy_resolved.payload.scaled_bits(report.peak_buffer_bits)
         )
 
     def _assess_faults(

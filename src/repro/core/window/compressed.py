@@ -63,7 +63,6 @@ import numpy as np
 
 from collections import deque
 from dataclasses import dataclass
-from math import ceil
 from typing import TYPE_CHECKING
 
 from ...config import ArchitectureConfig
@@ -486,18 +485,20 @@ class CompressedEngine(SlidingWindowEngine):
     def _stored_columns(self, sizes: BandAccounting) -> tuple[np.ndarray, int]:
         """Stored ``(C, W)`` payload columns and per-column management bits.
 
-        On a protected memory path payload bits expand by the payload
-        scheme, and the management cost by the NBits / BitMap schemes.
+        On a protected memory path each stream is charged its scheme's
+        stored size, as :func:`~repro.hardware.planner.plan_placement`
+        places it: payload columns by the payload scheme, the column's
+        NBits word and BitMap word each by their own scheme.
         """
         cols = sizes.payload_bits_per_column
         if self._resilient is None:
             return cols, sizes.management_bits_per_column
         protection = self.protection
-        mgmt = ceil(
-            2 * self.config.nbits_field_width * protection.nbits.expansion
-            + self.config.window_size * protection.bitmap.expansion
-        )
-        return np.ceil(cols * protection.payload.expansion).astype(np.int64), mgmt
+        mgmt = int(
+            protection.nbits.scaled_bits(2 * self.config.nbits_field_width)
+        ) + int(protection.bitmap.scaled_bits(self.config.window_size))
+        stored = protection.payload.scaled_bits(cols)
+        return np.asarray(stored, dtype=np.int64), mgmt
 
     def _sequential_peaks(
         self, cols: np.ndarray, mgmt: int, prev_last: np.ndarray | None
@@ -799,9 +800,12 @@ class CompressedCycleEngine(SlidingWindowEngine):
         reconstruction = arr.copy()
         band = arr[0:n].copy()  # fill state: the first band is raw
         decoded: list[np.ndarray] = []
+        outputs_produced = 0
 
         for y in range(n - 1, h):
             for x in range(w):
+                if x >= n - 1:  # the window holds N columns: one output
+                    outputs_produced += 1
                 if y > n - 1:
                     if x % 2 == 0:
                         decoded, freed = self._read_pair(records, unpackers, x)
@@ -820,14 +824,15 @@ class CompressedCycleEngine(SlidingWindowEngine):
                 for packer, unpacker in zip(packers, unpackers):
                     unpacker.feed(packer.flush())
 
-        outputs = np.vstack(out_rows)
         fill = traditional_fill_cycles(n, w)
         stats = EngineStats(
             fill_cycles=fill,
             process_cycles=arr.size - fill,
             pixels_in=arr.size,
-            outputs=outputs.size,
+            outputs=outputs_produced,
             buffer_bits_peak=self.bits_peak,
             traditional_buffer_bits=cfg.traditional_buffer_bits,
         )
-        return WindowRun(outputs=outputs, stats=stats, reconstruction=reconstruction)
+        return WindowRun(
+            outputs=np.vstack(out_rows), stats=stats, reconstruction=reconstruction
+        )

@@ -9,13 +9,11 @@ package replaces that toolchain with analytical models:
 - :mod:`repro.hardware.planner` — the one design-time memory plan: the
   cost-optimising placement search mapping every FIFO of a design point
   onto a device's portfolio.  On the default XC7Z020 it yields the
-  paper's RAMB18 counts (Fig 11 rows-per-BRAM options, Tables II-V), and
-  its per-group payload capacities are what
+  paper's RAMB18 counts (Table I's line buffers, Fig 11 rows-per-BRAM
+  options, Tables II-V), and its per-group payload capacities are what
   :class:`~repro.core.window.compressed.CompressedEngine` enforces;
 - :mod:`repro.hardware.bram` — the 18 Kb block RAM primitive's geometry
   table (16k x 1 ... 512 x 36);
-- :mod:`repro.hardware.mapping` — Table I's traditional line-buffer
-  count, placed by the same planner;
 - :mod:`repro.hardware.resources` — the LUT / register / Fmax estimator
   calibrated against the paper's published synthesis anchors (Tables VI-X);
 - :mod:`repro.hardware.device` — device catalog with per-primitive
@@ -50,14 +48,12 @@ from .planner import (
     place_payload,
     plan_placement,
 )
-from .mapping import traditional_bram_count
 from .resources import (
     ResourceEstimate,
     ResourceModel,
     BLOCK_ANCHORS,
 )
 from .device import DEVICES, FPGADevice, XC7Z020, ZU7EV
-from .ecc import SecdedCodec
 from .latency import (
     LatencyReport,
     compressed_latency,
@@ -89,7 +85,6 @@ __all__ = [
     "place_fifo",
     "place_payload",
     "plan_placement",
-    "traditional_bram_count",
     "ResourceEstimate",
     "ResourceModel",
     "BLOCK_ANCHORS",
@@ -97,7 +92,6 @@ __all__ = [
     "DEVICES",
     "XC7Z020",
     "ZU7EV",
-    "SecdedCodec",
     "LatencyReport",
     "traditional_latency",
     "compressed_latency",

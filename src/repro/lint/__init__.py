@@ -47,8 +47,6 @@ from .cfg import CFG, Block, Edge, build_cfg, iter_functions
 from .dataflow import (
     Interval,
     IntervalAnalysis,
-    LiveVariables,
-    ReachingDefinitions,
     solve,
 )
 from .framework import (
@@ -82,9 +80,7 @@ __all__ = [
     "Interval",
     "IntervalAnalysis",
     "LintReport",
-    "LiveVariables",
     "ModuleSource",
-    "ReachingDefinitions",
     "Rule",
     "RuleCrash",
     "Violation",

@@ -1,13 +1,10 @@
 """Worklist dataflow over :mod:`repro.lint.cfg` graphs.
 
-One generic fixpoint solver (:func:`solve`) plus the three analyses the
-REP006/REP007 rules are built on:
-
-- :class:`ReachingDefinitions` — which assignments may reach each point.
-- :class:`LiveVariables` — which names are read on some path onward.
-- :class:`IntervalAnalysis` — a path-insensitive value-range abstract
-  interpretation over the integers, with widening at loop heads, so a
-  rule can ask "what is the provable bound of this expression here".
+One generic forward fixpoint solver (:func:`solve`), which runs REP007's
+must-release analysis, plus :class:`IntervalAnalysis`, the analysis
+REP006 is built on: a path-insensitive value-range abstract
+interpretation over the integers, with widening at loop heads, so a
+rule can ask "what is the provable bound of this expression here".
 
 Facts use ``None`` as the bottom element (unreachable / not yet
 computed); every analysis' ``join`` must treat ``None`` as the identity.
@@ -33,13 +30,10 @@ WIDEN_AFTER = 8
 
 
 class Analysis(Protocol):
-    """What the solver needs from a dataflow analysis."""
-
-    #: ``"forward"`` or ``"backward"``.
-    direction: str
+    """What the solver needs from a forward dataflow analysis."""
 
     def boundary(self, cfg: CFG) -> Any:
-        """Fact at the entry (forward) / exit (backward) block."""
+        """Fact at the entry block."""
         ...  # pragma: no cover - protocol body
 
     def join(self, a: Any, b: Any) -> Any:
@@ -47,7 +41,7 @@ class Analysis(Protocol):
         ...  # pragma: no cover - protocol body
 
     def transfer(self, block: Block, fact: Any) -> Any:
-        """Fact after (forward) / before (backward) executing ``block``."""
+        """Fact after executing ``block``."""
         ...  # pragma: no cover - protocol body
 
     def widen(self, old: Any, new: Any) -> Any:
@@ -72,33 +66,26 @@ class Solution:
 
 
 def solve(cfg: CFG, analysis: Analysis) -> Solution:
-    """Run ``analysis`` to fixpoint over ``cfg`` (standard worklist)."""
-    forward = analysis.direction == "forward"
+    """Run ``analysis`` forward to fixpoint over ``cfg`` (standard worklist)."""
     by_id = {b.id: b for b in cfg.blocks}
     inputs: dict[int, Any] = {}
     outputs: dict[int, Any] = {}
-    boundary_block = cfg.entry if forward else cfg.exit
-    inputs[boundary_block.id] = analysis.boundary(cfg)
-    outputs[boundary_block.id] = analysis.transfer(
-        boundary_block, inputs[boundary_block.id]
-    )
+    entry = cfg.entry
+    inputs[entry.id] = analysis.boundary(cfg)
+    outputs[entry.id] = analysis.transfer(entry, inputs[entry.id])
     joins: dict[int, int] = {}
     work = deque(cfg.blocks)
     while work:
         block = work.popleft()
-        if block is not boundary_block:
+        if block is not entry:
             fact: Any = None
-            edges = block.pred if forward else block.succ
-            for edge in edges:
-                if forward:
-                    src = by_id[edge.src]
-                    incoming = (
-                        inputs.get(src.id)
-                        if edge.kind in EXCEPTIONAL_KINDS
-                        else outputs.get(src.id)
-                    )
-                else:
-                    incoming = outputs.get(edge.dst)
+            for edge in block.pred:
+                src = by_id[edge.src]
+                incoming = (
+                    inputs.get(src.id)
+                    if edge.kind in EXCEPTIONAL_KINDS
+                    else outputs.get(src.id)
+                )
                 fact = analysis.join(fact, incoming)
             if fact is None:
                 continue  # still unreachable
@@ -111,15 +98,10 @@ def solve(cfg: CFG, analysis: Analysis) -> Solution:
                 continue
             inputs[block.id] = fact
         out = analysis.transfer(block, inputs[block.id])
-        if outputs.get(block.id) == out and block is not boundary_block:
+        if outputs.get(block.id) == out and block is not entry:
             continue
         outputs[block.id] = out
-        next_ids = (
-            {e.dst for e in block.succ}
-            if forward
-            else {e.src for e in block.pred}
-        )
-        for nid in next_ids:
+        for nid in {e.dst for e in block.succ}:
             work.append(by_id[nid])
     return Solution(inputs=inputs, outputs=outputs)
 
@@ -153,105 +135,6 @@ def assigned_names(node: ast.AST) -> Iterator[str]:
             ):
                 yield inner.target.id
 
-
-def used_names(node: ast.AST) -> Iterator[str]:
-    """Names a statement/header reads (loads)."""
-    for part in header_parts(node):
-        for inner in ast.walk(part):
-            if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
-                yield inner.id
-
-
-# -- reaching definitions --------------------------------------------------
-
-
-class ReachingDefinitions:
-    """Forward may-analysis: fact = frozenset of ``(name, line)`` defs."""
-
-    direction = "forward"
-
-    def boundary(self, cfg: CFG) -> frozenset[tuple[str, int]]:
-        """Parameters count as definitions at the function's entry."""
-        args = cfg.func.args
-        params = [
-            *args.posonlyargs,
-            *args.args,
-            *args.kwonlyargs,
-            *([args.vararg] if args.vararg else []),
-            *([args.kwarg] if args.kwarg else []),
-        ]
-        return frozenset((p.arg, cfg.func.lineno) for p in params)
-
-    def join(
-        self,
-        a: frozenset[tuple[str, int]] | None,
-        b: frozenset[tuple[str, int]] | None,
-    ) -> frozenset[tuple[str, int]] | None:
-        """May-union; ``None`` (unreachable) is the identity."""
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a | b
-
-    def transfer(
-        self, block: Block, fact: frozenset[tuple[str, int]] | None
-    ) -> frozenset[tuple[str, int]] | None:
-        """Kill re-assigned names, gen this block's definitions."""
-        if fact is None:
-            return None
-        for node in block.nodes:
-            killed = set(assigned_names(node))
-            if killed:
-                fact = frozenset(
-                    d for d in fact if d[0] not in killed
-                ) | frozenset(
-                    (name, getattr(node, "lineno", 0)) for name in killed
-                )
-        return fact
-
-    def widen(self, old: Any, new: Any) -> Any:
-        """No-op: the def-set lattice is finite, join alone terminates."""
-        return new
-
-
-# -- live variables --------------------------------------------------------
-
-
-class LiveVariables:
-    """Backward may-analysis: fact = frozenset of names read later."""
-
-    direction = "backward"
-
-    def boundary(self, cfg: CFG) -> frozenset[str]:
-        """Nothing is live after the function returns."""
-        return frozenset()
-
-    def join(
-        self, a: frozenset[str] | None, b: frozenset[str] | None
-    ) -> frozenset[str] | None:
-        """May-union; ``None`` (unreachable) is the identity."""
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a | b
-
-    def transfer(
-        self, block: Block, fact: frozenset[str] | None
-    ) -> frozenset[str] | None:
-        """Backward: kill writes, then gen this block's reads."""
-        if fact is None:
-            return None
-        for node in reversed(block.nodes):
-            fact = (fact - frozenset(assigned_names(node))) | frozenset(
-                used_names(node)
-            )
-        return fact
-
-    def widen(self, old: Any, new: Any) -> Any:
-        """No-op: the name-set lattice is finite."""
-        return new
 
 # -- interval abstract interpretation --------------------------------------
 
@@ -476,8 +359,6 @@ def range_interval(call: ast.Call, env: Env) -> Interval | None:
 class IntervalAnalysis:
     """Forward abstract interpretation over integer intervals."""
 
-    direction = "forward"
-
     def boundary(self, cfg: CFG) -> dict[str, Interval]:
         """Nothing is known about any name at entry (all TOP)."""
         return {}
@@ -625,8 +506,6 @@ __all__ = [
     "Env",
     "Interval",
     "IntervalAnalysis",
-    "LiveVariables",
-    "ReachingDefinitions",
     "Solution",
     "TOP",
     "WIDEN_AFTER",
@@ -637,5 +516,4 @@ __all__ = [
     "range_interval",
     "solve",
     "transfer_node",
-    "used_names",
 ]

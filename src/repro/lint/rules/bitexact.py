@@ -23,12 +23,14 @@ ECC overhead percent) carry an explicit ``# reprolint: disable=REP001``
 waiver, the software analogue of a reviewed timing exception.
 
 The default scope covers the datapath models only: ``core/transform``,
-``core/packing`` and the bit-level hardware blocks (``ecc``, ``bram``,
-plus the placement layer ``primitives`` / ``planner``, whose per-group
-capacities the engine enforces at run time).  The estimator modules
-(``hardware/resources``, ``latency``, ``device``, ``mapping``) model
-analog quantities — Fmax in MHz, utilisation percentages, linear fits —
-and are deliberately outside the bit-exact scope.
+``core/packing``, the protection codecs (``resilience/protection``: the
+SECDED, parity and TMR words and the ``scaled_bits`` stored-size rule)
+and the bit-level hardware blocks (``bram``, plus the placement layer
+``primitives`` / ``planner``, whose per-group capacities the engine
+enforces at run time).  The estimator modules (``hardware/resources``,
+``latency``, ``device``) model analog quantities — Fmax in MHz,
+utilisation percentages, linear fits — and are deliberately outside the
+bit-exact scope.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ BIT_EXACT_MODULES: tuple[str, ...] = (
     "repro.core.transform",
     "repro.core.packing",
     "repro.core.packing.native",
-    "repro.hardware.ecc",
+    "repro.resilience.protection",
     "repro.hardware.bram",
     "repro.hardware.primitives",
     "repro.hardware.planner",

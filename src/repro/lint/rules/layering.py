@@ -3,7 +3,7 @@
 PRs 1-4 grew the codebase in strict layers::
 
     errors
-      └─ config ── observability ── imaging ── kernels ── lint ── hardware.ecc
+      └─ config ── observability ── imaging ── kernels ── lint
            └─ core.transform
                 └─ core.packing ── core.stats ── core.base (threshold)
                      └─ resilience ── hardware ── core.video
@@ -51,7 +51,6 @@ LAYER_PREFIXES: tuple[tuple[str, str], ...] = (
     ("repro.core.window", "core.window"),
     ("repro.core", "core.api"),
     ("repro.resilience", "resilience"),
-    ("repro.hardware.ecc", "hardware.ecc"),
     ("repro.hardware", "hardware"),
     ("repro.spec", "spec"),
     ("repro.runtime", "runtime"),
@@ -83,12 +82,10 @@ ALLOWED_IMPORTS: Mapping[str, frozenset[str]] = {
         {"errors", "config", "core.transform", "core.base"}
     ),
     "core.stats": _CORE_COMMON | frozenset({"observability"}),
-    "resilience": _CORE_COMMON | frozenset({"observability", "hardware.ecc"}),
+    "resilience": _CORE_COMMON | frozenset({"observability"}),
     "core.video": _CORE_COMMON
     | frozenset({"core.stats", "resilience", "observability"}),
-    "hardware.ecc": frozenset({"errors", "config"}),
-    "hardware": _CORE_COMMON
-    | frozenset({"observability", "resilience", "hardware.ecc"}),
+    "hardware": _CORE_COMMON | frozenset({"observability", "resilience"}),
     "core.window": _CORE_COMMON
     | frozenset(
         {
@@ -162,7 +159,6 @@ ALLOWED_IMPORTS: Mapping[str, frozenset[str]] = {
             "observability",
             "resilience",
             "imaging",
-            "hardware.ecc",
             "hardware",
             "runtime",
             "serve",

@@ -234,8 +234,6 @@ def _self_attribute(stmt: ast.AST, call: ast.Call) -> str | None:
 class _MustRelease:
     """Forward may-held analysis; fact = frozenset of site ids."""
 
-    direction = "forward"
-
     def __init__(
         self,
         source: ModuleSource,

@@ -280,13 +280,3 @@ class ResilientBandCodec:
             if report.silent:
                 self.probe.count("repro_silent_bands_total")
         return decoded, report, encoded
-
-    # ------------------------------------------------------------------
-
-    def stored_bits(self, raw_payload_bits: int, raw_nbits_bits: int, raw_bitmap_bits: int) -> float:
-        """Amortised stored size of the three streams under this policy."""
-        return (
-            raw_payload_bits * self.policy.payload.expansion
-            + raw_nbits_bits * self.policy.nbits.expansion
-            + raw_bitmap_bits * self.policy.bitmap.expansion
-        )

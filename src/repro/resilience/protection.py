@@ -11,25 +11,28 @@ Four protection levels, cheapest first:
   so triplicating the few management bits buys a lot of robustness for
   almost no storage.  Payload and BitMap stay unprotected.
 - ``"secded"``    — the Xilinx-style extended-Hamming SECDED of
-  :class:`~repro.hardware.ecc.SecdedCodec` on every stream: single flips
-  corrected transparently, double flips detected (12.5 % storage overhead
-  at the native 64/72 geometry).
+  :class:`SecdedProtection` on every stream: single flips corrected
+  transparently, double flips detected (12.5 % storage overhead at the
+  native 64/72 geometry).
 
 A :class:`ProtectionScheme` works word-wise on 0/1 arrays; a
 :class:`ProtectionPolicy` assigns one scheme to each of the three Memory
 Unit streams (``payload`` / ``nbits`` / ``bitmap``) and is what the
 engines, the Memory Unit and the BRAM-mapping planner consume.
+
+Stored sizes are integer-exact (:meth:`ProtectionScheme.scaled_bits`),
+like the rest of the bit accounting; the float ``expansion`` and
+``overhead_percent`` ratios are for reports only.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import BitstreamError, ConfigError
 
 #: Names of the selectable protection levels.
 PROTECTION_LEVELS: tuple[str, ...] = ("none", "parity", "tmr-nbits", "secded")
@@ -56,13 +59,13 @@ class ProtectionScheme(ABC):
 
     @property
     def expansion(self) -> float:
-        """Stored bits per data bit (>= 1)."""
-        return self.code_bits / self.data_bits
+        """Stored bits per data bit (>= 1; reporting only)."""
+        return self.code_bits / self.data_bits  # reprolint: disable=REP001
 
     @property
     def overhead_percent(self) -> float:
-        """Storage overhead of the protection."""
-        return (self.expansion - 1.0) * 100.0
+        """Storage overhead of the protection (reporting only)."""
+        return (self.expansion - 1.0) * 100.0  # reprolint: disable=REP001
 
     @abstractmethod
     def encode_words(self, data_words: np.ndarray) -> np.ndarray:
@@ -79,7 +82,7 @@ class ProtectionScheme(ABC):
     def encode_stream(self, bits: np.ndarray) -> np.ndarray:
         """Protect a flat bit stream (zero padded to a word multiple)."""
         arr = np.asarray(bits, dtype=np.uint8).ravel()
-        n_words = ceil(arr.size / self.data_bits) if arr.size else 0
+        n_words = -(-arr.size // self.data_bits)
         padded = np.zeros(n_words * self.data_bits, dtype=np.uint8)
         padded[: arr.size] = arr
         if n_words == 0:
@@ -103,10 +106,6 @@ class ProtectionScheme(ABC):
             corrected_words=int(corrected.sum()),
             uncorrectable_words=int(uncorrectable.sum()),
         )
-
-    def stored_bits(self, n_data_bits: int) -> int:
-        """Stored size of ``n_data_bits`` payload bits (padding included)."""
-        return ceil(n_data_bits / self.data_bits) * self.code_bits if n_data_bits else 0
 
     def scaled_bits(self, n_data_bits: int | np.ndarray) -> int | np.ndarray:
         """Integer-exact occupancy charge ``ceil(n * code_bits / data_bits)``.
@@ -140,10 +139,6 @@ class NoProtection(ProtectionScheme):
         words = np.atleast_2d(np.asarray(code_words, dtype=np.uint8))
         none = np.zeros(words.shape[0], dtype=bool)
         return words, none, none
-
-    def stored_bits(self, n_data_bits: int) -> int:
-        """Raw storage needs no word alignment: cost is exactly the payload."""
-        return n_data_bits
 
 
 class ParityProtection(ProtectionScheme):
@@ -211,28 +206,152 @@ class TmrProtection(ProtectionScheme):
 
 
 class SecdedProtection(ProtectionScheme):
-    """Extended-Hamming SECDED over every stored word (Xilinx BRAM style)."""
+    """Extended-Hamming SECDED over every stored word (Xilinx BRAM style).
+
+    Xilinx block RAMs offer a built-in 64/72-bit Hamming SECDED mode
+    (single error correct, double error detect).  Compressed line buffers
+    concentrate a lot of image state into few BRAMs, so a single upset
+    corrupts many pixels; this is the textbook extended Hamming code over
+    configurable word widths.  Any single flipped bit of a word is
+    corrected, any double flip is detected.
+
+    The memory path runs the block codec (:meth:`encode_words` /
+    :meth:`decode_words`); the scalar per-word :meth:`encode` /
+    :meth:`decode` is the oracle the block codec is property-tested
+    against.
+    """
 
     name = "secded"
 
     def __init__(self, data_bits: int = 64) -> None:
-        # Imported lazily: repro.hardware's package init pulls in modules
-        # that consume this package, so a module-level import would cycle.
-        from ..hardware.ecc import SecdedCodec
+        if not 4 <= data_bits <= 120:
+            raise ConfigError(f"data_bits must be in [4, 120], got {data_bits}")
+        self.data_bits = data_bits
+        # Smallest r with 2^r >= data_bits + r + 1 (Hamming bound).
+        r = 1
+        while (1 << r) < data_bits + r + 1:
+            r += 1
+        self.hamming_parity_bits = r
+        #: Total code word width including the overall parity bit.
+        self.code_bits = data_bits + r + 1
+        # 1-based Hamming numbering: parity bits sit at 1, 2, 4, 8, ...
+        total = data_bits + r
+        positions = np.arange(1, total + 1)
+        self._parity_pos = 1 << np.arange(r)
+        self._data_pos = positions[~np.isin(positions, self._parity_pos)]
+        # Check matrix of the block codec: check k covers every position
+        # whose binary expansion has bit k set.
+        self._checks = (
+            (positions[None, :] & self._parity_pos[:, None]) != 0
+        ).T.astype(np.uint8)
 
-        self._codec = SecdedCodec(data_bits)
-        self.data_bits = self._codec.data_bits
-        self.code_bits = self._codec.code_bits
+    # -- scalar per-word oracle -------------------------------------------
+
+    def encode(self, data: np.ndarray) -> np.ndarray:
+        """Encode a 0/1 array of ``data_bits`` into ``code_bits`` flags."""
+        bits = np.asarray(data, dtype=np.uint8).ravel()
+        if bits.size != self.data_bits:
+            raise ConfigError(
+                f"expected {self.data_bits} data bits, got {bits.size}"
+            )
+        total = self.data_bits + self.hamming_parity_bits
+        word = np.zeros(total + 1, dtype=np.uint8)  # 1-based
+        word[self._data_pos] = bits
+        for p in self._parity_pos:
+            covered = (np.arange(1, total + 1) & p) != 0
+            word[p] = word[1:][covered].sum() % 2
+        overall = word[1:].sum() % 2
+        return np.concatenate([word[1:], [overall]]).astype(np.uint8)
+
+    def decode(self, code: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Decode; returns ``(data_bits, corrected)``.
+
+        Raises :class:`BitstreamError` on an uncorrectable double error.
+        """
+        word = np.asarray(code, dtype=np.uint8).ravel()
+        if word.size != self.code_bits:
+            raise ConfigError(
+                f"expected {self.code_bits} code bits, got {word.size}"
+            )
+        total = self.data_bits + self.hamming_parity_bits
+        payload = np.zeros(total + 1, dtype=np.uint8)
+        payload[1:] = word[:total]
+        overall_stored = int(word[total])
+
+        syndrome = 0
+        for p in self._parity_pos:
+            covered = (np.arange(1, total + 1) & p) != 0
+            if payload[1:][covered].sum() % 2:
+                syndrome |= int(p)
+        overall_now = (int(payload[1:].sum()) + overall_stored) % 2
+
+        corrected = False
+        if syndrome == 0 and overall_now == 0:
+            pass  # clean word
+        elif overall_now == 1:
+            # Odd number of flips -> single error, correctable.
+            corrected = True
+            if syndrome == 0:
+                pass  # the overall parity bit itself flipped
+            elif syndrome <= total:
+                payload[syndrome] ^= 1
+            else:
+                raise BitstreamError(
+                    f"SECDED syndrome {syndrome} outside word (corrupt frame)"
+                )
+        else:
+            # Even flips with non-zero syndrome -> double error.
+            raise BitstreamError("SECDED double-bit error detected")
+        return payload[self._data_pos].astype(np.uint8), corrected
+
+    # -- block codec ------------------------------------------------------
 
     def encode_words(self, data_words: np.ndarray) -> np.ndarray:
         """Hamming-encode every word plus the overall parity bit."""
-        return self._codec.encode_block(data_words)
+        words = np.atleast_2d(np.asarray(data_words, dtype=np.uint8))
+        if words.shape[1] != self.data_bits:
+            raise ConfigError(
+                f"expected {self.data_bits} data bits per word, got {words.shape[1]}"
+            )
+        total = self.data_bits + self.hamming_parity_bits
+        payload = np.zeros((words.shape[0], total), dtype=np.uint8)
+        payload[:, self._data_pos - 1] = words
+        # Parity positions are powers of two, so no check covers another
+        # parity bit: the parities can be computed over the data bits alone.
+        payload[:, self._parity_pos - 1] = (payload @ self._checks) % 2
+        overall = payload.sum(axis=1, dtype=np.int64) % 2
+        return np.concatenate([payload, overall[:, None].astype(np.uint8)], axis=1)
 
     def decode_words(
         self, code_words: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Syndrome-decode: correct singles, flag doubles."""
-        return self._codec.decode_block(code_words)
+        """Syndrome-decode: correct singles, flag doubles; never raises.
+
+        Words flagged *uncorrectable* (double errors, or a syndrome
+        pointing outside the word) return their raw, possibly corrupt,
+        data bits so the caller can decide between re-sync and raising.
+        """
+        words = np.atleast_2d(np.asarray(code_words, dtype=np.uint8))
+        if words.shape[1] != self.code_bits:
+            raise ConfigError(
+                f"expected {self.code_bits} code bits per word, got {words.shape[1]}"
+            )
+        total = self.data_bits + self.hamming_parity_bits
+        payload = words[:, :total].copy()
+        overall_stored = words[:, total].astype(np.int64)
+        syndrome = (
+            ((payload @ self._checks) % 2).astype(np.int64) @ self._parity_pos
+        )
+        overall_now = (payload.sum(axis=1, dtype=np.int64) + overall_stored) % 2
+
+        single = overall_now == 1
+        # Syndrome 0 with odd overall parity: the overall bit itself flipped.
+        fixable = single & (syndrome > 0) & (syndrome <= total)
+        rows = np.flatnonzero(fixable)
+        payload[rows, syndrome[rows] - 1] ^= 1
+        uncorrectable = (single & (syndrome > total)) | (~single & (syndrome != 0))
+        corrected = single & ~uncorrectable
+        return payload[:, self._data_pos - 1], corrected, uncorrectable
 
 
 @dataclass(frozen=True, slots=True)

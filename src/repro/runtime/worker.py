@@ -7,8 +7,8 @@ process-global :data:`_ENGINES` table keyed by the spec blob — engines are
 *constructed* per worker, not *pickled* per frame, and every later frame
 with the same key reuses the cached instance.  A :class:`FrameTask` may
 carry its own ``spec_blob`` override (the serving gateway's multi-tenant
-path), so the table is a bounded LRU (``REPRO_WORKER_ENGINE_CACHE``,
-default 8): under many distinct tenant specs the cold tenants' engines
+path), so the table is a bounded LRU of :data:`ENGINE_CACHE_LIMIT`
+engines: under many distinct tenant specs the cold tenants' engines
 are evicted and rebuilt on demand instead of growing worker memory
 without limit.  Per frame, only a tiny :class:`FrameTask` travels to the
 worker and a :class:`FrameResult` (slot index + stats scalars + optional
@@ -111,29 +111,11 @@ _RING: FrameRing | None = None
 #: Per-process engine spec blob (set by :func:`initialize_worker`).
 _SPEC_BLOB: bytes | None = None
 
-#: Default bound of the per-worker engine cache.  Under many distinct
-#: tenant specs (the serving gateway's per-task overrides) an unbounded
-#: table would pin one engine per spec a worker has ever seen; eight
-#: covers the hot tenants while keeping worker memory flat.
-DEFAULT_ENGINE_CACHE_LIMIT = 8
-
-
-def engine_cache_limit() -> int:
-    """Max engines a worker caches (``REPRO_WORKER_ENGINE_CACHE``)."""
-    env = os.environ.get("REPRO_WORKER_ENGINE_CACHE")
-    if env is None:
-        return DEFAULT_ENGINE_CACHE_LIMIT
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise RuntimeError(
-            f"REPRO_WORKER_ENGINE_CACHE must be an int, got {env!r}"
-        ) from exc
-    if value < 1:
-        raise RuntimeError(
-            f"REPRO_WORKER_ENGINE_CACHE must be >= 1, got {value}"
-        )
-    return value
+#: Bound of the per-worker engine cache.  Under many distinct tenant
+#: specs (the serving gateway's per-task overrides) an unbounded table
+#: would pin one engine per spec a worker has ever seen; eight covers the
+#: hot tenants while keeping worker memory flat.
+ENGINE_CACHE_LIMIT = 8
 
 
 def initialize_worker(ring_spec: RingSpec, spec_blob: bytes) -> None:
@@ -161,8 +143,7 @@ def _engine(blob: bytes) -> tuple[SlidingWindowEngine, _EngineSpec]:
         spec: _EngineSpec = pickle.loads(blob)
         cached = (spec.build(), spec)
         _ENGINES[blob] = cached
-        limit = engine_cache_limit()
-        while len(_ENGINES) > limit:
+        while len(_ENGINES) > ENGINE_CACHE_LIMIT:
             _ENGINES.popitem(last=False)
     else:
         _ENGINES.move_to_end(blob)

@@ -11,7 +11,7 @@ from repro.kernels import BoxFilterKernel
 
 from helpers import random_image
 
-#: Cross-checks include the register-level cycle engines.
+#: Cross-checks include the register-level engine.
 pytestmark = pytest.mark.slow
 
 
@@ -26,9 +26,11 @@ class TestValidateEngines:
         img = random_image(rng, 16, 16)
         report = validate_engines(cfg(), img, BoxFilterKernel(4))
         assert report.all_consistent
-        names = {c.name for c in report.comparisons}
-        assert "compressed (register-level)" in names
-        assert "traditional (cycle)" in names
+        assert [c.name for c in report.comparisons] == [
+            "traditional (analytic)",
+            "compressed (fast)",
+            "compressed (register-level)",
+        ]
         assert all(c.max_output_delta == 0.0 for c in report.comparisons)
 
     def test_lossy_paths_agree(self, rng):

@@ -1,6 +1,6 @@
 """Tests for BRAM allocation rules (Tables I-V arithmetic).
 
-Tables II-V come from the one memory plan, ``plan_placement`` on its
+Tables I-V come from the one memory plan, ``plan_placement`` on its
 default XC7Z020 portfolio; every case keeps the inputs and expected
 numbers of the seed RAMB18 arithmetic it replaced.
 """
@@ -12,7 +12,6 @@ import pytest
 
 from repro import ArchitectureConfig
 from repro.errors import ConfigError
-from repro.hardware.mapping import traditional_bram_count
 from repro.hardware.planner import plan_placement
 from repro.hardware.primitives import BRAM18_COMPAT
 
@@ -35,6 +34,11 @@ def packed(window, rows):
     return plan.packed_brams, plan.rows_per_bram
 
 
+def traditional(config):
+    """Line-buffer BRAMs of the default plan (Table I)."""
+    return plan_placement(config, np.zeros(config.window_size)).traditional_brams
+
+
 def management(config):
     """NBits + BitMap BRAMs of the default plan (row sizes irrelevant)."""
     return plan_placement(config, np.zeros(config.window_size)).management_brams
@@ -44,11 +48,11 @@ class TestTraditional:
     @pytest.mark.parametrize("window", [8, 16, 32, 64, 128])
     @pytest.mark.parametrize("width", [512, 1024, 2048])
     def test_table1_one_bram_per_row(self, window, width):
-        assert traditional_bram_count(cfg(width, window)) == window
+        assert traditional(cfg(width, window)) == window
 
     @pytest.mark.parametrize("window,expected", [(8, 16), (64, 128), (128, 256)])
     def test_table1_3840_cascades(self, window, expected):
-        assert traditional_bram_count(cfg(3840, window)) == expected
+        assert traditional(cfg(3840, window)) == expected
 
 
 class TestChooseRowsPerBram:
@@ -144,7 +148,6 @@ class TestPlan:
         plan = plan_placement(config, np.full(8, 2000))
         assert plan.total_brams == plan.packed_brams + plan.management_brams
         assert plan.traditional_brams == 8
-        assert plan.traditional_brams == traditional_bram_count(config)
         assert 0 < plan.bram_saving_percent < 100
         assert plan.nominal_saving_percent == 87.5
         assert "payload" in plan.render()

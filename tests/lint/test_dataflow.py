@@ -1,8 +1,8 @@
 """Tests for the worklist solver and stock analyses (:mod:`repro.lint.dataflow`).
 
-Covers solver plumbing (forward/backward, exceptional edges), reaching
-definitions, liveness, and the interval abstract interpretation —
-including widening termination on a counting loop.
+Covers the forward solver's plumbing (exceptional edges) through the
+interval abstract interpretation — including widening termination on a
+counting loop.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from repro.lint.dataflow import (
     TOP,
     Interval,
     IntervalAnalysis,
-    LiveVariables,
-    ReachingDefinitions,
     binop_interval,
     eval_interval,
     interval_environments,
@@ -37,90 +35,6 @@ def _env_at_exit(source: str) -> dict[str, Interval]:
     cfg = _cfg(source)
     solution = solve(cfg, IntervalAnalysis())
     return solution.entry(cfg.exit) or {}
-
-
-class TestReachingDefinitions:
-    def test_parameters_reach_entry(self):
-        cfg = _cfg(
-            """
-            def f(a, b):
-                return a
-            """
-        )
-        solution = solve(cfg, ReachingDefinitions())
-        names = {name for name, _ in solution.entry(cfg.exit)}
-        assert {"a", "b"} <= names
-
-    def test_assignment_kills_previous_definition(self):
-        cfg = _cfg(
-            """
-            def f():
-                x = 1
-                x = 2
-                return x
-            """
-        )
-        solution = solve(cfg, ReachingDefinitions())
-        x_defs = {line for name, line in solution.entry(cfg.exit) if name == "x"}
-        assert x_defs == {4}  # only the second assignment survives
-
-    def test_branch_join_keeps_both_definitions(self):
-        cfg = _cfg(
-            """
-            def f(cond):
-                if cond:
-                    x = 1
-                else:
-                    x = 2
-                return x
-            """
-        )
-        solution = solve(cfg, ReachingDefinitions())
-        x_defs = {line for name, line in solution.entry(cfg.exit) if name == "x"}
-        assert len(x_defs) == 2  # may-analysis: both arms reach the return
-
-
-class TestLiveVariables:
-    def test_read_at_return_is_live_at_entry(self):
-        cfg = _cfg(
-            """
-            def f(n):
-                total = n
-                return total
-            """
-        )
-        solution = solve(cfg, LiveVariables())
-        live_in = solution.exit(cfg.entry)
-        assert "n" in live_in
-
-    def test_dead_store_not_live(self):
-        cfg = _cfg(
-            """
-            def f(n):
-                unused = n + 1
-                return n
-            """
-        )
-        solution = solve(cfg, LiveVariables())
-        # "unused" is written but never read: not live anywhere upstream.
-        live_in = solution.exit(cfg.entry)
-        assert "unused" not in live_in
-        assert "n" in live_in
-
-    def test_loop_variable_stays_live_around_backedge(self):
-        cfg = _cfg(
-            """
-            def f(n):
-                i = 0
-                while i < n:
-                    i = i + 1
-                return i
-            """
-        )
-        solution = solve(cfg, LiveVariables())
-        loop = cfg.func.body[1]
-        head = cfg.block_of(loop.test)
-        assert {"i", "n"} <= solution.entry(head)
 
 
 class TestIntervalPrimitives:

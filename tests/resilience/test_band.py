@@ -13,8 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import ArchitectureConfig
 from repro.core.window.compressed import CompressedEngine
 from repro.errors import BitstreamError, ConfigError
+from repro.hardware.planner import plan_placement
 from repro.kernels import BoxFilterKernel
 from repro.resilience import (
     EngineFaultSummary,
@@ -124,10 +126,14 @@ class TestDegradationModel:
         assert hits > 0
 
     def test_stored_bits_amortised(self, small_config):
-        codec = ResilientBandCodec(small_config, "secded")
-        assert codec.stored_bits(6400, 160, 256) == pytest.approx(
-            (6400 + 160 + 256) * 1.125
+        """Each stream's stored size is its scheme's integer ``scaled_bits``."""
+        policy = ResilientBandCodec(small_config, "secded").policy
+        raw = {"payload": 6400, "nbits": 160, "bitmap": 256}
+        stored = sum(
+            int(policy.scheme_for(stream).scaled_bits(bits))
+            for stream, bits in raw.items()
         )
+        assert stored == (6400 + 160 + 256) * 9 // 8
 
 
 class TestEngineIntegration:
@@ -188,3 +194,23 @@ class TestEngineIntegration:
         base = self.make_engine(small_config).run(image)
         shielded = self.make_engine(small_config, protection="secded").run(image)
         assert shielded.stats.buffer_bits_peak > base.stats.buffer_bits_peak
+
+    @pytest.mark.parametrize("pixel_bits", [8, 16])
+    @pytest.mark.parametrize("window", [4, 8])
+    @pytest.mark.parametrize("protection", ["none", "parity", "tmr-nbits", "secded"])
+    def test_management_charge_matches_the_plan(self, window, protection, pixel_bits):
+        """Each column's NBits and BitMap words are charged at the widths
+        the memory plan places, stream by stream.  A zero frame packs no
+        payload, so every band holds management bits only."""
+        config = ArchitectureConfig(
+            image_width=32, image_height=16, window_size=window, pixel_bits=pixel_bits
+        )
+        plan = plan_placement(config, np.zeros(window), protection=protection)
+        per_column = plan.nbits.fifo.width + plan.bitmap.fifo.width
+        engine = CompressedEngine(
+            config, BoxFilterKernel(window), protection=protection
+        )
+        stats = engine.run(np.zeros((16, 32), dtype=np.int64)).stats
+        buffered = config.image_width - window
+        assert set(stats.band_total_bits) == {per_column * buffered}
+        assert stats.buffer_bits_peak == per_column * buffered

@@ -229,7 +229,7 @@ class TestWorkerCache:
         construction cost, never changes results)."""
         from repro.runtime import worker as worker_mod
 
-        monkeypatch.setenv("REPRO_WORKER_ENGINE_CACHE", "1")
+        monkeypatch.setattr(worker_mod, "ENGINE_CACHE_LIMIT", 1)
         base = EngineSpec(config=make_config(), kernel=BoxFilterKernel(WINDOW))
         tenants = [
             base,
@@ -265,18 +265,6 @@ class TestWorkerCache:
                 worker_mod._RING = None
                 worker_mod._SPEC_BLOB = None
                 worker_mod._ENGINES.clear()
-
-    def test_engine_cache_limit_env_validation(self, monkeypatch):
-        from repro.runtime.worker import engine_cache_limit
-
-        monkeypatch.setenv("REPRO_WORKER_ENGINE_CACHE", "3")
-        assert engine_cache_limit() == 3
-        monkeypatch.setenv("REPRO_WORKER_ENGINE_CACHE", "zero")
-        with pytest.raises(RuntimeError, match="int"):
-            engine_cache_limit()
-        monkeypatch.setenv("REPRO_WORKER_ENGINE_CACHE", "0")
-        with pytest.raises(RuntimeError, match=">= 1"):
-            engine_cache_limit()
 
 
 class TestTaskSpecOverrides:

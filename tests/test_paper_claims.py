@@ -15,7 +15,6 @@ from repro.analysis.experiments import (
     reconstruct_single_pass,
     table1_traditional_brams,
 )
-from repro.hardware.mapping import traditional_bram_count
 from repro.hardware.planner import plan_placement
 from repro.hardware.resources import BLOCK_ANCHORS, ResourceModel
 from repro.imaging import benchmark_dataset, mse
@@ -113,7 +112,6 @@ class TestTablesPinned:
         cfg = ArchitectureConfig(
             image_width=512, image_height=512, window_size=128, threshold=6
         )
-        assert traditional_bram_count(cfg) == 128
         plan = plan_placement(cfg, np.zeros(128))
         assert plan.traditional_brams == 128
         assert plan.management_brams == 5

@@ -23,7 +23,6 @@ from repro import (
     CompressedCycleEngine,
     CompressedEngine,
     GoldenEngine,
-    TraditionalCycleEngine,
     TraditionalEngine,
 )
 from repro.core import stats
@@ -190,7 +189,6 @@ class TestNonDyadicWindows:
         runs = {
             "golden": GoldenEngine(config, kernel).run(image),
             "traditional": TraditionalEngine(config, kernel).run(image),
-            "traditional-cycle": TraditionalCycleEngine(config, kernel).run(image),
             "compressed-cycle": CompressedCycleEngine(config, kernel).run(image),
         }
         runs["sequential"], runs["fast"] = run_both(config, kernel, image)

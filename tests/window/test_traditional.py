@@ -1,4 +1,10 @@
-"""Tests for the traditional line-buffering architecture engines."""
+"""Tests for the traditional line-buffering architecture.
+
+The analytic :class:`TraditionalEngine` is checked against golden; the
+line-buffer dataflow is checked register by register through
+:class:`CompressedCycleEngine` at threshold 0, where every buffered row is
+reconstructed exactly.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +12,9 @@ import numpy as np
 import pytest
 
 from repro import ArchitectureConfig
+from repro.core.window.compressed import CompressedCycleEngine
 from repro.core.window.golden import golden_apply
-from repro.core.window.traditional import (
-    TraditionalCycleEngine,
-    TraditionalEngine,
-    traditional_fill_cycles,
-)
+from repro.core.window.traditional import TraditionalEngine, traditional_fill_cycles
 from repro.kernels import BoxFilterKernel, SobelMagnitudeKernel
 from repro.kernels.base import as_kernel
 
@@ -57,6 +60,9 @@ class TestTraditionalEngine:
 
 @pytest.mark.slow
 class TestTraditionalCycleEngine:
+    """The lossless line-buffer dataflow, pixel by pixel, on the one
+    register-level engine."""
+
     @pytest.mark.parametrize("n,h,w", [(2, 8, 10), (4, 12, 16), (6, 14, 12)])
     def test_cycle_simulation_matches_golden(self, rng, n, h, w):
         config = ArchitectureConfig(image_width=w, image_height=h, window_size=n)
@@ -64,14 +70,14 @@ class TestTraditionalCycleEngine:
         kernel = as_kernel(
             lambda win: win.sum(axis=(-2, -1)), name="sum", window_size=n
         )
-        run = TraditionalCycleEngine(config, kernel).run(img)
+        run = CompressedCycleEngine(config, kernel).run(img)
         assert np.array_equal(run.outputs, golden_apply(img, n, kernel))
 
     def test_sobel_through_cycle_engine(self, rng):
         config = ArchitectureConfig(image_width=12, image_height=12, window_size=4)
         img = random_image(rng, 12, 12)
         kernel = SobelMagnitudeKernel(4)
-        run = TraditionalCycleEngine(config, kernel).run(img)
+        run = CompressedCycleEngine(config, kernel).run(img)
         assert np.array_equal(run.outputs, golden_apply(img, 4, kernel))
 
     def test_box_filter_window_six_exact(self, rng):
@@ -79,14 +85,15 @@ class TestTraditionalCycleEngine:
         config = ArchitectureConfig(image_width=24, image_height=24, window_size=6)
         img = random_image(rng, 24, 24)
         kernel = BoxFilterKernel(6)
-        run = TraditionalCycleEngine(config, kernel).run(img)
+        run = CompressedCycleEngine(config, kernel).run(img)
         assert np.array_equal(run.outputs, golden_apply(img, 6, kernel))
 
     def test_output_count_matches_analytic_engine(self, rng):
+        """The pixel loop counts one output per full window."""
         config = ArchitectureConfig(image_width=10, image_height=10, window_size=4)
         img = random_image(rng, 10, 10)
         kernel = BoxFilterKernel(4)
-        cyc = TraditionalCycleEngine(config, kernel).run(img)
+        cyc = CompressedCycleEngine(config, kernel).run(img)
         ana = TraditionalEngine(config, kernel).run(img)
-        assert cyc.stats.outputs == ana.stats.outputs
+        assert cyc.stats.outputs == ana.stats.outputs == 7 * 7
         assert cyc.stats.fill_cycles == ana.stats.fill_cycles
