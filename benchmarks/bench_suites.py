@@ -2,15 +2,17 @@
 
 Each case runs one suite (``perf``, ``stream``, ``serve``, ``chaos``,
 ``probe``) with the options it defines next to its measurement loop,
-archives the pivot table under ``benchmarks/out/<suite>.txt`` and the
-``repro-bench/1`` file under ``benchmarks/out/BENCH_<suite>.json``, and
-loads that file back through :func:`~repro.analysis.bench.load_bench_json`,
-which enforces the promises every suite keeps (bit-identical outputs,
-no lost frame, no leaked slot, no failed request, p99 >= p50, at least
-one completed frame).  The checks below are each suite's own bar.
+prints the pivot table, writes the ``repro-bench/1`` file under
+``benchmarks/out/BENCH_<suite>.json`` (timings change on every run, so
+nothing here is a committed golden), and loads that file back through
+:func:`~repro.analysis.bench.load_bench_json`, which enforces the
+promises every suite keeps (bit-identical outputs, no lost frame, no
+leaked slot, no failed request, p99 >= p50, at least one completed
+frame).  The checks below are each suite's own bar.
 
 ``REPRO_BENCH_IMAGES=2`` (or lower) selects every suite's smoke
-options — the one smoke switch.  ``REPRO_PERF_CODEC`` picks the perf
+options — the one smoke switch; the paper artifacts of
+``bench_artifacts.py`` ignore it.  ``REPRO_PERF_CODEC`` picks the perf
 suite's codec tier (``native`` must then really resolve to native).
 ``REPRO_BENCH_STRICT=1`` holds probe overhead to the 10% bar; elsewhere
 a lenient 75% bound guards against pathological regressions without
@@ -20,6 +22,7 @@ flaking on noisy shared machines.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -37,7 +40,7 @@ from repro.observability.export import (
     parse_prometheus_names,
 )
 
-from _util import OUT_DIR, bench_images, report
+OUT_DIR = Path(__file__).parent / "out"
 
 
 def _check_perf(run: BenchRun, options: Any) -> None:
@@ -114,7 +117,7 @@ def test_bench_suite(benchmark, name):
     OUT_DIR.mkdir(exist_ok=True)
     bench = suite(name)
     options = bench.options(
-        smoke=bench_images() <= 2,
+        smoke=int(os.environ.get("REPRO_BENCH_IMAGES", "4")) <= 2,
         codec=os.environ.get("REPRO_PERF_CODEC") if name == "perf" else None,
         jsonl=OUT_DIR / "probe.jsonl",
         prometheus=OUT_DIR / "probe.prom",
@@ -122,7 +125,7 @@ def test_bench_suite(benchmark, name):
     run = benchmark.pedantic(
         lambda: bench.measure(options), rounds=1, iterations=1
     )
-    report(name, render_bench(run))
+    print(f"\n{render_bench(run)}")
     path = OUT_DIR / f"BENCH_{name}.json"
     write_bench_json(run, path)
     assert load_bench_json(path) == run

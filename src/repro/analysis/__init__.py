@@ -7,11 +7,14 @@
 - :mod:`repro.analysis.sweep` — multiprocessing parameter sweeps.
 - :mod:`repro.analysis.experiments` — one entry point per paper artifact
   (Fig 3, Fig 13, Tables I-X, the MSE sweep, ablations, throughput).
+- :mod:`repro.analysis.artifacts` — :data:`ARTIFACTS`, the registry that
+  pairs each artifact with its golden geometry and renderer; the
+  artifact bench, ``repro artifact`` and ``repro report`` all read it.
 - :mod:`repro.analysis.faults` — the soft-error injection campaign over
   the protected memory path.
 """
 
-from .ci import mean_confidence_interval, ConfidenceInterval
+from .ci import mean_confidence_interval, t_quantile, ConfidenceInterval
 from .tables import render_table
 from .sweep import run_parallel
 from .coding import coding_efficiency, CodingEfficiencyReport, empirical_entropy_bits
@@ -24,9 +27,11 @@ from .faults import (
     FaultCampaignPoint,
     FaultCampaignResult,
 )
+from .artifacts import ARTIFACTS, Artifact
 
 __all__ = [
     "mean_confidence_interval",
+    "t_quantile",
     "ConfidenceInterval",
     "render_table",
     "run_parallel",
@@ -43,4 +48,6 @@ __all__ = [
     "measured_storage_overhead",
     "FaultCampaignPoint",
     "FaultCampaignResult",
+    "ARTIFACTS",
+    "Artifact",
 ]

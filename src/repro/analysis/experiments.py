@@ -1,10 +1,10 @@
-"""Experiment registry: one entry point per paper artifact.
+"""Experiments: one entry point per paper artifact.
 
 Every table and figure of the paper's evaluation (and each ablation the
 text argues qualitatively) has a function here returning a structured
-result object with a ``render()`` method.  The benchmark harness under
-``benchmarks/`` and the CLI both call these; EXPERIMENTS.md records the
-paper-vs-measured comparison they produce.
+result object with a ``render()`` method.  The artifact registry
+(:mod:`repro.analysis.artifacts`) pairs each with its golden geometry;
+EXPERIMENTS.md records the paper-vs-measured comparison they produce.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ def _image_report_worker(
 ) -> ImageCompressionReport:
     config, image, row_stride = args
     return analyze_image(config, image, row_stride=row_stride)
-
-
-def _resolve_images(
-    resolution: int, n_images: int, images: tuple[np.ndarray, ...] | None
-) -> tuple[np.ndarray, ...]:
-    if images is not None:
-        return tuple(images)
-    return benchmark_dataset(resolution, n_images=n_images)
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +104,6 @@ def fig3_memory_trace(
     *,
     resolution: int = 512,
     window: int = 64,
-    image_index: int = 0,
     threshold: int = 0,
     traversal_row: int | None = None,
 ) -> Fig3Result:
@@ -121,7 +112,7 @@ def fig3_memory_trace(
     Steady state is modelled by pairing the traversal band with the band
     one row above it (the data still resident in the buffers).
     """
-    image = benchmark_dataset(resolution)[image_index]
+    image = benchmark_dataset(resolution, n_images=1)[0]
     config = ArchitectureConfig(
         image_width=resolution,
         image_height=resolution,
@@ -197,10 +188,9 @@ def fig13_memory_savings(
     n_images: int = 10,
     row_stride: int | None = None,
     processes: int | None = None,
-    images: tuple[np.ndarray, ...] | None = None,
 ) -> Fig13Result:
     """Reproduce Fig 13's savings sweep over the benchmark suite."""
-    imgs = _resolve_images(resolution, n_images, images)
+    imgs = benchmark_dataset(resolution, n_images=n_images)
     savings: dict[tuple[int, int], ConfidenceInterval] = {}
     for n in windows:
         for t in thresholds:
@@ -320,7 +310,6 @@ def bram_table(
     n_images: int = 10,
     row_stride: int | None = None,
     processes: int | None = None,
-    images: tuple[np.ndarray, ...] | None = None,
 ) -> BramTableResult:
     """Reproduce one of Tables II-V for image width ``width``.
 
@@ -328,7 +317,7 @@ def bram_table(
     observed across the whole benchmark suite, exactly as a deployment
     configured for "the worst-case scenario" (Section V.E) would.
     """
-    imgs = _resolve_images(width, n_images, images)
+    imgs = benchmark_dataset(width, n_images=n_images)
     plans: dict[tuple[int, int], PlacementPlan] = {}
     for n in windows:
         for t in thresholds:
@@ -473,10 +462,9 @@ def mse_vs_threshold(
     n_images: int = 10,
     include_recirculated: bool = False,
     processes: int | None = None,
-    images: tuple[np.ndarray, ...] | None = None,
 ) -> MseResult:
     """Reproduce the Section VI.A MSE figures (0.59 / 3.2 / 4.8)."""
-    imgs = _resolve_images(resolution, n_images, images)
+    imgs = benchmark_dataset(resolution, n_images=n_images)
     single: dict[int, ConfidenceInterval] = {}
     recirc: dict[int, ConfidenceInterval] | None = (
         {} if include_recirculated else None

@@ -1,17 +1,15 @@
 """Command-line interface: ``python -m repro`` / the ``repro`` script.
 
-Subcommands map one-to-one onto the experiment registry so every paper
-artifact can be regenerated from a shell::
+Every paper table and figure is one entry of the artifact registry
+(:data:`repro.analysis.artifacts.ARTIFACTS`) and is regenerated by name;
+with no flags it prints the committed ``benchmarks/out/<name>.txt``::
 
-    repro fig3
-    repro fig13 --resolution 1024 --row-stride 64
-    repro table 1
-    repro table 4 --images 4
-    repro resources overall
-    repro mse
+    repro artifact table2
+    repro artifact fig13 --resolution 1024 --row-stride 64
+    repro artifact mse --images 10
+    repro report
+    repro resources --device ZU7EV
     repro dataset --out /tmp/scenes --resolution 512
-    repro headline
-    repro ablation wavelets
     repro fault-campaign --schemes none secded --rates 1e-3
     repro bench perf --json BENCH_perf.json --strategy sequential fast
     repro bench stream --workers 1 2 4 --json BENCH_stream.json
@@ -28,8 +26,6 @@ import argparse
 import sys
 import tempfile
 from pathlib import Path
-
-from .config import PAPER_IMAGE_WIDTHS
 
 
 def add_common_engine_flags(
@@ -93,17 +89,31 @@ def add_device_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--images", type=int, default=10, help="suite size (default 10)")
-    p.add_argument(
-        "--row-stride",
-        type=int,
-        default=None,
-        help="band sampling stride (default: window size)",
+def _add_artifact_parser(
+    sub: argparse._SubParsersAction[argparse.ArgumentParser],
+) -> None:
+    """``repro artifact NAME``: regenerate one paper table or figure.
+
+    Every flag defaults to ``None``: the registry entry supplies its
+    golden geometry, and a flag the entry does not take is refused.
+    Each flag's ``dest`` is the experiment keyword it sets.
+    """
+    p = sub.add_parser(
+        "artifact", help="regenerate one paper table or figure by name"
     )
     p.add_argument(
-        "--processes", type=int, default=None, help="sweep workers (default: auto)"
+        "name", help="registry name, e.g. table2, fig13, mse (see repro report)"
     )
+    p.add_argument("--resolution", type=int, help="square image resolution")
+    p.add_argument("--window", type=int, help="window size N")
+    p.add_argument("--threshold", type=int, help="compression threshold T")
+    p.add_argument(
+        "--images", dest="n_images", type=int, help="benchmark suite size"
+    )
+    p.add_argument(
+        "--row-stride", type=int, help="band sampling stride (default: window size)"
+    )
+    p.add_argument("--processes", type=int, help="sweep workers (default: auto)")
 
 
 def _add_bench_parser(
@@ -216,44 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fig3 = sub.add_parser("fig3", help="Fig 3: buffered bits per sub-band")
-    p_fig3.add_argument("--resolution", type=int, default=512)
-    p_fig3.add_argument("--window", type=int, default=64)
-    p_fig3.add_argument("--threshold", type=int, default=0)
-
-    p_fig13 = sub.add_parser("fig13", help="Fig 13: memory savings with CIs")
-    p_fig13.add_argument("--resolution", type=int, default=2048)
-    _add_common(p_fig13)
-
-    p_table = sub.add_parser("table", help="Tables I-V: BRAM counts")
-    p_table.add_argument("number", type=int, choices=(1, 2, 3, 4, 5))
-    _add_common(p_table)
+    _add_artifact_parser(sub)
 
     p_res = sub.add_parser(
-        "resources",
-        help="Tables VI-X LUT/FF/Fmax, or the device memory-placement sweep",
-    )
-    p_res.add_argument(
-        "module",
-        nargs="?",
-        default="memory",
-        choices=(
-            "memory",
-            "iwt",
-            "bit_packing",
-            "bit_unpacking",
-            "iiwt",
-            "overall",
-        ),
-        help=(
-            "block for the LUT/FF/Fmax table, or 'memory' (default) for "
-            "the portfolio placement sweep"
-        ),
+        "resources", help="memory-placement sweep over a device's primitives"
     )
     add_device_flag(p_res)
-    p_res.add_argument(
-        "--width", type=int, default=512, help="image width (memory sweep)"
-    )
+    p_res.add_argument("--width", type=int, default=512, help="image width")
     p_res.add_argument(
         "--threshold", type=int, default=0, help="compression threshold T"
     )
@@ -264,37 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("exhaustive", "greedy"),
         default="exhaustive",
-        help="placement search mode (memory sweep)",
+        help="placement search mode",
     )
     p_res.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
-        help="memory-sweep output format (json is the repro-resources/1 schema)",
+        help="output format (json is the repro-resources/1 schema)",
     )
     p_res.add_argument(
         "--json",
         type=Path,
         default=None,
-        help="also write the repro-resources/1 artifact here (memory sweep)",
+        help="also write the repro-resources/1 artifact here",
     )
-
-    p_mse = sub.add_parser("mse", help="MSE vs threshold sweep")
-    p_mse.add_argument("--resolution", type=int, default=512)
-    p_mse.add_argument("--window", type=int, default=64)
-    p_mse.add_argument("--recirculated", action="store_true")
-    _add_common(p_mse)
-
-    p_head = sub.add_parser("headline", help="abstract claims sweep")
-    _add_common(p_head)
-
-    p_abl = sub.add_parser("ablation", help="design-choice ablations")
-    p_abl.add_argument("which", choices=("wavelets", "levels", "nbits"))
-    p_abl.add_argument("--resolution", type=int, default=512)
-    p_abl.add_argument("--threshold", type=int, default=0)
-
-    sub.add_parser("fig11", help="Fig 11: memory mapping options")
-    sub.add_parser("throughput", help="cycles/output of both engines")
 
     p_val = sub.add_parser("validate", help="cross-check every engine model")
     p_val.add_argument("--resolution", type=int, default=32)
@@ -303,18 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--no-cycle", action="store_true", help="skip the slow register-level engine"
     )
-
-    p_cod = sub.add_parser(
-        "coding", help="coding-efficiency ladder (NBits / entropy / JPEG-LS)"
-    )
-    p_cod.add_argument("--resolution", type=int, default=256)
-    p_cod.add_argument("--window", type=int, default=32)
-    p_cod.add_argument("--threshold", type=int, default=0)
-
-    p_tr = sub.add_parser("tradeoff", help="BRAMs saved vs LUTs spent per window")
-    p_tr.add_argument("--width", type=int, default=512)
-    p_tr.add_argument("--threshold", type=int, default=6)
-    p_tr.add_argument("--images", type=int, default=3)
 
     p_fc = sub.add_parser(
         "fault-campaign", help="SEU injection sweep over protection schemes"
@@ -433,11 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not report stale '# reprolint: disable=...' waivers (REP000)",
     )
 
-    p_rep = sub.add_parser("report", help="one-shot reproduction report")
-    p_rep.add_argument("--resolution", type=int, default=512)
-    p_rep.add_argument("--images", type=int, default=3)
-    p_rep.add_argument("--processes", type=int, default=None)
-    p_rep.add_argument("--no-validate", action="store_true")
+    sub.add_parser(
+        "report", help="every paper artifact at its golden geometry, in order"
+    )
 
     p_ds = sub.add_parser("dataset", help="render the benchmark suite to PGM")
     p_ds.add_argument("--out", type=Path, required=True)
@@ -463,106 +411,40 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
 
-    if args.command == "fig3":
-        from .analysis import experiments as ex
+    if args.command == "artifact":
+        from .analysis.artifacts import FLAGS, render_artifact
+        from .errors import ConfigError
 
-        result = ex.fig3_memory_trace(
-            resolution=args.resolution, window=args.window, threshold=args.threshold
-        )
-        print(result.render())
-    elif args.command == "fig13":
-        from .analysis import experiments as ex
-
-        result = ex.fig13_memory_savings(
-            resolution=args.resolution,
-            n_images=args.images,
-            row_stride=args.row_stride,
-            processes=args.processes,
-        )
-        print(result.render())
-    elif args.command == "table":
-        from .analysis import experiments as ex
-
-        if args.number == 1:
-            print(ex.table1_traditional_brams().render())
-        else:
-            width = PAPER_IMAGE_WIDTHS[args.number - 2]
-            result = ex.bram_table(
-                width,
-                n_images=args.images,
-                row_stride=args.row_stride,
-                processes=args.processes,
-            )
-            print(result.render())
+        try:
+            print(render_artifact(args.name, **{k: getattr(args, k) for k in FLAGS}))
+        except ConfigError as err:
+            raise SystemExit(f"repro artifact {args.name}: {err}") from err
     elif args.command == "resources":
-        if args.module == "memory":
-            import json as _json
+        import json as _json
 
-            from .analysis.resources import (
-                ResourcesOptions,
-                measure_resources,
-                write_resources_json,
-            )
-
-            report = measure_resources(
-                ResourcesOptions(
-                    device=args.device,
-                    width=args.width,
-                    threshold=args.threshold,
-                    n_images=args.images,
-                    mode=args.mode,
-                )
-            )
-            if args.format == "json":
-                print(_json.dumps(report.to_json_dict(), indent=2))
-            else:
-                print(report.render())
-            if args.json is not None:
-                write_resources_json(report, args.json)
-                # Keep stdout a pure document under --format json.
-                print(f"wrote {args.json}", file=sys.stderr)
-        else:
-            from .analysis import experiments as ex
-
-            print(ex.resource_table(args.module).render())
-    elif args.command == "mse":
-        from .analysis import experiments as ex
-
-        result = ex.mse_vs_threshold(
-            resolution=args.resolution,
-            window=args.window,
-            n_images=args.images,
-            include_recirculated=args.recirculated,
-            processes=args.processes,
+        from .analysis.resources import (
+            ResourcesOptions,
+            measure_resources,
+            write_resources_json,
         )
-        print(result.render())
-    elif args.command == "headline":
-        from .analysis import experiments as ex
 
-        print(
-            ex.headline_claims(
+        report = measure_resources(
+            ResourcesOptions(
+                device=args.device,
+                width=args.width,
+                threshold=args.threshold,
                 n_images=args.images,
-                row_stride=args.row_stride,
-                processes=args.processes,
-            ).render()
+                mode=args.mode,
+            )
         )
-    elif args.command == "ablation":
-        from .analysis import experiments as ex
-
-        fn = {
-            "wavelets": ex.ablation_wavelets,
-            "levels": ex.ablation_levels,
-            "nbits": ex.ablation_nbits_granularity,
-        }[args.which]
-        print(fn(resolution=args.resolution, threshold=args.threshold).render())
-    elif args.command == "fig11":
-        from .analysis import experiments as ex
-
-        print(ex.fig11_mapping_options().render())
-    elif args.command == "throughput":
-        from .analysis import experiments as ex
-
-        print(ex.throughput_experiment().render())
+        if args.format == "json":
+            print(_json.dumps(report.to_json_dict(), indent=2))
+        else:
+            print(report.render())
+        if args.json is not None:
+            write_resources_json(report, args.json)
+            # Keep stdout a pure document under --format json.
+            print(f"wrote {args.json}", file=sys.stderr)
     elif args.command == "validate":
         from .analysis.validation import validate_engines
         from .config import ArchitectureConfig
@@ -588,27 +470,6 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(f"repro validate: {err}") from err
         print(result.render())
         return 0 if result.all_consistent else 1
-    elif args.command == "coding":
-        from .analysis.coding import coding_efficiency
-        from .config import ArchitectureConfig
-        from .imaging import generate_scene
-
-        config = ArchitectureConfig(
-            image_width=args.resolution,
-            image_height=args.resolution,
-            window_size=args.window,
-            threshold=args.threshold,
-        )
-        image = generate_scene(seed=1, resolution=args.resolution)
-        print(coding_efficiency(config, image).render())
-    elif args.command == "tradeoff":
-        from .analysis.tradeoff import bram_lut_tradeoff
-
-        print(
-            bram_lut_tradeoff(
-                width=args.width, threshold=args.threshold, n_images=args.images
-            ).render()
-        )
     elif args.command == "fault-campaign":
         from .analysis.faults import DEFAULT_SCHEMES, fault_campaign
 
@@ -753,18 +614,12 @@ def main(argv: list[str] | None = None) -> int:
             print("sanitizer pass ok")
         return 0 if report.ok else 1
     elif args.command == "report":
-        from .analysis.report import ReportOptions, full_report
+        from .analysis.artifacts import ARTIFACTS
 
-        print(
-            full_report(
-                ReportOptions(
-                    resolution=args.resolution,
-                    n_images=args.images,
-                    processes=args.processes,
-                    validate=not args.no_validate,
-                )
-            )
-        )
+        for i, entry in enumerate(ARTIFACTS.values()):
+            if i:
+                print()
+            print(entry.text(entry.run()), flush=True)
     elif args.command == "dataset":
         from .imaging.dataset import dataset_images
         from .imaging.pgm import write_pgm

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.analysis.ci import ConfidenceInterval, mean_confidence_interval
+from repro.analysis.ci import (
+    ConfidenceInterval,
+    mean_confidence_interval,
+    t_quantile,
+)
 from repro.errors import ConfigError
 
 
@@ -41,6 +48,38 @@ class TestMeanCI:
         ci = mean_confidence_interval(data, 0.90)
         sem = data.std(ddof=1) / np.sqrt(10)
         assert ci.half_width == pytest.approx(1.8331 * sem, rel=1e-3)
+
+    def test_t_quantile_matches_the_pinned_table(self):
+        """df 1-30, 50, 100 x confidence 0.80/0.90/0.95/0.99, pinned from
+        ``scipy.stats.t.ppf`` before the dependency was dropped."""
+        path = Path(__file__).parent / "data" / "student_t_ppf.json"
+        rows = json.loads(path.read_text())["quantiles"]
+        assert len(rows) == 128
+        for df, confidence, expected in rows:
+            got = t_quantile(0.5 + confidence / 2.0, df)
+            assert got == pytest.approx(expected, rel=1e-9), (df, confidence)
+
+    def test_analysis_imports_no_scipy(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.analysis; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_t_quantile_is_odd_and_centred(self):
+        assert t_quantile(0.5, 4) == 0.0
+        assert t_quantile(0.05, 9) == -t_quantile(0.95, 9)
+
+    @pytest.mark.parametrize("p, df", [(0.0, 3), (1.0, 3), (0.9, 0)])
+    def test_t_quantile_rejects_bad_arguments(self, p, df):
+        with pytest.raises(ConfigError):
+            t_quantile(p, df)
 
     def test_bounds(self):
         ci = ConfidenceInterval(mean=10.0, half_width=2.0, confidence=0.9, n=5)

@@ -1,46 +1,23 @@
-"""Tests for the one-shot report builder."""
+"""Tests for ``repro report``: every registry entry, in order."""
 
 from __future__ import annotations
 
-from repro.analysis.report import ReportOptions, full_report
+from pathlib import Path
+
+from repro.analysis import artifacts
+from repro.cli import main
+
+OUT_DIR = Path(__file__).parent.parent.parent / "benchmarks" / "out"
+
+#: Entries that are pure arithmetic (no image is processed).
+PURE = ("table1", "table6", "table7", "table8", "table9", "table10", "fig11", "latency")
 
 
-class TestFullReport:
-    def test_contains_every_section(self):
-        text = full_report(
-            ReportOptions(
-                resolution=128,
-                fig13_resolution=256,
-                n_images=2,
-                processes=1,
-                validate=True,
-            )
-        )
-        for section in (
-            "Fig 3",
-            "Fig 13",
-            "Table I",
-            "Table II",
-            "Resources — overall",
-            "MSE vs threshold",
-            "Fig 11",
-            "Throughput",
-            "Ablation",
-            "Coding efficiency",
-            "Sensitivity",
-            "Engine validation",
-        ):
-            assert section in text, section
-        assert "MISMATCH" not in text
-
-    def test_validate_skippable(self):
-        text = full_report(
-            ReportOptions(
-                resolution=128,
-                fig13_resolution=256,
-                n_images=1,
-                processes=1,
-                validate=False,
-            )
-        )
-        assert "Engine validation" not in text
+class TestReport:
+    def test_prints_the_goldens_in_registry_order(self, monkeypatch, capsys):
+        subset = {n: e for n, e in artifacts.ARTIFACTS.items() if n in PURE}
+        assert list(subset) != sorted(subset)  # registry order, not sorted
+        monkeypatch.setattr(artifacts, "ARTIFACTS", subset)
+        assert main(["report"]) == 0
+        expected = "\n".join((OUT_DIR / f"{n}.txt").read_text() for n in subset)
+        assert capsys.readouterr().out == expected

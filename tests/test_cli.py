@@ -13,13 +13,21 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_fig3_defaults(self):
-        args = build_parser().parse_args(["fig3"])
-        assert args.resolution == 512
-        assert args.window == 64
+        """Artifact flags default to None: the registry entry holds the
+        golden geometry."""
+        from repro.analysis.artifacts import ARTIFACTS
+
+        args = build_parser().parse_args(["artifact", "fig3"])
+        assert (args.name, args.resolution, args.window) == ("fig3", None, None)
+        assert ARTIFACTS["fig3"].geometry == {
+            "resolution": 512,
+            "window": 64,
+            "threshold": 0,
+        }
 
     def test_table_number_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table", "7"])
+        with pytest.raises(SystemExit, match="unknown artifact 'table11'"):
+            main(["artifact", "table11"])
 
     def test_resources_module_choices(self):
         with pytest.raises(SystemExit):
@@ -27,7 +35,6 @@ class TestParser:
 
     def test_resources_defaults_to_memory_sweep(self):
         args = build_parser().parse_args(["resources"])
-        assert args.module == "memory"
         assert args.device == "XC7Z020"
         assert args.mode == "exhaustive"
 
@@ -51,26 +58,41 @@ class TestParser:
 
 class TestCommands:
     def test_fig3(self, capsys):
-        assert main(["fig3", "--resolution", "128", "--window", "16"]) == 0
+        code = main(["artifact", "fig3", "--resolution", "128", "--window", "16"])
+        assert code == 0
         out = capsys.readouterr().out
         assert "Fig 3" in out and "LL" in out
 
     def test_fig11(self, capsys):
-        assert main(["fig11"]) == 0
+        assert main(["artifact", "fig11"]) == 0
         assert "87.50" in capsys.readouterr().out
 
     def test_table1(self, capsys):
-        assert main(["table", "1"]) == 0
+        assert main(["artifact", "table1"]) == 0
         assert "Table I" in capsys.readouterr().out
 
     def test_resources(self, capsys):
-        assert main(["resources", "iwt"]) == 0
+        assert main(["artifact", "table6"]) == 0
         out = capsys.readouterr().out
         assert "592.10" in out or "592.1" in out
 
     def test_throughput(self, capsys):
-        assert main(["throughput"]) == 0
+        assert main(["artifact", "throughput", "--resolution", "64"]) == 0
         assert "traditional" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["table1", "table6", "fig11", "latency"])
+    def test_artifact_without_flags_prints_its_golden(self, name, capsys):
+        from pathlib import Path
+
+        golden = Path(__file__).parent.parent / "benchmarks" / "out" / f"{name}.txt"
+        assert main(["artifact", name]) == 0
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_artifact_refuses_a_flag_its_entry_does_not_take(self):
+        with pytest.raises(SystemExit, match="fig11: takes no --images"):
+            main(["artifact", "fig11", "--images", "2"])
+        with pytest.raises(SystemExit, match="takes no --window"):
+            main(["artifact", "table2", "--window", "8"])
 
     def test_fault_campaign_smoke(self, capsys):
         assert main(["fault-campaign", "--smoke"]) == 0
@@ -86,8 +108,8 @@ class TestCommands:
 
     def test_mse_small(self, capsys):
         code = main(
-            ["mse", "--resolution", "128", "--window", "16", "--images", "2",
-             "--processes", "1"]
+            ["artifact", "mse", "--resolution", "128", "--window", "16",
+             "--images", "2", "--processes", "1"]
         )
         assert code == 0
         assert "threshold" in capsys.readouterr().out
@@ -95,13 +117,17 @@ class TestCommands:
     def test_fig13_small(self, capsys):
         # Uses the small-resolution path through the same code.
         code = main(
-            ["fig13", "--resolution", "256", "--images", "2", "--processes", "1"]
+            ["artifact", "fig13", "--resolution", "256", "--images", "2",
+             "--processes", "1"]
         )
         assert code == 0
         assert "±" in capsys.readouterr().out
 
     def test_ablation(self, capsys):
-        assert main(["ablation", "wavelets", "--resolution", "128"]) == 0
+        code = main(
+            ["artifact", "ablation_wavelets", "--resolution", "128", "--window", "16"]
+        )
+        assert code == 0
         assert "haar" in capsys.readouterr().out
 
     def test_validate(self, capsys):
@@ -135,7 +161,10 @@ class TestCommands:
         assert "register-level" in out
 
     def test_coding(self, capsys):
-        assert main(["coding", "--resolution", "128", "--window", "16"]) == 0
+        code = main(
+            ["artifact", "coding_efficiency", "--resolution", "128", "--window", "16"]
+        )
+        assert code == 0
         assert "LOCO" in capsys.readouterr().out
 
     def test_dataset_render(self, tmp_path, capsys):
@@ -204,8 +233,10 @@ class TestResourcesCommand:
         }
         assert "uram" in kinds
 
-    def test_legacy_module_tables_still_work(self, capsys):
-        assert main(["resources", "overall"]) == 0
+    def test_module_tables_are_artifacts(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["resources", "overall"])
+        assert main(["artifact", "table10"]) == 0
         assert "LUT" in capsys.readouterr().out
 
 
@@ -343,7 +374,11 @@ class TestServeAndChaosFlags:
         assert options.resolution == 96
 
     def test_old_subcommands_are_gone(self):
-        for command in ("perf", "stream", "loadgen", "chaos", "metrics", "profile"):
+        for command in (
+            "perf", "stream", "loadgen", "chaos", "metrics", "profile",
+            "fig3", "fig11", "fig13", "table", "mse", "headline", "ablation",
+            "throughput", "coding", "tradeoff",
+        ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
 

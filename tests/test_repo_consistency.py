@@ -24,26 +24,45 @@ class TestDeliverables:
         assert (ROOT / "examples" / "quickstart.py").exists()
 
     def test_every_paper_table_and_figure_has_a_bench(self):
-        benches = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
+        """Each is an artifact-registry entry, which the one artifact
+        bench regenerates."""
+        from repro.analysis.artifacts import ARTIFACTS
+
         required = (
-            {"bench_fig3.py", "bench_fig11.py", "bench_fig12.py", "bench_fig13.py"}
-            | {f"bench_table{i}.py" for i in range(1, 11)}
-            | {"bench_mse.py", "bench_headline.py", "bench_throughput.py"}
+            {"fig3", "fig11", "fig12", "fig13", "mse", "headline", "throughput"}
+            | {f"table{i}" for i in range(1, 11)}
         )
-        missing = required - benches
-        assert not missing, f"missing benches: {sorted(missing)}"
+        missing = required - set(ARTIFACTS)
+        assert not missing, f"missing artifacts: {sorted(missing)}"
+
+    def test_every_artifact_has_a_golden_and_every_golden_an_artifact(self):
+        from repro.analysis.artifacts import ARTIFACTS
+
+        out = ROOT / "benchmarks" / "out"
+        goldens = {p.stem for p in out.glob("*.txt")}
+        assert goldens == set(ARTIFACTS)
+        tracked = subprocess.run(
+            ["git", "ls-files", "benchmarks/out"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+        ).stdout.split()
+        if tracked:  # a git checkout: every golden is committed
+            assert sorted(tracked) == sorted(
+                f"benchmarks/out/{name}.txt" for name in ARTIFACTS
+            )
 
 
 class TestDesignDoc:
     def test_design_references_every_bench(self):
+        """Every bench file and every artifact name appears in DESIGN.md."""
+        from repro.analysis.artifacts import ARTIFACTS
+
         design = (ROOT / "DESIGN.md").read_text()
         for bench in (ROOT / "benchmarks").glob("bench_*.py"):
-            if bench.name in (
-                # Helper-adjacent benches documented collectively.
-                "bench_tradeoff.py",
-            ):
-                continue
-            assert bench.name in design or bench.stem in design, bench.name
+            assert bench.name in design, bench.name
+        for name in ARTIFACTS:
+            assert f"`{name}`" in design, name
 
     def test_design_confirms_paper_identity(self):
         design = (ROOT / "DESIGN.md").read_text()
@@ -65,14 +84,17 @@ class TestBenchHygiene:
             assert "benchmark" in source, bench.name
 
     def test_every_bench_reports_an_artifact(self):
-        for bench in (ROOT / "benchmarks").glob("bench_*.py"):
-            source = bench.read_text()
-            # Directly, or via a shared runner (_bram_tables /
-            # _resource_tables) that reports and asserts internally.
-            assert any(
-                marker in source
-                for marker in ("report(", "assert", "run_bram_table", "run_resource_table")
-            ), bench.name
+        """Every registry entry has its own checks in the artifact bench,
+        and no check outlives its entry."""
+        from repro.analysis.artifacts import ARTIFACTS
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_artifacts", ROOT / "benchmarks" / "bench_artifacts.py"
+        )
+        assert spec is not None and spec.loader is not None
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert list(module.CHECKS) == list(ARTIFACTS)
 
 
 class TestBenchmarkSpans:
