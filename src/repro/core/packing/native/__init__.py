@@ -1,11 +1,14 @@
 """NumPy-facing wrappers over the compiled codec kernels (native tier).
 
 Each function here mirrors one hot loop of the NumPy packing/stats path
-— the shared-row pair transform, the threshold plane kernel, the
-recirculating lossy loop's traversals, the NBits reductions over ``(T,
-N, W)`` band stacks, the FIFO occupancy scan and the variable-width
-bit-stream assembly — delegating the arithmetic to
-``_codec.c`` through the ctypes binding in :mod:`.loader`.  Results are
+— the fast path's fused level-1 sizing pass, the threshold plane
+kernel, the recirculating lossy loop's traversals, the NBits reductions
+over ``(T, N, W)`` band stacks, the FIFO occupancy scan — delegating the
+arithmetic to ``_codec.c`` through the ctypes binding in :mod:`.loader`.
+``pair_transform`` and ``pair_reduce`` (the fast path's kernels before
+the fused pass) and the bit-stream and column kernels have no caller in
+the package; they stay importable for the repository benchmark's
+tracer, which resolves every name it wraps.  Results are
 bit-identical to the NumPy implementations (property-tested); callers
 pick an implementation through the codec-tier registry in
 :mod:`repro.core.packing.tiers`, never by importing this module
@@ -32,6 +35,7 @@ __all__ = [
     "pair_transform",
     "threshold_inplace",
     "recirculate",
+    "band_sizes",
     "pair_reduce",
     "stack_nbits",
     "bit_widths",
@@ -171,6 +175,85 @@ def recirculate(
     )
 
 
+def band_sizes(
+    image: np.ndarray,
+    window_size: int,
+    *,
+    threshold: int,
+    exempt_ll: bool,
+    ll_dpcm: bool,
+    wrap_bits: int | None,
+    management_bits_per_column: int,
+    groups: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-band level-1 sizes of every traversal of ``image`` in one pass.
+
+    ``image`` is the ``(H, W)`` int64 frame and ``window_size`` the band
+    height ``N``.  Each row pair is transformed, DPCM'd (``ll_dpcm``) and
+    thresholded (LL exempt when ``exempt_ll``) once, and every band is
+    reduced as soon as its last pair is in, so no frame-sized plane is
+    built.  Returns ``(nbits, counts, totals, peaks, group_peaks)``:
+    the ``(T, 2, W)`` uint8 per-parity NBits, and per band the
+    significant count, the payload plus ``management_bits_per_column``
+    bits per ring slot, and the occupancy peak against the previous band
+    (the first band against itself).  With ``groups`` set, the
+    ``(T, groups)`` payload-only peaks of the aligned row groups of
+    ``N / groups`` rows; otherwise ``None``.
+    """
+    arr = image
+    if arr.dtype != np.int64 or arr.ndim != 2 or not arr.flags.c_contiguous:
+        raise ConfigError(
+            f"band_sizes needs a contiguous 2D int64 image, got {arr.dtype} "
+            f"{arr.shape}"
+        )
+    h, w = arr.shape
+    n = window_size
+    if n < 2 or n % 2 or n > min(h, w) or w % 2:
+        raise ConfigError(
+            f"window {n} and width {w} do not fit a {h}-row image (need an "
+            "even window of at most the height and width, and an even width)"
+        )
+    if threshold < 0:
+        raise ConfigError(f"threshold must be >= 0, got {threshold}")
+    if groups is not None and (groups < 1 or n % groups):
+        raise ConfigError(f"{groups} groups do not divide a {n}-row band")
+    g = groups or 0
+    t_total = h - n + 1
+    nbits = np.empty((t_total, 2, w), dtype=np.uint8)
+    counts = np.empty(t_total, dtype=np.int64)
+    totals = np.empty(t_total, dtype=np.int64)
+    peaks = np.empty(t_total, dtype=np.int64)
+    group_peaks = None if groups is None else np.empty((t_total, g), dtype=np.int64)
+    # Scratch: one coefficient row pair, the ring of n-1 pairs' widths
+    # and flags, and per-band (plus per-group) counts and columns.
+    coef = np.empty(2 * w, dtype=np.int32)
+    ring = np.empty((n - 1) * 4 * w, dtype=np.uint8)
+    cnt = np.empty((g + 1) * 2 * w, dtype=np.int32)
+    cols = np.empty(2 * (g + 1) * w, dtype=np.int64)
+    load().repro_band_sizes(
+        _p_i64(arr),
+        h,
+        w,
+        n,
+        threshold,
+        1 if exempt_ll else 0,
+        1 if ll_dpcm else 0,
+        wrap_bits if wrap_bits else 0,
+        management_bits_per_column,
+        g,
+        _p_i32(coef),
+        _p_u8(ring),
+        _p_i32(cnt),
+        _p_i64(cols),
+        _p_u8(nbits),
+        _p_i64(counts),
+        _p_i64(totals),
+        _p_i64(peaks),
+        None if group_peaks is None else _p_i64(group_peaks),
+    )
+    return nbits, counts, totals, peaks, group_peaks
+
+
 def pair_reduce(
     plane: np.ndarray, window_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -179,9 +262,8 @@ def pair_reduce(
     Band ``t`` of an ``N``-row window reduces pairs ``t, t+2, ..,
     t+N-2``.  Returns ``(nbits, cols, counts, sig)`` with shapes
     ``(T, 2, W)`` (uint8), ``(T, W)``, ``(T,)`` and ``(H-1, 2, W)`` (the
-    pair plane's uint8 significance flags) — the arrays
-    :func:`repro.core.stats.band_stack_sizes` assembles into its
-    :class:`~repro.core.stats.BandStackSizes`.
+    pair plane's uint8 significance flags).  :func:`band_sizes` does the
+    same work in one pass without the planes.
     """
     arr = plane
     if (

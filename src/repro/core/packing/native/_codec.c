@@ -25,7 +25,7 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * stale cached .so whose ABI does not match. */
-#define REPRO_NATIVE_ABI 2
+#define REPRO_NATIVE_ABI 3
 
 REPRO_API int64_t
 repro_abi_version(void)
@@ -290,6 +290,180 @@ repro_recirculate(const int64_t *restrict image, int64_t h, int64_t w,
     }
 }
 
+/* -- fused level-1 sizing pass (fast path) ---------------------------- */
+
+/* Peak of the sliding_occupancy trace of one traversal: the ring holds
+ * the previous band's first `depth` columns with its first k replaced
+ * by the current band's, k = 0 .. depth, plus `base` management bits. */
+static int64_t
+ring_peak(const int64_t *restrict prev, const int64_t *restrict cur,
+          int64_t depth, int64_t base)
+{
+    int64_t total_prev = 0;
+    for (int64_t x = 0; x < depth; x++)
+        total_prev += prev[x];
+    int64_t best = total_prev + base; /* limit == 0 positions */
+    int64_t s_prev = 0, s_cur = 0;
+    for (int64_t limit = 1; limit <= depth; limit++) {
+        s_prev += prev[limit - 1];
+        s_cur += cur[limit - 1];
+        int64_t occ = total_prev - s_prev + s_cur + base;
+        if (occ > best)
+            best = occ;
+    }
+    return best;
+}
+
+/* Reduce band t, whose n/2 pairs t, t+2, .., t+n-2 sit in the ring
+ * (pair p in slot p % (n-1): 2w widths, then 2w significance flags),
+ * into its per-band results; see repro_band_sizes. */
+static void
+reduce_band(int64_t t, const uint8_t *restrict ring, int64_t w, int64_t n,
+            int64_t mgmt, int64_t groups, int32_t *restrict cnt,
+            int64_t *restrict cols, uint8_t *restrict nbits,
+            int64_t *restrict counts, int64_t *restrict totals,
+            int64_t *restrict peaks, int64_t *restrict group_peaks)
+{
+    int64_t row = 2 * w, slots = n - 1, half = n >> 1, span = w - n;
+    uint8_t *restrict nb = nbits + t * row;
+    const uint8_t *restrict w0 = ring + (t % slots) * 2 * row;
+    memcpy(nb, w0, (size_t)row);
+    for (int64_t c = 0; c < row; c++)
+        cnt[c] = w0[row + c];
+    for (int64_t i = 1; i < half; i++) {
+        const uint8_t *restrict wi = ring + ((t + 2 * i) % slots) * 2 * row;
+        for (int64_t c = 0; c < row; c++)
+            nb[c] = wi[c] > nb[c] ? wi[c] : nb[c];
+        for (int64_t c = 0; c < row; c++)
+            cnt[c] += wi[row + c];
+    }
+    /* Every significant element packs its parity's NBits: a column's
+     * payload is counts x NBits per parity. */
+    int64_t *cur = cols + (t & 1) * w;
+    const int64_t *prev = t > 0 ? cols + ((t - 1) & 1) * w : cur;
+    int64_t payload = 0, significant = 0;
+    for (int64_t c = 0; c < w; c++) {
+        int64_t v = (int64_t)cnt[c] * nb[c] + (int64_t)cnt[w + c] * nb[w + c];
+        cur[c] = v;
+        payload += v;
+        significant += cnt[c] + cnt[w + c];
+    }
+    counts[t] = significant;
+    totals[t] = payload + mgmt * span;
+    peaks[t] = ring_peak(prev, cur, span, mgmt * span);
+    if (!group_peaks)
+        return;
+    if (groups == 1) { /* one group holds the band's columns */
+        group_peaks[t] = peaks[t] - mgmt * span;
+        return;
+    }
+    /* Per-group, per-parity significant counts: band row 2i+q (pair
+     * t+2i, parity q) belongs to group (2i+q) / rows_per_group. */
+    int64_t r = n / groups;
+    int32_t *restrict gcnt = cnt + row; /* (groups, 2, w) */
+    memset(gcnt, 0, (size_t)(groups * row) * sizeof(int32_t));
+    for (int64_t i = 0; i < half; i++) {
+        const uint8_t *restrict sg = ring + ((t + 2 * i) % slots) * 2 * row + row;
+        for (int64_t q = 0; q < 2; q++) {
+            int32_t *restrict dst = gcnt + ((2 * i + q) / r) * row + q * w;
+            for (int64_t c = 0; c < w; c++)
+                dst[c] += sg[q * w + c];
+        }
+    }
+    int64_t *gcur = cols + 2 * w + (t & 1) * groups * w;
+    const int64_t *gprev = t > 0 ? cols + 2 * w + ((t - 1) & 1) * groups * w : gcur;
+    for (int64_t g = 0; g < groups; g++) {
+        const int32_t *gc = gcnt + g * row;
+        int64_t *dst = gcur + g * w;
+        for (int64_t c = 0; c < w; c++)
+            dst[c] = (int64_t)gc[c] * nb[c] + (int64_t)gc[w + c] * nb[w + c];
+        group_peaks[t * groups + g] = ring_peak(gprev + g * w, dst, span, 0);
+    }
+}
+
+/* The whole pass with its flags as constants (always inlined into one
+ * specialised copy per flag combination). */
+static inline __attribute__((always_inline)) void
+band_sizes_body(const int64_t *restrict image, int64_t h, int64_t w,
+                int64_t n, int32_t t, int64_t exempt_ll, int64_t ll_dpcm,
+                int64_t wrap_bits, int64_t mgmt, int64_t groups,
+                int32_t *restrict coef, uint8_t *restrict ring,
+                int32_t *restrict cnt, int64_t *restrict cols,
+                uint8_t *restrict nbits, int64_t *restrict counts,
+                int64_t *restrict totals, int64_t *restrict peaks,
+                int64_t *restrict group_peaks)
+{
+    int64_t row = 2 * w, slots = n - 1;
+    for (int64_t p = 0; p + 1 < h; p++) {
+        traverse_pair(image + p * w, image + (p + 1) * w, coef, coef + w,
+                      NULL, NULL, w, t, exempt_ll, ll_dpcm, wrap_bits, 0, 0);
+        uint8_t *restrict wd = ring + (p % slots) * 2 * row;
+        uint8_t *restrict sg = wd + row;
+        for (int64_t c = 0; c < row; c++) {
+            int32_t v = coef[c];
+            wd[c] = width_i32(v);
+            sg[c] = v != 0;
+        }
+        if (p >= n - 2) /* pair p completes band p - n + 2 */
+            reduce_band(p - n + 2, ring, w, n, mgmt, groups, cnt, cols,
+                        nbits, counts, totals, peaks, group_peaks);
+    }
+}
+
+/* Per-band compressed sizes of every traversal of an (h, w) int64 image
+ * with an n-row window, level 1, in one streaming pass that keeps no
+ * frame-sized intermediate.  Each row pair is transformed (the
+ * repro_recirculate butterfly, optional LL DPCM, threshold with the LL
+ * exempt when exempt_ll) into the 2w int32 row `coef`, turned into
+ * element widths and significance flags held in a ring of n-1 pair rows,
+ * and every band t = 0 .. h-n is reduced as soon as its last pair is in:
+ *
+ *   nbits[t][q][c]  per-parity NBits (T, 2, w) uint8
+ *   counts[t]       significant coefficients
+ *   totals[t]       payload bits plus mgmt bits per ring slot
+ *   peaks[t]        occupancy peak against band t-1 (band 0: itself)
+ *   group_peaks[t][g]  (nullable) payload-only peak of each of `groups`
+ *                   aligned row groups of n / groups rows
+ *
+ * Scratch, caller-allocated: coef 2w int32, ring (n-1) * 4w uint8,
+ * cnt (groups + 1) * 2w int32, cols 2 * (groups + 1) * w int64. */
+REPRO_API void
+repro_band_sizes(const int64_t *restrict image, int64_t h, int64_t w,
+                 int64_t n, int64_t threshold, int64_t exempt_ll,
+                 int64_t ll_dpcm, int64_t wrap_bits, int64_t mgmt,
+                 int64_t groups, int32_t *restrict coef,
+                 uint8_t *restrict ring, int32_t *restrict cnt,
+                 int64_t *restrict cols, uint8_t *restrict nbits,
+                 int64_t *restrict counts, int64_t *restrict totals,
+                 int64_t *restrict peaks, int64_t *restrict group_peaks)
+{
+    int32_t t = (int32_t)threshold;
+#define REPRO_BAND_SIZES(EX, DP, WB)                                        \
+    band_sizes_body(image, h, w, n, t, EX, DP, WB, mgmt, groups, coef, ring, \
+                    cnt, cols, nbits, counts, totals, peaks, group_peaks)
+    /* Constant flags select a specialised copy of the pass. */
+    if (wrap_bits) {
+        if (exempt_ll && ll_dpcm)
+            REPRO_BAND_SIZES(1, 1, wrap_bits);
+        else if (exempt_ll)
+            REPRO_BAND_SIZES(1, 0, wrap_bits);
+        else if (ll_dpcm)
+            REPRO_BAND_SIZES(0, 1, wrap_bits);
+        else
+            REPRO_BAND_SIZES(0, 0, wrap_bits);
+    } else {
+        if (exempt_ll && ll_dpcm)
+            REPRO_BAND_SIZES(1, 1, 0);
+        else if (exempt_ll)
+            REPRO_BAND_SIZES(1, 0, 0);
+        else if (ll_dpcm)
+            REPRO_BAND_SIZES(0, 1, 0);
+        else
+            REPRO_BAND_SIZES(0, 0, 0);
+    }
+#undef REPRO_BAND_SIZES
+}
+
 /* -- pair reduce (NBits / significance over sliding pair windows) ----- */
 
 /* From the thresholded (h-1, 2, w) pair plane, produce per-band packing
@@ -402,24 +576,11 @@ repro_occupancy_peaks(const int64_t *cols, int64_t t_total, int64_t w,
                       int64_t *peaks)
 {
     int64_t depth = w - n; /* ring slots */
-    int64_t base = mgmt * depth;
     for (int64_t t = 0; t < t_total; t++) {
         const int64_t *cur = cols + t * w;
         const int64_t *prev =
             t > 0 ? cols + (t - 1) * w : (prev_last ? prev_last : cur);
-        int64_t total_prev = 0;
-        for (int64_t x = 0; x < depth; x++)
-            total_prev += prev[x];
-        int64_t best = total_prev + base; /* limit == 0 positions */
-        int64_t s_prev = 0, s_cur = 0;
-        for (int64_t limit = 1; limit <= depth; limit++) {
-            s_prev += prev[limit - 1];
-            s_cur += cur[limit - 1];
-            int64_t occ = total_prev - s_prev + s_cur + base;
-            if (occ > best)
-                best = occ;
-        }
-        peaks[t] = best;
+        peaks[t] = ring_peak(prev, cur, depth, mgmt * depth);
     }
 }
 

@@ -35,7 +35,7 @@ from ....errors import ReproError
 _SOURCE = Path(__file__).with_name("_codec.c")
 
 #: Must match REPRO_NATIVE_ABI in ``_codec.c``.
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 _COMPILE_TIMEOUT_S = 120
 
@@ -92,6 +92,10 @@ _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
     "repro_recirculate": (
         None,
         (_p_i64, *(_i64,) * 10, _p_i64, _p_i64, _p_i32),
+    ),
+    "repro_band_sizes": (
+        None,
+        (_p_i64, *(_i64,) * 9, _p_i32, _p_u8, _p_i32, _p_i64, _p_u8, *(_p_i64,) * 4),
     ),
     "repro_pair_reduce": (
         None,

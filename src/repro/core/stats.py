@@ -115,79 +115,119 @@ def analyze_band(
 class BandStackSizes:
     """Per-traversal compressed-size accounting of a whole frame.
 
-    The slimmed-down product of :func:`band_stack_sizes`: just the
-    quantities the engine's occupancy accounting and plan check need,
-    without materialising per-coefficient planes for every traversal.
+    The product of :func:`band_stack_sizes`: per-band results only, the
+    quantities the engine's occupancy accounting, plan check and band
+    histograms need, with no per-coefficient or per-column plane kept.
     """
 
     config: ArchitectureConfig
-    #: Packed payload bits per plane column, shape ``(T, W)``.
-    payload_bits_per_column: np.ndarray
     #: Per-parity NBits, shape ``(T, 2, W)``, uint8 (a field is at most 32).
     nbits: np.ndarray
     #: Significant (non-zero) coefficients per band, shape ``(T,)``.
     significant_counts: np.ndarray
-    #: Significance flags of every sliding ``2**L``-row block, shape
-    #: ``(H - 2**L + 1, 2**L, W)``: row ``j`` of band ``t`` is row ``j %
-    #: 2**L`` of block ``t + 2**L * (j // 2**L)``.
-    bitmap: np.ndarray
+    #: Payload bits plus management bits of the ``W - N`` ring slots per
+    #: band, shape ``(T,)``.
+    band_totals: np.ndarray
+    #: Occupancy peak of each traversal (:func:`occupancy_peaks`), shape
+    #: ``(T,)``.
+    band_peaks: np.ndarray
+    #: Payload-only occupancy peak of each aligned group of
+    #: ``rows_per_group`` band rows, shape ``(T, G)``; ``None`` when no
+    #: group size was asked for.
+    group_peaks: np.ndarray | None
 
     @property
     def management_bits_per_column(self) -> int:
         """NBits fields plus bitmap bits per column (same for every band)."""
         return 2 * self.config.nbits_field_width + self.config.window_size
 
-    def group_payload_columns(
-        self, rows_per_group: int
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Payload bits per plane column of each aligned row group.
 
-        Yields ``(t0, cols)`` in traversal order, where ``cols[c, g]`` is
-        the ``(W,)`` column sizes of band rows ``g*rows_per_group ..
-        (g+1)*rows_per_group - 1`` on traversal ``t0 + c``: the group's
-        significant coefficients per row parity times that parity's band
-        NBits, i.e. :attr:`BandAccounting.widths` summed over the group
-        rows without building them.  Traversals come in chunks of at most
-        :data:`GROUP_CHUNK_VALUES` group-column values, which bounds the
-        working set whatever the group count.
-        """
-        n, w = self.config.window_size, self.config.image_width
-        groups = n // rows_per_group
-        if groups == 1:  # one group holds every row: the band's columns
-            yield 0, self.payload_bits_per_column[:, None]
-            return
-        block = self.bitmap.shape[1]
-        flags = self.bitmap.view(np.uint8)
-        # Per-parity counts reach ceil(r/2), and NBits fit a byte.
-        count_dtype = np.min_scalar_type(rows_per_group)
-        bits_dtype = np.min_scalar_type(64 * rows_per_group)
-        t_total = self.nbits.shape[0]
-        step = max(1, GROUP_CHUNK_VALUES // (groups * w))
-        for t0 in range(0, t_total, step):
-            c = min(step, t_total - t0)
-            nbits = self.nbits[t0 : t0 + c]
-            # Group-major storage keeps each group's (C, W) slice contiguous.
-            out = np.empty((groups, c, w), dtype=np.int64)
-            for g in range(groups):
-                counts = np.zeros((2, c, w), dtype=count_dtype)
-                for j in range(g * rows_per_group, (g + 1) * rows_per_group):
-                    k = t0 + block * (j // block)  # band row j's block
-                    counts[j % 2] += flags[k : k + c, j % block]
-                bits = np.multiply(nbits.transpose(1, 0, 2), counts, dtype=bits_dtype)
-                np.add(bits[0], bits[1], out=out[g])
-            yield t0, out.transpose(1, 0, 2)
+def occupancy_peaks(
+    cols: np.ndarray,
+    window_size: int,
+    management_bits_per_column: int,
+    prev_last: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-traversal maximum of :func:`sliding_occupancy`, in closed form.
+
+    ``cols`` is a ``(C, ..., W)`` stack of consecutive traversals' column
+    sizes; each traversal references the previous one's, ``prev_last``
+    (shape ``cols.shape[1:]``) carries the traversal before the stack, and
+    without it the first traversal references itself.  Position ``x``
+    holds the previous band's first ``W - N`` columns with its first
+    ``k`` replaced by the current band's, ``k = 0 .. W - N``, so the peak
+    is that total plus the best prefix of ``cur - prev``.  Returns shape
+    ``cols.shape[:-1]``.
+    """
+    span = cols.shape[-1] - window_size
+    head = cols[..., :span].astype(np.int64, copy=False)
+    carry = head[:1] if prev_last is None else prev_last[None, ..., :span]
+    prev = np.concatenate([carry, head[:-1]], axis=0)
+    gain = np.cumsum(head - prev, axis=-1)
+    return (
+        prev.sum(axis=-1)
+        + gain.max(axis=-1, initial=0)
+        + management_bits_per_column * span
+    )
 
 
-#: Group-column values per :meth:`BandStackSizes.group_payload_columns`
-#: chunk (8 MB of int64): a 512x512 frame with two groups is one chunk,
-#: and a 2048x2048 frame's plan check stays small at any group count.
+#: Group-column values per chunk of :func:`band_stack_sizes`'s group
+#: peaks on the NumPy route (8 MB of int64): a 512x512 frame with two
+#: groups is one chunk, and a 2048x2048 frame's plan check stays small at
+#: any group count.
 GROUP_CHUNK_VALUES = 1 << 20
+
+
+def _group_peaks(
+    config: ArchitectureConfig,
+    nbits: np.ndarray,
+    bitmap: np.ndarray,
+    rows_per_group: int,
+) -> np.ndarray:
+    """``(T, G)`` payload-only occupancy peaks of aligned row groups.
+
+    Group ``g`` of band ``t`` holds band rows ``g*r .. (g+1)*r - 1``; its
+    column sizes are the group's significant coefficients per row parity
+    times that parity's band NBits (:attr:`BandAccounting.widths` summed
+    over the group rows without building them).  Row ``j`` of band ``t``
+    is row ``j % B`` of the ``B = 2**L``-row block ``t + B * (j // B)``
+    in ``bitmap``.  Traversals come in chunks of at most
+    :data:`GROUP_CHUNK_VALUES` group-column values, which bounds the
+    working set whatever the group count; the occupancy carry crosses
+    every chunk boundary.
+    """
+    n, w = config.window_size, config.image_width
+    groups = n // rows_per_group
+    block = bitmap.shape[1]
+    flags = bitmap.view(np.uint8)
+    # Per-parity counts reach ceil(r/2), and NBits fit a byte.
+    count_dtype = np.min_scalar_type(rows_per_group)
+    bits_dtype = np.min_scalar_type(64 * rows_per_group)
+    t_total = nbits.shape[0]
+    peaks = np.empty((t_total, groups), dtype=np.int64)
+    prev_last: np.ndarray | None = None
+    step = max(1, GROUP_CHUNK_VALUES // (groups * w))
+    for t0 in range(0, t_total, step):
+        c = min(step, t_total - t0)
+        chunk_nbits = nbits[t0 : t0 + c].transpose(1, 0, 2)
+        cols = np.empty((c, groups, w), dtype=np.int64)
+        for g in range(groups):
+            counts = np.zeros((2, c, w), dtype=count_dtype)
+            for j in range(g * rows_per_group, (g + 1) * rows_per_group):
+                k = t0 + block * (j // block)  # band row j's block
+                counts[j % 2] += flags[k : k + c, j % block]
+            bits = np.multiply(chunk_nbits, counts, dtype=bits_dtype)
+            np.add(bits[0], bits[1], out=cols[:, g])
+        peaks[t0 : t0 + c] = occupancy_peaks(cols, n, 0, prev_last)
+        prev_last = cols[-1]
+    return peaks
 
 
 def band_stack_sizes(
     config: ArchitectureConfig,
     image: np.ndarray,
     *,
+    rows_per_group: int | None = None,
     probe: Probe | None = None,
     codec: str = "numpy",
 ) -> BandStackSizes:
@@ -203,20 +243,23 @@ def band_stack_sizes(
     and size them with the tier's
     :func:`~repro.core.packing.packer.threshold_and_size`, then reduce
     per-band NBits (max) and significance counts (sum) over the ``N/B``
-    blocks of each band.  Bit-identical to reducing :func:`analyze_band`
-    over the band stack (property-tested).  The block significance flags
-    stay on the result for
-    :meth:`BandStackSizes.group_payload_columns`.  Blocks transform in
-    chunks of at most :data:`BLOCK_CHUNK_VALUES` coefficients, one chunk
-    for frames up to 512x512.
+    blocks of each band, and take each band's total and occupancy peak
+    (:func:`occupancy_peaks`).  Bit-identical to reducing
+    :func:`analyze_band` over the band stack (property-tested).  Blocks
+    transform in chunks of at most :data:`BLOCK_CHUNK_VALUES`
+    coefficients, one chunk for frames up to 512x512.  With
+    ``rows_per_group`` (a memory plan's payload group height), the
+    result also carries each aligned row group's payload peaks.
 
     ``probe`` times the ``transform`` / ``threshold`` / ``pack`` stages
-    (one span per chunk pass).  ``codec`` selects the kernel
-    implementation — ``"numpy"`` (default) or the compiled ``"native"``
-    tier, a *resolved* name from
+    (one span per chunk pass) and the ``fifo`` accounting.  ``codec``
+    selects the kernel implementation — ``"numpy"`` (default) or the
+    compiled ``"native"`` tier, a *resolved* name from
     :func:`repro.core.packing.tiers.resolve_codec`; both produce
-    bit-identical sizes (property-tested).  The native tier runs the
-    single-level case as fused pair-transform and pair-reduce kernels.
+    bit-identical results (property-tested).  The native tier runs the
+    single-level case as one fused streaming pass,
+    :func:`repro.core.packing.native.band_sizes`, timed as one ``size``
+    span; it keeps per-band results only.
     """
     prb = probe if probe is not None else NULL_PROBE
     arr = np.asarray(image)
@@ -226,28 +269,36 @@ def band_stack_sizes(
     h, w = arr.shape
     if h < n:
         raise ConfigError(f"image height {h} shorter than one {n}-band")
+    if rows_per_group is not None and (rows_per_group < 1 or n % rows_per_group):
+        raise ConfigError(
+            f"rows_per_group {rows_per_group} does not divide a {n}-row band"
+        )
+    groups = None if rows_per_group is None else n // rows_per_group
+    mgmt = 2 * config.nbits_field_width + n
     levels = config.decomposition_levels
     exempt_mod = ll_exempt_mod(config)
-    if codec == "native" and levels == 1:  # fused pair kernels
-        with prb.span("transform"):
-            plane = native_codec.pair_transform(
-                arr, ll_dpcm=config.ll_dpcm, wrap_bits=config.wrap_bits
+    if codec == "native" and levels == 1:  # one fused streaming pass
+        with prb.span("size"):
+            nbits, counts, totals, peaks, group_peaks = native_codec.band_sizes(
+                np.ascontiguousarray(arr, dtype=np.int64),
+                n,
+                threshold=config.threshold,
+                exempt_ll=bool(exempt_mod),
+                ll_dpcm=config.ll_dpcm,
+                wrap_bits=config.wrap_bits,
+                management_bits_per_column=mgmt,
+                groups=groups,
             )
-        with prb.span("threshold"):
-            native_codec.threshold_inplace(
-                plane, config.threshold, exempt_mod=exempt_mod
-            )
-        with prb.span("pack"):
-            nbits, cols, counts, bitmap = native_codec.pair_reduce(plane, n)
-        return BandStackSizes(config, cols, nbits, counts, bitmap)
+        return BandStackSizes(config, nbits, counts, totals, peaks, group_peaks)
     block = 1 << levels
     blocks = sliding_band_stack(arr, block)  # (H-B+1, B, W) zero-copy
     n_blocks = blocks.shape[0]
     # Per-block NBits and significant counts per row parity both fit a
-    # byte; the flags are kept for the group columns.
+    # byte; the flags are kept only for a plan's group peaks.
     block_nbits = np.empty((n_blocks, 2, w), dtype=np.uint8)
     block_counts = np.empty((n_blocks, 2, w), dtype=np.uint8)
-    bitmap = np.empty((n_blocks, block, w), dtype=bool)
+    keep_flags = groups is not None and groups > 1
+    bitmap = np.empty((n_blocks, block, w), dtype=bool) if keep_flags else None
     step = max(1, BLOCK_CHUNK_VALUES // (block * w))
     for b0 in range(0, n_blocks, step):
         chunk = slice(b0, b0 + step)
@@ -257,11 +308,13 @@ def band_stack_sizes(
             )
             if config.ll_dpcm:
                 plane = ll_dpcm_forward(plane, levels)
-        _, block_nbits[chunk], bitmap[chunk] = threshold_and_size(
+        _, block_nbits[chunk], flags = threshold_and_size(
             plane, config.threshold, exempt_mod=exempt_mod, codec=codec, probe=prb
         )
+        if bitmap is not None:
+            bitmap[chunk] = flags
         np.add.reduce(
-            bitmap[chunk].reshape(-1, block // 2, 2, w),
+            flags.reshape(-1, block // 2, 2, w),
             axis=1,
             dtype=np.uint8,
             out=block_counts[chunk],
@@ -279,7 +332,17 @@ def band_stack_sizes(
         cols = np.multiply(counts[:, 0], nbits[:, 0], dtype=np.int64)
         cols += np.multiply(counts[:, 1], nbits[:, 1], dtype=np.int64)
         signif_totals = counts.sum(axis=(1, 2), dtype=np.int64)
-    return BandStackSizes(config, cols, nbits, signif_totals, bitmap)
+    with prb.span("fifo"):
+        span = w - n
+        totals = cols.sum(axis=1) + mgmt * span
+        peaks = occupancy_peaks(cols, n, mgmt)
+        if groups is None:
+            group_peaks = None
+        elif bitmap is None:  # one group holds the band's columns
+            group_peaks = (peaks - mgmt * span)[:, None]
+        else:
+            group_peaks = _group_peaks(config, nbits, bitmap, n // groups)
+    return BandStackSizes(config, nbits, signif_totals, totals, peaks, group_peaks)
 
 
 #: Coefficients per :func:`band_stack_sizes` transform chunk (16 MB of

@@ -44,8 +44,9 @@ results:
   front to be the raw input rows (lossless, or ``recirculate=False``),
   one :func:`~repro.core.stats.band_stack_sizes` call sizes the whole
   frame from its shared ``2**L``-row blocks, at every decomposition
-  level and with or without a memory plan (whose group columns come
-  from the same pass), and a single whole-frame
+  level and with or without a memory plan (whose group peaks come from
+  the same pass), returning per-band results only — on the native tier
+  at level 1 one fused streaming kernel — and a single whole-frame
   :func:`~repro.core.window.golden.golden_apply` produces the kernel
   outputs.  Bit-identical to the sequential path (outputs, widths,
   occupancy peaks, stats, probe distributions, capacity errors) —
@@ -78,7 +79,12 @@ from ..packing.hw_unpack import BitUnpackingUnit
 from ..packing.nbits import NBitsGateModel
 from ..packing.packer import BandAccounting, ll_exempt_mod, threshold_and_size
 from ..packing.tiers import resolve_codec
-from ..stats import analyze_band, band_stack_sizes, sliding_occupancy
+from ..stats import (
+    analyze_band,
+    band_stack_sizes,
+    occupancy_peaks,
+    sliding_occupancy,
+)
 from ..transform.haar2d import forward_inplace, inverse_inplace
 from .base import EngineStats, SlidingWindowEngine, WindowRun
 from .golden import golden_apply
@@ -207,23 +213,14 @@ class CompressedEngine(SlidingWindowEngine):
             self.protection.payload.scaled_bits(grouped), dtype=np.int64
         )
 
-    def _check_memory_plan(
-        self,
-        group_cols: np.ndarray,
-        prev_group_cols: np.ndarray | None,
-        first_traversal: int,
-    ) -> np.ndarray:
+    def _check_memory_plan(self, peaks: np.ndarray, first_traversal: int) -> None:
         """Enforce the memory plan's per-group capacity on traversals.
 
-        ``group_cols`` is the ``(C, G, W)`` stored group-column stack of
-        consecutive traversals from ``first_traversal`` on;
-        ``prev_group_cols`` holds the group columns of the traversal
-        before them (``None`` for a frame's first).  The earliest
+        ``peaks`` is the ``(C, G)`` stored group occupancy peaks of
+        consecutive traversals from ``first_traversal`` on.  The earliest
         traversal's lowest-numbered overflowing group is reported (the
-        order the hardware's group monitors would trip in).  Returns the
-        last traversal's group columns, the next call's reference.
+        order the hardware's group monitors would trip in).
         """
-        peaks = self._occupancy_band_peaks(group_cols, 0, prev_group_cols)
         payload = self._payload
         capacities = np.asarray(payload.group_capacity_list(), dtype=np.int64)
         over = np.argwhere(peaks > capacities)
@@ -235,7 +232,6 @@ class CompressedEngine(SlidingWindowEngine):
                 f"{payload.group_capacity_bits(g)} bits "
                 f"({payload.describe()}) — frame exceeds the design-time plan"
             )
-        return group_cols[-1]
 
     def run(self, image: np.ndarray) -> WindowRun:
         """Process ``image`` through the compressed architecture.
@@ -269,48 +265,45 @@ class CompressedEngine(SlidingWindowEngine):
         Every traversal band is the raw rows ``y-N+1 .. y`` (the
         eligibility precondition), so the whole frame's compression
         accounting is one shared-block :func:`band_stack_sizes` pass at
-        any decomposition level, and the kernel output map is one
-        whole-frame :func:`golden_apply` instead of one call per
-        traversal.  A memory plan's group columns come from the same
-        pass (``BandStackSizes.group_payload_columns``); eligibility
-        rules out a protected memory path, so they are the stored sizes.
+        any decomposition level, which returns per-band results only
+        (NBits, counts, totals, occupancy peaks and, under a memory plan,
+        the group peaks), and the kernel output map is one whole-frame
+        :func:`golden_apply` instead of one call per traversal.
+        Eligibility rules out a protected memory path, so the group peaks
+        are the stored sizes.
         """
         cfg = self.config
-        n, w = cfg.window_size, cfg.image_width
+        n = cfg.window_size
         self.fault_summary = None
         prb = self.probe if self.probe is not None else NULL_PROBE
 
         with prb.span("kernel"):
             outputs = golden_apply(arr, n, self.kernel)
+        plan = self.memory_plan
         sizes = band_stack_sizes(
-            cfg, arr, probe=self.probe, codec=self.codec_resolved
+            cfg,
+            arr,
+            rows_per_group=None if plan is None else plan.payload.rows_per_group,
+            probe=self.probe,
+            codec=self.codec_resolved,
         )
-        cols = sizes.payload_bits_per_column
-        mgmt = sizes.management_bits_per_column
-        with prb.span("fifo"):
-            band_totals = (cols.sum(axis=1) + mgmt * (w - n)).tolist()
-            band_peaks = self._occupancy_band_peaks(cols, mgmt, None)
-        if self.memory_plan is not None:
-            prev_group_cols = None
-            for t0, group_cols in sizes.group_payload_columns(
-                self._payload.rows_per_group
-            ):
-                prev_group_cols = self._check_memory_plan(
-                    group_cols, prev_group_cols, t0 + n - 1
-                )
+        if sizes.group_peaks is not None:
+            self._check_memory_plan(sizes.group_peaks, n - 1)
         if self.probe is not None:
-            self._observe_bands(sizes.nbits, band_peaks, sizes.significant_counts)
+            self._observe_bands(
+                sizes.nbits, sizes.band_peaks, sizes.significant_counts
+            )
 
-        fill = traditional_fill_cycles(n, w)
+        fill = traditional_fill_cycles(n, cfg.image_width)
         stats = EngineStats(
             fill_cycles=fill,
             process_cycles=arr.size - fill,
             drain_cycles=0,
             pixels_in=arr.size,
             outputs=outputs.size,
-            buffer_bits_peak=int(band_peaks.max()),
+            buffer_bits_peak=int(sizes.band_peaks.max()),
             traditional_buffer_bits=cfg.traditional_buffer_bits,
-            band_total_bits=band_totals,
+            band_total_bits=sizes.band_totals.tolist(),
         )
         return WindowRun(
             outputs=outputs,
@@ -321,45 +314,6 @@ class CompressedEngine(SlidingWindowEngine):
             reconstruction=arr,
             faults=None,
         )
-
-    def _occupancy_band_peaks(
-        self,
-        cols: np.ndarray,
-        mgmt: int,
-        prev_last: np.ndarray | None,
-    ) -> np.ndarray:
-        """Per-traversal occupancy peaks of a ``(C, W)`` or ``(C, G, W)`` stack.
-
-        Each traversal references the previous traversal's sizes;
-        ``prev_last`` carries the final sizes of the preceding chunk (the
-        very first traversal of a frame references itself).
-        """
-        if self.codec_resolved == "native":
-            if cols.ndim == 2:
-                return native_codec.occupancy_peaks(
-                    cols, self.config.window_size, mgmt, prev_last=prev_last
-                )
-            return np.stack(
-                [
-                    self._occupancy_band_peaks(
-                        cols[:, g],
-                        mgmt,
-                        None if prev_last is None else prev_last[g],
-                    )
-                    for g in range(cols.shape[1])
-                ],
-                axis=1,
-            )
-        # The maximum of the ``sliding_occupancy`` trace in closed form:
-        # position x holds the previous band's first W-N columns with
-        # its first k replaced by the current band's, k = 0 .. W-N, so
-        # the peak is that total plus the best prefix of cur - prev.
-        span = cols.shape[-1] - self.config.window_size
-        head = cols[..., :span].astype(np.int64, copy=False)
-        carry = head[:1] if prev_last is None else prev_last[None, ..., :span]
-        prev = np.concatenate([carry, head[:-1]], axis=0)
-        gain = np.cumsum(head - prev, axis=-1)
-        return prev.sum(axis=-1) + gain.max(axis=-1, initial=0) + mgmt * span
 
     def _observe_bands(
         self,
@@ -446,9 +400,11 @@ class CompressedEngine(SlidingWindowEngine):
             sizes = BandAccounting(config=cfg, nbits=nbits, bitmap=bitmap)
             cols, mgmt = self._stored_columns(sizes)
             if self.memory_plan is not None:
-                prev_group_cols = self._check_memory_plan(
-                    self._group_columns(sizes.widths), prev_group_cols, t0 + n - 1
+                group_cols = self._group_columns(sizes.widths)
+                self._check_memory_plan(
+                    occupancy_peaks(group_cols, n, 0, prev_group_cols), t0 + n - 1
                 )
+                prev_group_cols = group_cols[-1]
             with prb.span("kernel"):
                 out_rows.append(golden_apply(bands, n, self.kernel))
             reconstruction[t0 : t0 + c] = bands[:, 0]
@@ -506,11 +462,14 @@ class CompressedEngine(SlidingWindowEngine):
         """Per-traversal occupancy peaks of one chunk's ``(C, W)`` columns.
 
         The NumPy tier takes the maximum of the full
-        :func:`sliding_occupancy` trace, the oracle of the closed form the
-        fast path uses; the native tier scans the peaks in C.
+        :func:`sliding_occupancy` trace, the oracle of the closed form
+        :func:`~repro.core.stats.occupancy_peaks`; the native tier scans
+        the peaks in C.
         """
         if self.codec_resolved == "native":
-            return self._occupancy_band_peaks(cols, mgmt, prev_last)
+            return native_codec.occupancy_peaks(
+                cols, self.config.window_size, mgmt, prev_last=prev_last
+            )
         carry = cols[:1] if prev_last is None else prev_last[None]
         reference = np.concatenate([carry, cols[:-1]])
         occ = sliding_occupancy(reference, cols, self.config.window_size, mgmt)

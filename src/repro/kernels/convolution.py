@@ -95,13 +95,15 @@ class BoxFilterKernel(ConvolutionKernel):
         return arr.sum(axis=(-2, -1), dtype=np.int64) / self.window_size**2
 
     def apply_image(self, image: np.ndarray) -> np.ndarray:
-        """Whole-image box filter in O(1) work per pixel.
+        """Whole-image box filter on exact integer window sums.
 
-        Integer images go through running sums: along each row, then down
-        each column of the row sums, so each window sum is two
-        differences of prefix sums.  The int64 accumulators wrap on
-        overflow, which leaves every difference exact as long as the
-        window sum itself fits.  Leading axes are batch axes, as for
+        Integer images take window sums along each row, then down each
+        column of the row sums: a one-window-tall band (or band stack)
+        through running sums, whose int64 accumulators wrap on overflow
+        and leave every difference exact as long as the window sum
+        itself fits; taller images over bounded row chunks
+        (:func:`_box_window_sums`) with no frame-sized temporary besides
+        the output.  Leading axes are batch axes, as for
         :meth:`ConvolutionKernel.apply_image`.
         """
         arr = _check_image(image, self.window_size)
@@ -119,21 +121,91 @@ class BoxFilterKernel(ConvolutionKernel):
             np.subtract(col_sums[..., n:], col_sums[..., :-n], out=out[..., 1:])
             out /= n**2
             return out
-        # Always a fresh int64 copy, so the running sums can run in place
-        # (accumulating uint8 directly would cast element by element).
-        acc = arr.astype(np.int64)
-        np.add.accumulate(acc, axis=-1, out=acc)
-        row_sums = np.empty((*lead, h, w - n + 1), dtype=np.int64)
-        row_sums[..., 0] = acc[..., n - 1]
-        np.subtract(acc[..., n:], acc[..., :-n], out=row_sums[..., 1:])
-        np.add.accumulate(row_sums, axis=-2, out=row_sums)
-        # The window sums are differenced in int64 and land exactly in
-        # the float64 output (they are below 2^53), then divided once.
         out = np.empty((*lead, h - n + 1, w - n + 1))
-        out[..., 0, :] = row_sums[..., n - 1, :]
-        np.subtract(row_sums[..., n:, :], row_sums[..., :-n, :], out=out[..., 1:, :])
+        _box_window_sums(arr, n, out)
         out /= n**2
         return out
+
+
+#: Input values per chunk of the integer box filter's ``h > n`` route: a
+#: 512-wide frame runs 128 rows a chunk, with at most a few hundred KB
+#: of scratch.
+BOX_CHUNK_VALUES = 1 << 16
+
+
+def _box_window_sums(arr: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Integer ``n x n`` window sums of ``arr`` into the float64 ``out``.
+
+    Rows run in chunks of at least ``n`` rows (about
+    :data:`BOX_CHUNK_VALUES` values), so the scratch is chunk-sized
+    whatever the frame.  Per chunk: the ``n``-wide window sums along
+    each row (:func:`_window_sums`), appended to the last ``n - 1`` row
+    sums of the previous chunk, then their ``n``-tall window sums down
+    each column, written straight into ``out``.  The sums accumulate in
+    int32 when every partial sum provably fits (at most ``n^2`` pixels
+    each), else in int64; either way they are exact and land exactly in
+    float64 (below 2^53).
+    """
+    *lead, h, w = arr.shape
+    batch = int(np.prod(lead, dtype=np.int64))
+    step = max(n, BOX_CHUNK_VALUES // max(batch * w, 1))
+    if arr.dtype.itemsize <= 2:
+        peak = 1 << 16
+    else:
+        peak = max(abs(int(arr.min())), abs(int(arr.max())))
+    acc = np.int32 if n * n * peak < 2**31 else np.int64
+    # Rows 0 .. n-2 carry the previous chunk's last row sums.
+    rows = np.empty((*lead, n - 1 + step, w - n + 1), dtype=acc)
+    for base in range(0, h, step):
+        k = min(step, h - base)
+        chunk = arr[..., base : base + k, :].astype(acc)
+        _window_sums(chunk, n, -1, rows[..., n - 1 : n - 1 + k, :])
+        start = n - 1 if base == 0 else 0
+        ready = rows[..., start : n - 1 + k, :]
+        count = ready.shape[-2] - n + 1
+        if count > 0:  # outputs whose last window row is in this chunk
+            t0 = base + start - (n - 1)
+            _window_sums(ready, n, -2, out[..., t0 : t0 + count, :])
+        rows[..., : n - 1, :] = rows[..., k : k + n - 1, :]
+
+
+def _window_sums(x: np.ndarray, n: int, axis: int, out: np.ndarray) -> None:
+    """Sums of ``n`` consecutive entries of ``x`` along ``axis`` into ``out``.
+
+    By doubling: sums of 2, 4, 8, .. entries each come from two shifted
+    halves of the previous ones, and the powers of two in ``n`` add up
+    to the window, so the cost is ``O(log n)`` vectorised passes.
+    """
+    length = out.shape[axis]
+
+    def part(a: np.ndarray, start: int, size: int) -> np.ndarray:
+        """Entries ``start .. start + size - 1`` of ``a`` along ``axis``."""
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(start, start + size)
+        return a[tuple(index)]
+
+    top = n.bit_length() - 1
+    total: np.ndarray | None = None
+    offset = 0
+    power = x  # sums of 2**b consecutive entries
+    for b in range(top + 1):
+        if b:
+            half = 1 << (b - 1)
+            if b == top and total is None:  # n is a power of two
+                np.add(part(power, 0, length), part(power, half, length), out=out)
+                return
+            size = power.shape[axis] - half
+            power = part(power, 0, size) + part(power, half, size)
+        if n >> b & 1:
+            window = part(power, offset, length)
+            if b == top:
+                if total is None:
+                    np.copyto(out, window)
+                else:
+                    np.add(total, window, out=out)
+                return
+            total = window if total is None else total + window
+            offset += 1 << b
 
 
 def _check_image(image: np.ndarray, window_size: int) -> np.ndarray:

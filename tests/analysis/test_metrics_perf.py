@@ -51,15 +51,16 @@ class TestMeasure:
     def test_snapshot_feeds_stage_table(self, run):
         result, _ = run
         rendered = render_bench(result)
-        assert "run/transform" in rendered
+        # The native tier sizes a level-1 fast frame in one fused span.
+        native = result.records[0].codec == "native"
+        sizing = "run/size" if native else "run/transform"
+        assert sizing in rendered
         assert "overhead_pct" in rendered
         assert "self_ms" in rendered
         # One frame's spans: the probe saw the warm-up and every repeat,
         # and the records divide that back out.
         assert result.value("run", "calls") == pytest.approx(1.0)
-        assert result.value("run/transform", "self_ms") <= (
-            result.value("run/transform", "total_ms")
-        )
+        assert result.value(sizing, "self_ms") <= result.value(sizing, "total_ms")
 
     def test_overhead_percent_definition(self):
         assert overhead_percent(1.0, 1.05) == pytest.approx(5.0)

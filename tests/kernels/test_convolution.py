@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.window.golden import golden_apply
 from repro.errors import ConfigError
-from repro.kernels import BoxFilterKernel, ConvolutionKernel
+from repro.kernels import BoxFilterKernel, ConvolutionKernel, convolution
 
 from helpers import random_image
 
@@ -137,6 +138,29 @@ def box_cases(draw):
     return n, image.astype(dtype)
 
 
+@st.composite
+def chunked_box_cases(draw):
+    """``(window, input rows per chunk, image)`` with the frame (or a
+    batched stack of frames) spanning two to five chunks plus a
+    remainder, odd remainders included, and pixels wide enough for
+    either accumulator width."""
+    n = draw(st.integers(1, 12))
+    chunk_rows = draw(st.integers(n, n + 6))
+    height = draw(st.integers(2, 5)) * chunk_rows + draw(
+        st.integers(0, chunk_rows - 1)
+    )
+    width = draw(st.integers(n, n + 8))
+    lead = draw(st.sampled_from([(), (3,), (2, 2)]))
+    # Pixels of 2**25 .. 2**26 push window sums past int32 from n = 7 on
+    # (one sign: int32 sums that wrap and come back would still be exact).
+    dtype, low, high = draw(
+        st.sampled_from([*PIXEL_RANGES, (np.int64, 2**25, 2**26)])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    image = rng.integers(low, high, size=(*lead, height, width), endpoint=True)
+    return n, chunk_rows, image.astype(dtype)
+
+
 class TestBoxFilterRoutes:
     """Every integer box-filter route returns the same correctly rounded
     mean, bit for bit, at every N (not only where ``1/N^2`` is dyadic)."""
@@ -168,6 +192,26 @@ class TestBoxFilterRoutes:
         assert np.array_equal(
             golden_apply(image, n, k, row_stride=3), golden_apply(image, n, k)[::3]
         )
+
+    @given(chunked_box_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_boundaries_bit_identical(self, case):
+        """The ``h > n`` route over several row chunks, the last one
+        short, of a frame or a batched stack: every window sum is exact
+        whichever chunk its rows fall in and whichever accumulator width
+        its pixels take."""
+        n, chunk_rows, image = case
+        k = BoxFilterKernel(n)
+        batch = int(np.prod(image.shape[:-2]))
+        values = chunk_rows * batch * image.shape[-1]
+        with mock.patch.object(convolution, "BOX_CHUNK_VALUES", values):
+            chunked = k.apply_image(image)
+        sums = sliding_window_view(image, (n, n), axis=(-2, -1)).sum(
+            axis=(-2, -1), dtype=np.int64
+        )
+        assert chunked.dtype == np.float64
+        assert np.array_equal(chunked, sums / n**2)
+        assert np.array_equal(chunked, k.apply_image(image))
 
     def test_row_stride_exact_at_window_six(self, rng):
         """The strided (windowed) route matched the dense one only to

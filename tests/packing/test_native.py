@@ -53,6 +53,21 @@ def cfg(**kw):
     return ArchitectureConfig(**defaults)
 
 
+#: Per-band fields of :class:`~repro.core.stats.BandStackSizes`.
+SIZE_FIELDS = ("nbits", "significant_counts", "band_totals", "band_peaks")
+
+
+def assert_same_sizes(got, want):
+    """Bit-identity of two ``BandStackSizes``, group peaks included."""
+    for name in SIZE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    if want.group_peaks is None:
+        assert got.group_peaks is None
+    else:
+        assert np.array_equal(got.group_peaks, want.group_peaks)
+
+
 # ----------------------------------------------------------------------
 # Kernel-level bit-identity (native wrapper vs NumPy reference)
 # ----------------------------------------------------------------------
@@ -76,17 +91,15 @@ class TestKernelEquivalence:
     def test_band_stack_sizes_bit_identical(self, rng, extra):
         config = cfg(**extra)
         img = random_image(rng, config.image_height, config.image_width)
-        ref = band_stack_sizes(config, img, codec="numpy")
-        nat = band_stack_sizes(config, img, codec="native")
-        assert np.array_equal(ref.nbits, nat.nbits)
-        assert np.array_equal(
-            ref.payload_bits_per_column, nat.payload_bits_per_column
-        )
-        assert np.array_equal(ref.significant_counts, nat.significant_counts)
-        for rows_per_group in (1, 2, config.window_size):
-            ((_, ref_groups),) = ref.group_payload_columns(rows_per_group)
-            ((_, nat_groups),) = nat.group_payload_columns(rows_per_group)
-            assert np.array_equal(ref_groups, nat_groups)
+        for rows_per_group in (None, 1, 2, config.window_size):
+            ref = band_stack_sizes(
+                config, img, rows_per_group=rows_per_group, codec="numpy"
+            )
+            nat = band_stack_sizes(
+                config, img, rows_per_group=rows_per_group, codec="native"
+            )
+            assert_same_sizes(nat, ref)
+            assert (nat.group_peaks is None) == (rows_per_group is None)
 
     def test_stack_nbits_matches_min_bits(self, rng):
         stack = rng.integers(-(2**17), 2**17, size=(5, 6, 12)).astype(np.int32)
@@ -245,14 +258,15 @@ def band_histograms(probe):
     )
 
 
-def probed_run(config, image, codec, **engine_kw):
-    """One sequential run: ``(WindowRun or CapacityError text, histograms)``."""
+def probed_run(config, image, codec, fast_path=False, **engine_kw):
+    """One run (sequential unless ``fast_path``): ``(WindowRun or
+    CapacityError text, histograms)``."""
     probe = MetricsProbe()
     engine = CompressedEngine(
         config,
         BoxFilterKernel(config.window_size),
         codec=codec,
-        fast_path=False,
+        fast_path=fast_path,
         probe=probe,
         **engine_kw,
     )
@@ -260,7 +274,7 @@ def probed_run(config, image, codec, **engine_kw):
         run = engine.run(image)
     except CapacityError as exc:
         return str(exc), None
-    assert engine.last_path == "sequential"
+    assert engine.last_path == ("fast" if fast_path else "sequential")
     return run, band_histograms(probe)
 
 
@@ -275,11 +289,13 @@ def assert_same_run(run, other):
 
 
 @st.composite
-def recirculating_cases(draw):
-    """A lossy recirculating level-1 frame, its config and an optional plan."""
-    n = draw(st.sampled_from(range(2, 17, 2)))
-    width = 2 * draw(st.integers(n // 2, 12))
-    height = draw(st.integers(n, 20))
+def level1_cases(draw, max_window, max_width, max_height):
+    """A level-1 frame, its config and an optional plan: an even window
+    up to ``max_window``, an even width up to ``max_width`` and a height
+    from the window to ``max_height(window)``."""
+    n = draw(st.sampled_from(range(2, max_window + 1, 2)))
+    width = 2 * draw(st.integers(n // 2, max_width // 2))
+    height = draw(st.integers(n, max_height(n)))
     wrap = draw(st.sampled_from([None, 8, 10, 32]))
     config = ArchitectureConfig(
         image_width=width,
@@ -311,6 +327,11 @@ def recirculating_cases(draw):
         else None
     )
     return config, image, plan
+
+
+def recirculating_cases():
+    """Lossy recirculating level-1 frames (small: the loop is per traversal)."""
+    return level1_cases(16, 24, lambda n: 20)
 
 
 @needs_native
@@ -411,6 +432,95 @@ class TestRecirculatingTraversals:
             ).run(image)
             assert np.array_equal(cycle.outputs, ref.outputs)
             assert np.array_equal(cycle.reconstruction, ref.reconstruction)
+
+
+# ----------------------------------------------------------------------
+# The fast path's fused sizing pass: native band_sizes == NumPy tier
+# ----------------------------------------------------------------------
+
+
+def fast_cases():
+    """Level-1 fast-path frames: windows 2 .. 32, widths up to 64, odd
+    and even heights up to 40 rows past the window."""
+    return level1_cases(32, 64, lambda n: n + 40)
+
+
+@needs_native
+class TestFusedSizingPass:
+    @given(fast_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_differential_fast_frames(self, case):
+        """The fused kernel, the NumPy tier's block route and the
+        sequential loop agree on NBits, counts, totals, band and group
+        peaks, outputs, stats, band histograms and capacity errors."""
+        config, image, plan = case
+        rows_per_group = None if plan is None else plan.payload.rows_per_group
+        nat = band_stack_sizes(
+            config, image, rows_per_group=rows_per_group, codec="native"
+        )
+        ref = band_stack_sizes(
+            config, image, rows_per_group=rows_per_group, codec="numpy"
+        )
+        assert_same_sizes(nat, ref)
+        kw = dict(memory_plan=plan, recirculate=False)
+        nat_run, nat_hist = probed_run(config, image, "native", True, **kw)
+        for codec, fast_path in (("numpy", True), ("numpy", False)):
+            run, hist = probed_run(config, image, codec, fast_path, **kw)
+            if isinstance(run, str):
+                assert run.startswith("BRAM group") and nat_run == run
+                continue
+            assert_same_run(nat_run, run)
+            assert nat_hist == hist and len(nat_hist) == 3
+
+    def test_one_native_call_per_fast_frame(self, rng, monkeypatch):
+        """A level-1 native fast frame, planned or not, makes exactly one
+        native call: the fused sizing pass."""
+        config = cfg(threshold=3)
+        img = random_image(rng, config.image_height, config.image_width)
+        loader = ("NativeUnavailable", "is_available", "load", "reset")
+        kernels = [name for name in native.__all__ if name not in loader]
+        plan = exact_capacity_plan(config, [10**6] * 4)
+        for memory_plan in (None, plan):
+            with monkeypatch.context() as patch:
+                calls = [count_calls(patch, name) for name in kernels]
+                CompressedEngine(
+                    config,
+                    BoxFilterKernel(config.window_size),
+                    codec="native",
+                    fast_path=True,
+                    recirculate=False,
+                    memory_plan=memory_plan,
+                ).run(img)
+            assert [name for made in calls for name in made] == ["band_sizes"]
+
+    def test_wrapper_refuses_bad_buffers(self):
+        kw = dict(
+            threshold=1,
+            exempt_ll=False,
+            ll_dpcm=False,
+            wrap_bits=None,
+            management_bits_per_column=16,
+        )
+        image = np.zeros((8, 8), dtype=np.int64)
+        strided = np.zeros((8, 16), dtype=np.int64)[:, ::2]
+        for bad in (image.astype(np.int32), strided, image[None]):
+            with pytest.raises(ConfigError, match="contiguous 2D int64"):
+                native.band_sizes(bad, 4, **kw)
+        cases = (
+            (3, image),
+            (0, image),
+            (10, image),
+            (4, image[:, :7].copy()),
+            (6, image[:, :4].copy()),
+        )
+        for window, img in cases:
+            with pytest.raises(ConfigError, match="do not fit"):
+                native.band_sizes(img, window, **kw)
+        with pytest.raises(ConfigError, match="threshold"):
+            native.band_sizes(image, 4, **{**kw, "threshold": -1})
+        for groups in (0, 3, 8):
+            with pytest.raises(ConfigError, match="groups"):
+                native.band_sizes(image, 4, groups=groups, **kw)
 
 
 # ----------------------------------------------------------------------

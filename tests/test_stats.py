@@ -296,6 +296,27 @@ class TestAnalyzeBandStack:
             analyze_band(cfg(), np.zeros((3, 7, 16), dtype=int))
 
 
+def trace_peaks(cols, window_size, mgmt):
+    """Oracle: each traversal's maximum of the full ``sliding_occupancy``
+    trace over a ``(T, ..., W)`` column stack (the first traversal
+    references itself)."""
+    prev = np.concatenate([cols[:1], cols[:-1]])
+    return sliding_occupancy(prev, cols, window_size, mgmt).max(axis=-1)
+
+
+def assert_band_results(sizes, full):
+    """Per-band results of ``band_stack_sizes`` against the full-stack
+    analysis of the same bands."""
+    n, w = sizes.config.window_size, sizes.config.image_width
+    mgmt = full.management_bits_per_column
+    cols = full.payload_bits_per_column
+    assert sizes.management_bits_per_column == mgmt
+    assert np.array_equal(sizes.nbits, full.nbits)
+    assert np.array_equal(sizes.significant_counts, full.significant_counts)
+    assert np.array_equal(sizes.band_totals, cols.sum(axis=-1) + mgmt * (w - n))
+    assert np.array_equal(sizes.band_peaks, trace_peaks(cols, n, mgmt))
+
+
 class TestBandStackSizes:
     @pytest.mark.parametrize("threshold", [0, 4])
     def test_matches_full_stack_analysis(self, rng, threshold):
@@ -305,12 +326,8 @@ class TestBandStackSizes:
         image = rng.integers(0, 256, size=(25, 32))
         sizes = band_stack_sizes(config, image)
         full = analyze_band(config, sliding_band_stack(image, 8))
-        assert np.array_equal(
-            sizes.payload_bits_per_column, full.payload_bits_per_column
-        )
-        assert np.array_equal(sizes.nbits, full.nbits)
-        assert np.array_equal(sizes.significant_counts, full.significant_counts)
-        assert sizes.management_bits_per_column == full.management_bits_per_column
+        assert_band_results(sizes, full)
+        assert sizes.group_peaks is None
 
     @pytest.mark.parametrize("levels", [2, 3])
     @pytest.mark.parametrize(
@@ -328,19 +345,17 @@ class TestBandStackSizes:
         image = rng.integers(0, 256, size=(29, 32))
         sizes = band_stack_sizes(config, image)
         full = analyze_band(config, sliding_band_stack(image, 8))
-        assert np.array_equal(
-            sizes.payload_bits_per_column, full.payload_bits_per_column
-        )
-        assert np.array_equal(sizes.nbits, full.nbits)
-        assert np.array_equal(sizes.significant_counts, full.significant_counts)
+        assert_band_results(sizes, full)
 
     @pytest.mark.parametrize("rows_per_group", [1, 2, 4, 8])
     @pytest.mark.parametrize("levels", [1, 2, 3])
     def test_group_columns_fold_the_widths(
         self, rng, monkeypatch, levels, rows_per_group
     ):
-        """Group columns equal the per-element widths summed per group,
-        chunk after chunk in traversal order."""
+        """Group peaks are the occupancy peaks of the per-element widths
+        summed per group, with the carry crossing every group-column
+        chunk (7 group columns a chunk: 22 traversals of 1, 2, 4 or 8
+        groups make 22, 8, 4 or one chunk)."""
         from repro.core import stats
 
         monkeypatch.setattr(stats, "GROUP_CHUNK_VALUES", 7 * 32)
@@ -352,14 +367,21 @@ class TestBandStackSizes:
             threshold_bands="details",
         )
         image = rng.integers(0, 256, size=(29, 32))
-        sizes = stats.band_stack_sizes(config, image)
-        widths = analyze_band(config, stats.sliding_band_stack(image, 8)).widths
-        expected = widths.reshape(22, 8 // rows_per_group, rows_per_group, 32)
-        chunks = list(sizes.group_payload_columns(rows_per_group))
-        starts = [t0 for t0, _ in chunks]
-        got = np.concatenate([cols for _, cols in chunks])
-        assert starts == sorted(starts) and starts[0] == 0
-        assert np.array_equal(got, expected.sum(axis=2))
+        sizes = stats.band_stack_sizes(config, image, rows_per_group=rows_per_group)
+        full = analyze_band(config, stats.sliding_band_stack(image, 8))
+        assert_band_results(sizes, full)
+        widths = full.widths.reshape(22, 8 // rows_per_group, rows_per_group, 32)
+        expected = trace_peaks(widths.sum(axis=2), 8, 0)
+        assert sizes.group_peaks.shape == (22, 8 // rows_per_group)
+        assert np.array_equal(sizes.group_peaks, expected)
+
+    def test_rejects_bad_group_sizes(self):
+        from repro.core.stats import band_stack_sizes
+
+        image = np.zeros((12, 64), dtype=int)
+        for rows_per_group in (0, 3, 16):
+            with pytest.raises(ConfigError, match="rows_per_group"):
+                band_stack_sizes(cfg(), image, rows_per_group=rows_per_group)
 
     def test_rejects_short_images(self):
         from repro.core.stats import band_stack_sizes

@@ -233,7 +233,9 @@ class TestProbeTransparency:
             for h in snap["histograms"]
             if h["name"] == "repro_span_seconds"
         }
-        assert "run" in spans and "run/transform" in spans
+        # The native tier sizes a level-1 fast frame in one fused span.
+        native = fast_path and probed.codec_resolved == "native"
+        assert "run" in spans and ("run/size" if native else "run/transform") in spans
 
     def test_traditional_probe_transparent(self, rng):
         config = cfg()
@@ -633,12 +635,13 @@ class TestPlannedFastPath:
             )
             engine.run(frame)
             counts.append(span_counts(probe))
-        assert "run/transform" in counts[0]
+        assert ("run/size" if codec == "native" else "run/transform") in counts[0]
         assert counts[0] == counts[1]
 
 
 class TestOccupancyPeakClosedForm:
-    """The NumPy tier's per-traversal peak equals the maximum of the full
+    """The closed-form per-traversal peak (``stats.occupancy_peaks``, the
+    NumPy tier's band and group peaks) equals the maximum of the full
     ``sliding_occupancy`` trace, the sequential loop's reference."""
 
     @settings(max_examples=60, deadline=None)
@@ -655,10 +658,6 @@ class TestOccupancyPeakClosedForm:
         self, window, extra, traversals, groups, mgmt, carried, seed
     ):
         width = window + extra  # extra == 0 covers W - N == 0
-        config = ArchitectureConfig(
-            image_width=width, image_height=window, window_size=window
-        )
-        engine = CompressedEngine(config, BoxFilterKernel(window), codec="numpy")
         rng = np.random.default_rng(seed)
         shape = (traversals,) + (() if groups is None else (groups,)) + (width,)
         cols = rng.integers(0, 300, size=shape)
@@ -666,7 +665,7 @@ class TestOccupancyPeakClosedForm:
         carry = cols[:1] if prev_last is None else prev_last[None]
         prev = np.concatenate([carry, cols[:-1]], axis=0)
         expected = stats.sliding_occupancy(prev, cols, window, mgmt).max(axis=-1)
-        peaks = engine._occupancy_band_peaks(cols, mgmt, prev_last)
+        peaks = stats.occupancy_peaks(cols, window, mgmt, prev_last)
         assert np.array_equal(peaks, expected)
 
 
@@ -709,3 +708,29 @@ class TestFallbackRules:
         assert engine.fast_path_eligible
         engine.run(random_image(rng, 32, 32))
         assert engine.last_path == "fast"
+
+
+@pytest.mark.skipif(not native.is_available(), reason="native codec tier unavailable")
+class TestFastFrameMemory:
+    def test_native_fast_frame_allocates_no_frame_sized_plane(self, rng):
+        """A 2048x2048 N=64 level-1 native fast frame peaks at its own
+        arrays (the int64 copy, the outputs and the uint8 NBits) plus a
+        small constant: a frame-sized coefficient, flag or column plane
+        coming back on this path (8 MiB or more) fails the bound."""
+        import tracemalloc
+
+        config = cfg(width=2048, height=2048, window=64)
+        frame = random_image(rng, 2048, 2048)
+        engine = CompressedEngine(
+            config, BoxFilterKernel(64), fast_path=True, codec="native"
+        )
+        tracemalloc.start()
+        try:
+            run = engine.run(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        traversals = 2048 - 64 + 1
+        nbits_bytes = traversals * 2 * 2048
+        bound = frame.nbytes + run.outputs.nbytes + nbits_bytes + (4 << 20)
+        assert peak < bound, f"peak {peak} bytes, bound {bound}"
