@@ -302,6 +302,47 @@ def _worst_row_bits_worker(
     return analyze_image(config, image, row_stride=row_stride).row_bits_worst
 
 
+#: :func:`suite_worst_row_bits` results by ``(width, window, threshold,
+#: n_images, row_stride)``.
+_WORST_ROW_BITS: dict[tuple[int, int, int, int, int | None], np.ndarray] = {}
+
+
+def suite_worst_row_bits(
+    width: int,
+    window: int,
+    threshold: int,
+    *,
+    n_images: int,
+    row_stride: int | None = None,
+    processes: int | None = None,
+) -> np.ndarray:
+    """Worst packed bits of each band row over the benchmark suite.
+
+    The per-row maxima of :func:`analyze_image`'s ``row_bits_worst`` over
+    the first ``n_images`` suite images at ``width``.  Memoised per
+    geometry (``processes`` only decides how a sweep runs), so Tables
+    II-V and the headline claims share one sweep; the array is read-only.
+    """
+    key = (width, window, threshold, n_images, row_stride)
+    worst = _WORST_ROW_BITS.get(key)
+    if worst is None:
+        config = ArchitectureConfig(
+            image_width=width, image_height=width, window_size=window, threshold=threshold
+        )
+        per_image = run_parallel(
+            _worst_row_bits_worker,
+            [
+                (config, img, row_stride)
+                for img in benchmark_dataset(width, n_images=n_images)
+            ],
+            processes=processes,
+        )
+        worst = np.maximum.reduce(per_image)
+        worst.flags.writeable = False
+        _WORST_ROW_BITS[key] = worst
+    return worst
+
+
 def bram_table(
     width: int,
     *,
@@ -317,19 +358,20 @@ def bram_table(
     observed across the whole benchmark suite, exactly as a deployment
     configured for "the worst-case scenario" (Section V.E) would.
     """
-    imgs = benchmark_dataset(width, n_images=n_images)
     plans: dict[tuple[int, int], PlacementPlan] = {}
     for n in windows:
         for t in thresholds:
             config = ArchitectureConfig(
                 image_width=width, image_height=width, window_size=n, threshold=t
             )
-            per_image = run_parallel(
-                _worst_row_bits_worker,
-                [(config, img, row_stride) for img in imgs],
+            worst = suite_worst_row_bits(
+                width,
+                n,
+                t,
+                n_images=n_images,
+                row_stride=row_stride,
                 processes=processes,
             )
-            worst = np.maximum.reduce(per_image)
             plans[(n, t)] = plan_placement(config, worst)
     return BramTableResult(
         width=width,
@@ -581,13 +623,15 @@ def headline_claims(
                 config = ArchitectureConfig(
                     image_width=width, image_height=width, window_size=n, threshold=t
                 )
-                per_image = run_parallel(
-                    _worst_row_bits_worker,
-                    [(config, img, row_stride) for img in imgs],
+                worst = suite_worst_row_bits(
+                    width,
+                    n,
+                    t,
+                    n_images=n_images,
+                    row_stride=row_stride,
                     processes=processes,
                 )
-                plan = plan_placement(config, np.maximum.reduce(per_image))
-                savings[t] = plan.bram_saving_percent
+                savings[t] = plan_placement(config, worst).bram_saving_percent
             best_t = max(savings, key=lambda t: savings[t])
             rows.append((width, n, savings[0], savings[best_t], best_t))
     return HeadlineResult(rows=tuple(rows), mse_by_width=mse_by_width)

@@ -1,10 +1,11 @@
 """NumPy-facing wrappers over the compiled codec kernels (native tier).
 
-Each function here mirrors one hot loop of the NumPy packing/stats path
-— the fast path's fused level-1 sizing pass, the threshold plane
-kernel, the recirculating lossy loop's traversals, the NBits reductions
-over ``(T, N, W)`` band stacks, the FIFO occupancy scan — delegating the
-arithmetic to ``_codec.c`` through the ctypes binding in :mod:`.loader`.
+Each wrapper here mirrors one hot loop of the NumPy packing/stats path
+— the fast path's fused level-1 sizing pass, the recirculating lossy
+loop's traversals with their sizes (:class:`RecirculatingLoop`), the
+threshold plane kernel, the NBits reductions over ``(T, N, W)`` band
+stacks, the FIFO occupancy scan — delegating the arithmetic to
+``_codec.c`` through the ctypes binding in :mod:`.loader`.
 ``pair_transform`` and ``pair_reduce`` (the fast path's kernels before
 the fused pass) and the bit-stream and column kernels have no caller in
 the package; they stay importable for the repository benchmark's
@@ -14,8 +15,8 @@ pick an implementation through the codec-tier registry in
 :mod:`repro.core.packing.tiers`, never by importing this module
 conditionally themselves.
 
-All wrappers are array-in/array-out and layering-clean: they know
-nothing about configs, engines or stats dataclasses.
+All wrappers take and return (or fill) arrays and are layering-clean:
+they know nothing about configs, engines or stats dataclasses.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "reset",
     "pair_transform",
     "threshold_inplace",
-    "recirculate",
+    "RecirculatingLoop",
     "band_sizes",
     "pair_reduce",
     "stack_nbits",
@@ -112,67 +113,138 @@ def threshold_inplace(
     return arr
 
 
-def recirculate(
-    image: np.ndarray,
-    state: np.ndarray,
-    first_traversal: int,
-    bands: np.ndarray,
-    planes: np.ndarray,
-    *,
-    threshold: int,
-    exempt_ll: bool,
-    ll_dpcm: bool,
-    wrap_bits: int | None,
-    pixel_max: int,
-) -> None:
-    """Run ``len(bands)`` traversals of the level-1 recirculating loop.
+class RecirculatingLoop:
+    """The level-1 recirculating loop of one frame, sized as it runs.
 
-    ``state`` is the ``(N, W)`` int64 band traversal ``first_traversal``
-    presents.  Each traversal writes its band to ``bands[k]`` and its
-    thresholded (LL-exempt when ``exempt_ll``, DPCM'd when ``ll_dpcm``)
-    coefficient plane to ``planes[k]``, then replaces ``state`` with the
-    next traversal's band: its reconstruction moved up one row, clipped
-    to ``[0, pixel_max]`` (or wrapped into it when ``wrap_bits`` is set),
-    and the next raw image row below.  ``bands`` and ``planes`` are
-    caller-allocated ``(C, N, W)`` int64 and int32 arrays; everything is
-    written in place.
+    ``image`` is the ``(H, W)`` int64 frame and ``state`` the ``(N, W)``
+    int64 band the next traversal presents; ``bands`` is the caller's
+    ``(C, N, W)`` int64 chunk buffer.  Each :meth:`run` call runs up to
+    ``C`` consecutive traversals in one C call.  Traversal ``k`` of the
+    call writes its band to ``bands[k]``, transforms, DPCMs (``ll_dpcm``)
+    and thresholds it (LL exempt when ``exempt_ll``), and writes its
+    results at its frame index ``t = y - N + 1`` of the frame-sized
+    outputs (``T = H - N + 1`` traversals):
+
+    - ``nbits``, the ``(T, 2, W)`` uint8 per-parity NBits;
+    - ``counts``, ``totals`` and ``peaks``, the ``(T,)`` int64
+      significant counts, payload plus ``management_bits_per_column``
+      bits per ring slot, and occupancy peaks against the previous
+      traversal (the frame's first against itself);
+    - ``group_peaks`` (or ``None``), the ``(T, G)`` int64 payload-only
+      peaks of the ``G`` aligned row groups of ``N / G`` rows.
+
+    It then replaces ``state`` with the next traversal's band: its
+    reconstruction moved up one row, clipped to ``[0, pixel_max]`` (or
+    wrapped into it when ``wrap_bits`` is set), and the next raw image
+    row below.  The previous traversal's band and group columns live in
+    this object's scratch, so a frame run in chunks, in traversal order,
+    equals a frame run in one.  Every buffer is validated once, here,
+    and its pointer bound once, so a call costs one C call.
     """
-    h, w = image.shape
-    n = state.shape[0]
-    count = bands.shape[0]
-    arrays = (
-        (image, np.int64, (h, w)),
-        (state, np.int64, (n, w)),
-        (bands, np.int64, (count, n, w)),
-        (planes, np.int32, (count, n, w)),
-    )
-    for arr, dtype, shape in arrays:
-        if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
+
+    def __init__(
+        self,
+        image: np.ndarray,
+        state: np.ndarray,
+        bands: np.ndarray,
+        nbits: np.ndarray,
+        counts: np.ndarray,
+        totals: np.ndarray,
+        peaks: np.ndarray,
+        group_peaks: np.ndarray | None,
+        *,
+        threshold: int,
+        exempt_ll: bool,
+        ll_dpcm: bool,
+        wrap_bits: int | None,
+        pixel_max: int,
+        management_bits_per_column: int,
+    ) -> None:
+        if image.ndim != 2 or state.ndim != 2 or bands.ndim != 3:
             raise ConfigError(
-                f"recirculate needs a contiguous {np.dtype(dtype)} array of "
-                f"shape {shape}, got {arr.dtype} {arr.shape}"
+                f"RecirculatingLoop needs a 2D image and state and a 3D band "
+                f"buffer, got {image.shape}, {state.shape} and {bands.shape}"
             )
-    if n < 2 or n % 2 or w % 2 or not n - 1 <= first_traversal <= h - count:
-        raise ConfigError(
-            f"window {n}, width {w} and traversals {first_traversal} .. "
-            f"{first_traversal + count - 1} do not fit a {h}-row image"
+        h, w = image.shape
+        n = state.shape[0]
+        if n < 2 or n % 2 or n > min(h, w) or w % 2:
+            raise ConfigError(
+                f"window {n} and width {w} do not fit a {h}-row image (need "
+                "an even window of at most the height and width, and an "
+                "even width)"
+            )
+        if threshold < 0:
+            raise ConfigError(f"threshold must be >= 0, got {threshold}")
+        t_total = h - n + 1
+        groups = 0 if group_peaks is None else group_peaks.shape[-1]
+        if group_peaks is not None and (groups < 1 or n % groups):
+            raise ConfigError(f"{groups} groups do not divide a {n}-row band")
+        buffers = [
+            ("image", image, np.int64, (h, w)),
+            ("state", state, np.int64, (n, w)),
+            ("bands", bands, np.int64, (max(bands.shape[0], 1), n, w)),
+            ("nbits", nbits, np.uint8, (t_total, 2, w)),
+            ("counts", counts, np.int64, (t_total,)),
+            ("totals", totals, np.int64, (t_total,)),
+            ("peaks", peaks, np.int64, (t_total,)),
+        ]
+        if group_peaks is not None:
+            buffers.append(("group_peaks", group_peaks, np.int64, (t_total, groups)))
+        for name, arr, dtype, shape in buffers:
+            if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
+                raise ConfigError(
+                    f"{name} needs a contiguous {np.dtype(dtype)} array of shape "
+                    f"{shape}, got {arr.dtype} {arr.shape}"
+                )
+        self._frame = (h, n, bands.shape[0])
+        # Scratch: one coefficient row pair, the band's n/2 pairs' widths
+        # and flags, per-band (plus per-group) counts, and the carried
+        # columns of the previous traversal.
+        self._scratch = (
+            np.empty(2 * w, dtype=np.int32),
+            np.empty(n * 2 * w, dtype=np.uint8),
+            np.empty((groups + 1) * 2 * w, dtype=np.int32),
+            np.zeros(2 * (groups + 1) * w, dtype=np.int64),
         )
-    load().repro_recirculate(
-        _p_i64(image),
-        h,
-        w,
-        n,
-        first_traversal,
-        count,
-        threshold,
-        1 if exempt_ll else 0,
-        1 if ll_dpcm else 0,
-        wrap_bits if wrap_bits else 0,
-        pixel_max,
-        _p_i64(state),
-        _p_i64(bands),
-        _p_i32(planes),
-    )
+        coef, flags, cnt, cols = self._scratch
+        self._head = (_p_i64(image), h, w, n)
+        self._tail = (
+            threshold,
+            1 if exempt_ll else 0,
+            1 if ll_dpcm else 0,
+            wrap_bits if wrap_bits else 0,
+            pixel_max,
+            management_bits_per_column,
+            groups,
+            _p_i64(state),
+            _p_i64(bands),
+            _p_i32(coef),
+            _p_u8(flags),
+            _p_i32(cnt),
+            _p_i64(cols),
+            _p_u8(nbits),
+            _p_i64(counts),
+            _p_i64(totals),
+            _p_i64(peaks),
+            None if group_peaks is None else _p_i64(group_peaks),
+        )
+        self._kernel = load().repro_recirculate
+
+    def run(self, first_traversal: int, count: int) -> None:
+        """Run traversals ``first_traversal .. first_traversal + count - 1``.
+
+        They follow the traversals of the previous call (or start the
+        frame at ``N - 1``): the carried columns are the previous
+        traversal's.
+        """
+        h, n, chunk = self._frame
+        if not (1 <= count <= chunk and n - 1 <= first_traversal <= h - count):
+            raise ConfigError(
+                f"traversals {first_traversal} .. {first_traversal + count - 1} "
+                f"do not fit a {chunk}-band buffer and a {h}-row image "
+                f"with a {n}-row window"
+            )
+        self._kernel(*self._head, first_traversal, count, *self._tail)
 
 
 def band_sizes(

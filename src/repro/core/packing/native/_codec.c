@@ -25,7 +25,7 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * stale cached .so whose ABI does not match. */
-#define REPRO_NATIVE_ABI 3
+#define REPRO_NATIVE_ABI 4
 
 REPRO_API int64_t
 repro_abi_version(void)
@@ -146,7 +146,7 @@ repro_threshold_i32(int32_t *plane, int64_t outer, int64_t rows, int64_t w,
     }
 }
 
-/* -- recirculating traversals (Fig 4 feedback loop, level 1) --------- */
+/* -- the level-1 butterfly (both level-1 passes) --------------------- */
 
 /* Zero |v| < t, exactly as repro_threshold_i32 does. */
 static inline int32_t
@@ -169,8 +169,8 @@ to_pixel(int32_t v, int64_t wrap_bits, int64_t pixel_max)
 /* One 2-row block of one traversal: forward butterflies, optional LL
  * DPCM and threshold into o0/o1; with decode, the inverse into d0 (the
  * row above, NULL for the band's first pair) and d1.  Always inlined
- * with a constant ll_dpcm and a literal 0 for wrap_bits on the unwrapped
- * datapath, so those variants carry no flag branches in the loop. */
+ * with constant flags (REPRO_SPECIALISE), so no variant carries flag
+ * branches in its loop. */
 static inline __attribute__((always_inline)) void
 traverse_pair(const int64_t *restrict r0, const int64_t *restrict r1,
               int32_t *restrict o0, int32_t *restrict o1,
@@ -233,64 +233,21 @@ traverse_pair(const int64_t *restrict r0, const int64_t *restrict r1,
     }
 }
 
-/* Run `count` consecutive traversals y0, y0+1, ... of the recirculating
- * lossy loop over an (h, w) int64 image with an n-row window.  state
- * (n, w) holds the band traversal y presents: rows y-n+1 .. y-1 as the
- * previous traversal reconstructed them, row y raw.  Per traversal:
- *
- *   1. copy state to bands[k];
- *   2. per 2x2 block, the forward butterfly (the pair_transform
- *      arithmetic), the optional LL DPCM and the threshold (LL exempt
- *      when exempt_ll) write the stored plane planes[k];
- *   3. unless y is the last image row, undo the DPCM, run the inverse
- *      butterfly, wrap (wrap_bits > 0) or clip to [0, pixel_max], and
- *      write rows 1 .. n-1 of
- *      that reconstruction to state rows 0 .. n-2, then shift image row
- *      y+1 into state row n-1.
- *
- * bands is (count, n, w) int64 and planes (count, n, w) int32; all
- * arrays are caller-allocated and C-contiguous. */
-REPRO_API void
-repro_recirculate(const int64_t *restrict image, int64_t h, int64_t w,
-                  int64_t n, int64_t y0, int64_t count, int64_t threshold,
-                  int64_t exempt_ll, int64_t ll_dpcm, int64_t wrap_bits,
-                  int64_t pixel_max, int64_t *restrict state, int64_t *restrict bands,
-                  int32_t *restrict planes)
+/* -- per-band reduction (shared by both level-1 passes) --------------- */
+
+/* Turn one thresholded coefficient row pair (2w int32) into its element
+ * widths and significance flags: `out` gets 2w widths, then 2w flags.
+ * A separate loop from the butterfly, so it vectorises. */
+static inline void
+size_pair(const int32_t *restrict coef, uint8_t *restrict out, int64_t row)
 {
-    int32_t t = (int32_t)threshold;
-    int64_t size = n * w;
-    for (int64_t k = 0; k < count; k++) {
-        int64_t y = y0 + k;
-        int decode = y + 1 < h;
-        const int64_t *band = bands + k * size;
-        int32_t *plane = planes + k * size;
-        memcpy(bands + k * size, state, (size_t)size * sizeof(int64_t));
-        for (int64_t i = 0; i < n; i += 2) {
-            const int64_t *r0 = band + i * w;
-            int32_t *o0 = plane + i * w;
-            int64_t *d0 = i > 0 ? state + (i - 1) * w : NULL;
-            int64_t *d1 = state + i * w;
-            /* Constant flags select a specialised copy of the loop. */
-            if (wrap_bits && ll_dpcm)
-                traverse_pair(r0, r0 + w, o0, o0 + w, d0, d1, w, t, exempt_ll,
-                              1, wrap_bits, pixel_max, decode);
-            else if (wrap_bits)
-                traverse_pair(r0, r0 + w, o0, o0 + w, d0, d1, w, t, exempt_ll,
-                              0, wrap_bits, pixel_max, decode);
-            else if (ll_dpcm)
-                traverse_pair(r0, r0 + w, o0, o0 + w, d0, d1, w, t, exempt_ll,
-                              1, 0, pixel_max, decode);
-            else
-                traverse_pair(r0, r0 + w, o0, o0 + w, d0, d1, w, t, exempt_ll,
-                              0, 0, pixel_max, decode);
-        }
-        if (decode)
-            memcpy(state + (n - 1) * w, image + (y + 1) * w,
-                   (size_t)w * sizeof(int64_t));
+    uint8_t *restrict sg = out + row;
+    for (int64_t c = 0; c < row; c++) {
+        int32_t v = coef[c];
+        out[c] = width_i32(v);
+        sg[c] = v != 0;
     }
 }
-
-/* -- fused level-1 sizing pass (fast path) ---------------------------- */
 
 /* Peak of the sliding_occupancy trace of one traversal: the ring holds
  * the previous band's first `depth` columns with its first k replaced
@@ -314,24 +271,36 @@ ring_peak(const int64_t *restrict prev, const int64_t *restrict cur,
     return best;
 }
 
-/* Reduce band t, whose n/2 pairs t, t+2, .., t+n-2 sit in the ring
- * (pair p in slot p % (n-1): 2w widths, then 2w significance flags),
- * into its per-band results; see repro_band_sizes. */
+/* Reduce band t, whose n/2 pair rows the caller passes in `pairs` (pair
+ * i holds band rows 2i and 2i+1 as size_pair wrote them), into entry t
+ * of the per-band results:
+ *
+ *   nbits[t][q][c]  per-parity NBits (., 2, w) uint8
+ *   counts[t]       significant coefficients
+ *   totals[t]       payload bits plus mgmt bits per ring slot
+ *   peaks[t]        occupancy peak against band t-1 (band 0: itself)
+ *   group_peaks[t][g]  (nullable) payload-only peak of each of `groups`
+ *                   aligned row groups of n / groups rows
+ *
+ * Band t's columns (and group columns) go to slot t & 1 of `cols`, and
+ * the peaks read band t-1's from the other slot, so a caller that keeps
+ * `cols` between calls carries them across.  Scratch: cnt (groups + 1)
+ * * 2w int32, cols 2 * (groups + 1) * w int64. */
 static void
-reduce_band(int64_t t, const uint8_t *restrict ring, int64_t w, int64_t n,
+reduce_band(int64_t t, const uint8_t *const *pairs, int64_t w, int64_t n,
             int64_t mgmt, int64_t groups, int32_t *restrict cnt,
             int64_t *restrict cols, uint8_t *restrict nbits,
             int64_t *restrict counts, int64_t *restrict totals,
             int64_t *restrict peaks, int64_t *restrict group_peaks)
 {
-    int64_t row = 2 * w, slots = n - 1, half = n >> 1, span = w - n;
+    int64_t row = 2 * w, half = n >> 1, span = w - n;
     uint8_t *restrict nb = nbits + t * row;
-    const uint8_t *restrict w0 = ring + (t % slots) * 2 * row;
+    const uint8_t *restrict w0 = pairs[0];
     memcpy(nb, w0, (size_t)row);
     for (int64_t c = 0; c < row; c++)
         cnt[c] = w0[row + c];
     for (int64_t i = 1; i < half; i++) {
-        const uint8_t *restrict wi = ring + ((t + 2 * i) % slots) * 2 * row;
+        const uint8_t *restrict wi = pairs[i];
         for (int64_t c = 0; c < row; c++)
             nb[c] = wi[c] > nb[c] ? wi[c] : nb[c];
         for (int64_t c = 0; c < row; c++)
@@ -357,13 +326,13 @@ reduce_band(int64_t t, const uint8_t *restrict ring, int64_t w, int64_t n,
         group_peaks[t] = peaks[t] - mgmt * span;
         return;
     }
-    /* Per-group, per-parity significant counts: band row 2i+q (pair
-     * t+2i, parity q) belongs to group (2i+q) / rows_per_group. */
+    /* Per-group, per-parity significant counts: band row 2i+q (pair i,
+     * parity q) belongs to group (2i+q) / rows_per_group. */
     int64_t r = n / groups;
     int32_t *restrict gcnt = cnt + row; /* (groups, 2, w) */
     memset(gcnt, 0, (size_t)(groups * row) * sizeof(int32_t));
     for (int64_t i = 0; i < half; i++) {
-        const uint8_t *restrict sg = ring + ((t + 2 * i) % slots) * 2 * row + row;
+        const uint8_t *restrict sg = pairs[i] + row;
         for (int64_t q = 0; q < 2; q++) {
             int32_t *restrict dst = gcnt + ((2 * i + q) / r) * row + q * w;
             for (int64_t c = 0; c < w; c++)
@@ -381,8 +350,119 @@ reduce_band(int64_t t, const uint8_t *restrict ring, int64_t w, int64_t n,
     }
 }
 
-/* The whole pass with its flags as constants (always inlined into one
- * specialised copy per flag combination). */
+/* Expand CALL(EX, DP, WB) once per exempt_ll x ll_dpcm x wrap flag
+ * combination: each callee is always inlined, so every combination runs
+ * its own copy of the loop with constant flags and no flag branches. */
+#define REPRO_SPECIALISE(CALL)                                              \
+    do {                                                                    \
+        if (wrap_bits) {                                                    \
+            if (exempt_ll && ll_dpcm)                                       \
+                CALL(1, 1, wrap_bits);                                      \
+            else if (exempt_ll)                                             \
+                CALL(1, 0, wrap_bits);                                      \
+            else if (ll_dpcm)                                               \
+                CALL(0, 1, wrap_bits);                                      \
+            else                                                            \
+                CALL(0, 0, wrap_bits);                                      \
+        } else {                                                            \
+            if (exempt_ll && ll_dpcm)                                       \
+                CALL(1, 1, 0);                                              \
+            else if (exempt_ll)                                             \
+                CALL(1, 0, 0);                                              \
+            else if (ll_dpcm)                                               \
+                CALL(0, 1, 0);                                              \
+            else                                                            \
+                CALL(0, 0, 0);                                              \
+        }                                                                   \
+    } while (0)
+
+/* -- recirculating traversals (Fig 4 feedback loop, level 1) --------- */
+
+/* The traversal loop with its flags as constants (see REPRO_SPECIALISE). */
+static inline __attribute__((always_inline)) void
+recirculate_body(const int64_t *restrict image, int64_t h, int64_t w,
+                 int64_t n, int64_t y0, int64_t count, int32_t t,
+                 int64_t exempt_ll, int64_t ll_dpcm, int64_t wrap_bits,
+                 int64_t pixel_max, int64_t mgmt, int64_t groups,
+                 int64_t *restrict state, int64_t *restrict bands,
+                 int32_t *restrict coef, uint8_t *restrict flags,
+                 int32_t *restrict cnt, int64_t *restrict cols,
+                 uint8_t *restrict nbits, int64_t *restrict counts,
+                 int64_t *restrict totals, int64_t *restrict peaks,
+                 int64_t *restrict group_peaks)
+{
+    int64_t size = n * w, row = 2 * w, half = n >> 1;
+    const uint8_t *pairs[half];
+    for (int64_t i = 0; i < half; i++)
+        pairs[i] = flags + i * 2 * row;
+    for (int64_t k = 0; k < count; k++) {
+        int64_t y = y0 + k;
+        int decode = y + 1 < h;
+        int64_t *band = bands + k * size;
+        memcpy(band, state, (size_t)size * sizeof(int64_t));
+        for (int64_t i = 0; i < half; i++) {
+            const int64_t *r0 = band + 2 * i * w;
+            int64_t *d0 = i > 0 ? state + (2 * i - 1) * w : NULL;
+            traverse_pair(r0, r0 + w, coef, coef + w, d0, state + 2 * i * w, w,
+                          t, exempt_ll, ll_dpcm, wrap_bits, pixel_max, decode);
+            size_pair(coef, flags + i * 2 * row, row);
+        }
+        reduce_band(y - n + 1, pairs, w, n, mgmt, groups, cnt, cols, nbits,
+                    counts, totals, peaks, group_peaks);
+        if (decode)
+            memcpy(state + (n - 1) * w, image + (y + 1) * w,
+                   (size_t)w * sizeof(int64_t));
+    }
+}
+
+/* Run `count` consecutive traversals y0, y0+1, ... of the recirculating
+ * lossy loop over an (h, w) int64 image with an n-row window, and size
+ * each one.  state (n, w) holds the band traversal y presents: rows
+ * y-n+1 .. y-1 as the previous traversal reconstructed them, row y raw.
+ * Per traversal:
+ *
+ *   1. copy state to bands[k];
+ *   2. per row pair, the forward butterfly (the pair_transform
+ *      arithmetic), the optional LL DPCM and the threshold (LL exempt
+ *      when exempt_ll) into the 2w int32 row `coef`, turned into element
+ *      widths and significance flags (pair i at flags + 4w * i);
+ *   3. reduce_band writes the traversal's per-band results at index
+ *      t = y - n + 1 of nbits (T, 2, w) uint8, counts, totals, peaks and
+ *      (nullable) group_peaks (T, groups);
+ *   4. unless y is the last image row, undo the DPCM, run the inverse
+ *      butterfly, wrap (wrap_bits > 0) or clip to [0, pixel_max], and
+ *      write rows 1 .. n-1 of that reconstruction to state rows
+ *      0 .. n-2, then shift image row y+1 into state row n-1.
+ *
+ * bands is (count, n, w) int64, the outputs are frame-sized (T = h-n+1
+ * traversals).  Scratch: coef 2w int32, flags n/2 * 4w uint8, cnt and
+ * cols as reduce_band takes them; cols carries the previous traversal's
+ * columns, so a frame run in several calls in traversal order equals a
+ * run in one.  All arrays are caller-allocated and C-contiguous. */
+REPRO_API void
+repro_recirculate(const int64_t *restrict image, int64_t h, int64_t w,
+                  int64_t n, int64_t y0, int64_t count, int64_t threshold,
+                  int64_t exempt_ll, int64_t ll_dpcm, int64_t wrap_bits,
+                  int64_t pixel_max, int64_t mgmt, int64_t groups,
+                  int64_t *restrict state, int64_t *restrict bands,
+                  int32_t *restrict coef, uint8_t *restrict flags,
+                  int32_t *restrict cnt, int64_t *restrict cols,
+                  uint8_t *restrict nbits, int64_t *restrict counts,
+                  int64_t *restrict totals, int64_t *restrict peaks,
+                  int64_t *restrict group_peaks)
+{
+    int32_t t = (int32_t)threshold;
+#define REPRO_RECIRCULATE(EX, DP, WB)                                       \
+    recirculate_body(image, h, w, n, y0, count, t, EX, DP, WB, pixel_max,   \
+                     mgmt, groups, state, bands, coef, flags, cnt, cols,    \
+                     nbits, counts, totals, peaks, group_peaks)
+    REPRO_SPECIALISE(REPRO_RECIRCULATE);
+#undef REPRO_RECIRCULATE
+}
+
+/* -- fused level-1 sizing pass (fast path) ---------------------------- */
+
+/* The whole pass with its flags as constants (see REPRO_SPECIALISE). */
 static inline __attribute__((always_inline)) void
 band_sizes_body(const int64_t *restrict image, int64_t h, int64_t w,
                 int64_t n, int32_t t, int64_t exempt_ll, int64_t ll_dpcm,
@@ -393,20 +473,20 @@ band_sizes_body(const int64_t *restrict image, int64_t h, int64_t w,
                 int64_t *restrict totals, int64_t *restrict peaks,
                 int64_t *restrict group_peaks)
 {
-    int64_t row = 2 * w, slots = n - 1;
+    int64_t row = 2 * w, slots = n - 1, half = n >> 1;
+    const uint8_t *pairs[half];
     for (int64_t p = 0; p + 1 < h; p++) {
         traverse_pair(image + p * w, image + (p + 1) * w, coef, coef + w,
                       NULL, NULL, w, t, exempt_ll, ll_dpcm, wrap_bits, 0, 0);
-        uint8_t *restrict wd = ring + (p % slots) * 2 * row;
-        uint8_t *restrict sg = wd + row;
-        for (int64_t c = 0; c < row; c++) {
-            int32_t v = coef[c];
-            wd[c] = width_i32(v);
-            sg[c] = v != 0;
-        }
-        if (p >= n - 2) /* pair p completes band p - n + 2 */
-            reduce_band(p - n + 2, ring, w, n, mgmt, groups, cnt, cols,
-                        nbits, counts, totals, peaks, group_peaks);
+        size_pair(coef, ring + (p % slots) * 2 * row, row);
+        if (p < n - 2)
+            continue;
+        /* Pair p completes band b = p - n + 2: pairs b, b+2, .., p. */
+        int64_t b = p - n + 2;
+        for (int64_t i = 0; i < half; i++)
+            pairs[i] = ring + ((b + 2 * i) % slots) * 2 * row;
+        reduce_band(b, pairs, w, n, mgmt, groups, cnt, cols, nbits, counts,
+                    totals, peaks, group_peaks);
     }
 }
 
@@ -416,14 +496,8 @@ band_sizes_body(const int64_t *restrict image, int64_t h, int64_t w,
  * repro_recirculate butterfly, optional LL DPCM, threshold with the LL
  * exempt when exempt_ll) into the 2w int32 row `coef`, turned into
  * element widths and significance flags held in a ring of n-1 pair rows,
- * and every band t = 0 .. h-n is reduced as soon as its last pair is in:
- *
- *   nbits[t][q][c]  per-parity NBits (T, 2, w) uint8
- *   counts[t]       significant coefficients
- *   totals[t]       payload bits plus mgmt bits per ring slot
- *   peaks[t]        occupancy peak against band t-1 (band 0: itself)
- *   group_peaks[t][g]  (nullable) payload-only peak of each of `groups`
- *                   aligned row groups of n / groups rows
+ * and every band t = 0 .. h-n is reduced by reduce_band as soon as its
+ * last pair is in, into the (T, ...) results reduce_band describes.
  *
  * Scratch, caller-allocated: coef 2w int32, ring (n-1) * 4w uint8,
  * cnt (groups + 1) * 2w int32, cols 2 * (groups + 1) * w int64. */
@@ -441,26 +515,7 @@ repro_band_sizes(const int64_t *restrict image, int64_t h, int64_t w,
 #define REPRO_BAND_SIZES(EX, DP, WB)                                        \
     band_sizes_body(image, h, w, n, t, EX, DP, WB, mgmt, groups, coef, ring, \
                     cnt, cols, nbits, counts, totals, peaks, group_peaks)
-    /* Constant flags select a specialised copy of the pass. */
-    if (wrap_bits) {
-        if (exempt_ll && ll_dpcm)
-            REPRO_BAND_SIZES(1, 1, wrap_bits);
-        else if (exempt_ll)
-            REPRO_BAND_SIZES(1, 0, wrap_bits);
-        else if (ll_dpcm)
-            REPRO_BAND_SIZES(0, 1, wrap_bits);
-        else
-            REPRO_BAND_SIZES(0, 0, wrap_bits);
-    } else {
-        if (exempt_ll && ll_dpcm)
-            REPRO_BAND_SIZES(1, 1, 0);
-        else if (exempt_ll)
-            REPRO_BAND_SIZES(1, 0, 0);
-        else if (ll_dpcm)
-            REPRO_BAND_SIZES(0, 1, 0);
-        else
-            REPRO_BAND_SIZES(0, 0, 0);
-    }
+    REPRO_SPECIALISE(REPRO_BAND_SIZES);
 #undef REPRO_BAND_SIZES
 }
 

@@ -34,8 +34,10 @@ from ....errors import ReproError
 
 _SOURCE = Path(__file__).with_name("_codec.c")
 
-#: Must match REPRO_NATIVE_ABI in ``_codec.c``.
-_ABI_VERSION = 3
+#: Must match REPRO_NATIVE_ABI in ``_codec.c``.  4: ``repro_recirculate``
+#: sizes every traversal itself (per-band results plus the carried
+#: columns) and writes no coefficient planes.
+_ABI_VERSION = 4
 
 _COMPILE_TIMEOUT_S = 120
 
@@ -91,7 +93,8 @@ _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
     "repro_threshold_i32": (None, (_p_i32, _i64, _i64, _i64, _i64, _i64)),
     "repro_recirculate": (
         None,
-        (_p_i64, *(_i64,) * 10, _p_i64, _p_i64, _p_i32),
+        (_p_i64, *(_i64,) * 12, _p_i64, _p_i64, _p_i32, _p_u8, _p_i32, _p_i64,
+         _p_u8, *(_p_i64,) * 4),
     ),
     "repro_band_sizes": (
         None,

@@ -28,8 +28,10 @@ from pathlib import Path
 from .loader import SANITIZE_ENV, NativeUnavailable
 
 #: Default property corpus exercised under the sanitized build: the
-#: tier's bit-identity tests and the engine's fast-path suite, which runs
-#: planned and unplanned native frames at every decomposition level.
+#: tier's bit-identity tests (the recirculating loop's differential,
+#: chunk-split and buffer-validation cases among them) and the engine's
+#: fast-path suite, which runs planned and unplanned native frames at
+#: every decomposition level.
 DEFAULT_CORPUS = ("tests/packing/test_native.py", "tests/window/test_fast_path.py")
 
 _RUN_TIMEOUT_S = 900

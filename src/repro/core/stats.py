@@ -141,6 +141,32 @@ class BandStackSizes:
         """NBits fields plus bitmap bits per column (same for every band)."""
         return 2 * self.config.nbits_field_width + self.config.window_size
 
+    @classmethod
+    def empty(
+        cls, config: ArchitectureConfig, traversals: int, groups: int | None
+    ) -> "BandStackSizes":
+        """Unfilled results of ``traversals`` bands (``groups`` per band)."""
+        return cls(
+            config,
+            np.empty((traversals, 2, config.image_width), dtype=np.uint8),
+            np.empty(traversals, dtype=np.int64),
+            np.empty(traversals, dtype=np.int64),
+            np.empty(traversals, dtype=np.int64),
+            None if groups is None else np.empty((traversals, groups), dtype=np.int64),
+        )
+
+    def chunk(self, start: int, stop: int) -> "BandStackSizes":
+        """Views of traversals ``start .. stop - 1`` (writes go through)."""
+        window = slice(start, stop)
+        return BandStackSizes(
+            self.config,
+            self.nbits[window],
+            self.significant_counts[window],
+            self.band_totals[window],
+            self.band_peaks[window],
+            None if self.group_peaks is None else self.group_peaks[window],
+        )
+
 
 def occupancy_peaks(
     cols: np.ndarray,

@@ -29,17 +29,21 @@ results:
   input depends on the previous traversal's lossy reconstruction
   (``recirculate=True`` with a non-zero threshold), or when the memory
   path is protected/injected.  Only the reconstruction feeds back from
-  one traversal to the next, so the path runs in chunks of traversals:
-  a *traversal step* writes each traversal's band and thresholded
-  coefficient plane, then one *accounting tail* per chunk produces the
-  kernel outputs (one :func:`~repro.core.window.golden.golden_apply`
-  over the band stack), the sizes, occupancy peaks and plan check.  The
-  step is one native :func:`~repro.core.packing.native.recirculate`
-  call per chunk for level-1 recirculating runs on the native tier, and
-  otherwise :func:`~repro.core.stats.analyze_band` plus a
-  reconstruction per traversal (the native kernel's oracle), the
-  reconstruction coming from ``ResilientBandCodec.roundtrip`` on a
-  protected or injected memory path;
+  one traversal to the next, so the path runs in chunks of traversals.
+  A *traversal step* writes each traversal's band and fills the chunk's
+  per-band results (NBits, counts, totals, occupancy and group peaks,
+  a :class:`~repro.core.stats.BandStackSizes` chunk record); the loop
+  then checks the plan and produces the kernel outputs (one
+  :func:`~repro.core.window.golden.golden_apply` over the band stack).
+  The step is one native
+  :meth:`~repro.core.packing.native.RecirculatingLoop.run` call per
+  chunk for unprotected level-1 recirculating runs on the native tier,
+  which sizes every traversal as it runs it, and otherwise
+  :func:`~repro.core.stats.analyze_band` plus a reconstruction per
+  traversal and the chunk's sizes from its thresholded planes (the
+  native loop's oracle), the reconstruction coming from
+  ``ResilientBandCodec.roundtrip`` on a protected or injected memory
+  path;
 - the *fast* frame-at-once path — when every traversal band is known up
   front to be the raw input rows (lossless, or ``recirculate=False``),
   one :func:`~repro.core.stats.band_stack_sizes` call sizes the whole
@@ -64,7 +68,7 @@ import numpy as np
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ...config import ArchitectureConfig
 from ...errors import CapacityError, ConfigError, StateError
@@ -80,6 +84,7 @@ from ..packing.nbits import NBitsGateModel
 from ..packing.packer import BandAccounting, ll_exempt_mod, threshold_and_size
 from ..packing.tiers import resolve_codec
 from ..stats import (
+    BandStackSizes,
     analyze_band,
     band_stack_sizes,
     occupancy_peaks,
@@ -241,7 +246,8 @@ class CompressedEngine(SlidingWindowEngine):
         the sequential loop; both paths produce bit-identical results on
         every configuration where both are allowed.
         """
-        arr = self._validate_image(image).astype(np.int64)
+        # A private C-ordered copy, whatever the layout of ``image``.
+        arr = self._validate_image(image).astype(np.int64, order="C")
         prb = self.probe if self.probe is not None else NULL_PROBE
         with prb.span("run"):
             if self.fast_path is not False and self.fast_path_eligible:
@@ -341,11 +347,15 @@ class CompressedEngine(SlidingWindowEngine):
         """Reference traversal loop (handles every configuration).
 
         Traversals run in chunks of at most :data:`TRAVERSAL_CHUNK_VALUES`
-        band values: the traversal step writes each traversal's band and
-        thresholded plane, then one accounting tail sizes the chunk.  A
-        protected or injected run takes one traversal per chunk, so a
-        capacity overflow is still reported before a later traversal's
-        uncorrectable word.
+        band values.  The traversal step runs a chunk, writing each
+        traversal's band, and fills the chunk's slice of the frame's
+        per-band results (NBits, counts, totals, occupancy and group
+        peaks), which it hands back as a chunk record; the loop then
+        checks the plan on the record's group peaks, runs one
+        :func:`golden_apply` over the band stack and keeps the
+        reconstruction rows.  A protected or injected run takes one
+        traversal per chunk, so a capacity overflow is still reported
+        before a later traversal's uncorrectable word.
         """
         cfg = self.config
         n, w, h = cfg.window_size, cfg.image_width, cfg.image_height
@@ -358,8 +368,8 @@ class CompressedEngine(SlidingWindowEngine):
         )
         self.fault_summary = faults
         t_total = h - n + 1
-        step = self._numpy_step
         chunk = min(max(TRAVERSAL_CHUNK_VALUES // (n * w), 1), t_total)
+        step_factory = self._numpy_step
         if resilient is not None:
             chunk = 1
         elif (
@@ -367,58 +377,36 @@ class CompressedEngine(SlidingWindowEngine):
             and self.codec_resolved == "native"
             and cfg.decomposition_levels == 1
         ):
-            step = self._native_step
+            step_factory = self._native_step
+        plan = self.memory_plan
+        sizes = BandStackSizes.empty(
+            cfg, t_total, None if plan is None else n // plan.payload.rows_per_group
+        )
 
         reconstruction = arr.copy()
         out_rows: list[np.ndarray] = []
-        band_totals: list[int] = []
-        peaks = np.empty(t_total, dtype=np.int64)
-        # NBits fields fit a byte; the frame's fields feed the histograms.
-        nbits_seen = np.empty((t_total, 2, w), dtype=np.uint8)
-        counts = np.empty(t_total, dtype=np.int64)
-        prev_cols: np.ndarray | None = None
-        prev_group_cols: np.ndarray | None = None
         # State entering traversal y = rows y-n+1..y-1 reconstructed on the
         # previous traversal plus the raw new row y.  The first traversal
         # (y = n-1) sees raw pixels only — the fill state buffered them
         # uncompressed exactly once.
         state = arr[0:n].copy()
         band_buffer = np.empty((chunk, n, w), dtype=np.int64)
-        plane_buffer = np.empty((chunk, n, w), dtype=np.int32)
+        step = step_factory(arr, state, band_buffer, sizes)
         for t0 in range(0, t_total, chunk):
-            c = min(chunk, t_total - t0)
-            bands, planes = band_buffer[:c], plane_buffer[:c]
-            step(arr, state, t0 + n - 1, bands, planes)
-            # -- the chunk's accounting tail --
-            _, nbits, bitmap = threshold_and_size(
-                planes,
-                cfg.threshold,
-                exempt_mod=ll_exempt_mod(cfg),
-                codec=self.codec_resolved,
-                probe=self.probe,
-            )
-            sizes = BandAccounting(config=cfg, nbits=nbits, bitmap=bitmap)
-            cols, mgmt = self._stored_columns(sizes)
-            if self.memory_plan is not None:
-                group_cols = self._group_columns(sizes.widths)
-                self._check_memory_plan(
-                    occupancy_peaks(group_cols, n, 0, prev_group_cols), t0 + n - 1
-                )
-                prev_group_cols = group_cols[-1]
+            bands = band_buffer[: min(chunk, t_total - t0)]
+            record = step(t0, bands)
+            if record.group_peaks is not None:
+                self._check_memory_plan(record.group_peaks, t0 + n - 1)
             with prb.span("kernel"):
                 out_rows.append(golden_apply(bands, n, self.kernel))
-            reconstruction[t0 : t0 + c] = bands[:, 0]
-            with prb.span("fifo"):
-                band_totals += (cols.sum(axis=-1) + mgmt * (w - n)).tolist()
-                peaks[t0 : t0 + c] = self._sequential_peaks(cols, mgmt, prev_cols)
-            nbits_seen[t0 : t0 + c] = nbits
-            counts[t0 : t0 + c] = sizes.significant_counts
-            prev_cols = cols[-1]
+            reconstruction[t0 : t0 + len(bands)] = bands[:, 0]
         # The last traversal's band holds the frame's bottom rows.
         reconstruction[t_total - 1 :] = bands[-1]
 
         if self.probe is not None:
-            self._observe_bands(nbits_seen, peaks, counts)
+            self._observe_bands(
+                sizes.nbits, sizes.band_peaks, sizes.significant_counts
+            )
         outputs = np.concatenate(out_rows)
         fill = traditional_fill_cycles(n, w)
         stats = EngineStats(
@@ -427,9 +415,9 @@ class CompressedEngine(SlidingWindowEngine):
             drain_cycles=0,
             pixels_in=arr.size,
             outputs=outputs.size,
-            buffer_bits_peak=int(peaks.max()),
+            buffer_bits_peak=int(sizes.band_peaks.max()),
             traditional_buffer_bits=cfg.traditional_buffer_bits,
-            band_total_bits=band_totals,
+            band_total_bits=sizes.band_totals.tolist(),
         )
         return WindowRun(
             outputs=outputs,
@@ -476,78 +464,131 @@ class CompressedEngine(SlidingWindowEngine):
         return occ.max(axis=-1)
 
     # -- traversal steps ---------------------------------------------------
-    # Each runs traversals y0 .. y0+C-1 from ``state``, the band traversal
-    # y0 presents, writing each traversal's band to ``bands`` and its
-    # thresholded coefficient plane to ``planes``; ``state`` ends as the
-    # band of the traversal after the chunk.
+    # Each factory binds one frame's run: ``arr``, ``state`` (the band the
+    # next traversal presents), the ``(C, N, W)`` band buffer and the
+    # frame's per-band results ``sizes``.  The step it returns runs
+    # traversals t0 .. t0+len(bands)-1 (frame indices), writing each
+    # traversal's band to ``bands`` and its results to ``sizes``, and
+    # returns the chunk's slice of ``sizes``; ``state`` ends as the band
+    # of the traversal after the chunk.  The previous traversal's stored
+    # band and group columns carry from one step to the next.
 
     def _numpy_step(
         self,
         arr: np.ndarray,
         state: np.ndarray,
-        y0: int,
-        bands: np.ndarray,
-        planes: np.ndarray,
-    ) -> None:
-        """:func:`analyze_band` and a reconstruction, traversal by traversal.
+        band_buffer: np.ndarray,
+        sizes: BandStackSizes,
+    ) -> Callable[[int, np.ndarray], BandStackSizes]:
+        """:func:`analyze_band` and a reconstruction per traversal, then the
+        chunk's sizes from its thresholded planes (the native loop's oracle).
 
         A protected or injected run reconstructs through the resilient
         round trip, which also records the traversal's faults; storage
         is sized at write time, so its plane is the fault-free one.
         """
+        cfg = self.config
+        n, w = cfg.window_size, cfg.image_width
         prb = self.probe if self.probe is not None else NULL_PROBE
         resilient, faults = self._resilient, self.fault_summary
-        for k, y in enumerate(range(y0, y0 + len(bands))):
-            bands[k] = state
-            sizes = analyze_band(
-                self.config, state, probe=self.probe, codec=self.codec_resolved
+        plane_buffer = np.empty(band_buffer.shape, dtype=np.int32)
+        prev_cols: np.ndarray | None = None
+        prev_group_cols: np.ndarray | None = None
+
+        def step(t0: int, bands: np.ndarray) -> BandStackSizes:
+            """Run and size one chunk, traversal by traversal."""
+            nonlocal prev_cols, prev_group_cols
+            planes = plane_buffer[: len(bands)]
+            for k, y in enumerate(range(t0 + n - 1, t0 + n - 1 + len(bands))):
+                bands[k] = state
+                analysis = analyze_band(
+                    cfg, state, probe=self.probe, codec=self.codec_resolved
+                )
+                planes[k] = analysis.plane
+                if resilient is not None:
+                    assert faults is not None
+                    decoded, report, _ = resilient.roundtrip(state)
+                    faults.add(y, report)
+                if y + 1 == cfg.image_height:
+                    break
+                if self.recirculate:
+                    if resilient is None:
+                        with prb.span("inverse"):
+                            decoded = analysis.reconstruct()
+                    state[:-1] = decoded[1:]
+                else:
+                    state[:-1] = state[1:]
+                state[-1] = arr[y + 1]
+            record = sizes.chunk(t0, t0 + len(bands))
+            _, nbits, bitmap = threshold_and_size(
+                planes,
+                cfg.threshold,
+                exempt_mod=ll_exempt_mod(cfg),
+                codec=self.codec_resolved,
+                probe=self.probe,
             )
-            planes[k] = sizes.plane
-            if resilient is not None:
-                assert faults is not None
-                decoded, report, _ = resilient.roundtrip(state)
-                faults.add(y, report)
-            if y + 1 == self.config.image_height:
-                break
-            if self.recirculate:
-                if resilient is None:
-                    with prb.span("inverse"):
-                        decoded = sizes.reconstruct()
-                state[:-1] = decoded[1:]
-            else:
-                state[:-1] = state[1:]
-            state[-1] = arr[y + 1]
+            accounting = BandAccounting(config=cfg, nbits=nbits, bitmap=bitmap)
+            record.nbits[...] = nbits
+            record.significant_counts[...] = accounting.significant_counts
+            cols, mgmt = self._stored_columns(accounting)
+            if record.group_peaks is not None:
+                group_cols = self._group_columns(accounting.widths)
+                record.group_peaks[...] = occupancy_peaks(
+                    group_cols, n, 0, prev_group_cols
+                )
+                prev_group_cols = group_cols[-1]
+            with prb.span("fifo"):
+                record.band_totals[...] = cols.sum(axis=-1) + mgmt * (w - n)
+                record.band_peaks[...] = self._sequential_peaks(cols, mgmt, prev_cols)
+            prev_cols = cols[-1]
+            return record
+
+        return step
 
     def _native_step(
         self,
         arr: np.ndarray,
         state: np.ndarray,
-        y0: int,
-        bands: np.ndarray,
-        planes: np.ndarray,
-    ) -> None:
-        """One native call runs the chunk's level-1 recirculating traversals."""
+        band_buffer: np.ndarray,
+        sizes: BandStackSizes,
+    ) -> Callable[[int, np.ndarray], BandStackSizes]:
+        """One native call runs and sizes a chunk's level-1 recirculating
+        traversals (unprotected, so stored sizes are the raw ones)."""
         cfg = self.config
+        n = cfg.window_size
         prb = self.probe if self.probe is not None else NULL_PROBE
-        with prb.span("traverse"):
-            native_codec.recirculate(
-                arr,
-                state,
-                y0,
-                bands,
-                planes,
-                threshold=cfg.threshold,
-                exempt_ll=bool(ll_exempt_mod(cfg)),
-                ll_dpcm=cfg.ll_dpcm,
-                wrap_bits=cfg.wrap_bits,
-                pixel_max=cfg.pixel_max,
-            )
+        loop = native_codec.RecirculatingLoop(
+            arr,
+            state,
+            band_buffer,
+            sizes.nbits,
+            sizes.significant_counts,
+            sizes.band_totals,
+            sizes.band_peaks,
+            sizes.group_peaks,
+            threshold=cfg.threshold,
+            exempt_ll=bool(ll_exempt_mod(cfg)),
+            ll_dpcm=cfg.ll_dpcm,
+            wrap_bits=cfg.wrap_bits,
+            pixel_max=cfg.pixel_max,
+            management_bits_per_column=sizes.management_bits_per_column,
+        )
+
+        def step(t0: int, bands: np.ndarray) -> BandStackSizes:
+            """Run and size one chunk in one C call."""
+            with prb.span("traverse"):
+                loop.run(t0 + n - 1, len(bands))
+            return sizes.chunk(t0, t0 + len(bands))
+
+        return step
 
 
-#: Band values (``C * N * W``) per chunk of the sequential path: 768 KB of
-#: int64 bands and int32 planes whatever the frame size (16 traversals of
-#: a 256-wide N=16 frame).  Chunks four times larger cut ~18% off such a
-#: frame's time but add ~3 MB to the peak resident set.
+#: Band values (``C * N * W``) per chunk of the sequential path: 512 KB of
+#: int64 bands whatever the frame size (16 traversals of a 256-wide N=16
+#: frame; the NumPy step adds 256 KB of int32 planes).  The native loop
+#: sizes each traversal as it runs, so chunks four times larger save no
+#: time on such a frame (2.9 ms either way, 2-vCPU Xeon VM) and add ~2 MB
+#: to the peak resident set.
 TRAVERSAL_CHUNK_VALUES = 1 << 16
 
 

@@ -72,6 +72,25 @@ class TestMeanCI:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_analysis_reexports_are_lazy(self):
+        """``import repro.analysis.ci`` loads ``ci`` alone, and every name
+        of ``repro.analysis.__all__`` still resolves from the package."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.analysis.ci; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis'))); "
+            "import repro.analysis as a; "
+            "from repro.analysis import ARTIFACTS; "
+            "print(len(ARTIFACTS) > 0, all(hasattr(a, n) for n in a.__all__), "
+            "set(a.__all__) <= set(dir(a)), hasattr(a, 'no_such_name'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout.splitlines()
+        assert out == ["['repro.analysis', 'repro.analysis.ci']", "True True True False"]
+
     def test_t_quantile_is_odd_and_centred(self):
         assert t_quantile(0.5, 4) == 0.0
         assert t_quantile(0.05, 9) == -t_quantile(0.95, 9)

@@ -31,7 +31,13 @@ from repro.core.packing import (
 )
 from repro.core.packing.nbits import bit_widths_signed, min_bits_signed
 from repro.core.packing.tiers import reset_codec_state, resolve_codec
-from repro.core.stats import band_stack_sizes, sliding_occupancy
+from repro.core.stats import (
+    BandStackSizes,
+    analyze_band,
+    band_stack_sizes,
+    occupancy_peaks,
+    sliding_occupancy,
+)
 from repro.errors import CapacityError, ConfigError
 from repro.kernels import BoxFilterKernel
 from repro.observability.probe import MetricsProbe
@@ -334,6 +340,52 @@ def recirculating_cases():
     return level1_cases(16, 24, lambda n: 20)
 
 
+def count_loop_runs(monkeypatch):
+    """Count ``native.RecirculatingLoop.run`` calls; returns the count list."""
+    calls = []
+    original = native.RecirculatingLoop.run
+
+    def counted(self, *args):
+        calls.append("RecirculatingLoop.run")
+        return original(self, *args)
+
+    monkeypatch.setattr(native.RecirculatingLoop, "run", counted)
+    return calls
+
+
+def stepped_sizes(config, image, step, chunk, groups=None):
+    """Per-traversal results of one sequential traversal step alone.
+
+    Runs ``CompressedEngine._native_step`` or ``_numpy_step`` (``step``)
+    over the frame in chunks of ``chunk`` traversals, without the loop's
+    plan check, under a plan of ``groups`` groups too large to overflow.
+    Returns the frame's ``BandStackSizes`` and ``(T, N, W)`` bands.
+    """
+    n, w, h = config.window_size, config.image_width, config.image_height
+    plan = None if groups is None else exact_capacity_plan(config, [10**9] * groups)
+    engine = CompressedEngine(
+        config, BoxFilterKernel(n), codec="native", fast_path=False, memory_plan=plan
+    )
+    arr = np.asarray(image, dtype=np.int64)
+    t_total = h - n + 1
+    sizes = BandStackSizes.empty(config, t_total, groups)
+    state = arr[:n].copy()
+    buffer = np.empty((chunk, n, w), dtype=np.int64)
+    run_chunk = getattr(engine, step)(arr, state, buffer, sizes)
+    bands = []
+    for t0 in range(0, t_total, chunk):
+        chunk_bands = buffer[: min(chunk, t_total - t0)]
+        record = run_chunk(t0, chunk_bands)
+        assert record.band_peaks.shape == (len(chunk_bands),)
+        bands.append(chunk_bands.copy())
+    return sizes, np.concatenate(bands)
+
+
+def plan_groups(n):
+    """No plan, and every group count of 1, 2, 4 and N dividing N."""
+    return [None] + sorted({g for g in (1, 2, 4, n) if n % g == 0})
+
+
 @needs_native
 class TestRecirculatingTraversals:
     def test_forced_sequential_sizes_on_the_native_tier(self, rng, monkeypatch):
@@ -363,16 +415,27 @@ class TestRecirculatingTraversals:
     )
     def test_one_native_call_per_chunk(self, rng, monkeypatch, extra):
         """Chunked runs on both tiers equal a one-chunk run: the
-        occupancy carry crosses every chunk boundary."""
+        occupancy carry crosses every chunk boundary, and each chunk of
+        a native run is one C call with no sizing call after it."""
         config = cfg(**extra)
         img = random_image(rng, config.image_height, config.image_width, smooth=True)
         whole, whole_hist = probed_run(config, img, "numpy")
         # 3 traversals per chunk: 17 traversals make 6 chunks, the last short.
         values = 3 * config.window_size * config.image_width
         monkeypatch.setattr(compressed, "TRAVERSAL_CHUNK_VALUES", values)
-        calls = count_calls(monkeypatch, "recirculate")
-        nat, nat_hist = probed_run(config, img, "native")
-        assert len(calls) == 6
+        loader = ("NativeUnavailable", "is_available", "load", "reset")
+        kernels = [
+            name
+            for name in native.__all__
+            if name not in loader and name != "RecirculatingLoop"
+        ]
+        with monkeypatch.context() as patch:
+            calls = [count_calls(patch, name) for name in kernels]
+            calls.append(count_loop_runs(patch))
+            nat, nat_hist = probed_run(config, img, "native")
+        assert [name for made in calls for name in made] == [
+            "RecirculatingLoop.run"
+        ] * 6
         ref, ref_hist = probed_run(config, img, "numpy")
         for run, hist in ((ref, ref_hist), (whole, whole_hist)):
             assert_same_run(nat, run)
@@ -392,33 +455,87 @@ class TestRecirculatingTraversals:
         img = random_image(rng, config.image_height, config.image_width)
 
         def refuse(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("native recirculate kernel called")
+            raise AssertionError("native recirculating loop built")
 
-        monkeypatch.setattr(native, "recirculate", refuse)
+        monkeypatch.setattr(native, "RecirculatingLoop", refuse)
         nat, _ = probed_run(config, img, "native", **engine_kw)
         ref, _ = probed_run(config, img, "numpy", **engine_kw)
         assert_same_run(nat, ref)
 
     def test_kernel_refuses_mismatched_buffers(self):
-        image = np.zeros((8, 8), dtype=np.int64)
-        state = np.zeros((4, 8), dtype=np.int64)
-        bands = np.zeros((2, 4, 8), dtype=np.int64)
-        kw = dict(threshold=1, exempt_ll=False, ll_dpcm=False, wrap_bits=None, pixel_max=255)
-        with pytest.raises(ConfigError, match="int32"):
-            native.recirculate(image, state, 3, bands, bands.copy(), **kw)
-        planes = np.zeros((2, 4, 8), dtype=np.int32)
+        """Every buffer is checked once, at construction, and every run
+        against the chunk buffer and the frame."""
+        h, w, n, chunk = 8, 8, 4, 2
+        t_total = h - n + 1
+        good = dict(
+            image=np.zeros((h, w), dtype=np.int64),
+            state=np.zeros((n, w), dtype=np.int64),
+            bands=np.zeros((chunk, n, w), dtype=np.int64),
+            nbits=np.zeros((t_total, 2, w), dtype=np.uint8),
+            counts=np.zeros(t_total, dtype=np.int64),
+            totals=np.zeros(t_total, dtype=np.int64),
+            peaks=np.zeros(t_total, dtype=np.int64),
+            group_peaks=np.zeros((t_total, 2), dtype=np.int64),
+        )
+        kw = dict(
+            threshold=1,
+            exempt_ll=False,
+            ll_dpcm=False,
+            wrap_bits=None,
+            pixel_max=255,
+            management_bits_per_column=16,
+        )
+
+        def build(**changes):
+            return native.RecirculatingLoop(**{**good, **changes}, **kw)
+
+        build().run(n - 1, chunk)
+        build(group_peaks=None).run(n - 1, chunk)
+        for name, arr in good.items():
+            wrong_dtype = arr.astype(np.int32 if arr.dtype != np.int32 else np.int64)
+            strided = np.zeros((*arr.shape[:-1], 2 * arr.shape[-1]), arr.dtype)
+            bad_buffers = [wrong_dtype, strided[..., ::2]]
+            if name == "bands":  # any chunk length, but N x W bands
+                bad_buffers.append(np.zeros((chunk, n + 2, w), arr.dtype))
+            elif name not in ("image", "state"):  # those two set the frame
+                bad_buffers.append(np.zeros((t_total + 1, *arr.shape[1:]), arr.dtype))
+            for bad in bad_buffers:
+                with pytest.raises(ConfigError, match=name):
+                    build(**{name: bad})
+        with pytest.raises(ConfigError, match="band buffer"):
+            build(bands=good["bands"][0])
+        with pytest.raises(ConfigError, match="bands"):
+            build(bands=good["bands"][:0])
+        for state in (np.zeros((3, w), np.int64), np.zeros((10, w), np.int64)):
+            with pytest.raises(ConfigError, match="do not fit"):
+                build(state=state)
         with pytest.raises(ConfigError, match="do not fit"):
-            native.recirculate(image, state, 7, bands, planes, **kw)
-        with pytest.raises(ConfigError, match="shape"):
-            native.recirculate(image, state[:2], 3, bands, planes, **kw)
+            build(image=np.zeros((h, 7), np.int64), state=np.zeros((n, 7), np.int64))
+        with pytest.raises(ConfigError, match="threshold"):
+            native.RecirculatingLoop(**good, **{**kw, "threshold": -1})
+        for groups in (0, 3):
+            with pytest.raises(ConfigError, match="groups"):
+                build(group_peaks=np.zeros((t_total, groups), np.int64))
+        loop = build()
+        for first, count in ((n - 2, 1), (n - 1, 0), (n - 1, chunk + 1), (h - 1, 2)):
+            with pytest.raises(ConfigError, match="do not fit"):
+                loop.run(first, count)
 
     @given(recirculating_cases())
     @settings(max_examples=60, deadline=None)
     def test_differential_recirculating_runs(self, case):
         """The native kernel, the NumPy step and (small, single-level,
-        plan-free frames) the register-level engine agree on outputs,
-        reconstruction, stats, band histograms and capacity errors."""
+        plan-free frames) the register-level engine agree on every
+        per-traversal field (NBits, counts, totals, band peaks and group
+        peaks under 1/2/4/N-group plans), outputs, reconstruction, stats,
+        band histograms and capacity errors."""
         config, image, plan = case
+        t_total = config.image_height - config.window_size + 1
+        for groups in plan_groups(config.window_size):
+            nat, nat_bands = stepped_sizes(config, image, "_native_step", t_total, groups)
+            ref, ref_bands = stepped_sizes(config, image, "_numpy_step", t_total, groups)
+            assert_same_sizes(nat, ref)
+            assert np.array_equal(nat_bands, ref_bands)
         nat, nat_hist = probed_run(config, image, "native", memory_plan=plan)
         ref, ref_hist = probed_run(config, image, "numpy", memory_plan=plan)
         if isinstance(ref, str):
@@ -432,6 +549,54 @@ class TestRecirculatingTraversals:
             ).run(image)
             assert np.array_equal(cycle.outputs, ref.outputs)
             assert np.array_equal(cycle.reconstruction, ref.reconstruction)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4])
+    def test_chunk_splits_equal_one_chunk(self, monkeypatch, chunk):
+        """1-, 3- and 4-traversal chunks equal one chunk field for field,
+        and a plan overflow whose peak needs the carried group columns at
+        a chunk's first traversal raises the same error."""
+        config = cfg(image_width=24, image_height=24, window_size=4, threshold=3)
+        n, w = config.window_size, config.image_width
+        image = random_image(np.random.default_rng(10), 24, 24)
+        t_total = config.image_height - n + 1
+        for groups in plan_groups(n):
+            whole, whole_bands = stepped_sizes(config, image, "_native_step", t_total, groups)
+            for step in ("_native_step", "_numpy_step"):
+                split, split_bands = stepped_sizes(config, image, step, chunk, groups)
+                assert_same_sizes(split, whole)
+                assert np.array_equal(split_bands, whole_bands)
+        # Traversal 12 starts a chunk at every split.  Its group-1 peak
+        # tops every earlier one only because band 11's columns are still
+        # resident: against itself (a lost carry) it would fit.
+        t, g = 12, 1
+        sizes, bands = stepped_sizes(config, image, "_numpy_step", t_total, 2)
+        engine = CompressedEngine(
+            config,
+            BoxFilterKernel(n),
+            memory_plan=exact_capacity_plan(config, [10**9] * 2),
+        )
+        cols = engine._group_columns(analyze_band(config, bands[t]).widths)
+        alone = int(occupancy_peaks(cols[None, g], n, 0)[0])
+        before = int(sizes.group_peaks[:t, g].max())
+        peak = int(sizes.group_peaks[t, g])
+        assert peak > max(alone, before)
+        plan = exact_capacity_plan(config, [10**9, max(alone, before)])
+        whole_error, _ = probed_run(config, image, "numpy", memory_plan=plan)
+        assert whole_error.startswith(f"BRAM group {g} holds {peak} stored bits at "
+                                      f"traversal {t + n - 1},")
+        monkeypatch.setattr(compressed, "TRAVERSAL_CHUNK_VALUES", chunk * n * w)
+        for codec in ("native", "numpy"):
+            error, _ = probed_run(config, image, codec, memory_plan=plan)
+            assert error == whole_error
+
+    def test_fortran_ordered_frames(self, rng):
+        """A frame in any memory layout runs on the native loop."""
+        config = cfg(threshold=4)
+        img = random_image(rng, config.image_height, config.image_width)
+        nat, nat_hist = probed_run(config, np.asfortranarray(img), "native")
+        ref, ref_hist = probed_run(config, img, "numpy")
+        assert_same_run(nat, ref)
+        assert nat_hist == ref_hist
 
 
 # ----------------------------------------------------------------------
