@@ -15,8 +15,12 @@ Each sweep point runs the one planner
   shallow management streams into LUTRAM and deep payload pools into
   BRAM36 / URAM.
 
+Both plans provision from one suite sweep,
+:func:`~repro.analysis.experiments.suite_worst_row_bits`, the same call
+that sizes Tables II-V.
+
 ``write_resources_json`` / ``load_resources_json`` serialise the sweep
-under the ``repro-resources/1`` schema so CI can diff a machine-checked
+under the ``repro-resources/2`` schema so CI can diff a machine-checked
 artifact instead of a rendered table.
 """
 
@@ -26,19 +30,15 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..config import PAPER_WINDOW_SIZES, ArchitectureConfig
-from ..core.stats import analyze_image
 from ..errors import ConfigError
 from ..hardware.device import DEVICES, FPGADevice
 from ..hardware.planner import PlacementPlan, plan_placement
-from ..hardware.primitives import PLACEMENT_MODES
-from ..imaging.dataset import benchmark_dataset
+from .experiments import suite_worst_row_bits
 from .tables import render_table
 
 #: Version tag of the ``repro resources --format json`` payload.
-RESOURCES_SCHEMA = "repro-resources/1"
+RESOURCES_SCHEMA = "repro-resources/2"
 
 #: Keys every serialised sweep point must carry.
 _POINT_KEYS = (
@@ -73,7 +73,6 @@ class ResourcesOptions:
     threshold: int = 0
     n_images: int = 3
     protection: str | None = None
-    mode: str = "exhaustive"
 
     def __post_init__(self) -> None:
         if self.device not in DEVICES:
@@ -86,10 +85,6 @@ class ResourcesOptions:
             raise ConfigError(f"windows must all be >= 2, got {self.windows}")
         if self.n_images < 1:
             raise ConfigError(f"n_images must be >= 1, got {self.n_images}")
-        if self.mode not in PLACEMENT_MODES:
-            raise ConfigError(
-                f"mode must be one of {PLACEMENT_MODES}, got {self.mode!r}"
-            )
 
     @property
     def target(self) -> FPGADevice:
@@ -173,15 +168,14 @@ class ResourcesReport:
             title=(
                 f"Memory placement on {self.device.name} "
                 f"({self.device.family}), {self.options.width}x"
-                f"{self.options.width}, T={self.options.threshold}, "
-                f"{self.options.mode}"
+                f"{self.options.width}, T={self.options.threshold}"
             ),
         )
         details = "\n\n".join(p.placement.render() for p in self.points)
         return f"{table}\n\n{details}"
 
     def to_json_dict(self) -> dict:
-        """The ``repro-resources/1`` payload."""
+        """The ``repro-resources/2`` payload."""
         points = []
         for p in self.points:
             points.append(
@@ -231,7 +225,6 @@ class ResourcesReport:
                 "threshold": self.options.threshold,
                 "images": self.options.n_images,
             },
-            "mode": self.options.mode,
             "protection": self.options.protection or "none",
             "points": points,
         }
@@ -239,20 +232,14 @@ class ResourcesReport:
 
 def measure_resources(
     options: ResourcesOptions = ResourcesOptions(),
-    *,
-    images: tuple[np.ndarray, ...] | None = None,
 ) -> ResourcesReport:
     """Sweep window sizes on one device, both accounting models per point.
 
     As in :func:`~repro.analysis.experiments.bram_table`, the plan
     provisions for the worst compressed row sizes observed across the
-    whole benchmark suite (Section V.E's "worst-case scenario").
+    first ``options.n_images`` suite images (Section V.E's "worst-case
+    scenario").
     """
-    imgs = (
-        images
-        if images is not None
-        else benchmark_dataset(options.width, n_images=options.n_images)
-    )
     device = options.target
     points: list[ResourcePoint] = []
     for n in options.windows:
@@ -262,16 +249,16 @@ def measure_resources(
             window_size=n,
             threshold=options.threshold,
         )
-        worst = np.maximum.reduce(
-            [analyze_image(config, img).row_bits_worst for img in imgs]
+        worst = suite_worst_row_bits(
+            options.width,
+            n,
+            options.threshold,
+            n_images=options.n_images,
+            processes=1,
         )
         compat = plan_placement(config, worst, protection=options.protection)
         placement = plan_placement(
-            config,
-            worst,
-            device=device,
-            protection=options.protection,
-            mode=options.mode,
+            config, worst, device=device, protection=options.protection
         )
         points.append(
             ResourcePoint(
@@ -286,12 +273,12 @@ def measure_resources(
 
 
 def write_resources_json(report: ResourcesReport, path: Path) -> None:
-    """Serialise ``report`` as a ``repro-resources/1`` artifact."""
+    """Serialise ``report`` as a ``repro-resources/2`` artifact."""
     path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
 
 
 def load_resources_json(path: Path) -> dict:
-    """Load and structurally validate a ``repro-resources/1`` file.
+    """Load and structurally validate a ``repro-resources/2`` file.
 
     Every point must carry both accounting blocks with their full key
     sets, and the compat block must be internally consistent
@@ -301,9 +288,10 @@ def load_resources_json(path: Path) -> dict:
     payload = json.loads(path.read_text())
     if payload.get("schema") != RESOURCES_SCHEMA:
         raise ConfigError(
-            f"unexpected resources schema {payload.get('schema')!r} in {path}"
+            f"unexpected resources schema {payload.get('schema')!r} in "
+            f"{path}; expected {RESOURCES_SCHEMA!r}"
         )
-    for key in ("device", "geometry", "mode", "protection", "points"):
+    for key in ("device", "geometry", "protection", "points"):
         if key not in payload:
             raise ConfigError(f"{path} lacks top-level key {key!r}")
     for key in ("name", "family"):

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..config import ArchitectureConfig
-from ..core.stats import analyze_image
 from ..hardware.device import FPGADevice, XC7Z020
 from ..hardware.planner import plan_placement
 from ..hardware.resources import ResourceModel
-from ..imaging.dataset import benchmark_dataset
+from .experiments import suite_worst_row_bits
 from .tables import render_table
 
 
@@ -88,14 +85,13 @@ def bram_lut_tradeoff(
 ) -> TradeoffResult:
     """Sweep window sizes and measure the BRAM/LUT exchange rate."""
     model = ResourceModel(device)
-    images = benchmark_dataset(width, n_images=n_images)
     points: list[TradeoffPoint] = []
     for n in windows:
         config = ArchitectureConfig(
             image_width=width, image_height=width, window_size=n, threshold=threshold
         )
-        worst = np.maximum.reduce(
-            [analyze_image(config, img).row_bits_worst for img in images]
+        worst = suite_worst_row_bits(
+            width, n, threshold, n_images=n_images, processes=1
         )
         plan = plan_placement(config, worst)
         saved = plan.traditional_brams - plan.total_brams

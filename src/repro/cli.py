@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_artifact_parser(sub)
 
     p_res = sub.add_parser(
-        "resources", help="memory-placement sweep over a device's primitives"
+        "resources",
+        help="fewest-bits memory placement per window size on one device",
     )
     add_device_flag(p_res)
     p_res.add_argument("--width", type=int, default=512, help="image width")
@@ -237,25 +238,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", type=int, default=0, help="compression threshold T"
     )
     p_res.add_argument(
-        "--images", type=int, default=3, help="benchmark suite size"
-    )
-    p_res.add_argument(
-        "--mode",
-        choices=("exhaustive", "greedy"),
-        default="exhaustive",
-        help="placement search mode",
+        "--images",
+        type=int,
+        default=3,
+        help="suite images the worst-case rows are taken over",
     )
     p_res.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
-        help="output format (json is the repro-resources/1 schema)",
+        help="output format (json is the repro-resources/2 schema)",
     )
     p_res.add_argument(
         "--json",
         type=Path,
         default=None,
-        help="also write the repro-resources/1 artifact here",
+        help="also write the repro-resources/2 artifact here",
     )
 
     p_val = sub.add_parser("validate", help="cross-check every engine model")
@@ -434,7 +432,6 @@ def main(argv: list[str] | None = None) -> int:
                 width=args.width,
                 threshold=args.threshold,
                 n_images=args.images,
-                mode=args.mode,
             )
         )
         if args.format == "json":

@@ -5,6 +5,7 @@ package replaces that toolchain with analytical models:
 
 - :mod:`repro.hardware.primitives` — the memory-primitive portfolio
   (BRAM18 / BRAM36 / URAM / LUTRAM) with exact integer config tables
+  (``BRAM18.configs`` is the 18 Kb RAMB18 table, 16k x 1 ... 512 x 36)
   and Vivado's small-array elision rule;
 - :mod:`repro.hardware.planner` — the one design-time memory plan: the
   cost-optimising placement search mapping every FIFO of a design point
@@ -12,8 +13,6 @@ package replaces that toolchain with analytical models:
   paper's RAMB18 counts (Table I's line buffers, Fig 11 rows-per-BRAM
   options, Tables II-V), and its per-group payload capacities are what
   :class:`~repro.core.window.compressed.CompressedEngine` enforces;
-- :mod:`repro.hardware.bram` — the 18 Kb block RAM primitive's geometry
-  table (16k x 1 ... 512 x 36);
 - :mod:`repro.hardware.resources` — the LUT / register / Fmax estimator
   calibrated against the paper's published synthesis anchors (Tables VI-X);
 - :mod:`repro.hardware.device` — device catalog with per-primitive
@@ -23,8 +22,8 @@ The public placement surface is the portfolio API (``MemoryPrimitive``,
 ``Portfolio``, ``Placement``, ``plan_placement``).
 """
 
-from .bram import BRAM_CAPACITY_BITS, BramConfig, BRAM_CONFIGS
 from .primitives import (
+    BRAM_CAPACITY_BITS,
     BRAM18,
     BRAM36,
     ELISION_LIMIT_BITS,
@@ -38,8 +37,6 @@ from .primitives import (
     small_array_elided,
 )
 from .planner import (
-    CostVector,
-    DEFAULT_COST_VECTOR,
     FifoSpec,
     Placement,
     PayloadPlacement,
@@ -63,8 +60,6 @@ from .latency import (
 
 __all__ = [
     "BRAM_CAPACITY_BITS",
-    "BramConfig",
-    "BRAM_CONFIGS",
     "BRAM18",
     "BRAM36",
     "URAM",
@@ -76,8 +71,6 @@ __all__ = [
     "Portfolio",
     "portfolio_for",
     "small_array_elided",
-    "CostVector",
-    "DEFAULT_COST_VECTOR",
     "FifoSpec",
     "Placement",
     "PayloadPlacement",

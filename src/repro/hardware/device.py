@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
-from .bram import BRAM_CAPACITY_BITS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .primitives import Portfolio
+from .primitives import BRAM_CAPACITY_BITS, Portfolio, portfolio_for
 
 #: Inventory kinds every device can be queried for.
 RESOURCE_KINDS: tuple[str, ...] = (
@@ -73,10 +69,8 @@ class FPGADevice:
         return self.bram_bits / 1024
 
     @property
-    def portfolio(self) -> "Portfolio":
+    def portfolio(self) -> Portfolio:
         """The placement portfolio matching this part's silicon."""
-        from .primitives import portfolio_for
-
         return portfolio_for(self)
 
     def capacity(self, kind: str) -> int:

@@ -7,15 +7,15 @@ shallow NBits / BitMap management streams, the deep packed payload
 rows, and the traditional architecture's kernel line buffers) it
 enumerates every legal ``(primitive, port config, cascade)`` placement
 offered by the device's :class:`~repro.hardware.primitives.Portfolio`
-and keeps the cheapest under a configurable cost vector.
+and keeps the cheapest.
 
 Legality rules, in one place:
 
 - a placement must cover the FIFO: ``width_splits * depth_splits``
   units of the chosen port configuration hold the declared geometry;
 - ``storage="block"`` FIFOs (payload rows, line buffers — the RTL
-  instantiates them as block FIFOs) never map to LUTRAM;
-  ``"distributed"`` maps only to LUTRAM; ``"auto"`` considers both;
+  instantiates them as block FIFOs) never map to LUTRAM; ``"auto"``
+  considers every primitive;
 - LUTRAM placements respect the primitive's per-FIFO unit cap;
 - on an elision-enabled portfolio, a small array
   (:func:`~repro.hardware.primitives.small_array_elided`) costs zero
@@ -28,12 +28,12 @@ rows-per-unit)``.  Option ``r`` is feasible when every aligned group of
 cascade individually (``r = 1``) across ``ceil(bits / unit)`` units —
 exactly the seed fallback, generalised from RAMB18 to any primitive.
 
-The default cost vector prices a unit at its physical storage bits, so
-"cheapest" means "fewest memory bits committed"; ties break toward
-fewer units, then portfolio preference order.  ``mode="greedy"`` uses
-the fpgaconvnet-style closest-depth heuristic inside each primitive
-instead of the exhaustive config scan (never cheaper, much less
-search).
+A placement costs its physical storage bits, so "cheapest" means
+"fewest memory bits committed": candidates sort by ``(storage_bits,
+units, portfolio index)``, ties breaking toward fewer units, then
+portfolio preference order.  Inside each primitive the port
+configuration is the exhaustive minimum-unit choice
+(:meth:`~repro.hardware.primitives.MemoryPrimitive.best_config`).
 
 :func:`plan_placement` is the one design-time memory plan.  Its
 default device (XC7Z020) resolves to the RAMB18-only compatibility
@@ -52,7 +52,6 @@ ratios, each behind an explicit waiver.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -62,12 +61,7 @@ from ..config import ArchitectureConfig
 from ..errors import ConfigError
 from .device import XC7Z020
 from .primitives import (
-    BRAM18,
-    BRAM36,
     ELISION_LIMIT_BITS,
-    LUTRAM,
-    PLACEMENT_MODES,
-    URAM,
     MemoryPrimitive,
     Portfolio,
     PortConfig,
@@ -78,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .device import FPGADevice
 
 #: FIFO storage directives understood by :func:`place_fifo`.
-STORAGE_HINTS: tuple[str, ...] = ("auto", "block", "distributed")
+STORAGE_HINTS: tuple[str, ...] = ("auto", "block")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,10 +86,8 @@ class FifoSpec:
     width: int
     #: Identical instances (e.g. one line buffer per window row).
     count: int = 1
-    #: ``auto`` | ``block`` | ``distributed`` — see module docstring.
+    #: ``auto`` | ``block`` — see module docstring.
     storage: str = "auto"
-    #: ``fifo`` or ``memory`` — selects the elision boundary (<= vs <).
-    array_type: str = "fifo"
 
     def __post_init__(self) -> None:
         if self.depth < 0 or self.width < 0:
@@ -109,41 +101,11 @@ class FifoSpec:
                 f"{self.name}: storage must be one of {STORAGE_HINTS}, "
                 f"got {self.storage!r}"
             )
-        if self.array_type not in ("fifo", "memory"):
-            raise ConfigError(
-                f"{self.name}: array_type must be 'fifo' or 'memory'"
-            )
 
     @property
     def bits_each(self) -> int:
         """Declared bits of one instance."""
         return self.depth * self.width
-
-
-@dataclass(frozen=True)
-class CostVector:
-    """Per-unit placement costs, keyed by primitive kind."""
-
-    weights: Mapping[str, int]
-
-    def unit_cost(self, kind: str) -> int:
-        """Cost of one unit of ``kind``."""
-        try:
-            return self.weights[kind]
-        except KeyError:
-            raise ConfigError(
-                f"cost vector has no weight for primitive kind {kind!r}; "
-                f"known: {sorted(self.weights)}"
-            ) from None
-
-
-#: Default costs: one unit is worth its physical storage bits, so the
-#: cheapest placement is the one committing the fewest memory bits.
-DEFAULT_COST_VECTOR = CostVector(
-    weights={
-        p.kind: p.unit_bits for p in (BRAM18, BRAM36, URAM, LUTRAM)
-    }
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +123,6 @@ class Placement:
     depth_splits: int
     #: Slice LUTs the placement consumes (LUTRAM only).
     luts: int
-    cost: int
     elided: bool = False
 
     @property
@@ -198,7 +159,6 @@ class PayloadPlacement:
     rows_per_group: int
     #: Units allocated to each aligned group (0 = group elided).
     per_group_units: tuple[int, ...]
-    cost: int
 
     @property
     def n_groups(self) -> int:
@@ -259,28 +219,17 @@ def _empty_placement(spec: FifoSpec, *, elided: bool) -> Placement:
         width_splits=0,
         depth_splits=0,
         luts=0,
-        cost=0,
         elided=elided,
     )
 
 
-def place_fifo(
-    spec: FifoSpec,
-    portfolio: Portfolio,
-    *,
-    cost_vector: CostVector = DEFAULT_COST_VECTOR,
-    mode: str = "exhaustive",
-) -> Placement:
+def place_fifo(spec: FifoSpec, portfolio: Portfolio) -> Placement:
     """Cheapest legal placement of one FIFO on ``portfolio``."""
-    if mode not in PLACEMENT_MODES:
-        raise ConfigError(
-            f"mode must be one of {PLACEMENT_MODES}, got {mode!r}"
-        )
     if spec.bits_each == 0:
         return _empty_placement(spec, elided=False)
     candidates: list[tuple[tuple[int, int, int], Placement]] = []
     if portfolio.small_array_elision and small_array_elided(
-        spec.depth, spec.width, array_type=spec.array_type
+        spec.depth, spec.width
     ):
         candidates.append(
             ((0, 0, -1), _empty_placement(spec, elided=True))
@@ -288,9 +237,7 @@ def place_fifo(
     for index, prim in enumerate(portfolio.primitives):
         if spec.storage == "block" and prim.kind == "lutram":
             continue
-        if spec.storage == "distributed" and prim.kind != "lutram":
-            continue
-        config = prim.best_config(spec.depth, spec.width, mode=mode)
+        config = prim.best_config(spec.depth, spec.width)
         width_splits, depth_splits = config.splits_for(
             spec.depth, spec.width
         )
@@ -301,10 +248,9 @@ def place_fifo(
         ):
             continue
         units = per_instance * spec.count
-        cost = cost_vector.unit_cost(prim.kind) * units
         candidates.append(
             (
-                (cost, units, index),
+                (units * prim.unit_bits, units, index),
                 Placement(
                     fifo=spec,
                     primitive=prim,
@@ -313,7 +259,6 @@ def place_fifo(
                     width_splits=width_splits,
                     depth_splits=depth_splits,
                     luts=prim.luts_per_unit * units,
-                    cost=cost,
                 ),
             )
         )
@@ -382,9 +327,6 @@ def place_payload(
     window_size: int,
     stored_row_bits: np.ndarray,
     portfolio: Portfolio,
-    *,
-    cost_vector: CostVector = DEFAULT_COST_VECTOR,
-    mode: str = "exhaustive",
 ) -> PayloadPlacement:
     """Cheapest pooled placement of the packed payload row FIFOs.
 
@@ -392,13 +334,8 @@ def place_payload(
     window row stream (protection expansion applied).  The packed
     streams are width-agnostic bit pools, so feasibility compares group
     sums against whole units; LUTRAM is excluded — the RTL instantiates
-    the payload FIFOs as block memories.  ``mode`` is accepted for
-    interface symmetry; payload pooling has no per-config search.
+    the payload FIFOs as block memories.
     """
-    if mode not in PLACEMENT_MODES:
-        raise ConfigError(
-            f"mode must be one of {PLACEMENT_MODES}, got {mode!r}"
-        )
     rows = np.asarray(stored_row_bits, dtype=np.int64)
     if rows.ndim != 1 or rows.size != window_size:
         raise ConfigError(
@@ -419,8 +356,7 @@ def place_payload(
             rows, prim, options, elide=portfolio.small_array_elision
         )
         units = sum(per_group)
-        cost = cost_vector.unit_cost(prim.kind) * units
-        key = (cost, units, index)
+        key = (units * prim.unit_bits, units, index)
         if best is None or key < best[0]:
             best = (
                 key,
@@ -428,7 +364,6 @@ def place_payload(
                     primitive=prim,
                     rows_per_group=r,
                     per_group_units=per_group,
-                    cost=cost,
                 ),
             )
     if best is None:
@@ -445,7 +380,6 @@ class PlacementPlan:
 
     config: ArchitectureConfig
     portfolio: Portfolio = field(repr=False)
-    mode: str
     protection: str
     payload: PayloadPlacement
     nbits: Placement
@@ -557,8 +491,8 @@ class PlacementPlan:
         """The per-FIFO placement report as aligned text."""
         header = (
             f"placement — {self.config.describe()} on "
-            f"{self.portfolio.name} [{self.mode}"
-            + (f", {self.protection} ECC]" if self.protection != "none" else "]")
+            f"{self.portfolio.name}"
+            + (f" [{self.protection} ECC]" if self.protection != "none" else "")
         )
         rows: list[tuple[str, str, int, int]] = [
             (
@@ -620,10 +554,7 @@ def plan_placement(
     row_bits_worst: np.ndarray,
     *,
     device: "FPGADevice | None" = None,
-    portfolio: Portfolio | None = None,
     protection: object | None = None,
-    cost_vector: CostVector = DEFAULT_COST_VECTOR,
-    mode: str = "exhaustive",
 ) -> PlacementPlan:
     """Place every FIFO of one design point on a device's portfolio.
 
@@ -631,16 +562,14 @@ def plan_placement(
     window row, the largest seen across the provisioning frames
     (Section V.E's "worst-case scenario").  Protection expansion (the
     resilience overhead) is applied here, so an ECC'd plan provisions
-    for its stored size.  ``portfolio`` overrides the device-derived
-    portfolio when given; with neither, the XC7Z020 compatibility
-    portfolio is used.
+    for its stored size.  With no ``device`` the plan is placed on the
+    XC7Z020's compatibility portfolio.
     """
     # Imported lazily: resolve_policy pulls the resilience layer in
     # only when a plan is actually built.
     from ..resilience.protection import resolve_policy
 
-    if portfolio is None:
-        portfolio = (device if device is not None else XC7Z020).portfolio
+    portfolio = (device if device is not None else XC7Z020).portfolio
     policy = resolve_policy(protection)
     rows = np.asarray(row_bits_worst, dtype=np.int64)
     if rows.ndim != 1 or rows.size != config.window_size:
@@ -650,13 +579,7 @@ def plan_placement(
     stored_rows = np.asarray(
         policy.payload.scaled_bits(rows), dtype=np.int64
     )
-    payload = place_payload(
-        config.window_size,
-        stored_rows,
-        portfolio,
-        cost_vector=cost_vector,
-        mode=mode,
-    )
+    payload = place_payload(config.window_size, stored_rows, portfolio)
     cols = config.buffered_columns
     nbits = place_fifo(
         FifoSpec(
@@ -665,8 +588,6 @@ def plan_placement(
             width=int(policy.nbits.scaled_bits(2 * config.nbits_field_width)),
         ),
         portfolio,
-        cost_vector=cost_vector,
-        mode=mode,
     )
     bitmap = place_fifo(
         FifoSpec(
@@ -675,19 +596,11 @@ def plan_placement(
             width=int(policy.bitmap.scaled_bits(config.window_size)),
         ),
         portfolio,
-        cost_vector=cost_vector,
-        mode=mode,
     )
-    line_buffers = place_fifo(
-        line_buffer_fifo(config),
-        portfolio,
-        cost_vector=cost_vector,
-        mode=mode,
-    )
+    line_buffers = place_fifo(line_buffer_fifo(config), portfolio)
     return PlacementPlan(
         config=config,
         portfolio=portfolio,
-        mode=mode,
         protection=policy.name,
         payload=payload,
         nbits=nbits,

@@ -33,26 +33,31 @@ Two synthesis behaviours ride along with the tables:
   this check, so the rule is only enabled on the UltraScale+ portfolio.
 - **Cascading** — a buffer wider or deeper than one primitive's port
   splits across ``ceil(width / w) * ceil(depth / d)`` units.
+
+The RAMB18 table is the paper's own (Section V.E): a 7-series RAMB18
+holds 16 K data bits plus 2 K parity bits, and the parity bits are only
+addressable in the x9 / x18 / x36 aspect ratios, so the usable capacity
+of a configuration is 16384 bits up to 4k x 4 and 18432 bits from 2k x 9
+on.  ``BRAM18.configs`` is that table and :data:`BRAM_CAPACITY_BITS`
+its nominal unit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
-from .bram import BRAM_CAPACITY_BITS, BRAM_CONFIGS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .device import FPGADevice
 
-#: Vivado's small-array threshold: a *FIFO* of at most this many bits is
-#: elided from block RAM (a plain memory must be strictly below it).
+#: Vivado's small-array threshold: a FIFO of at most this many bits is
+#: elided from block RAM.
 ELISION_LIMIT_BITS = 1024
 
-#: Placement search modes accepted throughout the planner.
-PLACEMENT_MODES: tuple[str, ...] = ("exhaustive", "greedy")
+#: Nominal capacity of one 18 Kb BRAM in its parity-capable configurations.
+BRAM_CAPACITY_BITS = 18 * 1024  # 18432
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,45 +128,30 @@ class MemoryPrimitive:
                     f"{self.unit_bits}-bit unit"
                 )
 
-    def best_config(
-        self, n_words: int, word_bits: int, *, mode: str = "exhaustive"
-    ) -> PortConfig:
+    def best_config(self, n_words: int, word_bits: int) -> PortConfig:
         """Configuration chosen for a logical ``n_words x word_bits`` buffer.
 
-        ``exhaustive`` scans the whole table and minimises the unit
-        count, ties breaking toward the narrowest geometry (matching the
-        paper's published choices).  ``greedy`` is the fpgaconvnet-style
-        heuristic: the shallowest configuration at least as deep as the
-        buffer (else the deepest available) — one bisect, no scan.
+        Scans the whole table and minimises the unit count, ties
+        breaking toward the narrowest geometry (matching the paper's
+        published choices).
         """
         if n_words <= 0 or word_bits <= 0:
             raise ConfigError(
                 f"buffer must be non-empty, got {n_words} words x "
                 f"{word_bits} bits"
             )
-        if mode == "exhaustive":
-            return min(
-                self.configs,
-                key=lambda c: (c.units_for(n_words, word_bits), c.width),
-            )
-        if mode == "greedy":
-            by_depth = sorted(self.configs, key=lambda c: c.depth)
-            depths = [c.depth for c in by_depth]
-            idx = bisect_left(depths, n_words)
-            return by_depth[min(idx, len(by_depth) - 1)]
-        raise ConfigError(
-            f"mode must be one of {PLACEMENT_MODES}, got {mode!r}"
+        return min(
+            self.configs,
+            key=lambda c: (c.units_for(n_words, word_bits), c.width),
         )
 
-    def units_for(
-        self, n_words: int, word_bits: int, *, mode: str = "exhaustive"
-    ) -> int:
+    def units_for(self, n_words: int, word_bits: int) -> int:
         """Minimum units for a logical buffer (0 when it is empty)."""
         if n_words < 0 or word_bits < 0:
             raise ConfigError("word count and width must be non-negative")
         if n_words == 0 or word_bits == 0:
             return 0
-        return self.best_config(n_words, word_bits, mode=mode).units_for(
+        return self.best_config(n_words, word_bits).units_for(
             n_words, word_bits
         )
 
@@ -172,31 +162,28 @@ class MemoryPrimitive:
         return -(-bits // self.unit_bits)
 
 
-def small_array_elided(
-    n_words: int, word_bits: int, *, array_type: str = "fifo"
-) -> bool:
-    """Vivado's small-array rule: does this buffer cost zero block RAMs?
+def small_array_elided(n_words: int, word_bits: int) -> bool:
+    """Vivado's small-array rule: does this FIFO cost zero block RAMs?
 
-    A *FIFO* is elided at ``width * depth <= 1024`` bits; a plain
-    *memory* strictly below 1024.  The boundary is exact — 1024-bit
-    FIFOs are elided, 1025-bit FIFOs are not.
+    A FIFO is elided at ``width * depth <= 1024`` bits.  The boundary is
+    exact — 1024-bit FIFOs are elided, 1025-bit FIFOs are not.
     """
-    if array_type not in ("fifo", "memory"):
-        raise ConfigError(
-            f"array_type must be 'fifo' or 'memory', got {array_type!r}"
-        )
-    bits = n_words * word_bits
-    if array_type == "fifo":
-        return bits <= ELISION_LIMIT_BITS
-    return bits < ELISION_LIMIT_BITS
+    return n_words * word_bits <= ELISION_LIMIT_BITS
 
 
-#: The 18 Kb RAMB18 — geometry table shared with the seed model.
+#: The 18 Kb RAMB18: the paper's port table, widest geometry first.
 BRAM18 = MemoryPrimitive(
     name="BRAM18",
     kind="bram18",
     unit_bits=BRAM_CAPACITY_BITS,
-    configs=tuple(PortConfig(c.depth, c.width) for c in BRAM_CONFIGS),
+    configs=(
+        PortConfig(depth=512, width=36),
+        PortConfig(depth=1024, width=18),
+        PortConfig(depth=2048, width=9),
+        PortConfig(depth=4096, width=4),
+        PortConfig(depth=8192, width=2),
+        PortConfig(depth=16384, width=1),
+    ),
 )
 
 #: The 36 Kb RAMB36 tile (two RAMB18 sites; x72 only exists here).

@@ -25,8 +25,8 @@ waiver, the software analogue of a reviewed timing exception.
 The default scope covers the datapath models only: ``core/transform``,
 ``core/packing``, the protection codecs (``resilience/protection``: the
 SECDED, parity and TMR words and the ``scaled_bits`` stored-size rule)
-and the bit-level hardware blocks (``bram``, plus the placement layer
-``primitives`` / ``planner``, whose per-group capacities the engine
+and the placement layer (``hardware/primitives``, the port-geometry
+tables, and ``hardware/planner``, whose per-group capacities the engine
 enforces at run time).  The estimator modules (``hardware/resources``,
 ``latency``, ``device``) model analog quantities — Fmax in MHz,
 utilisation percentages, linear fits — and are deliberately outside the
@@ -51,7 +51,6 @@ BIT_EXACT_MODULES: tuple[str, ...] = (
     "repro.core.packing",
     "repro.core.packing.native",
     "repro.resilience.protection",
-    "repro.hardware.bram",
     "repro.hardware.primitives",
     "repro.hardware.planner",
 )

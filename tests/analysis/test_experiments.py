@@ -135,6 +135,40 @@ class TestMse:
         recirculated = CompressedEngine(config, BoxFilterKernel(16)).run(img)
         assert np.array_equal(recirculated.reconstruction, img)
 
+    @pytest.mark.parametrize("threshold", (0, 6))
+    def test_single_pass_equals_per_band_loop(self, threshold):
+        """One stacked band analysis equals analysing band by band; the
+        rows below the last full band stay raw."""
+        from repro import ArchitectureConfig
+        from repro.core.stats import analyze_band
+        from repro.imaging import generate_scene
+
+        config = ArchitectureConfig(
+            image_width=64, image_height=100, window_size=16, threshold=threshold
+        )
+        img = generate_scene(3, 100)[:, :64].astype(np.int64)
+        expected = img.copy()
+        for top in range(0, 100 - 16 + 1, 16):
+            band = img[top : top + 16]
+            expected[top : top + 16] = analyze_band(config, band).reconstruct()
+        got = ex.reconstruct_single_pass(config, img)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got[96:], img[96:])
+
+    def test_mse_figures_and_headline_share_one_sweep(self):
+        from repro.analysis.ci import mean_confidence_interval
+
+        errs = ex.suite_single_pass_mse(128, 64, 4, n_images=2, processes=1)
+        assert ex.suite_single_pass_mse(128, 64, 4, n_images=2) is errs
+        mse = ex.mse_vs_threshold(
+            resolution=128, window=64, thresholds=(4,), n_images=2, processes=1
+        )
+        assert mse.single_pass[4] == mean_confidence_interval(np.array(errs))
+        headline = ex.headline_claims(
+            widths=(128,), windows=(8,), thresholds=(0, 4), n_images=2, processes=1
+        )
+        assert headline.mse_by_width[(128, 4)] == float(np.mean(errs))
+
     def test_recirculated_mse_pinned(self):
         """The engine's recirculating loop gives the column's pinned values."""
         result = ex.mse_vs_threshold(

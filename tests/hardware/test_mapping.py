@@ -12,6 +12,7 @@ import pytest
 
 from repro import ArchitectureConfig
 from repro.errors import ConfigError
+from repro.hardware.device import XC7Z020
 from repro.hardware.planner import plan_placement
 from repro.hardware.primitives import BRAM18_COMPAT
 
@@ -159,7 +160,7 @@ class TestPlan:
 
 
 class TestPortfolioThreading:
-    """The default device and explicit portfolio/device arguments."""
+    """The default device and an explicit device argument."""
 
     def test_default_path_carries_no_placement(self):
         """No device means the XC7Z020's RAMB18-only portfolio."""
@@ -171,7 +172,8 @@ class TestPortfolioThreading:
         config = cfg(512, 8)
         rows = np.full(8, 2000)
         default = plan_placement(config, rows)
-        via = plan_placement(config, rows, portfolio=BRAM18_COMPAT)
+        via = plan_placement(config, rows, device=XC7Z020)
+        assert via.portfolio is BRAM18_COMPAT
         # The seed arithmetic's numbers: 8 rows share one BRAM, 2 mgmt.
         assert (via.packed_brams, via.rows_per_bram, via.management_brams) == (
             default.packed_brams,

@@ -59,7 +59,6 @@ def exact_capacity_plan(config, group_bits):
             primitive=bit,
             rows_per_group=config.window_size // len(group_bits),
             per_group_units=tuple(int(b) for b in group_bits),
-            cost=0,
         ),
     )
 

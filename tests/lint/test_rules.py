@@ -320,3 +320,33 @@ class TestRep004Layering:
         assert not _violations(
             LayeringRule(), "import os\nimport numpy\n", "repro.core.stats"
         )
+
+
+class TestRuleScopes:
+    """Every module prefix a rule is scoped to names a real module.
+
+    A deleted module left in a scope list would silently narrow nothing
+    and guard nothing; resolving each prefix catches the stale entry.
+    """
+
+    def test_bit_exact_modules_resolve(self):
+        import importlib.util
+
+        from repro.lint.rules.bitexact import BIT_EXACT_MODULES
+
+        missing = [
+            m for m in BIT_EXACT_MODULES if importlib.util.find_spec(m) is None
+        ]
+        assert not missing, missing
+
+    def test_layer_prefixes_resolve(self):
+        import importlib.util
+
+        from repro.lint.rules.layering import LAYER_PREFIXES
+
+        missing = [
+            prefix
+            for prefix, _ in LAYER_PREFIXES
+            if importlib.util.find_spec(prefix) is None
+        ]
+        assert not missing, missing

@@ -36,7 +36,7 @@ class TestParser:
     def test_resources_defaults_to_memory_sweep(self):
         args = build_parser().parse_args(["resources"])
         assert args.device == "XC7Z020"
-        assert args.mode == "exhaustive"
+        assert not hasattr(args, "mode")
 
     def test_device_flag_choices(self):
         for command in (["resources"], ["bench", "perf"], ["fault-campaign"]):
