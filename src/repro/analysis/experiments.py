@@ -27,6 +27,7 @@ from ..core.stats import (
     sliding_occupancy,
 )
 from ..core.transform.lifting import WAVELETS
+from ..core.window.compressed import TRAVERSAL_CHUNK_VALUES
 from ..core.packing.nbits import bit_widths_signed, min_bits_signed
 from ..core.packing.packer import band_widths, threshold_and_size
 from ..errors import ConfigError
@@ -468,17 +469,22 @@ class MseResult:
 def reconstruct_single_pass(config: ArchitectureConfig, image: np.ndarray) -> np.ndarray:
     """Reconstruction after one aligned compression pass over the image.
 
-    Non-overlapping bands, analysed as one ``(H // N, N, W)`` stack; rows
-    below the last full band stay raw.  This is the measurement
-    convention the paper's MSE figures correspond to.
+    Non-overlapping bands, analysed in ``(C, N, W)`` stacks of about
+    :data:`~repro.core.window.compressed.TRAVERSAL_CHUNK_VALUES` values
+    (one band each when a band alone is larger), so the working set stays
+    cache-sized whatever the frame; rows below the last full band stay
+    raw.  This is the measurement convention the paper's MSE figures
+    correspond to.
     """
     n = config.window_size
     out = np.asarray(image).astype(np.int64)
-    covered = (out.shape[0] // n) * n
-    if covered:
-        bands = out[:covered].reshape(covered // n, n, out.shape[1])
-        rec = analyze_band(config, bands).reconstruct()
-        out[:covered] = rec.reshape(covered, out.shape[1])
+    h, w = out.shape
+    covered = (h // n) * n
+    step = max(1, TRAVERSAL_CHUNK_VALUES // (n * w)) * n
+    for top in range(0, covered, step):
+        rows = out[top : min(top + step, covered)]
+        rec = analyze_band(config, rows.reshape(-1, n, w)).reconstruct()
+        rows[...] = rec.reshape(rows.shape)
     return out
 
 

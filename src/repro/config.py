@@ -11,12 +11,11 @@ depths, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from .errors import ConfigError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Window sizes evaluated throughout the paper (Tables I-X, Fig 13).
 PAPER_WINDOW_SIZES: tuple[int, ...] = (8, 16, 32, 64, 128)
@@ -171,11 +170,17 @@ class ArchitectureConfig:
         return (1 << self.pixel_bits) - 1
 
     @property
+    def pixel_dtype(self) -> np.dtype:
+        """Narrowest unsigned dtype holding a pixel: ``uint8`` for up to 8
+        bits, ``uint16`` above (the line buffers' pixel width)."""
+        return np.dtype(np.uint8 if self.pixel_bits <= 8 else np.uint16)
+
+    @property
     def wrap_bits(self) -> int | None:
         """Width the Haar datapath wraps at, or ``None`` when it widens."""
         return self.coefficient_bits if self.wrap_coefficients else None
 
-    def check_pixels(self, pixels: "np.ndarray") -> None:
+    def check_pixels(self, pixels: np.ndarray) -> None:
         """Raise :class:`ConfigError` unless every pixel is in ``[0, pixel_max]``.
 
         The one range check: the engines, ``StreamingProcessor.submit``

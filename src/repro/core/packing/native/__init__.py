@@ -59,6 +59,11 @@ def _p_u8(arr: np.ndarray) -> "ctypes._Pointer[ctypes.c_uint8]":
     return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8))
 
 
+#: Pixel dtypes the frame kernels read (``band_sizes``,
+#: ``RecirculatingLoop``): an engine's frame is 8- or 16-bit wide.
+PIXEL_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
+
+
 def pair_transform(
     image: np.ndarray,
     *,
@@ -116,10 +121,11 @@ def threshold_inplace(
 class RecirculatingLoop:
     """The level-1 recirculating loop of one frame, sized as it runs.
 
-    ``image`` is the ``(H, W)`` int64 frame and ``state`` the ``(N, W)``
-    int64 band the next traversal presents; ``bands`` is the caller's
-    ``(C, N, W)`` int64 chunk buffer.  Each :meth:`run` call runs up to
-    ``C`` consecutive traversals in one C call.  Traversal ``k`` of the
+    ``image`` is the ``(H, W)`` frame and ``state`` the ``(N, W)`` band
+    the next traversal presents; ``bands`` is the caller's ``(C, N, W)``
+    chunk buffer.  All three hold pixels of one of :data:`PIXEL_DTYPES`,
+    the same one, wide enough for ``pixel_max``.  Each :meth:`run` call
+    runs up to ``C`` consecutive traversals in one C call.  Traversal ``k`` of the
     call writes its band to ``bands[k]``, transforms, DPCMs (``ll_dpcm``)
     and thresholds it (LL exempt when ``exempt_ll``), and writes its
     results at its frame index ``t = y - N + 1`` of the frame-sized
@@ -179,10 +185,16 @@ class RecirculatingLoop:
         groups = 0 if group_peaks is None else group_peaks.shape[-1]
         if group_peaks is not None and (groups < 1 or n % groups):
             raise ConfigError(f"{groups} groups do not divide a {n}-row band")
+        pixels = image.dtype
+        if pixels not in PIXEL_DTYPES or pixel_max > np.iinfo(pixels).max:
+            raise ConfigError(
+                f"image needs uint8 or uint16 pixels that hold pixel_max "
+                f"{pixel_max}, got {pixels}"
+            )
         buffers = [
-            ("image", image, np.int64, (h, w)),
-            ("state", state, np.int64, (n, w)),
-            ("bands", bands, np.int64, (max(bands.shape[0], 1), n, w)),
+            ("image", image, pixels, (h, w)),
+            ("state", state, pixels, (n, w)),
+            ("bands", bands, pixels, (max(bands.shape[0], 1), n, w)),
             ("nbits", nbits, np.uint8, (t_total, 2, w)),
             ("counts", counts, np.int64, (t_total,)),
             ("totals", totals, np.int64, (t_total,)),
@@ -207,17 +219,18 @@ class RecirculatingLoop:
             np.zeros(2 * (groups + 1) * w, dtype=np.int64),
         )
         coef, flags, cnt, cols = self._scratch
-        self._head = (_p_i64(image), h, w, n)
+        self._head = (image.ctypes.data, h, w, n)
         self._tail = (
             threshold,
             1 if exempt_ll else 0,
             1 if ll_dpcm else 0,
             wrap_bits if wrap_bits else 0,
             pixel_max,
+            pixels.itemsize,
             management_bits_per_column,
             groups,
-            _p_i64(state),
-            _p_i64(bands),
+            state.ctypes.data,
+            bands.ctypes.data,
             _p_i32(coef),
             _p_u8(flags),
             _p_i32(cnt),
@@ -260,12 +273,12 @@ def band_sizes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Per-band level-1 sizes of every traversal of ``image`` in one pass.
 
-    ``image`` is the ``(H, W)`` int64 frame and ``window_size`` the band
-    height ``N``.  Each row pair is transformed, DPCM'd (``ll_dpcm``) and
-    thresholded (LL exempt when ``exempt_ll``) once, and every band is
-    reduced as soon as its last pair is in, so no frame-sized plane is
-    built.  Returns ``(nbits, counts, totals, peaks, group_peaks)``:
-    the ``(T, 2, W)`` uint8 per-parity NBits, and per band the
+    ``image`` is the ``(H, W)`` frame of one of :data:`PIXEL_DTYPES` and
+    ``window_size`` the band height ``N``.  Each row pair is transformed,
+    DPCM'd (``ll_dpcm``) and thresholded (LL exempt when ``exempt_ll``)
+    once, and every band is reduced as soon as its last pair is in, so no
+    frame-sized plane is built.  Returns ``(nbits, counts, totals, peaks,
+    group_peaks)``: the ``(T, 2, W)`` uint8 per-parity NBits, and per band the
     significant count, the payload plus ``management_bits_per_column``
     bits per ring slot, and the occupancy peak against the previous band
     (the first band against itself).  With ``groups`` set, the
@@ -273,10 +286,10 @@ def band_sizes(
     ``N / groups`` rows; otherwise ``None``.
     """
     arr = image
-    if arr.dtype != np.int64 or arr.ndim != 2 or not arr.flags.c_contiguous:
+    if arr.dtype not in PIXEL_DTYPES or arr.ndim != 2 or not arr.flags.c_contiguous:
         raise ConfigError(
-            f"band_sizes needs a contiguous 2D int64 image, got {arr.dtype} "
-            f"{arr.shape}"
+            f"band_sizes needs a contiguous 2D uint8 or uint16 image, got "
+            f"{arr.dtype} {arr.shape}"
         )
     h, w = arr.shape
     n = window_size
@@ -303,7 +316,7 @@ def band_sizes(
     cnt = np.empty((g + 1) * 2 * w, dtype=np.int32)
     cols = np.empty(2 * (g + 1) * w, dtype=np.int64)
     load().repro_band_sizes(
-        _p_i64(arr),
+        arr.ctypes.data,
         h,
         w,
         n,
@@ -311,6 +324,7 @@ def band_sizes(
         1 if exempt_ll else 0,
         1 if ll_dpcm else 0,
         wrap_bits if wrap_bits else 0,
+        arr.itemsize,
         management_bits_per_column,
         g,
         _p_i32(coef),

@@ -25,7 +25,7 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * stale cached .so whose ABI does not match. */
-#define REPRO_NATIVE_ABI 4
+#define REPRO_NATIVE_ABI 5
 
 REPRO_API int64_t
 repro_abi_version(void)
@@ -158,37 +158,60 @@ threshold_one(int32_t v, int32_t t)
 /* Map one reconstructed sample back to the pixel range: the low bits
  * for a wrap-around datapath (wrap_bits > 0), saturation otherwise
  * (BandAnalysis.reconstruct's clip). */
-static inline int64_t
+static inline int32_t
 to_pixel(int32_t v, int64_t wrap_bits, int64_t pixel_max)
 {
     if (wrap_bits > 0)
-        return (int64_t)((uint32_t)v & (uint32_t)pixel_max);
-    return v < 0 ? 0 : (v > pixel_max ? pixel_max : v);
+        return (int32_t)((uint32_t)v & (uint32_t)pixel_max);
+    return v < 0 ? 0 : (v > pixel_max ? (int32_t)pixel_max : v);
+}
+
+/* Pixel j of a row of pixel_bytes-wide unsigned pixels (1 or 2 bytes,
+ * the engine's pixel dtype).  Always inlined with a constant width
+ * (REPRO_SPECIALISE), so the width test folds away. */
+static inline __attribute__((always_inline)) int32_t
+load_pixel(const void *row, int64_t j, int64_t pixel_bytes)
+{
+    if (pixel_bytes == 1)
+        return ((const uint8_t *)row)[j];
+    return ((const uint16_t *)row)[j];
+}
+
+/* Store an in-range pixel at the row's width (see load_pixel). */
+static inline __attribute__((always_inline)) void
+store_pixel(void *row, int64_t j, int32_t v, int64_t pixel_bytes)
+{
+    if (pixel_bytes == 1)
+        ((uint8_t *)row)[j] = (uint8_t)v;
+    else
+        ((uint16_t *)row)[j] = (uint16_t)v;
 }
 
 /* One 2-row block of one traversal: forward butterflies, optional LL
  * DPCM and threshold into o0/o1; with decode, the inverse into d0 (the
- * row above, NULL for the band's first pair) and d1.  Always inlined
- * with constant flags (REPRO_SPECIALISE), so no variant carries flag
+ * row above, NULL for the band's first pair) and d1.  Rows r0, r1, d0
+ * and d1 hold pixel_bytes-wide pixels.  Always inlined with constant
+ * flags and pixel width (REPRO_SPECIALISE), so no variant carries flag
  * branches in its loop. */
 static inline __attribute__((always_inline)) void
-traverse_pair(const int64_t *restrict r0, const int64_t *restrict r1,
+traverse_pair(const void *restrict r0, const void *restrict r1,
               int32_t *restrict o0, int32_t *restrict o1,
-              int64_t *restrict d0, int64_t *restrict d1, int64_t w,
+              void *restrict d0, void *restrict d1, int64_t w,
               int32_t t, int64_t exempt_ll, int64_t ll_dpcm,
-              int64_t wrap_bits, int64_t pixel_max, int decode)
+              int64_t wrap_bits, int64_t pixel_max, int64_t pixel_bytes,
+              int decode)
 {
     int32_t prev_ll = 0;
     uint32_t ll_sum = 0;
     for (int64_t j = 0; j + 1 < w; j += 2) {
-        int32_t h0 = wrap_i32((int64_t)(int32_t)r0[j] - (int32_t)r0[j + 1],
-                              wrap_bits);
-        int32_t l0 = wrap_i32((int64_t)(int32_t)r0[j + 1] + (h0 >> 1),
-                              wrap_bits);
-        int32_t h1 = wrap_i32((int64_t)(int32_t)r1[j] - (int32_t)r1[j + 1],
-                              wrap_bits);
-        int32_t l1 = wrap_i32((int64_t)(int32_t)r1[j + 1] + (h1 >> 1),
-                              wrap_bits);
+        int32_t x00 = load_pixel(r0, j, pixel_bytes);
+        int32_t x01 = load_pixel(r0, j + 1, pixel_bytes);
+        int32_t x10 = load_pixel(r1, j, pixel_bytes);
+        int32_t x11 = load_pixel(r1, j + 1, pixel_bytes);
+        int32_t h0 = wrap_i32((int64_t)x00 - x01, wrap_bits);
+        int32_t l0 = wrap_i32((int64_t)x01 + (h0 >> 1), wrap_bits);
+        int32_t h1 = wrap_i32((int64_t)x10 - x11, wrap_bits);
+        int32_t l1 = wrap_i32((int64_t)x11 + (h1 >> 1), wrap_bits);
         int32_t lh = wrap_i32((int64_t)l0 - l1, wrap_bits);
         int32_t ll = wrap_i32((int64_t)l1 + (lh >> 1), wrap_bits);
         int32_t hh = wrap_i32((int64_t)h0 - h1, wrap_bits);
@@ -225,11 +248,12 @@ traverse_pair(const int64_t *restrict r0, const int64_t *restrict r1,
         int32_t p11 = wrap_i32((int64_t)c1 - (e1 >> 1), wrap_bits);
         int32_t p10 = wrap_i32((int64_t)e1 + p11, wrap_bits);
         if (d0) {
-            d0[j] = to_pixel(p00, wrap_bits, pixel_max);
-            d0[j + 1] = to_pixel(p01, wrap_bits, pixel_max);
+            store_pixel(d0, j, to_pixel(p00, wrap_bits, pixel_max), pixel_bytes);
+            store_pixel(d0, j + 1, to_pixel(p01, wrap_bits, pixel_max),
+                        pixel_bytes);
         }
-        d1[j] = to_pixel(p10, wrap_bits, pixel_max);
-        d1[j + 1] = to_pixel(p11, wrap_bits, pixel_max);
+        store_pixel(d1, j, to_pixel(p10, wrap_bits, pixel_max), pixel_bytes);
+        store_pixel(d1, j + 1, to_pixel(p11, wrap_bits, pixel_max), pixel_bytes);
     }
 }
 
@@ -350,76 +374,89 @@ reduce_band(int64_t t, const uint8_t *const *pairs, int64_t w, int64_t n,
     }
 }
 
-/* Expand CALL(EX, DP, WB) once per exempt_ll x ll_dpcm x wrap flag
- * combination: each callee is always inlined, so every combination runs
- * its own copy of the loop with constant flags and no flag branches. */
-#define REPRO_SPECIALISE(CALL)                                              \
+/* Expand CALL(EX, DP, WB, PB) once per exempt_ll x ll_dpcm x wrap flag
+ * x pixel width (1 or 2 bytes) combination: each callee is always
+ * inlined, so every combination runs its own copy of the loop with
+ * constant flags and no flag or width branches. */
+#define REPRO_SPECIALISE_FLAGS(CALL, PB)                                    \
     do {                                                                    \
         if (wrap_bits) {                                                    \
             if (exempt_ll && ll_dpcm)                                       \
-                CALL(1, 1, wrap_bits);                                      \
+                CALL(1, 1, wrap_bits, PB);                                  \
             else if (exempt_ll)                                             \
-                CALL(1, 0, wrap_bits);                                      \
+                CALL(1, 0, wrap_bits, PB);                                  \
             else if (ll_dpcm)                                               \
-                CALL(0, 1, wrap_bits);                                      \
+                CALL(0, 1, wrap_bits, PB);                                  \
             else                                                            \
-                CALL(0, 0, wrap_bits);                                      \
+                CALL(0, 0, wrap_bits, PB);                                  \
         } else {                                                            \
             if (exempt_ll && ll_dpcm)                                       \
-                CALL(1, 1, 0);                                              \
+                CALL(1, 1, 0, PB);                                          \
             else if (exempt_ll)                                             \
-                CALL(1, 0, 0);                                              \
+                CALL(1, 0, 0, PB);                                          \
             else if (ll_dpcm)                                               \
-                CALL(0, 1, 0);                                              \
+                CALL(0, 1, 0, PB);                                          \
             else                                                            \
-                CALL(0, 0, 0);                                              \
+                CALL(0, 0, 0, PB);                                          \
         }                                                                   \
+    } while (0)
+
+#define REPRO_SPECIALISE(CALL)                                              \
+    do {                                                                    \
+        if (pixel_bytes == 1)                                               \
+            REPRO_SPECIALISE_FLAGS(CALL, 1);                                \
+        else                                                                \
+            REPRO_SPECIALISE_FLAGS(CALL, 2);                                \
     } while (0)
 
 /* -- recirculating traversals (Fig 4 feedback loop, level 1) --------- */
 
-/* The traversal loop with its flags as constants (see REPRO_SPECIALISE). */
+/* The traversal loop with its flags and pixel width as constants (see
+ * REPRO_SPECIALISE). */
 static inline __attribute__((always_inline)) void
-recirculate_body(const int64_t *restrict image, int64_t h, int64_t w,
+recirculate_body(const uint8_t *restrict image, int64_t h, int64_t w,
                  int64_t n, int64_t y0, int64_t count, int32_t t,
                  int64_t exempt_ll, int64_t ll_dpcm, int64_t wrap_bits,
-                 int64_t pixel_max, int64_t mgmt, int64_t groups,
-                 int64_t *restrict state, int64_t *restrict bands,
-                 int32_t *restrict coef, uint8_t *restrict flags,
-                 int32_t *restrict cnt, int64_t *restrict cols,
-                 uint8_t *restrict nbits, int64_t *restrict counts,
-                 int64_t *restrict totals, int64_t *restrict peaks,
-                 int64_t *restrict group_peaks)
+                 int64_t pixel_max, int64_t pixel_bytes, int64_t mgmt,
+                 int64_t groups, uint8_t *restrict state,
+                 uint8_t *restrict bands, int32_t *restrict coef,
+                 uint8_t *restrict flags, int32_t *restrict cnt,
+                 int64_t *restrict cols, uint8_t *restrict nbits,
+                 int64_t *restrict counts, int64_t *restrict totals,
+                 int64_t *restrict peaks, int64_t *restrict group_peaks)
 {
-    int64_t size = n * w, row = 2 * w, half = n >> 1;
+    int64_t line = w * pixel_bytes; /* bytes per pixel row */
+    int64_t size = n * line, row = 2 * w, half = n >> 1;
     const uint8_t *pairs[half];
     for (int64_t i = 0; i < half; i++)
         pairs[i] = flags + i * 2 * row;
     for (int64_t k = 0; k < count; k++) {
         int64_t y = y0 + k;
         int decode = y + 1 < h;
-        int64_t *band = bands + k * size;
-        memcpy(band, state, (size_t)size * sizeof(int64_t));
+        uint8_t *band = bands + k * size;
+        memcpy(band, state, (size_t)size);
         for (int64_t i = 0; i < half; i++) {
-            const int64_t *r0 = band + 2 * i * w;
-            int64_t *d0 = i > 0 ? state + (2 * i - 1) * w : NULL;
-            traverse_pair(r0, r0 + w, coef, coef + w, d0, state + 2 * i * w, w,
-                          t, exempt_ll, ll_dpcm, wrap_bits, pixel_max, decode);
+            const uint8_t *r0 = band + 2 * i * line;
+            uint8_t *d0 = i > 0 ? state + (2 * i - 1) * line : NULL;
+            traverse_pair(r0, r0 + line, coef, coef + w, d0,
+                          state + 2 * i * line, w, t, exempt_ll, ll_dpcm,
+                          wrap_bits, pixel_max, pixel_bytes, decode);
             size_pair(coef, flags + i * 2 * row, row);
         }
         reduce_band(y - n + 1, pairs, w, n, mgmt, groups, cnt, cols, nbits,
                     counts, totals, peaks, group_peaks);
         if (decode)
-            memcpy(state + (n - 1) * w, image + (y + 1) * w,
-                   (size_t)w * sizeof(int64_t));
+            memcpy(state + (n - 1) * line, image + (y + 1) * line,
+                   (size_t)line);
     }
 }
 
 /* Run `count` consecutive traversals y0, y0+1, ... of the recirculating
- * lossy loop over an (h, w) int64 image with an n-row window, and size
- * each one.  state (n, w) holds the band traversal y presents: rows
- * y-n+1 .. y-1 as the previous traversal reconstructed them, row y raw.
- * Per traversal:
+ * lossy loop over an (h, w) image with an n-row window, and size each
+ * one.  image, state and bands hold pixel_bytes-wide unsigned pixels
+ * (1 or 2 bytes: the engine's pixel dtype).  state (n, w) holds the band
+ * traversal y presents: rows y-n+1 .. y-1 as the previous traversal
+ * reconstructed them, row y raw.  Per traversal:
  *
  *   1. copy state to bands[k];
  *   2. per row pair, the forward butterfly (the pair_transform
@@ -434,17 +471,17 @@ recirculate_body(const int64_t *restrict image, int64_t h, int64_t w,
  *      write rows 1 .. n-1 of that reconstruction to state rows
  *      0 .. n-2, then shift image row y+1 into state row n-1.
  *
- * bands is (count, n, w) int64, the outputs are frame-sized (T = h-n+1
+ * bands is (count, n, w), the outputs are frame-sized (T = h-n+1
  * traversals).  Scratch: coef 2w int32, flags n/2 * 4w uint8, cnt and
  * cols as reduce_band takes them; cols carries the previous traversal's
  * columns, so a frame run in several calls in traversal order equals a
  * run in one.  All arrays are caller-allocated and C-contiguous. */
 REPRO_API void
-repro_recirculate(const int64_t *restrict image, int64_t h, int64_t w,
+repro_recirculate(const void *restrict image, int64_t h, int64_t w,
                   int64_t n, int64_t y0, int64_t count, int64_t threshold,
                   int64_t exempt_ll, int64_t ll_dpcm, int64_t wrap_bits,
-                  int64_t pixel_max, int64_t mgmt, int64_t groups,
-                  int64_t *restrict state, int64_t *restrict bands,
+                  int64_t pixel_max, int64_t pixel_bytes, int64_t mgmt,
+                  int64_t groups, void *restrict state, void *restrict bands,
                   int32_t *restrict coef, uint8_t *restrict flags,
                   int32_t *restrict cnt, int64_t *restrict cols,
                   uint8_t *restrict nbits, int64_t *restrict counts,
@@ -452,32 +489,34 @@ repro_recirculate(const int64_t *restrict image, int64_t h, int64_t w,
                   int64_t *restrict group_peaks)
 {
     int32_t t = (int32_t)threshold;
-#define REPRO_RECIRCULATE(EX, DP, WB)                                       \
+#define REPRO_RECIRCULATE(EX, DP, WB, PB)                                   \
     recirculate_body(image, h, w, n, y0, count, t, EX, DP, WB, pixel_max,   \
-                     mgmt, groups, state, bands, coef, flags, cnt, cols,    \
-                     nbits, counts, totals, peaks, group_peaks)
+                     PB, mgmt, groups, state, bands, coef, flags, cnt,      \
+                     cols, nbits, counts, totals, peaks, group_peaks)
     REPRO_SPECIALISE(REPRO_RECIRCULATE);
 #undef REPRO_RECIRCULATE
 }
 
 /* -- fused level-1 sizing pass (fast path) ---------------------------- */
 
-/* The whole pass with its flags as constants (see REPRO_SPECIALISE). */
+/* The whole pass with its flags and pixel width as constants (see
+ * REPRO_SPECIALISE). */
 static inline __attribute__((always_inline)) void
-band_sizes_body(const int64_t *restrict image, int64_t h, int64_t w,
+band_sizes_body(const uint8_t *restrict image, int64_t h, int64_t w,
                 int64_t n, int32_t t, int64_t exempt_ll, int64_t ll_dpcm,
-                int64_t wrap_bits, int64_t mgmt, int64_t groups,
-                int32_t *restrict coef, uint8_t *restrict ring,
-                int32_t *restrict cnt, int64_t *restrict cols,
-                uint8_t *restrict nbits, int64_t *restrict counts,
-                int64_t *restrict totals, int64_t *restrict peaks,
-                int64_t *restrict group_peaks)
+                int64_t wrap_bits, int64_t pixel_bytes, int64_t mgmt,
+                int64_t groups, int32_t *restrict coef,
+                uint8_t *restrict ring, int32_t *restrict cnt,
+                int64_t *restrict cols, uint8_t *restrict nbits,
+                int64_t *restrict counts, int64_t *restrict totals,
+                int64_t *restrict peaks, int64_t *restrict group_peaks)
 {
-    int64_t row = 2 * w, slots = n - 1, half = n >> 1;
+    int64_t line = w * pixel_bytes, row = 2 * w, slots = n - 1, half = n >> 1;
     const uint8_t *pairs[half];
     for (int64_t p = 0; p + 1 < h; p++) {
-        traverse_pair(image + p * w, image + (p + 1) * w, coef, coef + w,
-                      NULL, NULL, w, t, exempt_ll, ll_dpcm, wrap_bits, 0, 0);
+        traverse_pair(image + p * line, image + (p + 1) * line, coef,
+                      coef + w, NULL, NULL, w, t, exempt_ll, ll_dpcm,
+                      wrap_bits, 0, pixel_bytes, 0);
         size_pair(coef, ring + (p % slots) * 2 * row, row);
         if (p < n - 2)
             continue;
@@ -490,31 +529,33 @@ band_sizes_body(const int64_t *restrict image, int64_t h, int64_t w,
     }
 }
 
-/* Per-band compressed sizes of every traversal of an (h, w) int64 image
- * with an n-row window, level 1, in one streaming pass that keeps no
- * frame-sized intermediate.  Each row pair is transformed (the
- * repro_recirculate butterfly, optional LL DPCM, threshold with the LL
- * exempt when exempt_ll) into the 2w int32 row `coef`, turned into
- * element widths and significance flags held in a ring of n-1 pair rows,
- * and every band t = 0 .. h-n is reduced by reduce_band as soon as its
- * last pair is in, into the (T, ...) results reduce_band describes.
+/* Per-band compressed sizes of every traversal of an (h, w) image of
+ * pixel_bytes-wide unsigned pixels (1 or 2 bytes) with an n-row window,
+ * level 1, in one streaming pass that keeps no frame-sized
+ * intermediate.  Each row pair is transformed (the repro_recirculate
+ * butterfly, optional LL DPCM, threshold with the LL exempt when
+ * exempt_ll) into the 2w int32 row `coef`, turned into element widths
+ * and significance flags held in a ring of n-1 pair rows, and every band
+ * t = 0 .. h-n is reduced by reduce_band as soon as its last pair is in,
+ * into the (T, ...) results reduce_band describes.
  *
  * Scratch, caller-allocated: coef 2w int32, ring (n-1) * 4w uint8,
  * cnt (groups + 1) * 2w int32, cols 2 * (groups + 1) * w int64. */
 REPRO_API void
-repro_band_sizes(const int64_t *restrict image, int64_t h, int64_t w,
+repro_band_sizes(const void *restrict image, int64_t h, int64_t w,
                  int64_t n, int64_t threshold, int64_t exempt_ll,
-                 int64_t ll_dpcm, int64_t wrap_bits, int64_t mgmt,
-                 int64_t groups, int32_t *restrict coef,
+                 int64_t ll_dpcm, int64_t wrap_bits, int64_t pixel_bytes,
+                 int64_t mgmt, int64_t groups, int32_t *restrict coef,
                  uint8_t *restrict ring, int32_t *restrict cnt,
                  int64_t *restrict cols, uint8_t *restrict nbits,
                  int64_t *restrict counts, int64_t *restrict totals,
                  int64_t *restrict peaks, int64_t *restrict group_peaks)
 {
     int32_t t = (int32_t)threshold;
-#define REPRO_BAND_SIZES(EX, DP, WB)                                        \
-    band_sizes_body(image, h, w, n, t, EX, DP, WB, mgmt, groups, coef, ring, \
-                    cnt, cols, nbits, counts, totals, peaks, group_peaks)
+#define REPRO_BAND_SIZES(EX, DP, WB, PB)                                    \
+    band_sizes_body(image, h, w, n, t, EX, DP, WB, PB, mgmt, groups, coef,  \
+                    ring, cnt, cols, nbits, counts, totals, peaks,          \
+                    group_peaks)
     REPRO_SPECIALISE(REPRO_BAND_SIZES);
 #undef REPRO_BAND_SIZES
 }

@@ -34,10 +34,10 @@ from ....errors import ReproError
 
 _SOURCE = Path(__file__).with_name("_codec.c")
 
-#: Must match REPRO_NATIVE_ABI in ``_codec.c``.  4: ``repro_recirculate``
-#: sizes every traversal itself (per-band results plus the carried
-#: columns) and writes no coefficient planes.
-_ABI_VERSION = 4
+#: Must match REPRO_NATIVE_ABI in ``_codec.c``.  5: ``repro_band_sizes``
+#: and ``repro_recirculate`` read (and write) 1- or 2-byte pixels, the
+#: width their new ``pixel_bytes`` argument gives.
+_ABI_VERSION = 5
 
 _COMPILE_TIMEOUT_S = 120
 
@@ -85,6 +85,7 @@ _i64 = ctypes.c_int64
 _p_i64 = ctypes.POINTER(ctypes.c_int64)
 _p_i32 = ctypes.POINTER(ctypes.c_int32)
 _p_u8 = ctypes.POINTER(ctypes.c_uint8)
+_p_px = ctypes.c_void_p  # 1- or 2-byte pixels
 
 #: name -> (restype, argtypes) of every bound kernel.
 _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
@@ -93,12 +94,12 @@ _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
     "repro_threshold_i32": (None, (_p_i32, _i64, _i64, _i64, _i64, _i64)),
     "repro_recirculate": (
         None,
-        (_p_i64, *(_i64,) * 12, _p_i64, _p_i64, _p_i32, _p_u8, _p_i32, _p_i64,
+        (_p_px, *(_i64,) * 13, _p_px, _p_px, _p_i32, _p_u8, _p_i32, _p_i64,
          _p_u8, *(_p_i64,) * 4),
     ),
     "repro_band_sizes": (
         None,
-        (_p_i64, *(_i64,) * 9, _p_i32, _p_u8, _p_i32, _p_i64, _p_u8, *(_p_i64,) * 4),
+        (_p_px, *(_i64,) * 10, _p_i32, _p_u8, _p_i32, _p_i64, _p_u8, *(_p_i64,) * 4),
     ),
     "repro_pair_reduce": (
         None,

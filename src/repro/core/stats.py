@@ -285,7 +285,9 @@ def band_stack_sizes(
     bit-identical results (property-tested).  The native tier runs the
     single-level case as one fused streaming pass,
     :func:`repro.core.packing.native.band_sizes`, timed as one ``size``
-    span; it keeps per-band results only.
+    span; it keeps per-band results only and reads 8- or 16-bit pixels
+    as they are (a wider integer image must hold pixels in ``[0,
+    pixel_max]`` and is narrowed to ``config.pixel_dtype`` first).
     """
     prb = probe if probe is not None else NULL_PROBE
     arr = np.asarray(image)
@@ -304,9 +306,13 @@ def band_stack_sizes(
     levels = config.decomposition_levels
     exempt_mod = ll_exempt_mod(config)
     if codec == "native" and levels == 1:  # one fused streaming pass
+        pixels = arr
+        if arr.dtype not in native_codec.PIXEL_DTYPES:
+            config.check_pixels(arr)
+            pixels = arr.astype(config.pixel_dtype)
         with prb.span("size"):
             nbits, counts, totals, peaks, group_peaks = native_codec.band_sizes(
-                np.ascontiguousarray(arr, dtype=np.int64),
+                np.ascontiguousarray(pixels),
                 n,
                 threshold=config.threshold,
                 exempt_ll=bool(exempt_mod),

@@ -74,7 +74,8 @@ class WindowRun:
     outputs: np.ndarray
     stats: EngineStats
     #: Reconstructed image as seen by the processing kernel (compressed
-    #: engines only; ``None`` for engines that operate on raw pixels).
+    #: engines only, in ``config.pixel_dtype``; ``None`` for engines that
+    #: operate on raw pixels).
     reconstruction: np.ndarray | None = None
     #: Fault-injection outcome (:class:`repro.resilience.EngineFaultSummary`)
     #: when the engine ran with a protected/injected memory path.

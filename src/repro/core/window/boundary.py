@@ -84,7 +84,7 @@ class SameSizeEngine:
             cfg, image_height=padded.shape[0], image_width=padded.shape[1]
         )
         engine = self._engine_cls(padded_cfg, self.kernel, **self._engine_kwargs)
-        run = engine.run(padded.astype(np.int64))
+        run = engine.run(padded)
         h, w = arr.shape
         outputs = run.outputs[:h, :w]
         reconstruction = run.reconstruction

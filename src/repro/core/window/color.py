@@ -91,5 +91,5 @@ class MultiChannelEngine:
         runs = []
         for plane in split_planes(arr):
             engine: SlidingWindowEngine = self._factory(self.config, self.kernel)
-            runs.append(engine.run(plane.astype(np.int64)))
+            runs.append(engine.run(plane))
         return MultiChannelRun(channel_runs=tuple(runs))

@@ -56,8 +56,11 @@ results:
   occupancy peaks, stats, probe distributions, capacity errors) —
   property-tested.
 
-Neither path materialises payload bits: both size bands with the
-compressor's threshold-and-size step.  The bit streams themselves are
+Both paths run on one private copy of the frame at the pixel width
+(``config.pixel_dtype``, the line buffers' 8 or 16 bits), which the
+kernel, the sizing and the reconstruction all share.  Neither path
+materialises payload bits: both size bands with the compressor's
+threshold-and-size step.  The bit streams themselves are
 checked by the codec round trip (``BandCodec.decode_plane(encode_band(b))
 == analyze_band(b).plane``) and by :class:`CompressedCycleEngine`.
 """
@@ -244,10 +247,14 @@ class CompressedEngine(SlidingWindowEngine):
         Dispatches to the frame-at-once vectorised path when it is exact
         (see :attr:`fast_path_eligible`) and ``fast_path`` does not force
         the sequential loop; both paths produce bit-identical results on
-        every configuration where both are allowed.
+        every configuration where both are allowed.  The frame is copied
+        once, into ``config.pixel_dtype``; the reconstruction comes back
+        in that dtype, and the kernel outputs are the kernel's on it.
         """
-        # A private C-ordered copy, whatever the layout of ``image``.
-        arr = self._validate_image(image).astype(np.int64, order="C")
+        # A private C-ordered copy at the config's pixel width, whatever
+        # the dtype or layout of ``image`` (its pixels are in range).
+        pixels = self._validate_image(image)
+        arr = pixels.astype(self.config.pixel_dtype, order="C")
         prb = self.probe if self.probe is not None else NULL_PROBE
         with prb.span("run"):
             if self.fast_path is not False and self.fast_path_eligible:
@@ -315,8 +322,8 @@ class CompressedEngine(SlidingWindowEngine):
             outputs=outputs,
             stats=stats,
             # Every buffered row is a raw input row (lossless, or lossy
-            # without recirculation), and ``arr`` is the private int64
-            # copy run() made.
+            # without recirculation), and ``arr`` is the private
+            # pixel-width copy run() made.
             reconstruction=arr,
             faults=None,
         )
@@ -390,7 +397,7 @@ class CompressedEngine(SlidingWindowEngine):
         # (y = n-1) sees raw pixels only — the fill state buffered them
         # uncompressed exactly once.
         state = arr[0:n].copy()
-        band_buffer = np.empty((chunk, n, w), dtype=np.int64)
+        band_buffer = np.empty((chunk, n, w), dtype=arr.dtype)
         step = step_factory(arr, state, band_buffer, sizes)
         for t0 in range(0, t_total, chunk):
             bands = band_buffer[: min(chunk, t_total - t0)]
@@ -583,11 +590,11 @@ class CompressedEngine(SlidingWindowEngine):
         return step
 
 
-#: Band values (``C * N * W``) per chunk of the sequential path: 512 KB of
-#: int64 bands whatever the frame size (16 traversals of a 256-wide N=16
-#: frame; the NumPy step adds 256 KB of int32 planes).  The native loop
-#: sizes each traversal as it runs, so chunks four times larger save no
-#: time on such a frame (2.9 ms either way, 2-vCPU Xeon VM) and add ~2 MB
+#: Band values (``C * N * W``) per chunk of the sequential path: 64 K
+#: pixels of bands whatever the frame size (16 traversals of a 256-wide
+#: N=16 frame; the NumPy step adds 256 KB of int32 planes).  The native
+#: loop sizes each traversal as it runs, so chunks four times larger save
+#: no time on such a frame (2.9 ms either way, 2-vCPU Xeon VM) and add
 #: to the peak resident set.
 TRAVERSAL_CHUNK_VALUES = 1 << 16
 
@@ -780,7 +787,7 @@ class CompressedCycleEngine(SlidingWindowEngine):
 
     def run(self, image: np.ndarray) -> WindowRun:
         """Stream every pixel of ``image`` through the register-level blocks."""
-        arr = self._validate_image(image).astype(np.int64)
+        arr = self._validate_image(image).astype(self.config.pixel_dtype)
         cfg = self.config
         n, w, h = cfg.window_size, cfg.image_width, cfg.image_height
         packers = [

@@ -72,13 +72,14 @@ class ConvolutionKernel:
 class BoxFilterKernel(ConvolutionKernel):
     """Mean (box) filter over the window: ``sum(window) / N^2``.
 
-    Integer pixels take exact routes: the window sum accumulates in int64
-    and is divided by ``N^2`` once, so each output is the correctly
-    rounded mean.  Integer sums do not depend on summation order, so the
-    windowed :meth:`apply`, the whole-image :meth:`apply_image` and any
-    band of rows agree bit for bit at every N (given window sums below
-    2^53, true for pixels of up to 16 bits at any practical N).  Float
-    pixels keep the inherited tap-weighted routes with taps ``1 / N^2``.
+    Integer pixels take exact routes: the window sum accumulates in an
+    integer that holds it and is divided by ``N^2`` once, so each output
+    is the correctly rounded mean.  Integer sums do not depend on
+    summation order, so the windowed :meth:`apply`, the whole-image
+    :meth:`apply_image` and any band of rows agree bit for bit at every N
+    (given window sums below 2^53, true for pixels of up to 16 bits at
+    any practical N).  Float pixels keep the inherited tap-weighted
+    routes with taps ``1 / N^2``.
     """
 
     def __init__(self, window_size: int) -> None:
@@ -99,11 +100,13 @@ class BoxFilterKernel(ConvolutionKernel):
 
         Integer images take window sums along each row, then down each
         column of the row sums: a one-window-tall band (or band stack)
-        through running sums, whose int64 accumulators wrap on overflow
-        and leave every difference exact as long as the window sum
-        itself fits; taller images over bounded row chunks
+        through running sums, taller images over bounded row chunks
         (:func:`_box_window_sums`) with no frame-sized temporary besides
-        the output.  Leading axes are batch axes, as for
+        the output.  Both accumulate in :func:`_accumulator`'s dtype,
+        int32 whenever every window sum fits it.  The band route's
+        running sums may wrap, but each difference of two of them is
+        taken in that same dtype, so it is exact whenever the window sum
+        itself fits.  Leading axes are batch axes, as for
         :meth:`ConvolutionKernel.apply_image`.
         """
         arr = _check_image(image, self.window_size)
@@ -114,11 +117,15 @@ class BoxFilterKernel(ConvolutionKernel):
         if h == n:
             # One window row (a band or a band stack): its column sums
             # straight away, then the running sums along the row.
-            col_sums = arr.sum(axis=-2, dtype=np.int64, keepdims=True)
+            acc = _accumulator(arr, n)
+            col_sums = arr.sum(axis=-2, dtype=acc, keepdims=True)
             np.add.accumulate(col_sums, axis=-1, out=col_sums)
             out = np.empty((*lead, 1, w - n + 1))
             out[..., 0] = col_sums[..., n - 1]
-            np.subtract(col_sums[..., n:], col_sums[..., :-n], out=out[..., 1:])
+            # The difference runs in ``acc`` (wrapping), then widens.
+            np.subtract(
+                col_sums[..., n:], col_sums[..., :-n], out=out[..., 1:], dtype=acc
+            )
             out /= n**2
             return out
         out = np.empty((*lead, h - n + 1, w - n + 1))
@@ -133,6 +140,21 @@ class BoxFilterKernel(ConvolutionKernel):
 BOX_CHUNK_VALUES = 1 << 16
 
 
+def _accumulator(arr: np.ndarray, n: int) -> type[np.signedinteger]:
+    """int32 when every ``n x n`` window sum of ``arr`` fits it, else int64.
+
+    The rule is ``n^2 * peak < 2^31``, ``peak`` the largest pixel
+    magnitude: the dtype's own for 8- and 16-bit pixels (255 for uint8,
+    65535 for uint16), the frame's for wider integers.
+    """
+    if arr.dtype.itemsize <= 2:
+        info = np.iinfo(arr.dtype)
+        peak = max(info.max, -info.min)
+    else:
+        peak = max(abs(int(arr.min())), abs(int(arr.max())))
+    return np.int32 if n * n * peak < 2**31 else np.int64
+
+
 def _box_window_sums(arr: np.ndarray, n: int, out: np.ndarray) -> None:
     """Integer ``n x n`` window sums of ``arr`` into the float64 ``out``.
 
@@ -143,17 +165,13 @@ def _box_window_sums(arr: np.ndarray, n: int, out: np.ndarray) -> None:
     sums of the previous chunk, then their ``n``-tall window sums down
     each column, written straight into ``out``.  The sums accumulate in
     int32 when every partial sum provably fits (at most ``n^2`` pixels
-    each), else in int64; either way they are exact and land exactly in
-    float64 (below 2^53).
+    each, :func:`_accumulator`), else in int64; either way they are
+    exact and land exactly in float64 (below 2^53).
     """
     *lead, h, w = arr.shape
     batch = int(np.prod(lead, dtype=np.int64))
     step = max(n, BOX_CHUNK_VALUES // max(batch * w, 1))
-    if arr.dtype.itemsize <= 2:
-        peak = 1 << 16
-    else:
-        peak = max(abs(int(arr.min())), abs(int(arr.max())))
-    acc = np.int32 if n * n * peak < 2**31 else np.int64
+    acc = _accumulator(arr, n)
     # Rows 0 .. n-2 carry the previous chunk's last row sums.
     rows = np.empty((*lead, n - 1 + step, w - n + 1), dtype=acc)
     for base in range(0, h, step):

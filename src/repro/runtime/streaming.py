@@ -121,13 +121,15 @@ def _ring_geometry(
     """The ring layout ``spec``'s engine needs: input frame shape,
     valid-region output shape and the kernel's output dtype.
 
-    The dtype is probed on one zero window so the ring's output plane
-    preserves it exactly (ints stay ints).
+    The dtype is probed on one zero window of ``config.pixel_dtype``,
+    the frame a compressed engine hands its kernel, so the ring's output
+    plane holds its outputs exactly (ints stay ints, 8-bit stay 8-bit).
     """
     config = spec.resolved_config
     n = config.window_size
     height, width = config.image_height, config.image_width
-    sample = np.asarray(spec.kernel.apply(np.zeros((1, n, n), dtype=np.int64)))
+    window = np.zeros((1, n, n), dtype=config.pixel_dtype)
+    sample = np.asarray(spec.kernel.apply(window))
     return (height, width), (height - n + 1, width - n + 1), sample.dtype
 
 

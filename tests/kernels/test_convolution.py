@@ -230,3 +230,38 @@ class TestBoxFilterRoutes:
         windows = sliding_window_view(image, (6, 6))
         assert np.array_equal(k.apply_image(image), taps.apply_image(image))
         assert np.array_equal(k.apply(windows), taps.apply(windows))
+
+
+class TestAccumulatorWidth:
+    """Integer box sums accumulate in int32 exactly when ``N^2 * peak``
+    stays below 2^31, ``peak`` the pixel dtype's largest magnitude: pinned
+    at all-``pixel_max`` frames at the largest N the rule admits (the
+    band route's running sums wrap there, and every window sum is still
+    exact) and one above it (int64)."""
+
+    @pytest.mark.parametrize(
+        "dtype,largest", [(np.uint8, 2901), (np.uint16, 181)], ids=["8bit", "16bit"]
+    )
+    def test_all_max_frames_at_the_int32_limit(self, dtype, largest):
+        pixel_max = np.iinfo(dtype).max
+        assert largest**2 * pixel_max < 2**31 <= (largest + 1) ** 2 * pixel_max
+        for n, acc in ((largest, np.int32), (largest + 1, np.int64)):
+            # A band three windows wider than tall: the running sums along
+            # it pass 2^31 before the last window.
+            band = np.full((n, n + 3), pixel_max, dtype=dtype)
+            assert convolution._accumulator(band, n) is acc
+            assert int(band[0].sum(dtype=np.int64)) * n >= 2**31
+            k = BoxFilterKernel(n)
+            assert np.array_equal(k.apply_image(band), np.full((1, 4), pixel_max))
+            if dtype == np.uint16:  # the ``h > n`` route too (small at 16 bit)
+                frame = np.full((n + 2, n + 3), pixel_max, dtype=dtype)
+                assert np.array_equal(k.apply_image(frame), np.full((3, 4), pixel_max))
+
+    def test_narrow_pixels_take_int32_band_sums(self, rng):
+        """A uint8 band stack gives what its int64 copy gives."""
+        bands = rng.integers(0, 256, size=(6, 16, 64)).astype(np.uint8)
+        k = BoxFilterKernel(16)
+        assert convolution._accumulator(bands, 16) is np.int32
+        got = k.apply_image(bands)
+        assert np.array_equal(got, k.apply_image(bands.astype(np.int64)))
+        assert got.dtype == np.float64

@@ -366,11 +366,11 @@ def stepped_sizes(config, image, step, chunk, groups=None):
     engine = CompressedEngine(
         config, BoxFilterKernel(n), codec="native", fast_path=False, memory_plan=plan
     )
-    arr = np.asarray(image, dtype=np.int64)
+    arr = np.asarray(image, dtype=config.pixel_dtype)
     t_total = h - n + 1
     sizes = BandStackSizes.empty(config, t_total, groups)
     state = arr[:n].copy()
-    buffer = np.empty((chunk, n, w), dtype=np.int64)
+    buffer = np.empty((chunk, n, w), dtype=arr.dtype)
     run_chunk = getattr(engine, step)(arr, state, buffer, sizes)
     bands = []
     for t0 in range(0, t_total, chunk):
@@ -468,9 +468,9 @@ class TestRecirculatingTraversals:
         h, w, n, chunk = 8, 8, 4, 2
         t_total = h - n + 1
         good = dict(
-            image=np.zeros((h, w), dtype=np.int64),
-            state=np.zeros((n, w), dtype=np.int64),
-            bands=np.zeros((chunk, n, w), dtype=np.int64),
+            image=np.zeros((h, w), dtype=np.uint8),
+            state=np.zeros((n, w), dtype=np.uint8),
+            bands=np.zeros((chunk, n, w), dtype=np.uint8),
             nbits=np.zeros((t_total, 2, w), dtype=np.uint8),
             counts=np.zeros(t_total, dtype=np.int64),
             totals=np.zeros(t_total, dtype=np.int64),
@@ -495,6 +495,10 @@ class TestRecirculatingTraversals:
             wrong_dtype = arr.astype(np.int32 if arr.dtype != np.int32 else np.int64)
             strided = np.zeros((*arr.shape[:-1], 2 * arr.shape[-1]), arr.dtype)
             bad_buffers = [wrong_dtype, strided[..., ::2]]
+            if arr.dtype == np.uint8:  # pixels: 1 or 2 bytes, the image's
+                bad_buffers.append(arr.astype(np.int64))
+                if name != "image":
+                    bad_buffers.append(arr.astype(np.uint16))
             if name == "bands":  # any chunk length, but N x W bands
                 bad_buffers.append(np.zeros((chunk, n + 2, w), arr.dtype))
             elif name not in ("image", "state"):  # those two set the frame
@@ -506,11 +510,15 @@ class TestRecirculatingTraversals:
             build(bands=good["bands"][0])
         with pytest.raises(ConfigError, match="bands"):
             build(bands=good["bands"][:0])
-        for state in (np.zeros((3, w), np.int64), np.zeros((10, w), np.int64)):
+        for state in (np.zeros((3, w), np.uint8), np.zeros((10, w), np.uint8)):
             with pytest.raises(ConfigError, match="do not fit"):
                 build(state=state)
         with pytest.raises(ConfigError, match="do not fit"):
-            build(image=np.zeros((h, 7), np.int64), state=np.zeros((n, 7), np.int64))
+            build(image=np.zeros((h, 7), np.uint8), state=np.zeros((n, 7), np.uint8))
+        with pytest.raises(ConfigError, match="pixel_max 256"):
+            native.RecirculatingLoop(**good, **{**kw, "pixel_max": 256})
+        wide = {k: good[k].astype(np.uint16) for k in ("image", "state", "bands")}
+        native.RecirculatingLoop(**{**good, **wide}, **{**kw, "pixel_max": 65535})
         with pytest.raises(ConfigError, match="threshold"):
             native.RecirculatingLoop(**good, **{**kw, "threshold": -1})
         for groups in (0, 3):
@@ -666,10 +674,15 @@ class TestFusedSizingPass:
             wrap_bits=None,
             management_bits_per_column=16,
         )
-        image = np.zeros((8, 8), dtype=np.int64)
-        strided = np.zeros((8, 16), dtype=np.int64)[:, ::2]
-        for bad in (image.astype(np.int32), strided, image[None]):
-            with pytest.raises(ConfigError, match="contiguous 2D int64"):
+        image = np.zeros((8, 8), dtype=np.uint8)
+        strided = np.zeros((8, 16), dtype=np.uint8)[:, ::2]
+        for bad in (
+            image.astype(np.int64),
+            image.astype(np.int32),
+            strided,
+            image[None],
+        ):
+            with pytest.raises(ConfigError, match="contiguous 2D uint8 or uint16"):
                 native.band_sizes(bad, 4, **kw)
         cases = (
             (3, image),
@@ -686,6 +699,122 @@ class TestFusedSizingPass:
         for groups in (0, 3, 8):
             with pytest.raises(ConfigError, match="groups"):
                 native.band_sizes(image, 4, groups=groups, **kw)
+
+
+# ----------------------------------------------------------------------
+# Pixel-width frames: the kernels read 8- and 16-bit pixels as they are
+# ----------------------------------------------------------------------
+
+
+def pixel_frame(config, seed):
+    """A ``config.pixel_dtype`` frame: noise, a block of 0/``pixel_max``
+    extremes and a bottom row of ``pixel_max``."""
+    rng = np.random.default_rng(seed)
+    h, w = config.image_height, config.image_width
+    top = config.pixel_max + 1
+    image = rng.integers(0, top, size=(h, w)).astype(config.pixel_dtype)
+    image[: h // 3] = rng.choice([0, config.pixel_max], size=(h // 3, w))
+    image[-1] = config.pixel_max
+    return image
+
+
+PIXEL_WIDTH_CASES = [
+    (bits, extra)
+    for bits, t in ((8, 4), (16, 300))
+    for extra in (
+        {},
+        {"threshold": t},
+        {"threshold": t, "threshold_bands": "details"},
+        {"threshold": t, "ll_dpcm": True},
+        {"threshold": t, "coefficient_bits": bits, "wrap_coefficients": True},
+    )
+]
+
+
+def pixel_width_id(case):
+    bits, extra = case
+    name = "lossless" if not extra else "lossy"
+    if extra.get("threshold_bands") == "details":
+        name = "details"
+    if extra.get("ll_dpcm"):
+        name = "dpcm"
+    if extra.get("wrap_coefficients"):
+        name = "wrap"
+    return f"{bits}bit-{name}"
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "case", PIXEL_WIDTH_CASES, ids=map(pixel_width_id, PIXEL_WIDTH_CASES)
+)
+class TestPixelWidthFrames:
+    """Native ``band_sizes`` and ``RecirculatingLoop`` on uint8 and uint16
+    frames against the NumPy tier: NBits, counts, totals, band and group
+    peaks under no plan and 1-, 2- and N-group plans, and the same
+    ``CapacityError`` text on every path."""
+
+    def test_sizes_and_runs_match_the_numpy_tier(self, case):
+        bits, extra = case
+        config = cfg(pixel_bits=bits, **extra)
+        image = pixel_frame(config, bits)
+        assert image.dtype == (np.uint8 if bits == 8 else np.uint16)
+        n = config.window_size
+        for rows_per_group in (None, n, n // 2, 1):
+            nat = band_stack_sizes(
+                config, image, rows_per_group=rows_per_group, codec="native"
+            )
+            ref = band_stack_sizes(
+                config, image, rows_per_group=rows_per_group, codec="numpy"
+            )
+            assert_same_sizes(nat, ref)
+        for groups in (None, 1, 2, n):
+            nat, nat_bands = stepped_sizes(config, image, "_native_step", 5, groups)
+            ref, ref_bands = stepped_sizes(config, image, "_numpy_step", 5, groups)
+            assert_same_sizes(nat, ref)
+            assert nat_bands.dtype == ref_bands.dtype == config.pixel_dtype
+            assert np.array_equal(nat_bands, ref_bands)
+        for fast_path in (True, False):
+            kw = dict(recirculate=False)
+            nat, nat_hist = probed_run(config, image, "native", fast_path, **kw)
+            ref, ref_hist = probed_run(config, image, "numpy", fast_path, **kw)
+            assert_same_run(nat, ref)
+            assert nat.reconstruction.dtype == config.pixel_dtype
+            assert nat_hist == ref_hist
+        nat, nat_hist = probed_run(config, image, "native")
+        ref, ref_hist = probed_run(config, image, "numpy")
+        assert_same_run(nat, ref)
+        assert nat.reconstruction.dtype == config.pixel_dtype
+        assert nat_hist == ref_hist
+
+    def test_capacity_errors_match_the_numpy_tier(self, case):
+        """A plan one bit short of each group's frame peak fails with the
+        same text on both tiers, fast and sequential."""
+        bits, extra = case
+        config = cfg(pixel_bits=bits, **extra)
+        image = pixel_frame(config, bits)
+        n = config.window_size
+        t_total = config.image_height - n + 1
+        for groups in (1, 2, n):
+            single = band_stack_sizes(config, image, rows_per_group=n // groups)
+            recirculated, _ = stepped_sizes(
+                config, image, "_numpy_step", t_total, groups
+            )
+            for sizes, kw, paths in (
+                (single, {"recirculate": False}, ((True, False), ("native", "numpy"))),
+                (recirculated, {}, ((False,), ("native", "numpy"))),
+            ):
+                short = np.maximum(sizes.group_peaks.max(axis=0) - 1, 0)
+                plan = exact_capacity_plan(config, short)
+                errors = set()
+                for fast_path in paths[0]:
+                    for codec in paths[1]:
+                        error, _ = probed_run(
+                            config, image, codec, fast_path, memory_plan=plan, **kw
+                        )
+                        assert isinstance(error, str)
+                        errors.add(error)
+                assert len(errors) == 1
+                assert errors.pop().startswith("BRAM group")
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.observability.probe import MetricsProbe
 from repro.kernels import (
     BoxFilterKernel,
     CensusKernel,
+    ConvolutionKernel,
     DilateKernel,
     ErodeKernel,
     GaussianKernel,
@@ -74,6 +75,58 @@ def assert_identical(seq_run, fast_run):
     assert np.array_equal(seq_run.outputs, fast_run.outputs)
     assert np.array_equal(seq_run.reconstruction, fast_run.reconstruction)
     assert seq_run.stats == fast_run.stats  # peaks, cycles, band trace
+
+
+def every_kernel(n):
+    """One instance of each kernel class :mod:`repro.kernels` exports."""
+    rng = np.random.default_rng(3)
+    return [
+        BoxFilterKernel(n),
+        GaussianKernel(n / 5.0, n),
+        SobelMagnitudeKernel(n),
+        MedianKernel(n),
+        MedianKernel(n, lower=True),
+        HarrisResponseKernel(n),
+        TemplateMatchKernel(rng.integers(0, 256, size=(n, n))),
+        ErodeKernel(n),
+        DilateKernel(n),
+        MorphGradientKernel(n),
+        CensusKernel(n),
+        ConvolutionKernel(rng.integers(-3, 4, size=(n, n)), name="randconv"),
+    ]
+
+
+class TestPixelWidthKernels:
+    """Compressed engines hand their kernel the frame at its pixel width,
+    so on a uint8 frame every kernel's outputs are the golden engine's
+    on that frame in value and dtype (Dilate, Erode and MorphGradient
+    stay uint8), on both paths and both codec tiers."""
+
+    def test_every_kernel_class_is_covered(self):
+        import inspect
+
+        from repro import kernels
+        from repro.kernels.base import WindowKernel
+
+        exported = {
+            obj
+            for obj in (getattr(kernels, name) for name in kernels.__all__)
+            if inspect.isclass(obj) and obj is not WindowKernel
+        }
+        assert exported == {type(k) for k in every_kernel(8)}
+
+    @pytest.mark.parametrize("codec", CODEC_TIERS)
+    @pytest.mark.parametrize("kernel", every_kernel(8), ids=lambda k: k.name)
+    def test_outputs_equal_golden_in_value_and_dtype(self, rng, kernel, codec):
+        config = cfg(width=24, height=20)
+        image = random_image(rng, 20, 24).astype(np.uint8)
+        golden = GoldenEngine(config, kernel).run(image).outputs
+        seq_run, fast_run = run_both(config, kernel, image, codec=codec)
+        for run in (seq_run, fast_run):
+            assert run.outputs.dtype == golden.dtype
+            assert np.array_equal(run.outputs, golden)
+            assert run.reconstruction.dtype == np.uint8
+            assert np.array_equal(run.reconstruction, image)
 
 
 class TestEquivalenceMatrix:
@@ -714,9 +767,9 @@ class TestFallbackRules:
 class TestFastFrameMemory:
     def test_native_fast_frame_allocates_no_frame_sized_plane(self, rng):
         """A 2048x2048 N=64 level-1 native fast frame peaks at its own
-        arrays (the int64 copy, the outputs and the uint8 NBits) plus a
-        small constant: a frame-sized coefficient, flag or column plane
-        coming back on this path (8 MiB or more) fails the bound."""
+        arrays (the pixel-width copy, the outputs and the uint8 NBits)
+        plus a small constant: a frame-sized coefficient, flag or column
+        plane coming back on this path (4 MiB or more) fails the bound."""
         import tracemalloc
 
         config = cfg(width=2048, height=2048, window=64)
@@ -732,5 +785,38 @@ class TestFastFrameMemory:
             tracemalloc.stop()
         traversals = 2048 - 64 + 1
         nbits_bytes = traversals * 2 * 2048
-        bound = frame.nbytes + run.outputs.nbytes + nbits_bytes + (4 << 20)
+        copy_bytes = frame.size * config.pixel_dtype.itemsize
+        bound = copy_bytes + run.outputs.nbytes + nbits_bytes + (4 << 20)
         assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+    def test_held_previous_run_adds_no_frame_sized_allocation(self, rng):
+        """The benchmark's loop: each 512x512 N=8 native fast frame runs
+        while the previous frame's run is still held.  Above what is
+        already live, a frame peaks at its outputs, its private uint8
+        copy and its NBits plus the box filter's chunk scratch (under
+        768 KiB): an int64 frame copy, or any frame-sized int32, int64 or
+        float64 temporary (1 MiB or more), fails the bound."""
+        import tracemalloc
+
+        config = cfg(width=512, height=512, window=8)
+        frames = [random_image(rng, 512, 512).astype(np.uint8) for _ in range(3)]
+        engine = CompressedEngine(
+            config, BoxFilterKernel(8), fast_path=True, codec="native"
+        )
+        held = engine.run(frames[0])
+        nbits_bytes = (512 - 8 + 1) * 2 * 512
+        tracemalloc.start()
+        try:
+            for frame in frames:
+                tracemalloc.reset_peak()
+                live, _ = tracemalloc.get_traced_memory()
+                run = engine.run(frame)
+                _, peak = tracemalloc.get_traced_memory()
+                assert run.reconstruction.dtype == np.uint8
+                own = run.outputs.nbytes + run.reconstruction.nbytes + nbits_bytes
+                bound = own + (768 << 10)
+                assert peak - live < bound, f"frame peak {peak - live}, bound {bound}"
+                held = run
+        finally:
+            tracemalloc.stop()
+        assert held is run
