@@ -43,8 +43,8 @@ CHUNKS_PER_WORKER = 4
 def auto_chunksize(n_items: int, processes: int) -> int:
     """Pool chunk size: ``len(work) / processes`` split into a few chunks.
 
-    ``Pool.map``'s default chunk size of 1 round-trips every item through
-    the result queue individually, which thrashes the pool on large
+    A chunk size of 1 round-trips every item through a worker pipe
+    individually, which thrashes the pool on large
     sweeps (one pickle + wakeup per 2048 x 2048 frame config).  Sizing
     chunks so each worker receives :data:`CHUNKS_PER_WORKER` of them
     amortises the IPC while still rebalancing work a few times per sweep.

@@ -1,7 +1,9 @@
 """REP008 — types crossing the process boundary stay frozen + picklable.
 
-The streaming runtime ships :class:`FrameTask` through ``apply_async``
-and receives :class:`FrameResult` / :class:`FrameError` back; engine
+The streaming runtime sends :class:`FrameTask` down each worker's pipe
+and receives :class:`FrameResult` / :class:`FrameError` back, and the
+sweep pools send :class:`MapChunk` and receive :class:`MapDone` (nothing
+else crosses a worker pipe: a worker stops when its pipe closes); engine
 configuration crosses as pickled :class:`EngineSpec` blobs (which embed
 :class:`ArchitectureConfig`, :class:`WindowKernel` and
 :class:`ChaosSpec`).  Two properties make that safe and must hold *by
@@ -50,6 +52,8 @@ IPC_CLASSES: frozenset[str] = frozenset(
         "FrameError",
         "ChaosSpec",
         "RingSpec",
+        "MapChunk",
+        "MapDone",
     }
 )
 
@@ -179,7 +183,8 @@ class IpcSafetyRule:
     name = "ipc-safety"
     description = (
         "Types crossing the process boundary (EngineSpec, FrameTask/"
-        "FrameResult/FrameError, ChaosSpec, RingSpec) must be frozen "
+        "FrameResult/FrameError, MapChunk/MapDone, ChaosSpec, RingSpec) "
+        "must be frozen "
         "dataclasses whose fields are transitively immutable and "
         "stdlib-picklable: no dict/list/set annotations, no mutable or "
         "lambda defaults."

@@ -2,8 +2,9 @@
 
 :class:`StreamingProcessor` wires the pieces of the runtime together into
 the multi-frame pipeline the paper's hardware would be fed with: a
-persistent worker pool (engines constructed once per worker, never pickled
-per frame), a shared-memory :class:`~repro.runtime.ring.FrameRing` as the
+persistent :class:`~repro.runtime.pool.WorkerSet` (engines constructed
+once per worker, never pickled per frame, one pipe per worker), a
+shared-memory :class:`~repro.runtime.ring.FrameRing` as the
 zero-copy frame transport, and a bounded submission API — ``submit()``
 blocks once every ring slot is in flight, so a fast producer can never
 outrun the consumers (backpressure by construction).  One
@@ -19,23 +20,27 @@ Both yield :class:`StreamResult` values whose ``outputs`` are bit-identical
 to a sequential ``CompressedEngine.run()`` on the same frame (property
 tested across the lossless/lossy x recirculate matrix).
 
-Single-worker streams still run through the pool so that the semantics
-(ordering, backpressure, stats) are identical at every worker count.
+Single-worker streams still run through a worker process so that the
+semantics (ordering, backpressure, stats) are identical at every worker
+count.
 
 Fault tolerance: every stream runs under a
 :class:`~repro.runtime.supervision.FrameSupervisor` — the driver tracks
-each in-flight frame, polls worker liveness, and when a worker dies (or a
-per-frame deadline expires) retries the frame in place, reclaims orphaned
-ring slots, respawns a broken pool, and as a last resort computes the
+each in-flight frame and which worker holds it, and when a worker dies (or
+a per-frame deadline expires) retries the frame in place, reclaims orphaned
+ring slots, respawns a broken worker set, and as a last resort computes the
 frame inline with a chaos-free engine, so ``results()`` never hangs on a
 completion that cannot come.  Frames that keep failing are delivered as
 structured :class:`~repro.runtime.supervision.FrameFailure` values when
 inline degradation is disabled.  Every wait — a blocked ``submit``, a
-result iterator, :meth:`drain` — is the same supervision step repeated,
-and the result iterators accept ``timeout=`` and raise
+result iterator, :meth:`drain` — is the same step repeated: block in
+``multiprocessing.connection.wait`` on the worker pipes and process
+sentinels (a reply or a death wakes it at once), then run one recovery
+sweep.  The result iterators accept ``timeout=`` and raise
 :class:`TimeoutError` instead of blocking forever.  The driver
-(submission plus consumption) is single-threaded by design — pool
-callbacks only ever touch the internal completion queue.
+(submission plus consumption) is single-threaded by design and starts no
+thread: an event loop can drive it instead, watching :meth:`watch_fds`
+and calling ``poll(0)`` — a non-blocking step — when one is readable.
 
 Observability: pass ``probe=MetricsProbe()`` and the driver records
 slot-wait time, queue depth and per-worker frame latency, while each
@@ -49,8 +54,8 @@ loss-to-redelivery histogram.
 
 Lifecycle: every live processor is tracked in a module-level weak set and
 an ``atexit`` handler closes any still open at interpreter exit.  Close
-order matters — the pool's workers are terminated *before* the ring
-unlinks its shared memory, so a process that exits with frames still in
+order matters — the workers are stopped *before* the ring unlinks its
+shared memory, so a process that exits with frames still in
 flight cannot leak ``/dev/shm`` blocks (regression-tested in a
 subprocess).
 """
@@ -60,11 +65,10 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
-import queue
 import time
 import weakref
 from collections import OrderedDict, deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -74,7 +78,7 @@ from ..errors import ConfigError, StateError
 from ..observability.metrics import MetricsRegistry
 from ..observability.probe import Probe
 from ..spec import EngineSpec
-from .pool import PersistentPool, default_workers, preferred_context
+from .pool import WorkerSet, default_workers
 from .ring import FrameRing
 from .supervision import (
     INLINE_ATTEMPT,
@@ -86,16 +90,14 @@ from .supervision import (
     SupervisionPolicy,
     SupervisorStats,
 )
-from .worker import (
-    FrameError,
-    FrameResult,
-    FrameTask,
-    initialize_worker,
-    process_slot,
-)
+from .worker import FrameError, FrameResult, FrameTask, serve_tasks
 
 #: Live processors; the atexit hook below closes any left open.
 _LIVE: "weakref.WeakSet[StreamingProcessor]" = weakref.WeakSet()
+
+#: Bound of the per-processor memo of override specs' blobs (and of the
+#: inline engines built for them on the degraded path).
+_OVERRIDE_MEMO_LIMIT = 32
 
 
 def _close_live_processors() -> None:
@@ -103,8 +105,8 @@ def _close_live_processors() -> None:
 
     Registered after :mod:`repro.runtime.pool`'s and multiprocessing's own
     atexit handlers, so LIFO ordering runs it *first* — each processor
-    terminates its workers and only then unlinks its ring, while the
-    worker processes are still reachable.
+    stops its workers and only then unlinks its ring, while the worker
+    processes are still reachable.
     """
     for proc in list(_LIVE):
         try:
@@ -117,20 +119,27 @@ atexit.register(_close_live_processors)
 
 def _ring_geometry(
     spec: EngineSpec,
-) -> tuple[tuple[int, int], tuple[int, int], np.dtype]:
-    """The ring layout ``spec``'s engine needs: input frame shape,
-    valid-region output shape and the kernel's output dtype.
+) -> tuple[tuple[int, int], np.dtype, tuple[int, int], np.dtype]:
+    """The ring layout ``spec``'s engine needs: input frame shape and
+    pixel dtype, valid-region output shape and the kernel's output dtype.
 
-    The dtype is probed on one zero window of ``config.pixel_dtype``,
-    the frame a compressed engine hands its kernel, so the ring's output
-    plane holds its outputs exactly (ints stay ints, 8-bit stay 8-bit).
+    Input slots hold ``config.pixel_dtype``, the width the engines narrow
+    every frame to anyway.  The output dtype is probed on one zero window
+    of that dtype, the frame a compressed engine hands its kernel, so the
+    ring's output plane holds its outputs exactly (ints stay ints, 8-bit
+    stay 8-bit).
     """
     config = spec.resolved_config
     n = config.window_size
     height, width = config.image_height, config.image_width
     window = np.zeros((1, n, n), dtype=config.pixel_dtype)
     sample = np.asarray(spec.kernel.apply(window))
-    return (height, width), (height - n + 1, width - n + 1), sample.dtype
+    return (
+        (height, width),
+        config.pixel_dtype,
+        (height - n + 1, width - n + 1),
+        sample.dtype,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,8 +164,13 @@ class StreamResult:
     degraded: bool = False
 
 
+#: A consumable outcome waiting in the ready queue: a quarantined frame,
+#: or a ruled-deliverable result with its slot to release and attempts.
+_Ready = FrameFailure | tuple[FrameResult, int | None, int]
+
+
 class StreamingProcessor:
-    """Persistent-pool, shared-memory streaming executor for one engine
+    """Persistent-worker, shared-memory streaming executor for one engine
     spec.
 
     Parameters
@@ -206,22 +220,20 @@ class StreamingProcessor:
         )
         self._supervisor = FrameSupervisor(self.supervision, probe=probe)
         self._geometry = _ring_geometry(spec)
-        frame_shape, out_shape, out_dtype = self._geometry
+        frame_shape, frame_dtype, out_shape, out_dtype = self._geometry
         self._ring = FrameRing(
             slots=self.slots,
             frame_shape=frame_shape,
-            frame_dtype=np.int64,
+            frame_dtype=frame_dtype,
             out_shape=out_shape,
             out_dtype=out_dtype,
         )
-        self._pool = PersistentPool(
-            self.workers,
-            context=preferred_context(),
-            initializer=initialize_worker,
-            initargs=(self._ring.spec, spec.blob()),
+        self._spec_blob = spec.blob()
+        self._workers = WorkerSet(
+            self.workers, serve_tasks, (self._ring.spec, self._spec_blob)
         )
-        self._done: queue.Queue[tuple[str, object]] = queue.Queue()
-        self._pending_failures: deque[FrameFailure] = deque()
+        #: Outcomes ruled deliverable, in completion order.
+        self._ready: deque[_Ready] = deque()
         self._inline: SlidingWindowEngine | None = None
         #: Per-frame spec-blob overrides (multi-tenant serving path);
         #: entries live exactly as long as their frame is in flight.
@@ -230,8 +242,11 @@ class StreamingProcessor:
         self._inline_overrides: "OrderedDict[bytes, SlidingWindowEngine]" = (
             OrderedDict()
         )
-        self._known_pids: set[int] = set()
-        self._reported_dead: set[int] = set()
+        #: ``id(spec)`` -> (spec, blob to ship or ``None`` for our own
+        #: spec), so a known tenant pays no pickle and no geometry check.
+        self._override_blobs: (
+            "OrderedDict[int, tuple[EngineSpec, bytes | None]]"
+        ) = OrderedDict()
         self._next_index = 0
         #: Indexes submitted but not yet delivered to a consumer.
         self._undelivered: set[int] = set()
@@ -262,21 +277,41 @@ class StreamingProcessor:
         """Recovery counters of the stream."""
         return self._supervisor.stats
 
+    def watch_fds(
+        self,
+        add: Callable[[int], None] | None,
+        remove: Callable[[int], None] | None = None,
+    ) -> None:
+        """Mirror the worker pipe and sentinel descriptors into a watcher.
+
+        For an event loop driving the processor: ``add(fd)`` is called
+        for every descriptor a reply or a worker death shows on (now, and
+        again for each re-forked worker), ``remove(fd)`` before one is
+        closed.  When one is readable, ``poll(0)`` until it returns
+        ``None`` takes every outcome without blocking.  ``watch_fds(None)``
+        removes every descriptor and stops mirroring.
+        """
+        self._workers.watch(add, remove)
+
     def check_spec_compatible(self, spec: EngineSpec) -> None:
         """Raise :class:`~repro.errors.ConfigError` unless ``spec`` can run
         on this processor's ring.
 
         A per-frame spec override may change anything about the engine
         (threshold, engine kind, codec, recirculation, protection) except
-        the ring geometry: the input frame shape, the valid-region output
-        shape and the kernel's output dtype are baked into the
-        shared-memory slots at construction time.
+        the ring geometry: the input frame shape and pixel dtype, the
+        valid-region output shape and the kernel's output dtype are baked
+        into the shared-memory slots at construction time.
         """
-        frame_shape, out_shape, out_dtype = _ring_geometry(spec)
-        ring_frame, ring_out, ring_dtype = self._geometry
+        frame_shape, pixel_dtype, out_shape, out_dtype = _ring_geometry(spec)
+        ring_frame, ring_pixel, ring_out, ring_dtype = self._geometry
         if frame_shape != ring_frame:
             raise ConfigError(
                 f"spec frame shape {frame_shape} != ring {ring_frame}"
+            )
+        if pixel_dtype != ring_pixel:
+            raise ConfigError(
+                f"spec pixel dtype {pixel_dtype} != ring {ring_pixel}"
             )
         if out_shape != ring_out:
             raise ConfigError(
@@ -288,6 +323,28 @@ class StreamingProcessor:
                 f"spec kernel output dtype {out_dtype} != ring {ring_dtype}"
             )
 
+    def _override_blob(self, spec: EngineSpec) -> bytes | None:
+        """The blob a frame of ``spec`` ships: ``None`` for our own spec.
+
+        Memoised per spec object (a bounded LRU holding the spec, so its
+        ``id`` stays unique): a tenant's spec is pickled and checked
+        against the ring once, not once per frame.
+        """
+        memo = self._override_blobs
+        cached = memo.get(id(spec))
+        if cached is not None:
+            memo.move_to_end(id(spec))
+            return cached[1]
+        blob: bytes | None = spec.blob()
+        if blob == self._spec_blob:
+            blob = None
+        else:
+            self.check_spec_compatible(spec)
+        memo[id(spec)] = (spec, blob)
+        while len(memo) > _OVERRIDE_MEMO_LIMIT:
+            memo.popitem(last=False)
+        return blob
+
     def submit(
         self,
         frame: np.ndarray,
@@ -297,12 +354,12 @@ class StreamingProcessor:
     ) -> int:
         """Queue one frame; returns its stream index.
 
-        Writes the frame straight into a shared-memory slot (the only copy
-        the pipeline makes on the way in).  Blocks while all ring slots are
-        in flight; ``timeout`` bounds that wait and raises
-        :class:`~repro.errors.CapacityError` on expiry.  Recovery sweeps
-        keep running while blocked, so zombie slots reclaim and due
-        retries dispatch even under a stalled producer.
+        Writes the frame straight into a shared-memory slot at the ring's
+        pixel width (the only copy the pipeline makes on the way in).
+        Blocks while all ring slots are in flight; ``timeout`` bounds that
+        wait and raises :class:`~repro.errors.CapacityError` on expiry.
+        Recovery sweeps keep running while blocked, so zombie slots
+        reclaim and due retries dispatch even under a stalled producer.
 
         ``spec`` overrides the processor-wide engine spec for this one
         frame (the serving gateway's multi-tenant path): the workers run
@@ -319,10 +376,7 @@ class StreamingProcessor:
             raise ConfigError(f"frame shape {arr.shape} != configured {expected}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ConfigError(f"frames must be integer pixels, got {arr.dtype}")
-        spec_blob: bytes | None = None
-        if spec is not None:
-            self.check_spec_compatible(spec)
-            spec_blob = spec.blob()
+        spec_blob = None if spec is None else self._override_blob(spec)
         (self.spec if spec is None else spec).config.check_pixels(arr)
         t0 = time.perf_counter()
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -348,9 +402,9 @@ class StreamingProcessor:
                 FrameTask(index=index, slot=slot, spec_blob=spec_blob)
             )
         except BaseException:
-            # The frame never made it in flight (e.g. the pool was torn
-            # down under us): hand the slot back instead of shrinking the
-            # ring until the stream deadlocks.
+            # The frame never made it in flight (e.g. the workers were
+            # torn down under us): hand the slot back instead of
+            # shrinking the ring until the stream deadlocks.
             sup.untrack(index)
             self._task_specs.pop(index, None)
             self._ring.release(slot)
@@ -363,7 +417,7 @@ class StreamingProcessor:
         return index
 
     def _sweep_while_full(self, deadline: float | None) -> None:
-        """Run supervision steps while the ring has no free slot.
+        """Run wait steps while the ring has no free slot.
 
         Delivered-but-zombie slots only come back through supervision
         sweeps, and those normally run in the consumption loop — a
@@ -371,44 +425,36 @@ class StreamingProcessor:
         ring full of zombies would never drain.
         """
         while self._ring.free_slots == 0:
-            wait = self._supervise(deadline)
-            if wait is None or self._ring.free_slots:
-                return  # a free slot, or let acquire() raise CapacityError
-            time.sleep(wait)
+            if not self._wait_step(deadline):
+                return  # let acquire() raise CapacityError
 
     def _dispatch(self, task: FrameTask) -> None:
-        """Hand a task to the pool, degrading when the pool cannot take it.
+        """Hand a task to a worker, degrading when the workers cannot take it.
 
-        Never raises: a fresh frame on an unusable pool runs inline
+        Never raises: a fresh frame on an unusable worker set runs inline
         immediately, a retry is left for the next sweep to escalate, and
-        an ``apply_async`` failure triggers the respawn/degrade ladder.
+        a send that raises triggers the respawn/degrade ladder.
         """
         if not self._supervisor.pool_usable:
             if task.attempt == 0:
                 self._run_inline(task.index, task.slot, "pool-unrecoverable")
             return
         try:
-            self._pool.apply_async(
-                process_slot,
-                (task,),
-                callback=self._on_done,
-                error_callback=self._on_error,
-            )
+            self._workers.send(task)
         except Exception:
             self._handle_pool_breakage()
 
     def _handle_pool_breakage(self) -> None:
-        """The pool refused a submission: respawn it or give up on it.
+        """A send raised: respawn the workers or give up on them.
 
         Either way every task in flight died with the old workers, so the
         supervisor zeroes their outstanding counts and reschedules all
-        tracked frames — onto the fresh pool after a respawn, inline once
+        tracked frames — onto fresh workers after a respawn, inline once
         the respawn budget is spent.
         """
         sup = self._supervisor
         if sup.stats.pool_respawns < sup.policy.max_pool_respawns:
-            self._pool.restart()
-            self._known_pids.clear()
+            self._workers.restart()
             sup.on_pool_restart()
         else:
             sup.on_pool_unusable()
@@ -448,10 +494,10 @@ class StreamingProcessor:
         Reads the input from the frame's ring slot and writes the outputs
         back in place, exactly like a worker would — concurrent stale
         attempts write the same bytes, the engine being deterministic —
-        then queues a synthetic completion so delivery flows through the
-        one consumption path.  An engine that raises here too leaves
-        nothing to degrade to: the frame is quarantined with ``reason``
-        and the error, and the supervision sweep carries on.
+        then takes the completion through the one intake path.  An engine
+        that raises here too leaves nothing to degrade to: the frame is
+        quarantined with ``reason`` and the error, and the supervision
+        sweep carries on.
         """
         try:
             engine = self._inline_engine(index)
@@ -470,61 +516,57 @@ class StreamingProcessor:
         seconds = time.perf_counter() - t0
         self._ring.output_view(slot)[...] = run.outputs
         self._supervisor.count_degraded()
-        self._done.put(
-            (
-                "ok",
-                FrameResult(
-                    index=index,
-                    slot=slot,
-                    stats=asdict(run.stats),
-                    seconds=seconds,
-                    worker_pid=os.getpid(),
-                    metrics=None,
-                    attempt=INLINE_ATTEMPT,
-                    degraded=True,
-                ),
+        self._intake(
+            FrameResult(
+                index=index,
+                slot=slot,
+                stats=asdict(run.stats),
+                seconds=seconds,
+                worker_pid=os.getpid(),
+                metrics=None,
+                attempt=INLINE_ATTEMPT,
+                degraded=True,
             )
         )
 
-    def _on_done(self, result: FrameResult | FrameError) -> None:
-        chaos = self.spec.chaos
-        if (
-            chaos is not None
-            and isinstance(result, FrameResult)
-            and result.attempt == 0
-            and result.index in chaos.drop_on
-        ):
-            # Injected transport fault: the driver pretends the first
-            # completion never arrived.  Recovery needs a deadline sweep.
-            self._done.put(("dropped", result))
-            return
-        self._done.put(("ok", result))
-
-    def _on_error(self, exc: BaseException) -> None:
-        self._done.put(("error", exc))
-
     # -- supervision ------------------------------------------------------
 
-    def _poll_worker_health(self, now: float) -> None:
-        """Detect dead workers: liveness flags plus pid-set diffing.
+    def _release(self, slot: int | None) -> None:
+        if slot is not None:
+            self._ring.release(slot)
 
-        ``multiprocessing`` quietly respawns a SIGKILLed worker with a new
-        PID, so a pid that vanished from the pool's roster since the last
-        poll *was* a death even if every currently listed process looks
-        alive.  Each corpse is reported to the supervisor exactly once.
-        """
-        if not self._pool.started:
+    def _intake(self, reply: FrameResult | FrameError) -> None:
+        """Rule on one reply; a deliverable result joins the ready queue."""
+        sup = self._supervisor
+        if isinstance(reply, FrameError):
+            self._release(sup.on_error(reply.index, reply.attempt, reply.error))
             return
-        health = self._pool.worker_health()
-        current = {pid for pid, _ in health}
-        dead_now = {pid for pid, alive in health if not alive}
-        new_deaths = (
-            (self._known_pids - current) | dead_now
-        ) - self._reported_dead
-        if new_deaths:
-            self._reported_dead |= new_deaths
-            self._supervisor.on_worker_death(len(new_deaths), now)
-        self._known_pids = {pid for pid, alive in health if alive}
+        chaos = self.spec.chaos
+        if chaos is not None and reply.attempt == 0 and reply.index in chaos.drop_on:
+            # Injected transport fault: the driver pretends the first
+            # completion never arrived.  Recovery needs a deadline sweep.
+            self._release(sup.on_dropped(reply.index))
+            return
+        verdict = sup.on_result(reply.index, reply.attempt)
+        if verdict.deliver:
+            self._ready.append((reply, verdict.release_slot, verdict.attempts))
+        else:
+            self._release(verdict.release_slot)
+
+    def _collect(self, wait: float) -> None:
+        """Take the replies and deaths of up to ``wait`` seconds.
+
+        A dead worker's unanswered tasks go to the supervisor as that
+        worker's loss; the worker itself is already re-forked.
+        """
+        replies, lost = self._workers.receive(wait)
+        for reply in replies:
+            self._intake(reply)
+        now = time.monotonic()
+        for held in lost:
+            self._supervisor.on_worker_death(
+                [(task.index, task.attempt) for task in held], now
+            )
 
     def _execute_supervision(self, now: float) -> None:
         """Run one recovery sweep and execute every action it emits."""
@@ -556,37 +598,48 @@ class StreamingProcessor:
         self, index: int, *, reason: str, error: str, attempts: int, now: float
     ) -> None:
         """Give up on ``index``: free (or zombie) its slot, queue a failure."""
-        slot = self._supervisor.finish_failed(index, now)
-        if slot is not None:
-            self._ring.release(slot)
+        self._release(self._supervisor.finish_failed(index, now))
         self._task_specs.pop(index, None)
-        self._pending_failures.append(
+        self._ready.append(
             FrameFailure(
                 index=index, attempts=attempts, reason=reason, error=error
             )
         )
 
-    def _supervise(self, deadline: float | None) -> float | None:
-        """One wait step: poll worker health, then run a recovery sweep.
+    def _wait_step(self, deadline: float | None) -> bool:
+        """One wait: replies and deaths, then one recovery sweep.
 
-        Returns how long the caller may block before the next step —
-        the poll interval, cut short by the supervisor's next due event
-        and by ``deadline`` — or ``None`` once ``deadline`` has passed.
+        Blocks on the workers for the poll interval at most, cut short by
+        the supervisor's next due event and by ``deadline`` (a passed
+        deadline makes the step non-blocking).  Returns ``False`` once
+        ``deadline`` has passed.
         """
         now = time.monotonic()
-        if deadline is not None and now >= deadline:
-            return None
-        self._poll_worker_health(now)
-        self._execute_supervision(now)
         wait = self.supervision.poll_interval_seconds
         wakeup = self._supervisor.next_wakeup(now)
         if wakeup is not None:
             wait = min(wait, wakeup - now)
         if deadline is not None:
             wait = min(wait, deadline - now)
-        return max(wait, 0.001)
+        self._collect(max(wait, 0.0))
+        now = time.monotonic()
+        self._execute_supervision(now)
+        return deadline is None or now < deadline
 
     # -- consumption ------------------------------------------------------
+
+    def _take_ready(self) -> StreamResult | FrameFailure | None:
+        """Deliver the oldest ready outcome, if any."""
+        if not self._ready:
+            return None
+        item = self._ready.popleft()
+        if isinstance(item, FrameFailure):
+            self._undelivered.discard(item.index)
+            if self.probe is not None:
+                self.probe.gauge_set("repro_queue_depth", self.in_flight)
+            return item
+        result, release_slot, attempts = item
+        return self._deliver(result, release_slot=release_slot, attempts=attempts)
 
     def _next_delivery(
         self, timeout: float | None = None
@@ -594,55 +647,18 @@ class StreamingProcessor:
         """Block until the next deliverable outcome.
 
         ``timeout`` bounds this one wait and raises :class:`TimeoutError`
-        on expiry.  Waiting interleaves worker health polls and recovery
-        sweeps, so a killed worker turns into a retried (or
-        inline-degraded) delivery instead of a hang.
+        on expiry; ``0`` takes only what already arrived.  Waiting wakes
+        on every worker reply and death and runs recovery sweeps, so a
+        killed worker turns into a retried (or inline-degraded) delivery
+        instead of a hang.
         """
-        sup = self._supervisor
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            if self._pending_failures:
-                failure = self._pending_failures.popleft()
-                self._undelivered.discard(failure.index)
-                if self.probe is not None:
-                    self.probe.gauge_set("repro_queue_depth", self.in_flight)
-                return failure
-            wait = self._supervise(deadline)
-            if wait is None:
+            outcome = self._take_ready()
+            if outcome is not None:
+                return outcome
+            if not self._wait_step(deadline) and not self._ready:
                 raise TimeoutError(f"no stream result within {timeout:g}s")
-            if self._pending_failures:
-                continue
-            try:
-                kind, payload = self._done.get(timeout=wait)
-            except queue.Empty:
-                continue
-            if kind == "error" and isinstance(payload, BaseException):
-                raise payload  # pool infrastructure failure, re-raised here
-            if kind == "dropped" and isinstance(
-                payload, (FrameResult, FrameError)
-            ):
-                slot = sup.on_dropped(payload.index)
-                if slot is not None:
-                    self._ring.release(slot)
-                continue
-            if isinstance(payload, FrameError):
-                slot = sup.on_error(
-                    payload.index, payload.attempt, payload.error
-                )
-                if slot is not None:
-                    self._ring.release(slot)
-                continue
-            if isinstance(payload, FrameResult):
-                verdict = sup.on_result(payload.index, payload.attempt)
-                if not verdict.deliver:
-                    if verdict.release_slot is not None:
-                        self._ring.release(verdict.release_slot)
-                    continue
-                return self._deliver(
-                    payload,
-                    release_slot=verdict.release_slot,
-                    attempts=verdict.attempts,
-                )
 
     def _deliver(
         self,
@@ -658,8 +674,7 @@ class StreamingProcessor:
         reclaims it.
         """
         outputs = np.array(self._ring.output_view(result.slot), copy=True)
-        if release_slot is not None:
-            self._ring.release(release_slot)
+        self._release(release_slot)
         self._undelivered.discard(result.index)
         self._task_specs.pop(result.index, None)
         if result.metrics is not None:
@@ -684,18 +699,24 @@ class StreamingProcessor:
     def poll(
         self, timeout: float = 0.0
     ) -> StreamResult | FrameFailure | None:
-        """One non-raising consumption step (the serving bridge's driver).
+        """One non-raising consumption step (an event loop's driver).
 
         Returns the next completed outcome in completion order, or
         ``None`` when nothing is in flight or nothing completed within
-        ``timeout`` seconds.  Unlike the iterators this never raises
-        :class:`TimeoutError`, so an event-loop bridge can interleave
-        submission and consumption without exception control flow.
+        ``timeout`` seconds.  ``poll(0)`` never blocks: it takes what the
+        workers already sent and runs one recovery sweep.  Unlike the
+        iterators this never raises :class:`TimeoutError`, so an event
+        loop can interleave submission and consumption without exception
+        control flow.
         """
         if not self.in_flight:
+            # Nothing to deliver, but still one non-blocking step: a
+            # worker that died idle must be reaped, or its readable
+            # sentinel would keep waking an event loop.
+            self._wait_step(time.monotonic())
             return None
         try:
-            return self._next_delivery(max(timeout, 0.001))
+            return self._next_delivery(timeout)
         except TimeoutError:
             return None
 
@@ -754,7 +775,7 @@ class StreamingProcessor:
     def map(
         self, frames: Iterable[np.ndarray], *, timeout: float | None = None
     ) -> Iterator[StreamResult | FrameFailure]:
-        """Stream ``frames`` through the pool; yield ordered outcomes.
+        """Stream ``frames`` through the workers; yield ordered outcomes.
 
         Interleaves submission and consumption under the ring's
         backpressure: whenever every ring slot is in flight the producer
@@ -786,14 +807,13 @@ class StreamingProcessor:
         attempts had not reported yet leave zombie-quarantined slots
         behind, and those only return to the free list through
         supervision sweeps.  ``timeout`` bounds the wait (zombies expire
-        after the policy's ``reclaim_grace_seconds`` at the latest).
+        after the policy's ``reclaim_grace_seconds`` at the latest);
+        ``0`` runs one non-blocking step.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while self._ring.free_slots < self.slots:
-            wait = self._supervise(deadline)
-            if wait is None or self._ring.free_slots >= self.slots:
+            if not self._wait_step(deadline):
                 break
-            time.sleep(wait)
         return self._ring.free_slots
 
     # -- observability ----------------------------------------------------
@@ -819,9 +839,9 @@ class StreamingProcessor:
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the pool down and free the shared-memory ring.
+        """Stop the workers and free the shared-memory ring.
 
-        Order is load-bearing: terminating the workers first guarantees no
+        Order is load-bearing: stopping the workers first guarantees no
         process still maps the ring when it is unlinked (the exit-time
         ``/dev/shm`` leak fixed here is pinned by a subprocess test).
         """
@@ -829,7 +849,7 @@ class StreamingProcessor:
             return
         self._closed = True
         _LIVE.discard(self)
-        self._pool.close()
+        self._workers.close()
         self._ring.close()
 
     def __enter__(self) -> "StreamingProcessor":

@@ -13,11 +13,13 @@ every recovery decision is unit-testable without spawning a process.
 The recovery ladder, in order of escalation:
 
 1. **Retry in place** — a lost frame's pixels are still in its ring
-   slot, so a retry is one ``apply_async`` away.  Retries back off
+   slot, so a retry is one task sent to a worker away.  Retries back off
    exponentially (capped) and are bounded by ``max_attempts``.
-2. **Pool respawn** — when the pool itself breaks (``apply_async``
-   raises), the workers are torn down and lazily re-forked; every
-   in-flight frame is rescheduled.
+2. **Pool respawn** — when the worker set itself breaks (sending a task
+   raises), every worker is torn down and lazily re-forked; every
+   in-flight frame is rescheduled.  A single worker's death needs no
+   respawn of the rest: the driver re-forks that worker and reports the
+   frames it held (:meth:`FrameSupervisor.on_worker_death`).
 3. **Inline degradation** — a frame out of pool attempts (or a stream
    whose pool is unrecoverable) is computed by the driver itself with a
    chaos-free engine; callers still get a bit-identical answer, just
@@ -34,8 +36,8 @@ write byte-identical output, the paper model being deterministic.
 
 Slot reclamation: a delivered frame whose stale attempts may still
 report keeps its slot quarantined as a *zombie* until every outstanding
-attempt has reported or ``reclaim_grace_seconds`` passes (a SIGKILLed
-attempt never reports).  The grace period must exceed the worst-case
+attempt has reported, died with its worker, or ``reclaim_grace_seconds``
+passes (an attempt that stalls past its deadline may never report).  The grace period must exceed the worst-case
 frame compute time — reclaiming while a live stale attempt is still
 writing would hand a contended slot to a new frame.
 """
@@ -43,6 +45,7 @@ writing would hand a contended slot to a new frame.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
@@ -60,7 +63,7 @@ class SupervisionPolicy:
     ----------
     deadline_seconds:
         Per-attempt deadline.  ``None`` (the default) disables deadline
-        sweeps — worker death is still detected by process polling, but
+        sweeps — worker death is still seen on the process sentinel, but
         silently dropped results are not.  Set it when results can be
         lost without a corpse (chaos ``drop`` faults, flaky transport).
     max_attempts:
@@ -73,8 +76,8 @@ class SupervisionPolicy:
         driver (``True``, the always-answer default) or quarantined as a
         :class:`FrameFailure` (``False``).
     poll_interval_seconds:
-        How often the consumption loop wakes to sweep deadlines, poll
-        worker health and run due recovery actions while waiting.
+        How often a waiting driver wakes to sweep deadlines and run due
+        recovery actions (worker replies and deaths wake it at once).
     reclaim_grace_seconds:
         How long a delivered frame's slot stays zombie-quarantined
         waiting for stale attempts that may never report.
@@ -414,22 +417,32 @@ class FrameSupervisor:
         frame.outstanding -= 1
         return None
 
-    def on_worker_death(self, pids: int, now: float | None = None) -> None:
-        """React to ``pids`` dead workers: every in-flight frame is suspect.
+    def on_worker_death(
+        self, held: Iterable[tuple[int, int]], now: float | None = None
+    ) -> None:
+        """React to one dead worker that held the ``(index, attempt)`` pairs.
 
-        The pool cannot say which frame the corpse held, so all tracked
-        frames are marked lost and rescheduled; stale-duplicate
-        suppression absorbs the over-retry of frames that were actually
-        fine.
+        ``held`` is exactly what was sent to the worker and not answered,
+        so only those attempts are settled (they will never report), and
+        a frame is marked lost only when its *current* attempt died —
+        frames on other workers, and frames whose retry is already on
+        another worker, are left alone.  A delivered frame's zombie slot
+        waiting on a dead attempt comes back at the next sweep.
         """
-        if pids <= 0:
-            return
         now = time.monotonic() if now is None else now
-        self.stats.worker_deaths += pids
+        self.stats.worker_deaths += 1
         if self._probe is not None:
-            self._probe.count("repro_worker_deaths_total", pids)
-        for frame in self._tracked.values():
-            self._mark_lost(frame, now)
+            self._probe.count("repro_worker_deaths_total")
+        for index, attempt in held:
+            frame = self._tracked.get(index)
+            if frame is None:
+                zombie = self._zombies.get(index)
+                if zombie is not None:
+                    zombie.outstanding -= 1
+                continue
+            frame.outstanding -= 1
+            if attempt == frame.attempt:
+                self._mark_lost(frame, now)
 
     def on_pool_restart(self, now: float | None = None) -> None:
         """Account a pool respawn: all outstanding pool tasks died with it."""

@@ -1,7 +1,10 @@
 """Worker-process side of the streaming runtime.
 
-A streaming pool's workers are initialised exactly once with the ring spec
-and a pickled :class:`~repro.spec.EngineSpec`.  The first frame a worker
+Each streaming worker runs :func:`serve_tasks` on its own end of a duplex
+pipe (see :class:`~repro.runtime.pool.WorkerSet`): it attaches the ring
+once, then loops ``recv → process_slot → send`` until the driver closes
+the pipe.  A worker is initialised exactly once with the ring spec and a
+pickled :class:`~repro.spec.EngineSpec`.  The first frame a worker
 processes builds the engine (config + kernel) and caches it in the
 process-global :data:`_ENGINES` table keyed by the spec blob — engines are
 *constructed* per worker, not *pickled* per frame, and every later frame
@@ -20,9 +23,11 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +35,9 @@ from ..core.window.base import SlidingWindowEngine
 from ..resilience.chaos import apply_worker_chaos
 from ..spec import EngineSpec as _EngineSpec
 from .ring import FrameRing, RingSpec
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,12 +48,12 @@ class FrameTask:
     layer (0 for the first try); it rides back on the result so the
     driver can tell a retry's completion from a stale duplicate.
 
-    ``spec_blob`` overrides the pool-wide engine spec for this one frame
-    (the multi-tenant serving path: many specs multiplexed onto one
-    ring).  ``None`` — the single-spec streaming default — runs the spec
-    the pool was initialised with.  An override must describe the same
-    frame geometry as the ring; the driver validates that before
-    dispatch.
+    ``spec_blob`` overrides the stream-wide engine spec for this one
+    frame (the multi-tenant serving path: many specs multiplexed onto one
+    ring).  ``None`` — the stream's own spec, and what every frame of a
+    single-spec stream carries — runs the spec the worker was initialised
+    with.  An override must describe the same frame geometry as the ring;
+    the driver validates that once per spec before dispatch.
     """
 
     index: int
@@ -60,7 +68,7 @@ class FrameResult:
 
     index: int
     slot: int
-    #: ``EngineStats`` fields as a plain dict (small; crosses the queue).
+    #: ``EngineStats`` fields as a plain dict (small; crosses the pipe).
     #: Waived: built fresh worker-side per result and never shared after
     #: pickling, so the copy each side holds is effectively immutable.
     # reprolint: disable=REP008
@@ -84,11 +92,11 @@ class FrameResult:
 class FrameError:
     """One *failed* frame attempt, shipped back as data, never raised.
 
-    Raising inside a pool task reaches ``error_callback`` stripped of any
-    task identity, which is useless for recovery.  The worker loop
-    instead catches everything and returns this structured record, so
-    the driver knows exactly which frame and attempt failed and can
-    retry, degrade or quarantine it.
+    An exception that escaped the worker loop would end the worker and
+    take the frame's identity with it.  The worker loop instead catches
+    everything and returns this structured record, so the driver knows
+    exactly which frame and attempt failed and can retry, degrade or
+    quarantine it.
     """
 
     index: int
@@ -119,7 +127,7 @@ ENGINE_CACHE_LIMIT = 8
 
 
 def initialize_worker(ring_spec: RingSpec, spec_blob: bytes) -> None:
-    """Pool initializer: attach the ring, remember the engine spec."""
+    """Attach the ring and remember the engine spec (once per worker)."""
     global _RING, _SPEC_BLOB
     _RING = FrameRing.attach(ring_spec)
     _SPEC_BLOB = spec_blob
@@ -159,7 +167,7 @@ def process_slot(task: FrameTask) -> FrameResult | FrameError:
     when the spec asked for a probe — the driver aggregates the latest
     snapshot per worker PID, so cumulative is the right shape to ship).
 
-    Failures never raise across the pool: any exception (including
+    Failures never raise out of the worker: any exception (including
     injected :class:`~repro.errors.ChaosError` faults) comes back as a
     :class:`FrameError` carrying the frame identity, so the driver's
     supervision layer can react per frame.  A chaos SIGKILL, of course,
@@ -198,3 +206,23 @@ def process_slot(task: FrameTask) -> FrameResult | FrameError:
             kind=type(exc).__name__,
             worker_pid=os.getpid(),
         )
+
+
+def serve_tasks(conn: Connection, ring_spec: RingSpec, spec_blob: bytes) -> None:
+    """A worker's whole life: answer every task on ``conn`` until EOF.
+
+    The driver decides when workers stop (it closes the pipe or kills
+    the process), so a terminal's Ctrl-C reaching the whole process group
+    is ignored here, and the handlers a forked worker inherited from its
+    parent's event loop are dropped.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+    initialize_worker(ring_spec, spec_blob)
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        conn.send(process_slot(task))

@@ -1,21 +1,25 @@
-"""The one-thread bridge between the event loop and the streaming ring.
+"""The in-loop driver between the event loop and the streaming ring.
 
 :class:`~repro.runtime.streaming.StreamingProcessor` is single-threaded
 by contract: one driver owns submission *and* consumption.  An asyncio
 gateway, meanwhile, wants many concurrent requests in flight.  The
-bridge reconciles the two with the narrowest possible interface: every
-connection handler awaits :meth:`FrameBridge.process`, which enqueues a
-job and returns a future; a single daemon thread drains the queue,
-submits whenever the ring has a free slot (it is the only submitter, so
-``free_slots > 0`` cannot race), interleaves
-:meth:`~repro.runtime.streaming.StreamingProcessor.poll` calls, and
-resolves each job's future back on its event loop via
-``call_soon_threadsafe``.
+bridge makes the event loop that driver, so the gateway process runs one
+thread: every connection handler awaits :meth:`FrameBridge.process`,
+which submits the frame at once when a ring slot is free (the loop is
+the only submitter, so ``free_slots > 0`` cannot race) and queues it
+FIFO otherwise.  The loop watches every worker pipe and process sentinel
+(:meth:`~repro.runtime.streaming.StreamingProcessor.watch_fds`); when
+one is readable the bridge drains ``poll(0)``, resolves each frame's
+future, and hands freed slots to the queued jobs.  A
+``loop.call_later`` tick at the supervision policy's
+``poll_interval_seconds`` runs while work is outstanding: it takes the
+deadline sweeps and retries no descriptor announces, and an idle
+``drain()`` that returns slots a recovered frame left quarantined.
 
 Deadlines compose from the outside: the gateway wraps the await in
 ``asyncio.wait_for``, which *cancels the future but not the frame* —
-the worker finishes (or the supervision layer times it out), the driver
-thread sees the completion, and the guarded resolve is a no-op on the
+the worker finishes (or the supervision layer times it out), the loop
+sees the completion, and the guarded resolve is a no-op on the
 cancelled future.  Until then the job still counts against
 :attr:`FrameBridge.depth`, which is exactly what admission control
 wants: capacity consumed by abandoned work is still consumed.
@@ -24,9 +28,9 @@ wants: capacity consumed by abandoned work is still consumed.
 from __future__ import annotations
 
 import asyncio
-import queue
-import threading
-from dataclasses import dataclass, field
+from collections import deque
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,48 +45,47 @@ Outcome = StreamResult | FrameFailure
 
 @dataclass(slots=True)
 class _Job:
-    """One enqueued frame job crossing from the event loop to the driver."""
+    """One frame job waiting for a slot or on the ring."""
 
     frame: np.ndarray
     spec: EngineSpec | None
     future: "asyncio.Future[Outcome]"
-    loop: asyncio.AbstractEventLoop
-    pending: bool = field(default=True)
 
 
 class FrameBridge:
-    """Multiplexes event-loop frame jobs onto one streaming processor."""
+    """Drives one streaming processor from the running event loop."""
 
-    def __init__(
-        self,
-        processor: StreamingProcessor,
-        *,
-        poll_seconds: float = 0.02,
-        submit_timeout: float = 10.0,
-    ) -> None:
+    def __init__(self, processor: StreamingProcessor) -> None:
         self._processor = processor
-        self._poll_seconds = poll_seconds
-        self._submit_timeout = submit_timeout
-        self._jobs: "queue.Queue[_Job | None]" = queue.Queue()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._queued: deque[_Job] = deque()
         self._in_flight: dict[int, _Job] = {}
-        self._lock = threading.Lock()
-        self._depth = 0
+        self._tick: asyncio.TimerHandle | None = None
         self._closed = False
         self._broken: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._drive, name="repro-frame-bridge", daemon=True
-        )
 
     def start(self) -> None:
-        """Start the driver thread (idempotent)."""
-        if not self._thread.is_alive() and not self._closed:
-            self._thread.start()
+        """Attach to the running loop: watch the worker descriptors.
+
+        Idempotent; :meth:`process` attaches on first use too.
+        """
+        if self._loop is not None or self._closed:
+            return
+        loop = asyncio.get_running_loop()
+        self._loop = loop
+        self._processor.watch_fds(
+            lambda fd: loop.add_reader(fd, self._on_ready), self._unwatch
+        )
+
+    def _unwatch(self, fd: int) -> None:
+        loop = self._loop
+        if loop is not None and not loop.is_closed():
+            loop.remove_reader(fd)
 
     @property
     def depth(self) -> int:
         """Jobs accepted and not yet resolved (queued + on the ring)."""
-        with self._lock:
-            return self._depth
+        return len(self._queued) + len(self._in_flight)
 
     async def process(
         self, frame: np.ndarray, *, spec: EngineSpec | None = None
@@ -95,144 +98,123 @@ class FrameBridge:
         """
         if self._closed:
             raise StateError("frame bridge is closed")
+        if self._broken is not None:
+            raise StateError(f"frame bridge is broken: {self._broken!r}")
+        self.start()
         loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Outcome]" = loop.create_future()
-        job = _Job(frame=frame, spec=spec, future=future, loop=loop)
-        with self._lock:
-            # Checked under the lock the bridge thread sets it under: a
-            # job is either queued before the queue is failed, or refused.
-            if self._broken is not None:
-                raise StateError(f"frame bridge is broken: {self._broken!r}")
-            self._depth += 1
-            self._jobs.put(job)
-        return await future
+        job = _Job(frame=frame, spec=spec, future=loop.create_future())
+        if self._queued or not self._processor.free_slots:
+            self._queued.append(job)
+        else:
+            self._in_flight[self._submit(job)] = job
+        self._arm()
+        return await job.future
 
-    # -- driver thread ----------------------------------------------------
+    # -- driving ----------------------------------------------------------
 
-    def _drive(self) -> None:
-        """Run the bridge loop; if it dies, fail every job at once.
+    def _submit(self, job: _Job) -> int:
+        """Put one job on the ring (a slot is free: this never blocks)."""
+        return self._processor.submit(job.frame, spec=job.spec, timeout=0)
 
-        A loop that ended on an exception leaves nobody to resolve the
-        queued and in-flight jobs, so they fail here, and the bridge is
-        marked broken so later :meth:`process` calls fail immediately
-        instead of waiting out their deadline.
-        """
-        try:
-            self._drive_loop()
-        except BaseException as exc:  # noqa: BLE001 - recorded, not lost
-            with self._lock:
-                self._broken = exc
-            self._fail_all(StateError(f"frame bridge is broken: {exc!r}"))
-
-    def _drive_loop(self) -> None:
-        """Queue-drain / submit / poll loop; runs until :meth:`close`."""
+    def _admit_queued(self) -> None:
+        """Move queued jobs onto freed slots, failing only a job that
+        the processor refuses."""
         proc = self._processor
-        while True:
-            stop = self._admit_ready(proc)
-            if stop and not self._in_flight:
-                break
-            if not self._in_flight:
-                if proc.free_slots < proc.slots:
-                    # Slots a recovered frame left quarantined come back
-                    # only through supervision sweeps: run them while idle.
-                    proc.drain(timeout=self._poll_seconds)
-                # Nothing on the ring: block on the queue instead of
-                # spinning, waking periodically to notice close().
-                try:
-                    job = self._jobs.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-                if job is None:
-                    if self._closed and not self._in_flight:
-                        break
-                    continue
-                self._submit(proc, job)
-                continue
-            outcome = proc.poll(self._poll_seconds)
-            if outcome is not None:
-                job = self._in_flight.pop(outcome.index, None)
-                if job is not None:
-                    self._resolve(job, outcome)
-        self._fail_all(StateError("frame bridge closed"))
-
-    def _admit_ready(self, proc: StreamingProcessor) -> bool:
-        """Submit queued jobs while slots are free; True once closing."""
-        while proc.free_slots > 0:
+        while self._queued and proc.free_slots:
+            job = self._queued.popleft()
             try:
-                job = self._jobs.get_nowait()
-            except queue.Empty:
-                break
-            if job is None:
-                return True
-            self._submit(proc, job)
-        return self._closed
+                self._in_flight[self._submit(job)] = job
+            except Exception as exc:  # noqa: BLE001 - forwarded to the job
+                _settle(job.future, exc)
 
-    def _submit(self, proc: StreamingProcessor, job: _Job) -> None:
-        """Put one job on the ring, failing only that job on error."""
-        try:
-            index = proc.submit(
-                job.frame, spec=job.spec, timeout=self._submit_timeout
-            )
-        except BaseException as exc:  # noqa: BLE001 - forwarded to the job
-            self._reject(job, exc)
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            return
-        self._in_flight[index] = job
+    def _on_ready(self) -> None:
+        """A worker descriptor is readable: take every outcome now."""
+        self._guarded(self._drain_outcomes)
 
-    def _finish(self, job: _Job) -> None:
-        with self._lock:
-            if job.pending:
-                job.pending = False
-                self._depth -= 1
-
-    def _resolve(self, job: _Job, outcome: Outcome) -> None:
-        self._finish(job)
-        job.loop.call_soon_threadsafe(_set_result, job.future, outcome)
-
-    def _reject(self, job: _Job, exc: BaseException) -> None:
-        self._finish(job)
-        job.loop.call_soon_threadsafe(_set_exception, job.future, exc)
-
-    def _fail_all(self, exc: BaseException) -> None:
-        """Resolve every job still held anywhere (shutdown path)."""
-        for job in list(self._in_flight.values()):
-            self._reject(job, exc)
-        self._in_flight.clear()
-        while True:
-            try:
-                job = self._jobs.get_nowait()
-            except queue.Empty:
-                break
+    def _drain_outcomes(self) -> None:
+        proc = self._processor
+        while (outcome := proc.poll(0)) is not None:
+            job = self._in_flight.pop(outcome.index, None)
             if job is not None:
-                self._reject(job, exc)
+                _settle(job.future, outcome)
+        self._admit_queued()
+
+    def _on_tick(self) -> None:
+        """Supervision tick: sweeps, retries and idle slot reclamation."""
+        self._tick = None
+        proc = self._processor
+        if self._in_flight:
+            self._guarded(self._drain_outcomes)
+        elif proc.free_slots < proc.slots:
+            self._guarded(lambda: proc.drain(timeout=0))
+            self._guarded(self._admit_queued)
+        self._arm()
+
+    def _arm(self) -> None:
+        """Keep the tick scheduled while any work or slot is outstanding."""
+        proc = self._processor
+        if (
+            self._tick is None
+            and self._loop is not None
+            and self._broken is None
+            and not self._closed
+            and (self.depth or proc.free_slots < proc.slots)
+        ):
+            self._tick = self._loop.call_later(
+                proc.supervision.poll_interval_seconds, self._on_tick
+            )
+
+    def _guarded(self, step: Callable[[], object]) -> None:
+        """Run one driving step; if it raises, fail every job at once.
+
+        A driver step that ended on an exception leaves the processor in
+        an unknown state, so the queued and in-flight jobs fail here and
+        the bridge is marked broken: later :meth:`process` calls fail
+        immediately instead of waiting out their deadline.
+        """
+        if self._broken is not None:
+            return
+        try:
+            step()
+        except Exception as exc:  # noqa: BLE001 - recorded, not lost
+            self._broken = exc
+            self._detach(StateError(f"frame bridge is broken: {exc!r}"))
+
+    def _detach(self, exc: BaseException) -> None:
+        """Stop watching and ticking; fail every job still held."""
+        if self._tick is not None:
+            self._tick.cancel()
+            self._tick = None
+        if self._loop is not None:
+            self._processor.watch_fds(None)
+        jobs = [*self._in_flight.values(), *self._queued]
+        self._in_flight.clear()
+        self._queued.clear()
+        for job in jobs:
+            _settle(job.future, exc)
 
     # -- lifecycle --------------------------------------------------------
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Stop accepting jobs, let in-flight frames finish, join.
+    def close(self) -> None:
+        """Stop accepting jobs and fail every job still queued or on the
+        ring.
 
         The processor itself stays open — its owner (the gateway) closes
-        it after the bridge, preserving the pool-before-ring teardown
+        it after the bridge, preserving the workers-before-ring teardown
         order the runtime depends on.
         """
         if self._closed:
             return
         self._closed = True
-        self._jobs.put(None)
-        if self._thread.is_alive():
-            self._thread.join(timeout=timeout)
+        self._detach(StateError("frame bridge closed"))
 
 
-def _set_result(future: "asyncio.Future[Outcome]", outcome: Outcome) -> None:
-    """Event-loop callback: resolve unless the waiter gave up."""
-    if not future.done():
-        future.set_result(outcome)
-
-
-def _set_exception(
-    future: "asyncio.Future[Outcome]", exc: BaseException
-) -> None:
-    """Event-loop callback: fail unless the waiter gave up."""
-    if not future.done():
-        future.set_exception(exc)
+def _settle(future: "asyncio.Future[Outcome]", result: object) -> None:
+    """Resolve ``future`` with an outcome or an exception, unless the
+    waiter gave up."""
+    if future.done():
+        return
+    if isinstance(result, BaseException):
+        future.set_exception(result)
+    else:
+        future.set_result(result)

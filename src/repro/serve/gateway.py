@@ -233,7 +233,7 @@ class FrameGateway:
         await asyncio.get_running_loop().create_future()
 
     async def close(self) -> None:
-        """Stop accepting, drain the bridge, tear the runtime down."""
+        """Stop accepting, close the bridge, tear the runtime down."""
         server, self._state.server = self._state.server, None
         if server is not None:
             server.close()
@@ -249,7 +249,7 @@ class FrameGateway:
             await server.wait_closed()
         bridge, self._state.bridge = self._state.bridge, None
         if bridge is not None:
-            await asyncio.to_thread(bridge.close)
+            bridge.close()
         processor, self._state.processor = self._state.processor, None
         if processor is not None:
             processor.close()

@@ -1,7 +1,8 @@
 """Frame-job payload encoding shared by the gateway and its clients.
 
 Pixels cross the wire as base64 of the raw little-endian array bytes —
-``int64`` row-major for input frames, the ring's output dtype for
+``int64`` row-major for input frames (narrowed to the configured pixel
+width once they pass the range check), the ring's output dtype for
 results.  Base64-in-JSON costs 33% over raw but keeps the protocol one
 ``curl``-able JSON object; the expensive hop (driver to workers) still
 moves pixels through shared memory, never through this codec.
@@ -32,13 +33,15 @@ def encode_array(array: np.ndarray) -> str:
 
 
 def decode_frame(payload: object, config: ArchitectureConfig) -> np.ndarray:
-    """Decode a request's ``frame_b64`` field into an ``int64`` frame.
+    """Decode a request's ``frame_b64`` field (``<i8`` pixels) into a
+    frame of ``config.pixel_dtype``, the ring's input width.
 
     Raises :class:`~repro.serve.http.HttpError` (status 400) on any
     malformed payload: wrong type, broken base64, a byte count that does
     not match ``config``'s geometry, or a pixel outside ``config``'s
     range (:meth:`~repro.config.ArchitectureConfig.check_pixels`, the
-    engines' own check) — so a bad frame never reaches the ring.
+    engines' own check, run on the int64 view before narrowing) — so a
+    bad frame never reaches the ring.
     """
     if not isinstance(payload, str):
         raise HttpError(400, "frame_b64 must be a base64 string")
@@ -59,4 +62,4 @@ def decode_frame(payload: object, config: ArchitectureConfig) -> np.ndarray:
         config.check_pixels(frame)
     except ConfigError as exc:
         raise HttpError(400, str(exc)) from exc
-    return frame.astype(np.int64, copy=False)
+    return frame.astype(config.pixel_dtype)

@@ -318,6 +318,80 @@ class TestTaskSpecOverrides:
             assert proc.free_slots == proc.slots
 
 
+class TestKnownTenants:
+    def test_ring_input_slots_hold_pixel_width(self):
+        with StreamingProcessor(make_spec(), workers=1) as proc:
+            assert proc._ring.spec.frame_dtype == "uint8"
+        wide = EngineSpec(
+            config=ArchitectureConfig(
+                image_width=RES, image_height=RES, window_size=WINDOW,
+                pixel_bits=12,
+            ),
+            kernel=BoxFilterKernel(WINDOW),
+        )  # fmt: skip
+        with StreamingProcessor(wide, workers=1) as proc:
+            assert proc._ring.spec.frame_dtype == "uint16"
+
+    def test_other_pixel_width_rejected(self, rng):
+        wide = EngineSpec(
+            config=ArchitectureConfig(
+                image_width=RES, image_height=RES, window_size=WINDOW,
+                pixel_bits=12,
+            ),
+            kernel=BoxFilterKernel(WINDOW),
+        )  # fmt: skip
+        with StreamingProcessor(make_spec(), workers=1) as proc:
+            with pytest.raises(ConfigError, match="pixel dtype"):
+                proc.submit(make_frames(rng, 1)[0], timeout=10, spec=wide)
+            assert proc.free_slots == proc.slots
+
+    def test_known_tenant_is_pickled_and_checked_once(self, rng, monkeypatch):
+        base = make_spec()
+        tenant = base.replace(threshold=6)
+        frames = make_frames(rng, 6)
+        blobs = []
+        real_blob = EngineSpec.blob
+
+        def counting_blob(spec):
+            blobs.append(spec)
+            return real_blob(spec)
+
+        with StreamingProcessor(base, workers=1, slots=6) as proc:
+            checks = []
+            real_check = proc.check_spec_compatible
+            monkeypatch.setattr(
+                proc, "check_spec_compatible",
+                lambda spec: (checks.append(spec), real_check(spec)),
+            )  # fmt: skip
+            sent = []
+            real_send = proc._workers.send
+            monkeypatch.setattr(
+                proc._workers, "send",
+                lambda task: (sent.append(task), real_send(task)),
+            )  # fmt: skip
+            monkeypatch.setattr(EngineSpec, "blob", counting_blob)
+            for i, frame in enumerate(frames):
+                proc.submit(frame, timeout=30, spec=(base, tenant, None)[i % 3])
+            results = list(proc.results(timeout=30))
+        # One pickle per distinct spec object, one ring check per tenant.
+        assert blobs == [base, tenant]
+        assert checks == [tenant]
+        # Frames of the processor's own spec ship no blob at all.
+        assert [t.spec_blob is None for t in sent] == [True, False, True] * 2
+        for res, frame, spec in zip(results, frames, (base, tenant, base) * 2):
+            assert np.array_equal(res.outputs, spec.build().run(frame).outputs)
+
+
+class TestThreads:
+    def test_stream_starts_no_thread(self, rng):
+        import threading
+
+        before = set(threading.enumerate())
+        with StreamingProcessor(make_spec(), workers=2) as proc:
+            assert len(list(proc.map(make_frames(rng, 4), timeout=30))) == 4
+            assert set(threading.enumerate()) == before
+
+
 class TestDrainAndTimeoutSaturated:
     """The admission-control edge: a ring full of slow frames."""
 
@@ -370,3 +444,13 @@ class TestDrainAndTimeoutSaturated:
                 if result is not None:
                     seen.append(result)
             assert sorted(r.index for r in seen) == [0, 1]
+
+    def test_poll_zero_never_blocks(self, rng):
+        with StreamingProcessor(
+            slow_spec((0,), 0.4), workers=1, slots=2
+        ) as proc:
+            proc.submit(make_frames(rng, 1)[0], timeout=30)
+            t0 = time.perf_counter()
+            assert proc.poll(0) is None
+            assert time.perf_counter() - t0 < 0.1
+            assert proc.poll(30) is not None

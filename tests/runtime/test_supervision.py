@@ -114,30 +114,79 @@ class TestSupervisorStateMachine:
     def test_worker_death_schedules_backed_off_retry(self):
         sup = FrameSupervisor(fast_policy(backoff_base_seconds=0.1, backoff_max_seconds=0.5))
         sup.track(0, 2, now=0.0)
-        sup.on_worker_death(1, now=1.0)
+        sup.track(1, 3, now=0.0)  # held by a worker that lives
+        sup.on_worker_death([(0, 0)], now=1.0)
         assert sup.stats.worker_deaths == 1
         assert sup.actions(now=1.05) == []  # backoff not elapsed
         assert sup.actions(now=1.2) == [RetryAction(index=0, slot=2, attempt=1)]
         assert sup.stats.retries == 1
-        # Retry completes and delivers; the dead original never reports,
-        # so the slot goes zombie until the grace period expires.
+        # Retry completes and delivers; the dead original's attempt was
+        # settled by the death, so the slot comes back at once.
         verdict = sup.on_result(0, 1, now=1.3)
         assert verdict.deliver
-        assert verdict.release_slot is None
+        assert verdict.release_slot == 2
         assert verdict.recovery_seconds == pytest.approx(0.3)
+        assert sup.zombie_count == 0
+        # The other worker's frame was never suspect.
+        assert sup.on_result(1, 0, now=1.4).attempts == 1
+        assert sup.stats.retries == 1
+
+    def test_death_of_a_superseded_attempt_schedules_nothing(self):
+        # Attempt 0 stalled past its deadline and attempt 1 went to
+        # another worker; the stalled worker then dies.  Only the dead
+        # attempt is settled: no further retry, and the delivery of
+        # attempt 1 frees the slot at once.
+        sup = FrameSupervisor(
+            fast_policy(deadline_seconds=1.0, backoff_base_seconds=0.1, backoff_max_seconds=0.5)
+        )
+        sup.track(0, 6, now=0.0)
+        sup.actions(now=1.0)  # lost; retry backing off
+        assert sup.actions(now=1.2) == [RetryAction(index=0, slot=6, attempt=1)]
+        sup.on_worker_death([(0, 0)], now=1.3)
+        assert sup.actions(now=5.0) == []
+        verdict = sup.on_result(0, 1, now=1.4)
+        assert verdict.deliver and verdict.release_slot == 6
+
+    def test_dead_attempt_of_a_delivered_frame_frees_its_zombie(self):
+        sup = FrameSupervisor(
+            fast_policy(deadline_seconds=1.0, backoff_base_seconds=0.1, backoff_max_seconds=0.5)
+        )
+        sup.track(0, 2, now=0.0)
+        sup.actions(now=1.0)
+        assert sup.actions(now=1.2) == [RetryAction(index=0, slot=2, attempt=1)]
+        verdict = sup.on_result(0, 1, now=1.3)
+        assert verdict.deliver and verdict.release_slot is None
         assert sup.zombie_count == 1
-        reclaims = sup.actions(now=1.3 + 0.3)
-        assert reclaims == [ReclaimAction(slot=2)]
+        # The stalled original dies with its worker: reclaimed at the
+        # next sweep, long before the grace period.
+        sup.on_worker_death([(0, 0)], now=1.35)
+        assert sup.actions(now=1.35) == [ReclaimAction(slot=2)]
         assert sup.stats.slots_reclaimed == 1
         assert sup.zombie_count == 0
+
+    def test_zombie_slot_reclaimed_after_grace(self):
+        # A stalled original that never reports: the slot stays zombie
+        # until the grace period expires.
+        sup = FrameSupervisor(
+            fast_policy(deadline_seconds=1.0, backoff_base_seconds=0.1, backoff_max_seconds=0.5)
+        )
+        sup.track(0, 2, now=0.0)
+        sup.actions(now=1.0)
+        sup.actions(now=1.2)
+        assert sup.on_result(0, 1, now=1.3).release_slot is None
+        assert sup.actions(now=1.5) == []
+        assert sup.actions(now=1.3 + 0.3) == [ReclaimAction(slot=2)]
+        assert sup.stats.slots_reclaimed == 1
 
     def test_duplicate_completion_is_suppressed_and_settles_zombie(self):
         # Precautionary retry raced the original: the original delivers,
         # the retry's later completion must be dropped and must free the
         # zombie slot without waiting for the grace period.
-        sup = FrameSupervisor(fast_policy(backoff_base_seconds=0.1, backoff_max_seconds=0.5))
+        sup = FrameSupervisor(
+            fast_policy(deadline_seconds=1.0, backoff_base_seconds=0.1, backoff_max_seconds=0.5)
+        )
         sup.track(0, 4, now=0.0)
-        sup.on_worker_death(1, now=1.0)
+        assert sup.actions(now=1.0) == []  # lost; retry backing off
         assert sup.actions(now=1.2) == [RetryAction(index=0, slot=4, attempt=1)]
         original = sup.on_result(0, 0, now=1.25)
         assert original.deliver and original.release_slot is None
@@ -451,11 +500,11 @@ class TestInlineFallback:
             workers=2,
             supervision=fast_policy(max_pool_respawns=0),
         ) as proc:
-            # Every pool submission fails structurally from the start.
+            # Every send to a worker fails structurally from the start.
             def broken(*args, **kwargs):
                 raise RuntimeError("pool is gone")
 
-            monkeypatch.setattr(proc._pool, "apply_async", broken)
+            monkeypatch.setattr(proc._workers, "send", broken)
             results = list(proc.map(frames, timeout=30.0))
             stats = proc.supervisor_stats
         assert [r.index for r in results] == list(range(4))
@@ -476,7 +525,7 @@ class TestInlineFallback:
             supervision=fast_policy(max_pool_respawns=1),
         ) as proc:
             calls = {"n": 0}
-            real_restart = proc._pool.restart
+            real_restart = proc._workers.restart
 
             def broken(*args, **kwargs):
                 raise RuntimeError("pool is gone")
@@ -485,8 +534,8 @@ class TestInlineFallback:
                 calls["n"] += 1
                 real_restart()
 
-            monkeypatch.setattr(proc._pool, "apply_async", broken)
-            monkeypatch.setattr(proc._pool, "restart", counting_restart)
+            monkeypatch.setattr(proc._workers, "send", broken)
+            monkeypatch.setattr(proc._workers, "restart", counting_restart)
             results = list(proc.map(frames, timeout=30.0))
             stats = proc.supervisor_stats
         assert calls["n"] == 1

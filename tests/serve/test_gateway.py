@@ -408,3 +408,17 @@ class TestChaos:
                 time.sleep(0.1)
             assert health["free_slots"] == 2
             assert health["errors"] == 0
+
+
+class TestThreads:
+    def test_warm_gateway_adds_only_its_event_loop_thread(self, frame):
+        """The event loop drives the ring itself: no bridge thread, no
+        pool handler threads, no executor thread."""
+        before = set(threading.enumerate())
+        config = GatewayConfig(port=0, resolution=RES, window=WINDOW, workers=2)
+        with GatewayThread(config) as gw:
+            for _ in range(3):
+                status, _, _ = post_frame(gw, frame)
+                assert status == 200
+            added = set(threading.enumerate()) - before
+            assert [t.name for t in added] == ["repro-gateway"]

@@ -43,7 +43,7 @@ def test_any_payload_yields_a_valid_frame_or_4xx(payload):
         assert 400 <= exc.status < 500
         return
     assert frame.shape == SHAPE
-    assert frame.dtype == np.int64
+    assert frame.dtype == CONFIG.pixel_dtype
     assert 0 <= frame.min() and frame.max() <= CONFIG.pixel_max
 
 
