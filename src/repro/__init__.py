@@ -44,48 +44,105 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from .config import (
-    ArchitectureConfig,
-    PAPER_IMAGE_WIDTHS,
-    PAPER_THRESHOLDS,
-    PAPER_WINDOW_SIZES,
-    paper_configs,
-)
-from .errors import (
-    BitstreamError,
-    CapacityError,
-    ConfigError,
-    DatasetError,
-    ReproError,
-    StateError,
-)
-from .core.stats import BandAnalysis, ImageCompressionReport, analyze_band, analyze_image
-from .core.threshold import AdaptiveThresholdController, choose_threshold_for_budget
-from .core.packing.packer import BandCodec, EncodedBand
-from .core.window import (
-    CompressedCycleEngine,
-    CompressedEngine,
-    GoldenEngine,
-    MultiChannelEngine,
-    SameSizeEngine,
-    SlidingWindowPipeline,
-    PipelineStage,
-    TraditionalEngine,
-    WindowRun,
-)
-from .core.video import FrameRecord, FrameStreamProcessor
-from .observability import MetricsProbe, MetricsRegistry, NullProbe, Probe
-from .runtime import StreamingProcessor, StreamResult, stream_frames
-from .spec import ENGINE_KINDS, EngineSpec, make_engine
-from .resilience import (
-    EngineFaultSummary,
-    FaultInjector,
-    ProtectionPolicy,
-    ResilientBandCodec,
-    resolve_policy,
-)
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .config import (
+        PAPER_IMAGE_WIDTHS,
+        PAPER_THRESHOLDS,
+        PAPER_WINDOW_SIZES,
+        ArchitectureConfig,
+        paper_configs,
+    )
+    from .core.packing.packer import BandCodec, EncodedBand
+    from .core.stats import (
+        BandAnalysis,
+        ImageCompressionReport,
+        analyze_band,
+        analyze_image,
+    )
+    from .core.threshold import AdaptiveThresholdController
+    from .core.window import (
+        CompressedCycleEngine,
+        CompressedEngine,
+        GoldenEngine,
+        MultiChannelEngine,
+        PipelineStage,
+        SameSizeEngine,
+        SlidingWindowPipeline,
+        TraditionalEngine,
+        WindowRun,
+    )
+    from .errors import (
+        BitstreamError,
+        CapacityError,
+        ConfigError,
+        DatasetError,
+        ReproError,
+        StateError,
+    )
+    from .observability import MetricsProbe, MetricsRegistry, NullProbe, Probe
+    from .resilience import (
+        EngineFaultSummary,
+        FaultInjector,
+        ProtectionPolicy,
+        ResilientBandCodec,
+        resolve_policy,
+    )
+    from .runtime import StreamingProcessor, StreamResult, stream_frames
+    from .spec import ENGINE_KINDS, EngineSpec, make_engine
 
 __version__ = "1.0.0"
+
+#: The module behind each re-exported name, imported on first access, so
+#: ``import repro`` (or any of its submodules) loads no more than it uses:
+#: an in-process engine never imports the streaming runtime.
+_SOURCES = {
+    name: module
+    for module, names in {
+        "config": (
+            "ArchitectureConfig", "PAPER_IMAGE_WIDTHS", "PAPER_THRESHOLDS",
+            "PAPER_WINDOW_SIZES", "paper_configs",
+        ),
+        "errors": (
+            "ReproError", "ConfigError", "BitstreamError", "CapacityError",
+            "StateError", "DatasetError",
+        ),
+        "core.stats": (
+            "BandAnalysis", "ImageCompressionReport", "analyze_band", "analyze_image",
+        ),
+        "core.threshold": ("AdaptiveThresholdController",),
+        "core.packing.packer": ("BandCodec", "EncodedBand"),
+        "core.window": (
+            "GoldenEngine", "TraditionalEngine", "CompressedEngine",
+            "CompressedCycleEngine", "SlidingWindowPipeline", "PipelineStage",
+            "WindowRun", "MultiChannelEngine", "SameSizeEngine",
+        ),
+        "runtime": ("StreamingProcessor", "StreamResult", "stream_frames"),
+        "spec": ("ENGINE_KINDS", "EngineSpec", "make_engine"),
+        "observability": ("MetricsProbe", "MetricsRegistry", "NullProbe", "Probe"),
+        "resilience": (
+            "EngineFaultSummary", "FaultInjector", "ProtectionPolicy",
+            "ResilientBandCodec", "resolve_policy",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str) -> Any:
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{source}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "ArchitectureConfig",
@@ -104,7 +161,6 @@ __all__ = [
     "analyze_band",
     "analyze_image",
     "AdaptiveThresholdController",
-    "choose_threshold_for_budget",
     "BandCodec",
     "EncodedBand",
     "GoldenEngine",
@@ -116,8 +172,6 @@ __all__ = [
     "WindowRun",
     "MultiChannelEngine",
     "SameSizeEngine",
-    "FrameRecord",
-    "FrameStreamProcessor",
     "StreamingProcessor",
     "StreamResult",
     "stream_frames",

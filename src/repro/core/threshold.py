@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..config import ArchitectureConfig
 from ..errors import ConfigError
-from .stats import analyze_image
+
+#: The threshold ladder: the paper's evaluation thresholds 0, 2, 4, 6
+#: extended to 8 and 10 for headroom.  The adaptive controller walks it
+#: frame by frame, and an engine with ``overflow="tighten"`` climbs it
+#: within a frame that overflows its memory plan.
+THRESHOLD_LADDER: tuple[int, ...] = (0, 2, 4, 6, 8, 10)
 
 
 @dataclass(slots=True)
@@ -29,8 +31,8 @@ class AdaptiveThresholdController:
     budget_bits:
         The memory-unit capacity the compressed footprint must stay under.
     levels:
-        Ordered threshold ladder to walk (defaults to the paper's
-        evaluation ladder 0, 2, 4, 6 extended to 8 and 10 for headroom).
+        Ordered threshold ladder to walk (default
+        :data:`THRESHOLD_LADDER`).
     downshift_margin:
         Fraction of the budget the footprint must drop below before the
         controller relaxes the threshold one step (hysteresis against
@@ -38,7 +40,7 @@ class AdaptiveThresholdController:
     """
 
     budget_bits: int
-    levels: tuple[int, ...] = (0, 2, 4, 6, 8, 10)
+    levels: tuple[int, ...] = THRESHOLD_LADDER
     downshift_margin: float = 0.75
     _index: int = field(default=0, init=False)
     history: list[tuple[int, int]] = field(default_factory=list, init=False)
@@ -77,27 +79,3 @@ class AdaptiveThresholdController:
     def saturated(self) -> bool:
         """True when the controller is already at its most lossy level."""
         return self._index == len(self.levels) - 1
-
-
-def choose_threshold_for_budget(
-    config: ArchitectureConfig,
-    image: np.ndarray,
-    budget_bits: int,
-    *,
-    levels: tuple[int, ...] = (0, 2, 4, 6, 8, 10),
-    row_stride: int | None = None,
-) -> int | None:
-    """Smallest threshold whose peak buffered footprint fits ``budget_bits``.
-
-    Returns ``None`` when even the most lossy level does not fit (the
-    "bad frames or random images" failure case the paper describes).
-    """
-    if budget_bits <= 0:
-        raise ConfigError(f"budget_bits must be positive, got {budget_bits}")
-    for level in levels:
-        report = analyze_image(
-            config.with_threshold(level), image, row_stride=row_stride
-        )
-        if report.peak_buffer_bits <= budget_bits:
-            return level
-    return None

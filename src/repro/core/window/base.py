@@ -46,6 +46,14 @@ class EngineStats:
     traditional_buffer_bits: int = 0
     #: Optional per-band compressed-size trace (compressed engines only).
     band_total_bits: list[int] = field(default_factory=list)
+    #: Lossiness threshold the run used (compressed engines; under
+    #: ``overflow="tighten"`` the level the frame settled on).
+    threshold: int = 0
+    #: How close the run came to a :class:`~repro.errors.CapacityError`:
+    #: the minimum, over traversals and payload groups, of the memory
+    #: plan's group capacity minus the stored peak.  ``None`` when the run
+    #: had no memory plan.
+    plan_headroom_bits: int | None = None
 
     @property
     def total_cycles(self) -> int:

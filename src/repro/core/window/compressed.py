@@ -86,6 +86,7 @@ from ..packing.hw_unpack import BitUnpackingUnit
 from ..packing.nbits import NBitsGateModel
 from ..packing.packer import BandAccounting, ll_exempt_mod, threshold_and_size
 from ..packing.tiers import resolve_codec
+from ..threshold import THRESHOLD_LADDER
 from ..stats import (
     BandStackSizes,
     analyze_band,
@@ -101,6 +102,11 @@ from .traditional import traditional_fill_cycles
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...hardware.planner import PayloadPlacement, PlacementPlan
     from ...observability.probe import Probe
+
+#: What a run does when a frame overflows its memory plan: ``"error"``
+#: raises the :class:`~repro.errors.CapacityError` (the hardware's
+#: behaviour), ``"tighten"`` re-runs the frame up the threshold ladder.
+OVERFLOW_MODES: tuple[str, ...] = ("error", "tighten")
 
 
 class CompressedEngine(SlidingWindowEngine):
@@ -119,6 +125,7 @@ class CompressedEngine(SlidingWindowEngine):
         fast_path: bool | None = None,
         probe: "Probe | None" = None,
         codec: str = "auto",
+        overflow: str = "error",
     ) -> None:
         super().__init__(config, kernel, probe=probe)
         self.recirculate = recirculate
@@ -144,6 +151,12 @@ class CompressedEngine(SlidingWindowEngine):
                 f"memory plan is for window {memory_plan.config.window_size}, "
                 f"engine window is {config.window_size}"
             )
+        if overflow not in OVERFLOW_MODES:
+            raise ConfigError(
+                f"overflow must be one of {OVERFLOW_MODES}, got {overflow!r}"
+            )
+        #: Plan-overflow handling, one of :data:`OVERFLOW_MODES`.
+        self.overflow = overflow
         if fault_policy not in ("degrade", "raise"):
             raise ConfigError(
                 f"fault_policy must be 'degrade' or 'raise', got {fault_policy!r}"
@@ -221,17 +234,19 @@ class CompressedEngine(SlidingWindowEngine):
             self.protection.payload.scaled_bits(grouped), dtype=np.int64
         )
 
-    def _check_memory_plan(self, peaks: np.ndarray, first_traversal: int) -> None:
+    def _check_memory_plan(self, peaks: np.ndarray, first_traversal: int) -> int:
         """Enforce the memory plan's per-group capacity on traversals.
 
         ``peaks`` is the ``(C, G)`` stored group occupancy peaks of
         consecutive traversals from ``first_traversal`` on.  The earliest
         traversal's lowest-numbered overflowing group is reported (the
-        order the hardware's group monitors would trip in).
+        order the hardware's group monitors would trip in).  Returns the
+        traversals' headroom: the least capacity-minus-peak of any group.
         """
         payload = self._payload
         capacities = np.asarray(payload.group_capacity_list(), dtype=np.int64)
-        over = np.argwhere(peaks > capacities)
+        slack = capacities - peaks
+        over = np.argwhere(slack < 0)
         if over.size:
             t, g = (int(v) for v in over[0])
             raise CapacityError(
@@ -240,6 +255,7 @@ class CompressedEngine(SlidingWindowEngine):
                 f"{payload.group_capacity_bits(g)} bits "
                 f"({payload.describe()}) — frame exceeds the design-time plan"
             )
+        return int(slack.min())
 
     def run(self, image: np.ndarray) -> WindowRun:
         """Process ``image`` through the compressed architecture.
@@ -250,7 +266,53 @@ class CompressedEngine(SlidingWindowEngine):
         every configuration where both are allowed.  The frame is copied
         once, into ``config.pixel_dtype``; the reconstruction comes back
         in that dtype, and the kernel outputs are the kernel's on it.
+        A frame that overflows the memory plan raises
+        :class:`~repro.errors.CapacityError` (or see :meth:`_run_tightened`).
         """
+        try:
+            return self._run(image)
+        except CapacityError as exc:
+            if self.overflow == "error":
+                raise
+            return self._run_tightened(image, exc)
+
+    def _run_tightened(self, image: np.ndarray, error: CapacityError) -> WindowRun:
+        """``overflow="tighten"``: the run of the first
+        :data:`~repro.core.threshold.THRESHOLD_LADDER` level above the
+        threshold that fits, else the last level's error.
+
+        Each level runs on an engine built like this one at that
+        threshold (a forced fast path relaxes to automatic, since a lossy
+        recirculating level cannot take it); ``last_path`` and
+        ``fault_summary`` follow it.
+        """
+        for level in THRESHOLD_LADDER:
+            if level <= self.config.threshold:
+                continue
+            engine = CompressedEngine(
+                self.config.with_threshold(level),
+                self.kernel,
+                recirculate=self.recirculate,
+                memory_plan=self.memory_plan,
+                protection=self.protection,
+                injector=self.injector,
+                fault_policy=self.fault_policy,
+                fast_path=None if self.fast_path else self.fast_path,
+                probe=self.probe,
+                codec=self.codec,
+            )
+            try:
+                run = engine.run(image)
+            except CapacityError as exc:
+                error = exc
+                continue
+            self.last_path = engine.last_path
+            self.fault_summary = engine.fault_summary
+            return run
+        raise error
+
+    def _run(self, image: np.ndarray) -> WindowRun:
+        """One run at the configured threshold (see :meth:`run`)."""
         # A private C-ordered copy at the config's pixel width, whatever
         # the dtype or layout of ``image`` (its pixels are in range).
         pixels = self._validate_image(image)
@@ -300,8 +362,9 @@ class CompressedEngine(SlidingWindowEngine):
             probe=self.probe,
             codec=self.codec_resolved,
         )
+        headroom: int | None = None
         if sizes.group_peaks is not None:
-            self._check_memory_plan(sizes.group_peaks, n - 1)
+            headroom = self._check_memory_plan(sizes.group_peaks, n - 1)
         if self.probe is not None:
             self._observe_bands(
                 sizes.nbits, sizes.band_peaks, sizes.significant_counts
@@ -317,6 +380,8 @@ class CompressedEngine(SlidingWindowEngine):
             buffer_bits_peak=int(sizes.band_peaks.max()),
             traditional_buffer_bits=cfg.traditional_buffer_bits,
             band_total_bits=sizes.band_totals.tolist(),
+            threshold=cfg.threshold,
+            plan_headroom_bits=headroom,
         )
         return WindowRun(
             outputs=outputs,
@@ -399,11 +464,13 @@ class CompressedEngine(SlidingWindowEngine):
         state = arr[0:n].copy()
         band_buffer = np.empty((chunk, n, w), dtype=arr.dtype)
         step = step_factory(arr, state, band_buffer, sizes)
+        headroom: int | None = None
         for t0 in range(0, t_total, chunk):
             bands = band_buffer[: min(chunk, t_total - t0)]
             record = step(t0, bands)
             if record.group_peaks is not None:
-                self._check_memory_plan(record.group_peaks, t0 + n - 1)
+                slack = self._check_memory_plan(record.group_peaks, t0 + n - 1)
+                headroom = slack if headroom is None else min(headroom, slack)
             with prb.span("kernel"):
                 out_rows.append(golden_apply(bands, n, self.kernel))
             reconstruction[t0 : t0 + len(bands)] = bands[:, 0]
@@ -425,6 +492,8 @@ class CompressedEngine(SlidingWindowEngine):
             buffer_bits_peak=int(sizes.band_peaks.max()),
             traditional_buffer_bits=cfg.traditional_buffer_bits,
             band_total_bits=sizes.band_totals.tolist(),
+            threshold=cfg.threshold,
+            plan_headroom_bits=headroom,
         )
         return WindowRun(
             outputs=outputs,
@@ -839,6 +908,7 @@ class CompressedCycleEngine(SlidingWindowEngine):
             outputs=outputs_produced,
             buffer_bits_peak=self.bits_peak,
             traditional_buffer_bits=cfg.traditional_buffer_bits,
+            threshold=cfg.threshold,
         )
         return WindowRun(
             outputs=np.vstack(out_rows), stats=stats, reconstruction=reconstruction

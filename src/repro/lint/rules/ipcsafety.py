@@ -5,8 +5,9 @@ and receives :class:`FrameResult` / :class:`FrameError` back, and the
 sweep pools send :class:`MapChunk` and receive :class:`MapDone` (nothing
 else crosses a worker pipe: a worker stops when its pipe closes); engine
 configuration crosses as pickled :class:`EngineSpec` blobs (which embed
-:class:`ArchitectureConfig`, :class:`WindowKernel` and
-:class:`ChaosSpec`).  Two properties make that safe and must hold *by
+:class:`ArchitectureConfig`, :class:`WindowKernel`, :class:`ChaosSpec`
+and the memory plan, a :class:`PlacementPlan` with its placement and
+primitive types).  Two properties make that safe and must hold *by
 declaration*, not by luck:
 
 - **Immutability** — a worker and the driver each hold a copy; a
@@ -43,6 +44,12 @@ from typing import Sequence
 
 from ..framework import ModuleSource, Violation
 
+#: The memory plan an ``EngineSpec`` carries, and the types it is made of.
+_PLAN_TYPES: frozenset[str] = frozenset(
+    {"PlacementPlan", "PayloadPlacement", "Placement", "FifoSpec", "Portfolio"}
+    | {"MemoryPrimitive", "PortConfig"}
+)
+
 #: Class names whose instances cross the process boundary.
 IPC_CLASSES: frozenset[str] = frozenset(
     {
@@ -55,7 +62,7 @@ IPC_CLASSES: frozenset[str] = frozenset(
         "MapChunk",
         "MapDone",
     }
-)
+) | _PLAN_TYPES
 
 #: Annotation leaves accepted as immutable + stdlib-picklable.  The
 #: repro types listed are themselves REP008-checked frozen dataclasses
@@ -78,7 +85,7 @@ _SAFE_LEAVES: frozenset[str] = frozenset(
         "FrameResult",
         "FrameError",
     }
-)
+) | _PLAN_TYPES
 
 #: Subscripted containers accepted when their parameters are safe.
 _SAFE_CONTAINERS: frozenset[str] = frozenset(

@@ -6,7 +6,7 @@ PRs 1-4 grew the codebase in strict layers::
       └─ config ── observability ── imaging ── kernels ── lint
            └─ core.transform
                 └─ core.packing ── core.stats ── core.base (threshold)
-                     └─ resilience ── hardware ── core.video
+                     └─ resilience ── hardware
                           └─ core.window ── spec
                                └─ runtime ── baselines
                                     └─ serve
@@ -47,7 +47,6 @@ LAYER_PREFIXES: tuple[tuple[str, str], ...] = (
     ("repro.core.packing", "core.packing"),
     ("repro.core.stats", "core.stats"),
     ("repro.core.threshold", "core.base"),
-    ("repro.core.video", "core.video"),
     ("repro.core.window", "core.window"),
     ("repro.core", "core.api"),
     ("repro.resilience", "resilience"),
@@ -83,8 +82,6 @@ ALLOWED_IMPORTS: Mapping[str, frozenset[str]] = {
     ),
     "core.stats": _CORE_COMMON | frozenset({"observability"}),
     "resilience": _CORE_COMMON | frozenset({"observability"}),
-    "core.video": _CORE_COMMON
-    | frozenset({"core.stats", "resilience", "observability"}),
     "hardware": _CORE_COMMON | frozenset({"observability", "resilience"}),
     "core.window": _CORE_COMMON
     | frozenset(
@@ -100,7 +97,6 @@ ALLOWED_IMPORTS: Mapping[str, frozenset[str]] = {
     | frozenset(
         {
             "core.stats",
-            "core.video",
             "core.window",
             "resilience",
             "observability",
@@ -151,7 +147,6 @@ ALLOWED_IMPORTS: Mapping[str, frozenset[str]] = {
     | frozenset(
         {
             "core.stats",
-            "core.video",
             "core.window",
             "core.api",
             "spec",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from multiprocessing import shared_memory
 
-from ..errors import CapacityError, ConfigError
+from ..errors import ConfigError
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,16 +144,16 @@ class FrameRing:
     def acquire(self, timeout: float | None = None) -> int:
         """Claim a free slot, blocking while the ring is full.
 
-        ``timeout`` bounds the wait; expiry raises
-        :class:`~repro.errors.CapacityError` (the ring's backpressure made
-        visible instead of an unbounded stall).
+        ``timeout`` bounds the wait; expiry raises :class:`TimeoutError`
+        (the ring's backpressure made visible instead of an unbounded
+        stall).
         """
         if self._free is None:
             raise ConfigError("only the ring owner tracks free slots")
         try:
             slot = self._free.get(timeout=timeout)
         except queue.Empty:
-            raise CapacityError(
+            raise TimeoutError(
                 f"all {self.spec.slots} ring slots in flight for "
                 f"{timeout:g}s — consume results before submitting more frames"
             ) from None

@@ -32,7 +32,10 @@ ring slots, respawns a broken worker set, and as a last resort computes the
 frame inline with a chaos-free engine, so ``results()`` never hangs on a
 completion that cannot come.  Frames that keep failing are delivered as
 structured :class:`~repro.runtime.supervision.FrameFailure` values when
-inline degradation is disabled.  Every wait — a blocked ``submit``, a
+inline degradation is disabled.  A frame that overflows the spec's memory
+plan is final at its first report: it is delivered as
+``FrameFailure(reason="capacity")`` carrying the engine's message, and
+the stream carries on.  Every wait — a blocked ``submit``, a
 result iterator, :meth:`drain` — is the same step repeated: block in
 ``multiprocessing.connection.wait`` on the worker pipes and process
 sentinels (a reply or a death wakes it at once), then run one recovery
@@ -74,7 +77,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..core.window.base import EngineStats, SlidingWindowEngine
-from ..errors import ConfigError, StateError
+from ..errors import CapacityError, ConfigError, StateError
 from ..observability.metrics import MetricsRegistry
 from ..observability.probe import Probe
 from ..spec import EngineSpec
@@ -87,6 +90,7 @@ from .supervision import (
     FrameSupervisor,
     ReclaimAction,
     RetryAction,
+    SupervisionAction,
     SupervisionPolicy,
     SupervisorStats,
 )
@@ -357,7 +361,7 @@ class StreamingProcessor:
         Writes the frame straight into a shared-memory slot at the ring's
         pixel width (the only copy the pipeline makes on the way in).
         Blocks while all ring slots are in flight; ``timeout`` bounds that
-        wait and raises :class:`~repro.errors.CapacityError` on expiry.
+        wait and raises :class:`TimeoutError` on expiry.
         Recovery sweeps keep running while blocked, so zombie slots
         reclaim and due retries dispatch even under a stalled producer.
 
@@ -426,7 +430,7 @@ class StreamingProcessor:
         """
         while self._ring.free_slots == 0:
             if not self._wait_step(deadline):
-                return  # let acquire() raise CapacityError
+                return  # let acquire() raise TimeoutError
 
     def _dispatch(self, task: FrameTask) -> None:
         """Hand a task to a worker, degrading when the workers cannot take it.
@@ -496,8 +500,9 @@ class StreamingProcessor:
         attempts write the same bytes, the engine being deterministic —
         then takes the completion through the one intake path.  An engine
         that raises here too leaves nothing to degrade to: the frame is
-        quarantined with ``reason`` and the error, and the supervision
-        sweep carries on.
+        quarantined with ``reason`` and the error (reason ``"capacity"``
+        and the engine's message for a plan overflow), and the
+        supervision sweep carries on.
         """
         try:
             engine = self._inline_engine(index)
@@ -505,10 +510,11 @@ class StreamingProcessor:
             t0 = time.perf_counter()
             run = engine.run(frame)
         except Exception as exc:  # noqa: BLE001 - delivered as a FrameFailure
+            capacity = isinstance(exc, CapacityError)
             self._quarantine(
                 index,
-                reason=reason,
-                error=repr(exc),
+                reason="capacity" if capacity else reason,
+                error=str(exc) if capacity else repr(exc),
                 attempts=self._supervisor.attempts(index),
                 now=time.monotonic(),
             )
@@ -539,6 +545,11 @@ class StreamingProcessor:
         """Rule on one reply; a deliverable result joins the ready queue."""
         sup = self._supervisor
         if isinstance(reply, FrameError):
+            if reply.kind == CapacityError.__name__:
+                action = sup.on_capacity(reply.index, reply.attempt, reply.error)
+                if action is not None:
+                    self._execute(action, time.monotonic())
+                return
             self._release(sup.on_error(reply.index, reply.attempt, reply.error))
             return
         chaos = self.spec.chaos
@@ -570,29 +581,32 @@ class StreamingProcessor:
 
     def _execute_supervision(self, now: float) -> None:
         """Run one recovery sweep and execute every action it emits."""
-        sup = self._supervisor
-        for action in sup.actions(now):
-            if isinstance(action, ReclaimAction):
-                self._ring.release(action.slot)
-            elif isinstance(action, RetryAction):
-                self._dispatch(
-                    FrameTask(
-                        index=action.index,
-                        slot=action.slot,
-                        attempt=action.attempt,
-                        spec_blob=self._task_specs.get(action.index),
-                    )
+        for action in self._supervisor.actions(now):
+            self._execute(action, now)
+
+    def _execute(self, action: SupervisionAction, now: float) -> None:
+        """Carry out one supervision action."""
+        if isinstance(action, ReclaimAction):
+            self._ring.release(action.slot)
+        elif isinstance(action, RetryAction):
+            self._dispatch(
+                FrameTask(
+                    index=action.index,
+                    slot=action.slot,
+                    attempt=action.attempt,
+                    spec_blob=self._task_specs.get(action.index),
                 )
-            elif isinstance(action, DegradeAction):
-                self._run_inline(action.index, action.slot, action.reason)
-            else:
-                self._quarantine(
-                    action.index,
-                    reason=action.reason,
-                    error=action.error,
-                    attempts=action.attempts,
-                    now=now,
-                )
+            )
+        elif isinstance(action, DegradeAction):
+            self._run_inline(action.index, action.slot, action.reason)
+        else:
+            self._quarantine(
+                action.index,
+                reason=action.reason,
+                error=action.error,
+                attempts=action.attempts,
+                now=now,
+            )
 
     def _quarantine(
         self, index: int, *, reason: str, error: str, attempts: int, now: float
@@ -781,8 +795,8 @@ class StreamingProcessor:
         backpressure: whenever every ring slot is in flight the producer
         blocks on the next completion before submitting more, so the
         pipeline never holds more than ``slots`` frames.  ``timeout``
-        bounds each slot wait (:class:`~repro.errors.CapacityError`) and
-        each result wait (:class:`TimeoutError`).  The processor must be
+        bounds each slot wait and each result wait (both raise
+        :class:`TimeoutError`).  The processor must be
         idle: frames submitted earlier raise
         :class:`~repro.errors.StateError` (consume them first).
         """

@@ -28,6 +28,11 @@ The recovery ladder, in order of escalation:
    failing (poison) frame is delivered as a structured
    :class:`FrameFailure` instead of hanging or crashing the stream.
 
+A frame that overflows its memory plan skips the ladder: the overflow
+is a property of the frame and the plan, not of the worker, so its first
+report quarantines it with reason ``"capacity"``
+(:meth:`FrameSupervisor.on_capacity`) — no retry, no inline run.
+
 Execution is at-least-once, delivery is exactly-once: a retried frame's
 original attempt may still complete, so completions carry their attempt
 and the supervisor drops stale duplicates.  Duplicate *computation* is
@@ -52,7 +57,7 @@ from ..errors import ConfigError
 from ..observability.probe import Probe
 
 #: Reasons a frame can be quarantined (``FrameFailure.reason``).
-FAILURE_REASONS: tuple[str, ...] = ("poison", "pool-unrecoverable")
+FAILURE_REASONS: tuple[str, ...] = ("poison", "pool-unrecoverable", "capacity")
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +154,9 @@ class FrameFailure:
     attempts: int
     #: Why the frame was quarantined (see :data:`FAILURE_REASONS`).
     reason: str
-    #: ``repr()`` of the last worker-side exception, when there was one.
+    #: ``repr()`` of the last worker-side exception, when there was one;
+    #: under reason ``"capacity"``, the engine's
+    #: :class:`~repro.errors.CapacityError` message.
     error: str = ""
 
 
@@ -399,6 +406,31 @@ class FrameSupervisor:
         else:
             frame.next_retry_at = now + self.policy.backoff(frame.attempt + 1)
         return None
+
+    def on_capacity(
+        self, index: int, attempt: int, error: str
+    ) -> QuarantineAction | ReclaimAction | None:
+        """Rule on an attempt whose frame overflowed its memory plan: a
+        tracked frame is quarantined at once, a stale attempt's report
+        settles its zombie slot (a reclaim once that frees it)."""
+        frame = self._tracked.get(index)
+        if frame is None:
+            slot = self._zombie_report(index)
+            return None if slot is None else ReclaimAction(slot=slot)
+        if attempt != INLINE_ATTEMPT:
+            frame.outstanding -= 1
+        if frame.escalated:
+            return None
+        frame.escalated = True
+        frame.next_retry_at = None
+        frame.deadline_at = None
+        return QuarantineAction(
+            index=index,
+            slot=frame.slot,
+            reason="capacity",
+            error=error,
+            attempts=frame.attempt + 1,
+        )
 
     def on_dropped(self, index: int) -> int | None:
         """Account a chaos-dropped result; returns a slot to release, if any.

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.window.base import SlidingWindowEngine
+from ..errors import CapacityError
 from ..resilience.chaos import apply_worker_chaos
 from ..spec import EngineSpec as _EngineSpec
 from .ring import FrameRing, RingSpec
@@ -102,7 +103,8 @@ class FrameError:
     index: int
     slot: int
     attempt: int
-    #: ``repr()`` of the exception that killed the attempt.
+    #: ``repr()`` of the exception that killed the attempt; for a
+    #: :class:`~repro.errors.CapacityError`, the engine's message.
     error: str
     #: Exception class name (``ChaosError`` marks injected faults).
     kind: str
@@ -170,7 +172,8 @@ def process_slot(task: FrameTask) -> FrameResult | FrameError:
     Failures never raise out of the worker: any exception (including
     injected :class:`~repro.errors.ChaosError` faults) comes back as a
     :class:`FrameError` carrying the frame identity, so the driver's
-    supervision layer can react per frame.  A chaos SIGKILL, of course,
+    supervision layer can react per frame.  A memory-plan overflow
+    carries the engine's message verbatim.  A chaos SIGKILL, of course,
     returns nothing at all — that is the fault class the supervisor's
     worker-death detection exists for.
     """
@@ -202,7 +205,7 @@ def process_slot(task: FrameTask) -> FrameResult | FrameError:
             index=task.index,
             slot=task.slot,
             attempt=task.attempt,
-            error=repr(exc),
+            error=str(exc) if isinstance(exc, CapacityError) else repr(exc),
             kind=type(exc).__name__,
             worker_pid=os.getpid(),
         )

@@ -8,7 +8,9 @@ itself honest under load with explicit admission control — a bounded
 in-flight budget answered with ``429 Too Many Requests`` plus a
 ``Retry-After`` hint instead of an unbounded queue, and a per-request
 deadline answered with ``504`` while the abandoned frame still counts
-against capacity until the ring actually finishes it.
+against capacity until the ring actually finishes it.  A frame that
+overflows the spec's memory plan is answered ``507 Insufficient Storage``
+with the engine's :class:`~repro.errors.CapacityError` message.
 
 Routes::
 
@@ -32,6 +34,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,6 +58,9 @@ from .http import (
     render_response,
 )
 from .payload import decode_frame, encode_array
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..hardware.planner import PlacementPlan
 
 #: Fine-grained latency buckets for request timing (1 ms .. ~107 s,
 #: geometric x1.3) — dense enough for interpolated p50/p99.
@@ -94,6 +100,9 @@ class GatewayConfig:
     #: Injected process-level faults, forwarded to the base
     #: :class:`~repro.spec.EngineSpec` (tests and chaos runs; no CLI flag).
     chaos: ChaosSpec | None = None
+    #: Memory plan forwarded to the base :class:`~repro.spec.EngineSpec`
+    #: (every tenant inherits it; no CLI flag).
+    memory_plan: PlacementPlan | None = None
 
     def __post_init__(self) -> None:
         if self.request_timeout_seconds <= 0:
@@ -149,6 +158,7 @@ class FrameGateway:
             codec=config.codec,
             chaos=config.chaos,
             probe=True,
+            memory_plan=config.memory_plan,
         )
         self.spec_cache = SpecCache(
             self.base_spec, capacity=config.spec_cache_capacity
@@ -403,16 +413,16 @@ class FrameGateway:
             )
         if isinstance(outcome, FrameFailure):
             self._state.errors += 1
-            return (
-                json_response(
-                    500,
-                    {
-                        "error": f"frame failed: {outcome.reason}",
-                        "attempts": outcome.attempts,
-                    },
-                ),
-                500,
-            )
+            # A plan overflow carries the engine's message; anything else
+            # is the runtime giving up on the frame.
+            capacity = outcome.reason == "capacity"
+            status = 507 if capacity else 500
+            body = {
+                "error": outcome.error if capacity else "frame failed",
+                "reason": outcome.reason,
+                "attempts": outcome.attempts,
+            }
+            return json_response(status, body), status
         self._state.served += 1
         return self._render_result(outcome, cached), 200
 
@@ -433,6 +443,8 @@ class FrameGateway:
                 "outputs": result.stats.outputs,
                 "total_cycles": result.stats.total_cycles,
                 "buffer_bits_peak": result.stats.buffer_bits_peak,
+                "threshold": result.stats.threshold,
+                "plan_headroom_bits": result.stats.plan_headroom_bits,
             },
         }
         return json_response(200, body)

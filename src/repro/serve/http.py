@@ -38,6 +38,7 @@ REASONS: dict[int, str] = {
     501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
+    507: "Insufficient Storage",
 }
 
 

@@ -5,9 +5,10 @@ image through that architecture": direct engine constructors, the
 streaming runtime's private worker spec, and per-CLI-subcommand flag
 soup.  :class:`EngineSpec` unifies them: one frozen, picklable value
 holding the architecture config, the kernel, the lossiness threshold,
-the memory-path protection, the execution-strategy choice and the probe
-options — everything :func:`make_engine` needs to construct a ready
-engine, in one process or a worker across an IPC boundary.
+the memory-path protection, the memory plan, the execution-strategy
+choice and the probe options — everything :func:`make_engine` needs to
+construct a ready engine, in one process or a worker across an IPC
+boundary.
 
 Quick start::
 
@@ -35,6 +36,7 @@ from .resilience.chaos import ChaosSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.window.base import SlidingWindowEngine
+    from .hardware.planner import PlacementPlan
     from .observability.probe import Probe
 
 #: Engine families a spec can describe.
@@ -63,6 +65,16 @@ class EngineSpec:
         (ignored by the traditional engine, which has none of these
         knobs).  ``protection`` must be a scheme *name* here so the spec
         stays cheaply picklable.
+    memory_plan, overflow:
+        Forwarded to the compressed engine too: the design-time
+        :class:`~repro.hardware.planner.PlacementPlan` whose per-group
+        capacities every traversal is checked against (``None``: no
+        check; a plan pickles to well under a kilobyte, so it rides to
+        the workers with the spec), and what a frame that overflows it
+        does — ``"error"`` (default) raises
+        :class:`~repro.errors.CapacityError`, which a stream delivers as
+        ``FrameFailure(reason="capacity")`` and the gateway as a 507;
+        ``"tighten"`` re-runs the frame up the threshold ladder.
     probe:
         When true, :meth:`build` attaches a fresh
         :class:`~repro.observability.probe.MetricsProbe` (unless the
@@ -94,9 +106,12 @@ class EngineSpec:
     probe: bool = False
     chaos: ChaosSpec | None = None
     codec: str = "auto"
+    memory_plan: PlacementPlan | None = None
+    overflow: str = "error"
 
     def __post_init__(self) -> None:
         from .core.packing.tiers import CODEC_TIERS
+        from .core.window.compressed import OVERFLOW_MODES
 
         if self.engine not in ENGINE_KINDS:
             raise ConfigError(
@@ -105,6 +120,19 @@ class EngineSpec:
         if self.codec not in CODEC_TIERS:
             raise ConfigError(
                 f"codec must be one of {CODEC_TIERS}, got {self.codec!r}"
+            )
+        if self.overflow not in OVERFLOW_MODES:
+            raise ConfigError(
+                f"overflow must be one of {OVERFLOW_MODES}, got {self.overflow!r}"
+            )
+        if (
+            self.memory_plan is not None
+            and self.memory_plan.config.window_size != self.config.window_size
+        ):
+            raise ConfigError(
+                f"memory plan is for window "
+                f"{self.memory_plan.config.window_size}, spec window is "
+                f"{self.config.window_size}"
             )
         if self.protection is not None and not isinstance(self.protection, str):
             raise ConfigError(
@@ -154,6 +182,8 @@ class EngineSpec:
             fast_path=self.fast_path,
             probe=probe,
             codec=self.codec,
+            memory_plan=self.memory_plan,
+            overflow=self.overflow,
         )
 
     def blob(self) -> bytes:

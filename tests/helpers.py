@@ -63,6 +63,28 @@ def exact_capacity_plan(config, group_bits):
     )
 
 
+#: A group capacity no test frame comes near: a run under a plan of such
+#: groups reads its stored peak back as ``ROOMY_GROUP_BITS -
+#: plan_headroom_bits``.
+ROOMY_GROUP_BITS = 1 << 24
+
+
+def enforced_peak(config, frame, groups: int = 2, **engine_kw) -> int:
+    """The largest stored group peak the plan check sees on ``frame``.
+
+    Read back from ``stats.plan_headroom_bits`` of a run under a plan of
+    ``groups`` roomy groups; ``engine_kw`` go to the engine.
+    """
+    from repro.core.window import CompressedEngine
+    from repro.kernels import BoxFilterKernel
+
+    plan = exact_capacity_plan(config, [ROOMY_GROUP_BITS] * groups)
+    run = CompressedEngine(
+        config, BoxFilterKernel(config.window_size), memory_plan=plan, **engine_kw
+    ).run(frame)
+    return ROOMY_GROUP_BITS - run.stats.plan_headroom_bits
+
+
 def scalar_forward_inplace(image, levels: int = 1, wrap_bits=None) -> np.ndarray:
     """Oracle for ``forward_inplace``: the scalar Fig 5 block on every 2x2
     block of each level's ``2**level``-strided grid (batch axes looped)."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CapacityError, ConfigError
+from repro.errors import ConfigError
 from repro.runtime.ring import FrameRing, RingSpec
 
 
@@ -85,7 +85,7 @@ class TestBackpressure:
     def test_full_ring_times_out(self):
         with make_ring(slots=1) as ring:
             ring.acquire(timeout=1)
-            with pytest.raises(CapacityError, match="1 ring slots in flight"):
+            with pytest.raises(TimeoutError, match="1 ring slots in flight"):
                 ring.acquire(timeout=0.05)
 
     def test_in_flight_peak(self):

@@ -18,7 +18,12 @@ from repro import ArchitectureConfig, CompressedEngine
 from repro.errors import CapacityError, ConfigError, StateError
 from repro.kernels import BoxFilterKernel
 from repro.resilience import ChaosSpec
-from repro.runtime import StreamingProcessor, stream_frames
+from repro.runtime import (
+    FrameFailure,
+    StreamingProcessor,
+    SupervisionPolicy,
+    stream_frames,
+)
 from repro.runtime.worker import (
     FrameTask,
     cached_engine_count,
@@ -28,7 +33,7 @@ from repro.runtime.worker import (
 from repro.spec import EngineSpec
 from repro.runtime.ring import FrameRing
 
-from helpers import random_image
+from helpers import enforced_peak, exact_capacity_plan, random_image
 
 RES = 24
 WINDOW = 8
@@ -149,7 +154,7 @@ class TestBackpressure:
         ) as proc:
             proc.submit(frames[0], timeout=60)
             proc.submit(frames[1], timeout=60)
-            with pytest.raises(CapacityError):
+            with pytest.raises(TimeoutError, match="ring slots in flight"):
                 proc.submit(frames[2], timeout=0.05)
             # Draining one result frees a slot; the retry succeeds.
             next(proc.as_completed())
@@ -162,6 +167,93 @@ class TestBackpressure:
             results = list(proc.map(frames))
             assert [r.index for r in results] == list(range(8))
             assert proc.in_flight_peak <= 3
+
+
+class TestPlanOverflow:
+    """A frame that overflows the spec's memory plan is final at its first
+    report: one worker run, ``FrameFailure(reason="capacity")`` carrying
+    the engine's message, and every slot back after ``drain()``."""
+
+    @staticmethod
+    def planned(rng, **overrides):
+        """A spec planned for smooth frames, smooth frames, a noise frame."""
+        smooth = [random_image(rng, RES, RES, smooth=True) for _ in range(2)]
+        capacity = max(enforced_peak(make_config(), f) for f in smooth)
+        spec = make_spec(
+            memory_plan=exact_capacity_plan(make_config(), [capacity, capacity]),
+            **overrides,
+        )
+        return spec, smooth, random_image(rng, RES, RES)
+
+    @staticmethod
+    def offline_error(spec, frame) -> str:
+        with pytest.raises(CapacityError) as err:
+            spec.replace(chaos=None).build().run(frame)
+        return str(err.value)
+
+    @pytest.mark.timeout(30)
+    def test_overflow_costs_one_worker_run(self, rng):
+        spec, smooth, noise = self.planned(rng)
+        with StreamingProcessor(spec, workers=1, slots=2) as proc:
+            outcomes = list(proc.map([smooth[0], noise, smooth[1]], timeout=20))
+            failure = outcomes[1]
+            assert isinstance(failure, FrameFailure)
+            assert (failure.reason, failure.attempts) == ("capacity", 1)
+            assert failure.error == self.offline_error(spec, noise)
+            for frame, served in zip(smooth, outcomes[::2]):
+                expected = spec.build().run(frame)
+                assert np.array_equal(served.outputs, expected.outputs)
+                assert served.stats == expected.stats
+                assert served.stats.plan_headroom_bits >= 0
+            stats = proc.supervisor_stats
+            assert (stats.retries, stats.degraded, stats.quarantined) == (0, 0, 1)
+            assert proc.drain(timeout=5) == 2
+
+    @pytest.mark.timeout(30)
+    def test_worker_kill_in_the_same_stream_leaks_no_slot(self, rng):
+        spec, smooth, noise = self.planned(rng, chaos=ChaosSpec(kill_on=(0,)))
+        with StreamingProcessor(spec, workers=1, slots=2) as proc:
+            outcomes = list(proc.map([smooth[0], noise, smooth[1]], timeout=20))
+            assert not isinstance(outcomes[0], FrameFailure)
+            assert outcomes[1].reason == "capacity"
+            assert not isinstance(outcomes[2], FrameFailure)
+            assert proc.supervisor_stats.worker_deaths == 1
+            assert proc.drain(timeout=10) == 2
+
+    @pytest.mark.timeout(30)
+    def test_inline_overflow_is_a_capacity_failure(self, rng):
+        """A frame the pool cannot run degrades inline, where the overflow
+        gets the same reason and message."""
+        spec, smooth, noise = self.planned(
+            rng, chaos=ChaosSpec(raise_always_on=(0,))
+        )
+        policy = SupervisionPolicy(max_attempts=1)
+        with StreamingProcessor(
+            spec, workers=1, slots=2, supervision=policy
+        ) as proc:
+            (failure,) = proc.map([noise], timeout=20)
+            assert isinstance(failure, FrameFailure)
+            assert failure.reason == "capacity"
+            assert failure.error == self.offline_error(spec, noise)
+            assert proc.drain(timeout=5) == 2
+
+    @pytest.mark.timeout(30)
+    def test_tighten_serves_the_frame_in_one_run(self, rng):
+        spec, _, noise = self.planned(rng, overflow="tighten")
+        capacity = enforced_peak(make_config(10), noise, recirculate=True)
+        spec = spec.replace(
+            memory_plan=exact_capacity_plan(make_config(), [capacity, capacity])
+        )
+        with StreamingProcessor(spec, workers=1) as proc:
+            (served,) = proc.map([noise], timeout=20)
+            assert not isinstance(served, FrameFailure)
+            assert served.attempts == 1 and not served.degraded
+            assert served.stats.threshold > 0
+            expected = spec.replace(
+                threshold=served.stats.threshold, overflow="error"
+            ).build().run(noise)
+            assert np.array_equal(served.outputs, expected.outputs)
+            assert served.stats == expected.stats
 
 
 class TestValidation:

@@ -242,6 +242,35 @@ class TestSupervisorStateMachine:
         assert sup.stats.quarantined == 1
         assert sup.tracked_count == 0
 
+    def test_capacity_error_quarantines_at_first_report(self):
+        """A plan overflow is final: no retry is scheduled, even with
+        inline degradation on and attempts to spare."""
+        sup = FrameSupervisor(fast_policy(max_attempts=3))
+        sup.track(3, 1, now=0.0)
+        action = sup.on_capacity(3, 0, "BRAM group 0 holds 9 stored bits")
+        assert action == QuarantineAction(
+            index=3,
+            slot=1,
+            reason="capacity",
+            error="BRAM group 0 holds 9 stored bits",
+            attempts=1,
+        )
+        assert sup.actions(now=5.0) == []
+        assert sup.finish_failed(3, now=0.1) == 1
+        assert (sup.stats.retries, sup.stats.quarantined) == (0, 1)
+
+    def test_stale_capacity_report_settles_its_zombie(self):
+        """A precautionary retry's overflow after the original delivered
+        frees the zombie slot."""
+        sup = FrameSupervisor(
+            fast_policy(deadline_seconds=1.0, backoff_base_seconds=0.1)
+        )
+        sup.track(0, 4, now=0.0)
+        sup.actions(now=1.0)
+        assert sup.actions(now=1.2) == [RetryAction(index=0, slot=4, attempt=1)]
+        assert sup.on_result(0, 0, now=1.25).release_slot is None
+        assert sup.on_capacity(0, 1, "overflow") == ReclaimAction(slot=4)
+
     def test_dropped_result_settles_accounting_only(self):
         sup = FrameSupervisor(fast_policy(deadline_seconds=0.5))
         sup.track(0, 0, now=0.0)

@@ -30,7 +30,11 @@ from repro.serve import (
     encode_array,
     run_level,
 )
-from repro.spec import EngineSpec
+from repro.errors import CapacityError
+from repro.runtime import FrameFailure, StreamingProcessor
+from repro.spec import EngineSpec, make_engine
+
+from helpers import enforced_peak, exact_capacity_plan
 
 RES = 32
 WINDOW = 8
@@ -254,6 +258,76 @@ class TestServedFrames:
         assert payload["outputs_b64"] == encode_array(
             sequential_outputs(random_frame)
         )
+
+
+#: The planned-serving matrix: both codec tiers on both engine paths
+#: (lossless frame-at-once, and T=6 recirculating sequential).
+PLANNED_TENANTS = [
+    {"codec": codec, "threshold": threshold, "recirculate": True}
+    for codec in ("numpy", "native")
+    for threshold in (0, 6)
+]
+
+
+class TestPlannedServing:
+    """Under a memory plan the gateway, a stream and an offline engine
+    agree on outputs, ``stats.threshold`` and ``stats.plan_headroom_bits``,
+    and an overflowing frame is a 507 carrying the engine's message."""
+
+    @pytest.fixture(scope="class")
+    def planned(self):
+        calm = generate_scene(seed=7, resolution=RES).astype(np.int64)
+        noise = np.random.default_rng(5).integers(0, 256, size=(RES, RES))
+        arch = ArchitectureConfig(image_width=RES, image_height=RES, window_size=WINDOW)
+        capacity = max(
+            enforced_peak(arch.with_threshold(t["threshold"]), calm, codec=t["codec"])
+            for t in PLANNED_TENANTS
+        )
+        plan = exact_capacity_plan(arch, [capacity, capacity])
+        spec = EngineSpec(
+            config=arch, kernel=BoxFilterKernel(WINDOW), memory_plan=plan
+        )
+        config = GatewayConfig(
+            port=0, resolution=RES, window=WINDOW, workers=1, memory_plan=plan
+        )
+        with GatewayThread(config) as gw, StreamingProcessor(spec, workers=1) as proc:
+            yield spec, gw, proc, calm, noise
+
+    @pytest.mark.parametrize(
+        "tenant", PLANNED_TENANTS, ids=lambda t: f"{t['codec']}-T{t['threshold']}"
+    )
+    def test_three_routes_agree(self, planned, tenant):
+        spec, gw, proc, calm, noise = planned
+        tenant_spec = spec.replace(**tenant)
+        offline = make_engine(tenant_spec).run(calm)
+        assert offline.stats.plan_headroom_bits >= 0
+        proc.submit(calm, spec=tenant_spec)
+        (streamed,) = proc.results(timeout=30)
+        status, _, payload = post_frame(gw, calm, tenant)
+        assert status == 200
+        assert np.array_equal(streamed.outputs, offline.outputs)
+        assert payload["outputs_b64"] == encode_array(offline.outputs)
+        expected = (offline.stats.threshold, offline.stats.plan_headroom_bits)
+        assert (
+            streamed.stats.threshold,
+            streamed.stats.plan_headroom_bits,
+        ) == expected
+        served = payload["stats"]
+        assert (served["threshold"], served["plan_headroom_bits"]) == expected
+
+        with pytest.raises(CapacityError) as err:
+            make_engine(tenant_spec).run(noise)
+        proc.submit(noise, spec=tenant_spec)
+        (failure,) = proc.results(timeout=30)
+        assert isinstance(failure, FrameFailure)
+        assert (failure.reason, failure.error) == ("capacity", str(err.value))
+        status, _, payload = post_frame(gw, noise, tenant)
+        assert status == 507
+        assert payload["error"] == str(err.value)
+        assert payload["reason"] == "capacity"
+        assert payload["attempts"] == 1
+        _, _, body = request(gw, "GET", "/healthz")
+        assert json.loads(body)["free_slots"] == 2
 
 
 class TestAdmissionControl:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -42,6 +47,30 @@ class TestPublicSurface:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_import_loads_only_what_it_uses(self):
+        """Top-level names resolve on first access: importing the package,
+        or an in-process engine module, loads no streaming runtime."""
+        code = (
+            "import sys, repro, repro.core.window.compressed\n"
+            "heavy = ('repro.runtime', 'repro.serve', 'multiprocessing', 'socket')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "repro.StreamingProcessor\n"
+            "print('repro.runtime' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        ).stdout.split()
+        assert out == ["[]", "True"]
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'FrameStreamProcessor'"):
+            repro.FrameStreamProcessor
 
     def test_version(self):
         assert repro.__version__.count(".") == 2

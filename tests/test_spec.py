@@ -104,6 +104,22 @@ class TestTransport:
         b = make_engine(clone).run(image)
         assert np.array_equal(a.outputs, b.outputs)
 
+    def test_memory_plan_rides_the_blob(self):
+        """A plan crosses the process boundary with the spec, under a
+        kilobyte, and the rebuilt engine enforces it with the same
+        overflow handling."""
+        from repro.hardware.planner import plan_placement
+
+        config = spec_of().config
+        plan = plan_placement(config, np.full(8, 100))
+        assert len(pickle.dumps(plan)) < 1024
+        clone = pickle.loads(spec_of(memory_plan=plan, overflow="tighten").blob())
+        assert clone.memory_plan == plan
+        engine = make_engine(clone)
+        assert engine.memory_plan == plan
+        assert engine.overflow == "tighten"
+        assert make_engine(spec_of()).overflow == "error"
+
     def test_probed_spec_stays_picklable(self):
         # The probe field is a bool, not a registry — pickling must not
         # drag instrument state across the process boundary.

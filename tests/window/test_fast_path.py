@@ -29,6 +29,7 @@ from repro.core import stats
 from repro.core.window import compressed
 from repro.core.packing import native
 from repro.core.window.golden import sliding_windows
+from repro.core.threshold import THRESHOLD_LADDER
 from repro.errors import CapacityError, ConfigError
 from repro.observability.probe import MetricsProbe
 from repro.kernels import (
@@ -46,7 +47,13 @@ from repro.kernels import (
 )
 from repro.resilience.injector import FaultInjector
 
-from helpers import exact_capacity_plan, group_peaks, random_image
+from helpers import (
+    ROOMY_GROUP_BITS,
+    enforced_peak,
+    exact_capacity_plan,
+    group_peaks,
+    random_image,
+)
 
 
 def cfg(width=32, height=32, window=8, **kw):
@@ -690,6 +697,178 @@ class TestPlannedFastPath:
             counts.append(span_counts(probe))
         assert ("run/size" if codec == "native" else "run/transform") in counts[0]
         assert counts[0] == counts[1]
+
+
+def planned_run(config, frame, group_bits, **engine_kw):
+    """One run of ``frame`` under an exact plan of ``group_bits``."""
+    engine = CompressedEngine(
+        config,
+        BoxFilterKernel(config.window_size),
+        memory_plan=exact_capacity_plan(config, group_bits),
+        **engine_kw,
+    )
+    return engine.run(frame)
+
+
+class TestPlanHeadroom:
+    """``stats.plan_headroom_bits`` is the least capacity-minus-peak the
+    plan check saw, on every group-peak route: the fast path's one sizing
+    pass (native ``band_sizes(groups=)``), the native recirculating loop
+    and the NumPy traversal step."""
+
+    @pytest.mark.parametrize("codec", CODEC_TIERS)
+    @pytest.mark.parametrize(
+        "threshold,recirculate",
+        [(0, True), (6, True), (6, False)],
+        ids=["lossless-fast", "T6-recirculating", "T6-single-pass"],
+    )
+    def test_headroom_reads_the_enforced_peak(
+        self, rng, codec, threshold, recirculate
+    ):
+        config = cfg(width=64, height=48, threshold=threshold)
+        frame = random_image(rng, 48, 64, smooth=True)
+        engine_kw = dict(recirculate=recirculate, codec=codec)
+        unplanned = CompressedEngine(
+            config, BoxFilterKernel(8), **engine_kw
+        ).run(frame)
+        assert unplanned.stats.plan_headroom_bits is None
+        assert unplanned.stats.threshold == threshold
+        peak = enforced_peak(config, frame, **engine_kw)
+        exact = planned_run(config, frame, [peak, peak], **engine_kw)
+        assert exact.stats.plan_headroom_bits == 0
+        assert exact.stats.threshold == threshold
+        assert np.array_equal(exact.outputs, unplanned.outputs)
+        roomier = planned_run(config, frame, [peak + 5, peak + 9], **engine_kw)
+        assert roomier.stats.plan_headroom_bits in (5, 9)
+        with pytest.raises(CapacityError, match=f"holds {peak} stored bits"):
+            planned_run(config, frame, [peak - 1, peak - 1], **engine_kw)
+
+    @pytest.mark.parametrize("recirculate", [True, False])
+    def test_headroom_equal_on_every_tier_and_path(self, rng, recirculate):
+        config = cfg(width=64, height=48, threshold=6)
+        frame = random_image(rng, 48, 64, smooth=True)
+        readings = {
+            (codec, fast_path): planned_run(
+                config,
+                frame,
+                [ROOMY_GROUP_BITS] * 4,
+                recirculate=recirculate,
+                codec=codec,
+                fast_path=fast_path,
+            ).stats
+            for codec in CODEC_TIERS
+            for fast_path in ((False, True) if not recirculate else (None,))
+        }
+        assert len({s.plan_headroom_bits for s in readings.values()}) == 1
+        assert len({s.buffer_bits_peak for s in readings.values()}) == 1
+
+
+class TestOverflowTighten:
+    """``overflow="tighten"`` re-runs an overflowing frame up the
+    threshold ladder and returns the first level's run that fits."""
+
+    @staticmethod
+    def busy_frame(rng):
+        """A frame whose stored peak falls as the threshold rises."""
+        noise = rng.integers(0, 12, size=(48, 64))
+        return np.minimum(random_image(rng, 48, 64, smooth=True) + noise, 255)
+
+    @pytest.mark.parametrize("codec", CODEC_TIERS)
+    @pytest.mark.parametrize("recirculate", [True, False])
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_tighten_settles_on_the_first_level_that_fits(
+        self, rng, codec, recirculate, start
+    ):
+        config = cfg(width=64, height=48, threshold=start)
+        frame = self.busy_frame(rng)
+        engine_kw = dict(recirculate=recirculate, codec=codec)
+        capacity = enforced_peak(config.with_threshold(6), frame, **engine_kw)
+        plan = exact_capacity_plan(config, [capacity, capacity])
+
+        def fits(level):
+            try:
+                planned_run(
+                    config.with_threshold(level), frame, [capacity] * 2, **engine_kw
+                )
+            except CapacityError:
+                return False
+            return True
+
+        levels = [start] + [t for t in THRESHOLD_LADDER if t > start]
+        expected = next(level for level in levels if fits(level))
+        assert expected > start  # the frame overflows at its own threshold
+        engine = CompressedEngine(
+            config,
+            BoxFilterKernel(8),
+            memory_plan=plan,
+            overflow="tighten",
+            **engine_kw,
+        )
+        run = engine.run(frame)
+        assert run.stats.threshold == expected
+        ref_engine = CompressedEngine(
+            config.with_threshold(expected),
+            BoxFilterKernel(8),
+            memory_plan=plan,
+            **engine_kw,
+        )
+        ref = ref_engine.run(frame)
+        assert np.array_equal(run.outputs, ref.outputs)
+        assert np.array_equal(run.reconstruction, ref.reconstruction)
+        assert run.stats == ref.stats
+        assert engine.last_path == ref_engine.last_path
+        # The default engine keeps raising the plain overflow.
+        with pytest.raises(CapacityError, match="exceeds the design-time plan"):
+            CompressedEngine(
+                config, BoxFilterKernel(8), memory_plan=plan, **engine_kw
+            ).run(frame)
+
+    @pytest.mark.parametrize("codec", CODEC_TIERS)
+    def test_no_level_fits_raises_the_last_levels_error(self, rng, codec):
+        config = cfg(width=64, height=48)
+        frame = self.busy_frame(rng)
+        lowest = min(
+            enforced_peak(config.with_threshold(t), frame, codec=codec)
+            for t in THRESHOLD_LADDER
+        )
+        plan = exact_capacity_plan(config, [lowest - 1, lowest - 1])
+        with pytest.raises(CapacityError) as top:
+            CompressedEngine(
+                config.with_threshold(THRESHOLD_LADDER[-1]),
+                BoxFilterKernel(8),
+                memory_plan=plan,
+                codec=codec,
+            ).run(frame)
+        with pytest.raises(CapacityError) as err:
+            CompressedEngine(
+                config,
+                BoxFilterKernel(8),
+                memory_plan=plan,
+                overflow="tighten",
+                codec=codec,
+            ).run(frame)
+        assert str(err.value) == str(top.value)
+
+    def test_forced_fast_path_relaxes_on_a_recirculating_level(self, rng):
+        """A lossless fast-path engine tightens onto a lossy recirculating
+        level, which only the sequential loop can run."""
+        config = cfg(width=64, height=48)
+        frame = self.busy_frame(rng)
+        capacity = enforced_peak(config.with_threshold(4), frame)
+        engine = CompressedEngine(
+            config,
+            BoxFilterKernel(8),
+            memory_plan=exact_capacity_plan(config, [capacity, capacity]),
+            overflow="tighten",
+            fast_path=True,
+        )
+        run = engine.run(frame)
+        assert run.stats.threshold > 0
+        assert engine.last_path == "sequential"
+
+    def test_unknown_overflow_mode_refused(self):
+        with pytest.raises(ConfigError, match="overflow must be one of"):
+            CompressedEngine(cfg(), BoxFilterKernel(8), overflow="degrade")
 
 
 class TestOccupancyPeakClosedForm:
