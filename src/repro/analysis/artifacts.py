@@ -36,7 +36,7 @@ from .tradeoff import bram_lut_tradeoff
 
 #: Every flag an entry may take, as its experiment's keyword; the CLI
 #: spells ``n_images`` as ``--images``.
-FLAGS = ("resolution", "window", "threshold", "n_images", "row_stride", "processes")
+FLAGS = ("resolution", "window", "threshold", "n_images", "processes")
 
 #: The paper's Tables II-V: packed BRAMs at T = 0/2/4/6 and management
 #: BRAMs, per image width and window size.
@@ -204,10 +204,12 @@ EXTENSIONS: dict[str, dict[str, Any]] = {
 
 
 def extension_savings(*, resolution: int, window: int, n_images: int) -> TableResult:
-    """Mean lossless and lossy saving of each datapath extension."""
-    from ..core.stats import analyze_image
+    """Mean lossless and lossy saving of each datapath extension.
 
-    images = benchmark_dataset(resolution, n_images=n_images)
+    Every variant sizes the suite through
+    :func:`~repro.analysis.experiments.suite_reports`, so the baseline
+    rows reuse the Table II-V sweep at this geometry.
+    """
     rows = []
     for name, extra in EXTENSIONS.items():
         for t in (0, 6):
@@ -219,8 +221,8 @@ def extension_savings(*, resolution: int, window: int, n_images: int) -> TableRe
                 **extra,
             )
             savings = [
-                analyze_image(config, img.astype(np.int64)).memory_saving_percent
-                for img in images
+                r.memory_saving_percent
+                for r in ex.suite_reports(config, n_images=n_images)
             ]
             rows.append((name, t, float(np.mean(savings))))
     return TableResult(
@@ -338,7 +340,7 @@ def _bram_entry(width: int) -> Artifact:
     """A Table II-V entry: the suite's worst rows planned at ``width``."""
     return Artifact(
         _bram_table,
-        {"resolution": width, "n_images": 4, "row_stride": None, "processes": None},
+        {"resolution": width, "n_images": 4, "processes": None},
         render=_bram_render,
     )
 
@@ -375,16 +377,14 @@ ARTIFACTS: dict[str, Artifact] = {
     "fig12": Artifact(dataset_statistics, {"resolution": 512, "n_images": 10}),
     "fig13": Artifact(
         ex.fig13_memory_savings,
-        {"resolution": 2048, "n_images": 4, "row_stride": None, "processes": None},
+        {"resolution": 2048, "n_images": 4, "processes": None},
         reference="\npaper reference: T=0 saves 26-34 %; T=6 saves 41-54 %",
     ),
     "mse": Artifact(
         partial(ex.mse_vs_threshold, thresholds=(2, 4, 6), include_recirculated=True),
         {"resolution": 512, "window": 64, "n_images": 4, "processes": None},
     ),
-    "headline": Artifact(
-        ex.headline_claims, {"n_images": 4, "row_stride": None, "processes": None}
-    ),
+    "headline": Artifact(ex.headline_claims, {"n_images": 4, "processes": None}),
     "throughput": Artifact(
         ex.throughput_experiment, {"resolution": 128, "window": 8, "threshold": 0}
     ),

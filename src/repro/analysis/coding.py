@@ -21,7 +21,7 @@ import numpy as np
 
 from ..baselines.jpegls import LocoLiteCodec
 from ..config import ArchitectureConfig
-from ..core.stats import analyze_band, iter_bands
+from ..core.stats import aligned_band_chunks, analyze_band
 from .tables import render_table
 
 
@@ -119,25 +119,26 @@ class CodingEfficiencyReport:
 
 
 def coding_efficiency(
-    config: ArchitectureConfig,
-    image: np.ndarray,
-    *,
-    row_stride: int | None = None,
+    config: ArchitectureConfig, image: np.ndarray
 ) -> CodingEfficiencyReport:
-    """Measure the coding ladder on ``image`` under ``config``."""
+    """Measure the coding ladder on ``image``'s aligned bands under ``config``.
+
+    Entropy and Rice costs are taken band by band, as a band is coded.
+    """
     arr = np.asarray(image).astype(np.int64)
     payload = 0
     mgmt = 0
     entropy = 0.0
     rice = 0
     pixels = 0
-    for _, band in iter_bands(config, arr, row_stride=row_stride):
-        analysis = analyze_band(config, band)
-        payload += analysis.payload_bits
-        mgmt += analysis.management_bits_per_column * band.shape[1]
-        entropy += empirical_entropy_bits(analysis.plane)
-        rice += rice_payload_bits(analysis.plane)
-        pixels += band.size
+    for bands in aligned_band_chunks(config, arr):
+        analysis = analyze_band(config, bands)
+        payload += int(analysis.payload_bits.sum())
+        mgmt += analysis.management_bits * len(bands)
+        for plane in analysis.plane:
+            entropy += empirical_entropy_bits(plane)
+            rice += rice_payload_bits(plane)
+        pixels += bands.size
     loco_bits = LocoLiteCodec(config.pixel_bits).encode_bits(arr)
     return CodingEfficiencyReport(
         config=config,

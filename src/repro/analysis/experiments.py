@@ -21,13 +21,12 @@ from ..config import (
 )
 from ..core.stats import (
     ImageCompressionReport,
+    aligned_band_chunks,
     analyze_band,
     analyze_image,
-    iter_bands,
     sliding_occupancy,
 )
 from ..core.transform.lifting import WAVELETS
-from ..core.window.compressed import TRAVERSAL_CHUNK_VALUES
 from ..core.packing.nbits import bit_widths_signed, min_bits_signed
 from ..core.packing.packer import band_widths, threshold_and_size
 from ..errors import ConfigError
@@ -47,10 +46,44 @@ from .tables import render_table
 
 
 def _image_report_worker(
-    args: tuple[ArchitectureConfig, np.ndarray, int | None],
+    args: tuple[ArchitectureConfig, np.ndarray],
 ) -> ImageCompressionReport:
-    config, image, row_stride = args
-    return analyze_image(config, image, row_stride=row_stride)
+    config, image = args
+    return analyze_image(config, image)
+
+
+#: :func:`suite_reports` results by ``(config, n_images)``.
+_SUITE_REPORTS: dict[
+    tuple[ArchitectureConfig, int], tuple[ImageCompressionReport, ...]
+] = {}
+
+
+def suite_reports(
+    config: ArchitectureConfig,
+    *,
+    n_images: int,
+    processes: int | None = None,
+) -> tuple[ImageCompressionReport, ...]:
+    """:func:`analyze_image` of each of the first ``n_images`` suite images.
+
+    The suite is rendered at ``config.image_width``.  Memoised per
+    ``(config, n_images)`` (``processes`` only decides how a sweep runs),
+    so every suite sweep at one geometry — Tables II-V, Fig 13, the
+    headline claims, the extensions' baseline rows — sizes the suite once.
+    """
+    key = (config, n_images)
+    reports = _SUITE_REPORTS.get(key)
+    if reports is None:
+        images = benchmark_dataset(config.image_width, n_images=n_images)
+        reports = tuple(
+            run_parallel(
+                _image_report_worker,
+                [(config, img) for img in images],
+                processes=processes,
+            )
+        )
+        _SUITE_REPORTS[key] = reports
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -187,11 +220,9 @@ def fig13_memory_savings(
     windows: tuple[int, ...] = PAPER_WINDOW_SIZES,
     thresholds: tuple[int, ...] = PAPER_THRESHOLDS,
     n_images: int = 10,
-    row_stride: int | None = None,
     processes: int | None = None,
 ) -> Fig13Result:
     """Reproduce Fig 13's savings sweep over the benchmark suite."""
-    imgs = benchmark_dataset(resolution, n_images=n_images)
     savings: dict[tuple[int, int], ConfidenceInterval] = {}
     for n in windows:
         for t in thresholds:
@@ -201,11 +232,7 @@ def fig13_memory_savings(
                 window_size=n,
                 threshold=t,
             )
-            reports = run_parallel(
-                _image_report_worker,
-                [(config, img, row_stride) for img in imgs],
-                processes=processes,
-            )
+            reports = suite_reports(config, n_images=n_images, processes=processes)
             values = np.array([r.memory_saving_percent for r in reports])
             savings[(n, t)] = mean_confidence_interval(values, confidence=0.90)
     return Fig13Result(
@@ -296,52 +323,25 @@ class BramTableResult:
         )
 
 
-def _worst_row_bits_worker(
-    args: tuple[ArchitectureConfig, np.ndarray, int | None],
-) -> np.ndarray:
-    config, image, row_stride = args
-    return analyze_image(config, image, row_stride=row_stride).row_bits_worst
-
-
-#: :func:`suite_worst_row_bits` results by ``(width, window, threshold,
-#: n_images, row_stride)``.
-_WORST_ROW_BITS: dict[tuple[int, int, int, int, int | None], np.ndarray] = {}
-
-
 def suite_worst_row_bits(
     width: int,
     window: int,
     threshold: int,
     *,
     n_images: int,
-    row_stride: int | None = None,
     processes: int | None = None,
 ) -> np.ndarray:
     """Worst packed bits of each band row over the benchmark suite.
 
     The per-row maxima of :func:`analyze_image`'s ``row_bits_worst`` over
-    the first ``n_images`` suite images at ``width``.  Memoised per
-    geometry (``processes`` only decides how a sweep runs), so Tables
-    II-V and the headline claims share one sweep; the array is read-only.
+    the first ``n_images`` suite images at ``width``, read from the
+    :func:`suite_reports` memo.
     """
-    key = (width, window, threshold, n_images, row_stride)
-    worst = _WORST_ROW_BITS.get(key)
-    if worst is None:
-        config = ArchitectureConfig(
-            image_width=width, image_height=width, window_size=window, threshold=threshold
-        )
-        per_image = run_parallel(
-            _worst_row_bits_worker,
-            [
-                (config, img, row_stride)
-                for img in benchmark_dataset(width, n_images=n_images)
-            ],
-            processes=processes,
-        )
-        worst = np.maximum.reduce(per_image)
-        worst.flags.writeable = False
-        _WORST_ROW_BITS[key] = worst
-    return worst
+    config = ArchitectureConfig(
+        image_width=width, image_height=width, window_size=window, threshold=threshold
+    )
+    reports = suite_reports(config, n_images=n_images, processes=processes)
+    return np.maximum.reduce([r.row_bits_worst for r in reports])
 
 
 def bram_table(
@@ -350,7 +350,6 @@ def bram_table(
     windows: tuple[int, ...] = PAPER_WINDOW_SIZES,
     thresholds: tuple[int, ...] = PAPER_THRESHOLDS,
     n_images: int = 10,
-    row_stride: int | None = None,
     processes: int | None = None,
 ) -> BramTableResult:
     """Reproduce one of Tables II-V for image width ``width``.
@@ -366,12 +365,7 @@ def bram_table(
                 image_width=width, image_height=width, window_size=n, threshold=t
             )
             worst = suite_worst_row_bits(
-                width,
-                n,
-                t,
-                n_images=n_images,
-                row_stride=row_stride,
-                processes=processes,
+                width, n, t, n_images=n_images, processes=processes
             )
             plans[(n, t)] = plan_placement(config, worst)
     return BramTableResult(
@@ -469,22 +463,14 @@ class MseResult:
 def reconstruct_single_pass(config: ArchitectureConfig, image: np.ndarray) -> np.ndarray:
     """Reconstruction after one aligned compression pass over the image.
 
-    Non-overlapping bands, analysed in ``(C, N, W)`` stacks of about
-    :data:`~repro.core.window.compressed.TRAVERSAL_CHUNK_VALUES` values
-    (one band each when a band alone is larger), so the working set stays
-    cache-sized whatever the frame; rows below the last full band stay
-    raw.  This is the measurement convention the paper's MSE figures
+    Each :func:`~repro.core.stats.aligned_band_chunks` stack is analysed
+    and reconstructed in place; rows below the last full band stay raw.
+    This is the measurement convention the paper's MSE figures
     correspond to.
     """
-    n = config.window_size
     out = np.asarray(image).astype(np.int64)
-    h, w = out.shape
-    covered = (h // n) * n
-    step = max(1, TRAVERSAL_CHUNK_VALUES // (n * w)) * n
-    for top in range(0, covered, step):
-        rows = out[top : min(top + step, covered)]
-        rec = analyze_band(config, rows.reshape(-1, n, w)).reconstruct()
-        rows[...] = rec.reshape(rows.shape)
+    for bands in aligned_band_chunks(config, out):
+        bands[...] = analyze_band(config, bands).reconstruct()
     return out
 
 
@@ -519,7 +505,7 @@ def suite_single_pass_mse(
 ) -> tuple[float, ...]:
     """Single-pass MSE of each of the first ``n_images`` suite images.
 
-    Memoised per geometry like :func:`suite_worst_row_bits`, so the MSE
+    Memoised per geometry like :func:`suite_reports`, so the MSE
     figures and the headline claims' MSE gate share one sweep.
     """
     key = (width, window, threshold, n_images)
@@ -634,7 +620,6 @@ def headline_claims(
     thresholds: tuple[int, ...] = PAPER_THRESHOLDS,
     n_images: int = 4,
     mse_limit: float = 5.0,
-    row_stride: int | None = None,
     processes: int | None = None,
 ) -> HeadlineResult:
     """Quantify the abstract's BRAM-saving claims across all geometries."""
@@ -664,12 +649,7 @@ def headline_claims(
                     image_width=width, image_height=width, window_size=n, threshold=t
                 )
                 worst = suite_worst_row_bits(
-                    width,
-                    n,
-                    t,
-                    n_images=n_images,
-                    row_stride=row_stride,
-                    processes=processes,
+                    width, n, t, n_images=n_images, processes=processes
                 )
                 savings[t] = plan_placement(config, worst).bram_saving_percent
             best_t = max(savings, key=lambda t: savings[t])
@@ -760,13 +740,14 @@ def ablation_wavelets(
         total_bits = 0
         total_pixels = 0
         for img in imgs:
-            for _, band in iter_bands(config, img.astype(np.int64), row_stride=window):
-                ll, lh, hl, hh = wavelet.forward_2d(band)
-                plane = np.empty(band.shape, dtype=np.int32)
-                plane[0::2, 0::2], plane[0::2, 1::2] = ll, hl
-                plane[1::2, 0::2], plane[1::2, 1::2] = lh, hh
-                total_bits += _per_column_payload_bits(plane, threshold)
-                total_pixels += band.size
+            for bands in aligned_band_chunks(config, img.astype(np.int64)):
+                for band in bands:
+                    ll, lh, hl, hh = wavelet.forward_2d(band)
+                    plane = np.empty(band.shape, dtype=np.int32)
+                    plane[0::2, 0::2], plane[0::2, 1::2] = ll, hl
+                    plane[1::2, 0::2], plane[1::2, 1::2] = lh, hh
+                    total_bits += _per_column_payload_bits(plane, threshold)
+                total_pixels += bands.size
         bpp = total_bits / total_pixels
         rows.append((name, bpp, (1.0 - bpp / 8.0) * 100.0))
     return AblationResult(
@@ -802,9 +783,9 @@ def ablation_levels(
         total_bits = 0
         total_pixels = 0
         for img in imgs:
-            for _, band in iter_bands(config, img.astype(np.int64), row_stride=window):
-                total_bits += analyze_band(config, band).payload_bits
-                total_pixels += band.size
+            for bands in aligned_band_chunks(config, img.astype(np.int64)):
+                total_bits += int(analyze_band(config, bands).payload_bits.sum())
+                total_pixels += bands.size
         bpp = total_bits / total_pixels
         rows.append((f"{lv} level(s)", bpp, (1.0 - bpp / 8.0) * 100.0))
     return AblationResult(
@@ -836,14 +817,14 @@ def ablation_nbits_granularity(
     totals = {"per-column (paper)": 0, "per-coefficient": 0, "per-sub-band": 0}
     total_pixels = 0
     for img in imgs:
-        for _, band in iter_bands(config, img.astype(np.int64), row_stride=window):
-            analysis = analyze_band(config.with_threshold(threshold), band)
+        for bands in aligned_band_chunks(config, img.astype(np.int64)):
+            analysis = analyze_band(config.with_threshold(threshold), bands)
             plane = analysis.plane
-            n, w = plane.shape
-            bitmap_bits = n * w
+            c, n, w = plane.shape
+            bitmap_bits = bands.size
             # per column: payload + 2 NBits fields per column + bitmap.
             totals["per-column (paper)"] += (
-                int(analysis.widths.sum()) + 2 * field_w * w + bitmap_bits
+                int(analysis.widths.sum()) + 2 * field_w * w * c + bitmap_bits
             )
             # per coefficient: each significant coefficient stores its own
             # width field plus exactly its own bits.
@@ -852,15 +833,16 @@ def ablation_nbits_granularity(
             totals["per-coefficient"] += (
                 int(own[sig].sum()) + field_w * int(sig.sum()) + bitmap_bits
             )
-            # per sub-band: one NBits per sub-band for the whole band.
+            # per sub-band: one NBits per sub-band of each band.
             bits = 0
             for rp in (0, 1):
                 for cp in (0, 1):
-                    quad = plane[rp::2, cp::2]
-                    nb = int(min_bits_signed(quad))
-                    bits += nb * int(np.count_nonzero(quad)) + field_w
+                    quad = plane[:, rp::2, cp::2].reshape(c, -1)
+                    nb = min_bits_signed(quad, axis=1)
+                    bits += int((nb * np.count_nonzero(quad, axis=1)).sum())
+                    bits += field_w * c
             totals["per-sub-band"] += bits + bitmap_bits
-            total_pixels += band.size
+            total_pixels += bands.size
     rows = tuple(
         (name, t / total_pixels, (1.0 - (t / total_pixels) / 8.0) * 100.0)
         for name, t in totals.items()

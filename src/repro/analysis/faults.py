@@ -22,7 +22,7 @@ import numpy as np
 
 from ..config import ArchitectureConfig
 from ..core.packing.packer import BandCodec
-from ..core.stats import iter_bands
+from ..core.stats import aligned_band_chunks
 from ..core.window.compressed import CompressedEngine
 from ..errors import ConfigError
 from ..imaging.synthetic import generate_scene
@@ -128,7 +128,7 @@ def measured_storage_overhead(
 ) -> float:
     """Amortised stored-bits overhead of ``protection`` on ``image`` (%).
 
-    Walks the image's bands, totals the three raw stream sizes and scales
+    Walks the image's aligned bands, totals the three raw stream sizes and scales
     each by its scheme's code expansion — the per-stream weighting makes
     this a *measured* figure (TMR on the tiny NBits stream costs far less
     than its naive 200 % would suggest).
@@ -137,11 +137,12 @@ def measured_storage_overhead(
     codec = BandCodec(config)
     fw = config.nbits_field_width
     raw = {"payload": 0, "nbits": 0, "bitmap": 0}
-    for _, band in iter_bands(config, np.asarray(image)):
-        encoded = codec.encode_band(band)
-        raw["payload"] += int(sum(r.size for r in encoded.row_payloads))
-        raw["nbits"] += int(encoded.nbits.size) * fw
-        raw["bitmap"] += int(encoded.bitmap.size)
+    for bands in aligned_band_chunks(config, image):
+        for band in bands:
+            encoded = codec.encode_band(band)
+            raw["payload"] += int(sum(r.size for r in encoded.row_payloads))
+            raw["nbits"] += int(encoded.nbits.size) * fw
+            raw["bitmap"] += int(encoded.bitmap.size)
     total_raw = sum(raw.values())
     if total_raw == 0:
         return 0.0

@@ -5,7 +5,7 @@ Every paper table and figure is one entry of the artifact registry
 with no flags it prints the committed ``benchmarks/out/<name>.txt``::
 
     repro artifact table2
-    repro artifact fig13 --resolution 1024 --row-stride 64
+    repro artifact fig13 --resolution 1024 --images 10
     repro artifact mse --images 10
     repro report
     repro resources --device ZU7EV
@@ -109,9 +109,6 @@ def _add_artifact_parser(
     p.add_argument("--threshold", type=int, help="compression threshold T")
     p.add_argument(
         "--images", dest="n_images", type=int, help="benchmark suite size"
-    )
-    p.add_argument(
-        "--row-stride", type=int, help="band sampling stride (default: window size)"
     )
     p.add_argument("--processes", type=int, help="sweep workers (default: auto)")
 

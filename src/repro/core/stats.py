@@ -27,7 +27,6 @@ from ..errors import ConfigError
 from ..observability.probe import NULL_PROBE, Probe
 from .packing import native as native_codec
 from .packing.packer import (
-    SUBBAND_PARITIES,
     BandAccounting,
     ll_exempt_mod,
     threshold_and_size,
@@ -402,25 +401,34 @@ def sliding_band_stack(image: np.ndarray, window_size: int) -> np.ndarray:
     return view.transpose(0, 2, 1)
 
 
-def iter_bands(
-    config: ArchitectureConfig,
-    image: np.ndarray,
-    *,
-    row_stride: int | None = None,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(bottom_row, band)`` slices of the image.
+#: Band values per :func:`aligned_band_chunks` chunk (512 KB of int64
+#: pixels): the design-time sweeps stay cache-sized at any width, and a
+#: band larger than this is a chunk of its own.
+BAND_CHUNK_VALUES = 1 << 16
 
-    ``row_stride`` defaults to the window size (non-overlapping bands),
-    which is the sampling the sweep experiments use; pass 1 for every
-    traversal position.
+
+def aligned_band_chunks(
+    config: ArchitectureConfig, image: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield ``(C, N, W)`` views of the non-overlapping N-row bands.
+
+    Band ``k`` is rows ``k*N .. k*N + N - 1``, the sampling the paper's
+    sweeps use; bands come ``C`` at a time, about
+    :data:`BAND_CHUNK_VALUES` values per chunk (one band when a band
+    alone is larger), in order.  Rows below the last full band are not
+    covered.
     """
+    arr = np.asarray(image)
+    if arr.ndim != 2:
+        raise ConfigError(f"image must be 2D, got shape {arr.shape}")
     n = config.window_size
-    h = np.asarray(image).shape[0]
-    stride = row_stride if row_stride is not None else n
-    if stride < 1:
-        raise ConfigError(f"row_stride must be >= 1, got {stride}")
-    for y in range(n - 1, h, stride):
-        yield y, image[y - n + 1 : y + 1]
+    h, w = arr.shape
+    if h < n:
+        raise ConfigError(f"image height {h} shorter than one {n}-band")
+    bands = arr[: h - h % n].reshape(-1, n, w)
+    step = max(1, BAND_CHUNK_VALUES // (n * w))
+    for b0 in range(0, bands.shape[0], step):
+        yield bands[b0 : b0 + step]
 
 
 def sliding_occupancy(
@@ -464,22 +472,14 @@ def sliding_occupancy(
 
 @dataclass(frozen=True, slots=True)
 class ImageCompressionReport:
-    """Whole-image compression summary (one image, one configuration)."""
+    """Design-time sizing of one image under one configuration."""
 
     config: ArchitectureConfig
-    #: Mean over sampled bands of payload bits (all W columns).
-    mean_band_payload_bits: float
-    #: Worst sampled band payload bits.
-    max_band_payload_bits: int
-    #: Peak buffered bits across all sampled traversals (Fig 3's ceiling).
+    #: Peak buffered bits across the aligned bands (Fig 13's footprint).
     peak_buffer_bits: int
-    #: Worst per-row packed bits over all sampled bands (BRAM mapping input).
-    worst_row_bits: int
-    #: Per-row worst sizes, aligned groups of rows use this (length N).
+    #: Worst packed bits of each band row over the aligned bands (length
+    #: N): the BRAM mapping input.
     row_bits_worst: np.ndarray
-    #: Mean payload per sub-band.
-    subband_mean_bits: dict[str, float]
-    bands_sampled: int
 
     @property
     def traditional_bits(self) -> int:
@@ -495,42 +495,28 @@ class ImageCompressionReport:
 
 
 def analyze_image(
-    config: ArchitectureConfig,
-    image: np.ndarray,
-    *,
-    row_stride: int | None = None,
+    config: ArchitectureConfig, image: np.ndarray
 ) -> ImageCompressionReport:
-    """Sweep the sampled bands of ``image`` and aggregate the accounting."""
-    arr = np.asarray(image)
-    payloads: list[int] = []
-    row_worst = np.zeros(config.window_size, dtype=np.int64)
-    subband_sums: dict[str, float] = {k: 0.0 for k in SUBBAND_PARITIES}
+    """Size the aligned bands of ``image``: peak buffer and worst rows.
+
+    One :func:`analyze_band` stack per :func:`aligned_band_chunks`
+    chunk.  Each band's occupancy peak (:func:`occupancy_peaks`)
+    references the aligned band before it, the first band itself.
+    """
+    n = config.window_size
+    row_worst = np.zeros(n, dtype=np.int64)
     peak = 0
-    prev_cols: np.ndarray | None = None
-    count = 0
-    mgmt = 0
-    for _, band in iter_bands(config, arr, row_stride=row_stride):
-        analysis = analyze_band(config, band)
-        mgmt = analysis.management_bits_per_column
+    prev_last: np.ndarray | None = None
+    for bands in aligned_band_chunks(config, image):
+        analysis = analyze_band(config, bands)
         cols = analysis.payload_bits_per_column
-        payloads.append(analysis.payload_bits)
-        row_worst = np.maximum(row_worst, analysis.payload_bits_per_row)
-        for k, v in analysis.subband_payload_bits().items():
-            subband_sums[k] += v
-        reference = cols if prev_cols is None else prev_cols
-        occ = sliding_occupancy(reference, cols, config.window_size, mgmt)
-        peak = max(peak, int(occ.max()))
-        prev_cols = cols
-        count += 1
-    if count == 0:
-        raise ConfigError("image shorter than one window band")
+        np.maximum(row_worst, analysis.payload_bits_per_row.max(axis=0), out=row_worst)
+        peaks = occupancy_peaks(
+            cols, n, analysis.management_bits_per_column, prev_last
+        )
+        peak = max(peak, int(peaks.max()))
+        prev_last = cols[-1]
+    row_worst.flags.writeable = False  # reports are shared by the suite memo
     return ImageCompressionReport(
-        config=config,
-        mean_band_payload_bits=float(np.mean(payloads)),
-        max_band_payload_bits=int(np.max(payloads)),
-        peak_buffer_bits=peak,
-        worst_row_bits=int(row_worst.max()),
-        row_bits_worst=row_worst,
-        subband_mean_bits={k: v / count for k, v in subband_sums.items()},
-        bands_sampled=count,
+        config=config, peak_buffer_bits=peak, row_bits_worst=row_worst
     )

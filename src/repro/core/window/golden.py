@@ -42,16 +42,13 @@ def golden_apply(
     window_size: int,
     kernel: WindowKernel,
     *,
-    row_stride: int = 1,
     chunk_budget_bytes: int = DEFAULT_CHUNK_BUDGET,
 ) -> np.ndarray:
     """Apply ``kernel`` to every valid window; returns ``(R', C)`` outputs.
 
     ``image`` is one ``(H, W)`` image, or a ``(T, N, W)`` stack of N-row
     bands, for which row ``t`` of the result is band ``t``'s one output
-    row — bit-identical to T separate 2-D calls.  ``row_stride``
-    subsamples output rows of an image (used by large-image benches);
-    the column axis is always dense.
+    row — bit-identical to T separate 2-D calls.
 
     Kernels exposing an ``apply_image`` method (the convolution family)
     take a dense whole-image route that skips window materialisation
@@ -59,22 +56,19 @@ def golden_apply(
     (int64 window sums divided once by ``N^2``), so they agree bit for
     bit at every N; integer taps on integer pixels are exact too.  Float
     taps sum the same products in a different association, so those
-    results agree to rounding.  The windowed path remains the oracle for
-    strided sampling and kernels that genuinely need the window tensor.
+    results agree to rounding.  The windowed path serves the kernels
+    that genuinely need the window tensor.
     """
     kern = as_kernel(kernel, window_size=window_size)
     arr = np.asarray(image)
     if arr.ndim == 3:
         return _apply_band_stack(arr, window_size, kern, chunk_budget_bytes)
-    if row_stride == 1:
-        image_route = getattr(kern, "apply_image", None)
-        if image_route is not None:
-            if arr.ndim != 2 or window_size > min(arr.shape):
-                raise ConfigError(
-                    f"window {window_size} exceeds image {arr.shape}"
-                )
-            return np.asarray(image_route(arr))
-    views = sliding_windows(arr, window_size)[::row_stride]
+    image_route = getattr(kern, "apply_image", None)
+    if image_route is not None:
+        if arr.ndim != 2 or window_size > min(arr.shape):
+            raise ConfigError(f"window {window_size} exceeds image {arr.shape}")
+        return np.asarray(image_route(arr))
+    views = sliding_windows(arr, window_size)
     return _apply_chunked(kern, views, window_size, chunk_budget_bytes)
 
 

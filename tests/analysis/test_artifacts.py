@@ -23,8 +23,8 @@ class TestRegistry:
             render_artifact("fig99")
 
     def test_flag_outside_the_geometry_rejected(self):
-        with pytest.raises(ConfigError, match="takes no --row-stride"):
-            ARTIFACTS["fig3"].run(row_stride=4)
+        with pytest.raises(ConfigError, match="takes no --images"):
+            ARTIFACTS["fig3"].run(n_images=4)
         with pytest.raises(ConfigError, match="it takes no flags"):
             ARTIFACTS["table1"].run(n_images=2)
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import ArchitectureConfig
 from repro.analysis import experiments as ex
+from repro.analysis.artifacts import extension_savings
+from repro.core import stats
 from repro.errors import ConfigError
 
 
@@ -81,6 +84,51 @@ class TestTables:
         )
         assert (
             result.plans[(16, 6)].packed_brams <= result.plans[(16, 0)].packed_brams
+        )
+
+
+class TestSuiteReports:
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """A fresh memo and the configs the report worker sized, in order."""
+        sized = []
+
+        def counting_worker(args):
+            sized.append(args[0])
+            return stats.analyze_image(*args)
+
+        monkeypatch.setattr(ex, "_SUITE_REPORTS", {})
+        monkeypatch.setattr(ex, "_image_report_worker", counting_worker)
+        monkeypatch.setenv("REPRO_WORKERS", "1")  # extension_savings: inline
+        return sized
+
+    def test_bram_table_then_fig13_sweep_once(self, sweeps):
+        geometry = dict(windows=(8, 16), thresholds=(0, 6), n_images=2, processes=1)
+        ex.bram_table(128, **geometry)
+        assert len(sweeps) == 2 * 2 * 2  # 4 configs x 2 images
+        fig13 = ex.fig13_memory_savings(resolution=128, **geometry)
+        assert len(sweeps) == 8
+        config = ArchitectureConfig(
+            image_width=128, image_height=128, window_size=16, threshold=6
+        )
+        savings = [r.memory_saving_percent for r in ex._SUITE_REPORTS[(config, 2)]]
+        assert fig13.savings[(16, 6)].mean == pytest.approx(np.mean(savings))
+
+    def test_extension_baseline_reuses_the_bram_sweep(self, sweeps):
+        ex.bram_table(128, windows=(16,), thresholds=(0, 6), n_images=2, processes=1)
+        del sweeps[:]
+        extension_savings(resolution=128, window=16, n_images=2)
+        # Three variants x two thresholds x two images; no baseline config.
+        assert len(sweeps) == 12
+        assert all(c.ll_dpcm or c.decomposition_levels > 1 for c in sweeps)
+
+    def test_suite_worst_rows_are_the_reports_maxima(self, sweeps):
+        worst = ex.suite_worst_row_bits(128, 8, 0, n_images=2, processes=1)
+        config = ArchitectureConfig(image_width=128, image_height=128, window_size=8)
+        reports = ex.suite_reports(config, n_images=2)
+        assert len(sweeps) == 2
+        assert np.array_equal(
+            worst, np.maximum(reports[0].row_bits_worst, reports[1].row_bits_worst)
         )
 
 
@@ -167,7 +215,7 @@ class TestMse:
         )
         img = generate_scene(5, 100)[:, :64]
         whole = ex.reconstruct_single_pass(config, img)
-        monkeypatch.setattr(ex, "TRAVERSAL_CHUNK_VALUES", bands_per_chunk * 16 * 64)
+        monkeypatch.setattr(stats, "BAND_CHUNK_VALUES", bands_per_chunk * 16 * 64)
         got = ex.reconstruct_single_pass(config, img)
         assert np.array_equal(got, whole)
         assert not np.array_equal(got[:96], img[:96])  # lossy: not vacuous

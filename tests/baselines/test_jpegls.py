@@ -71,21 +71,14 @@ class TestCompression:
     def test_beats_nbits_packing_on_scenes(self):
         """JPEG-LS-style coding compresses harder than NBits packing —
         the trade-off the paper accepts for hardware simplicity."""
-        from repro import ArchitectureConfig, analyze_image
+        from repro import ArchitectureConfig
+        from repro.analysis.coding import coding_efficiency
         from repro.imaging import generate_scene
 
         img = generate_scene(seed=5, resolution=128).astype(np.int64)
-        codec = LocoLiteCodec()
-        loco_bits = codec.encode_bits(img)
         cfg = ArchitectureConfig(image_width=128, image_height=128, window_size=16)
-        report = analyze_image(cfg, img)
-        nbits_bits_per_pixel = (
-            report.mean_band_payload_bits / (16 * 128)
-            + report.config.management_total_bits
-            / (report.config.buffered_columns * 16)
-        )
-        loco_bits_per_pixel = loco_bits / img.size
-        assert loco_bits_per_pixel < nbits_bits_per_pixel
+        report = coding_efficiency(cfg, img)
+        assert report.loco_bpp < report.nbits_total_bpp
 
 
 class TestValidation:

@@ -29,6 +29,13 @@ class TestParser:
         with pytest.raises(SystemExit, match="unknown artifact 'table11'"):
             main(["artifact", "table11"])
 
+    def test_no_band_sampling_flag(self, capsys):
+        """Design-time sweeps always size the aligned bands."""
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["artifact", "fig13", "--row-stride", "64"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --row-stride" in capsys.readouterr().err
+
     def test_resources_module_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["resources", "alu"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import ArchitectureConfig
+from repro.core import stats
 from repro.core.packing.packer import BandCodec
 from repro.core.stats import (
+    aligned_band_chunks,
     analyze_band,
     analyze_image,
-    iter_bands,
     sliding_occupancy,
 )
 from repro.errors import ConfigError
@@ -112,28 +115,36 @@ class TestAnalyzeBand:
             BandCodec(cfg()).encode_band(band)
 
 
-class TestIterBands:
-    def test_default_stride_is_window(self):
-        config = cfg()
-        image = np.zeros((64, 64), dtype=int)
-        positions = [y for y, _ in iter_bands(config, image)]
-        assert positions == [7, 15, 23, 31, 39, 47, 55, 63]
-
-    def test_stride_one_covers_every_traversal(self):
-        config = cfg()
-        image = np.zeros((64, 64), dtype=int)
-        assert len(list(iter_bands(config, image, row_stride=1))) == 64 - 8 + 1
-
-    def test_band_shapes(self):
-        config = cfg()
+class TestAlignedBandChunks:
+    def test_bands_are_aligned(self):
+        """Band k is rows k*N .. k*N + N - 1, in order."""
         image = np.arange(64 * 64).reshape(64, 64) % 256
-        for y, band in iter_bands(config, image):
-            assert band.shape == (8, 64)
-            assert np.array_equal(band, image[y - 7 : y + 1])
+        bands = np.concatenate(list(aligned_band_chunks(cfg(), image)))
+        assert np.array_equal(bands, image.reshape(8, 8, 64))
 
-    def test_bad_stride_rejected(self):
-        with pytest.raises(ConfigError):
-            list(iter_bands(cfg(), np.zeros((64, 64), dtype=int), row_stride=0))
+    def test_band_shapes(self, monkeypatch):
+        """Chunks of at most ``BAND_CHUNK_VALUES`` values, views of the
+        image, the last one short."""
+        monkeypatch.setattr(stats, "BAND_CHUNK_VALUES", 3 * 8 * 64)
+        image = np.zeros((64, 64), dtype=np.int64)
+        chunks = list(aligned_band_chunks(cfg(), image))
+        assert [c.shape for c in chunks] == [(3, 8, 64), (3, 8, 64), (2, 8, 64)]
+        assert all(np.shares_memory(c, image) for c in chunks)
+
+    def test_band_larger_than_a_chunk_is_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(stats, "BAND_CHUNK_VALUES", 8 * 64 - 1)
+        image = np.zeros((64, 64), dtype=np.int64)
+        chunks = list(aligned_band_chunks(cfg(), image))
+        assert [c.shape for c in chunks] == [(1, 8, 64)] * 8
+
+    def test_rows_below_the_last_band_uncovered(self):
+        image = np.arange(70 * 64).reshape(70, 64)
+        bands = np.concatenate(list(aligned_band_chunks(cfg(), image)))
+        assert np.array_equal(bands.reshape(64, 64), image[:64])
+
+    def test_too_short_image_rejected(self):
+        with pytest.raises(ConfigError, match="shorter than one 8-band"):
+            list(aligned_band_chunks(cfg(), np.zeros((7, 64), dtype=int)))
 
 
 class TestSlidingOccupancy:
@@ -176,16 +187,93 @@ class TestSlidingOccupancy:
         assert np.all(occ == 20 - 6)
 
 
+def reference_report(config, image):
+    """Oracle for :func:`analyze_image`: one ``analyze_band`` per aligned
+    band, each band's ``sliding_occupancy`` against the aligned band
+    before it (the first against itself), per-row maxima."""
+    n = config.window_size
+    row_worst = np.zeros(n, dtype=np.int64)
+    peak = 0
+    prev = None
+    for top in range(0, image.shape[0] - n + 1, n):
+        band = analyze_band(config, image[top : top + n])
+        cols = band.payload_bits_per_column
+        row_worst = np.maximum(row_worst, band.payload_bits_per_row)
+        reference = cols if prev is None else prev
+        occ = sliding_occupancy(reference, cols, n, band.management_bits_per_column)
+        peak = max(peak, int(occ.max()))
+        prev = cols
+    return peak, row_worst
+
+
 class TestAnalyzeImage:
+    @given(
+        window=st.sampled_from([4, 8]),
+        width=st.sampled_from([8, 12, 24, 40]),
+        extra_rows=st.integers(0, 31),
+        levels=st.sampled_from([1, 2]),
+        ll_dpcm=st.booleans(),
+        wrap=st.booleans(),
+        threshold=st.sampled_from([0, 6]),
+        pixel_max=st.sampled_from([7, 255]),
+        chunk_bands=st.sampled_from([None, 0, 1, 2, 3]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_band_reference(
+        self,
+        window,
+        width,
+        extra_rows,
+        levels,
+        ll_dpcm,
+        wrap,
+        threshold,
+        pixel_max,
+        chunk_bands,
+        data,
+    ):
+        """Chunked sizing equals the per-band oracle at any height (not
+        only multiples of N), with chunks smaller than one band
+        (``chunk_bands=0``), chunk boundaries inside the frame, or the
+        default chunk size (``None``)."""
+        height = window + extra_rows
+        config = ArchitectureConfig(
+            image_width=width,
+            image_height=height,
+            window_size=window,
+            threshold=threshold,
+            decomposition_levels=levels,
+            ll_dpcm=ll_dpcm,
+            coefficient_bits=8 if wrap else -1,
+            wrap_coefficients=wrap,
+        )
+        image = data.draw(
+            hnp.arrays(
+                np.int64, (height, width), elements=st.integers(0, pixel_max)
+            )
+        )
+        chunk_values = stats.BAND_CHUNK_VALUES
+        if chunk_bands is not None:  # 0: every chunk smaller than a band
+            chunk_values = max(1, chunk_bands * window * width)
+        with mock.patch.object(stats, "BAND_CHUNK_VALUES", chunk_values):
+            report = analyze_image(config, image)
+        peak, row_worst = reference_report(config, image)
+        assert report.peak_buffer_bits == peak
+        assert np.array_equal(report.row_bits_worst, row_worst)
+
     def test_report_consistency(self, rng):
         config = cfg()
         image = rng.integers(0, 256, size=(64, 64))
         report = analyze_image(config, image)
-        assert report.bands_sampled == 8
-        assert report.max_band_payload_bits >= report.mean_band_payload_bits
-        assert report.worst_row_bits == report.row_bits_worst.max()
+        peak, row_worst = reference_report(config, image)
+        assert report.peak_buffer_bits == peak
+        assert np.array_equal(report.row_bits_worst, row_worst)
         assert report.row_bits_worst.shape == (8,)
         assert report.traditional_bits == config.traditional_buffer_bits
+        assert report.memory_saving_percent == pytest.approx(
+            (1 - peak / config.traditional_buffer_bits) * 100
+        )
 
     def test_saving_sign_for_random_noise(self, rng):
         """Random images do not compress (the paper's failure case)."""

@@ -47,12 +47,6 @@ class TestGoldenApply:
         expected = sliding_windows(img, 4).mean(axis=(2, 3))
         assert np.allclose(out, expected)
 
-    def test_row_stride(self, rng):
-        img = random_image(rng, 20, 16)
-        full = golden_apply(img, 4, BoxFilterKernel(4))
-        strided = golden_apply(img, 4, BoxFilterKernel(4), row_stride=3)
-        assert np.allclose(strided, full[::3])
-
     def test_chunking_matches_unchunked(self, rng):
         """Tiny chunk budget still produces identical output."""
         img = random_image(rng, 24, 24)
